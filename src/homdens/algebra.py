@@ -35,6 +35,9 @@ from .polynomials import Polynomial
 
 IND_CAP = 20
 EXPAND_BUDGET = 200_000
+# Deepest s-expression nesting accepted; the parser and the recursive
+# evaluators stay well inside the interpreter's recursion limit.
+QEXPR_DEPTH_CAP = 100
 
 EMPTY_PLG = PLG(Graph(0))
 
@@ -667,13 +670,15 @@ def parse_qexpr(text):
     tokens = _tokenize_sexpr(text)
     if not tokens:
         raise FormatError("empty expression")
-    expr, rest = _parse_node(tokens)
+    expr, rest = _parse_node(tokens, 1)
     if rest:
         raise FormatError(f"trailing tokens after expression: {' '.join(rest[:4])}")
     return expr
 
 
-def _parse_node(tokens):
+def _parse_node(tokens, depth):
+    if depth > QEXPR_DEPTH_CAP:
+        raise FormatError(f"expression nested deeper than {QEXPR_DEPTH_CAP} levels")
     if tokens[0] != "(":
         raise FormatError(f"expected '(', got {tokens[0]!r}")
     if len(tokens) < 2:
@@ -694,7 +699,7 @@ def _parse_node(tokens):
     if head == "sum" or head == "prod":
         children = []
         while rest and rest[0] != ")":
-            child, rest = _parse_node(rest)
+            child, rest = _parse_node(rest, depth + 1)
             children.append(child)
         if not rest:
             raise FormatError(f"unterminated ({head} ...)")
@@ -708,7 +713,7 @@ def _parse_node(tokens):
             keep = [int(t) for t in rest[1:depth_close]]
         except ValueError:
             raise FormatError("label list must contain integers") from None
-        child, rest = _parse_node(rest[depth_close + 1:])
+        child, rest = _parse_node(rest[depth_close + 1:], depth + 1)
         if not rest or rest[0] != ")":
             raise FormatError("unterminated (unlabel ...)")
         return Unlabel(keep, child), rest[1:]

@@ -4,7 +4,8 @@ Every command reads and writes the plain-text formats of the library
 (`plg` records, quantum-graph term lists, s-expressions, polynomial and
 proof files) and prints machine-readable `key=value` lines with exact
 rationals.  Exit codes: 0 for verified/none-found, 1 for rejected or
-witness-found, 2 for malformed input or exceeded caps.
+witness-found, 2 for malformed input or exceeded caps, 3 for an
+unexpected internal error.
 
 Identical invocations produce byte-identical output.  Setting
 HOMDENS_CACHE_DIR caches small-graph enumerations between runs.
@@ -378,12 +379,12 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # never exit 1, which reads as a definite answer
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -12,21 +12,29 @@ that is equal or non-adjacent.  This is what makes the partial-order and
 Moebius identities exact sums over supergraphs, with no injectivity error
 terms.
 
+Every density is a sum over the ways of extending a map, pinned on some
+vertices of a pattern, to all of it, and one kernel does all of them.  A
+plan fixes the search order of the free vertices, split into independent
+components, each ending in a tail whose vertices are summed over their
+candidate masks rather than enumerated.  One candidate rule, in hom, inj
+or exact mode, gives the target vertices open to each vertex, and also
+checks the pinned vertices.  The ring sum adds products of vertex-weight
+numerators over one denominator; the image walk yields whole images, for
+the monomial bins of density polynomials and for exact embeddings.
+
 Quantum graphs evaluate linearly.  Structured expressions evaluate without
-expansion: Product nodes multiply factor densities (gluing is
-multiplicative for any label sets once the shared labels are pinned),
-Unlabel nodes take an exact expectation over extensions of the root map,
-and IndAtom nodes compute the exact-extension probability directly.  The
-Unlabel sum is a depth-first search over label assignments that abandons a
-branch as soon as the partial assignment already forces the child to
-vanish, which keeps scans over embedding-free targets cheap.
+expansion: Product nodes multiply factor densities, Unlabel nodes take an
+exact expectation over label assignments, abandoning a branch as soon as
+the partial assignment forces the child to vanish, and IndAtom nodes are
+the exact mode of the kernel.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
-from math import comb
+from math import comb, lcm, perm
 
 from .algebra import (
     Atom,
@@ -35,15 +43,15 @@ from .algebra import (
     PolyImage,
     Product,
     QExpr,
-    QuantumGraph,
     Sum,
     Unlabel,
     as_quantum,
 )
-from .errors import CapExceeded, FormatError
+from .errors import BudgetExceeded, CapExceeded, FormatError
 from .graphs import (
     Graph,
     PartiallyLabeledGraph,
+    _bits,
     plg_from_fields,
     split_record_fields,
 )
@@ -106,302 +114,254 @@ def as_weighted(G):
 
 
 # ---------------------------------------------------------------------------
-# Basic densities
+# The hom-extension kernel
+
+HOM, INJ, EXACT = "hom", "inj", "exact"
 
 
-def _search_order(graph, pinned, free=None):
-    """Free vertices ordered so each has many already-placed neighbors."""
-    placed = set(pinned)
-    if free is None:
-        free = [v for v in range(graph.n) if v not in placed]
-    else:
-        free = list(free)
-    order = []
-    while free:
-        best = max(
-            free,
-            key=lambda v: (
-                sum(1 for u in placed if graph.has_edge(u, v)),
-                graph.degree(v),
-                -v,
-            ),
-        )
-        order.append(best)
-        placed.add(best)
-        free.remove(best)
-    return order
+class _Plan:
+    """The search order for extending a map pinned on some pattern vertices.
+
+    `order` lists the free vertices.  For position i, `nbs[i]` is the
+    pattern neighbourhood of order[i] and `earlier[i]` the pinned or
+    earlier vertices its candidates depend on: its neighbours among them,
+    or in exact mode all of them.  `comps` holds one (start, tail, stop)
+    range of positions per component of the constraint graph on the free
+    vertices: the pattern in hom mode, the complete graph in inj and exact
+    modes.  Positions tail..stop-1 have no constrained neighbour later in
+    the order.
+    """
+
+    __slots__ = ("order", "nbs", "earlier", "comps", "exact", "inj")
+
+    def __init__(self, pattern, pinned, mode):
+        adj = pattern.adj
+        self.exact = mode == EXACT
+        self.inj = mode == INJ
+        bound = 0
+        for v in pinned:
+            bound |= 1 << v
+        rest = _bits(((1 << pattern.n) - 1) & ~bound)
+        order, starts, done = [], [], 0
+        while rest:
+            # Finish the current component first; within it, most placed
+            # neighbours first, then highest degree.
+            v = max(rest, key=lambda v: (
+                (adj[v] & done) != 0, (adj[v] & (bound | done)).bit_count(), adj[v].bit_count()
+            ))
+            if not order or mode == HOM and not adj[v] & done:
+                starts.append(len(order))
+            rest.remove(v)
+            order.append(v)
+            done |= 1 << v
+        # The tail of a component: its longest suffix with no constrained pair.
+        self.comps = []
+        for start, stop in zip(starts, starts[1:] + [len(order)]):
+            tail, later = stop, 0
+            while tail > start and not later & (adj[order[tail - 1]] if mode == HOM else -1):
+                tail -= 1
+                later |= 1 << order[tail]
+            self.comps.append((start, tail, stop))
+        self.order = order
+        self.nbs = [adj[v] for v in order]
+        self.earlier = []
+        for v in order:
+            self.earlier.append(_bits(bound if self.exact else adj[v] & bound))
+            bound |= 1 << v
 
 
-def hom_count(h, g):
-    """Number of maps V(h) -> V(g) sending every edge of h to an edge of g."""
-    h, g = _as_graph(h), _as_graph(g)
-    if h.n == 0:
-        return 1
-    if g.n == 0:
-        return 0
-    order = _search_order(h, ())
-    image = {}
-    full = (1 << g.n) - 1
+def _candidates(nb, earlier, exact, adj, full, image, used):
+    """Target vertices open to a pattern vertex with neighbourhood `nb`,
+    given the images of the `earlier` vertices.
 
-    def rec(i):
-        if i == len(order):
-            return 1
-        v = order[i]
-        cand = full
-        for u in image:
-            if h.has_edge(u, v):
-                cand &= g.adj[image[u]]
-        total = 0
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            image[v] = low.bit_length() - 1
-            total += rec(i + 1)
-        image.pop(v, None)
-        return total
-
-    return rec(0)
+    A candidate is adjacent to the image of every earlier neighbour; in
+    exact mode it is also not adjacent to the image of any earlier
+    non-neighbour; it is never in `used`, which only inj mode fills.
+    """
+    cand = full & ~used
+    for u in earlier:
+        if nb >> u & 1:
+            cand &= adj[image[u]]
+        elif exact:
+            cand &= ~adj[image[u]]
+    return cand
 
 
-def t(h, g):
-    """Probability that a uniformly random map V(h) -> V(g) is a homomorphism."""
-    h, g = _as_graph(h), _as_graph(g)
-    if h.n == 0:
-        return Fraction(1)
-    if g.n == 0:
-        return Fraction(0)
-    return Fraction(hom_count(h, g), g.n ** h.n)
-
-
-def t_inj(h, g):
-    """Density over injective maps; 0 when the target is smaller than h."""
-    h, g = _as_graph(h), _as_graph(g)
-    if h.n == 0:
-        return Fraction(1)
-    if g.n < h.n:
-        return Fraction(0)
-    order = _search_order(h, ())
-    image = {}
+def _bind(pattern, pinned, mode, graph):
+    """Check the root map {pattern vertex: target vertex} by the candidate
+    rule: the image list holding it and the target vertices it uses (inj
+    mode only), or None when it breaks a constraint of `mode`.  Root images
+    must be target vertices; the error names them 1-based, as the text
+    formats do."""
+    n = graph.n
+    for w in pinned.values():
+        if not 0 <= w < n:
+            raise ValueError(f"root image {w + 1} outside the target graph")
+    adj, gadj, exact, inj = pattern.adj, graph.adj, mode == EXACT, mode == INJ
+    full = (1 << n) - 1
+    image = [0] * pattern.n
     used = 0
-    full = (1 << g.n) - 1
-    count = 0
+    seen = []
+    for v, w in pinned.items():
+        if seen and not _candidates(adj[v], seen, exact, gadj, full, image, used) >> w & 1:
+            return None
+        image[v] = w
+        seen.append(v)
+        if inj:
+            used |= 1 << w
+    return image, used
 
-    def rec(i):
-        nonlocal count, used
-        if i == len(order):
-            count += 1
-            return
+
+class _Weights:
+    """Vertex weights of a target as numerators over one denominator.
+
+    Rational weights become integers over their least common denominator,
+    so a search adds and multiplies integers only; symbolic weights stay as
+    they are, over 1.  `flat` is the common numerator when all are equal,
+    so that a candidate mask weighs its popcount times `flat`.
+    """
+
+    __slots__ = ("y", "num", "den", "flat")
+
+    def __init__(self, y):
+        rational = all(isinstance(w, Fraction) for w in y)
+        self.y = y
+        self.den = lcm(*(w.denominator for w in y)) if rational else 1
+        self.num = [w.numerator * (self.den // w.denominator) for w in y] if rational else y
+        self.flat = self.num[0] if len(set(self.num)) == 1 else None
+
+    def mask_sum(self, mask):
+        if self.flat is not None:
+            return self.flat * mask.bit_count()
+        return sum(self.num[w] for w in _bits(mask))
+
+
+def _ring_sum(plan, graph, weights, image, used):
+    """Sum over extensions of the bound image of the product of the weight
+    numerators of the free vertices' images.
+
+    Components extend independently, so their sums multiply; a tail vertex
+    is summed over its candidate mask instead of enumerated.
+    """
+    adj, full, num = graph.adj, (1 << graph.n) - 1, weights.num
+    order, nbs, earlier, exact, inj = plan.order, plan.nbs, plan.earlier, plan.exact, plan.inj
+
+    def rec(i, tail, stop, used):
+        if i == tail:
+            value = 1
+            for j in range(tail, stop):
+                cand = _candidates(nbs[j], earlier[j], exact, adj, full, image, used)
+                value = value * weights.mask_sum(cand)
+                if not value:
+                    break
+            return value
+        cand = _candidates(nbs[i], earlier[i], exact, adj, full, image, used)
         v = order[i]
-        cand = full & ~used
-        for u in image:
-            if h.has_edge(u, v):
-                cand &= g.adj[image[u]]
+        total = 0
         while cand:
             low = cand & -cand
             cand ^= low
             w = low.bit_length() - 1
             image[v] = w
-            used |= low
-            rec(i + 1)
-            used &= ~low
-        image.pop(v, None)
+            sub = rec(i + 1, tail, stop, used | low if inj else used)
+            if sub:
+                total = total + num[w] * sub
+        return total
 
-    rec(0)
-    denom = 1
-    for i in range(h.n):
-        denom *= g.n - i
-    return Fraction(count, denom)
+    value = 1
+    for start, tail, stop in plan.comps:
+        value = value * rec(start, tail, stop, used)
+        if not value:
+            break
+    return value
+
+
+def _walk(plan, graph, image, used, budget=None):
+    """Yield `image` once per extension, with every free vertex filled in.
+
+    The same list is yielded each time; `budget` caps the search nodes.
+    """
+    order, nbs, earlier, exact, inj = plan.order, plan.nbs, plan.earlier, plan.exact, plan.inj
+    k = len(order)
+    if not k:
+        yield image
+        return
+    adj, full = graph.adj, (1 << graph.n) - 1
+    used = [used] * (k + 1)
+    masks = [0] * k
+    masks[0] = _candidates(nbs[0], earlier[0], exact, adj, full, image, used[0])
+    nodes = 0
+    i = 0
+    while i >= 0:
+        cand = masks[i]
+        if not cand:
+            i -= 1
+            continue
+        low = cand & -cand
+        masks[i] = cand ^ low
+        image[order[i]] = low.bit_length() - 1
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetExceeded(f"extension search exceeded {budget} nodes")
+        if i + 1 == k:
+            yield image
+            continue
+        i += 1
+        if inj:
+            used[i] = used[i - 1] | low
+        masks[i] = _candidates(nbs[i], earlier[i], exact, adj, full, image, used[i])
+
+
+def extensions(pattern, pinned, mode, graph, budget=None):
+    """Yield the image list (indexed by pattern vertex) of every extension
+    of the root map `pinned` {pattern vertex: target vertex}."""
+    bound = _bind(pattern, pinned, mode, graph)
+    if bound is not None:
+        yield from _walk(_Plan(pattern, pinned, mode), graph, *bound, budget)
+
+
+def _rooted_density(pattern, pinned, mode, graph, weights):
+    """The weighted probability that a random extension of `pinned` is a
+    homomorphism (hom mode), an injective one (inj) or exact (exact)."""
+    bound = _bind(pattern, pinned, mode, graph)
+    if bound is None:
+        return Fraction(0)
+    total = _ring_sum(_Plan(pattern, pinned, mode), graph, weights, *bound)
+    if isinstance(total, int):
+        return Fraction(total, weights.den ** (pattern.n - len(pinned)))
+    return total
+
+
+def _density(h, g, mode):
+    h, g = _as_graph(h), _as_graph(g)
+    return _rooted_density(h, {}, mode, g, _Weights(as_weighted(g).y))
+
+
+# ---------------------------------------------------------------------------
+# Basic densities
+
+
+def hom_count(h, g):
+    """Number of maps V(h) -> V(g) sending every edge of h to an edge of g."""
+    return int(t(h, g) * g.n ** h.n)
+
+
+def t(h, g):
+    """Probability that a uniformly random map V(h) -> V(g) is a homomorphism."""
+    return _density(h, g, HOM)
+
+
+def t_inj(h, g):
+    """Density over injective maps; 0 when the target is smaller than h."""
+    if g.n < h.n:
+        return Fraction(0)
+    return _density(h, g, INJ) * Fraction(g.n ** h.n, perm(g.n, h.n))
 
 
 def t_ind(h, g):
     """Exact-pattern density: edges land on distinct adjacent pairs, non-edges
     on equal or non-adjacent pairs."""
-    h, g = _as_graph(h), _as_graph(g)
-    if h.n == 0:
-        return Fraction(1)
-    if g.n == 0:
-        return Fraction(0)
-    image = {}
-    count = 0
-
-    def rec(v):
-        nonlocal count
-        if v == h.n:
-            count += 1
-            return
-        for w in range(g.n):
-            ok = True
-            for u in range(v):
-                if h.has_edge(u, v):
-                    if not g.has_edge(image[u], w):
-                        ok = False
-                        break
-                elif image[u] != w and g.has_edge(image[u], w):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                rec(v + 1)
-        image.pop(v, None)
-
-    rec(0)
-    return Fraction(count, g.n ** h.n)
-
-
-def _pinned_ok(plg, graph, pinned):
-    """Do the pinned vertices respect the edges among themselves?"""
-    for u, v in plg.graph.edges:
-        if u in pinned and v in pinned and not graph.has_edge(pinned[u], pinned[v]):
-            return False
-    return True
-
-
-def _restrict(phi, labels):
-    missing = set(labels) - set(phi)
-    if missing:
-        raise ValueError(f"root map missing labels {sorted(missing)}")
-    return {lab: phi[lab] for lab in labels}
-
-
-def t_rooted(h, G, phi):
-    """Probability that a y-random extension of the root map is a homomorphism.
-
-    Every labeled vertex of h is sent where phi sends its label; each
-    unlabeled vertex is drawn independently from y.  phi's domain must be
-    exactly the label set of h.
-    """
-    h = h if isinstance(h, PartiallyLabeledGraph) else PartiallyLabeledGraph(_as_graph(h))
-    G = as_weighted(G)
-    if set(phi) != set(h.label_set()):
-        raise ValueError("root map domain must equal the label set")
-    pinned = {v: phi[lab] for lab, v in h.labels}
-    return _rooted_value(h, G.graph, G.y, pinned)
-
-
-def _free_components(g, pinned):
-    """Connected components of the pattern restricted to unpinned vertices."""
-    free = [v for v in range(g.n) if v not in pinned]
-    free_mask = 0
-    for v in free:
-        free_mask |= 1 << v
-    seen = set()
-    out = []
-    for start in free:
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            rest = g.adj[v] & free_mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                u = low.bit_length() - 1
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        out.append(comp)
-    return out
-
-
-def _rooted_value(plg, graph, weights, pinned):
-    """Sum of prod-of-weights over homomorphism extensions of `pinned`.
-
-    Unpinned vertices are processed one component of the pinned-deleted
-    pattern at a time; the components extend independently, so their sums
-    multiply.  That keeps glued products of small pieces cheap.
-    """
-    g = plg.graph
-    if graph.n == 0:
-        return Fraction(1) if g.n == 0 else Fraction(0)
-    for v in pinned.values():
-        if not 0 <= v < graph.n:
-            raise ValueError(f"root image {v} outside the target graph")
-    if not _pinned_ok(plg, graph, pinned):
-        return Fraction(0)
-    full = (1 << graph.n) - 1
-    total = Fraction(1)
-    for comp in _free_components(g, pinned):
-        order = _search_order(g, pinned, free=comp)
-        image = dict(pinned)
-
-        def rec(i):
-            if i == len(order):
-                return Fraction(1)
-            v = order[i]
-            cand = full
-            for u in image:
-                if g.has_edge(u, v):
-                    cand &= graph.adj[image[u]]
-            part = Fraction(0)
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                w = low.bit_length() - 1
-                image[v] = w
-                part += weights[w] * rec(i + 1)
-            image.pop(v, None)
-            return part
-
-        value = rec(0)
-        if isinstance(value, Fraction) and not value:
-            return value
-        total = value * total
-    return total
-
-
-def _exact_rooted_value(plg, graph, weights, pinned):
-    """Like _rooted_value but for the exact-extension event of an IndAtom:
-    edges need distinct adjacent images, non-edges equal or non-adjacent
-    images."""
-    g = plg.graph
-    if graph.n == 0:
-        return Fraction(1) if g.n == 0 else Fraction(0)
-    pairs_bad = _exact_violation(g, pinned, graph)
-    if pairs_bad:
-        return Fraction(0)
-    order = _search_order(g, pinned)
-    image = dict(pinned)
-
-    def rec(i):
-        if i == len(order):
-            return Fraction(1)
-        v = order[i]
-        placed = list(image.items())
-        total = Fraction(0)
-        for w in range(graph.n):
-            ok = True
-            for u, x in placed:
-                if g.has_edge(u, v):
-                    if not graph.has_edge(x, w):
-                        ok = False
-                        break
-                elif x != w and graph.has_edge(x, w):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                total += weights[w] * rec(i + 1)
-        image.pop(v, None)
-        return total
-
-    return rec(0)
-
-
-def _exact_violation(g, assigned, graph):
-    """True when some assigned pair already breaks exactness."""
-    items = list(assigned.items())
-    for i, (u, x) in enumerate(items):
-        for v, w in items[i + 1:]:
-            if g.has_edge(u, v):
-                if not graph.has_edge(x, w):
-                    return True
-            elif x != w and graph.has_edge(x, w):
-                return True
-    return False
+    return _density(h, g, EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -416,15 +376,15 @@ def t_quantum(f, G, phi=None):
     """
     G = as_weighted(G)
     phi = dict(phi or {})
+    weights = _Weights(G.y)
     if isinstance(f, QExpr):
         _check_cover(f.label_set(), phi)
-        return _eval_expr(f, G.graph, G.y, phi)
+        return _eval_expr(f, G.graph, weights, phi)
     f = as_quantum(f)
     _check_cover(f.label_set(), phi)
     total = Fraction(0)
     for plg, coeff in f.terms.items():
-        pinned = {v: phi[lab] for lab, v in plg.labels}
-        total += coeff * _rooted_value(plg, G.graph, G.y, pinned)
+        total += coeff * _rooted_density(plg.graph, _pinned(plg, phi), HOM, G.graph, weights)
     return total
 
 
@@ -434,17 +394,17 @@ def _check_cover(labels, phi):
         raise ValueError(f"root map missing labels {sorted(missing)}")
 
 
+def _pinned(plg, phi):
+    """The root map on the labeled vertices of plg."""
+    return {v: phi[lab] for lab, v in plg.labels if lab in phi}
+
+
 def _eval_expr(expr, graph, weights, phi):
     if isinstance(expr, Const):
         return expr.value
-    if isinstance(expr, Atom):
-        plg = expr.plg
-        pinned = {v: phi[lab] for lab, v in plg.labels}
-        return _rooted_value(plg, graph, weights, pinned)
-    if isinstance(expr, IndAtom):
-        plg = expr.plg
-        pinned = {v: phi[lab] for lab, v in plg.labels}
-        return _exact_rooted_value(plg, graph, weights, pinned)
+    if isinstance(expr, (Atom, IndAtom)):
+        mode = HOM if isinstance(expr, Atom) else EXACT
+        return _rooted_density(expr.plg.graph, _pinned(expr.plg, phi), mode, graph, weights)
     if isinstance(expr, Sum):
         total = Fraction(0)
         for child in expr.children:
@@ -461,7 +421,7 @@ def _eval_expr(expr, graph, weights, phi):
         values = {
             var: _eval_expr(gen, graph, weights, phi) for var, gen in expr.generators
         }
-        return _poly_at(expr.poly, values)
+        return expr.poly.evaluate(values)
     raise TypeError(f"unknown expression node {type(expr).__name__}")
 
 
@@ -484,7 +444,7 @@ def _eval_unlabel(expr, graph, weights, phi):
             assignment[free[i]] = v
             sub = rec(i + 1, assignment)
             if sub:
-                total += weights[v] * sub
+                total += weights.y[v] * sub
             del assignment[free[i]]
         return total
 
@@ -495,21 +455,13 @@ def _prune(expr, assignment, graph):
     """True only when every completion of `assignment` makes expr vanish."""
     if isinstance(expr, Const):
         return expr.value == 0
-    if isinstance(expr, Atom):
-        plg = expr.plg
-        label_of = {v: lab for lab, v in plg.labels}
-        for u, v in plg.graph.edges:
-            lu, lv = label_of.get(u), label_of.get(v)
-            if lu in assignment and lv in assignment:
-                if not graph.has_edge(assignment[lu], assignment[lv]):
-                    return True
-        return False
-    if isinstance(expr, IndAtom):
-        plg = expr.plg
-        assigned = {
-            v: assignment[lab] for lab, v in plg.labels if lab in assignment
-        }
-        return _exact_violation(plg.graph, assigned, graph)
+    if isinstance(expr, (Atom, IndAtom)):
+        mode = HOM if isinstance(expr, Atom) else EXACT
+        # The label search assigns labels in ascending order, and a branch
+        # mostly fails on its newest label: bind the highest labels first.
+        labels = reversed(expr.plg.labels)
+        pinned = {v: assignment[lab] for lab, v in labels if lab in assignment}
+        return _bind(expr.plg.graph, pinned, mode, graph) is None
     if isinstance(expr, Sum):
         return bool(expr.children) and all(
             _prune(c, assignment, graph) for c in expr.children
@@ -522,28 +474,8 @@ def _prune(expr, assignment, graph):
     if isinstance(expr, PolyImage):
         if any(not _prune(gen, assignment, graph) for _, gen in expr.generators):
             return False
-        return _poly_constant_term(expr.poly) == 0
+        return expr.poly.constant_term() == 0
     return False
-
-
-def _poly_constant_term(poly):
-    if isinstance(poly, Polynomial):
-        return poly.constant_term()
-    return poly.constant_term()
-
-
-def _poly_at(poly, values):
-    """Evaluate a polynomial-like object at rational or polynomial values."""
-    if isinstance(poly, Polynomial):
-        total = Fraction(0)
-        for exps, coeff in poly.terms.items():
-            term = coeff
-            for var, e in zip(poly.vars, exps):
-                if e:
-                    term = term * values[var] ** e
-            total = total + term
-        return total
-    return poly.evaluate(values)
 
 
 # ---------------------------------------------------------------------------
@@ -554,68 +486,35 @@ def density_polynomial(f, g, phi=None):
     """The density as a polynomial in vertex weights y_1..y_n of the target.
 
     Evaluating the result at any probability distribution equals
-    t_quantum(f, (g, y), phi).  Quantum-graph inputs take a fast path that
-    bins homomorphism extensions by their image multiset; structured trees
-    are evaluated with symbolic weights.
+    t_quantum(f, (g, y), phi).  Quantum-graph inputs bin the extensions of
+    each term by their image multiset; structured trees are evaluated with
+    symbolic weights.
     """
     g = _as_graph(g) if not isinstance(g, WeightedGraph) else g.graph
     phi = dict(phi or {})
     yvars = tuple(f"y{i}" for i in range(1, g.n + 1))
     if isinstance(f, QExpr):
         _check_cover(f.label_set(), phi)
-        weights = [Polynomial.variable(v, yvars) for v in yvars]
+        weights = _Weights([Polynomial.variable(v, yvars) for v in yvars])
         value = _eval_expr(f, g, weights, phi)
         if isinstance(value, Polynomial):
             return value.in_vars(yvars)
         return Polynomial.constant(value, yvars)
     f = as_quantum(f)
     _check_cover(f.label_set(), phi)
-    acc = {}
+    terms = {}
     for plg, coeff in f.terms.items():
-        pinned = {v: phi[lab] for lab, v in plg.labels}
-        _accumulate_hom_monomials(plg, g, pinned, coeff, acc)
-    return Polynomial(yvars, acc)
-
-
-def _accumulate_hom_monomials(plg, g, pinned, coeff, acc):
-    """Add coeff * prod y_{image(v)} to acc for every hom extension."""
-    h = plg.graph
-    if g.n == 0:
-        if h.n == 0:
-            key = ()
-            acc[key] = acc.get(key, 0) + coeff
-        return
-    for v in pinned.values():
-        if not 0 <= v < g.n:
-            raise ValueError(f"root image {v} outside the target graph")
-    if not _pinned_ok(plg, g, pinned):
-        return
-    order = _search_order(h, pinned)
-    image = dict(pinned)
-    counts = [0] * g.n
-    full = (1 << g.n) - 1
-
-    def rec(i):
-        if i == len(order):
-            key = tuple(counts)
-            acc[key] = acc.get(key, 0) + coeff
-            return
-        v = order[i]
-        cand = full
-        for u in image:
-            if h.has_edge(u, v):
-                cand &= g.adj[image[u]]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            w = low.bit_length() - 1
-            image[v] = w
-            counts[w] += 1
-            rec(i + 1)
-            counts[w] -= 1
-        image.pop(v, None)
-
-    rec(0)
+        pinned = _pinned(plg, phi)
+        free = [v for v in range(plg.n) if v not in pinned]
+        bins = Counter()
+        for image in extensions(plg.graph, pinned, HOM, g):
+            exps = [0] * g.n
+            for v in free:
+                exps[image[v]] += 1
+            bins[tuple(exps)] += 1
+        for exps, count in bins.items():
+            terms[exps] = terms.get(exps, 0) + coeff * count
+    return Polynomial(yvars, terms)
 
 
 # ---------------------------------------------------------------------------

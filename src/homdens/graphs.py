@@ -22,6 +22,7 @@ AUTOMORPHISM_CAP = 10
 ENUMERATION_CAP = 7
 
 _ENUM_CACHE_VERSION = "enum-v1"
+_ENUM_MEMO = {}  # n -> tuple of representatives, filled once per process
 
 
 class Graph:
@@ -530,7 +531,8 @@ def blowup_block(counts, v):
 
 
 def enumerate_graphs(n, cap=ENUMERATION_CAP):
-    """One canonical representative per isomorphism class of n-vertex graphs.
+    """One canonical representative per isomorphism class of n-vertex graphs,
+    as a tuple, memoized per process.
 
     Built incrementally: every n-vertex graph is an (n-1)-vertex graph plus
     one vertex with some neighborhood, so extending all classes and
@@ -541,24 +543,25 @@ def enumerate_graphs(n, cap=ENUMERATION_CAP):
         raise CapExceeded(f"enumerate_graphs supports n <= {cap}, got {n}")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    cached = _enum_cache_read(n)
-    if cached is not None:
-        return cached
-    if n == 0:
-        result = [EMPTY_GRAPH]
-    else:
-        smaller = enumerate_graphs(n - 1, cap=cap)
-        seen = {}
-        for base in smaller:
-            for nbhd in range(1 << (n - 1)):
-                edges = list(base.edges)
-                edges += [(v, n - 1) for v in _bits(nbhd)]
-                g = Graph(n, edges)
-                can = PartiallyLabeledGraph(g).canonical().graph
-                seen.setdefault(can, None)
-        result = sorted(seen, key=lambda g: (len(g.edges), sorted(g.edges)))
-    _enum_cache_write(n, result)
-    return result
+    if n in _ENUM_MEMO:
+        return _ENUM_MEMO[n]
+    result = _enum_cache_read(n)
+    if result is None:
+        if n == 0:
+            result = [EMPTY_GRAPH]
+        else:
+            seen = {}
+            for base in enumerate_graphs(n - 1, cap=cap):
+                for nbhd in range(1 << (n - 1)):
+                    edges = list(base.edges)
+                    edges += [(v, n - 1) for v in _bits(nbhd)]
+                    g = Graph(n, edges)
+                    can = PartiallyLabeledGraph(g).canonical().graph
+                    seen.setdefault(can, None)
+            result = sorted(seen, key=lambda g: (len(g.edges), sorted(g.edges)))
+        _enum_cache_write(n, result)
+    _ENUM_MEMO[n] = tuple(result)
+    return _ENUM_MEMO[n]
 
 
 def _enum_cache_path(n):

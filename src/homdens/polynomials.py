@@ -205,7 +205,11 @@ class Polynomial:
     # -- evaluation and substitution ----------------------------------------
 
     def evaluate(self, point):
-        """Value at a full assignment {var: rational}."""
+        """Value at a full assignment {var: value}.
+
+        Values may be rationals or anything that adds and multiplies with
+        them, such as polynomials.
+        """
         missing = set(self.vars) - set(point)
         if missing:
             raise ValueError(f"unassigned variables {sorted(missing)}")
@@ -214,8 +218,8 @@ class Polynomial:
             val = coeff
             for v, e in zip(self.vars, exps):
                 if e:
-                    val *= Fraction(point[v]) ** e
-            total += val
+                    val = val * point[v] ** e
+            total = total + val
         return total
 
     def substitute(self, assignments):

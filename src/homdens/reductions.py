@@ -37,8 +37,8 @@ from .algebra import (
     Unlabel,
     register_qexpr_head,
 )
-from .density import as_weighted, t, t_quantum
-from .errors import BudgetExceeded, FormatError
+from .density import EXACT, as_weighted, extensions, t
+from .errors import FormatError
 from .graphs import (
     Graph,
     PartiallyLabeledGraph,
@@ -71,13 +71,6 @@ def labeled_base(h):
 # Exact embeddings
 
 
-def _pair_ok(h, g, u, v, a, b):
-    """Is the assignment u -> a, v -> b exact for the pair (u, v)?"""
-    if h.has_edge(u, v):
-        return g.has_edge(a, b)
-    return a == b or not g.has_edge(a, b)
-
-
 def is_exact_embedding(h, g, phi):
     """Does the root map preserve both adjacency and non-adjacency?
 
@@ -87,60 +80,24 @@ def is_exact_embedding(h, g, phi):
     """
     if set(phi) != set(range(1, h.n + 1)):
         raise ValueError("root map domain must be the labels 1..k")
-    for u in range(h.n):
-        for v in range(u + 1, h.n):
-            if not _pair_ok(h, g, u, v, phi[u + 1], phi[v + 1]):
-                return False
-    return True
+    pinned = {v: phi[v + 1] for v in range(h.n)}
+    return next(extensions(h, pinned, EXACT, g), None) is not None
 
 
 def exact_embeddings(h, g, budget=EMBED_BUDGET):
     """All root maps V(h) -> V(g) preserving adjacency and non-adjacency.
 
-    Backtracking over vertices of h; `budget` bounds the number of
-    candidate checks.  Returns root maps keyed by label, sorted.
+    `budget` bounds the number of search nodes.  Returns root maps keyed
+    by label, sorted.
     """
-    k, n = h.n, g.n
-    if k == 0:
-        return [{}]
-    if n == 0:
-        return []
-    found = []
-    image = [0] * k
-    checks = 0
-
-    def rec(v):
-        nonlocal checks
-        if v == k:
-            found.append({i + 1: image[i] for i in range(k)})
-            return
-        for w in range(n):
-            checks += 1
-            if checks > budget:
-                raise BudgetExceeded(f"embedding search exceeded {budget} checks")
-            if all(_pair_ok(h, g, u, v, image[u], w) for u in range(v)):
-                image[v] = w
-                rec(v + 1)
-
-    rec(0)
-    found.sort(key=lambda m: tuple(m[j] for j in range(1, k + 1)))
-    return found
+    images = sorted(tuple(image) for image in extensions(h, {}, EXACT, g, budget=budget))
+    return [{v + 1: w for v, w in enumerate(image)} for image in images]
 
 
 def resample_set(h, g, phi, j):
     """U_j: the vertices w for which phi with j redirected to w stays exact."""
-    out = []
-    for w in range(g.n):
-        ok = True
-        for u in range(h.n):
-            if u == j - 1:
-                continue
-            if not _pair_ok(h, g, u, j - 1, phi[u + 1], w):
-                ok = False
-                break
-        if ok:
-            out.append(w)
-    return out
+    others = {v: phi[v + 1] for v in range(h.n) if v != j - 1}
+    return [image[j - 1] for image in extensions(h, others, EXACT, g)]
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +125,16 @@ def _x_vars(k):
     return tuple(f"x{j}" for j in range(1, k + 1))
 
 
+def _check_vars(p, allowed):
+    bad = set(p.vars) - set(allowed)
+    if bad:
+        raise ValueError(f"polynomial uses variables {sorted(bad)}, expected {', '.join(allowed)}")
+
+
 def phi(h, p):
     """The image of p under the clone homomorphism, as a structured tree."""
     k = h.n
-    allowed = set(_x_vars(k))
-    bad = set(p.vars) - allowed
-    if bad:
-        raise ValueError(f"polynomial uses variables {sorted(bad)}, expected x1..x{k}")
+    _check_vars(p, _x_vars(k))
     gens = {f"x{j}": phi_generator(h, j) for j in range(1, k + 1)}
     origin = (
         f"(phi {format_plg(labeled_base(h), canonicalize=False)} | {format_poly(p)})"
@@ -290,6 +250,12 @@ def psi_expr(h, poly, origin=None):
     return PolyImage(gens, poly, origin=origin)
 
 
+def _psitau_expr(h, p):
+    """The clique image of the cleared calculus polynomial of p over h."""
+    origin = f"(psitau {format_plg(labeled_base(h), canonicalize=False)} | {format_poly(p)})"
+    return psi_expr(h, TauCalculusPoly(p, h.n), origin=origin)
+
+
 def _etv_vars(k):
     out = []
     for prefix in ("e", "t", "v"):
@@ -311,6 +277,10 @@ class _TauSubstituted:
         return Fraction(0)
 
     def evaluate(self, point):
+        if any(isinstance(value, Polynomial) for value in point.values()):
+            raise ValueError(
+                "symbolic evaluation of a cleared-substitution image is unsupported"
+            )
         vs = [Fraction(point[f"v{j}"]) for j in range(1, self.k + 1)]
         if any(v == 0 for v in vs):
             return Fraction(0)
@@ -328,12 +298,7 @@ class TauPoly(_TauSubstituted):
     __slots__ = ("q", "k", "degree", "vars")
 
     def __init__(self, q, k):
-        allowed = {f"x{j}" for j in range(1, k + 1)} | {
-            f"y{j}" for j in range(1, k + 1)
-        }
-        bad = set(q.vars) - allowed
-        if bad:
-            raise ValueError(f"unexpected variables {sorted(bad)}")
+        _check_vars(q, _x_vars(k) + tuple(f"y{j}" for j in range(1, k + 1)))
         if q.total_degree() == 0:
             raise ValueError("source polynomial must not be constant")
         object.__setattr__(self, "q", q)
@@ -374,10 +339,7 @@ class TauCalculusPoly(_TauSubstituted):
     __slots__ = ("p", "k", "M", "degree", "vars")
 
     def __init__(self, p, k):
-        allowed = set(_x_vars(k))
-        bad = set(p.vars) - allowed
-        if bad:
-            raise ValueError(f"unexpected variables {sorted(bad)}")
+        _check_vars(p, _x_vars(k))
         if p.total_degree() == 0:
             raise ValueError("source polynomial must not be constant")
         object.__setattr__(self, "p", p)
@@ -422,12 +384,7 @@ def build_instance(p, k=COUNTEREXAMPLE_K):
     for _, coeff in p.terms.items():
         if coeff.denominator != 1:
             raise ValueError("coefficients must be integers")
-    h = stringent_graph(k)
-    poly = TauCalculusPoly(p, k)
-    origin = (
-        f"(psitau {format_plg(labeled_base(h), canonicalize=False)} | {format_poly(p)})"
-    )
-    return Unlabel(frozenset(), psi_expr(h, poly, origin=origin))
+    return Unlabel(frozenset(), _psitau_expr(stringent_graph(k), p))
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +396,7 @@ def witness_graph(p, counts):
     k = len(counts)
     if any(c < 1 for c in counts):
         raise ValueError("blow-up counts must be positive")
-    allowed = set(_x_vars(k))
-    bad = set(p.vars) - allowed
-    if bad:
-        raise ValueError(f"unexpected variables {sorted(bad)}")
+    _check_vars(p, _x_vars(k))
     point = {var: 1 - Fraction(1, counts[int(var[1:]) - 1]) for var in p.vars}
     value = p.evaluate(point)
     if value >= 0:
@@ -536,12 +490,7 @@ def _parse_phi_head(tokens):
 
 
 def _parse_psitau_head(tokens):
-    h, p = _split_head(tokens, "psitau")
-    poly = TauCalculusPoly(p, h.n)
-    origin = (
-        f"(psitau {format_plg(labeled_base(h), canonicalize=False)} | {format_poly(p)})"
-    )
-    return psi_expr(h, poly, origin=origin)
+    return _psitau_expr(*_split_head(tokens, "psitau"))
 
 
 register_qexpr_head("phi", _parse_phi_head)

@@ -109,9 +109,8 @@ def counterexample_value(G):
     The unlabeled value is the weighted sum over exact embeddings phi of
     p(alpha(phi)); off the embedding set every rooted value vanishes.
     The identity itself is verified against the generic evaluator on all
-    targets with up to 3 vertices inside criterion 2 (and exhaustively
-    with up to 4 vertices in the reduction unit tests), which is as far
-    as direct evaluation of an 11464-term quantum graph is feasible.
+    targets with up to 4 vertices inside criterion 2, and exhaustively
+    with up to 4 vertices in the reduction unit tests.
     """
     G = G if isinstance(G, WeightedGraph) else WeightedGraph.uniform(G)
     p = counterexample_poly(6)
@@ -143,7 +142,7 @@ def test_criterion_2_counterexample_positivity_scan():
     x = counterexample(6)
     # route check: the embedding-sum identity against the generic
     # evaluator, every target where direct evaluation is feasible
-    for g in targets_up_to(3):
+    for g in targets_up_to(4):
         assert counterexample_value(g) == t_quantum(x, g)
     scanned = 0
     for g in targets_up_to(6):

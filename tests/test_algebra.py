@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from homdens.algebra import (
+    QEXPR_DEPTH_CAP,
     Atom,
     Const,
     IndAtom,
@@ -396,3 +397,13 @@ class TestQExprFormat:
         ]:
             with pytest.raises(FormatError):
                 parse_qexpr(bad)
+
+    def test_depth_cap(self):
+        def nested(depth):
+            return "(unlabel () " * (depth - 1) + "(q 1)" + ")" * (depth - 1)
+
+        expr = parse_qexpr(nested(QEXPR_DEPTH_CAP))
+        assert format_qexpr(expr) == nested(QEXPR_DEPTH_CAP)
+        for depth in (QEXPR_DEPTH_CAP + 1, 3000):
+            with pytest.raises(FormatError, match="nested deeper"):
+                parse_qexpr(nested(depth))

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from homdens import cli
 from homdens.cli import main
 from homdens.graphs import (
     Graph,
@@ -80,6 +81,24 @@ class TestDensity:
         code, _, err = run(capsys, "density", "--target", target, "--in", pattern)
         assert code == 2
         assert "labels" in err
+
+
+    def test_root_out_of_range_is_named_1_based(self, capsys, files):
+        target = files("K3.plg", plg_text(Graph.complete(3)))
+        pattern = files("e1.plg", "plg n=2 labels=1:1 edges=1-2\n")
+        code, out, err = run(
+            capsys, "density", "--target", target, "--in", pattern, "--root", "1:5"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: root image 5 outside the target graph\n"
+
+    def test_ind_root_out_of_range_exits_2(self, capsys, files):
+        target = files("K3.plg", plg_text(Graph.complete(3)))
+        expr = files("e1.qx", "(ind plg n=2 labels=1:1 edges=1-2)\n")
+        code, _, err = run(capsys, "eval", "--target", target, "--in", expr, "--root", "1:4")
+        assert code == 2
+        assert err == "error: root image 4 outside the target graph\n"
 
 
 class TestStringent:
@@ -281,3 +300,42 @@ class TestEntryPoint:
         code, _, err = run(capsys, "density", "--target", "/nonexistent", "--in", "/nonexistent")
         assert code == 2
         assert "error:" in err
+
+
+def nested_sum(depth):
+    return "(sum " * depth + "(q 1)" + ")" * depth + "\n"
+
+
+class TestHostileInput:
+    def test_deep_nest_exits_2(self, capsys, files):
+        expr = files("deep.qx", nested_sum(3000))
+        target = files("K2.plg", plg_text(Graph.complete(2)))
+        code, out, err = run(capsys, "eval", "--in", expr, "--target", target)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: expression nested deeper than")
+
+    def test_deep_nest_process_exits_2_without_traceback(self, files):
+        expr = files("deep.qx", nested_sum(3000))
+        target = files("K2.plg", plg_text(Graph.complete(2)))
+        script = "import sys; from homdens.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "eval", "--in", expr, "--target", target],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+
+    def test_unexpected_exception_exits_3(self, capsys, files, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("internal failure")
+
+        monkeypatch.setattr(cli, "t_quantum", broken)
+        target = files("K3.plg", plg_text(Graph.complete(3)))
+        pattern = files("K2.plg", plg_text(Graph.complete(2)))
+        code, out, err = run(capsys, "eval", "--target", target, "--in", pattern)
+        assert code == 3
+        assert out == ""
+        assert err == "error: unexpected RuntimeError: internal failure\n"

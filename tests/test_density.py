@@ -19,6 +19,7 @@ from homdens.algebra import (
     unlabel as qunlabel,
 )
 from homdens.density import (
+    HOM,
     StepGraphon,
     WeightedGraph,
     check_tasym,
@@ -34,8 +35,8 @@ from homdens.density import (
     t_ind,
     t_inj,
     t_quantum,
-    t_rooted,
     w_from_graph,
+    _Plan,
 )
 from homdens.errors import CapExceeded, FormatError
 from homdens.graphs import (
@@ -46,7 +47,10 @@ from homdens.graphs import (
 )
 from homdens.polynomials import Polynomial
 
+from homdens.reductions import exact_embeddings
+
 from oracles import (
+    brute_exact_embeddings,
     brute_rooted_t,
     brute_t,
     brute_t_ind,
@@ -179,18 +183,12 @@ class TestBasicDensities:
 
 class TestRooted:
     def test_edge_rooted_at_triangle(self):
-        assert t_rooted(EDGE1, K3, {1: 0}) == F(2, 3)
+        assert t_quantum(EDGE1, K3, {1: 0}) == F(2, 3)
 
     def test_fully_labeled_indicator(self):
         full = PLG(K2, {1: 0, 2: 1})
-        assert t_rooted(full, K3, {1: 0, 2: 1}) == 1
-        assert t_rooted(full, K3, {1: 0, 2: 0}) == 0
-
-    def test_domain_must_match(self):
-        with pytest.raises(ValueError):
-            t_rooted(EDGE1, K3, {})
-        with pytest.raises(ValueError):
-            t_rooted(EDGE1, K3, {1: 0, 2: 1})
+        assert t_quantum(full, K3, {1: 0, 2: 1}) == 1
+        assert t_quantum(full, K3, {1: 0, 2: 0}) == 0
 
     def test_weighted_oracle(self):
         rng = random.Random(31)
@@ -199,11 +197,11 @@ class TestRooted:
             G = random_weighted(rng, 4)
             phi = {lab: rng.randrange(G.graph.n) for lab in h.label_set()}
             pinned = {h.vertex_of(lab): v for lab, v in phi.items()}
-            assert t_rooted(h, G, phi) == brute_rooted_t(h, G.graph, pinned, G.y)
+            assert t_quantum(h, G, phi) == brute_rooted_t(h, G.graph, pinned, G.y)
 
     def test_violated_root_edge_is_zero(self):
         full = PLG(P3, {1: 0, 2: 1, 3: 2})
-        assert t_rooted(full, Graph(3, [(0, 1)]), {1: 0, 2: 1, 3: 2}) == 0
+        assert t_quantum(full, Graph(3, [(0, 1)]), {1: 0, 2: 1, 3: 2}) == 0
 
 
 class TestQuantum:
@@ -318,6 +316,57 @@ def _all_root_maps(labels, n):
     for lab in labels:
         maps = [{**m, lab: v} for m in maps for v in range(n)]
     return maps
+
+
+# Patterns and targets for the kernel check: every graph with at most 4
+# vertices, plus a disconnected pattern whose free vertices split into two
+# components once its labeled vertices are pinned, and a star whose plan
+# ends in a tail of three leaves.
+SMALL = [g for n in range(5) for g in enumerate_graphs(n)]
+SPLIT = PLG(TWO_EDGES, {1: 0, 2: 2})
+STAR = Graph(4, [(0, 1), (0, 2), (0, 3)])
+
+
+def _labelings(h):
+    """h unlabeled, with its first vertex labeled, and with its first and
+    last vertices labeled."""
+    out = [PLG(h)]
+    if h.n:
+        out.append(PLG(h, {1: 0}))
+    if h.n > 1:
+        out.append(PLG(h, {1: 0, 2: h.n - 1}))
+    return out
+
+
+@pytest.mark.parametrize(
+    "mode", ["t", "t_inj", "t_ind", "t_quantum", "exact_embeddings", "density_polynomial"]
+)
+def test_kernel_modes_against_oracles(mode):
+    assert _Plan(SPLIT.graph, {0: 0, 2: 0}, HOM).comps == [(0, 0, 1), (1, 1, 2)]
+    assert _Plan(STAR, {}, HOM).comps == [(0, 1, 4)]
+    rng = random.Random(61)
+    for g in SMALL:
+        y = random_distribution(rng, g.n) if g.n else []
+        point = {f"y{i + 1}": y[i] for i in range(g.n)}
+        for h in SMALL + [STAR]:
+            if mode == "t":
+                assert t(h, g) == brute_t(h, g)
+            elif mode == "t_inj":
+                assert t_inj(h, g) == brute_t_inj(h, g)
+            elif mode == "t_ind":
+                assert t_ind(h, g) == brute_t_ind(h, g)
+            elif mode == "exact_embeddings":
+                got = [tuple(m[j] for j in range(1, h.n + 1)) for m in exact_embeddings(h, g)]
+                assert got == sorted(brute_exact_embeddings(h, g))
+            elif g.n:
+                for plg in _labelings(h) + [SPLIT]:
+                    for phi in _all_root_maps(sorted(plg.label_set()), g.n):
+                        pinned = {plg.vertex_of(lab): v for lab, v in phi.items()}
+                        want = brute_rooted_t(plg, g, pinned, y)
+                        if mode == "t_quantum":
+                            assert t_quantum(plg, WeightedGraph(g, y), phi) == want
+                        else:
+                            assert density_polynomial(plg, g, phi).evaluate(point) == want
 
 
 class TestBlowupExactness:

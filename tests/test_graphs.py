@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from homdens import graphs
 from homdens.errors import CapExceeded, FormatError
 from homdens.graphs import (
     PLG,
@@ -247,16 +248,35 @@ class TestEnumeration:
             assert PLG(g).canonical().graph == g
 
     def test_cache_round_trip(self, tmp_path, monkeypatch):
+        # The disk cache sits behind the per-process memo; start each
+        # process-level step with an empty memo to reach it.
         monkeypatch.setenv("HOMDENS_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(graphs, "_ENUM_MEMO", {})
         first = enumerate_graphs(5)
         assert (tmp_path / "enum-v1-n5.txt").exists()
+        monkeypatch.setattr(graphs, "_ENUM_MEMO", {})
         second = enumerate_graphs(5)
         assert first == second
 
     def test_corrupt_cache_recomputed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOMDENS_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(graphs, "_ENUM_MEMO", {})
         (tmp_path / "enum-v1-n3.txt").write_text("plg nonsense\n")
         assert len(enumerate_graphs(3)) == 4
+
+    def test_memoized_per_process(self, monkeypatch):
+        first = enumerate_graphs(6)
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return canonical_form(g)
+
+        monkeypatch.setattr(graphs, "canonical_form", counting)
+        second = enumerate_graphs(6)
+        assert calls == []
+        assert second == first
+        assert isinstance(second, tuple)
 
     def test_cap(self):
         with pytest.raises(CapExceeded):

@@ -413,6 +413,11 @@ class TestBuildInstance:
         with pytest.raises(FormatError):
             parse_qexpr("(psitau plg n=2 labels=1:1,2:2)")
 
+    def test_symbolic_density_is_a_clear_error(self):
+        inst = build_instance(1 - 2 * xvar("x1", XV6))
+        with pytest.raises(ValueError, match="symbolic evaluation of a cleared-substitution"):
+            density_polynomial(inst, H6)
+
 
 class TestWitnessGraph:
     def test_flagship_shape(self):
