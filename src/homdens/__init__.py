@@ -8,12 +8,10 @@ into the algebra, and machinery for checking positivity evidence.
 from .algebra import (
     QuantumGraph,
     as_quantum,
-    equal_mod_K,
     expand,
     format_qexpr,
     format_quantum,
     ind,
-    normalize,
     parse_qexpr,
     parse_quantum,
     product,
@@ -31,7 +29,6 @@ from .certificates import (
     verify_sos,
 )
 from .density import (
-    StepGraphon,
     WeightedGraph,
     density_polynomial,
     t,
@@ -70,7 +67,6 @@ __all__ = [
     "PartiallyLabeledGraph",
     "Polynomial",
     "QuantumGraph",
-    "StepGraphon",
     "WeightedGraph",
     "as_quantum",
     "build_counterexample",
@@ -81,7 +77,6 @@ __all__ = [
     "cs_instance",
     "density_polynomial",
     "enumerate_graphs",
-    "equal_mod_K",
     "exact_embeddings",
     "expand",
     "format_plg",
@@ -93,7 +88,6 @@ __all__ = [
     "is_psd",
     "is_stringent",
     "moment_matrix",
-    "normalize",
     "parse_cs_proof",
     "parse_plg",
     "parse_poly",

@@ -173,7 +173,7 @@ class QuantumGraph:
     def __repr__(self):
         if not self.terms:
             return "QuantumGraph(0)"
-        bits = [f"{c} * {format_plg(p, canonicalize=False)}" for p, c in self.sorted_terms()]
+        bits = [f"{c} * {format_plg(p)}" for p, c in self.sorted_terms()]
         return "QuantumGraph(" + " + ".join(bits) + ")"
 
 
@@ -206,19 +206,18 @@ def unlabel(f, keep=()):
     )
 
 
-def normalize(raw):
-    """Normal form of a raw (plg, coeff) collection."""
-    return QuantumGraph(raw)
-
-
-def equal_mod_K(f, g):
-    """Equality in the quotient algebra: identical normal forms."""
-    return as_quantum(f) == as_quantum(g)
-
-
 def non_edges(plg):
     g = plg.graph
     return [(u, v) for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v)]
+
+
+def _supergraphs_raw(plg):
+    """All supergraphs on the same vertex set, labels kept, no normalization."""
+    missing = non_edges(plg)
+    base = set(plg.graph.edges)
+    for bits in range(1 << len(missing)):
+        extra = [missing[i] for i in range(len(missing)) if bits >> i & 1]
+        yield PLG(Graph(plg.graph.n, base.union(extra)), plg.labels)
 
 
 def ind(h, cap=IND_CAP):
@@ -229,25 +228,13 @@ def ind(h, cap=IND_CAP):
     IndAtom nodes.
     """
     h = as_plg(h)
-    missing = non_edges(h)
-    if len(missing) > cap:
-        raise CapExceeded(f"ind expansion over {len(missing)} absent pairs exceeds cap {cap}")
-    base = set(h.graph.edges)
-    terms = []
-    for bits in range(1 << len(missing)):
-        extra = [missing[i] for i in range(len(missing)) if bits >> i & 1]
-        g = Graph(h.graph.n, base.union(extra))
-        terms.append((PLG(g, h.labels), Fraction(-1) ** len(extra)))
-    return QuantumGraph(terms)
-
-
-def _supergraphs_raw(plg):
-    """All supergraphs on the same vertex set, labels kept, no normalization."""
-    missing = non_edges(plg)
-    base = set(plg.graph.edges)
-    for bits in range(1 << len(missing)):
-        extra = [missing[i] for i in range(len(missing)) if bits >> i & 1]
-        yield PLG(Graph(plg.graph.n, base.union(extra)), plg.labels)
+    missing = len(non_edges(h))
+    if missing > cap:
+        raise CapExceeded(f"ind expansion over {missing} absent pairs exceeds cap {cap}")
+    base = len(h.graph.edges)
+    return QuantumGraph(
+        (sup, (-1) ** (len(sup.graph.edges) - base)) for sup in _supergraphs_raw(h)
+    )
 
 
 def labeled_core(plg):
@@ -383,7 +370,7 @@ class Atom(QExpr):
         return hash(("Atom", self.plg))
 
     def __repr__(self):
-        return f"Atom({format_plg(self.plg, canonicalize=False)!r})"
+        return f"Atom({format_plg(self.plg)!r})"
 
 
 class IndAtom(QExpr):
@@ -407,7 +394,7 @@ class IndAtom(QExpr):
         return hash(("IndAtom", self.plg))
 
     def __repr__(self):
-        return f"IndAtom({format_plg(self.plg, canonicalize=False)!r})"
+        return f"IndAtom({format_plg(self.plg)!r})"
 
 
 class Sum(QExpr):
@@ -604,7 +591,7 @@ def format_quantum(f):
     if not f.terms:
         return "# 0\n"
     lines = [
-        f"{coeff} * {format_plg(plg, canonicalize=False)}"
+        f"{coeff} * {format_plg(plg)}"
         for plg, coeff in f.sorted_terms()
     ]
     return "\n".join(lines) + "\n"
@@ -642,9 +629,9 @@ def format_qexpr(expr):
     if isinstance(expr, Const):
         return f"(q {expr.value})"
     if isinstance(expr, Atom):
-        return f"(g {format_plg(expr.plg, canonicalize=False)})"
+        return f"(g {format_plg(expr.plg)})"
     if isinstance(expr, IndAtom):
-        return f"(ind {format_plg(expr.plg, canonicalize=False)})"
+        return f"(ind {format_plg(expr.plg)})"
     if isinstance(expr, Sum):
         return "(sum " + " ".join(format_qexpr(c) for c in expr.children) + ")"
     if isinstance(expr, Product):
@@ -733,3 +720,15 @@ def _take_flat(tokens):
             raise FormatError("unexpected '(' inside a flat node")
         flat.append(tok)
     raise FormatError("unterminated expression")
+
+
+def load_expression(text):
+    """Parse a quantum-graph payload: an s-expression, one plg record, or a term list."""
+    stripped = text.strip()
+    if not stripped:
+        raise FormatError("empty input")
+    if stripped.startswith("("):
+        return parse_qexpr(stripped)
+    if stripped.startswith("plg"):
+        return as_quantum(parse_plg(stripped))
+    return parse_quantum(text)

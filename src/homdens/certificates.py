@@ -28,14 +28,14 @@ from .algebra import (
     as_quantum,
     expand,
     format_qexpr,
+    load_expression,
     parse_qexpr,
-    parse_quantum,
     product,
     unlabel,
 )
 from .density import WeightedGraph, t_quantum
 from .errors import FormatError
-from .graphs import Graph, enumerate_graphs, independent_blowup, parse_plg
+from .graphs import Graph, enumerate_graphs, independent_blowup
 
 PROOF_RULES = ("A1", "A2", "R1", "R2", "R3")
 
@@ -233,15 +233,11 @@ def _parse_operand(text, resolve, lineno):
         raise FormatError("empty operand", line=lineno)
     if text.startswith("@"):
         try:
-            text = resolve(text[1:]).strip()
+            text = resolve(text[1:])
         except OSError as exc:
             raise FormatError(f"cannot read {text[1:]!r}: {exc}", line=lineno) from None
     try:
-        if text.startswith("("):
-            return parse_qexpr(text)
-        if text.startswith("plg"):
-            return as_quantum(parse_plg(text))
-        return parse_quantum(text)
+        return load_expression(text)
     except FormatError as exc:
         if exc.line is None:
             raise FormatError(str(exc), line=lineno) from None

@@ -18,14 +18,7 @@ import multiprocessing
 import os
 import sys
 
-from .algebra import (
-    EXPAND_BUDGET,
-    as_quantum,
-    format_qexpr,
-    format_quantum,
-    parse_qexpr,
-    parse_quantum,
-)
+from .algebra import EXPAND_BUDGET, format_qexpr, format_quantum, load_expression
 from .certificates import (
     _refutation_target,
     _scan_random,
@@ -45,13 +38,7 @@ from .density import (
     t_quantum,
 )
 from .errors import FormatError
-from .graphs import (
-    PartiallyLabeledGraph,
-    enumerate_graphs,
-    format_plg,
-    parse_plg,
-    stringent_graph,
-)
+from .graphs import enumerate_graphs, format_plg, parse_plg, stringent_graph
 from .polynomials import parse_poly
 from .reductions import build_counterexample, build_instance, witness_graph
 
@@ -68,18 +55,6 @@ def _write(path, text):
 
 def _emit(key, value):
     print(f"{key}={value}")
-
-
-def _load_expression(text):
-    """Sniff a quantum-graph payload: s-expression, plg record, or term list."""
-    stripped = text.strip()
-    if not stripped:
-        raise FormatError("empty input")
-    if stripped.startswith("("):
-        return parse_qexpr(stripped)
-    if stripped.startswith("plg"):
-        return as_quantum(parse_plg(stripped))
-    return parse_quantum(text)
 
 
 def _load_target(text):
@@ -120,7 +95,7 @@ def _warn_budget(args):
 
 
 def cmd_density(args):
-    pattern = _load_expression(_read(args.infile))
+    pattern = load_expression(_read(args.infile))
     target = _load_target(_read(args.target))
     value = t_quantum(pattern, target, _parse_roots(args.root))
     _emit("t", value)
@@ -129,7 +104,7 @@ def cmd_density(args):
 
 def cmd_stringent(args):
     g = stringent_graph(args.k)
-    record = format_plg(PartiallyLabeledGraph(g), canonicalize=False)
+    record = format_plg(g)
     _emit("n", g.n)
     _emit("edges", len(g.edges))
     if args.out:
@@ -170,7 +145,7 @@ def cmd_witness(args):
     except ValueError:
         raise FormatError(f"bad sizes {args.sizes!r}") from None
     g = witness_graph(p, counts)
-    record = format_plg(PartiallyLabeledGraph(g), canonicalize=False)
+    record = format_plg(g)
     _emit("n", g.n)
     if args.out:
         _write(args.out, record + "\n")
@@ -181,7 +156,7 @@ def cmd_witness(args):
 
 
 def cmd_eval(args):
-    f = _load_expression(_read(args.infile))
+    f = load_expression(_read(args.infile))
     target = _load_target(_read(args.target))
     value = t_quantum(f, target, _parse_roots(args.root))
     _emit("value", value)
@@ -190,7 +165,7 @@ def cmd_eval(args):
 
 def cmd_verify_sos(args):
     _warn_budget(args)
-    target = _load_expression(_read(args.target))
+    target = load_expression(_read(args.target))
     cert = parse_sos_certificate(_read(args.cert))
     ok = verify_sos(target, cert, budget=args.budget)
     _emit("verified", "true" if ok else "false")
@@ -205,7 +180,7 @@ def cmd_check_proof(args):
         return _read(os.path.join(base, ref))
 
     proof = parse_cs_proof(_read(args.infile), resolve=resolve)
-    claimed = _load_expression(_read(args.claim))
+    claimed = load_expression(_read(args.claim))
     ok = check_cs_proof(proof, claimed, budget=args.budget)
     _emit("lines", len(proof))
     _emit("accepted", "true" if ok else "false")
@@ -213,10 +188,13 @@ def cmd_check_proof(args):
 
 
 def cmd_refute(args):
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    jobs = min(args.jobs, os.cpu_count() or 1)
     target_text = _read(args.infile)
-    target = _refutation_target(_load_expression(target_text))
-    if args.jobs > 1:
-        witness = _parallel_exhaustive(target_text, target, args.max_n, args.jobs)
+    target = _refutation_target(load_expression(target_text))
+    if jobs > 1:
+        witness = _parallel_exhaustive(target_text, target, args.max_n, jobs)
         if witness is None:
             witness = _scan_random(target, args.max_n, args.samples, args.seed)
     else:
@@ -228,10 +206,10 @@ def cmd_refute(args):
         _emit("witness", format_weighted_graph(witness))
         _emit("value", t_quantum(target, witness))
         blown = integer_witness(witness)
-        _emit("integer_witness", format_plg(PartiallyLabeledGraph(blown), canonicalize=False))
+        _emit("integer_witness", format_plg(blown))
         _emit("integer_value", t_quantum(target, blown))
     else:
-        _emit("witness", format_plg(PartiallyLabeledGraph(witness), canonicalize=False))
+        _emit("witness", format_plg(witness))
         _emit("value", t_quantum(target, witness))
     return 1
 
@@ -257,7 +235,7 @@ def cmd_moment_matrix(args):
 def cmd_enumerate(args):
     graphs = enumerate_graphs(args.n)
     _emit("count", len(graphs))
-    records = [format_plg(PartiallyLabeledGraph(g)) for g in graphs]
+    records = [format_plg(g) for g in graphs]
     if args.out:
         _write(args.out, "".join(r + "\n" for r in records))
         _emit("out", args.out)
@@ -277,7 +255,7 @@ _WORKER_TARGET = None
 
 def _refute_init(target_text):
     global _WORKER_TARGET
-    _WORKER_TARGET = _load_expression(target_text)
+    _WORKER_TARGET = load_expression(target_text)
 
 
 def _refute_probe(job):
@@ -289,10 +267,7 @@ def _refute_probe(job):
 def _parallel_exhaustive(target_text, target, max_n, jobs):
     for n in range(1, max_n + 1):
         candidates = enumerate_graphs(n)
-        jobs_for_n = [
-            (i, format_plg(PartiallyLabeledGraph(g), canonicalize=False))
-            for i, g in enumerate(candidates)
-        ]
+        jobs_for_n = [(i, format_plg(g)) for i, g in enumerate(candidates)]
         with multiprocessing.Pool(
             jobs, initializer=_refute_init, initargs=(target_text,)
         ) as pool:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product as iproduct
 from math import comb, lcm, perm
 
 from .algebra import (
@@ -518,123 +517,6 @@ def density_polynomial(f, g, phi=None):
 
 
 # ---------------------------------------------------------------------------
-# Step graphons
-
-
-class StepGraphon:
-    """A symmetric step function on [0,1]^2 with rational block structure."""
-
-    __slots__ = ("measures", "weights")
-
-    def __init__(self, measures, weights):
-        measures = tuple(Fraction(m) for m in measures)
-        weights = tuple(tuple(Fraction(w) for w in row) for row in weights)
-        k = len(measures)
-        if any(m < 0 for m in measures):
-            raise ValueError("negative block measure")
-        if sum(measures) != 1:
-            raise ValueError("block measures must sum to 1")
-        if len(weights) != k or any(len(row) != k for row in weights):
-            raise ValueError("weight matrix must be k by k")
-        for i in range(k):
-            for j in range(k):
-                if weights[i][j] != weights[j][i]:
-                    raise ValueError("weight matrix must be symmetric")
-                if not 0 <= weights[i][j] <= 1:
-                    raise ValueError("weights must lie in [0,1]")
-        object.__setattr__(self, "measures", measures)
-        object.__setattr__(self, "weights", weights)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StepGraphon is immutable")
-
-    @property
-    def k(self):
-        return len(self.measures)
-
-    def _breakpoints(self):
-        out = [Fraction(0)]
-        for m in self.measures:
-            out.append(out[-1] + m)
-        return out
-
-    def refined(self, cuts):
-        """The same graphon over the finer partition given by `cuts`."""
-        own = self._breakpoints()
-        cuts = sorted(set(own) | set(cuts))
-        measures = []
-        index = []
-        for a, b in zip(cuts, cuts[1:]):
-            if a == b:
-                continue
-            measures.append(b - a)
-            block = next(i for i in range(self.k) if own[i] <= a < own[i + 1])
-            index.append(block)
-        weights = [
-            [self.weights[index[i]][index[j]] for j in range(len(index))]
-            for i in range(len(index))
-        ]
-        return StepGraphon(measures, weights)
-
-    def __eq__(self, other):
-        if not isinstance(other, StepGraphon):
-            return NotImplemented
-        cuts = set(self._breakpoints()) | set(other._breakpoints())
-        a, b = self.refined(cuts), other.refined(cuts)
-        return a.measures == b.measures and a.weights == b.weights
-
-    def __repr__(self):
-        return f"StepGraphon(measures={list(self.measures)})"
-
-
-def w_from_graph(g):
-    """The step graphon with one equal block per vertex and 0/1 adjacency."""
-    g = _as_graph(g)
-    if g.n == 0:
-        raise ValueError("cannot build a graphon from the empty graph")
-    m = Fraction(1, g.n)
-    weights = [
-        [Fraction(1) if g.has_edge(i, j) else Fraction(0) for j in range(g.n)]
-        for i in range(g.n)
-    ]
-    return StepGraphon([m] * g.n, weights)
-
-
-def mix(w, wp, alpha):
-    """Pointwise convex combination (1-alpha) w + alpha w' on a common refinement."""
-    alpha = Fraction(alpha)
-    cuts = set(w._breakpoints()) | set(wp._breakpoints())
-    a, b = w.refined(cuts), wp.refined(cuts)
-    weights = [
-        [(1 - alpha) * a.weights[i][j] + alpha * b.weights[i][j] for j in range(a.k)]
-        for i in range(a.k)
-    ]
-    return StepGraphon(a.measures, weights)
-
-
-def t_graphon(h, w):
-    """Block-sum homomorphism density of h in a step graphon."""
-    h = _as_graph(h)
-    if h.n == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for blocks in iproduct(range(w.k), repeat=h.n):
-        value = Fraction(1)
-        for v in range(h.n):
-            value *= w.measures[blocks[v]]
-            if not value:
-                break
-        if not value:
-            continue
-        for u, v in h.edges:
-            value *= w.weights[blocks[u]][blocks[v]]
-            if not value:
-                break
-        total += value
-    return total
-
-
-# ---------------------------------------------------------------------------
 # The near-injectivity bound
 
 
@@ -675,40 +557,5 @@ def parse_weighted_graph(text, line=None):
         y = [Fraction(1, n)] * n if n else []
     try:
         return WeightedGraph(plg.graph, y)
-    except ValueError as exc:
-        raise FormatError(str(exc), line=line) from None
-
-
-def format_graphon(w):
-    rows = ";".join(",".join(str(x) for x in row) for row in w.weights)
-    measures = ",".join(str(m) for m in w.measures)
-    return f"graphon k={w.k} measures={measures} rows={rows}"
-
-
-def parse_graphon(text, line=None):
-    tokens = text.split()
-    if not tokens or tokens[0] != "graphon":
-        raise FormatError("expected record to start with 'graphon'", line=line)
-    fields = {}
-    for tok in tokens[1:]:
-        key, sep, value = tok.partition("=")
-        if not sep or key not in ("k", "measures", "rows"):
-            raise FormatError(f"malformed field {tok!r}", line=line)
-        if key in fields:
-            raise FormatError(f"duplicate field {key!r}", line=line)
-        fields[key] = value
-    try:
-        k = int(fields.get("k", ""))
-        measures = [Fraction(m) for m in fields["measures"].split(",")] if k else []
-        rows = [
-            [Fraction(x) for x in row.split(",")]
-            for row in fields["rows"].split(";")
-        ] if k else []
-    except (KeyError, ValueError, ZeroDivisionError):
-        raise FormatError("bad graphon record", line=line) from None
-    if len(measures) != k or len(rows) != k:
-        raise FormatError("graphon record sizes disagree with k", line=line)
-    try:
-        return StepGraphon(measures, rows)
     except ValueError as exc:
         raise FormatError(str(exc), line=line) from None

@@ -164,9 +164,6 @@ class PartiallyLabeledGraph:
                 return v
         raise KeyError(label)
 
-    def is_fully_labeled(self):
-        return len(self.labels) == self.graph.n
-
     def relabeled_vertices(self, perm):
         """Apply a vertex permutation: new index of old vertex v is perm[v]."""
         g = Graph(self.graph.n, ((perm[u], perm[v]) for u, v in self.graph.edges))
@@ -443,13 +440,11 @@ def automorphisms(g, cap=AUTOMORPHISM_CAP):
     return out
 
 
-def homogeneous_sets(g, cap=AUTOMORPHISM_CAP, all_distinct=False):
+def homogeneous_sets(g, cap=AUTOMORPHISM_CAP):
     """All vertex sets W with 1 < |W| <= n-1 whose members look alike outside W.
 
-    The adopted condition is N(u) \\ W == N(v) \\ W for every two distinct
-    u, v in W.  `all_distinct=True` instead requires those outside
-    neighborhoods to be pairwise distinct, a stricter variant kept for
-    comparison; nothing else uses it.
+    The condition is N(u) \\ W == N(v) \\ W for every two distinct u, v
+    in W.
     """
     n = g.n
     if n > cap:
@@ -460,11 +455,7 @@ def homogeneous_sets(g, cap=AUTOMORPHISM_CAP, all_distinct=False):
         for comb in combinations(range(n), size):
             wmask = _cell_mask(comb)
             outs = [adj[v] & ~wmask for v in comb]
-            if all_distinct:
-                ok = len(set(outs)) == size
-            else:
-                ok = all(o == outs[0] for o in outs)
-            if ok:
+            if all(o == outs[0] for o in outs):
                 found.append(frozenset(comb))
     found.sort(key=lambda w: (len(w), sorted(w)))
     return found
@@ -592,7 +583,7 @@ def _enum_cache_write(n, graphs):
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             for g in graphs:
-                fh.write(format_plg(PartiallyLabeledGraph(g)) + "\n")
+                fh.write(format_plg(g) + "\n")
         os.replace(tmp, path)
     except OSError:
         pass
@@ -603,7 +594,13 @@ def _enum_cache_write(n, graphs):
 # Vertices are 1-based in the record.  Empty fields are omitted.
 
 
-def format_plg(plg, canonicalize=True):
+def format_plg(plg, *, canonicalize=False):
+    """The record of `plg` (or of an unlabeled graph) exactly as given.
+
+    Call `.canonical()` first for the canonical record.  The keyword
+    `canonicalize=True` does that here; it stays only because
+    bench/workloads.py passes `canonicalize=False`.
+    """
     if isinstance(plg, Graph):
         plg = PartiallyLabeledGraph(plg)
     if canonicalize:

@@ -5,11 +5,9 @@ import pytest
 
 from homdens.algebra import (
     Atom,
-    Product,
     QuantumGraph,
     Sum,
     as_quantum,
-    equal_mod_K,
     expand,
     format_qexpr,
     ind,

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from homdens import cli
+from homdens import cli, graphs
 from homdens.cli import main
 from homdens.graphs import (
     Graph,
@@ -246,6 +246,43 @@ class TestRefuteCommand:
         code2, out2, _ = run(capsys, "refute", "--in", target, "--max-n", "4", "--jobs", "2")
         assert (code1, out1) == (code2, out2)
 
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_exits_2(self, capsys, files, jobs):
+        target = files("negK2.qg", "-1 * plg n=2 edges=1-2\n")
+        code, out, err = run(capsys, "refute", "--in", target, "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+    def test_jobs_capped_at_cpu_count(self, capsys, files, monkeypatch):
+        # An in-process pool records the worker count it is asked for.
+        requested = []
+
+        class FakePool:
+            def __init__(self, processes, initializer, initargs):
+                requested.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, iterable, chunksize):
+                return [func(job) for job in iterable]
+
+        monkeypatch.setattr(cli, "_WORKER_TARGET", None)
+        monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        target = files("t.qg", "1 * plg n=3 edges=1-2;1-3;2-3\n-1 * plg n=2 edges=1-2\n")
+        serial = run(capsys, "refute", "--in", target, "--max-n", "4", "--jobs", "1")
+        assert requested == []
+        capped = run(capsys, "refute", "--in", target, "--max-n", "4", "--jobs", "100000")
+        assert requested and set(requested) == {3}
+        assert capped == serial
+        assert serial[0] == 1
+
     def test_counterexample_pipeline_finds_nothing_small(self, capsys, files, tmp_path):
         out_path = str(tmp_path / "x.qg")
         code, out, _ = run(capsys, "counterexample", "--k", "6", "--out", out_path)
@@ -277,6 +314,21 @@ class TestEnumerate:
         _, out1, _ = run(capsys, "enumerate", "--n", "5")
         _, out2, _ = run(capsys, "enumerate", "--n", "5")
         assert out1 == out2
+
+    def test_warm_enumerate_canonicalizes_nothing(self, capsys, tmp_path, monkeypatch):
+        first, second = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+        assert run(capsys, "enumerate", "--n", "7", "--out", first)[0] == 0
+        calls = []
+        original = graphs.canonical_form
+
+        def counting(plg):
+            calls.append(plg)
+            return original(plg)
+
+        monkeypatch.setattr(graphs, "canonical_form", counting)
+        assert run(capsys, "enumerate", "--n", "7", "--out", second)[0] == 0
+        assert calls == []
+        assert (tmp_path / "b.txt").read_bytes() == (tmp_path / "a.txt").read_bytes()
 
     def test_out_file(self, capsys, tmp_path):
         path = str(tmp_path / "g3.txt")

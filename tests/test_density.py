@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction as F
-from math import comb
 
 import pytest
 
@@ -20,22 +19,16 @@ from homdens.algebra import (
 )
 from homdens.density import (
     HOM,
-    StepGraphon,
     WeightedGraph,
     check_tasym,
     density_polynomial,
-    format_graphon,
     format_weighted_graph,
     hom_count,
-    mix,
-    parse_graphon,
     parse_weighted_graph,
     t,
-    t_graphon,
     t_ind,
     t_inj,
     t_quantum,
-    w_from_graph,
     _Plan,
 )
 from homdens.errors import CapExceeded, FormatError
@@ -581,70 +574,6 @@ class TestCauchySchwarzNumeric:
             checked += 1
 
 
-class TestGraphons:
-    def test_constant_graphon(self):
-        half = StepGraphon([F(1)], [[F(1, 2)]])
-        assert t_graphon(K2, half) == F(1, 2)
-        third = StepGraphon([F(1)], [[F(1, 3)]])
-        for h in [K2, K3, P3, Graph.cycle(4)]:
-            assert t_graphon(h, third) == F(1, 3) ** len(h.edges)
-
-    def test_w_from_graph_matches_t(self):
-        for g in enumerate_graphs(4):
-            if g.n == 0:
-                continue
-            w = w_from_graph(g)
-            for h in [K1, K2, K3, P3]:
-                assert t_graphon(h, w) == t(h, g)
-
-    def test_path_in_edge_graphon(self):
-        assert t_graphon(P3, w_from_graph(K2)) == F(1, 4)
-
-    def test_mix_identity(self):
-        w = w_from_graph(K3)
-        for alpha in [F(0), F(1, 3), F(1, 2), F(1)]:
-            assert mix(w, w, alpha) == w
-
-    def test_mix_endpoints(self):
-        w, wp = w_from_graph(K3), w_from_graph(K2)
-        assert mix(w, wp, F(0)) == w
-        assert mix(w, wp, F(1)) == wp
-
-    def test_mixing_polynomial_degree(self):
-        # As a function of the mixing parameter the density is a polynomial
-        # of degree at most |E(h)|: interpolate and check an extra point.
-        w = w_from_graph(K3)
-        wp = StepGraphon([F(1, 2), F(1, 2)], [[F(1, 4), F(1)], [F(1), F(0)]])
-        for h in [K2, P3, K3]:
-            d = len(h.edges)
-            points = [F(i, d + 1) for i in range(d + 1)]
-            values = [t_graphon(h, mix(w, wp, a)) for a in points]
-            extra = F(7, 9)
-            predicted = _lagrange(points, values, extra)
-            assert predicted == t_graphon(h, mix(w, wp, extra))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StepGraphon([F(1, 2)], [[F(0)]])
-        with pytest.raises(ValueError):
-            StepGraphon([F(1)], [[F(2)]])
-        with pytest.raises(ValueError):
-            StepGraphon([F(1, 2), F(1, 2)], [[F(0), F(1)], [F(0), F(0)]])
-        with pytest.raises(ValueError):
-            w_from_graph(Graph(0))
-
-
-def _lagrange(points, values, x):
-    total = F(0)
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        term = yi
-        for j, xj in enumerate(points):
-            if i != j:
-                term *= F(x - xj, xi - xj)
-        total += term
-    return total
-
-
 class TestTasym:
     def test_tight_example(self):
         assert abs(t(K2, K3) - t_inj(K2, K3)) == F(1, 3)
@@ -678,26 +607,3 @@ class TestWeightedGraphFormat:
         with pytest.raises(FormatError) as exc:
             parse_weighted_graph("plg n=2 weights=1/0,1", line=4)
         assert "line 4" in str(exc.value)
-
-
-class TestGraphonFormat:
-    def test_round_trip(self):
-        w = mix(w_from_graph(K3), w_from_graph(K2), F(1, 3))
-        assert parse_graphon(format_graphon(w)) == w
-
-    def test_example(self):
-        w = parse_graphon("graphon k=2 measures=1/2,1/2 rows=0,1;1,0")
-        assert w == w_from_graph(K2)
-
-    def test_errors(self):
-        for bad in [
-            "plg n=2",
-            "graphon k=2 measures=1/2,1/2 rows=0,1",
-            "graphon k=2 measures=1/2 rows=0,1;1,0",
-            "graphon k=a measures=1 rows=1",
-            "graphon k=1 measures=1 rows=2",
-            "graphon k=1 measures=1 rows=1 rows=1",
-            "graphon k=1 measures=1 bogus=2 rows=1",
-        ]:
-            with pytest.raises(FormatError):
-                parse_graphon(bad)
