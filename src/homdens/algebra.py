@@ -97,13 +97,20 @@ class QuantumGraph:
     def __init__(self, terms=()):
         if isinstance(terms, dict):
             terms = terms.items()
-        acc = {}
+        # Equal raw terms are merged first, so each distinct one with a
+        # nonzero coefficient is canonicalized once; a term that is already
+        # a canonical form costs nothing.
+        raw = {}
         for plg, coeff in terms:
             coeff = Fraction(coeff)
-            if not coeff:
-                continue
-            key = strip_isolated(as_plg(plg)).canonical()
-            acc[key] = acc.get(key, Fraction(0)) + coeff
+            if coeff:
+                key = strip_isolated(as_plg(plg))
+                raw[key] = raw.get(key, 0) + coeff
+        acc = {}
+        for plg, coeff in raw.items():
+            if coeff:
+                key = plg.canonical()
+                acc[key] = acc.get(key, 0) + coeff
         object.__setattr__(self, "terms", {k: c for k, c in acc.items() if c})
 
     def __setattr__(self, name, value):

@@ -432,9 +432,10 @@ def _eval_unlabel(expr, graph, weights, phi):
             f"unlabeling over {len(free)} labels exceeds cap {UNLABEL_CAP}"
         )
     base = {lab: phi[lab] for lab in inner_labels & expr.keep}
+    screen = _one_atom_per_core(expr.child)
 
     def rec(i, assignment):
-        if _prune(expr.child, assignment, graph):
+        if _prune(screen, assignment, graph):
             return Fraction(0)
         if i == len(free):
             return _eval_expr(expr.child, graph, weights, assignment)
@@ -448,6 +449,38 @@ def _eval_unlabel(expr, graph, weights, phi):
         return total
 
     return rec(0, dict(base))
+
+
+def _one_atom_per_core(expr):
+    """A copy of expr for `_prune` in which the children of each Sum or
+    Product keep one Atom and one IndAtom per labeled core.
+
+    `_prune` binds only labeled vertices, so atoms of one mode whose
+    labeled vertices induce the same labeled graph always get the same
+    verdict.  Atoms hold canonical forms, whose labeled vertices come
+    first, so the core is the labels plus the edges among the first
+    len(labels) vertices.
+    """
+    if isinstance(expr, (Sum, Product)):
+        seen = set()
+        children = []
+        for child in expr.children:
+            if isinstance(child, (Atom, IndAtom)):
+                plg = child.plg
+                k = len(plg.labels)
+                core_edges = frozenset(e for e in plg.graph.edges if e[1] < k)
+                core = (type(child), plg.labels, core_edges)
+                if core in seen:
+                    continue
+                seen.add(core)
+            children.append(_one_atom_per_core(child))
+        return type(expr)(children)
+    if isinstance(expr, Unlabel):
+        return Unlabel(expr.keep, _one_atom_per_core(expr.child))
+    if isinstance(expr, PolyImage):
+        gens = {var: _one_atom_per_core(gen) for var, gen in expr.generators}
+        return PolyImage(gens, expr.poly)
+    return expr
 
 
 def _prune(expr, assignment, graph):

@@ -176,9 +176,18 @@ class PartiallyLabeledGraph:
         )
 
     def canonical(self):
-        if self._canon is None:
-            object.__setattr__(self, "_canon", canonical_form(self).plg)
-        return self._canon
+        """The canonical form; a PLG that `canonical_form` returned is its own.
+
+        `_canon` is None until computed, True on a canonical form, else the
+        form.  A flag rather than a self-reference keeps canonical forms out
+        of reference cycles.
+        """
+        canon = self._canon
+        if canon is None:
+            canon = canonical_form(self).plg
+            if canon is not self:
+                object.__setattr__(self, "_canon", canon)
+        return self if canon is True else canon
 
     def sort_key(self):
         """Deterministic total order on canonical PLGs, used for serialization."""
@@ -216,7 +225,7 @@ def canonical_form(g):
         g = PartiallyLabeledGraph(g)
     n = g.graph.n
     if n == 0:
-        return CanonicalForm(g, ())
+        return CanonicalForm(_marked(g), ())
     comps = _components(g.graph)
     if len(comps) > 1:
         return _canonical_disconnected(g, comps)
@@ -229,32 +238,39 @@ def canonical_form(g):
 
     best = None  # (encoding, order)
 
-    def refine(cells):
-        while True:
-            masks = [_cell_mask(c) for c in cells]
+    def refine(cells, fresh):
+        """Split cells by their neighbour counts into the `fresh` cells
+        until no cell splits.
+
+        `fresh` holds the masks of the cells the last split made, in cell
+        order.  Every cell already has one count into each other cell, so
+        leaving those out of the signature gives the same pieces in the
+        same sorted order as counting against every cell.
+        """
+        while fresh:
             out = []
-            split = False
+            made = []
             for cell in cells:
                 if len(cell) == 1:
                     out.append(cell)
                     continue
-                sig = {}
-                for v in cell:
-                    sig[v] = tuple((adj[v] & m).bit_count() for m in masks)
                 groups = {}
                 for v in cell:
-                    groups.setdefault(sig[v], []).append(v)
-                if len(groups) > 1:
-                    split = True
+                    row = adj[v]
+                    sig = tuple((row & m).bit_count() for m in fresh)
+                    groups.setdefault(sig, []).append(v)
+                if len(groups) == 1:
+                    out.append(cell)
+                    continue
                 for key in sorted(groups):
                     out.append(groups[key])
-            cells = out
-            if not split:
-                return cells
+                    made.append(_cell_mask(groups[key]))
+            cells, fresh = out, made
+        return cells
 
-    def search(cells):
+    def search(cells, fresh):
         nonlocal best
-        cells = refine(cells)
+        cells = refine(cells, fresh)
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
             order = [c[0] for c in cells]
@@ -264,24 +280,30 @@ def canonical_form(g):
             return
         cell = cells[target]
         if _all_twins(adj, cell):
+            # Each other vertex sees all twins or none, and each cell had one
+            # count into the twin cell, so it has one count into every twin
+            # singleton too: nothing is fresh.
             fixed = cells[:target] + [[v] for v in sorted(cell)] + cells[target + 1:]
-            search(fixed)
+            search(fixed, [])
             return
         for v in sorted(cell):
-            branch = (
-                cells[:target]
-                + [[v], [u for u in cell if u != v]]
-                + cells[target + 1:]
-            )
-            search(branch)
+            rest = [u for u in cell if u != v]
+            branch = cells[:target] + [[v], rest] + cells[target + 1:]
+            search(branch, [1 << v, _cell_mask(rest)])
 
-    search(cells)
+    search(cells, [_cell_mask(c) for c in cells])
     _, order = best
     cert = [0] * n
     for new, old in enumerate(order):
         cert[old] = new
     cert = tuple(cert)
-    return CanonicalForm(g.relabeled_vertices(cert), cert)
+    return CanonicalForm(_marked(g.relabeled_vertices(cert)), cert)
+
+
+def _marked(plg):
+    """Flag `plg` as a canonical form, so that `plg.canonical()` is `plg`."""
+    object.__setattr__(plg, "_canon", True)
+    return plg
 
 
 def _components(graph):
@@ -345,7 +367,7 @@ def _canonical_disconnected(g, comps):
                 cert[v] = next_free + (p - len(placed))
         next_free += len(comp) - len(placed)
     cert = tuple(cert)
-    return CanonicalForm(g.relabeled_vertices(cert), cert)
+    return CanonicalForm(_marked(g.relabeled_vertices(cert)), cert)
 
 
 def _cell_mask(cell):

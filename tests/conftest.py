@@ -1,4 +1,24 @@
 import os
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.dirname(__file__))
+
+
+@pytest.fixture
+def canonical_calls(monkeypatch):
+    """The list of inputs of every `canonical_form` call made during the
+    test, recursive calls on components included."""
+    from homdens import algebra, graphs
+
+    calls = []
+    original = graphs.canonical_form
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(graphs, "canonical_form", counting)
+    monkeypatch.setattr(algebra, "canonical_form", counting)
+    return calls

@@ -6,6 +6,7 @@ Graph/PLG data holders, so a bug in the package cannot hide in its own
 oracle.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -185,3 +186,181 @@ def brute_exact_embeddings(h, g):
         if ok:
             out.append(phi)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Round-based canonical labeling, kept as the reference for the package's
+# refinement against changed cells.  This is the earlier implementation,
+# copied unchanged apart from the names: each refinement round counts every
+# vertex's neighbours in every cell.  The package must pick the same
+# representative, so the certificates must agree exactly.
+
+ReferenceForm = namedtuple("ReferenceForm", "plg certificate")
+
+
+def round_based_canonical_form(g):
+    if isinstance(g, Graph):
+        g = PartiallyLabeledGraph(g)
+    n = g.graph.n
+    if n == 0:
+        return ReferenceForm(g, ())
+    comps = _ref_components(g.graph)
+    if len(comps) > 1:
+        return _ref_canonical_disconnected(g, comps)
+    adj = g.graph.adj
+    labeled = [v for _, v in g.labels]
+    rest = sorted(set(range(n)) - set(labeled))
+    cells = [[v] for v in labeled]
+    if rest:
+        cells.append(rest)
+
+    best = None  # (encoding, order)
+
+    def refine(cells):
+        while True:
+            masks = [_ref_cell_mask(c) for c in cells]
+            out = []
+            split = False
+            for cell in cells:
+                if len(cell) == 1:
+                    out.append(cell)
+                    continue
+                sig = {}
+                for v in cell:
+                    sig[v] = tuple((adj[v] & m).bit_count() for m in masks)
+                groups = {}
+                for v in cell:
+                    groups.setdefault(sig[v], []).append(v)
+                if len(groups) > 1:
+                    split = True
+                for key in sorted(groups):
+                    out.append(groups[key])
+            cells = out
+            if not split:
+                return cells
+
+    def search(cells):
+        nonlocal best
+        cells = refine(cells)
+        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if target is None:
+            order = [c[0] for c in cells]
+            enc = _ref_encode(adj, order)
+            if best is None or enc < best[0]:
+                best = (enc, order)
+            return
+        cell = cells[target]
+        if _ref_all_twins(adj, cell):
+            fixed = cells[:target] + [[v] for v in sorted(cell)] + cells[target + 1:]
+            search(fixed)
+            return
+        for v in sorted(cell):
+            branch = (
+                cells[:target]
+                + [[v], [u for u in cell if u != v]]
+                + cells[target + 1:]
+            )
+            search(branch)
+
+    search(cells)
+    _, order = best
+    cert = [0] * n
+    for new, old in enumerate(order):
+        cert[old] = new
+    cert = tuple(cert)
+    return ReferenceForm(g.relabeled_vertices(cert), cert)
+
+
+def _ref_bits(mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _ref_components(graph):
+    unseen = (1 << graph.n) - 1
+    comps = []
+    while unseen:
+        start = (unseen & -unseen).bit_length() - 1
+        frontier = 1 << start
+        comp = 0
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            for v in _ref_bits(frontier):
+                nxt |= graph.adj[v]
+            frontier = nxt & ~comp
+        comps.append(_ref_bits(comp))
+        unseen &= ~comp
+    return comps
+
+
+def _ref_canonical_disconnected(g, comps):
+    label_of = {v: lab for lab, v in g.labels}
+    pieces = []
+    for comp in comps:
+        sub = PartiallyLabeledGraph(
+            g.graph.induced(comp),
+            [(label_of[v], i) for i, v in enumerate(comp) if v in label_of],
+        )
+        cf = round_based_canonical_form(sub)
+        canon = cf.plg
+        min_label = min((lab for lab, _ in canon.labels), default=None)
+        enc_key = (
+            canon.graph.n,
+            _ref_encode(canon.graph.adj, range(canon.graph.n)),
+            canon.labels,
+        )
+        pieces.append((comp, cf, min_label, enc_key))
+    with_labels = sorted((p for p in pieces if p[2] is not None), key=lambda p: p[2])
+    without = sorted((p for p in pieces if p[2] is None), key=lambda p: p[3])
+
+    all_labels = [lab for lab, _ in g.labels]
+    label_pos = {lab: i for i, lab in enumerate(all_labels)}
+    cert = [None] * g.graph.n
+    next_free = len(all_labels)
+    for comp, cf, _, _ in with_labels + without:
+        placed = [lab for lab, _ in cf.plg.labels]
+        for i, v in enumerate(comp):
+            p = cf.certificate[i]
+            if p < len(placed):
+                cert[v] = label_pos[placed[p]]
+            else:
+                cert[v] = next_free + (p - len(placed))
+        next_free += len(comp) - len(placed)
+    cert = tuple(cert)
+    return ReferenceForm(g.relabeled_vertices(cert), cert)
+
+
+def _ref_cell_mask(cell):
+    m = 0
+    for v in cell:
+        m |= 1 << v
+    return m
+
+
+def _ref_all_twins(adj, cell):
+    mask = _ref_cell_mask(cell)
+    first = cell[0]
+    outside = adj[first] & ~mask
+    inside_deg = (adj[first] & mask).bit_count()
+    if inside_deg not in (0, len(cell) - 1):
+        return False
+    for v in cell[1:]:
+        if adj[v] & ~mask != outside:
+            return False
+        if (adj[v] & mask).bit_count() != inside_deg:
+            return False
+    return True
+
+
+def _ref_encode(adj, order):
+    enc = 0
+    for i, u in enumerate(order):
+        row = adj[u]
+        for v in order[i + 1:]:
+            enc = enc << 1 | (row >> v & 1)
+    return enc

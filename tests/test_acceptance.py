@@ -5,6 +5,7 @@ per criterion.  Every comparison is an exact Fraction equality or
 inequality; nothing here floats and nothing is tolerance-based.
 """
 
+import hashlib
 import random
 from fractions import Fraction as F
 from functools import lru_cache
@@ -20,6 +21,7 @@ from homdens.algebra import (
     Unlabel,
     as_quantum,
     expand,
+    format_quantum,
     ind,
     product,
     unlabel,
@@ -134,6 +136,14 @@ def test_criterion_1_counterexample_identity():
         want = want * Polynomial.variable(f"y{i}", yv)
     assert got == want
     print("criterion 1: PASS (exact polynomial identity at the base graph)")
+
+
+def test_counterexample_output_bytes():
+    """The written counterexample stays byte-identical."""
+    text = format_quantum(counterexample(6)).encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "4dadc9a6723029645846779517b34de0da6d903162b23b849c16b4f4a5f91b3b"
+    )
 
 
 def test_criterion_2_counterexample_positivity_scan():

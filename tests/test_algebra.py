@@ -124,6 +124,25 @@ class TestNormalForm:
         one = PLG(Graph(1), [(1, 0)])
         assert QuantumGraph.of(one) == QuantumGraph.unit()
 
+    def test_keys_are_not_canonicalized_again(self, canonical_calls):
+        rng = random.Random(71)
+        f, g = random_quantum(rng, max_terms=6, max_n=5), random_quantum(rng, max_terms=6, max_n=5)
+        del canonical_calls[:]
+        assert QuantumGraph(f.terms) == f
+        assert (f + g) - g == f
+        assert -f * 3 + f * Fraction(3) == QuantumGraph.zero()
+        assert canonical_calls == []
+
+    def test_each_distinct_raw_term_canonicalized_once(self, canonical_calls):
+        """ind(F) squared, for F the fully labeled empty 4-vertex graph:
+        the 4096 glued terms fall into 297 distinct raw terms, 64 of them
+        with a nonzero coefficient, and canonicalizing those takes 70 calls
+        (6 of them on components).  One call per glued term took 4150."""
+        f = ind(PLG(Graph(4), [(i + 1, i) for i in range(4)]))
+        del canonical_calls[:]
+        assert product(f, f) == f
+        assert len(canonical_calls) == 70
+
 
 class TestRingAxioms:
     def test_randomized(self):

@@ -1,10 +1,11 @@
+import hashlib
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
 
-from homdens import cli, graphs
+from homdens import cli
 from homdens.cli import main
 from homdens.graphs import (
     Graph,
@@ -315,19 +316,19 @@ class TestEnumerate:
         _, out2, _ = run(capsys, "enumerate", "--n", "5")
         assert out1 == out2
 
-    def test_warm_enumerate_canonicalizes_nothing(self, capsys, tmp_path, monkeypatch):
+    def test_seven_output_bytes(self, capsys, tmp_path):
+        path = tmp_path / "e7.txt"
+        assert run(capsys, "enumerate", "--n", "7", "--out", str(path))[0] == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "1b4369011c9fff9a3daf7833535f0212409d691d466c1bfa2521dc20d744d15e"
+        )
+
+    def test_warm_enumerate_canonicalizes_nothing(self, capsys, tmp_path, canonical_calls):
         first, second = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
         assert run(capsys, "enumerate", "--n", "7", "--out", first)[0] == 0
-        calls = []
-        original = graphs.canonical_form
-
-        def counting(plg):
-            calls.append(plg)
-            return original(plg)
-
-        monkeypatch.setattr(graphs, "canonical_form", counting)
+        del canonical_calls[:]
         assert run(capsys, "enumerate", "--n", "7", "--out", second)[0] == 0
-        assert calls == []
+        assert canonical_calls == []
         assert (tmp_path / "b.txt").read_bytes() == (tmp_path / "a.txt").read_bytes()
 
     def test_out_file(self, capsys, tmp_path):

@@ -25,6 +25,7 @@ from oracles import (
     brute_automorphism_count,
     brute_graph_classes,
     brute_isomorphic,
+    round_based_canonical_form,
 )
 
 
@@ -99,6 +100,44 @@ class TestCanonicalForm:
             plg = random_plg(rng, rng.randint(1, 6))
             c = canonical_form(plg).plg
             assert canonical_form(c).plg == c
+
+    def test_matches_round_based_reference(self):
+        """Refining against the changed cells only picks the representative
+        that counting against every cell picked, on connected and
+        disconnected PLGs alike."""
+        rng = random.Random(29)
+        disconnected = 0
+        for _ in range(3000):
+            n = rng.randint(0, 10)
+            p = rng.choice((0.15, 0.3, 0.5, 0.7, 0.9))
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            verts = rng.sample(range(n), rng.randint(0, min(3, n)))
+            labels = sorted(rng.sample(range(1, 6), len(verts)))
+            plg = PLG(Graph(n, edges), list(zip(labels, verts)))
+            disconnected += len(graphs._components(plg.graph)) > 1
+            got = canonical_form(plg)
+            want = round_based_canonical_form(plg)
+            assert got.certificate == want.certificate, plg
+            assert got.plg == want.plg
+        assert disconnected > 500
+
+    def test_enumerated_graphs_match_round_based_reference(self):
+        rng = random.Random(31)
+        for g in enumerate_graphs(6):
+            plg = shuffled_copy(rng, PLG(g))
+            assert canonical_form(plg).certificate == round_based_canonical_form(plg).certificate
+
+    def test_canonical_form_is_its_own(self, canonical_calls):
+        rng = random.Random(37)
+        plgs = [PLG(Graph(0)), PLG(Graph(5, [(0, 1), (2, 3)]), [(2, 4)])]
+        for _ in range(50):
+            n = rng.randint(1, 7)
+            plgs.append(random_plg(rng, n, label_count=rng.randint(0, min(2, n))))
+        forms = [canonical_form(plg).plg for plg in plgs]
+        del canonical_calls[:]
+        assert all(c.canonical() is c for c in forms)
+        assert canonical_calls == []
+        assert [plg.canonical() for plg in plgs] == forms
 
     def test_labeled_vertices_come_first(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -261,17 +300,11 @@ class TestEnumeration:
         (tmp_path / "enum-v1-n3.txt").write_text("plg nonsense\n")
         assert len(enumerate_graphs(3)) == 4
 
-    def test_memoized_per_process(self, monkeypatch):
+    def test_memoized_per_process(self, canonical_calls):
         first = enumerate_graphs(6)
-        calls = []
-
-        def counting(g):
-            calls.append(g)
-            return canonical_form(g)
-
-        monkeypatch.setattr(graphs, "canonical_form", counting)
+        del canonical_calls[:]
         second = enumerate_graphs(6)
-        assert calls == []
+        assert canonical_calls == []
         assert second == first
         assert isinstance(second, tuple)
 

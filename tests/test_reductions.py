@@ -4,6 +4,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from homdens import density
 from homdens.algebra import Product, Unlabel, PolyImage, expand, format_qexpr, parse_qexpr
 from homdens.density import WeightedGraph, density_polynomial, t, t_quantum
 from homdens.errors import BudgetExceeded, FormatError
@@ -262,6 +263,14 @@ class TestCounterexample:
         with pytest.raises(ValueError):
             build_counterexample(4)
 
+    def test_each_raw_term_canonicalized_once(self, canonical_calls):
+        """49152 raw terms, one canonical_form call each; the final normal
+        form reuses the 11464 canonical keys (60616 calls when it
+        canonicalized them again)."""
+        x = build_counterexample(6)
+        assert len(canonical_calls) == 49152
+        assert len(x.terms) == 11464
+
     def test_terms_stay_small(self):
         x = cached_counterexample()
         assert x.terms
@@ -412,6 +421,24 @@ class TestBuildInstance:
     def test_malformed_head(self):
         with pytest.raises(FormatError):
             parse_qexpr("(psitau plg n=2 labels=1:1,2:2)")
+
+    def test_pruning_binds_one_atom_per_core(self, monkeypatch):
+        """Every IndAtom of the instance has the same labeled core, so the
+        pruning check of the Unlabel search binds one atom per generator:
+        20158 `_bind` calls on the flagship witness, where binding every
+        atom made 92560."""
+        binds = [0]
+        original = density._bind
+
+        def counting(*args):
+            binds[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(density, "_bind", counting)
+        p = 1 - 2 * xvar("x1", XV6)
+        value = t_quantum(build_instance(p), witness_graph(p, (3, 1, 1, 1, 1, 1)))
+        assert value == -F(3**105, 2**2016)
+        assert binds[0] == 20158
 
     def test_symbolic_density_is_a_clear_error(self):
         inst = build_instance(1 - 2 * xvar("x1", XV6))
