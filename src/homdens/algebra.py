@@ -27,7 +27,6 @@ from .graphs import (
     PLG,
     Graph,
     PartiallyLabeledGraph,
-    canonical_form,
     format_plg,
     parse_plg,
 )
@@ -140,10 +139,6 @@ class QuantumGraph:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
-    def coefficient(self, plg):
-        key = strip_isolated(as_plg(plg)).canonical()
-        return self.terms.get(key, Fraction(0))
-
     def __add__(self, other):
         other = as_quantum(other)
         merged = dict(self.terms)
@@ -244,77 +239,33 @@ def ind(h, cap=IND_CAP):
     )
 
 
-def labeled_core(plg):
-    """The induced labeled subgraph, canonicalized, isolated vertices kept."""
-    verts = [v for _, v in plg.labels]
-    index = {v: i for i, v in enumerate(verts)}
-    core = PLG(plg.graph.induced(verts), [(lab, index[v]) for lab, v in plg.labels])
-    return canonical_form(core).plg
-
-
-def _lift(plg, labels):
-    """Add isolated labeled vertices so the label set becomes exactly `labels`."""
-    have = plg.label_set()
-    missing = sorted(set(labels) - have)
-    if not missing:
-        return plg
-    n = plg.graph.n
-    g = Graph(n + len(missing), plg.graph.edges)
-    lab = list(plg.labels) + [(m, n + i) for i, m in enumerate(missing)]
-    return PLG(g, lab)
-
-
-def rooted_decomposition(f, labels=None, cap=12):
-    """Split f by the labeled core of its ind-basis expansion.
-
-    Terms are lifted to the label universe (default 1..max label in f) with
-    isolated labeled vertices, rewritten through F = sum of ind(F') over
-    supergraphs F', and grouped by the fully labeled induced subgraph of
-    F'.  The result maps each core H to the component f_H; summing all
-    components returns f in the quotient algebra.
-
-    The rewrite touches 3^m basis elements for a lifted term with m absent
-    pairs, so m is capped.
-    """
-    f = as_quantum(f)
-    if labels is None:
-        labels = range(1, max((max(p.label_set(), default=0) for p in f.terms), default=0) + 1)
-    universe = sorted(labels)
-    for plg in f.terms:
-        if not plg.label_set() <= set(universe):
-            raise ValueError("term labels outside the declared universe")
-    groups = {}
-    for term, coeff in f.terms.items():
-        lifted = _lift(term, universe)
-        missing = len(non_edges(lifted))
-        if missing > cap:
-            raise CapExceeded(
-                f"decomposition over {missing} absent pairs exceeds cap {cap}"
-            )
-        for sup in _supergraphs_raw(lifted):
-            core = labeled_core(sup)
-            groups.setdefault(core, []).append((sup, coeff))
-    out = {}
-    for core, pieces in sorted(groups.items(), key=lambda kv: kv[0].sort_key()):
-        total = QuantumGraph.zero()
-        for sup, coeff in pieces:
-            total = total + coeff * ind(sup)
-        if not total.is_zero():
-            out[core] = total
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Structured expressions
 
 
 class QExpr:
-    """Base of the structured expression tree; nodes are immutable."""
+    """Base of the structured expression tree.
+
+    Nodes are immutable.  Two nodes are equal when they have the same type
+    and equal `_key()`.
+    """
 
     __slots__ = ()
 
+    def _key(self):
+        raise NotImplementedError
+
     def label_set(self):
         raise NotImplementedError
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash((type(self).__name__, self._key()))
 
     def __add__(self, other):
         return Sum((self, _as_qexpr(other)))
@@ -342,110 +293,68 @@ class Const(QExpr):
     def __init__(self, value):
         object.__setattr__(self, "value", Fraction(value))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Const is immutable")
+    def _key(self):
+        return self.value
 
     def label_set(self):
         return frozenset()
-
-    def __eq__(self, other):
-        return isinstance(other, Const) and self.value == other.value
-
-    def __hash__(self):
-        return hash(("Const", self.value))
 
     def __repr__(self):
         return f"Const({self.value})"
 
 
-class Atom(QExpr):
+class _Leaf(QExpr):
+    """A node holding one PLG, stored as its canonical form."""
+
     __slots__ = ("plg",)
 
     def __init__(self, plg):
         object.__setattr__(self, "plg", as_plg(plg).canonical())
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Atom is immutable")
+    def _key(self):
+        return self.plg
 
     def label_set(self):
         return self.plg.label_set()
 
-    def __eq__(self, other):
-        return isinstance(other, Atom) and self.plg == other.plg
-
-    def __hash__(self):
-        return hash(("Atom", self.plg))
-
     def __repr__(self):
-        return f"Atom({format_plg(self.plg)!r})"
+        return f"{type(self).__name__}({format_plg(self.plg)!r})"
 
 
-class IndAtom(QExpr):
+class Atom(_Leaf):
+    __slots__ = ()
+
+
+class IndAtom(_Leaf):
     """ind(plg), kept unexpanded."""
 
-    __slots__ = ("plg",)
-
-    def __init__(self, plg):
-        object.__setattr__(self, "plg", as_plg(plg).canonical())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IndAtom is immutable")
-
-    def label_set(self):
-        return self.plg.label_set()
-
-    def __eq__(self, other):
-        return isinstance(other, IndAtom) and self.plg == other.plg
-
-    def __hash__(self):
-        return hash(("IndAtom", self.plg))
-
-    def __repr__(self):
-        return f"IndAtom({format_plg(self.plg)!r})"
+    __slots__ = ()
 
 
-class Sum(QExpr):
+class _NAry(QExpr):
+    """A node over a tuple of child expressions."""
+
     __slots__ = ("children",)
 
     def __init__(self, children):
         object.__setattr__(self, "children", tuple(_as_qexpr(c) for c in children))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Sum is immutable")
+    def _key(self):
+        return self.children
 
     def label_set(self):
-        return frozenset().union(*(c.label_set() for c in self.children)) if self.children else frozenset()
-
-    def __eq__(self, other):
-        return isinstance(other, Sum) and self.children == other.children
-
-    def __hash__(self):
-        return hash(("Sum", self.children))
+        return frozenset().union(*(c.label_set() for c in self.children))
 
     def __repr__(self):
-        return f"Sum({list(self.children)!r})"
+        return f"{type(self).__name__}({list(self.children)!r})"
 
 
-class Product(QExpr):
-    __slots__ = ("children",)
+class Sum(_NAry):
+    __slots__ = ()
 
-    def __init__(self, children):
-        object.__setattr__(self, "children", tuple(_as_qexpr(c) for c in children))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Product is immutable")
-
-    def label_set(self):
-        return frozenset().union(*(c.label_set() for c in self.children)) if self.children else frozenset()
-
-    def __eq__(self, other):
-        return isinstance(other, Product) and self.children == other.children
-
-    def __hash__(self):
-        return hash(("Product", self.children))
-
-    def __repr__(self):
-        return f"Product({list(self.children)!r})"
+class Product(_NAry):
+    __slots__ = ()
 
 
 class Unlabel(QExpr):
@@ -455,17 +364,11 @@ class Unlabel(QExpr):
         object.__setattr__(self, "keep", frozenset(int(t) for t in keep))
         object.__setattr__(self, "child", _as_qexpr(child))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Unlabel is immutable")
+    def _key(self):
+        return self.keep, self.child
 
     def label_set(self):
         return self.child.label_set() & self.keep
-
-    def __eq__(self, other):
-        return isinstance(other, Unlabel) and self.keep == other.keep and self.child == other.child
-
-    def __hash__(self):
-        return hash(("Unlabel", self.keep, self.child))
 
     def __repr__(self):
         return f"Unlabel({sorted(self.keep)}, {self.child!r})"
@@ -494,25 +397,14 @@ class PolyImage(QExpr):
         if missing:
             raise ValueError(f"no generator for variables {sorted(missing)}")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyImage is immutable")
-
     def generator_map(self):
         return dict(self.generators)
 
+    def _key(self):
+        return self.generators, self.poly
+
     def label_set(self):
-        sets = [e.label_set() for _, e in self.generators]
-        return frozenset().union(*sets) if sets else frozenset()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyImage)
-            and self.generators == other.generators
-            and self.poly == other.poly
-        )
-
-    def __hash__(self):
-        return hash(("PolyImage", self.generators))
+        return frozenset().union(*(e.label_set() for _, e in self.generators))
 
     def __repr__(self):
         names = ", ".join(v for v, _ in self.generators)
@@ -702,12 +594,14 @@ def _parse_node(tokens, depth):
     if head == "unlabel":
         if not rest or rest[0] != "(":
             raise FormatError("(unlabel ...) needs a label list")
-        depth_close = rest.index(")")
+        close = rest.index(")") if ")" in rest else len(rest)
+        if close + 1 >= len(rest):
+            raise FormatError("unterminated (unlabel ...)")
         try:
-            keep = [int(t) for t in rest[1:depth_close]]
+            keep = [int(t) for t in rest[1:close]]
         except ValueError:
             raise FormatError("label list must contain integers") from None
-        child, rest = _parse_node(rest[depth_close + 1:], depth + 1)
+        child, rest = _parse_node(rest[close + 1:], depth + 1)
         if not rest or rest[0] != ")":
             raise FormatError("unterminated (unlabel ...)")
         return Unlabel(keep, child), rest[1:]

@@ -27,7 +27,6 @@ from .algebra import (
     Unlabel,
     as_quantum,
     expand,
-    format_qexpr,
     load_expression,
     parse_qexpr,
     product,
@@ -66,14 +65,6 @@ def verify_sos(target, cert, budget=EXPAND_BUDGET):
         qg = _as_normal(g, budget)
         total = total + unlabel(product(qg, qg), ())
     return total == _as_normal(target, budget)
-
-
-def format_sos_certificate(cert):
-    lines = ["sos:"]
-    for g in cert:
-        expr = g if isinstance(g, QExpr) else _quantum_to_qexpr(as_quantum(g))
-        lines.append("g: " + format_qexpr(expr))
-    return "\n".join(lines) + "\n"
 
 
 def parse_sos_certificate(text):

@@ -7,8 +7,7 @@ rationals.  Exit codes: 0 for verified/none-found, 1 for rejected or
 witness-found, 2 for malformed input or exceeded caps, 3 for an
 unexpected internal error.
 
-Identical invocations produce byte-identical output.  Setting
-HOMDENS_CACHE_DIR caches small-graph enumerations between runs.
+Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -190,6 +189,10 @@ def cmd_check_proof(args):
 def cmd_refute(args):
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.max_n < 1:
+        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
+    if args.samples < 0:
+        raise ValueError(f"--samples must be at least 0, got {args.samples}")
     jobs = min(args.jobs, os.cpu_count() or 1)
     target_text = _read(args.infile)
     target = _refutation_target(load_expression(target_text))

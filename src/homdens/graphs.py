@@ -13,7 +13,6 @@ Vertices are 0-based everywhere in code.  The text format and the docs use
 
 from __future__ import annotations
 
-import os
 from itertools import combinations
 
 from .errors import CapExceeded, FormatError
@@ -21,7 +20,6 @@ from .errors import CapExceeded, FormatError
 AUTOMORPHISM_CAP = 10
 ENUMERATION_CAP = 7
 
-_ENUM_CACHE_VERSION = "enum-v1"
 _ENUM_MEMO = {}  # n -> tuple of representatives, filled once per process
 
 
@@ -184,7 +182,7 @@ class PartiallyLabeledGraph:
         """
         canon = self._canon
         if canon is None:
-            canon = canonical_form(self).plg
+            canon = canonical_form(self)[0]
             if canon is not self:
                 object.__setattr__(self, "_canon", canon)
         return self if canon is True else canon
@@ -198,19 +196,6 @@ class PartiallyLabeledGraph:
 PLG = PartiallyLabeledGraph
 
 
-class CanonicalForm:
-    """Canonical representative plus the relabeling taking the input to it."""
-
-    __slots__ = ("plg", "certificate")
-
-    def __init__(self, plg, certificate):
-        self.plg = plg
-        self.certificate = certificate
-
-    def __repr__(self):
-        return f"CanonicalForm({self.plg!r}, certificate={self.certificate})"
-
-
 def canonical_form(g):
     """Canonical form of a PLG (or a bare Graph, treated as unlabeled).
 
@@ -218,14 +203,15 @@ def canonical_form(g):
     order; the unlabeled remainder is ordered by color refinement plus
     backtracking, minimizing the adjacency encoding.  Disconnected graphs
     are canonicalized per component and reassembled, which sidesteps the
-    branching blow-up on unions of many isomorphic pieces.  The certificate
-    is a tuple `cert` with cert[old_vertex] = new_vertex.
+    branching blow-up on unions of many isomorphic pieces.  Returns the
+    pair (canonical PLG, certificate), where the certificate is a tuple
+    `cert` with cert[old_vertex] = new_vertex.
     """
     if isinstance(g, Graph):
         g = PartiallyLabeledGraph(g)
     n = g.graph.n
     if n == 0:
-        return CanonicalForm(_marked(g), ())
+        return _marked(g), ()
     comps = _components(g.graph)
     if len(comps) > 1:
         return _canonical_disconnected(g, comps)
@@ -297,7 +283,7 @@ def canonical_form(g):
     for new, old in enumerate(order):
         cert[old] = new
     cert = tuple(cert)
-    return CanonicalForm(_marked(g.relabeled_vertices(cert)), cert)
+    return _marked(g.relabeled_vertices(cert)), cert
 
 
 def _marked(plg):
@@ -341,15 +327,15 @@ def _canonical_disconnected(g, comps):
             g.graph.induced(comp),
             [(label_of[v], i) for i, v in enumerate(comp) if v in label_of],
         )
-        cf = canonical_form(sub)
-        canon = cf.plg
+        form = canonical_form(sub)
+        canon = form[0]
         min_label = min((lab for lab, _ in canon.labels), default=None)
         enc_key = (
             canon.graph.n,
             _encode(canon.graph.adj, range(canon.graph.n)),
             canon.labels,
         )
-        pieces.append((comp, cf, min_label, enc_key))
+        pieces.append((comp, form, min_label, enc_key))
     with_labels = sorted((p for p in pieces if p[2] is not None), key=lambda p: p[2])
     without = sorted((p for p in pieces if p[2] is None), key=lambda p: p[3])
 
@@ -357,17 +343,17 @@ def _canonical_disconnected(g, comps):
     label_pos = {lab: i for i, lab in enumerate(all_labels)}
     cert = [None] * g.graph.n
     next_free = len(all_labels)
-    for comp, cf, _, _ in with_labels + without:
-        placed = [lab for lab, _ in cf.plg.labels]
+    for comp, (canon, sub_cert), _, _ in with_labels + without:
+        placed = [lab for lab, _ in canon.labels]
         for i, v in enumerate(comp):
-            p = cf.certificate[i]
+            p = sub_cert[i]
             if p < len(placed):
                 cert[v] = label_pos[placed[p]]
             else:
                 cert[v] = next_free + (p - len(placed))
         next_free += len(comp) - len(placed)
     cert = tuple(cert)
-    return CanonicalForm(_marked(g.relabeled_vertices(cert)), cert)
+    return _marked(g.relabeled_vertices(cert)), cert
 
 
 def _cell_mask(cell):
@@ -558,57 +544,20 @@ def enumerate_graphs(n, cap=ENUMERATION_CAP):
         raise ValueError("n must be nonnegative")
     if n in _ENUM_MEMO:
         return _ENUM_MEMO[n]
-    result = _enum_cache_read(n)
-    if result is None:
-        if n == 0:
-            result = [EMPTY_GRAPH]
-        else:
-            seen = {}
-            for base in enumerate_graphs(n - 1, cap=cap):
-                for nbhd in range(1 << (n - 1)):
-                    edges = list(base.edges)
-                    edges += [(v, n - 1) for v in _bits(nbhd)]
-                    g = Graph(n, edges)
-                    can = PartiallyLabeledGraph(g).canonical().graph
-                    seen.setdefault(can, None)
-            result = sorted(seen, key=lambda g: (len(g.edges), sorted(g.edges)))
-        _enum_cache_write(n, result)
+    if n == 0:
+        result = [EMPTY_GRAPH]
+    else:
+        seen = {}
+        for base in enumerate_graphs(n - 1, cap=cap):
+            for nbhd in range(1 << (n - 1)):
+                edges = list(base.edges)
+                edges += [(v, n - 1) for v in _bits(nbhd)]
+                g = Graph(n, edges)
+                can = PartiallyLabeledGraph(g).canonical().graph
+                seen.setdefault(can, None)
+        result = sorted(seen, key=lambda g: (len(g.edges), sorted(g.edges)))
     _ENUM_MEMO[n] = tuple(result)
     return _ENUM_MEMO[n]
-
-
-def _enum_cache_path(n):
-    root = os.environ.get("HOMDENS_CACHE_DIR")
-    if not root:
-        return None
-    return os.path.join(root, f"{_ENUM_CACHE_VERSION}-n{n}.txt")
-
-
-def _enum_cache_read(n):
-    path = _enum_cache_path(n)
-    if path is None or not os.path.exists(path):
-        return None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        return [parse_plg(ln).graph for ln in lines]
-    except (OSError, ValueError):
-        return None  # stale or corrupt cache entries are simply recomputed
-
-
-def _enum_cache_write(n, graphs):
-    path = _enum_cache_path(n)
-    if path is None:
-        return
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for g in graphs:
-                fh.write(format_plg(g) + "\n")
-        os.replace(tmp, path)
-    except OSError:
-        pass
 
 
 # ---------------------------------------------------------------------------

@@ -117,11 +117,6 @@ class Polynomial:
     def abs_coeff_sum(self):
         return sum((abs(c) for c in self.terms.values()), Fraction(0))
 
-    def monomials(self):
-        """Terms as ({var: exponent}, coefficient) pairs, zero exponents omitted."""
-        for exps, coeff in sorted(self.terms.items()):
-            yield {v: e for v, e in zip(self.vars, exps) if e}, coeff
-
     def in_vars(self, vars):
         """The same polynomial over a larger variable set."""
         vars = _sort_vars(set(vars) | set(self.vars))
@@ -197,7 +192,11 @@ class Polynomial:
         return a.terms == b.terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        # Unused variables are left out, as `__eq__` ignores them.
+        return hash(frozenset(
+            (tuple((v, e) for v, e in zip(self.vars, exps) if e), c)
+            for exps, c in self.terms.items()
+        ))
 
     def __repr__(self):
         return f"Polynomial({format_poly(self)!r})"
@@ -221,23 +220,6 @@ class Polynomial:
                     val = val * point[v] ** e
             total = total + val
         return total
-
-    def substitute(self, assignments):
-        """Fix some variables to rationals; the rest stay symbolic."""
-        keep = [i for i, v in enumerate(self.vars) if v not in assignments]
-        vals = {
-            i: Fraction(assignments[v])
-            for i, v in enumerate(self.vars)
-            if v in assignments
-        }
-        terms = {}
-        for exps, coeff in self.terms.items():
-            for i, val in vals.items():
-                if exps[i]:
-                    coeff *= val ** exps[i]
-            key = tuple(exps[i] for i in keep)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return Polynomial(tuple(self.vars[i] for i in keep), terms)
 
     def substitute_monomials(self, mapping, clear=None):
         """Replace variables by Laurent monomials and clear denominators.
@@ -510,9 +492,11 @@ def _parse_term(term, vars, line):
         factor = factor.strip()
         if not factor:
             raise FormatError(f"empty factor in term {term!r}", line=line)
-        name, _, power = factor.partition("^")
+        name, caret, power = factor.partition("^")
+        if caret and not power.isdecimal():
+            raise FormatError(f"bad exponent {power!r}", line=line)
         if name.lstrip("-").replace("/", "").isdigit():
-            if seen_coeff or power:
+            if seen_coeff or caret:
                 raise FormatError(f"bad term {term!r}", line=line)
             try:
                 coeff = Fraction(name)
@@ -522,11 +506,6 @@ def _parse_term(term, vars, line):
             continue
         if name not in exps:
             raise FormatError(f"unknown variable {name!r}", line=line)
-        if power:
-            if not power.isdigit():
-                raise FormatError(f"bad exponent {power!r}", line=line)
-            exps[name] += int(power)
-        else:
-            exps[name] += 1
+        exps[name] += int(power) if caret else 1
     mono = tuple(exps[v] for v in vars)
     return Polynomial(vars, {mono: coeff})

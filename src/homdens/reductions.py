@@ -136,9 +136,7 @@ def phi(h, p):
     k = h.n
     _check_vars(p, _x_vars(k))
     gens = {f"x{j}": phi_generator(h, j) for j in range(1, k + 1)}
-    origin = (
-        f"(phi {format_plg(labeled_base(h), canonicalize=False)} | {format_poly(p)})"
-    )
+    origin = f"(phi {format_plg(labeled_base(h))} | {format_poly(p)})"
     return PolyImage(gens, p, origin=origin)
 
 
@@ -180,16 +178,6 @@ def _monomial_terms(h, js):
         extra = [free[i] for i in range(len(free)) if mask >> i & 1]
         sign = -1 if bin(mask).count("1") % 2 else 1
         yield base + extra, sign
-
-
-def phi_monomial_expansion(h, js):
-    """Expanded labeled quantum graph for the clone image of prod x_{j}."""
-    k = h.n
-    labels = {i + 1: i for i in range(k)}
-    terms = []
-    for edges, sign in _monomial_terms(h, js):
-        terms.append((PartiallyLabeledGraph(Graph(k + len(js), edges), labels), sign))
-    return QuantumGraph(terms)
 
 
 def build_counterexample(k=COUNTEREXAMPLE_K):
@@ -252,7 +240,7 @@ def psi_expr(h, poly, origin=None):
 
 def _psitau_expr(h, p):
     """The clique image of the cleared calculus polynomial of p over h."""
-    origin = f"(psitau {format_plg(labeled_base(h), canonicalize=False)} | {format_poly(p)})"
+    origin = f"(psitau {format_plg(labeled_base(h))} | {format_poly(p)})"
     return psi_expr(h, TauCalculusPoly(p, h.n), origin=origin)
 
 

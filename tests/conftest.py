@@ -10,7 +10,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 def canonical_calls(monkeypatch):
     """The list of inputs of every `canonical_form` call made during the
     test, recursive calls on components included."""
-    from homdens import algebra, graphs
+    from homdens import graphs
 
     calls = []
     original = graphs.canonical_form
@@ -20,5 +20,4 @@ def canonical_calls(monkeypatch):
         return original(g)
 
     monkeypatch.setattr(graphs, "canonical_form", counting)
-    monkeypatch.setattr(algebra, "canonical_form", counting)
     return calls

@@ -3,7 +3,9 @@
 Everything here is deliberately naive: permutations, all maps, all edge
 subsets.  These functions never import from homdens internals beyond the
 Graph/PLG data holders, so a bug in the package cannot hide in its own
-oracle.
+oracle.  The one exception is `phi_monomial_expansion`, which assembles
+the package's collapsed monomial terms so that a test can hold them
+against the generic expander.
 """
 
 from collections import namedtuple
@@ -62,6 +64,31 @@ def brute_graph_classes(n):
         if not any(brute_isomorphic(g, h) for h in reps):
             reps.append(g)
     return reps
+
+
+def labeled_core(plg):
+    """The subgraph induced on the labeled vertices, ordered by label.
+
+    Fully labeled graphs are isomorphic exactly when these are equal.
+    """
+    verts = [v for _, v in plg.labels]
+    index = {v: i for i, v in enumerate(verts)}
+    return PartiallyLabeledGraph(
+        plg.graph.induced(verts), [(lab, index[v]) for lab, v in plg.labels]
+    )
+
+
+def phi_monomial_expansion(h, js):
+    """Expanded labeled quantum graph for the clone image of prod x_j."""
+    from homdens.algebra import QuantumGraph
+    from homdens.reductions import _monomial_terms
+
+    k = h.n
+    labels = {i + 1: i for i in range(k)}
+    terms = []
+    for edges, sign in _monomial_terms(h, js):
+        terms.append((PartiallyLabeledGraph(Graph(k + len(js), edges), labels), sign))
+    return QuantumGraph(terms)
 
 
 def brute_hom_count(h, g):

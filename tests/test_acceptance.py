@@ -70,6 +70,8 @@ from homdens.reductions import (
     witness_graph,
 )
 
+from oracles import labeled_core
+
 H6 = stringent_graph(6)
 K2 = Graph.complete(2)
 K3 = Graph.complete(3)
@@ -253,7 +255,7 @@ def test_criterion_6_algebra_identities():
     pool = _plgs_with_labels(3, 2)
     for i, h1 in enumerate(pool):
         for h2 in pool[i:]:
-            if _labeled_core(h1) != _labeled_core(h2):
+            if labeled_core(h1) != labeled_core(h2):
                 assert product(ind(h1), ind(h2)).is_zero()
 
     # rooted multiplicativity, exhaustive at 3 vertices
@@ -459,18 +461,6 @@ def _fully_labeled(h):
             assigned[nxt] = v
             nxt += 1
     return PLG(h.graph, assigned)
-
-
-def _labeled_core(h):
-    keep = sorted(v for _, v in h.labels)
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (index[u], index[v])
-        for u, v in h.graph.edges
-        if u in index and v in index
-    ]
-    labels = {lab: index[v] for lab, v in h.labels}
-    return PLG(Graph(len(keep), edges), labels).canonical()
 
 
 def _random_plg(rng, max_n, labels=(1, 2)):

@@ -1,4 +1,4 @@
-"""Quantum-graph algebra: gluing, normal forms, ind, decomposition, QExpr."""
+"""Quantum-graph algebra: gluing, normal forms, ind, QExpr."""
 
 import random
 from fractions import Fraction
@@ -20,17 +20,16 @@ from homdens.algebra import (
     format_quantum,
     glue,
     ind,
-    labeled_core,
     parse_qexpr,
     parse_quantum,
     product,
-    rooted_decomposition,
     unlabel,
 )
 from homdens.errors import BudgetExceeded, CapExceeded, FormatError
 from homdens.graphs import PLG, Graph, enumerate_graphs, is_isomorphic_labeled
 from homdens.polynomials import Polynomial
 
+from oracles import labeled_core
 
 K2 = Graph(2, [(0, 1)])
 P3 = Graph.path(3)
@@ -54,12 +53,12 @@ def plgs_with_labels(max_n, label_count):
     return list(out)
 
 
-def random_quantum(rng, max_terms=3, max_n=3, labels=(1, 2), full_labels=False):
+def random_quantum(rng, max_terms=3, max_n=3, labels=(1, 2)):
     terms = []
     for _ in range(rng.randint(1, max_terms)):
-        n = rng.randint(len(labels) if full_labels else 1, max_n)
+        n = rng.randint(1, max_n)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
-        k = len(labels) if full_labels else rng.randint(0, min(len(labels), n))
+        k = rng.randint(0, min(len(labels), n))
         verts = rng.sample(range(n), k)
         plg = PLG(Graph(n, edges), [(labels[i], v) for i, v in enumerate(verts)])
         terms.append((plg, Fraction(rng.randint(-3, 3), rng.randint(1, 3))))
@@ -262,52 +261,6 @@ class TestInd:
                 assert total == QuantumGraph.of(h), g
 
 
-class TestRootedDecomposition:
-    def test_single_term(self):
-        e = edge(1, 2)
-        dec = rooted_decomposition(QuantumGraph.of(e))
-        assert list(dec) == [e.canonical()]
-        assert dec[e.canonical()] == QuantumGraph.of(e)
-
-    def test_two_cores(self):
-        e = edge(1, 2)
-        ne = PLG(Graph(2), [(1, 0), (2, 1)])
-        dec = rooted_decomposition(QuantumGraph.of(e) + QuantumGraph.of(ne))
-        assert len(dec) == 2
-        assert dec[e.canonical()] == 2 * QuantumGraph.of(e)
-        assert dec[ne.canonical()] == ind(ne)
-
-    def test_reconstruction(self):
-        rng = random.Random(97)
-        for _ in range(25):
-            f = random_quantum(rng)
-            dec = rooted_decomposition(f)
-            total = QuantumGraph.zero()
-            for part in dec.values():
-                total = total + part
-            assert total == f
-
-    def test_product_law(self):
-        # With full label sets the decomposition respects products per core.
-        rng = random.Random(101)
-        for _ in range(15):
-            f = random_quantum(rng, max_terms=2, max_n=3, full_labels=True)
-            g = random_quantum(rng, max_terms=2, max_n=3, full_labels=True)
-            df = rooted_decomposition(f, labels=(1, 2))
-            dg = rooted_decomposition(g, labels=(1, 2))
-            lhs = rooted_decomposition(product(f, g), labels=(1, 2))
-            rhs = {}
-            for core in set(df) | set(dg):
-                piece = product(
-                    df.get(core, QuantumGraph.zero()), dg.get(core, QuantumGraph.zero())
-                )
-                if not piece.is_zero():
-                    rhs[core] = piece
-            total_lhs = sum(lhs.values(), QuantumGraph.zero())
-            total_rhs = sum(rhs.values(), QuantumGraph.zero())
-            assert total_lhs == total_rhs
-
-
 class TestQExpr:
     def test_expand_matches_direct(self):
         e = edge(1, None)
@@ -343,6 +296,31 @@ class TestQExpr:
         p = Polynomial.variable("x1") + Polynomial.variable("x2")
         with pytest.raises(ValueError):
             PolyImage({"x1": Atom(PLG(K2))}, p)
+
+    def test_node_equality_hashing_and_immutability(self):
+        e = PLG(K2)
+        poly = Polynomial.variable("x1")
+        wide = Polynomial.variable("x1", ("x1", "x2"))
+        gens = {"x1": Atom(e), "x2": Atom(e)}
+        assert Atom(e) != IndAtom(e)
+        assert Sum([Atom(e)]) != Product([Atom(e)])
+        assert Unlabel((), Atom(e)) != Unlabel((), IndAtom(e))
+        # (two equal nodes built differently, an attribute they hold)
+        pairs = [
+            (Const(Fraction(2, 4)), Const(Fraction(1, 2)), "value"),
+            (Atom(PLG(K2, [(1, 0)])), Atom(PLG(K2, [(1, 1)])), "plg"),
+            (IndAtom(e), IndAtom(PLG(Graph(2, [(1, 0)]))), "plg"),
+            (Sum([1, e]), Sum([Const(1), Atom(e)]), "children"),
+            (Product([e, e]), Product([Atom(e), Atom(e)]), "children"),
+            (Unlabel([1], Atom(e)), Unlabel({1}, Atom(e)), "child"),
+            (PolyImage(gens, poly), PolyImage(gens, wide, origin="(x)"), "poly"),
+        ]
+        for a, b, attr in pairs:
+            assert a == b
+            assert hash(a) == hash(b)
+            with pytest.raises(AttributeError):
+                setattr(a, attr, getattr(b, attr))
+        assert len({node for a, b, _ in pairs for node in (a, b)}) == len(pairs)
 
     def test_label_sets(self):
         e = edge(1, 2)

@@ -255,6 +255,20 @@ class TestRefuteCommand:
         assert out == ""
         assert err == f"error: --jobs must be at least 1, got {jobs}\n"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--max-n", "0", "--samples", "3"], "--max-n must be at least 1, got 0"),
+            (["--max-n", "-2"], "--max-n must be at least 1, got -2"),
+            (["--samples", "-1"], "--samples must be at least 0, got -1"),
+        ],
+        ids=["max-n-0", "max-n-negative", "samples-negative"],
+    )
+    def test_search_flags_out_of_range_exit_2(self, capsys, files, flags, message):
+        target = files("negK2.qg", "-1 * plg n=2 edges=1-2\n")
+        code, out, err = run(capsys, "refute", "--in", target, *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_jobs_capped_at_cpu_count(self, capsys, files, monkeypatch):
         # An in-process pool records the worker count it is asked for.
         requested = []
@@ -380,6 +394,13 @@ class TestHostileInput:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("text", ["(unlabel ()", "(unlabel ("], ids=["no-child", "open-list"])
+    def test_unterminated_unlabel_exits_2(self, capsys, files, text):
+        expr = files("bad.qx", text + "\n")
+        target = files("K2.plg", plg_text(Graph.complete(2)))
+        code, out, err = run(capsys, "eval", "--in", expr, "--target", target)
+        assert (code, out, err) == (2, "", "error: unterminated (unlabel ...)\n")
 
     def test_unexpected_exception_exits_3(self, capsys, files, monkeypatch):
         def broken(*args, **kwargs):

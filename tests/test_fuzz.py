@@ -20,6 +20,7 @@ import re
 from homdens import cli
 from homdens.algebra import load_expression
 from homdens.certificates import parse_cs_proof, parse_sos_certificate
+from homdens.errors import FormatError
 from homdens.graphs import parse_plg
 from homdens.polynomials import parse_poly
 
@@ -214,3 +215,15 @@ def test_cli_exit_codes_under_mutation(tmp_path):
                     assert _accepted(readers, paths, texts), f"{case} exited 1 on unreadable input"
                 codes.add(code)
     assert codes == {0, 1, 2}
+
+
+def test_expression_prefixes_and_suffixes():
+    """Every prefix and suffix of a valid expression parses or raises
+    FormatError; nothing else escapes the reader."""
+    for text in EXPRESSIONS + [INSTANCE]:
+        for cut in range(len(text) + 1):
+            for piece in (text[:cut], text[cut:]):
+                try:
+                    load_expression(piece)
+                except FormatError:
+                    pass

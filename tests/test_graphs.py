@@ -83,8 +83,8 @@ class TestCanonicalForm:
         for _ in range(100):
             n = rng.randint(0, 6)
             plg = random_plg(rng, n, label_count=rng.randint(0, min(2, n)))
-            cf = canonical_form(plg)
-            assert plg.relabeled_vertices(cf.certificate) == cf.plg
+            canon, cert = canonical_form(plg)
+            assert plg.relabeled_vertices(cert) == canon
 
     def test_invariant_under_relabeling(self):
         rng = random.Random(11)
@@ -92,14 +92,14 @@ class TestCanonicalForm:
             n = rng.randint(1, 7)
             plg = random_plg(rng, n, label_count=rng.randint(0, min(2, n)))
             other = shuffled_copy(rng, plg)
-            assert canonical_form(plg).plg == canonical_form(other).plg
+            assert canonical_form(plg)[0] == canonical_form(other)[0]
 
     def test_idempotent(self):
         rng = random.Random(13)
         for _ in range(50):
             plg = random_plg(rng, rng.randint(1, 6))
-            c = canonical_form(plg).plg
-            assert canonical_form(c).plg == c
+            c = canonical_form(plg)[0]
+            assert canonical_form(c)[0] == c
 
     def test_matches_round_based_reference(self):
         """Refining against the changed cells only picks the representative
@@ -115,17 +115,14 @@ class TestCanonicalForm:
             labels = sorted(rng.sample(range(1, 6), len(verts)))
             plg = PLG(Graph(n, edges), list(zip(labels, verts)))
             disconnected += len(graphs._components(plg.graph)) > 1
-            got = canonical_form(plg)
-            want = round_based_canonical_form(plg)
-            assert got.certificate == want.certificate, plg
-            assert got.plg == want.plg
+            assert canonical_form(plg) == round_based_canonical_form(plg), plg
         assert disconnected > 500
 
     def test_enumerated_graphs_match_round_based_reference(self):
         rng = random.Random(31)
         for g in enumerate_graphs(6):
             plg = shuffled_copy(rng, PLG(g))
-            assert canonical_form(plg).certificate == round_based_canonical_form(plg).certificate
+            assert canonical_form(plg)[1] == round_based_canonical_form(plg)[1]
 
     def test_canonical_form_is_its_own(self, canonical_calls):
         rng = random.Random(37)
@@ -133,7 +130,7 @@ class TestCanonicalForm:
         for _ in range(50):
             n = rng.randint(1, 7)
             plgs.append(random_plg(rng, n, label_count=rng.randint(0, min(2, n))))
-        forms = [canonical_form(plg).plg for plg in plgs]
+        forms = [canonical_form(plg)[0] for plg in plgs]
         del canonical_calls[:]
         assert all(c.canonical() is c for c in forms)
         assert canonical_calls == []
@@ -142,13 +139,13 @@ class TestCanonicalForm:
     def test_labeled_vertices_come_first(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         plg = PLG(g, [(2, 3), (5, 1)])
-        c = canonical_form(plg).plg
+        c = canonical_form(plg)[0]
         assert c.labels == ((2, 0), (5, 1))
 
     def test_distinguishes_nonisomorphic(self):
         star = Graph(4, [(0, 1), (0, 2), (0, 3)])
         path = Graph.path(4)
-        assert canonical_form(star).plg != canonical_form(path).plg
+        assert canonical_form(star)[0] != canonical_form(path)[0]
 
     def test_labels_matter(self):
         g = Graph.path(3)  # middle vertex 1 has degree 2
@@ -282,23 +279,6 @@ class TestEnumeration:
         assert len(set(graphs)) == len(graphs)
         for g in graphs:
             assert PLG(g).canonical().graph == g
-
-    def test_cache_round_trip(self, tmp_path, monkeypatch):
-        # The disk cache sits behind the per-process memo; start each
-        # process-level step with an empty memo to reach it.
-        monkeypatch.setenv("HOMDENS_CACHE_DIR", str(tmp_path))
-        monkeypatch.setattr(graphs, "_ENUM_MEMO", {})
-        first = enumerate_graphs(5)
-        assert (tmp_path / "enum-v1-n5.txt").exists()
-        monkeypatch.setattr(graphs, "_ENUM_MEMO", {})
-        second = enumerate_graphs(5)
-        assert first == second
-
-    def test_corrupt_cache_recomputed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HOMDENS_CACHE_DIR", str(tmp_path))
-        monkeypatch.setattr(graphs, "_ENUM_MEMO", {})
-        (tmp_path / "enum-v1-n3.txt").write_text("plg nonsense\n")
-        assert len(enumerate_graphs(3)) == 4
 
     def test_memoized_per_process(self, canonical_calls):
         first = enumerate_graphs(6)

@@ -33,7 +33,6 @@ from homdens.reductions import (
     is_exact_embedding,
     phi,
     phi_generator,
-    phi_monomial_expansion,
     psi_expr,
     psi_generator,
     psi_rooted_value,
@@ -42,7 +41,7 @@ from homdens.reductions import (
     witness_graph,
 )
 
-from oracles import brute_exact_embeddings
+from oracles import brute_exact_embeddings, phi_monomial_expansion
 
 from functools import lru_cache
 
