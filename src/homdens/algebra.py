@@ -496,8 +496,10 @@ def format_quantum(f):
     return "\n".join(lines) + "\n"
 
 
-def parse_quantum(text):
-    terms = []
+def read_terms(text):
+    """Yield the `(plg, coefficient)` pair of each record of a term list, as
+    written but with isolated vertices stripped; bad records raise
+    FormatError with their line number."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
@@ -509,8 +511,12 @@ def parse_quantum(text):
             coeff = Fraction(coeff_text.strip())
         except (ValueError, ZeroDivisionError):
             raise FormatError(f"bad coefficient {coeff_text.strip()!r}", line=lineno) from None
-        terms.append((parse_plg(record.strip(), line=lineno), coeff))
-    return QuantumGraph(terms)
+        yield strip_isolated(parse_plg(record.strip(), line=lineno)), coeff
+
+
+def parse_quantum(text):
+    """The normal form of a term list."""
+    return QuantumGraph(read_terms(text))
 
 
 # s-expressions: (q 2/3), (g <plg>), (ind <plg>), (sum e...), (prod e...),
@@ -623,13 +629,19 @@ def _take_flat(tokens):
     raise FormatError("unterminated expression")
 
 
-def load_expression(text):
-    """Parse a quantum-graph payload: an s-expression, one plg record, or a term list."""
+def load_expression(text, normal_form=True):
+    """Parse a quantum-graph payload: an s-expression, one plg record, or a term list.
+
+    With `normal_form=False`, for callers that only evaluate, a plg record
+    or a term list comes back as the tuple of its `read_terms` pairs, with
+    no canonical labeling; densities are linear in the terms.
+    """
     stripped = text.strip()
     if not stripped:
         raise FormatError("empty input")
     if stripped.startswith("("):
         return parse_qexpr(stripped)
     if stripped.startswith("plg"):
-        return as_quantum(parse_plg(stripped))
-    return parse_quantum(text)
+        plg = parse_plg(stripped)
+        return as_quantum(plg) if normal_form else ((strip_isolated(plg), Fraction(1)),)
+    return parse_quantum(text) if normal_form else tuple(read_terms(text))

@@ -32,7 +32,7 @@ from .algebra import (
     product,
     unlabel,
 )
-from .density import WeightedGraph, t_quantum
+from .density import WeightedGraph, _label_set, compiled_density, t_quantum
 from .errors import FormatError
 from .graphs import Graph, enumerate_graphs, independent_blowup
 
@@ -438,35 +438,47 @@ def refute(target, max_n=5, samples=200, seed=0):
     Scans every isomorphism class up to max_n vertices in canonical order,
     then `samples` seeded random weighted graphs.  Returns the first
     witness (a Graph, or a WeightedGraph from the random phase) or None.
-    The result is deterministic in (max_n, samples, seed).
+    The result is deterministic in (max_n, samples, seed).  A term list
+    (a tuple of (plg, coefficient) pairs) compiles each term's plan once
+    for the whole search.
     """
-    target = _refutation_target(target)
-    return _scan_exhaustive(target, max_n) or _scan_random(target, max_n, samples, seed)
+    _check_search(max_n, samples)
+    density = compiled_density(_refutation_target(target))
+    return _scan_exhaustive(density, max_n) or _scan_random(density, max_n, samples, seed)
+
+
+def _check_search(max_n, samples, names=("max_n", "samples")):
+    """Reject a search size `refute` cannot scan; `names` are the
+    arguments' names in the error messages."""
+    if max_n < 1:
+        raise ValueError(f"{names[0]} must be at least 1, got {max_n}")
+    if samples < 0:
+        raise ValueError(f"{names[1]} must be at least 0, got {samples}")
 
 
 def _refutation_target(target):
-    if not isinstance(target, (QExpr, QuantumGraph)):
+    if not isinstance(target, (QExpr, QuantumGraph, tuple)):
         target = as_quantum(target)
-    labels = target.label_set()
+    labels = _label_set(target)
     if labels:
         raise ValueError(f"target carries labels {sorted(labels)}, expected none")
     return target
 
 
-def _scan_exhaustive(target, max_n):
+def _scan_exhaustive(density, max_n):
     for n in range(1, max_n + 1):
         for g in enumerate_graphs(n):
-            if t_quantum(target, g) < 0:
+            if density(g) < 0:
                 return g
     return None
 
 
-def _scan_random(target, max_n, samples, seed):
+def _scan_random(density, max_n, samples, seed):
     rng = random.Random(seed)
     for _ in range(samples):
         g = _random_graph(rng, rng.randint(1, max_n))
         G = WeightedGraph(g, _random_distribution(rng, g.n))
-        if t_quantum(target, G) < 0:
+        if density(G) < 0:
             return G
     return None
 

@@ -7,6 +7,12 @@ rationals.  Exit codes: 0 for verified/none-found, 1 for rejected or
 witness-found, 2 for malformed input or exceeded caps, 3 for an
 unexpected internal error.
 
+Only the commands that compare quantum graphs, `verify-sos` and
+`check-proof`, bring a term list to its normal form.  `eval`, `density`
+and `refute` evaluate its records as written, since a density is linear
+in the terms, and `refute` compiles each term's search plan once for
+all its targets.
+
 Identical invocations produce byte-identical output.
 """
 
@@ -19,6 +25,7 @@ import sys
 
 from .algebra import EXPAND_BUDGET, format_qexpr, format_quantum, load_expression
 from .certificates import (
+    _check_search,
     _refutation_target,
     _scan_random,
     check_cs_proof,
@@ -32,6 +39,7 @@ from .certificates import (
 )
 from .density import (
     WeightedGraph,
+    compiled_density,
     format_weighted_graph,
     parse_weighted_graph,
     t_quantum,
@@ -94,7 +102,7 @@ def _warn_budget(args):
 
 
 def cmd_density(args):
-    pattern = load_expression(_read(args.infile))
+    pattern = load_expression(_read(args.infile), normal_form=False)
     target = _load_target(_read(args.target))
     value = t_quantum(pattern, target, _parse_roots(args.root))
     _emit("t", value)
@@ -155,7 +163,7 @@ def cmd_witness(args):
 
 
 def cmd_eval(args):
-    f = load_expression(_read(args.infile))
+    f = load_expression(_read(args.infile), normal_form=False)
     target = _load_target(_read(args.target))
     value = t_quantum(f, target, _parse_roots(args.root))
     _emit("value", value)
@@ -189,17 +197,16 @@ def cmd_check_proof(args):
 def cmd_refute(args):
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    if args.max_n < 1:
-        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
-    if args.samples < 0:
-        raise ValueError(f"--samples must be at least 0, got {args.samples}")
+    _check_search(args.max_n, args.samples, ("--max-n", "--samples"))
     jobs = min(args.jobs, os.cpu_count() or 1)
     target_text = _read(args.infile)
-    target = _refutation_target(load_expression(target_text))
+    target = _refutation_target(load_expression(target_text, normal_form=False))
     if jobs > 1:
-        witness = _parallel_exhaustive(target_text, target, args.max_n, jobs)
+        witness = _parallel_exhaustive(target_text, args.max_n, jobs)
         if witness is None:
-            witness = _scan_random(target, args.max_n, args.samples, args.seed)
+            witness = _scan_random(
+                compiled_density(target), args.max_n, args.samples, args.seed
+            )
     else:
         witness = refute(target, max_n=args.max_n, samples=args.samples, seed=args.seed)
     if witness is None:
@@ -249,35 +256,36 @@ def cmd_enumerate(args):
 
 
 # ---------------------------------------------------------------------------
-# Parallel exhaustive refutation.  Workers receive candidate records as
-# text and re-parse the target once each; the lowest negative index wins,
-# so the winner is independent of the worker count.
+# Parallel exhaustive refutation.  One pool serves every n.  Each worker
+# reads the target once and compiles its density; workers receive
+# candidate records as text, and the lowest negative index wins, so the
+# winner is independent of the worker count.
 
 _WORKER_TARGET = None
 
 
 def _refute_init(target_text):
     global _WORKER_TARGET
-    _WORKER_TARGET = load_expression(target_text)
+    _WORKER_TARGET = compiled_density(load_expression(target_text, normal_form=False))
 
 
 def _refute_probe(job):
     index, record = job
     g = parse_plg(record).graph
-    return index if t_quantum(_WORKER_TARGET, g) < 0 else None
+    return index if _WORKER_TARGET(g) < 0 else None
 
 
-def _parallel_exhaustive(target_text, target, max_n, jobs):
-    for n in range(1, max_n + 1):
-        candidates = enumerate_graphs(n)
-        jobs_for_n = [(i, format_plg(g)) for i, g in enumerate(candidates)]
-        with multiprocessing.Pool(
-            jobs, initializer=_refute_init, initargs=(target_text,)
-        ) as pool:
+def _parallel_exhaustive(target_text, max_n, jobs):
+    with multiprocessing.Pool(
+        jobs, initializer=_refute_init, initargs=(target_text,)
+    ) as pool:
+        for n in range(1, max_n + 1):
+            candidates = enumerate_graphs(n)
+            jobs_for_n = [(i, format_plg(g)) for i, g in enumerate(candidates)]
             chunk = max(1, len(jobs_for_n) // (jobs * 4))
             hits = [i for i in pool.map(_refute_probe, jobs_for_n, chunk) if i is not None]
-        if hits:
-            return candidates[min(hits)]
+            if hits:
+                return candidates[min(hits)]
     return None
 
 

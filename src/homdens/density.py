@@ -42,6 +42,7 @@ from .algebra import (
     PolyImage,
     Product,
     QExpr,
+    QuantumGraph,
     Sum,
     Unlabel,
     as_quantum,
@@ -370,8 +371,10 @@ def t_ind(h, g):
 def t_quantum(f, G, phi=None):
     """Rooted weighted density, extended linearly and structurally.
 
-    f may be a QuantumGraph (or plain graph material) or a QExpr tree; phi
-    must cover every label of f.  Structured trees are never expanded.
+    f may be a QuantumGraph (or plain graph material), a term list (a
+    tuple of (plg, coefficient) pairs, isomorphic duplicates allowed) or a
+    QExpr tree; phi must cover every label of f's normal form.
+    Structured trees are never expanded.
     """
     G = as_weighted(G)
     phi = dict(phi or {})
@@ -379,12 +382,78 @@ def t_quantum(f, G, phi=None):
     if isinstance(f, QExpr):
         _check_cover(f.label_set(), phi)
         return _eval_expr(f, G.graph, weights, phi)
-    f = as_quantum(f)
-    _check_cover(f.label_set(), phi)
-    total = Fraction(0)
-    for plg, coeff in f.terms.items():
-        total += coeff * _rooted_density(plg.graph, _pinned(plg, phi), HOM, G.graph, weights)
-    return total
+    return _sum_terms(_term_plans(_terms(f), phi, G.graph.n), G.graph, weights)
+
+
+def compiled_density(f):
+    """The function G -> t_quantum(f, G) of an unlabeled f.
+
+    A term list or QuantumGraph compiles each term's plan once, here, and
+    reuses it for every target; a QExpr is evaluated afresh each call.
+    """
+    if isinstance(f, QExpr):
+        return lambda G: t_quantum(f, G)
+    plans = list(_term_plans(_terms(f), {}, 0))
+
+    def density(G):
+        G = as_weighted(G)
+        return _sum_terms(plans, G.graph, _Weights(G.y))
+
+    return density
+
+
+def _terms(f):
+    """The (plg, coefficient) pairs of a term list or of quantum-graph material."""
+    return f if isinstance(f, tuple) else as_quantum(f).terms.items()
+
+
+def _label_set(f):
+    """The labels of the normal form of f.  A term list builds that normal
+    form only when some term carries a label."""
+    if isinstance(f, tuple):
+        if not any(plg.labels for plg, _ in f):
+            return frozenset()
+        f = QuantumGraph(f)
+    return f.label_set()
+
+
+def _term_plans(terms, phi, n):
+    """Yield (coefficient, pattern, pinned, plan) per nonzero term of a term
+    list evaluated under the root map phi on an n-vertex target, one plan
+    at a time.
+
+    A label that only terms cancelling up to isomorphism carry is absent
+    from the normal form, so phi need not cover it, and it stays unpinned:
+    those terms still cancel.  Only that case builds the normal form.
+    """
+    terms = tuple((plg, coeff) for plg, coeff in terms if coeff)
+    labels = {lab for plg, _ in terms for lab, _ in plg.labels}
+    if not all(lab in phi and 0 <= phi[lab] < n for lab in labels):
+        labels = _label_set(terms)
+        _check_cover(labels, phi)
+        phi = {lab: phi[lab] for lab in labels}
+    for plg, coeff in terms:
+        pinned = _pinned(plg, phi)
+        yield coeff, plg.graph, pinned, _Plan(plg.graph, pinned, HOM)
+
+
+def _sum_terms(plans, graph, weights):
+    """The sum of coefficient times density over `_term_plans` output.
+
+    Each ring sum is an integer over den ** (free vertices), so the sums
+    are collected as integers per (free vertices, coefficient denominator)
+    and only those few become Fractions.
+    """
+    sums = Counter()
+    for coeff, pattern, pinned, plan in plans:
+        bound = _bind(pattern, pinned, HOM, graph)
+        if bound is not None:
+            value = _ring_sum(plan, graph, weights, *bound)
+            sums[pattern.n - len(pinned), coeff.denominator] += coeff.numerator * value
+    return sum(
+        (Fraction(num, den * weights.den ** k) for (k, den), num in sums.items()),
+        Fraction(0),
+    )
 
 
 def _check_cover(labels, phi):

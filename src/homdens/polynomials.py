@@ -192,6 +192,9 @@ class Polynomial:
         return a.terms == b.terms
 
     def __hash__(self):
+        # A constant equals its number, so it hashes as that number.
+        if set(self.terms) <= {(0,) * len(self.vars)}:
+            return hash(self.constant_term())
         # Unused variables are left out, as `__eq__` ignores them.
         return hash(frozenset(
             (tuple((v, e) for v, e in zip(self.vars, exps) if e), c)

@@ -11,6 +11,9 @@ from homdens.algebra import (
     expand,
     format_qexpr,
     ind,
+    load_expression,
+    parse_qexpr,
+    parse_quantum,
     product,
     unlabel,
 )
@@ -432,6 +435,48 @@ class TestRefute:
     def test_labeled_targets_are_rejected(self):
         with pytest.raises(ValueError):
             refute(QuantumGraph.of(EDGE_1), max_n=3)
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ({"max_n": 0, "samples": 3}, "max_n must be at least 1, got 0"),
+            ({"max_n": -2}, "max_n must be at least 1, got -2"),
+            ({"samples": -1}, "samples must be at least 0, got -1"),
+        ],
+    )
+    def test_search_sizes_are_checked(self, sizes, message):
+        with pytest.raises(ValueError) as exc:
+            refute(parse_qexpr("(q -1)"), **sizes)
+        assert str(exc.value) == message
+
+    def test_term_lists_refute_as_their_normal_forms(self):
+        # K3 - K2 written with a relabeled duplicate, an isolated vertex and
+        # labeled terms that cancel
+        text = (
+            "1/2 * plg n=3 edges=1-2;1-3;2-3\n"
+            "1/2 * plg n=4 edges=2-3;2-4;3-4\n"
+            "-1 * plg n=2 edges=1-2\n"
+            "1 * plg n=2 labels=1:1 edges=1-2\n"
+            "-1 * plg n=2 labels=1:2 edges=1-2\n"
+        )
+        nf = parse_quantum(text)
+        assert nf == as_quantum(K3) - as_quantum(K2)
+        raw = load_expression(text, normal_form=False)
+        for sizes in ({"max_n": 2, "samples": 0}, {"max_n": 4, "samples": 5}):
+            w = refute(raw, **sizes)
+            assert w == refute(nf, **sizes) == K2
+            assert t_quantum(raw, w) == t_quantum(nf, w) < 0
+        # x^2 - x/2 in the edge density, the edge written twice: only the
+        # weighted phase finds a witness
+        text = "1 * plg n=4 edges=1-2;3-4\n-1/4 * plg n=2 edges=1-2\n-1/4 * plg n=3 edges=2-3\n"
+        raw = load_expression(text, normal_form=False)
+        w = refute(raw, max_n=2, samples=300, seed=3)
+        assert isinstance(w, WeightedGraph)
+        assert w == refute(parse_quantum(text), max_n=2, samples=300, seed=3)
+        assert t_quantum(raw, w) == t_quantum(parse_quantum(text), w) < 0
+        with pytest.raises(ValueError) as exc:
+            refute(load_expression(text + "1 * plg n=2 labels=2:1 edges=1-2\n", normal_form=False))
+        assert str(exc.value) == "target carries labels [2], expected none"
 
 
 class TestIntegerWitness:

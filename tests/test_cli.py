@@ -6,10 +6,13 @@ from fractions import Fraction as F
 import pytest
 
 from homdens import cli
+from homdens.algebra import parse_quantum
 from homdens.cli import main
+from homdens.density import t_quantum
 from homdens.graphs import (
     Graph,
     PartiallyLabeledGraph as PLG,
+    enumerate_graphs,
     format_plg,
     is_stringent,
     parse_plg,
@@ -75,6 +78,32 @@ class TestDensity:
         code, _, err = run(capsys, "density", "--target", target, "--in", pattern)
         assert code == 2
         assert "error:" in err
+
+    def test_term_lists_are_never_canonicalized(self, capsys, files, monkeypatch, canonical_calls):
+        # Duplicates up to isomorphism, an isolated vertex and a term that
+        # cancels: evaluation reads the records as written.
+        text = (
+            "1 * plg n=3 edges=1-2;1-3;2-3\n"
+            "-1/2 * plg n=3 edges=1-2\n"
+            "-1/2 * plg n=2 edges=1-2\n"
+            "2 * plg n=3 edges=1-2;2-3\n"
+            "-2 * plg n=3 edges=1-3;2-3\n"
+        )
+        target = files("t.qg", text)
+        for n in range(1, 4):
+            enumerate_graphs(n)
+        monkeypatch.setattr(cli, "_WORKER_TARGET", None)
+        del canonical_calls[:]
+        code, out, _ = run(capsys, "refute", "--in", target, "--max-n", "3", "--samples", "5")
+        assert (code, lines_of(out)["witness"], lines_of(out)["value"]) == (1, "plg n=2 edges=1-2", "-1/2")
+        cli._refute_init(text)
+        assert cli._refute_probe((7, "plg n=2 edges=1-2")) == 7
+        assert canonical_calls == []
+        nf = parse_quantum(text)
+        del canonical_calls[:]
+        for g in enumerate_graphs(3):
+            assert cli._WORKER_TARGET(g) == t_quantum(nf, g)
+        assert canonical_calls == []
 
     def test_labeled_target_exits_2(self, capsys, files):
         target = files("lab.plg", "plg n=2 labels=1:1 edges=1-2\n")
@@ -211,6 +240,48 @@ class TestCertificateCommands:
         assert kv["psd"] == "true"
 
 
+class TestEvalReadsTermListsAsWritten:
+    TEXT = (
+        "1 * plg n=3 labels=1:1,2:3 edges=1-2;2-3\n"
+        "-1/2 * plg n=3 labels=2:1,1:3 edges=2-3;1-2\n"
+        "1/3 * plg n=4 labels=1:4 edges=1-2\n"
+        "3 * plg n=2 labels=3:1,4:2\n"
+        "5 * plg n=2 labels=5:1 edges=1-2\n"
+        "-5 * plg n=2 labels=5:2 edges=1-2\n"
+    )
+
+    @pytest.mark.parametrize("command, key", [("eval", "value"), ("density", "t")])
+    def test_values_match_the_normal_form(self, capsys, files, canonical_calls, command, key):
+        pattern = files("f.qg", self.TEXT)
+        target = files("P4.plg", plg_text(Graph.path(4)))
+        nf = parse_quantum(self.TEXT)
+        assert nf.label_set() == {1, 2}
+        for root, phi in [
+            ("1:1,2:2,5:1", {1: 0, 2: 1}),
+            ("1:2,2:4,5:3", {1: 1, 2: 3}),
+            ("2:3,1:3,5:4", {1: 2, 2: 2}),
+            # Label 5 only on terms that cancel: only this root map, which
+            # misses it, builds the normal form, as the parent route did.
+            ("1:2,2:1", {1: 1, 2: 0}),
+        ]:
+            want = t_quantum(nf, Graph.path(4), phi)
+            del canonical_calls[:]
+            code, out, _ = run(capsys, command, "--in", pattern, "--target", target, "--root", root)
+            assert out == f"{key}={want}\n"
+            assert code == (1 if command == "eval" and want < 0 else 0)
+            assert (canonical_calls == []) == ("5:" in root)
+
+    @pytest.mark.parametrize(
+        "root, message",
+        [("2:1", "root map missing labels [1]"), ("1:1,2:9", "root image 9 outside the target graph")],
+    )
+    def test_root_errors_match_the_normal_form(self, capsys, files, root, message):
+        pattern = files("f.qg", self.TEXT)
+        target = files("P4.plg", plg_text(Graph.path(4)))
+        code, out, err = run(capsys, "eval", "--in", pattern, "--target", target, "--root", root)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestRefuteCommand:
     def test_witness_found_with_value(self, capsys, files):
         target = files("negK2.qg", "-1 * plg n=2 edges=1-2\n")
@@ -297,6 +368,8 @@ class TestRefuteCommand:
         assert requested and set(requested) == {3}
         assert capped == serial
         assert serial[0] == 1
+        # The witness is a 2-vertex graph: one pool served n = 1 and n = 2.
+        assert len(requested) == 1
 
     def test_counterexample_pipeline_finds_nothing_small(self, capsys, files, tmp_path):
         out_path = str(tmp_path / "x.qg")

@@ -14,6 +14,8 @@ from homdens.algebra import (
     Unlabel,
     expand,
     ind,
+    load_expression,
+    parse_quantum,
     product as qproduct,
     unlabel as qunlabel,
 )
@@ -36,6 +38,7 @@ from homdens.graphs import (
     Graph,
     PartiallyLabeledGraph as PLG,
     enumerate_graphs,
+    format_plg,
     independent_blowup,
 )
 from homdens.polynomials import Polynomial
@@ -607,3 +610,142 @@ class TestWeightedGraphFormat:
         with pytest.raises(FormatError) as exc:
             parse_weighted_graph("plg n=2 weights=1/0,1", line=4)
         assert "line 4" in str(exc.value)
+
+
+# Term lists read for evaluation keep their records as written, up to
+# isolated vertices; they must evaluate, and fail, as their normal forms do.
+
+
+def _relabeled(rng, plg):
+    """An isomorphic copy of plg with its vertices shuffled."""
+    perm = list(range(plg.graph.n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in plg.graph.edges]
+    return PLG(Graph(plg.graph.n, edges), {lab: perm[v] for lab, v in plg.labels})
+
+
+def _with_isolated(plg, label=None):
+    """plg plus one isolated vertex, labeled `label` unless that is None."""
+    n = plg.graph.n
+    labels = dict(plg.labels)
+    if label is not None:
+        labels[label] = n
+    return PLG(Graph(n + 1, plg.graph.edges), labels)
+
+
+def _random_term_list(rng):
+    """Records with isomorphic duplicates, isolated labeled and unlabeled
+    vertices, and a pair of terms carrying label 3 that cancel."""
+    records = []
+    for _ in range(rng.randint(1, 3)):
+        plg = random_plg(rng, 3)
+        coeff = F(rng.randint(-3, 3), rng.randint(1, 3))
+        records.append((plg, coeff))
+        if rng.random() < 0.5:
+            records.append((_relabeled(rng, plg), F(rng.randint(-2, 2))))
+        if rng.random() < 0.5:
+            records.append((_with_isolated(plg, rng.choice((None, 4))), F(1, 2)))
+    core = random_plg(rng, 3, labels=(3,))
+    c = F(rng.randint(1, 3), 2)
+    records += [(core, c), (_relabeled(rng, core), -c)]
+    rng.shuffle(records)
+    text = "".join(f"{c} * {format_plg(plg)}\n" for plg, c in records)
+    return text, records
+
+
+def _term_list_oracle(records, G, phi):
+    """The brute-force density of the records as written; a label phi
+    misses stays unpinned."""
+    total = F(0)
+    for plg, coeff in records:
+        pinned = {v: phi[lab] for lab, v in plg.labels if lab in phi}
+        total += coeff * brute_rooted_t(plg, G.graph, pinned, list(G.y))
+    return total
+
+
+class TestTermLists:
+    def test_routes_agree_on_every_small_target(self):
+        rng = random.Random(2027)
+        targets = [g for n in range(1, 5) for g in enumerate_graphs(n)]
+        for _ in range(10):
+            text, records = _random_term_list(rng)
+            raw = load_expression(text, normal_form=False)
+            assert raw == tuple(
+                (PLG(*_stripped(plg)), c) for plg, c in records
+            )
+            nf = parse_quantum(text)
+            labels = sorted(nf.label_set())
+            assert 3 not in labels and 4 not in labels
+            for g in targets:
+                for phi in _all_root_maps(labels, g.n):
+                    value = t_quantum(raw, g, phi)
+                    assert value == t_quantum(nf, g, phi)
+                    assert value == _term_list_oracle(records, WeightedGraph.uniform(g), phi)
+
+    def test_routes_agree_on_weighted_targets(self):
+        rng = random.Random(2028)
+        for _ in range(30):
+            text, records = _random_term_list(rng)
+            raw = load_expression(text, normal_form=False)
+            nf = parse_quantum(text)
+            G = random_weighted(rng, 4)
+            # Labels 3 and 4 survive in no normal form: leave them out or
+            # send them outside the target, and neither route objects.
+            phi = {lab: rng.randrange(G.graph.n) for lab in (1, 2)}
+            phi[3] = rng.choice((G.graph.n, rng.randrange(G.graph.n)))
+            if rng.random() < 0.5:
+                phi[4] = G.graph.n + 2
+            value = t_quantum(raw, G, phi)
+            assert value == t_quantum(nf, G, phi)
+            assert value == _term_list_oracle(records, G, {k: phi[k] for k in (1, 2)})
+
+    def test_single_record_payload(self):
+        text = "plg n=4 labels=1:1,2:4 edges=1-2;2-3\n"
+        raw = load_expression(text, normal_form=False)
+        assert raw == ((PLG(Graph(3, [(0, 1), (1, 2)]), {1: 0}), F(1)),)
+        for phi in _all_root_maps((1, 2), 3):
+            assert t_quantum(raw, P3, phi) == t_quantum(load_expression(text), P3, phi)
+
+    @pytest.mark.parametrize(
+        "phi, message",
+        [
+            ({2: 0}, "root map missing labels [1]"),
+            ({1: 3, 2: 0}, "root image 4 outside the target graph"),
+        ],
+        ids=["missing-label", "image-outside"],
+    )
+    def test_root_errors_agree(self, phi, message):
+        text = (
+            "1 * plg n=3 labels=1:1,2:3 edges=1-2\n"
+            "2 * plg n=2 labels=1:2 edges=1-2\n"
+            "-2 * plg n=2 labels=1:1 edges=1-2\n"
+        )
+        for f in (load_expression(text, normal_form=False), parse_quantum(text)):
+            with pytest.raises(ValueError) as exc:
+                t_quantum(f, K3, phi)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("1 * plg n=2 edges=1-2\n\n# note\nx * plg n=1\n", 4),
+            ("1 * plg n=2 edges=1-2\n2 plg n=1\n", 2),
+            ("1/2 * plg n=2 edges=1-3\n", 1),
+            ("1 * plg n=1\n-1 * plg n=2 labels=1:5\n", 2),
+        ],
+    )
+    def test_bad_records_fail_alike(self, text, line):
+        with pytest.raises(FormatError) as raw:
+            load_expression(text, normal_form=False)
+        with pytest.raises(FormatError) as nf:
+            parse_quantum(text)
+        assert raw.value.line == nf.value.line == line
+        assert str(raw.value) == str(nf.value)
+
+
+def _stripped(plg):
+    """The graph and labels of plg without its isolated vertices."""
+    keep = [v for v in range(plg.graph.n) if plg.graph.adj[v]]
+    index = {v: i for i, v in enumerate(keep)}
+    labels = {lab: index[v] for lab, v in plg.labels if v in index}
+    return plg.graph.induced(keep), labels

@@ -82,6 +82,13 @@ class TestArithmetic:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
+    @pytest.mark.parametrize("value", [3, Fraction(1, 2), 0])
+    def test_constants_hash_as_their_numbers(self, value):
+        for p in (Polynomial.constant(value), Polynomial.constant(value, ("x1", "x2"))):
+            assert p == value
+            assert hash(p) == hash(value)
+            assert len({p, value}) == 1
+
     def test_degree_and_coefficients(self):
         p = 2 * x(1) ** 3 * x(2) - x(2)
         assert p.total_degree() == 4
