@@ -29,6 +29,7 @@ from .graphs import (
     PartiallyLabeledGraph,
     format_plg,
     parse_plg,
+    record_lines,
 )
 from .polynomials import Polynomial
 
@@ -500,10 +501,7 @@ def read_terms(text):
     """Yield the `(plg, coefficient)` pair of each record of a term list, as
     written but with isolated vertices stripped; bad records raise
     FormatError with their line number."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in record_lines(text):
         coeff_text, sep, record = body.partition("*")
         if not sep:
             raise FormatError("expected '<coefficient> * <plg record>'", line=lineno)

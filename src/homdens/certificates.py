@@ -34,7 +34,7 @@ from .algebra import (
 )
 from .density import WeightedGraph, _label_set, compiled_density, t_quantum
 from .errors import FormatError
-from .graphs import Graph, enumerate_graphs, independent_blowup
+from .graphs import Graph, enumerate_graphs, independent_blowup, record_lines
 
 PROOF_RULES = ("A1", "A2", "R1", "R2", "R3")
 
@@ -70,10 +70,7 @@ def verify_sos(target, cert, budget=EXPAND_BUDGET):
 def parse_sos_certificate(text):
     header_seen = False
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in record_lines(text):
         if not header_seen:
             if body != "sos:":
                 raise FormatError("certificate must start with 'sos:'", line=lineno)
@@ -321,10 +318,7 @@ _BY_RULE = re.compile(r";\s*by\s+(?=(?:A1|A2|R1|R2|R3)\s*\()")
 def parse_cs_proof(text, resolve=_default_resolver):
     """Parse a numbered proof file; @refs are loaded through `resolve`."""
     lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in record_lines(text):
         number, sep, rest = body.partition(":")
         if not sep or not number.strip().isdigit():
             raise FormatError("expected '<number>: ...'", line=lineno)

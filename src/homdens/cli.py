@@ -45,7 +45,7 @@ from .density import (
     t_quantum,
 )
 from .errors import FormatError
-from .graphs import enumerate_graphs, format_plg, parse_plg, stringent_graph
+from .graphs import enumerate_graphs, format_plg, parse_plg, record_lines, stringent_graph
 from .polynomials import parse_poly
 from .reductions import build_counterexample, build_instance, witness_graph
 
@@ -226,11 +226,7 @@ def cmd_refute(args):
 
 def cmd_moment_matrix(args):
     target = _load_target(_read(args.target))
-    basis = []
-    for lineno, raw in enumerate(_read(args.basis).splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            basis.append(parse_plg(body, line=lineno))
+    basis = [parse_plg(body, line=lineno) for lineno, body in record_lines(_read(args.basis))]
     if not basis:
         raise FormatError("basis file lists no patterns")
     M = moment_matrix(target, basis)

@@ -18,15 +18,18 @@ plan fixes the search order of the free vertices, split into independent
 components, each ending in a tail whose vertices are summed over their
 candidate masks rather than enumerated.  One candidate rule, in hom, inj
 or exact mode, gives the target vertices open to each vertex, and also
-checks the pinned vertices.  The ring sum adds products of vertex-weight
-numerators over one denominator; the image walk yields whole images, for
-the monomial bins of density polynomials and for exact embeddings.
+checks the pinned vertices.  The ring sum adds products of integer
+vertex-weight numerators over one denominator; the image walk yields whole
+images, for the monomial bins of density polynomials, for exact
+embeddings and for automorphisms.
 
-Quantum graphs evaluate linearly.  Structured expressions evaluate without
-expansion: Product nodes multiply factor densities, Unlabel nodes take an
-exact expectation over label assignments, abandoning a branch as soon as
-the partial assignment forces the child to vanish, and IndAtom nodes are
-the exact mode of the kernel.
+Quantum graphs and term lists evaluate linearly, through one term sum that
+every density shares.  Structured expressions evaluate without expansion:
+Product nodes multiply factor densities, Unlabel nodes take an exact
+expectation over label assignments, abandoning a branch as soon as the
+partial assignment forces the child to vanish, and IndAtom nodes are the
+exact mode of the kernel.  Density polynomials are built from term lists
+only: a structured expression is expanded first.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .graphs import (
     Graph,
     PartiallyLabeledGraph,
     _bits,
+    format_plg,
     plg_from_fields,
     split_record_fields,
 )
@@ -132,10 +136,11 @@ class _Plan:
     the order.
     """
 
-    __slots__ = ("order", "nbs", "earlier", "comps", "exact", "inj")
+    __slots__ = ("order", "nbs", "earlier", "comps", "mode", "exact", "inj")
 
     def __init__(self, pattern, pinned, mode):
         adj = pattern.adj
+        self.mode = mode
         self.exact = mode == EXACT
         self.inj = mode == INJ
         bound = 0
@@ -213,21 +218,19 @@ def _bind(pattern, pinned, mode, graph):
 
 
 class _Weights:
-    """Vertex weights of a target as numerators over one denominator.
+    """Rational vertex weights of a target as integer numerators over their
+    least common denominator, so a search adds and multiplies integers only.
 
-    Rational weights become integers over their least common denominator,
-    so a search adds and multiplies integers only; symbolic weights stay as
-    they are, over 1.  `flat` is the common numerator when all are equal,
-    so that a candidate mask weighs its popcount times `flat`.
+    `flat` is the common numerator when all are equal, so that a candidate
+    mask weighs its popcount times `flat`.
     """
 
     __slots__ = ("y", "num", "den", "flat")
 
     def __init__(self, y):
-        rational = all(isinstance(w, Fraction) for w in y)
         self.y = y
-        self.den = lcm(*(w.denominator for w in y)) if rational else 1
-        self.num = [w.numerator * (self.den // w.denominator) for w in y] if rational else y
+        self.den = lcm(*(w.denominator for w in y))
+        self.num = [w.numerator * (self.den // w.denominator) for w in y]
         self.flat = self.num[0] if len(set(self.num)) == 1 else None
 
     def mask_sum(self, mask):
@@ -251,7 +254,7 @@ def _ring_sum(plan, graph, weights, image, used):
             value = 1
             for j in range(tail, stop):
                 cand = _candidates(nbs[j], earlier[j], exact, adj, full, image, used)
-                value = value * weights.mask_sum(cand)
+                value *= weights.mask_sum(cand)
                 if not value:
                     break
             return value
@@ -265,12 +268,12 @@ def _ring_sum(plan, graph, weights, image, used):
             image[v] = w
             sub = rec(i + 1, tail, stop, used | low if inj else used)
             if sub:
-                total = total + num[w] * sub
+                total += num[w] * sub
         return total
 
     value = 1
     for start, tail, stop in plan.comps:
-        value = value * rec(start, tail, stop, used)
+        value *= rec(start, tail, stop, used)
         if not value:
             break
     return value
@@ -323,13 +326,7 @@ def extensions(pattern, pinned, mode, graph, budget=None):
 def _rooted_density(pattern, pinned, mode, graph, weights):
     """The weighted probability that a random extension of `pinned` is a
     homomorphism (hom mode), an injective one (inj) or exact (exact)."""
-    bound = _bind(pattern, pinned, mode, graph)
-    if bound is None:
-        return Fraction(0)
-    total = _ring_sum(_Plan(pattern, pinned, mode), graph, weights, *bound)
-    if isinstance(total, int):
-        return Fraction(total, weights.den ** (pattern.n - len(pinned)))
-    return total
+    return _sum_terms([(1, pattern, pinned, _Plan(pattern, pinned, mode))], graph, weights)
 
 
 def _density(h, g, mode):
@@ -438,7 +435,8 @@ def _term_plans(terms, phi, n):
 
 
 def _sum_terms(plans, graph, weights):
-    """The sum of coefficient times density over `_term_plans` output.
+    """The sum of coefficient times density over (coefficient, pattern,
+    pinned, plan) tuples, in each plan's mode.
 
     Each ring sum is an integer over den ** (free vertices), so the sums
     are collected as integers per (free vertices, coefficient denominator)
@@ -446,7 +444,7 @@ def _sum_terms(plans, graph, weights):
     """
     sums = Counter()
     for coeff, pattern, pinned, plan in plans:
-        bound = _bind(pattern, pinned, HOM, graph)
+        bound = _bind(pattern, pinned, plan.mode, graph)
         if bound is not None:
             value = _ring_sum(plan, graph, weights, *bound)
             sums[pattern.n - len(pinned), coeff.denominator] += coeff.numerator * value
@@ -586,36 +584,32 @@ def _prune(expr, assignment, graph):
 def density_polynomial(f, g, phi=None):
     """The density as a polynomial in vertex weights y_1..y_n of the target.
 
-    Evaluating the result at any probability distribution equals
-    t_quantum(f, (g, y), phi).  Quantum-graph inputs bin the extensions of
-    each term by their image multiset; structured trees are evaluated with
-    symbolic weights.
+    f is a QuantumGraph (or plain graph material) or a term list, read as
+    t_quantum reads it; evaluating the result at any probability
+    distribution equals t_quantum(f, (g, y), phi).  The extensions of each
+    term are binned by their image multiset.  A structured expression is a
+    TypeError: expand it first.
     """
-    g = _as_graph(g) if not isinstance(g, WeightedGraph) else g.graph
-    phi = dict(phi or {})
-    yvars = tuple(f"y{i}" for i in range(1, g.n + 1))
     if isinstance(f, QExpr):
-        _check_cover(f.label_set(), phi)
-        weights = _Weights([Polynomial.variable(v, yvars) for v in yvars])
-        value = _eval_expr(f, g, weights, phi)
-        if isinstance(value, Polynomial):
-            return value.in_vars(yvars)
-        return Polynomial.constant(value, yvars)
-    f = as_quantum(f)
-    _check_cover(f.label_set(), phi)
-    terms = {}
-    for plg, coeff in f.terms.items():
-        pinned = _pinned(plg, phi)
-        free = [v for v in range(plg.n) if v not in pinned]
+        raise TypeError(
+            "density_polynomial takes a quantum graph or term list; for a "
+            "structured expression use density_polynomial(expand(expr), g, phi)"
+        )
+    g = _as_graph(g) if not isinstance(g, WeightedGraph) else g.graph
+    terms = Counter()
+    for coeff, pattern, pinned, plan in _term_plans(_terms(f), dict(phi or {}), g.n):
+        bound = _bind(pattern, pinned, plan.mode, g)
+        if bound is None:
+            continue
         bins = Counter()
-        for image in extensions(plg.graph, pinned, HOM, g):
+        for image in _walk(plan, g, *bound):
             exps = [0] * g.n
-            for v in free:
+            for v in plan.order:
                 exps[image[v]] += 1
             bins[tuple(exps)] += 1
         for exps, count in bins.items():
-            terms[exps] = terms.get(exps, 0) + coeff * count
-    return Polynomial(yvars, terms)
+            terms[exps] += coeff * count
+    return Polynomial(tuple(f"y{i}" for i in range(1, g.n + 1)), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -637,13 +631,10 @@ def check_tasym(h, g):
 
 def format_weighted_graph(G):
     G = as_weighted(G)
-    parts = [f"plg n={G.graph.n}"]
-    if G.graph.edges:
-        edges = sorted(G.graph.edges)
-        parts.append("edges=" + ";".join(f"{u + 1}-{v + 1}" for u, v in edges))
+    record = format_plg(G.graph)
     if G.graph.n:
-        parts.append("weights=" + ",".join(str(w) for w in G.y))
-    return " ".join(parts)
+        record += " weights=" + ",".join(str(w) for w in G.y)
+    return record
 
 
 def parse_weighted_graph(text, line=None):

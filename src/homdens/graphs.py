@@ -406,46 +406,18 @@ def automorphisms(g, cap=AUTOMORPHISM_CAP):
     """All adjacency-preserving vertex permutations of g.
 
     For a PLG, labeled vertices must be fixed points.  Returned as tuples
-    `perm` with perm[v] = image of v, identity first.
+    `perm` with perm[v] = image of v, sorted, so the identity comes first.
+    They are the injective homomorphisms from g to itself: such a map is a
+    bijection of the vertices sending the finitely many edges injectively,
+    hence onto, the edges, so it also sends non-edges to non-edges.
     """
+    from .density import INJ, extensions
+
     plg = g if isinstance(g, PartiallyLabeledGraph) else PartiallyLabeledGraph(g)
-    n = plg.graph.n
-    if n > cap:
-        raise CapExceeded(f"automorphisms supports n <= {cap}, got {n}")
-    adj = plg.graph.adj
-    degs = [adj[v].bit_count() for v in range(n)]
-    fixed = {v for _, v in plg.labels}
-    out = []
-    perm = [-1] * n
-    used = [False] * n
-
-    def extend(v):
-        if v == n:
-            out.append(tuple(perm))
-            return
-        candidates = (perm[v],) if v in fixed else range(n)
-        for w in candidates:
-            if v in fixed:
-                w = v
-            if used[w] or degs[w] != degs[v]:
-                continue
-            ok = True
-            for u in range(v):
-                if (adj[v] >> u & 1) != (adj[w] >> perm[u] & 1):
-                    ok = False
-                    break
-            if ok:
-                used[w] = True
-                perm[v] = w
-                extend(v + 1)
-                used[w] = False
-                perm[v] = -1
-            if v in fixed:
-                break
-
-    extend(0)
-    out.sort()
-    return out
+    if plg.graph.n > cap:
+        raise CapExceeded(f"automorphisms supports n <= {cap}, got {plg.graph.n}")
+    fixed = {v: v for _, v in plg.labels}
+    return sorted(tuple(image) for image in extensions(plg.graph, fixed, INJ, plg.graph))
 
 
 def homogeneous_sets(g, cap=AUTOMORPHISM_CAP):
@@ -583,6 +555,16 @@ def format_plg(plg, *, canonicalize=False):
         edges = sorted(plg.graph.edges)
         parts.append("edges=" + ";".join(f"{u + 1}-{v + 1}" for u, v in edges))
     return " ".join(parts)
+
+
+def record_lines(text):
+    """Yield (line number, body) for each line of a text file that is not
+    blank once its '#' comment is cut off.  Line numbers are 1-based, as
+    FormatError reports them."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            yield lineno, body
 
 
 def split_record_fields(text, line=None, allowed=("n", "labels", "edges", "weights")):

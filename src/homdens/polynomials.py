@@ -184,10 +184,12 @@ class Polynomial:
         return result
 
     def __eq__(self, other):
-        if not isinstance(other, Polynomial):
+        if isinstance(other, (int, Fraction)):
             if self.terms and set(self.terms) != {(0,) * len(self.vars)}:
                 return False
-            return self.constant_term() == Fraction(other)
+            return self.constant_term() == other
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         a, b = self._pair(other)
         return a.terms == b.terms
 

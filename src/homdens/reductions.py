@@ -49,7 +49,6 @@ from .graphs import (
 )
 from .polynomials import (
     M_constant,
-    Polynomial,
     calculus_q,
     counterexample_poly,
     format_poly,
@@ -265,10 +264,6 @@ class _TauSubstituted:
         return Fraction(0)
 
     def evaluate(self, point):
-        if any(isinstance(value, Polynomial) for value in point.values()):
-            raise ValueError(
-                "symbolic evaluation of a cleared-substitution image is unsupported"
-            )
         vs = [Fraction(point[f"v{j}"]) for j in range(1, self.k + 1)]
         if any(v == 0 for v in vs):
             return Fraction(0)

@@ -38,20 +38,20 @@ def brute_isomorphic(a, b):
     return False
 
 
-def brute_automorphism_count(g):
+def brute_automorphisms(g):
+    """Every permutation of the vertices, in lexicographic order, that fixes
+    the labeled vertices and maps the edge set onto itself."""
     if isinstance(g, Graph):
         g = PartiallyLabeledGraph(g)
-    n = g.graph.n
-    edges = g.graph.edges
-    fixed = dict(g.labels)
-    count = 0
-    for perm in permutations(range(n)):
+    edges = set(g.graph.edges)
+    out = []
+    for perm in permutations(range(g.graph.n)):
         if any(perm[v] != v for _, v in g.labels):
             continue
         mapped = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges}
-        if mapped == set(edges):
-            count += 1
-    return count
+        if mapped == edges:
+            out.append(perm)
+    return out
 
 
 def brute_graph_classes(n):

@@ -1,10 +1,12 @@
 import hashlib
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
 
+import homdens
 from homdens import cli
 from homdens.algebra import parse_quantum
 from homdens.cli import main
@@ -20,6 +22,15 @@ from homdens.graphs import (
 from homdens.polynomials import Polynomial, format_poly
 
 VARS6 = ("x1", "x2", "x3", "x4", "x5", "x6")
+
+
+def run_process(argv):
+    """Run the interpreter on argv with this package's source directory on
+    the child's PYTHONPATH, which pytest's own path setting does not reach."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(homdens.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
 
 
 def run(capsys, *argv):
@@ -428,11 +439,7 @@ class TestEnumerate:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "homdens.cli", "enumerate", "--n", "2"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_process(["-m", "homdens.cli", "enumerate", "--n", "2"])
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "count=2"
 
@@ -459,11 +466,7 @@ class TestHostileInput:
         expr = files("deep.qx", nested_sum(3000))
         target = files("K2.plg", plg_text(Graph.complete(2)))
         script = "import sys; from homdens.cli import main; sys.exit(main(sys.argv[1:]))"
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "eval", "--in", expr, "--target", target],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_process(["-c", script, "eval", "--in", expr, "--target", target])
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1

@@ -532,21 +532,21 @@ class TestDensityPolynomial:
                 QuantumGraph.of(h), WeightedGraph(g, y), phi
             )
 
-    def test_structured_input_agrees_on_distributions(self):
-        # The two paths may differ by factors of (y1+...+yn) because the
-        # expanded normal form strips isolated vertices, so compare values
-        # at distributions rather than formal polynomials.
+    def test_structured_input_is_a_type_error(self):
+        # The route for a tree is its expansion, whose polynomial agrees
+        # with the structured evaluation at every distribution.
         rng = random.Random(43)
         for _ in range(20):
             expr = _random_expr(rng, depth=1)
             g = random_graph(rng, rng.randint(1, 3))
             phi = {lab: rng.randrange(g.n) for lab in expr.label_set()}
-            p1 = density_polynomial(expr, g, phi)
-            p2 = density_polynomial(expand(expr), g, phi)
+            with pytest.raises(TypeError, match=r"density_polynomial\(expand\(expr\), g, phi\)"):
+                density_polynomial(expr, g, phi)
+            p = density_polynomial(expand(expr), g, phi)
             for _ in range(3):
                 y = random_distribution(rng, g.n)
                 point = {f"y{i + 1}": y[i] for i in range(g.n)}
-                assert p1.evaluate(point) == p2.evaluate(point)
+                assert p.evaluate(point) == t_quantum(expr, WeightedGraph(g, y), phi)
 
 
 class TestCauchySchwarzNumeric:
@@ -698,6 +698,18 @@ class TestTermLists:
             value = t_quantum(raw, G, phi)
             assert value == t_quantum(nf, G, phi)
             assert value == _term_list_oracle(records, G, {k: phi[k] for k in (1, 2)})
+
+    def test_density_polynomial_matches_normal_form(self):
+        rng = random.Random(2029)
+        for _ in range(30):
+            text, _ = _random_term_list(rng)
+            raw = load_expression(text, normal_form=False)
+            nf = parse_quantum(text)
+            g = random_graph(rng, rng.randint(1, 4))
+            phi = {lab: rng.randrange(g.n) for lab in (1, 2)}
+            if rng.random() < 0.5:
+                phi[3] = g.n
+            assert density_polynomial(raw, g, phi) == density_polynomial(nf, g, phi)
 
     def test_single_record_payload(self):
         text = "plg n=4 labels=1:1,2:4 edges=1-2;2-3\n"

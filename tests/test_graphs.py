@@ -22,7 +22,7 @@ from homdens.graphs import (
     stringent_graph,
 )
 from oracles import (
-    brute_automorphism_count,
+    brute_automorphisms,
     brute_graph_classes,
     brute_isomorphic,
     round_based_canonical_form,
@@ -189,10 +189,15 @@ class TestAutomorphisms:
 
     def test_matches_brute_force(self):
         rng = random.Random(19)
-        for _ in range(60):
-            n = rng.randint(1, 5)
-            plg = random_plg(rng, n, label_count=rng.randint(0, min(1, n)))
-            assert len(automorphisms(plg)) == brute_automorphism_count(plg)
+        for _ in range(80):
+            n = rng.randint(0, 6)
+            plg = random_plg(rng, n, label_count=rng.randint(0, min(2, n)))
+            assert automorphisms(plg) == brute_automorphisms(plg)
+        for n in range(3, 7):
+            for g in (Graph(n), Graph.complete(n), Graph.cycle(n), Graph.path(n)):
+                for labels in ([], [(1, 0)], [(1, 0), (2, 2)]):
+                    plg = PLG(g, labels)
+                    assert automorphisms(plg) == brute_automorphisms(plg)
 
     def test_cap(self):
         with pytest.raises(CapExceeded):

@@ -89,6 +89,13 @@ class TestArithmetic:
             assert hash(p) == hash(value)
             assert len({p, value}) == 1
 
+    @pytest.mark.parametrize("other", ["1", None, 1.0, (1,)], ids=repr)
+    def test_equal_only_to_numbers_and_polynomials(self, other):
+        one = Polynomial.constant(1)
+        assert one != other
+        assert not one == other
+        assert len({one, other}) == 2
+
     def test_degree_and_coefficients(self):
         p = 2 * x(1) ** 3 * x(2) - x(2)
         assert p.total_degree() == 4
