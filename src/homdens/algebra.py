@@ -14,7 +14,10 @@ under graph-algebra homomorphisms) are kept as `QExpr` trees instead, built
 from Const/Atom/IndAtom/Sum/Product/Unlabel nodes plus `PolyImage`, which
 applies a polynomial to named generator subexpressions.  `expand` turns a
 tree into a QuantumGraph when it fits in a term budget; the density module
-evaluates trees directly without expansion.
+evaluates trees directly without expansion.  Inside a product, `expand`
+multiplies two IndAtom factors without gluing when every vertex of one
+carries a label of the other: ind F1 * ind F2 is ind of the larger factor
+if the two agree on every pair of shared labels, and 0 if they do not.
 """
 
 from __future__ import annotations
@@ -417,7 +420,9 @@ def expand(expr, budget=EXPAND_BUDGET):
 
     Raises BudgetExceeded when an intermediate combination would hold more
     than `budget` terms, so astronomically large images fail fast instead
-    of thrashing.
+    of thrashing.  In a product, IndAtom factors covered by another IndAtom
+    factor's labels are multiplied by `_ind_overlap` before anything is
+    glued; each still has its 2^missing checked against the budget.
     """
     expr = _as_qexpr(expr)
     if isinstance(expr, Const):
@@ -425,10 +430,7 @@ def expand(expr, budget=EXPAND_BUDGET):
     if isinstance(expr, Atom):
         return QuantumGraph.of(expr.plg)
     if isinstance(expr, IndAtom):
-        missing = len(non_edges(expr.plg))
-        if (1 << missing) > budget:
-            raise BudgetExceeded(f"ind expansion needs 2^{missing} terms, budget is {budget}")
-        return ind(expr.plg, cap=missing)
+        return ind(expr.plg, cap=_ind_missing(expr, budget))
     if isinstance(expr, Sum):
         total = QuantumGraph.zero()
         for child in expr.children:
@@ -436,11 +438,12 @@ def expand(expr, budget=EXPAND_BUDGET):
             _check_budget(total, budget)
         return total
     if isinstance(expr, Product):
-        total = QuantumGraph.unit()
-        for child in expr.children:
-            total = product(total, expand(child, budget))
+        total = None
+        for child in _merge_ind_factors(expr.children, budget):
+            factor = expand(child, budget)
+            total = factor if total is None else product(total, factor)
             _check_budget(total, budget)
-        return total
+        return QuantumGraph.unit() if total is None else total
     if isinstance(expr, Unlabel):
         return unlabel(expand(expr.child, budget), expr.keep)
     if isinstance(expr, PolyImage):
@@ -453,6 +456,53 @@ def _check_budget(qg, budget):
         raise BudgetExceeded(f"expansion exceeded {budget} terms")
 
 
+def _ind_missing(atom, budget):
+    """The number of absent pairs of an IndAtom; raises BudgetExceeded when
+    its 2^missing-term expansion would not fit in the budget."""
+    missing = len(non_edges(atom.plg))
+    if (1 << missing) > budget:
+        raise BudgetExceeded(f"ind expansion needs 2^{missing} terms, budget is {budget}")
+    return missing
+
+
+def _ind_overlap(a, b):
+    """ind(a) * ind(b) as one node, or None when neither IndAtom is covered.
+
+    A factor is covered when each of its vertices carries a label of the
+    other.  Its ind is then the indicator that the labeled vertices induce
+    it, which the larger factor's ind already asserts or contradicts on
+    those pairs: the product is the larger factor, or 0 on a disagreement.
+    """
+    small, large = (a, b) if a.plg.n <= b.plg.n else (b, a)
+    s, g = small.plg, large.plg
+    if len(s.labels) != s.n or not s.label_set() <= g.label_set():
+        return None
+    at = g.label_map()
+    for (la, u), (lb, v) in combinations(s.labels, 2):
+        if s.graph.has_edge(u, v) != g.graph.has_edge(at[la], at[lb]):
+            return Const(0)
+    return large
+
+
+def _merge_ind_factors(children, budget):
+    """The factors of a product, each covered IndAtom merged by
+    `_ind_overlap` into the first earlier IndAtom it overlaps."""
+    out = []
+    for child in children:
+        if isinstance(child, IndAtom):
+            _ind_missing(child, budget)
+            for i, prev in enumerate(out):
+                merged = _ind_overlap(prev, child) if isinstance(prev, IndAtom) else None
+                if merged is not None:
+                    out[i] = merged
+                    break
+            else:
+                out.append(child)
+        else:
+            out.append(child)
+    return out
+
+
 def _expand_poly_image(expr, budget):
     poly = expr.poly
     if not isinstance(poly, Polynomial):
@@ -461,22 +511,22 @@ def _expand_poly_image(expr, budget):
     powers = {}
 
     def gen_power(var, e):
+        if e == 1:
+            return gens[var]
         if (var, e) not in powers:
-            if e == 0:
-                powers[var, e] = QuantumGraph.unit()
-            else:
-                powers[var, e] = product(gen_power(var, e - 1), gens[var])
-                _check_budget(powers[var, e], budget)
+            powers[var, e] = product(gen_power(var, e - 1), gens[var])
+            _check_budget(powers[var, e], budget)
         return powers[var, e]
 
     total = QuantumGraph.zero()
     for exps, coeff in poly.terms.items():
-        term = QuantumGraph.unit()
+        term = None
         for var, e in zip(poly.vars, exps):
             if e:
-                term = product(term, gen_power(var, e))
+                power = gen_power(var, e)
+                term = power if term is None else product(term, power)
                 _check_budget(term, budget)
-        total = total + coeff * term
+        total = total + coeff * (QuantumGraph.unit() if term is None else term)
         _check_budget(total, budget)
     return total
 

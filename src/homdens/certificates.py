@@ -179,17 +179,19 @@ def check_cs_proof(proof, claimed, budget=EXPAND_BUDGET):
         rule, args = line.rule, line.args
         if rule == "A1":
             (f,) = args
-            qf = _as_normal(f, budget)
-            expected = product(qf, qf)
+            if isinstance(f, QExpr):
+                expected = expand(Product((f, f)), budget)
+            else:
+                expected = product(f, f)
         elif rule == "A2":
             f1, f2, T = args
             expected = expand(cs_instance(f1, f2, T), budget)
         elif rule == "R1":
             i, j, alpha, beta = args
+            i, j = _line_ref(i, number), _line_ref(j, number)
             alpha, beta = Fraction(alpha), Fraction(beta)
             if alpha < 0 or beta < 0:
                 return False
-            i, j = _line_ref(i, number), _line_ref(j, number)
             expected = alpha * proved[i - 1] + beta * proved[j - 1]
         elif rule == "R2":
             i, j = (_line_ref(a, number) for a in args)

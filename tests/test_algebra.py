@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from homdens.algebra import (
+    EXPAND_BUDGET,
     QEXPR_DEPTH_CAP,
     Atom,
     Const,
@@ -18,6 +19,8 @@ from homdens.algebra import (
     expand,
     format_qexpr,
     format_quantum,
+    _ind_overlap,
+    _merge_ind_factors,
     glue,
     ind,
     parse_qexpr,
@@ -292,6 +295,12 @@ class TestQExpr:
         direct = product(QuantumGraph.of(edge(1, None)), QuantumGraph.of(edge(1, None)))
         assert expand(img) == direct
 
+    def test_poly_image_constant_and_mixed_monomials(self):
+        x1, x2 = Polynomial.variable("x1", ("x1", "x2")), Polynomial.variable("x2", ("x1", "x2"))
+        a, b = QuantumGraph.of(edge(1, None)), QuantumGraph.of(PLG(K2))
+        img = PolyImage({"x1": Atom(edge(1, None)), "x2": Atom(PLG(K2))}, x1 * x2 ** 2 - 3)
+        assert expand(img) == product(a, product(b, b)) - 3 * QuantumGraph.unit()
+
     def test_poly_image_checks_vars(self):
         p = Polynomial.variable("x1") + Polynomial.variable("x2")
         with pytest.raises(ValueError):
@@ -328,6 +337,96 @@ class TestQExpr:
         assert Unlabel({1}, Atom(e)).label_set() == {1}
         assert Product([Atom(e), Atom(edge(3, None))]).label_set() == {1, 2, 3}
         assert Const(2).label_set() == frozenset()
+
+
+def plgs_with_label_subsets(max_n, labels):
+    """One representative per PLG class on at most max_n vertices whose
+    labels are any subset of `labels`."""
+    from itertools import combinations, permutations
+
+    out = {}
+    for n in range(max_n + 1):
+        for g in enumerate_graphs(n):
+            for k in range(min(n, len(labels)) + 1):
+                for labs in combinations(labels, k):
+                    for verts in permutations(range(n), k):
+                        out.setdefault(PLG(g, zip(labs, verts)).canonical(), None)
+    return list(out)
+
+
+def fully_labeled(g):
+    return PLG(g, [(i + 1, i) for i in range(g.n)])
+
+
+class TestIndProduct:
+    """`expand` multiplies IndAtom factors by their label overlap; `product`
+    of the `ind` expansions is the reference route."""
+
+    def test_every_pair_up_to_three_vertices(self):
+        pool = plgs_with_label_subsets(3, (1, 2))
+        assert len(pool) == 36
+        merged = zero = 0
+        for a in pool:
+            for b in pool:
+                got = expand(Product([IndAtom(a), IndAtom(b)]))
+                assert got == product(ind(a), ind(b)), (a, b)
+                overlap = _ind_overlap(IndAtom(a), IndAtom(b))
+                assert overlap == _ind_overlap(IndAtom(b), IndAtom(a)), (a, b)
+                if overlap is not None:
+                    merged += 1
+                    zero += got.is_zero()
+        assert merged > 0 and 0 < zero < merged
+
+    def test_seeded_three_factor_products(self):
+        rng = random.Random(97)
+        pool = plgs_with_label_subsets(3, (1, 2, 3)) + [
+            fully_labeled(g) for g in enumerate_graphs(4)
+        ]
+        merged = 0
+        for _ in range(120):
+            factors = []
+            for _ in range(3):
+                if rng.random() < 0.2:
+                    factors.append(Const(Fraction(rng.randint(-3, 3), rng.randint(1, 3))))
+                else:
+                    factors.append(IndAtom(rng.choice(pool)))
+            reference = QuantumGraph.unit()
+            for f in factors:
+                reference = product(reference, expand(f))
+            assert expand(Product(factors)) == reference, factors
+            merged += len(_merge_ind_factors(factors, EXPAND_BUDGET)) < len(factors)
+        assert merged > 0
+
+    def test_conflicting_shared_pairs_give_zero(self):
+        path = PLG(P3, [(1, 0), (2, 1), (3, 2)])  # 1-2 and 2-3, not 1-3
+        cases = [
+            (edge(1, 2), PLG(Graph(2), [(1, 0), (2, 1)])),
+            (edge(1, 3), path),
+            (PLG(Graph(2), [(2, 0), (3, 1)]), path),
+            (PLG(Graph(2), [(1, 0), (2, 1)]), fully_labeled(Graph.path(4))),
+        ]
+        for a, b in cases:
+            assert product(ind(a), ind(b)).is_zero(), (a, b)
+            assert expand(Product([IndAtom(a), IndAtom(b)])).is_zero(), (a, b)
+            assert expand(Product([IndAtom(b), Atom(P3), IndAtom(a)])).is_zero(), (a, b)
+
+    def test_square_canonicalizes_like_one_factor(self, canonical_calls):
+        atom = IndAtom(fully_labeled(Graph(4)))
+        del canonical_calls[:]
+        single = expand(atom)
+        calls = len(canonical_calls)
+        del canonical_calls[:]
+        assert expand(Product([atom, atom])) == single
+        assert len(canonical_calls) == calls == 70
+
+    def test_budget_counts_every_merged_factor(self):
+        big = IndAtom(fully_labeled(Graph(4)))  # 6 absent pairs
+        small = IndAtom(PLG(Graph(2), [(1, 0), (2, 1)]))
+        for budget in (32, 63):
+            for tree in (big, Product([big, big]), Product([small, big]), Product([big, small])):
+                with pytest.raises(BudgetExceeded):
+                    expand(tree, budget)
+        assert expand(Product([small, big]), 64) == expand(big, 64)
 
 
 class TestQuantumFormat:

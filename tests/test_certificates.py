@@ -31,7 +31,7 @@ from homdens.certificates import (
 )
 from homdens.density import WeightedGraph, t_quantum
 from homdens.errors import FormatError
-from homdens.graphs import Graph, PartiallyLabeledGraph as PLG, enumerate_graphs
+from homdens.graphs import Graph, PartiallyLabeledGraph as PLG, enumerate_graphs, format_plg
 
 K1 = Graph(1)
 K2 = Graph.complete(2)
@@ -198,6 +198,25 @@ class TestProofChecker:
             ProofLine(ind(h), "R3", (1, frozenset({1}))),
         ]
         assert check_cs_proof(lines, ind(h))
+
+    def test_ind_squares_against_the_glued_route(self):
+        # A1 on an IndAtom and a (prod (ind F) (ind G)) statement both go
+        # through the ind overlap products of expand; accept exactly when
+        # the glued product of the expansions agrees.
+        rng = random.Random(29)
+        pool = [PLG(g, dict(zip(labels, range(g.n))))
+                for n in range(1, 5) for g in enumerate_graphs(n)
+                for labels in ((), (1,), (2, 1), (1, 2, 3), (3, 1, 2, 4))
+                if len(labels) <= n and (n < 4 or len(labels) == 4)]
+        seen = set()
+        for _ in range(60):
+            f, g = rng.choice(pool), rng.choice(pool)
+            stated = parse_qexpr(f"(prod (ind {format_plg(f)}) (ind {format_plg(g)}))")
+            want = product(ind(f), ind(g)) == product(ind(f), ind(f))
+            line = ProofLine(stated, "A1", (stated.children[0],))
+            assert check_cs_proof([line], stated) == want, (f, g)
+            seen.add(want)
+        assert seen == {True, False}
 
     def test_scaling_and_addition(self):
         sq_e = product(as_quantum(EDGE_1), as_quantum(EDGE_1))

@@ -239,6 +239,16 @@ class TestCertificateCommands:
         assert code == 1
         assert lines_of(out)["accepted"] == "false"
 
+    @pytest.mark.parametrize("alpha", ["1", "-1"])
+    def test_check_proof_bad_reference_exits_2_whatever_the_sign(self, capsys, files, alpha):
+        proof = files("p.txt",
+                      "1: 1 * plg n=3 labels=1:1 edges=1-2;1-3 ; by A1(plg n=2 labels=1:1 edges=1-2)\n"
+                      f"2: 1 * plg n=3 edges=1-2;2-3 ; by R1(5, 1, {alpha}, 1)\n")
+        claim = files("c.qg", "1 * plg n=3 edges=1-2;2-3\n")
+        code, out, err = run(capsys, "check-proof", "--in", proof, "--claim", claim)
+        assert (code, out) == (2, "")
+        assert err == "error: line 2 references line 5, which is not earlier\n"
+
     def test_moment_matrix_rows_and_psd(self, capsys, files):
         target = files("K2.plg", plg_text(Graph.complete(2)))
         basis = files("basis.txt", "plg n=1 labels=1:1\nplg n=2 labels=1:1 edges=1-2\n")
@@ -439,9 +449,10 @@ class TestEnumerate:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        proc = run_process(["-m", "homdens.cli", "enumerate", "--n", "2"])
-        assert proc.returncode == 0
-        assert proc.stdout.splitlines()[0] == "count=2"
+        for module in ("homdens.cli", "homdens"):
+            proc = run_process(["-m", module, "enumerate", "--n", "2"])
+            assert proc.returncode == 0, module
+            assert proc.stdout.splitlines()[0] == "count=2", module
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "density", "--target", "/nonexistent", "--in", "/nonexistent")

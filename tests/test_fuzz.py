@@ -93,12 +93,17 @@ CERTIFICATES = [
     "sos:\ng: (g " + EDGE_1 + ")\n",
     "sos:\n# one square\ng: (sum (g " + EDGE_1 + ") (q 0))\n",
 ]
+FULL_P4 = "plg n=4 labels=1:1,2:2,3:3,4:4 edges=1-2;2-3"
 PROOFS = [
     "1: 1 * plg n=3 labels=1:1 edges=1-2;1-3 ; by A1(" + EDGE_1 + ")\n"
     "2: 1 * plg n=3 edges=1-2;2-3 ; by R3(1, T=)\n",
     "1: @sq.qx ; by A1((g " + EDGE_1 + "))\n"
     "2: 1 * plg n=3 edges=1-2;2-3 ; by R3(1, T=)\n"
     "3: 2 * plg n=3 edges=1-2;2-3 ; by R1(2, 2, 1, 1)\n",
+    # The square of a fully labeled ind, unlabeled: mutants that still
+    # parse reach the ind overlap products of expand.
+    f"1: (prod (ind {FULL_P4}) (ind {FULL_P4})) ; by A1((ind {FULL_P4}))\n"
+    "2: (ind plg n=4 labels=1:1 edges=1-2;2-3) ; by R3(1, T=1)\n",
 ]
 SQUARE = "(prod (g " + EDGE_1 + ") (g " + EDGE_1 + "))\n"
 BASES = [
