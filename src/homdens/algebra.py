@@ -422,7 +422,8 @@ def expand(expr, budget=EXPAND_BUDGET):
     than `budget` terms, so astronomically large images fail fast instead
     of thrashing.  In a product, IndAtom factors covered by another IndAtom
     factor's labels are multiplied by `_ind_overlap` before anything is
-    glued; each still has its 2^missing checked against the budget.
+    glued; each still has its 2^missing checked against the budget.  Each
+    distinct child of a product is expanded once.
     """
     expr = _as_qexpr(expr)
     if isinstance(expr, Const):
@@ -439,8 +440,11 @@ def expand(expr, budget=EXPAND_BUDGET):
         return total
     if isinstance(expr, Product):
         total = None
+        factors = {}
         for child in _merge_ind_factors(expr.children, budget):
-            factor = expand(child, budget)
+            factor = factors.get(child)
+            if factor is None:
+                factor = factors[child] = expand(child, budget)
             total = factor if total is None else product(total, factor)
             _check_budget(total, budget)
         return QuantumGraph.unit() if total is None else total

@@ -19,6 +19,7 @@ Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import multiprocessing
 import os
 import sys
@@ -289,7 +290,10 @@ def _parallel_exhaustive(target_text, max_n, jobs):
 # Argument wiring
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built once per process: parsing reads it and
+    never changes it, and each call gets a fresh namespace."""
     top = argparse.ArgumentParser(
         prog="homdens",
         description="Exact homomorphism-density computations on quantum graphs.",

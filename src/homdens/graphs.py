@@ -19,6 +19,10 @@ from .errors import CapExceeded, FormatError
 
 AUTOMORPHISM_CAP = 10
 ENUMERATION_CAP = 7
+# Most vertices of a built stringent graph or blow-up.  A witness with all
+# of them in one clique has ~500000 edges, one of the largest graphs that
+# the commands build and write out in a few seconds.
+VERTEX_CAP = 1000
 
 _ENUM_MEMO = {}  # n -> tuple of representatives, filled once per process
 
@@ -206,17 +210,31 @@ def canonical_form(g):
     branching blow-up on unions of many isomorphic pieces.  Returns the
     pair (canonical PLG, certificate), where the certificate is a tuple
     `cert` with cert[old_vertex] = new_vertex.
+
+    When at most one vertex is unlabeled, the labels alone fix the order:
+    each labeled vertex goes to the rank of its label and the free vertex,
+    if any, goes last, the order the search and per-component routes reach
+    as well.  That form is built in O(n), with no refinement or search, and
+    an input already in that order is flagged and returned itself.
     """
     if isinstance(g, Graph):
         g = PartiallyLabeledGraph(g)
     n = g.graph.n
-    if n == 0:
-        return _marked(g), ()
+    labels = g.labels
+    if n - len(labels) <= 1:
+        cert = [len(labels)] * n
+        for rank, (_, v) in enumerate(labels):
+            cert[v] = rank
+        cert = tuple(cert)
+        if cert == tuple(range(n)):
+            return _marked(g), cert
+        return _marked(g.relabeled_vertices(cert)), cert
     comps = _components(g.graph)
     if len(comps) > 1:
         return _canonical_disconnected(g, comps)
     adj = g.graph.adj
-    labeled = [v for _, v in g.labels]
+    bits = n.bit_length()  # a count is at most n - 1
+    labeled = [v for _, v in labels]
     rest = sorted(set(range(n)) - set(labeled))
     cells = [[v] for v in labeled]
     if rest:
@@ -231,7 +249,9 @@ def canonical_form(g):
         `fresh` holds the masks of the cells the last split made, in cell
         order.  Every cell already has one count into each other cell, so
         leaving those out of the signature gives the same pieces in the
-        same sorted order as counting against every cell.
+        same sorted order as counting against every cell.  A signature is
+        packed into one int, `bits` bits per count, first count most
+        significant, so it sorts as the tuple of counts would.
         """
         while fresh:
             out = []
@@ -243,7 +263,9 @@ def canonical_form(g):
                 groups = {}
                 for v in cell:
                     row = adj[v]
-                    sig = tuple((row & m).bit_count() for m in fresh)
+                    sig = 0
+                    for m in fresh:
+                        sig = sig << bits | (row & m).bit_count()
                     groups.setdefault(sig, []).append(v)
                 if len(groups) == 1:
                     out.append(cell)
@@ -448,6 +470,11 @@ def is_stringent(g, cap=AUTOMORPHISM_CAP):
     return len(automorphisms(g, cap=cap)) == 1
 
 
+def _check_vertex_cap(n):
+    if n > VERTEX_CAP:
+        raise CapExceeded(f"graphs are built with at most {VERTEX_CAP} vertices, got {n}")
+
+
 def stringent_graph(k):
     """The explicit stringent graph on k >= 6 vertices.
 
@@ -456,6 +483,7 @@ def stringent_graph(k):
     """
     if k < 6:
         raise ValueError(f"stringent_graph requires k >= 6, got {k}")
+    _check_vertex_cap(k)
     edges = [(0, 1), (0, 2), (1, 2)]
     edges += [(i - 1, i) for i in range(3, k)]
     edges += [(k - 1, 1), (k - 1, 2)]
@@ -468,6 +496,7 @@ def _blowup(g, counts, within_edges):
         raise ValueError("need one count per vertex")
     if any(c < 1 for c in counts):
         raise ValueError("counts must be positive")
+    _check_vertex_cap(sum(counts))
     offset = [0] * g.n
     total = 0
     for v in range(g.n):

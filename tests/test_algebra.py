@@ -138,12 +138,13 @@ class TestNormalForm:
     def test_each_distinct_raw_term_canonicalized_once(self, canonical_calls):
         """ind(F) squared, for F the fully labeled empty 4-vertex graph:
         the 4096 glued terms fall into 297 distinct raw terms, 64 of them
-        with a nonzero coefficient, and canonicalizing those takes 70 calls
-        (6 of them on components).  One call per glued term took 4150."""
+        with a nonzero coefficient, and canonicalizing those takes 64 calls.
+        Each is fully labeled, so none splits into per-component calls.
+        One call per glued term took 4150."""
         f = ind(PLG(Graph(4), [(i + 1, i) for i in range(4)]))
         del canonical_calls[:]
         assert product(f, f) == f
-        assert len(canonical_calls) == 70
+        assert len(canonical_calls) == 64
 
 
 class TestRingAxioms:
@@ -273,6 +274,17 @@ class TestQExpr:
     def test_expand_sum_and_const(self):
         tree = Sum([Const(Fraction(1, 2)), Atom(PLG(K2)), Atom(PLG(K2))])
         assert expand(tree) == Fraction(1, 2) * QuantumGraph.unit() + 2 * QuantumGraph.of(K2)
+
+    def test_product_expands_each_distinct_child_once(self, canonical_calls):
+        f = Sum([IndAtom(PLG(Graph(3), [(1, 0)])), Atom(edge(1, None)), Const(2)])
+        del canonical_calls[:]
+        q = expand(f)
+        once = len(canonical_calls)
+        square = product(q, q)
+        calls = len(canonical_calls)
+        del canonical_calls[:]
+        assert expand(Product((f, f))) == square
+        assert len(canonical_calls) == calls > once > 0
 
     def test_expand_indatom(self):
         h = PLG(Graph(2), [(1, 0), (2, 1)])
@@ -417,7 +429,7 @@ class TestIndProduct:
         calls = len(canonical_calls)
         del canonical_calls[:]
         assert expand(Product([atom, atom])) == single
-        assert len(canonical_calls) == calls == 70
+        assert len(canonical_calls) == calls == 64
 
     def test_budget_counts_every_merged_factor(self):
         big = IndAtom(fully_labeled(Graph(4)))  # 6 absent pairs

@@ -12,6 +12,7 @@ from homdens.algebra import parse_quantum
 from homdens.cli import main
 from homdens.density import t_quantum
 from homdens.graphs import (
+    VERTEX_CAP,
     Graph,
     PartiallyLabeledGraph as PLG,
     enumerate_graphs,
@@ -188,6 +189,21 @@ class TestReductionPipeline:
         run(capsys, "reduce", "--poly", poly, "--out", a)
         run(capsys, "reduce", "--poly", poly, "--out", b)
         assert (tmp_path / "a.qx").read_bytes() == (tmp_path / "b.qx").read_bytes()
+
+    def test_commands_past_the_vertex_cap_exit_2(self, capsys, files):
+        """Each building command checks the cap before it allocates; one
+        vertex past it is refused with a single error line."""
+        over = VERTEX_CAP + 1
+        message = f"error: graphs are built with at most {VERTEX_CAP} vertices, got {over}\n"
+        p = Polynomial(VARS6, {(0,) * 6: F(1), (1, 0, 0, 0, 0, 0): F(-2)})
+        poly = files("p.poly", format_poly(p) + "\n")
+        sizes = ",".join(str(c) for c in (over - 5, 1, 1, 1, 1, 1))
+        for argv in (
+            ["stringent", "--k", str(over)],
+            ["reduce", "--poly", poly, "--k", str(over)],
+            ["witness", "--poly", poly, "--sizes", sizes],
+        ):
+            assert run(capsys, *argv) == (2, "", message), argv
 
     def test_bad_sizes_exit_2(self, capsys, files):
         p = Polynomial(VARS6, {(0,) * 6: F(1), (1, 0, 0, 0, 0, 0): F(-2)})
@@ -458,6 +474,24 @@ class TestEntryPoint:
         code, _, err = run(capsys, "density", "--target", "/nonexistent", "--in", "/nonexistent")
         assert code == 2
         assert "error:" in err
+
+    def test_consecutive_calls_share_no_arguments(self, capsys, files):
+        """One parser serves every call in a process; no flag of one call
+        reaches the next."""
+        target = files("K3.plg", plg_text(Graph.complete(3)))
+        pattern = files("e1.plg", "plg n=2 labels=1:1 edges=1-2\n")
+        code, out, _ = run(capsys, "eval", "--in", pattern, "--target", target, "--root", "1:2")
+        assert (code, out) == (0, "value=2/3\n")
+        code, out, err = run(capsys, "eval", "--in", pattern, "--target", target)
+        assert (code, out) == (2, "")
+        assert err == "error: root map missing labels [1]\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--in", pattern])
+        assert exc.value.code == 2
+        assert "--target" in capsys.readouterr().err
+        code, out, _ = run(capsys, "eval", "--in", pattern, "--target", target, "--root", "1:1")
+        assert (code, out) == (0, "value=2/3\n")
+        assert cli._parser() is cli._parser()
 
 
 def nested_sum(depth):

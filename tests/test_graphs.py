@@ -1,6 +1,7 @@
 """Graph and PLG foundations: canonical forms, stringency, enumeration, format."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -136,6 +137,39 @@ class TestCanonicalForm:
         assert canonical_calls == []
         assert [plg.canonical() for plg in plgs] == forms
 
+    def test_labels_fix_the_order(self):
+        """With at most one vertex unlabeled, the O(n) route gives the
+        search route's form and certificate.  Every such PLG with at most 5
+        vertices is covered, in two vertex orders: every edge set, labels
+        from a pool with gaps on the first vertices in rank order, and again
+        on the last vertices in reverse order."""
+        pool = (2, 5, 7, 11, 13)
+        disconnected = 0
+        for n in range(6):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+                disconnected += len(graphs._components(g)) > 1
+                for count in {n, max(n - 1, 0)}:
+                    for labels in combinations(pool, count):
+                        for verts in (range(count), range(n - 1, n - 1 - count, -1)):
+                            plg = PLG(g, list(zip(labels, verts)))
+                            assert canonical_form(plg) == round_based_canonical_form(plg), plg
+        assert disconnected == 327  # of the 1100 edge sets, 0 + 0 + 1 + 4 + 26 + 296
+
+    def test_input_in_rank_order_is_its_own_form(self):
+        g = Graph(4, [(0, 3), (1, 2)])
+        for labels in ([(2, 0), (7, 1), (13, 2)], [(2, 0), (5, 1), (7, 2), (11, 3)]):
+            c = PLG(g, labels)
+            assert canonical_form(c) == (c, (0, 1, 2, 3))
+            assert canonical_form(c)[0] is c
+            fresh = PLG(g, labels)
+            assert fresh.canonical() is fresh
+        moved = PLG(g, [(7, 0), (2, 1), (13, 2)])
+        form, cert = canonical_form(moved)
+        assert form is not moved and cert == (1, 0, 2, 3)
+        assert form.canonical() is form
+
     def test_labeled_vertices_come_first(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         plg = PLG(g, [(2, 3), (5, 1)])
@@ -261,6 +295,17 @@ class TestBlowups:
             independent_blowup(Graph(2), (1,))
         with pytest.raises(ValueError):
             clique_blowup(Graph(2), (0, 1))
+
+    def test_vertex_cap(self):
+        k2 = Graph(2, [(0, 1)])
+        assert independent_blowup(k2, (graphs.VERTEX_CAP - 1, 1)).n == graphs.VERTEX_CAP
+        for build in (
+            lambda: stringent_graph(graphs.VERTEX_CAP + 1),
+            lambda: clique_blowup(k2, (graphs.VERTEX_CAP, 1)),
+            lambda: independent_blowup(k2, (10**12, 1)),
+        ):
+            with pytest.raises(CapExceeded):
+                build()
 
 
 class TestEnumeration:
