@@ -27,7 +27,10 @@ Everything here is exact rational arithmetic.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
+from math import factorial
 
 from .algebra import (
     IndAtom,
@@ -148,35 +151,68 @@ def alpha(h, G, phi_map, j):
     return sum((G.y[w] for w in resample_set(h, G.graph, phi_map, j)), Fraction(0))
 
 
-def _monomial_terms(h, js):
-    """Signed expansion of the clone image of the monomial prod x_j.
+def _subsets(items):
+    """Every subset of `items` as a list, in the order of its bitmask."""
+    return [
+        [item for i, item in enumerate(items) if mask >> i & 1]
+        for mask in range(1 << len(items))
+    ]
 
-    One copy c_i per factor, joined to N(j_i).  The inclusion-exclusion
-    over supergraphs collapses so that each subset A of the free pairs
-    (internal non-edges of h, plus copy-to-non-neighbor pairs) appears
-    once with sign (-1)^|A|; copy-to-copy and copy-to-own-j pairs never
-    appear.  Yields (edge list, sign) over k + len(js) vertices.
+
+def _monomial_terms(h, js):
+    """Weighted expansion of the clone image of the monomial prod x_j.
+
+    One unlabeled copy c_i per factor, joined to N(j_i).  The
+    inclusion-exclusion over supergraphs collapses so that each subset A of
+    the free pairs (internal non-edges of h, plus copy-to-non-neighbor
+    pairs) appears once with sign (-1)^|A|; copy-to-copy and copy-to-own-j
+    pairs never appear.
+
+    Copies of the same j are wired alike, so swapping two of them is an
+    isomorphism that keeps |A|.  Repeated copies are therefore taken up to
+    swapping: each copy of a j gets a subset of the non-neighbors of j,
+    chosen in ascending order across the copies, and the term's weight
+    counts the orders that reach it, m!/prod(multiplicity!) for m copies.
+    Yields (edge list, weight) over k + len(js) vertices, where weight is
+    (-1)^|A| times that count; with no repeated j every weight is the sign.
     """
     if not js:
         raise ValueError("need at least one factor; the empty product maps to the unit")
     k = h.n
     base = list(h.edges)
-    free = [
+    internal = [
         (u, v)
         for u in range(k)
         for v in range(u + 1, k)
         if not h.has_edge(u, v)
     ]
+    copies = {}
     for i, j in enumerate(js):
-        c = k + i
-        base.extend((u, c) for u in h.neighbors(j - 1))
-        free.extend(
-            (w, c) for w in range(k) if w != j - 1 and not h.has_edge(w, j - 1)
+        base.extend((u, k + i) for u in h.neighbors(j - 1))
+        copies.setdefault(j, []).append(k + i)
+    # One list of (extra edges, count) choices per group.  The internal pairs
+    # vary fastest and the last group slowest, as the bits of one mask over
+    # all free pairs would.
+    groups = [[(extra, 1) for extra in _subsets(internal)]]
+    for j, cs in copies.items():
+        free = _subsets(
+            [w for w in range(k) if w != j - 1 and not h.has_edge(w, j - 1)]
         )
-    for mask in range(1 << len(free)):
-        extra = [free[i] for i in range(len(free)) if mask >> i & 1]
-        sign = -1 if bin(mask).count("1") % 2 else 1
-        yield base + extra, sign
+        choices = []
+        for picks in combinations_with_replacement(range(len(free)), len(cs)):
+            count = factorial(len(cs))
+            for mult in Counter(picks).values():
+                count //= factorial(mult)
+            extra = [(w, c) for c, s in zip(cs, picks) for w in free[s]]
+            choices.append((extra, count))
+        groups.append(choices)
+    for combo in product(*reversed(groups)):
+        extra = []
+        weight = 1
+        for edges, count in reversed(combo):
+            extra += edges
+            weight *= count
+        yield base + extra, -weight if len(extra) % 2 else weight
 
 
 def build_counterexample(k=COUNTEREXAMPLE_K):
@@ -191,9 +227,9 @@ def build_counterexample(k=COUNTEREXAMPLE_K):
         js = []
         for pos, e in enumerate(exps):
             js.extend([pos + 1] * e)
-        for edges, sign in _monomial_terms(h, js):
+        for edges, weight in _monomial_terms(h, js):
             plg = PartiallyLabeledGraph(Graph(k + len(js), edges)).canonical()
-            value = acc.get(plg, 0) + sign * coeff
+            value = acc.get(plg, 0) + weight * coeff
             if value:
                 acc[plg] = value
             else:

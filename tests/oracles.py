@@ -5,7 +5,7 @@ subsets.  These functions never import from homdens internals beyond the
 Graph/PLG data holders, so a bug in the package cannot hide in its own
 oracle.  The one exception is `phi_monomial_expansion`, which assembles
 the package's collapsed monomial terms so that a test can hold them
-against the generic expander.
+against the generic expander and against `plain_monomial_terms`.
 """
 
 from collections import namedtuple
@@ -78,17 +78,46 @@ def labeled_core(plg):
     )
 
 
-def phi_monomial_expansion(h, js):
-    """Expanded labeled quantum graph for the clone image of prod x_j."""
+def plain_monomial_terms(h, js):
+    """The clone image of prod x_j as (edge list, sign) pairs, one per subset
+    A of the free pairs, with sign (-1)^|A|.
+
+    One copy per factor, joined to N(j), on vertex k + i for the i-th
+    factor.  The free pairs are the internal non-edges of h and each copy's
+    pairs to the non-neighbors of its j other than j.  Copies of the same j
+    are not taken up to swapping, so there are 2^(free pairs) terms.
+    """
+    k = h.n
+    base = list(h.edges)
+    free = [(u, v) for u, v in combinations(range(k), 2) if not h.has_edge(u, v)]
+    for i, j in enumerate(js):
+        c = k + i
+        base.extend((u, c) for u in h.neighbors(j - 1))
+        free.extend((w, c) for w in range(k) if w != j - 1 and not h.has_edge(w, j - 1))
+    for mask in range(1 << len(free)):
+        extra = [free[i] for i in range(len(free)) if mask >> i & 1]
+        yield base + extra, -1 if len(extra) % 2 else 1
+
+
+def merged_monomial_terms(h, js, terms, labeled=True):
+    """The quantum graph of (edge list, weight) terms over k + len(js)
+    vertices, with the base vertex i carrying label i+1 or no label."""
     from homdens.algebra import QuantumGraph
-    from homdens.reductions import _monomial_terms
 
     k = h.n
-    labels = {i + 1: i for i in range(k)}
-    terms = []
-    for edges, sign in _monomial_terms(h, js):
-        terms.append((PartiallyLabeledGraph(Graph(k + len(js), edges), labels), sign))
-    return QuantumGraph(terms)
+    labels = {i + 1: i for i in range(k)} if labeled else {}
+    return QuantumGraph(
+        (PartiallyLabeledGraph(Graph(k + len(js), edges), labels), weight)
+        for edges, weight in terms
+    )
+
+
+def phi_monomial_expansion(h, js, labeled=True):
+    """Expanded quantum graph for the clone image of prod x_j, from the
+    package's terms taken up to swapping copies."""
+    from homdens.reductions import _monomial_terms
+
+    return merged_monomial_terms(h, js, _monomial_terms(h, js), labeled)
 
 
 def brute_hom_count(h, g):

@@ -25,6 +25,7 @@ from homdens.graphs import (
 from oracles import (
     brute_automorphisms,
     brute_graph_classes,
+    _ref_encode,
     brute_isomorphic,
     round_based_canonical_form,
 )
@@ -76,6 +77,39 @@ class TestGraphBasics:
             PLG(g, [(1, 0), (2, 0)])  # vertex labeled twice
         with pytest.raises(ValueError):
             PLG(g, [(0, 1)])  # labels are positive
+
+    def test_relabel_rejects_non_permutations(self):
+        plg = PLG(Graph(3, [(0, 2), (1, 2)]), [(1, 0)])
+        for perm in ([0, 0, 2], [0, 1, 3], [0, -1, 2], [0, 1], [0, 1, 2, 3]):
+            with pytest.raises(ValueError):
+                plg.relabeled_vertices(perm)
+
+    def test_relabel_matches_the_constructors(self):
+        """The directly built image equals the one the validating
+        constructors build, edges, rows and labels alike."""
+        rng = random.Random(41)
+        for _ in range(300):
+            n = rng.randint(0, 9)
+            plg = random_plg(rng, n, label_count=rng.randint(0, n))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            got = plg.relabeled_vertices(tuple(perm))
+            g = Graph(n, [(perm[u], perm[v]) for u, v in plg.graph.edges])
+            want = PLG(g, [(lab, perm[v]) for lab, v in plg.labels])
+            assert got == want
+            assert got.graph.adj == g.adj
+            assert got.labels == want.labels
+            assert got._canon is None
+
+    def test_encode_matches_reference(self):
+        rng = random.Random(43)
+        for _ in range(500):
+            n = rng.randint(0, 12)
+            adj = random_plg(rng, n).graph.adj
+            order = list(range(n))
+            rng.shuffle(order)
+            assert graphs._encode(adj, order) == _ref_encode(adj, order)
+            assert graphs._encode(adj, range(n)) == _ref_encode(adj, range(n))
 
 
 class TestCanonicalForm:

@@ -24,6 +24,7 @@ from homdens.polynomials import (
 )
 from homdens.reductions import (
     TauCalculusPoly,
+    _monomial_terms,
     TauPoly,
     alpha,
     build_counterexample,
@@ -41,7 +42,12 @@ from homdens.reductions import (
     witness_graph,
 )
 
-from oracles import brute_exact_embeddings, phi_monomial_expansion
+from oracles import (
+    brute_exact_embeddings,
+    merged_monomial_terms,
+    phi_monomial_expansion,
+    plain_monomial_terms,
+)
 
 from functools import lru_cache
 
@@ -232,25 +238,75 @@ class TestAlpha:
             done += 1
 
 
+def counterexample_monomials():
+    """The js of each monomial of counterexample_poly(6), one j per factor."""
+    return [
+        tuple(j for pos, e in enumerate(exps) for j in [pos + 1] * e)
+        for exps in counterexample_poly(6).terms
+    ]
+
+
+def plain_expansion(h, js, labeled=True):
+    return merged_monomial_terms(h, js, plain_monomial_terms(h, js), labeled)
+
+
 class TestMonomialExpansion:
+    SMALL = [
+        (K2, (1,)),
+        (K2, (2,)),
+        (K2, (1, 2)),
+        (K2, (1, 1)),
+        (Graph(2), (1, 2)),
+        (P3, (1,)),
+        (P3, (1, 3)),
+        (P3, (2, 2)),
+        (P3, (1, 2, 3)),
+        (Graph(3, [(0, 1)]), (3, 3)),
+    ]
+
     def test_matches_product_expansion(self):
-        # the collapsed inclusion-exclusion against the generic expander
-        cases = [
-            (K2, (1,)),
-            (K2, (2,)),
-            (K2, (1, 2)),
-            (K2, (1, 1)),
-            (Graph(2), (1, 2)),
-            (P3, (1,)),
-            (P3, (1, 3)),
-            (P3, (2, 2)),
-            (P3, (1, 2, 3)),
-            (Graph(3, [(0, 1)]), (3, 3)),
-        ]
-        for h, js in cases:
+        # the collapsed inclusion-exclusion against the generic expander,
+        # and the orbit terms against the plain enumeration
+        for h, js in self.SMALL:
             mine = phi_monomial_expansion(h, js)
             ref = expand(Product([phi_generator(h, j) for j in js]))
             assert mine == ref
+        for h, js in self.SMALL + [(P3, (1, 1, 1)), (P3, (3, 1, 3)), (K2, (2, 2, 2, 2))]:
+            for labeled in (True, False):
+                assert phi_monomial_expansion(h, js, labeled) == plain_expansion(h, js, labeled)
+
+    def test_without_repeats_yields_the_plain_terms(self):
+        # weights are signs and the terms come in the plain order
+        for js in ((2, 3, 4), (1, 2, 3), (6, 1)):
+            assert list(_monomial_terms(H6, js)) == list(plain_monomial_terms(H6, js))
+        for h, js in self.SMALL:
+            if len(set(js)) == len(js):
+                assert list(_monomial_terms(h, js)) == list(plain_monomial_terms(h, js))
+
+    def test_repeats_on_h6_match_plain_enumeration(self):
+        """The monomials of p with a repeated j, and a triple repeat, merged
+        with the base labeled 1..6 and unlabeled.  Unlabeling is linear, so
+        equal labeled expansions have equal unlabeled ones; the unlabeled
+        merge of (2, 4, 4), 32768 plain terms, is left to that and to the
+        pinned counterexample bytes, which the plain enumeration produced.
+        (2, 3, 4) has no repeat and is compared term by term above."""
+        cases = [js for js in counterexample_monomials() if len(set(js)) < len(js)]
+        assert sorted(cases) == [(2, 2, 3), (2, 4, 4), (3, 3, 4)]
+        for js in cases + [(2, 2, 2)]:
+            assert phi_monomial_expansion(H6, js) == plain_expansion(H6, js)
+            if js != (2, 4, 4):
+                assert phi_monomial_expansion(H6, js, False) == plain_expansion(H6, js, False)
+
+    def test_raw_term_counts(self):
+        """One raw term per copy-swap orbit, and the orbit sizes add up to
+        the 2^(free pairs) plain terms."""
+        counts = {}
+        for js in counterexample_monomials():
+            terms = list(_monomial_terms(H6, js))
+            counts[js] = len(terms)
+            assert sum(abs(w) for _, w in terms) == sum(1 for _ in plain_monomial_terms(H6, js))
+        assert counts == {(2, 2, 3): 2560, (3, 3, 4): 3072, (2, 4, 4): 18432, (2, 3, 4): 8192}
+        assert sum(counts.values()) == 32256
 
     def test_rejects_empty_monomial(self):
         with pytest.raises(ValueError):
@@ -263,11 +319,10 @@ class TestCounterexample:
             build_counterexample(4)
 
     def test_each_raw_term_canonicalized_once(self, canonical_calls):
-        """49152 raw terms, one canonical_form call each; the final normal
-        form reuses the 11464 canonical keys (60616 calls when it
-        canonicalized them again)."""
+        """32256 raw terms, one per copy-swap orbit, one canonical_form call
+        each; the final normal form reuses the 11464 canonical keys."""
         x = build_counterexample(6)
-        assert len(canonical_calls) == 49152
+        assert len(canonical_calls) == 32256
         assert len(x.terms) == 11464
 
     def test_terms_stay_small(self):
