@@ -14,22 +14,33 @@ under graph-algebra homomorphisms) are kept as `QExpr` trees instead, built
 from Const/Atom/IndAtom/Sum/Product/Unlabel nodes plus `PolyImage`, which
 applies a polynomial to named generator subexpressions.  `expand` turns a
 tree into a QuantumGraph when it fits in a term budget; the density module
-evaluates trees directly without expansion.  Inside a product, `expand`
-multiplies two IndAtom factors without gluing when every vertex of one
-carries a label of the other: ind F1 * ind F2 is ind of the larger factor
-if the two agree on every pair of shared labels, and 0 if they do not.
+evaluates trees directly without expansion.
+
+An IndAtom may carry free pairs, which are neither edges nor non-edges;
+a PLG with free pairs is a trigraph.  ind of a trigraph is the
+alternating sum over the supergraphs that add non-edges, and free pairs
+never appear in it.  Two inds multiply by one rule, `ind_product`, with
+no gluing of terms: glue the trigraphs at their shared labels; a pair
+that both cover must agree, a free pair yielding to the other state, or
+the product is 0; a pair between the parts of different factors is free.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, combinations_with_replacement
+from itertools import product as cartesian
+from math import factorial
 
 from .errors import BudgetExceeded, CapExceeded, FormatError
 from .graphs import (
     PLG,
     Graph,
     PartiallyLabeledGraph,
+    _bits,
+    canonical_form,
     format_plg,
     parse_plg,
     record_lines,
@@ -64,28 +75,33 @@ def strip_isolated(plg):
     return PLG(g.induced(keep), labels)
 
 
+def _glue_map(a, b):
+    """Where gluing PLG b onto PLG a sends each vertex of b, as a list, and
+    the glued vertex count: a keeps its vertices, a vertex of b with a
+    label of a goes to that vertex, and the rest come after a's."""
+    at = a.label_map()
+    label_of = {v: lab for lab, v in b.labels}
+    bmap, n = [], a.graph.n
+    for v in range(b.graph.n):
+        if label_of.get(v) in at:
+            bmap.append(at[label_of[v]])
+        else:
+            bmap.append(n)
+            n += 1
+    return bmap, n
+
+
 def glue(a, b):
     """Glue two PLGs: disjoint union, identify equal labels, drop doubled edges."""
     a, b = as_plg(a), as_plg(b)
-    avert = a.label_map()
-    bmap = {}
-    fresh = a.graph.n
-    b_label_of = {v: lab for lab, v in b.labels}
-    for v in range(b.graph.n):
-        lab = b_label_of.get(v)
-        if lab is not None and lab in avert:
-            bmap[v] = avert[lab]
-        else:
-            bmap[v] = fresh
-            fresh += 1
+    bmap, n = _glue_map(a, b)
     edges = set(a.graph.edges)
     for u, v in b.graph.edges:
         x, y = bmap[u], bmap[v]
         edges.add((x, y) if x < y else (y, x))
     labels = dict(a.labels)
-    for lab, v in b.labels:
-        labels[lab] = bmap[v]
-    return PLG(Graph(fresh, edges), labels)
+    labels.update((lab, bmap[v]) for lab, v in b.labels)
+    return PLG(Graph(n, edges), labels)
 
 
 class QuantumGraph:
@@ -203,6 +219,14 @@ def product(f, g):
     return QuantumGraph(out)
 
 
+def _bounded_product(f, g, budget):
+    """product(f, g) of two QuantumGraphs, refused with BudgetExceeded
+    before anything is glued when the pairs to glue exceed the budget."""
+    if len(f.terms) * len(g.terms) > budget:
+        raise BudgetExceeded(f"product of {len(f.terms)} by {len(g.terms)} terms exceeds {budget}")
+    return product(f, g)
+
+
 def unlabel(f, keep=()):
     """Forget every label outside `keep`; linear in f."""
     keep = frozenset(keep)
@@ -212,18 +236,106 @@ def unlabel(f, keep=()):
     )
 
 
-def non_edges(plg):
+# ---------------------------------------------------------------------------
+# Induced densities: ind of a trigraph, a PLG plus a set of free pairs that
+# are neither edges nor non-edges.
+
+
+def non_edges(plg, free):
+    """The pairs of plg that are neither edges nor free."""
     g = plg.graph
-    return [(u, v) for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v)]
+    return [p for p in combinations(range(g.n), 2) if not g.has_edge(*p) and p not in free]
 
 
-def _supergraphs_raw(plg):
-    """All supergraphs on the same vertex set, labels kept, no normalization."""
-    missing = non_edges(plg)
-    base = set(plg.graph.edges)
-    for bits in range(1 << len(missing)):
-        extra = [missing[i] for i in range(len(missing)) if bits >> i & 1]
-        yield PLG(Graph(plg.graph.n, base.union(extra)), plg.labels)
+def _free_rows(free, n):
+    """The free pairs as one bitmask row per vertex of an n-vertex graph."""
+    rows = [0] * n
+    for u, v in free:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
+def ind_terms(plg, free):
+    """Yield (raw PLG, weight) pairs whose sum is ind of the trigraph (plg, free).
+
+    ind is the alternating sum over the supergraphs that add a set A of
+    non-edges, with sign (-1)^|A|; free pairs are never added, so they stay
+    unconstrained.  Unlabeled twins, vertices with the same edges and free
+    pairs to every other vertex and a free pair between them, swap without
+    changing |A|, so a class of m twins is taken up to swapping: each twin
+    takes a subset of the class's non-edge partners, the subsets chosen in
+    ascending order, weighted by the m!/prod(multiplicity!) orders that
+    reach the choice.  A class owns its members' pairs, so it is taken up
+    to swapping only when no earlier such class is among its partners;
+    the pairs no class owns are plain, each added or not.
+    """
+    g, n = plg.graph, plg.n
+    rows = _free_rows(free, n)
+    open_rows = [((1 << n) - 1) & ~(g.adj[v] | rows[v] | 1 << v) for v in range(n)]
+    labeled = {v for _, v in plg.labels}
+    twins = {}
+    for v in range(n):
+        if v not in labeled:
+            twins.setdefault((g.adj[v], rows[v] | 1 << v), []).append(v)
+
+    def subsets(items):
+        return [[x for i, x in enumerate(items) if mask >> i & 1] for mask in range(1 << len(items))]
+
+    choices, owned = [], 0  # one list of (extra edges, count) per class, then the plain pairs
+    for members in twins.values():
+        partners = open_rows[members[0]]
+        if len(members) > 1 and not partners & owned:
+            owned |= sum(1 << c for c in members)
+            picked = subsets(_bits(partners))
+            group = []
+            for picks in combinations_with_replacement(range(len(picked)), len(members)):
+                count = factorial(len(members))
+                for mult in Counter(picks).values():
+                    count //= factorial(mult)
+                group.append(([(w, c) for c, s in zip(members, picks) for w in picked[s]], count))
+            choices.append(group)
+    plain = [(u, v) for u, v in non_edges(plg, free) if not (owned >> u | owned >> v) & 1]
+    choices.append([(extra, 1) for extra in subsets(plain)])
+    base = list(g.edges)
+    for combo in cartesian(*choices):
+        extra, weight = [], 1
+        for edges, count in combo:
+            extra += edges
+            weight *= count
+        yield PLG(Graph(n, base + extra), plg.labels), -weight if len(extra) % 2 else weight
+
+
+def ind_product(a, b):
+    """ind a * ind b as the ind of one trigraph, for trigraphs a and b
+    given as (plg, free pairs); None when the product is 0.
+
+    The factors are glued at their shared labels.  A pair that both cover
+    must agree, where a free pair yields to the other factor's state, and
+    an edge against a non-edge makes the product 0.  A pair between
+    vertices that only one factor covers each is free.
+    """
+    (pa, fa), (pb, fb) = a, b
+    bmap, n = _glue_map(pa, pb)
+    k = pa.n
+    edges, free = set(pa.graph.edges), set(fa)
+    for u, v in combinations(range(pb.n), 2):
+        pair = (min(bmap[u], bmap[v]), max(bmap[u], bmap[v]))
+        edge, loose = pb.graph.has_edge(u, v), (u, v) in fb
+        if pair[1] < k and pair not in free:
+            if not loose and (pair in edges) != edge:
+                return None
+        elif loose:
+            free.add(pair)
+        else:
+            free.discard(pair)
+            if edge:
+                edges.add(pair)
+    shared = set(bmap)
+    free.update((x, y) for x in range(k) if x not in shared for y in range(k, n))
+    labels = dict(pa.labels)
+    labels.update((lab, bmap[v]) for lab, v in pb.labels)
+    return PLG(Graph(n, edges), labels), frozenset(free)
 
 
 def ind(h, cap=IND_CAP):
@@ -234,13 +346,10 @@ def ind(h, cap=IND_CAP):
     IndAtom nodes.
     """
     h = as_plg(h)
-    missing = len(non_edges(h))
+    missing = len(non_edges(h, frozenset()))
     if missing > cap:
         raise CapExceeded(f"ind expansion over {missing} absent pairs exceeds cap {cap}")
-    base = len(h.graph.edges)
-    return QuantumGraph(
-        (sup, (-1) ** (len(sup.graph.edges) - base)) for sup in _supergraphs_raw(h)
-    )
+    return QuantumGraph(ind_terms(h, frozenset()))
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +439,34 @@ class Atom(_Leaf):
 
 
 class IndAtom(_Leaf):
-    """ind(plg), kept unexpanded."""
+    """ind(plg), kept unexpanded, with a set of free pairs.
 
-    __slots__ = ()
+    A free pair is neither an edge nor a non-edge: ind leaves it
+    unconstrained, so one atom with free pairs is the sum of the plain
+    atoms over every state of those pairs.  Only code builds such atoms;
+    they have no text form.  The leaf stores its graph's canonical form,
+    with the free pairs mapped through the certificate, so equal atoms are
+    isomorphic; `rows` holds the free pairs as one bitmask row per vertex.
+    """
+
+    __slots__ = ("free", "rows")
+
+    def __init__(self, plg, free=()):
+        plg = as_plg(plg)
+        if any(u == v or plg.graph.has_edge(u, v) for u, v in free):
+            raise ValueError("a free pair must join two non-adjacent vertices")
+        canon, cert = canonical_form(plg) if free else (plg.canonical(), None)
+        free = frozenset(tuple(sorted((cert[u], cert[v]))) for u, v in free)
+        object.__setattr__(self, "plg", canon)
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "rows", tuple(_free_rows(free, canon.n)) if free else None)
+
+    def _key(self):
+        return self.plg, self.free
+
+    def __repr__(self):
+        free = f", free={sorted(self.free)}" if self.free else ""
+        return f"IndAtom({format_plg(self.plg)!r}{free})"
 
 
 class _NAry(QExpr):
@@ -420,10 +554,11 @@ def expand(expr, budget=EXPAND_BUDGET):
 
     Raises BudgetExceeded when an intermediate combination would hold more
     than `budget` terms, so astronomically large images fail fast instead
-    of thrashing.  In a product, IndAtom factors covered by another IndAtom
-    factor's labels are multiplied by `_ind_overlap` before anything is
-    glued; each still has its 2^missing checked against the budget.  Each
-    distinct child of a product is expanded once.
+    of thrashing.  A product checks its len(f)*len(g) glued pairs against
+    the budget before it glues.  The IndAtom factors of a product are
+    multiplied first, by `ind_product`, into one trigraph, or 0; its
+    2^(non-edges) terms are checked against the budget before any is
+    built.  A child that a product repeats is expanded once.
     """
     expr = _as_qexpr(expr)
     if isinstance(expr, Const):
@@ -431,7 +566,7 @@ def expand(expr, budget=EXPAND_BUDGET):
     if isinstance(expr, Atom):
         return QuantumGraph.of(expr.plg)
     if isinstance(expr, IndAtom):
-        return ind(expr.plg, cap=_ind_missing(expr, budget))
+        expr = Product((expr,))
     if isinstance(expr, Sum):
         total = QuantumGraph.zero()
         for child in expr.children:
@@ -440,13 +575,22 @@ def expand(expr, budget=EXPAND_BUDGET):
         return total
     if isinstance(expr, Product):
         total = None
-        factors = {}
-        for child in _merge_ind_factors(expr.children, budget):
-            factor = factors.get(child)
+        inds = [(c.plg, c.free) for c in expr.children if isinstance(c, IndAtom)]
+        if inds:
+            # a product of 0 is None, and stays None
+            glued = reduce(lambda a, b: a and ind_product(a, b), inds)
+            if glued is None:
+                return QuantumGraph.zero()
+            missing = len(non_edges(*glued))
+            if (1 << missing) > budget:
+                raise BudgetExceeded(f"ind expansion needs 2^{missing} terms, budget is {budget}")
+            total = QuantumGraph(ind_terms(*glued))
+        factors = {}  # keyed by identity: hashing a deep child costs more
+        for child in [c for c in expr.children if not isinstance(c, IndAtom)]:
+            factor = factors.get(id(child))
             if factor is None:
-                factor = factors[child] = expand(child, budget)
-            total = factor if total is None else product(total, factor)
-            _check_budget(total, budget)
+                factor = factors[id(child)] = expand(child, budget)
+            total = factor if total is None else _bounded_product(total, factor, budget)
         return QuantumGraph.unit() if total is None else total
     if isinstance(expr, Unlabel):
         return unlabel(expand(expr.child, budget), expr.keep)
@@ -460,53 +604,6 @@ def _check_budget(qg, budget):
         raise BudgetExceeded(f"expansion exceeded {budget} terms")
 
 
-def _ind_missing(atom, budget):
-    """The number of absent pairs of an IndAtom; raises BudgetExceeded when
-    its 2^missing-term expansion would not fit in the budget."""
-    missing = len(non_edges(atom.plg))
-    if (1 << missing) > budget:
-        raise BudgetExceeded(f"ind expansion needs 2^{missing} terms, budget is {budget}")
-    return missing
-
-
-def _ind_overlap(a, b):
-    """ind(a) * ind(b) as one node, or None when neither IndAtom is covered.
-
-    A factor is covered when each of its vertices carries a label of the
-    other.  Its ind is then the indicator that the labeled vertices induce
-    it, which the larger factor's ind already asserts or contradicts on
-    those pairs: the product is the larger factor, or 0 on a disagreement.
-    """
-    small, large = (a, b) if a.plg.n <= b.plg.n else (b, a)
-    s, g = small.plg, large.plg
-    if len(s.labels) != s.n or not s.label_set() <= g.label_set():
-        return None
-    at = g.label_map()
-    for (la, u), (lb, v) in combinations(s.labels, 2):
-        if s.graph.has_edge(u, v) != g.graph.has_edge(at[la], at[lb]):
-            return Const(0)
-    return large
-
-
-def _merge_ind_factors(children, budget):
-    """The factors of a product, each covered IndAtom merged by
-    `_ind_overlap` into the first earlier IndAtom it overlaps."""
-    out = []
-    for child in children:
-        if isinstance(child, IndAtom):
-            _ind_missing(child, budget)
-            for i, prev in enumerate(out):
-                merged = _ind_overlap(prev, child) if isinstance(prev, IndAtom) else None
-                if merged is not None:
-                    out[i] = merged
-                    break
-            else:
-                out.append(child)
-        else:
-            out.append(child)
-    return out
-
-
 def _expand_poly_image(expr, budget):
     poly = expr.poly
     if not isinstance(poly, Polynomial):
@@ -518,8 +615,7 @@ def _expand_poly_image(expr, budget):
         if e == 1:
             return gens[var]
         if (var, e) not in powers:
-            powers[var, e] = product(gen_power(var, e - 1), gens[var])
-            _check_budget(powers[var, e], budget)
+            powers[var, e] = _bounded_product(gen_power(var, e - 1), gens[var], budget)
         return powers[var, e]
 
     total = QuantumGraph.zero()
@@ -528,8 +624,7 @@ def _expand_poly_image(expr, budget):
         for var, e in zip(poly.vars, exps):
             if e:
                 power = gen_power(var, e)
-                term = power if term is None else product(term, power)
-                _check_budget(term, budget)
+                term = power if term is None else _bounded_product(term, power, budget)
         total = total + coeff * (QuantumGraph.unit() if term is None else term)
         _check_budget(total, budget)
     return total
@@ -588,6 +683,8 @@ def format_qexpr(expr):
     if isinstance(expr, Atom):
         return f"(g {format_plg(expr.plg)})"
     if isinstance(expr, IndAtom):
+        if expr.free:
+            raise ValueError("an ind atom with free pairs has no text form")
         return f"(ind {format_plg(expr.plg)})"
     if isinstance(expr, Sum):
         return "(sum " + " ".join(format_qexpr(c) for c in expr.children) + ")"

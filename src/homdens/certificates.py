@@ -25,6 +25,7 @@ from .algebra import (
     QuantumGraph,
     Sum,
     Unlabel,
+    _bounded_product,
     as_quantum,
     expand,
     load_expression,
@@ -55,16 +56,24 @@ def verify_sos(target, cert, budget=EXPAND_BUDGET):
 
     True is sound evidence of positivity: each square has nonnegative
     densities, and unlabeling preserves that.  False only means this
-    particular witness list fails.
+    particular witness list fails.  Each square is expanded as a product
+    within the budget, so ind atoms meet the product rule.
     """
     gs = list(cert)
     if not gs:
         raise ValueError("a certificate needs at least one quantum graph")
     total = QuantumGraph.zero()
     for g in gs:
-        qg = _as_normal(g, budget)
-        total = total + unlabel(product(qg, qg), ())
+        total = total + unlabel(_square(g, budget), ())
     return total == _as_normal(target, budget)
+
+
+def _square(f, budget):
+    """f * f within the budget; a QExpr is expanded as that product."""
+    if isinstance(f, QExpr):
+        return expand(Product((f, f)), budget)
+    f = as_quantum(f)
+    return _bounded_product(f, f, budget)
 
 
 def parse_sos_certificate(text):
@@ -179,10 +188,7 @@ def check_cs_proof(proof, claimed, budget=EXPAND_BUDGET):
         rule, args = line.rule, line.args
         if rule == "A1":
             (f,) = args
-            if isinstance(f, QExpr):
-                expected = expand(Product((f, f)), budget)
-            else:
-                expected = product(f, f)
+            expected = _square(f, budget)
         elif rule == "A2":
             f1, f2, T = args
             expected = expand(cs_instance(f1, f2, T), budget)
@@ -195,7 +201,7 @@ def check_cs_proof(proof, claimed, budget=EXPAND_BUDGET):
             expected = alpha * proved[i - 1] + beta * proved[j - 1]
         elif rule == "R2":
             i, j = (_line_ref(a, number) for a in args)
-            expected = product(proved[i - 1], proved[j - 1])
+            expected = _bounded_product(proved[i - 1], proved[j - 1], budget)
         else:
             i, T = args
             i = _line_ref(i, number)

@@ -28,8 +28,9 @@ every density shares.  Structured expressions evaluate without expansion:
 Product nodes multiply factor densities, Unlabel nodes take an exact
 expectation over label assignments, abandoning a branch as soon as the
 partial assignment forces the child to vanish, and IndAtom nodes are the
-exact mode of the kernel.  Density polynomials are built from term lists
-only: a structured expression is expanded first.
+exact mode of the kernel, which leaves their free pairs unconstrained.
+Density polynomials are built from term lists only: a structured
+expression is expanded first.
 """
 
 from __future__ import annotations
@@ -129,18 +130,20 @@ class _Plan:
     `order` lists the free vertices.  For position i, `nbs[i]` is the
     pattern neighbourhood of order[i] and `earlier[i]` the pinned or
     earlier vertices its candidates depend on: its neighbours among them,
-    or in exact mode all of them.  `comps` holds one (start, tail, stop)
-    range of positions per component of the constraint graph on the free
-    vertices: the pattern in hom mode, the complete graph in inj and exact
-    modes.  Positions tail..stop-1 have no constrained neighbour later in
-    the order.
+    or in exact mode all of them but its partners in the `free` rows, one
+    bitmask of free pairs per pattern vertex, or None.  `comps` holds one
+    (start, tail, stop) range of positions per component of the constraint
+    graph on the free vertices: the pattern in hom mode, the complete graph
+    in inj and exact modes.  Positions tail..stop-1 have no constrained
+    neighbour later in the order.
     """
 
-    __slots__ = ("order", "nbs", "earlier", "comps", "mode", "exact", "inj")
+    __slots__ = ("order", "nbs", "earlier", "comps", "mode", "exact", "inj", "free")
 
-    def __init__(self, pattern, pinned, mode):
+    def __init__(self, pattern, pinned, mode, free=None):
         adj = pattern.adj
         self.mode = mode
+        self.free = free
         self.exact = mode == EXACT
         self.inj = mode == INJ
         bound = 0
@@ -171,7 +174,8 @@ class _Plan:
         self.nbs = [adj[v] for v in order]
         self.earlier = []
         for v in order:
-            self.earlier.append(_bits(bound if self.exact else adj[v] & bound))
+            exact = bound & ~free[v] if free else bound
+            self.earlier.append(_bits(exact if self.exact else adj[v] & bound))
             bound |= 1 << v
 
 
@@ -192,10 +196,11 @@ def _candidates(nb, earlier, exact, adj, full, image, used):
     return cand
 
 
-def _bind(pattern, pinned, mode, graph):
+def _bind(pattern, pinned, mode, graph, free=None):
     """Check the root map {pattern vertex: target vertex} by the candidate
     rule: the image list holding it and the target vertices it uses (inj
-    mode only), or None when it breaks a constraint of `mode`.  Root images
+    mode only), or None when it breaks a constraint of `mode`.  `free`
+    rows, as in `_Plan`, exempt pairs from the exact rule.  Root images
     must be target vertices; the error names them 1-based, as the text
     formats do."""
     n = graph.n
@@ -208,7 +213,8 @@ def _bind(pattern, pinned, mode, graph):
     used = 0
     seen = []
     for v, w in pinned.items():
-        if seen and not _candidates(adj[v], seen, exact, gadj, full, image, used) >> w & 1:
+        earlier = [u for u in seen if not free[v] >> u & 1] if free and free[v] else seen
+        if earlier and not _candidates(adj[v], earlier, exact, gadj, full, image, used) >> w & 1:
             return None
         image[v] = w
         seen.append(v)
@@ -323,10 +329,11 @@ def extensions(pattern, pinned, mode, graph, budget=None):
         yield from _walk(_Plan(pattern, pinned, mode), graph, *bound, budget)
 
 
-def _rooted_density(pattern, pinned, mode, graph, weights):
+def _rooted_density(pattern, pinned, mode, graph, weights, free=None):
     """The weighted probability that a random extension of `pinned` is a
-    homomorphism (hom mode), an injective one (inj) or exact (exact)."""
-    return _sum_terms([(1, pattern, pinned, _Plan(pattern, pinned, mode))], graph, weights)
+    homomorphism (hom mode), an injective one (inj) or exact (exact), with
+    the pairs in the `free` rows unconstrained."""
+    return _sum_terms([(1, pattern, pinned, _Plan(pattern, pinned, mode, free))], graph, weights)
 
 
 def _density(h, g, mode):
@@ -444,7 +451,7 @@ def _sum_terms(plans, graph, weights):
     """
     sums = Counter()
     for coeff, pattern, pinned, plan in plans:
-        bound = _bind(pattern, pinned, plan.mode, graph)
+        bound = _bind(pattern, pinned, plan.mode, graph, plan.free)
         if bound is not None:
             value = _ring_sum(plan, graph, weights, *bound)
             sums[pattern.n - len(pinned), coeff.denominator] += coeff.numerator * value
@@ -469,8 +476,8 @@ def _eval_expr(expr, graph, weights, phi):
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, (Atom, IndAtom)):
-        mode = HOM if isinstance(expr, Atom) else EXACT
-        return _rooted_density(expr.plg.graph, _pinned(expr.plg, phi), mode, graph, weights)
+        mode, free = (HOM, None) if isinstance(expr, Atom) else (EXACT, expr.rows)
+        return _rooted_density(expr.plg.graph, _pinned(expr.plg, phi), mode, graph, weights, free)
     if isinstance(expr, Sum):
         total = Fraction(0)
         for child in expr.children:
@@ -499,10 +506,9 @@ def _eval_unlabel(expr, graph, weights, phi):
             f"unlabeling over {len(free)} labels exceeds cap {UNLABEL_CAP}"
         )
     base = {lab: phi[lab] for lab in inner_labels & expr.keep}
-    screen = _one_atom_per_core(expr.child)
 
     def rec(i, assignment):
-        if _prune(screen, assignment, graph):
+        if _prune(expr.child, assignment, graph):
             return Fraction(0)
         if i == len(free):
             return _eval_expr(expr.child, graph, weights, assignment)
@@ -518,49 +524,17 @@ def _eval_unlabel(expr, graph, weights, phi):
     return rec(0, dict(base))
 
 
-def _one_atom_per_core(expr):
-    """A copy of expr for `_prune` in which the children of each Sum or
-    Product keep one Atom and one IndAtom per labeled core.
-
-    `_prune` binds only labeled vertices, so atoms of one mode whose
-    labeled vertices induce the same labeled graph always get the same
-    verdict.  Atoms hold canonical forms, whose labeled vertices come
-    first, so the core is the labels plus the edges among the first
-    len(labels) vertices.
-    """
-    if isinstance(expr, (Sum, Product)):
-        seen = set()
-        children = []
-        for child in expr.children:
-            if isinstance(child, (Atom, IndAtom)):
-                plg = child.plg
-                k = len(plg.labels)
-                core_edges = frozenset(e for e in plg.graph.edges if e[1] < k)
-                core = (type(child), plg.labels, core_edges)
-                if core in seen:
-                    continue
-                seen.add(core)
-            children.append(_one_atom_per_core(child))
-        return type(expr)(children)
-    if isinstance(expr, Unlabel):
-        return Unlabel(expr.keep, _one_atom_per_core(expr.child))
-    if isinstance(expr, PolyImage):
-        gens = {var: _one_atom_per_core(gen) for var, gen in expr.generators}
-        return PolyImage(gens, expr.poly)
-    return expr
-
-
 def _prune(expr, assignment, graph):
     """True only when every completion of `assignment` makes expr vanish."""
     if isinstance(expr, Const):
         return expr.value == 0
     if isinstance(expr, (Atom, IndAtom)):
-        mode = HOM if isinstance(expr, Atom) else EXACT
+        mode, free = (HOM, None) if isinstance(expr, Atom) else (EXACT, expr.rows)
         # The label search assigns labels in ascending order, and a branch
         # mostly fails on its newest label: bind the highest labels first.
         labels = reversed(expr.plg.labels)
         pinned = {v: assignment[lab] for lab, v in labels if lab in assignment}
-        return _bind(expr.plg.graph, pinned, mode, graph) is None
+        return _bind(expr.plg.graph, pinned, mode, graph, free) is None
     if isinstance(expr, Sum):
         return bool(expr.children) and all(
             _prune(c, assignment, graph) for c in expr.children

@@ -668,10 +668,12 @@ def parse_plg(text, line=None):
 
 
 def plg_from_fields(fields, line=None):
+    """The PLG of a record's fields, its vertex count checked first."""
     try:
         n = int(fields["n"])
     except ValueError:
         raise FormatError(f"bad vertex count {fields['n']!r}", line=line) from None
+    _check_vertex_cap(n)
     labels = []
     if fields.get("labels"):
         for item in fields["labels"].split(","):

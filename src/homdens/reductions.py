@@ -1,24 +1,24 @@
 """Reductions from polynomials to labeled quantum graphs.
 
 Two constructions over a base graph H on vertices [k] (vertex i carries
-label i+1... in the code vertices are 0-based, labels are 1-based):
+label i+1... in the code vertices are 0-based, labels are 1-based).  Each
+generator is one ind atom whose free pairs, neither edges nor non-edges,
+leave part of its pattern unconstrained.
 
-The clone construction sends x_j to ind(H_j) + ind(H_j'), where H_j adds
-one unlabeled copy of vertex j joined to exactly N(j), and H_j' also joins
-the copy to j itself.  The two alternating supergraph sums cancel every
-term containing the copy-to-j pair, so the sum runs over supergraphs of
-H_j that avoid that pair; the copy's relation to j is therefore
-unconstrained in the rooted density.  For p without constant term,
-evaluating at a root map phi gives p(alpha_1(phi), ..., alpha_k(phi))
-when phi is an exact embedding and 0 otherwise, where alpha_j is the
-probability that redrawing phi(j) lands back in the exact-embedding set.
-(A constant term maps to a multiple of the unit, which is 1 everywhere.)
+The clone construction sends x_j to ind(H_j), where H_j adds one
+unlabeled copy of vertex j joined to exactly N(j), and the pair between
+the copy and j is free: the copy's relation to j is unconstrained in the
+rooted density.  For p without constant term, evaluating at a root map
+phi gives p(alpha_1(phi), ..., alpha_k(phi)) when phi is an exact
+embedding and 0 otherwise, where alpha_j is the probability that
+redrawing phi(j) lands back in the exact-embedding set.  (A constant term
+maps to a multiple of the unit, which is 1 everywhere.)
 
-The clique construction sends v_j, e_j, t_j to generators V_j, E_j, T_j
-built from H plus an unlabeled m-clique (m = 1, 2, 3) joined to N(j),
-summed over all 2^m ways of wiring the clique to j.  Rooted uniformly at
-an exact embedding, the generator densities are the vertex, edge, and
-triangle moments of the redraw set U_j, which is what makes the cleared
+The clique construction sends v_j, e_j, t_j to generators V_j, E_j, T_j:
+ind of H plus an unlabeled m-clique (m = 1, 2, 3) joined to N(j), with
+the pairs between the clique and j free.  Rooted uniformly at an exact
+embedding, the generator densities are the vertex, edge, and triangle
+moments of the redraw set U_j, which is what makes the cleared
 substitution x_i = e_i/v_i^2, y_i = t_i/v_i^3 evaluate to a density
 statement about t(K2;U_j) and t(K3;U_j).
 
@@ -27,17 +27,16 @@ Everything here is exact rational arithmetic.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
-from math import factorial
+from functools import reduce
 
 from .algebra import (
     IndAtom,
     PolyImage,
     QuantumGraph,
-    Sum,
     Unlabel,
+    ind_product,
+    ind_terms,
     register_qexpr_head,
 )
 from .density import EXACT, as_weighted, extensions, t
@@ -106,21 +105,10 @@ def resample_set(h, g, phi, j):
 # The clone construction
 
 
-def clone_pair(h, j):
-    """(H_j, H_j'): H plus an unlabeled copy of j joined to N(j), without
-    and with the copy-to-j edge."""
-    k = h.n
-    c = k
-    base = list(h.edges) + [(u, c) for u in h.neighbors(j - 1)]
-    labels = {i + 1: i for i in range(k)}
-    without = PartiallyLabeledGraph(Graph(k + 1, base), labels)
-    with_edge = PartiallyLabeledGraph(Graph(k + 1, base + [(j - 1, c)]), labels)
-    return without, with_edge
-
-
 def phi_generator(h, j):
-    without, with_edge = clone_pair(h, j)
-    return Sum([IndAtom(without), IndAtom(with_edge)])
+    """ind(H_j): H plus an unlabeled copy of j joined to N(j), with the
+    copy-to-j pair free; the clique generator with a one-vertex clique."""
+    return psi_generator(h, j, 1)
 
 
 def _x_vars(k):
@@ -151,89 +139,39 @@ def alpha(h, G, phi_map, j):
     return sum((G.y[w] for w in resample_set(h, G.graph, phi_map, j)), Fraction(0))
 
 
-def _subsets(items):
-    """Every subset of `items` as a list, in the order of its bitmask."""
-    return [
-        [item for i, item in enumerate(items) if mask >> i & 1]
-        for mask in range(1 << len(items))
-    ]
+def clone_monomial(h, js):
+    """The clone image of prod x_j over the factors js, as one trigraph
+    (plg, free pairs): the generators glued by `ind_product`.
 
-
-def _monomial_terms(h, js):
-    """Weighted expansion of the clone image of the monomial prod x_j.
-
-    One unlabeled copy c_i per factor, joined to N(j_i).  The
-    inclusion-exclusion over supergraphs collapses so that each subset A of
-    the free pairs (internal non-edges of h, plus copy-to-non-neighbor
-    pairs) appears once with sign (-1)^|A|; copy-to-copy and copy-to-own-j
-    pairs never appear.
-
-    Copies of the same j are wired alike, so swapping two of them is an
-    isomorphism that keeps |A|.  Repeated copies are therefore taken up to
-    swapping: each copy of a j gets a subset of the non-neighbors of j,
-    chosen in ascending order across the copies, and the term's weight
-    counts the orders that reach it, m!/prod(multiplicity!) for m copies.
-    Yields (edge list, weight) over k + len(js) vertices, where weight is
-    (-1)^|A| times that count; with no repeated j every weight is the sign.
+    One unlabeled copy per factor, on vertex k + i for the i-th, joined to
+    N(j_i).  Each copy's pair to its own j and every pair between two
+    copies are free, so only the internal non-edges of h and the
+    copy-to-non-neighbor pairs appear in the expansion.
     """
     if not js:
         raise ValueError("need at least one factor; the empty product maps to the unit")
-    k = h.n
-    base = list(h.edges)
-    internal = [
-        (u, v)
-        for u in range(k)
-        for v in range(u + 1, k)
-        if not h.has_edge(u, v)
-    ]
-    copies = {}
-    for i, j in enumerate(js):
-        base.extend((u, k + i) for u in h.neighbors(j - 1))
-        copies.setdefault(j, []).append(k + i)
-    # One list of (extra edges, count) choices per group.  The internal pairs
-    # vary fastest and the last group slowest, as the bits of one mask over
-    # all free pairs would.
-    groups = [[(extra, 1) for extra in _subsets(internal)]]
-    for j, cs in copies.items():
-        free = _subsets(
-            [w for w in range(k) if w != j - 1 and not h.has_edge(w, j - 1)]
-        )
-        choices = []
-        for picks in combinations_with_replacement(range(len(free)), len(cs)):
-            count = factorial(len(cs))
-            for mult in Counter(picks).values():
-                count //= factorial(mult)
-            extra = [(w, c) for c, s in zip(cs, picks) for w in free[s]]
-            choices.append((extra, count))
-        groups.append(choices)
-    for combo in product(*reversed(groups)):
-        extra = []
-        weight = 1
-        for edges, count in reversed(combo):
-            extra += edges
-            weight *= count
-        yield base + extra, -weight if len(extra) % 2 else weight
+    gens = {j: phi_generator(h, j) for j in set(js)}
+    return reduce(ind_product, [(gens[j].plg, gens[j].free) for j in js])
 
 
 def build_counterexample(k=COUNTEREXAMPLE_K):
     """The positive-but-not-square quantum graph: the unlabeled clone image
-    of the Motzkin-type polynomial over the k-vertex stringent base."""
+    of the Motzkin-type polynomial over the k-vertex stringent base.
+
+    Each monomial's trigraph loses its labels before `ind_terms` expands
+    it, so the clone copies of a repeated variable are twins and each
+    raw term stands for one orbit of their swaps.
+    """
     if k != COUNTEREXAMPLE_K:
         raise ValueError(f"only k = {COUNTEREXAMPLE_K} is supported")
     h = stringent_graph(k)
     p = counterexample_poly(k)
     acc = {}
     for exps, coeff in p.terms.items():
-        js = []
-        for pos, e in enumerate(exps):
-            js.extend([pos + 1] * e)
-        for edges, weight in _monomial_terms(h, js):
-            plg = PartiallyLabeledGraph(Graph(k + len(js), edges)).canonical()
-            value = acc.get(plg, 0) + weight * coeff
-            if value:
-                acc[plg] = value
-            else:
-                acc.pop(plg, None)
+        plg, free = clone_monomial(h, [j for j, e in enumerate(exps, 1) for _ in range(e)])
+        for raw, weight in ind_terms(plg.drop_labels(), free):
+            key = raw.canonical()
+            acc[key] = acc.get(key, 0) + weight * coeff
     return QuantumGraph(acc)
 
 
@@ -241,27 +179,18 @@ def build_counterexample(k=COUNTEREXAMPLE_K):
 # The clique construction
 
 
-def clique_extension(h, j, m, joined):
-    """H plus an unlabeled m-clique joined to N(j), plus the edges from the
-    clique members listed in `joined` to j itself."""
+def psi_generator(h, j, m):
+    """ind of H plus an unlabeled m-clique joined to N(j), with every pair
+    between the clique and j free: the sum over the 2^m wirings of the
+    clique to j."""
     k = h.n
     edges = list(h.edges)
     for a in range(m):
         c = k + a
         edges.extend((u, c) for u in h.neighbors(j - 1))
         edges.extend((k + b, c) for b in range(a))
-    edges.extend((j - 1, k + a) for a in joined)
-    labels = {i + 1: i for i in range(k)}
-    return PartiallyLabeledGraph(Graph(k + m, edges), labels)
-
-
-def psi_generator(h, j, m):
-    """Sum over the 2^m wirings of the m-clique to j, as ind-atoms."""
-    atoms = []
-    for mask in range(1 << m):
-        joined = [a for a in range(m) if mask >> a & 1]
-        atoms.append(IndAtom(clique_extension(h, j, m, joined)))
-    return Sum(atoms)
+    free = [(j - 1, k + a) for a in range(m)]
+    return IndAtom(PartiallyLabeledGraph(Graph(k + m, edges), labeled_base(h).labels), free)
 
 
 def psi_expr(h, poly, origin=None):
@@ -435,18 +364,9 @@ def _instance_parts(instance):
     poly = expr.poly
     if not isinstance(poly, _TauSubstituted):
         raise ValueError("expected a cleared-substitution polynomial")
-    gens = expr.generator_map()
-    atom = gens["v1"].children[0]
-    core = atom.plg
-    label_map = core.label_map()
-    order = [label_map[j] for j in range(1, poly.k + 1)]
-    keep = set(order)
-    edges = [
-        (order.index(u), order.index(v))
-        for u, v in core.graph.edges
-        if u in keep and v in keep
-    ]
-    return Graph(poly.k, edges), poly
+    core = expr.generator_map()["v1"].plg
+    at = core.label_map()
+    return core.graph.induced([at[j] for j in range(1, poly.k + 1)]), poly
 
 
 def psi_rooted_value(h, q, g, phi_map):
@@ -483,15 +403,12 @@ def witness_eval(instance, g, budget=EMBED_BUDGET):
 # Serialization heads
 
 
-def _graph_by_labels(plg, line=None):
+def _graph_by_labels(plg):
     k = plg.graph.n
-    if set(plg.label_set()) != set(range(1, k + 1)):
-        raise FormatError("base graph must be fully labeled 1..k", line=line)
-    label_map = plg.label_map()
-    perm = [0] * k
-    for j in range(1, k + 1):
-        perm[label_map[j]] = j - 1
-    return plg.relabeled_vertices(perm).graph
+    if plg.label_set() != set(range(1, k + 1)):
+        raise FormatError("base graph must be fully labeled 1..k")
+    at = plg.label_map()
+    return plg.graph.induced([at[j] for j in range(1, k + 1)])
 
 
 def _split_head(tokens, head):

@@ -9,8 +9,9 @@ sys.path.insert(0, os.path.dirname(__file__))
 @pytest.fixture
 def canonical_calls(monkeypatch):
     """The list of inputs of every `canonical_form` call made during the
-    test, recursive calls on components included."""
-    from homdens import graphs
+    test, recursive calls on components included, in every module that
+    imports it."""
+    from homdens import algebra, graphs
 
     calls = []
     original = graphs.canonical_form
@@ -19,5 +20,6 @@ def canonical_calls(monkeypatch):
         calls.append(g)
         return original(g)
 
-    monkeypatch.setattr(graphs, "canonical_form", counting)
+    for module in (graphs, algebra):
+        monkeypatch.setattr(module, "canonical_form", counting)
     return calls

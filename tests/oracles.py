@@ -3,9 +3,10 @@
 Everything here is deliberately naive: permutations, all maps, all edge
 subsets.  These functions never import from homdens internals beyond the
 Graph/PLG data holders, so a bug in the package cannot hide in its own
-oracle.  The one exception is `phi_monomial_expansion`, which assembles
-the package's collapsed monomial terms so that a test can hold them
-against the generic expander and against `plain_monomial_terms`.
+oracle.  The exceptions are `phi_monomial_expansion`, which expands the
+package's glued clone trigraph so that a test can hold it against the
+generic expander and against `plain_monomial_terms`, and `ind_sum`, which
+spells out an ind atom's free pairs through the package's plain `ind`.
 """
 
 from collections import namedtuple
@@ -114,10 +115,27 @@ def merged_monomial_terms(h, js, terms, labeled=True):
 
 def phi_monomial_expansion(h, js, labeled=True):
     """Expanded quantum graph for the clone image of prod x_j, from the
-    package's terms taken up to swapping copies."""
-    from homdens.reductions import _monomial_terms
+    package's glued trigraph; unlabeled, the labels are dropped before
+    the expansion, as the counterexample build drops them."""
+    from homdens.algebra import QuantumGraph, ind_terms
+    from homdens.reductions import clone_monomial
 
-    return merged_monomial_terms(h, js, _monomial_terms(h, js), labeled)
+    plg, free = clone_monomial(h, js)
+    return QuantumGraph(ind_terms(plg if labeled else plg.drop_labels(), free))
+
+
+def ind_sum(atom):
+    """ind of an IndAtom as the sum of plain inds over every edge or
+    non-edge state of its free pairs, without the free-pair code."""
+    from homdens.algebra import QuantumGraph, ind
+
+    plg, free = atom.plg, sorted(atom.free)
+    total = QuantumGraph.zero()
+    for mask in range(1 << len(free)):
+        extra = [pair for i, pair in enumerate(free) if mask >> i & 1]
+        graph = Graph(plg.n, list(plg.graph.edges) + extra)
+        total = total + ind(PartiallyLabeledGraph(graph, plg.labels))
+    return total
 
 
 def brute_hom_count(h, g):

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from homdens.algebra import (
-    EXPAND_BUDGET,
     QEXPR_DEPTH_CAP,
     Atom,
     Const,
@@ -19,10 +18,10 @@ from homdens.algebra import (
     expand,
     format_qexpr,
     format_quantum,
-    _ind_overlap,
-    _merge_ind_factors,
     glue,
     ind,
+    ind_product,
+    non_edges,
     parse_qexpr,
     parse_quantum,
     product,
@@ -32,7 +31,7 @@ from homdens.errors import BudgetExceeded, CapExceeded, FormatError
 from homdens.graphs import PLG, Graph, enumerate_graphs, is_isomorphic_labeled
 from homdens.polynomials import Polynomial
 
-from oracles import labeled_core
+from oracles import ind_sum, labeled_core
 
 K2 = Graph(2, [(0, 1)])
 P3 = Graph.path(3)
@@ -254,13 +253,13 @@ class TestInd:
 
     def test_mobius_round_trip(self):
         # Writing H as the sum of ind(F) over supergraphs F returns H.
-        from homdens.algebra import _supergraphs_raw
+        from homdens.algebra import ind_terms
 
         for n in range(1, 5):
             for g in enumerate_graphs(n):
                 h = PLG(g, [(1, 0)] if n >= 1 else [])
                 total = QuantumGraph.zero()
-                for sup in _supergraphs_raw(h):
+                for sup, _ in ind_terms(h, frozenset()):
                     total = total + ind(sup)
                 assert total == QuantumGraph.of(h), g
 
@@ -294,12 +293,14 @@ class TestQExpr:
         big = IndAtom(PLG(Graph(9)))  # 36 absent pairs
         with pytest.raises(BudgetExceeded):
             expand(big, budget=1000)
-        # multisets of 4 paths out of 6 kinds: 126 distinct product terms
+        # multisets of 4 paths out of 6 kinds: 126 distinct product terms,
+        # from a last product that glues 56 x 6 = 336 term pairs; the
+        # budget bounds the pairs before they are glued
         paths = Sum([Atom(PLG(Graph.path(i))) for i in range(2, 8)])
         wide = Product([paths] * 4)
-        assert len(expand(wide, budget=200).terms) == 126
+        assert len(expand(wide, budget=336).terms) == 126
         with pytest.raises(BudgetExceeded):
-            expand(wide, budget=100)
+            expand(wide, budget=335)
 
     def test_poly_image(self):
         p = Polynomial.variable("x1") ** 2
@@ -370,44 +371,74 @@ def fully_labeled(g):
     return PLG(g, [(i + 1, i) for i in range(g.n)])
 
 
+def free_pair_atoms(pool):
+    """Each PLG of the pool with each one of its non-edges made free."""
+    return [IndAtom(plg, [pair]) for plg in pool for pair in non_edges(plg, frozenset())]
+
+
+def trigraph(atom):
+    return atom.plg, atom.free
+
+
 class TestIndProduct:
-    """`expand` multiplies IndAtom factors by their label overlap; `product`
-    of the `ind` expansions is the reference route."""
+    """`expand` multiplies IndAtom factors by `ind_product`; `product` of
+    the `ind` expansions is the reference route."""
 
     def test_every_pair_up_to_three_vertices(self):
         pool = plgs_with_label_subsets(3, (1, 2))
         assert len(pool) == 36
-        merged = zero = 0
+        zero = 0
         for a in pool:
             for b in pool:
                 got = expand(Product([IndAtom(a), IndAtom(b)]))
                 assert got == product(ind(a), ind(b)), (a, b)
-                overlap = _ind_overlap(IndAtom(a), IndAtom(b))
-                assert overlap == _ind_overlap(IndAtom(b), IndAtom(a)), (a, b)
-                if overlap is not None:
-                    merged += 1
-                    zero += got.is_zero()
-        assert merged > 0 and 0 < zero < merged
+                vanishes = ind_product(trigraph(IndAtom(a)), trigraph(IndAtom(b))) is None
+                assert vanishes == (ind_product(trigraph(IndAtom(b)), trigraph(IndAtom(a))) is None)
+                assert vanishes <= got.is_zero(), (a, b)
+                zero += vanishes
+        assert 0 < zero < len(pool) ** 2
+
+    def test_free_pair_atoms(self):
+        """A free-pair atom expands to the sum over its pair's two states,
+        and its products with the plain and free-pair atoms of the pool,
+        by the rule, equal the products of those sums."""
+        pool = plgs_with_label_subsets(3, (1, 2))
+        atoms = free_pair_atoms(pool)
+        assert len(atoms) == 40
+        sums = {atom: ind_sum(atom) for atom in atoms}
+        for atom in atoms:
+            assert expand(atom) == sums[atom], atom
+        for atom in pool:
+            sums[IndAtom(atom)] = ind(atom)
+        zero = 0
+        for a in atoms:
+            for b in sums:
+                got = expand(Product([a, b]))
+                assert got == product(sums[a], sums[b]), (a, b)
+                zero += ind_product(trigraph(a), trigraph(b)) is None
+        assert zero > 0
 
     def test_seeded_three_factor_products(self):
         rng = random.Random(97)
         pool = plgs_with_label_subsets(3, (1, 2, 3)) + [
             fully_labeled(g) for g in enumerate_graphs(4)
         ]
-        merged = 0
+        atoms = [IndAtom(plg) for plg in pool] + free_pair_atoms(pool)
+        zero = 0
         for _ in range(120):
             factors = []
             for _ in range(3):
                 if rng.random() < 0.2:
                     factors.append(Const(Fraction(rng.randint(-3, 3), rng.randint(1, 3))))
                 else:
-                    factors.append(IndAtom(rng.choice(pool)))
+                    factors.append(rng.choice(atoms))
             reference = QuantumGraph.unit()
             for f in factors:
-                reference = product(reference, expand(f))
-            assert expand(Product(factors)) == reference, factors
-            merged += len(_merge_ind_factors(factors, EXPAND_BUDGET)) < len(factors)
-        assert merged > 0
+                reference = product(reference, ind_sum(f) if isinstance(f, IndAtom) else expand(f))
+            got = expand(Product(factors))
+            assert got == reference, factors
+            zero += got.is_zero()
+        assert zero > 0
 
     def test_conflicting_shared_pairs_give_zero(self):
         path = PLG(P3, [(1, 0), (2, 1), (3, 2)])  # 1-2 and 2-3, not 1-3

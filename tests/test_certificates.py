@@ -30,7 +30,7 @@ from homdens.certificates import (
     verify_sos,
 )
 from homdens.density import WeightedGraph, t_quantum
-from homdens.errors import FormatError
+from homdens.errors import BudgetExceeded, FormatError
 from homdens.graphs import Graph, PartiallyLabeledGraph as PLG, enumerate_graphs, format_plg
 
 K1 = Graph(1)
@@ -245,6 +245,21 @@ class TestProofChecker:
             ProofLine(product(sq_e, sq_e), "R2", (1, 1)),
         ]
         assert check_cs_proof(lines, product(sq_e, sq_e))
+
+    def test_products_check_the_budget_before_gluing(self):
+        """R2 and A1 refuse a product whose glued pairs exceed the budget
+        before building any of them; at that many pairs they go through."""
+        f = as_quantum(EDGE_1) + as_quantum(POINT_1) + as_quantum(FULL_EDGE)
+        sq = product(f, f)
+        lines = [ProofLine(sq, "A1", (f,)), ProofLine(product(sq, sq), "R2", (1, 1))]
+        pairs = len(sq.terms) ** 2
+        assert check_cs_proof(lines, product(sq, sq), budget=pairs)
+        with pytest.raises(BudgetExceeded, match=f"exceeds {pairs - 1}"):
+            check_cs_proof(lines, product(sq, sq), budget=pairs - 1)
+        with pytest.raises(BudgetExceeded, match="product of 3 by 3 terms exceeds 8"):
+            check_cs_proof(lines[:1], sq, budget=8)
+        with pytest.raises(BudgetExceeded, match="product of 3 by 3 terms exceeds 8"):
+            verify_sos(sq, [f], budget=8)
 
     def test_cauchy_schwarz_axiom_line(self):
         inst = cs_instance(EDGE_1, NONEDGE_1, frozenset())

@@ -205,6 +205,22 @@ class TestReductionPipeline:
         ):
             assert run(capsys, *argv) == (2, "", message), argv
 
+    def test_oversized_records_exit_2(self, capsys, files):
+        """A record's vertex count is checked against the cap before the
+        graph is built, as a pattern, a target or a weighted target."""
+        big = 10**12
+        message = f"error: graphs are built with at most {VERTEX_CAP} vertices, got {big}\n"
+        huge = files("huge.plg", f"plg n={big} edges=1-2\n")
+        heavy = files("heavy.plg", f"plg n={big} weights=1\n")
+        edge = files("edge.plg", "plg n=2 edges=1-2\n")
+        for argv in (
+            ["eval", "--in", edge, "--target", huge],
+            ["eval", "--in", edge, "--target", heavy],
+            ["eval", "--in", huge, "--target", edge],
+            ["density", "--in", huge, "--target", edge],
+        ):
+            assert run(capsys, *argv) == (2, "", message), argv
+
     def test_bad_sizes_exit_2(self, capsys, files):
         p = Polynomial(VARS6, {(0,) * 6: F(1), (1, 0, 0, 0, 0, 0): F(-2)})
         poly = files("p.poly", format_poly(p) + "\n")
@@ -225,6 +241,18 @@ class TestCertificateCommands:
         code, out, _ = run(capsys, "verify-sos", "--target", wrong, "--cert", cert)
         assert code == 1
         assert lines_of(out)["verified"] == "false"
+
+    def test_over_budget_square_exits_2(self, capsys, files):
+        """A square whose 3 x 3 glued pairs exceed --budget 8 is refused
+        before it is glued; at --budget 9 the certificate is checked."""
+        target = files("P3.qg", "1 * plg n=3 edges=1-2;2-3\n")
+        terms = "(g plg n=2 labels=1:1 edges=1-2) (g plg n=1 labels=1:1) (g plg n=2 edges=1-2)"
+        cert = files("c.sos", f"sos:\ng: (sum {terms})\n")
+        argv = ["verify-sos", "--target", target, "--cert", cert, "--budget"]
+        code, out, err = run(capsys, *argv, "8")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: product of 3 by 3 terms exceeds 8\n")
+        assert run(capsys, *argv, "9")[:2] == (1, "verified=false\n")
 
     def test_verify_sos_malformed_cert_exits_2(self, capsys, files):
         target = files("P3.qg", "1 * plg n=3 edges=1-2;2-3\n")

@@ -8,7 +8,8 @@ input is accepted by the library reader for its format.
 
 A mutant holding an integer larger than every integer of its seed is
 drawn again, so no mutant asks for a large graph (`Graph` allocates per
-vertex) or a large search.
+vertex) or a large search.  One target seed has a vertex count far past
+`graphs.VERTEX_CAP`, which the record reader refuses before building.
 """
 
 import contextlib
@@ -83,6 +84,8 @@ INSTANCE = (
 TARGETS = [
     "plg n=3 edges=1-2;2-3\n",
     "plg n=3 edges=1-2;2-3 weights=1/2,1/4,1/4\n",
+    # past the vertex cap, which the reader checks before building
+    "plg n=1000000000000 edges=1-2\n",
 ]
 TERM_LISTS = [
     "-1 * plg n=2 edges=1-2\n",

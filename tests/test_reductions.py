@@ -1,14 +1,27 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product as iproduct
 
 import pytest
 
 from homdens import density
-from homdens.algebra import Product, Unlabel, PolyImage, expand, format_qexpr, parse_qexpr
+from homdens.algebra import (
+    IndAtom,
+    PolyImage,
+    Product,
+    Sum,
+    Unlabel,
+    expand,
+    format_qexpr,
+    ind_terms,
+    parse_qexpr,
+    product,
+)
 from homdens.density import WeightedGraph, density_polynomial, t, t_quantum
 from homdens.errors import BudgetExceeded, FormatError
 from homdens.graphs import (
+    PLG,
     Graph,
     blowup_block,
     clique_blowup,
@@ -24,12 +37,11 @@ from homdens.polynomials import (
 )
 from homdens.reductions import (
     TauCalculusPoly,
-    _monomial_terms,
     TauPoly,
     alpha,
     build_counterexample,
     build_instance,
-    clone_pair,
+    clone_monomial,
     exact_embeddings,
     is_exact_embedding,
     phi,
@@ -44,6 +56,7 @@ from homdens.reductions import (
 
 from oracles import (
     brute_exact_embeddings,
+    ind_sum,
     merged_monomial_terms,
     phi_monomial_expansion,
     plain_monomial_terms,
@@ -136,12 +149,13 @@ class TestExactEmbeddings:
 
 class TestCloneConstruction:
     def test_clone_pair_shape(self):
-        without, with_edge = clone_pair(P3, 2)
-        assert without.n == 4 and with_edge.n == 4
-        # clone 3 copies the neighborhood {0, 2} of vertex 1
-        assert sorted(without.graph.neighbors(3)) == [0, 2]
-        assert sorted(with_edge.graph.neighbors(3)) == [0, 1, 2]
-        assert without.label_set() == frozenset({1, 2, 3})
+        # one atom: the copy 3 of vertex 1 gets its neighborhood {0, 2},
+        # and its pair to vertex 1 is free, neither edge nor non-edge
+        atom = phi_generator(P3, 2)
+        assert atom.plg.n == 4
+        assert sorted(atom.plg.graph.neighbors(3)) == [0, 2]
+        assert atom.free == {(1, 3)}
+        assert atom.plg.label_map() == {1: 0, 2: 1, 3: 2}
 
     def test_single_vertex_base_evaluates_to_one(self):
         expr = phi(K1, xvar("x1", ("x1",)))
@@ -265,23 +279,33 @@ class TestMonomialExpansion:
     ]
 
     def test_matches_product_expansion(self):
-        # the collapsed inclusion-exclusion against the generic expander,
-        # and the orbit terms against the plain enumeration
+        # the glued trigraph's ind terms against the generic expander, the
+        # glued product of the two-atom sums, and the plain enumeration
         for h, js in self.SMALL:
             mine = phi_monomial_expansion(h, js)
-            ref = expand(Product([phi_generator(h, j) for j in js]))
-            assert mine == ref
+            assert mine == expand(Product([phi_generator(h, j) for j in js]))
+            glued = ind_sum(phi_generator(h, js[0]))
+            for j in js[1:]:
+                glued = product(glued, ind_sum(phi_generator(h, j)))
+            assert mine == glued
         for h, js in self.SMALL + [(P3, (1, 1, 1)), (P3, (3, 1, 3)), (K2, (2, 2, 2, 2))]:
             for labeled in (True, False):
                 assert phi_monomial_expansion(h, js, labeled) == plain_expansion(h, js, labeled)
 
     def test_without_repeats_yields_the_plain_terms(self):
-        # weights are signs and the terms come in the plain order
-        for js in ((2, 3, 4), (1, 2, 3), (6, 1)):
-            assert list(_monomial_terms(H6, js)) == list(plain_monomial_terms(H6, js))
-        for h, js in self.SMALL:
-            if len(set(js)) == len(js):
-                assert list(_monomial_terms(h, js)) == list(plain_monomial_terms(h, js))
+        # with the base labeled and no repeated j there are no twins: the
+        # weights are signs and the raw terms are the plain ones
+        cases = [(H6, js) for js in ((2, 3, 4), (1, 2, 3), (6, 1))]
+        cases += [(h, js) for h, js in self.SMALL if len(set(js)) == len(js)]
+        for h, js in cases:
+            mine = Counter(
+                (raw.graph.edges, weight) for raw, weight in ind_terms(*clone_monomial(h, js))
+            )
+            plain = Counter(
+                (Graph(h.n + len(js), edges).edges, sign)
+                for edges, sign in plain_monomial_terms(h, js)
+            )
+            assert mine == plain, (h, js)
 
     def test_repeats_on_h6_match_plain_enumeration(self):
         """The monomials of p with a repeated j, and a triple repeat, merged
@@ -298,11 +322,13 @@ class TestMonomialExpansion:
                 assert phi_monomial_expansion(H6, js, False) == plain_expansion(H6, js, False)
 
     def test_raw_term_counts(self):
-        """One raw term per copy-swap orbit, and the orbit sizes add up to
-        the 2^(free pairs) plain terms."""
+        """The build's raw terms, from each monomial's unlabeled trigraph:
+        one per copy-swap orbit, and the orbit sizes add up to the
+        2^(free pairs) plain terms."""
         counts = {}
         for js in counterexample_monomials():
-            terms = list(_monomial_terms(H6, js))
+            plg, free = clone_monomial(H6, js)
+            terms = list(ind_terms(plg.drop_labels(), free))
             counts[js] = len(terms)
             assert sum(abs(w) for _, w in terms) == sum(1 for _ in plain_monomial_terms(H6, js))
         assert counts == {(2, 2, 3): 2560, (3, 3, 4): 3072, (2, 4, 4): 18432, (2, 3, 4): 8192}
@@ -320,9 +346,15 @@ class TestCounterexample:
 
     def test_each_raw_term_canonicalized_once(self, canonical_calls):
         """32256 raw terms, one per copy-swap orbit, one canonical_form call
-        each; the final normal form reuses the 11464 canonical keys."""
+        each; the final normal form reuses the 11464 canonical keys.  The
+        only other calls build the generator atoms, one per distinct
+        variable of each of the four monomials, on the O(n) route."""
         x = build_counterexample(6)
-        assert len(canonical_calls) == 32256
+        raw = [g for g in canonical_calls if not g.labels]
+        assert len(raw) == 32256
+        generators = [g for g in canonical_calls if g.labels]
+        assert len(generators) == 2 + 2 + 2 + 3
+        assert all(g.n == 7 and len(g.labels) == 6 for g in generators)
         assert len(x.terms) == 11464
 
     def test_terms_stay_small(self):
@@ -348,13 +380,81 @@ class TestCounterexample:
             assert t_quantum(x, g) >= 0
 
 
+def wirings(h, j, m):
+    """The 2^m plain atoms that the clique generator's free pairs stand
+    for: H plus an m-clique joined to N(j), wired to j in every way."""
+    k = h.n
+    atoms = []
+    for mask in range(1 << m):
+        edges = list(h.edges)
+        for a in range(m):
+            edges.extend((u, k + a) for u in h.neighbors(j - 1))
+            edges.extend((k + b, k + a) for b in range(a))
+            if mask >> a & 1:
+                edges.append((j - 1, k + a))
+        atoms.append(IndAtom(PLG(Graph(k + m, edges), {i + 1: i for i in range(k)})))
+    return atoms
+
+
+class TestOneAtomGenerators:
+    """Each generator is one atom with free pairs; the two-atom clone sum
+    and the 2^m-atom clique sum it replaces are built here."""
+
+    def generators(self, h):
+        for j in range(1, h.n + 1):
+            yield phi_generator(h, j), wirings(h, j, 1)
+            for m in (1, 2, 3):
+                yield psi_generator(h, j, m), wirings(h, j, m)
+
+    def test_small_bases_on_every_small_target(self):
+        for h in (K2, P3):
+            for atom, sum_of in self.generators(h):
+                old = Sum(sum_of)
+                for g in targets_up_to(4):
+                    for ph in all_root_maps(h.n, g):
+                        assert t_quantum(atom, g, ph) == t_quantum(old, g, ph), (atom, g, ph)
+                assert expand(atom) == expand(old) == ind_sum(atom), atom
+
+    def test_stringent_base(self):
+        """H6 has no exact embedding into a graph with at most 4 vertices.
+        Both sides are sums of nonnegative exact densities, so their
+        uniform averages over all root maps, taken by Unlabel, are 0 only
+        when each side is 0 at every root map.  Elsewhere they are compared
+        at every root map into H6 that fixes all but one label, and at
+        every exact embedding into two clique blow-ups.  Expansions are
+        compared where the old sums stay small: the clone generators, and
+        the clique generators of the degree-4 vertex 3 up to m = 2."""
+        for atom, sum_of in self.generators(H6):
+            for g in targets_up_to(4):
+                assert t_quantum(Unlabel((), atom), g) == 0, (atom, g)
+                assert t_quantum(Unlabel((), Sum(sum_of)), g) == 0, (atom, g)
+        blowups = [clique_blowup(H6, (2, 1, 1, 1, 1, 1)), clique_blowup(H6, (1, 1, 2, 1, 2, 1))]
+        near = []
+        for j in range(1, 7):
+            for w in range(6):
+                ph = {i: i - 1 for i in range(1, 7)}
+                ph[j] = w
+                near.append(ph)
+        for atom, sum_of in self.generators(H6):
+            old = Sum(sum_of)
+            for ph in near:
+                assert t_quantum(atom, H6, ph) == t_quantum(old, H6, ph), (atom, ph)
+            for g in blowups:
+                for ph in exact_embeddings(H6, g):
+                    assert t_quantum(atom, g, ph) == t_quantum(old, g, ph), (atom, ph)
+        for j in range(1, 7):
+            assert expand(phi_generator(H6, j)) == expand(Sum(wirings(H6, j, 1)))
+        for m in (1, 2):
+            assert expand(psi_generator(H6, 3, m)) == expand(Sum(wirings(H6, 3, m)))
+
+
 class TestCliqueGenerators:
     def test_generator_is_sum_over_wirings(self):
         for m in (1, 2, 3):
             gen = psi_generator(K2, 1, m)
-            assert len(gen.children) == 1 << m
-            for atom in gen.children:
-                assert atom.plg.n == 2 + m
+            assert gen.plg.n == 2 + m
+            assert gen.free == {(0, 2 + a) for a in range(m)}
+            assert expand(gen) == expand(Sum(wirings(K2, 1, m)))
 
     def test_vertex_generator_example(self):
         assert t_quantum(psi_generator(K2, 1, 1), K3, {1: 0, 2: 1}) == F(2, 3)
@@ -477,10 +577,12 @@ class TestBuildInstance:
             parse_qexpr("(psitau plg n=2 labels=1:1,2:2)")
 
     def test_pruning_binds_one_atom_per_core(self, monkeypatch):
-        """Every IndAtom of the instance has the same labeled core, so the
-        pruning check of the Unlabel search binds one atom per generator:
-        20158 `_bind` calls on the flagship witness, where binding every
-        atom made 92560."""
+        """Each of the 18 generators is one IndAtom, and all share the
+        labeled core, so the pruning check of the Unlabel search binds one
+        atom per generator, and each of the 3 leaves, the exact embeddings,
+        evaluates 18 atoms: 19960 `_bind` calls on the flagship witness.
+        The generators as sums of 2 to 8 atoms bound 84 atoms per leaf
+        (20158 calls), and 92560 when the pruning check bound all of them."""
         binds = [0]
         original = density._bind
 
@@ -492,7 +594,7 @@ class TestBuildInstance:
         p = 1 - 2 * xvar("x1", XV6)
         value = t_quantum(build_instance(p), witness_graph(p, (3, 1, 1, 1, 1, 1)))
         assert value == -F(3**105, 2**2016)
-        assert binds[0] == 20158
+        assert binds[0] == 19960
 
     def test_symbolic_density_is_a_clear_error(self):
         inst = build_instance(1 - 2 * xvar("x1", XV6))
