@@ -14,7 +14,10 @@ under graph-algebra homomorphisms) are kept as `QExpr` trees instead, built
 from Const/Atom/IndAtom/Sum/Product/Unlabel nodes plus `PolyImage`, which
 applies a polynomial to named generator subexpressions.  `expand` turns a
 tree into a QuantumGraph when it fits in a term budget; the density module
-evaluates trees directly without expansion.
+evaluates trees directly without expansion.  A Const factor scales a
+product instead of gluing as the unit, and an Unlabel passes the labels
+it keeps down the tree, so a product of ind atoms drops the rest before
+its one expansion.
 
 An IndAtom may carry free pairs, which are neither edges nor non-edges;
 a PLG with free pairs is a trigraph.  ind of a trigraph is the
@@ -142,6 +145,13 @@ class QuantumGraph:
     @staticmethod
     def zero():
         return QuantumGraph()
+
+    @staticmethod
+    def _normal(terms):
+        """The QuantumGraph of a dict keyed by canonical isolated-free PLGs."""
+        f = QuantumGraph()
+        object.__setattr__(f, "terms", {key: Fraction(c) for key, c in terms.items() if c})
+        return f
 
     @staticmethod
     def unit():
@@ -554,80 +564,88 @@ def expand(expr, budget=EXPAND_BUDGET):
 
     Raises BudgetExceeded when an intermediate combination would hold more
     than `budget` terms, so astronomically large images fail fast instead
-    of thrashing.  A product checks its len(f)*len(g) glued pairs against
-    the budget before it glues.  The IndAtom factors of a product are
-    multiplied first, by `ind_product`, into one trigraph, or 0; its
-    2^(non-edges) terms are checked against the budget before any is
-    built.  A child that a product repeats is expanded once.
+    of thrashing.  A PolyImage is the sum of its monomials' products.  A
+    product's Const factors scale it; its IndAtom factors multiply by
+    `ind_product` into one trigraph, or 0, whose 2^(non-edges) terms are
+    checked before any is built; any other factor is expanded once and
+    glued on.  An Unlabel passes its kept labels down through Sum,
+    PolyImage and nested Unlabels into each product of IndAtom and Const
+    factors, whose trigraph drops the rest before it expands, so its
+    unlabeled twins collapse; any other product is unlabeled once expanded.
     """
-    expr = _as_qexpr(expr)
-    if isinstance(expr, Const):
-        return QuantumGraph.unit() * expr.value
+    acc = {}
+    _expand_into(acc, _as_qexpr(expr), 1, None, budget)
+    return QuantumGraph._normal(acc)
+
+
+def _add_term(acc, plg, coeff, keep):
+    """Add coeff * plg to acc, a dict from canonical PLG to coefficient,
+    with the labels outside `keep` forgotten; None keeps every label."""
+    if keep is not None:
+        plg = plg.drop_labels(keep)
+    key = strip_isolated(plg).canonical()
+    acc[key] = acc.get(key, 0) + coeff
+
+
+def _expand_into(acc, expr, scale, keep, budget):
+    """Add scale * expr, unlabeled down to `keep` as in `_add_term`, to acc."""
     if isinstance(expr, Atom):
-        return QuantumGraph.of(expr.plg)
-    if isinstance(expr, IndAtom):
-        expr = Product((expr,))
-    if isinstance(expr, Sum):
-        total = QuantumGraph.zero()
+        _add_term(acc, expr.plg, scale, keep)
+    elif isinstance(expr, (Const, IndAtom)):
+        _expand_into(acc, Product((expr,)), scale, keep, budget)
+    elif isinstance(expr, Sum):
         for child in expr.children:
-            total = total + expand(child, budget)
-            _check_budget(total, budget)
-        return total
-    if isinstance(expr, Product):
-        total = None
-        inds = [(c.plg, c.free) for c in expr.children if isinstance(c, IndAtom)]
-        if inds:
-            # a product of 0 is None, and stays None
+            _expand_into(acc, child, scale, keep, budget)
+            _check_budget(acc, budget)
+    elif isinstance(expr, Unlabel):
+        kept = expr.keep if keep is None else keep & expr.keep
+        _expand_into(acc, expr.child, scale, kept, budget)
+    elif isinstance(expr, PolyImage):
+        poly = expr.poly if isinstance(expr.poly, Polynomial) else expr.poly.as_polynomial()
+        gens = expr.generator_map()
+        for exps, coeff in poly.terms.items():
+            factors = [gens[var] for var, e in zip(poly.vars, exps) for _ in range(e)]
+            _expand_into(acc, Product(factors), scale * coeff, keep, budget)
+            _check_budget(acc, budget)
+    elif isinstance(expr, Product):
+        inds, others = [], []
+        for child in expr.children:
+            if isinstance(child, Const):
+                scale *= child.value
+            elif isinstance(child, IndAtom):
+                inds.append((child.plg, child.free))
+            else:
+                others.append(child)
+        glued = (EMPTY_PLG, frozenset())  # the unit
+        if inds:  # a product of 0 is None, and stays None
             glued = reduce(lambda a, b: a and ind_product(a, b), inds)
-            if glued is None:
-                return QuantumGraph.zero()
-            missing = len(non_edges(*glued))
-            if (1 << missing) > budget:
-                raise BudgetExceeded(f"ind expansion needs 2^{missing} terms, budget is {budget}")
-            total = QuantumGraph(ind_terms(*glued))
-        factors = {}  # keyed by identity: hashing a deep child costs more
-        for child in [c for c in expr.children if not isinstance(c, IndAtom)]:
-            factor = factors.get(id(child))
-            if factor is None:
-                factor = factors[id(child)] = expand(child, budget)
-            total = factor if total is None else _bounded_product(total, factor, budget)
-        return QuantumGraph.unit() if total is None else total
-    if isinstance(expr, Unlabel):
-        return unlabel(expand(expr.child, budget), expr.keep)
-    if isinstance(expr, PolyImage):
-        return _expand_poly_image(expr, budget)
-    raise TypeError(f"unknown expression node {type(expr).__name__}")
+        if glued is None or not scale:
+            return
+        missing = len(non_edges(*glued))
+        if (1 << missing) > budget:
+            raise BudgetExceeded(f"ind expansion needs 2^{missing} terms, budget is {budget}")
+        plg, free = glued
+        if not others:
+            terms = ind_terms(plg if keep is None else plg.drop_labels(keep), free)
+            keep = None
+        else:
+            total = QuantumGraph(ind_terms(plg, free)) if inds else None
+            factors = {}  # keyed by identity: hashing a deep child costs more
+            for child in others:
+                factor = factors.get(id(child))
+                if factor is None:
+                    factor = factors[id(child)] = expand(child, budget)
+                total = factor if total is None else _bounded_product(total, factor, budget)
+            terms = total.terms.items()
+        for term, coeff in terms:
+            _add_term(acc, term, scale * coeff, keep)
+    else:
+        raise TypeError(f"unknown expression node {type(expr).__name__}")
 
 
-def _check_budget(qg, budget):
-    if len(qg.terms) > budget:
+def _check_budget(acc, budget):
+    if len(acc) > budget and sum(1 for c in acc.values() if c) > budget:
         raise BudgetExceeded(f"expansion exceeded {budget} terms")
-
-
-def _expand_poly_image(expr, budget):
-    poly = expr.poly
-    if not isinstance(poly, Polynomial):
-        poly = poly.as_polynomial()
-    gens = {v: expand(e, budget) for v, e in expr.generators}
-    powers = {}
-
-    def gen_power(var, e):
-        if e == 1:
-            return gens[var]
-        if (var, e) not in powers:
-            powers[var, e] = _bounded_product(gen_power(var, e - 1), gens[var], budget)
-        return powers[var, e]
-
-    total = QuantumGraph.zero()
-    for exps, coeff in poly.terms.items():
-        term = None
-        for var, e in zip(poly.vars, exps):
-            if e:
-                power = gen_power(var, e)
-                term = power if term is None else _bounded_product(term, power, budget)
-        total = total + coeff * (QuantumGraph.unit() if term is None else term)
-        _check_budget(total, budget)
-    return total
 
 
 # ---------------------------------------------------------------------------

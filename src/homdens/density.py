@@ -118,6 +118,15 @@ def as_weighted(G):
     raise TypeError(f"expected a graph or weighted graph, got {type(G).__name__}")
 
 
+def _target(G):
+    """The graph and `_Weights` of a target; a plain graph weighs each
+    vertex 1/n, with no WeightedGraph to build and validate."""
+    if isinstance(G, Graph):
+        return G, _Weights((Fraction(1, G.n),) * G.n if G.n else ())
+    G = as_weighted(G)
+    return G.graph, _Weights(G.y)
+
+
 # ---------------------------------------------------------------------------
 # The hom-extension kernel
 
@@ -333,12 +342,16 @@ def _rooted_density(pattern, pinned, mode, graph, weights, free=None):
     """The weighted probability that a random extension of `pinned` is a
     homomorphism (hom mode), an injective one (inj) or exact (exact), with
     the pairs in the `free` rows unconstrained."""
-    return _sum_terms([(1, pattern, pinned, _Plan(pattern, pinned, mode, free))], graph, weights)
+    bound = _bind(pattern, pinned, mode, graph, free)
+    if bound is None:
+        return Fraction(0)
+    value = _ring_sum(_Plan(pattern, pinned, mode, free), graph, weights, *bound)
+    return Fraction(value, weights.den ** (pattern.n - len(pinned)))
 
 
 def _density(h, g, mode):
     h, g = _as_graph(h), _as_graph(g)
-    return _rooted_density(h, {}, mode, g, _Weights(as_weighted(g).y))
+    return _rooted_density(h, {}, mode, *_target(g))
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +393,12 @@ def t_quantum(f, G, phi=None):
     QExpr tree; phi must cover every label of f's normal form.
     Structured trees are never expanded.
     """
-    G = as_weighted(G)
+    graph, weights = _target(G)
     phi = dict(phi or {})
-    weights = _Weights(G.y)
     if isinstance(f, QExpr):
         _check_cover(f.label_set(), phi)
-        return _eval_expr(f, G.graph, weights, phi)
-    return _sum_terms(_term_plans(_terms(f), phi, G.graph.n), G.graph, weights)
+        return _eval_expr(f, graph, weights, phi)
+    return _sum_terms(_term_plans(_terms(f), phi, graph.n), graph, weights)
 
 
 def compiled_density(f):
@@ -398,12 +410,7 @@ def compiled_density(f):
     if isinstance(f, QExpr):
         return lambda G: t_quantum(f, G)
     plans = list(_term_plans(_terms(f), {}, 0))
-
-    def density(G):
-        G = as_weighted(G)
-        return _sum_terms(plans, G.graph, _Weights(G.y))
-
-    return density
+    return lambda G: _sum_terms(plans, *_target(G))
 
 
 def _terms(f):

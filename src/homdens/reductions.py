@@ -28,15 +28,12 @@ Everything here is exact rational arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 
 from .algebra import (
     IndAtom,
     PolyImage,
-    QuantumGraph,
     Unlabel,
-    ind_product,
-    ind_terms,
+    expand,
     register_qexpr_head,
 )
 from .density import EXACT, as_weighted, extensions, t
@@ -51,6 +48,7 @@ from .graphs import (
 )
 from .polynomials import (
     M_constant,
+    Polynomial,
     calculus_q,
     counterexample_poly,
     format_poly,
@@ -139,40 +137,15 @@ def alpha(h, G, phi_map, j):
     return sum((G.y[w] for w in resample_set(h, G.graph, phi_map, j)), Fraction(0))
 
 
-def clone_monomial(h, js):
-    """The clone image of prod x_j over the factors js, as one trigraph
-    (plg, free pairs): the generators glued by `ind_product`.
-
-    One unlabeled copy per factor, on vertex k + i for the i-th, joined to
-    N(j_i).  Each copy's pair to its own j and every pair between two
-    copies are free, so only the internal non-edges of h and the
-    copy-to-non-neighbor pairs appear in the expansion.
-    """
-    if not js:
-        raise ValueError("need at least one factor; the empty product maps to the unit")
-    gens = {j: phi_generator(h, j) for j in set(js)}
-    return reduce(ind_product, [(gens[j].plg, gens[j].free) for j in js])
-
-
 def build_counterexample(k=COUNTEREXAMPLE_K):
     """The positive-but-not-square quantum graph: the unlabeled clone image
-    of the Motzkin-type polynomial over the k-vertex stringent base.
-
-    Each monomial's trigraph loses its labels before `ind_terms` expands
-    it, so the clone copies of a repeated variable are twins and each
-    raw term stands for one orbit of their swaps.
-    """
+    of the Motzkin-type polynomial, its y1..yk renamed x1..xk, over the
+    k-vertex stringent base.  Each monomial's glued trigraph expands
+    unlabeled, so each raw term stands for one orbit of copy swaps."""
     if k != COUNTEREXAMPLE_K:
         raise ValueError(f"only k = {COUNTEREXAMPLE_K} is supported")
-    h = stringent_graph(k)
-    p = counterexample_poly(k)
-    acc = {}
-    for exps, coeff in p.terms.items():
-        plg, free = clone_monomial(h, [j for j, e in enumerate(exps, 1) for _ in range(e)])
-        for raw, weight in ind_terms(plg.drop_labels(), free):
-            key = raw.canonical()
-            acc[key] = acc.get(key, 0) + weight * coeff
-    return QuantumGraph(acc)
+    p = Polynomial(_x_vars(k), counterexample_poly(k).terms)
+    return expand(Unlabel((), phi(stringent_graph(k), p)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ Everything here is deliberately naive: permutations, all maps, all edge
 subsets.  These functions never import from homdens internals beyond the
 Graph/PLG data holders, so a bug in the package cannot hide in its own
 oracle.  The exceptions are `phi_monomial_expansion`, which expands the
-package's glued clone trigraph so that a test can hold it against the
-generic expander and against `plain_monomial_terms`, and `ind_sum`, which
-spells out an ind atom's free pairs through the package's plain `ind`.
+package's clone generators with `expand` so that a test can hold it
+against `plain_monomial_terms`, and `ind_sum`, which spells out an ind
+atom's free pairs through the package's plain `ind`.
 """
 
 from collections import namedtuple
@@ -114,14 +114,14 @@ def merged_monomial_terms(h, js, terms, labeled=True):
 
 
 def phi_monomial_expansion(h, js, labeled=True):
-    """Expanded quantum graph for the clone image of prod x_j, from the
-    package's glued trigraph; unlabeled, the labels are dropped before
-    the expansion, as the counterexample build drops them."""
-    from homdens.algebra import QuantumGraph, ind_terms
-    from homdens.reductions import clone_monomial
+    """The package's expansion of the clone image of prod x_j: the product
+    of the generators, or its unlabeled image, whose labels `expand` drops
+    before the one ind expansion, as the counterexample build does."""
+    from homdens.algebra import Product, Unlabel, expand
+    from homdens.reductions import phi_generator
 
-    plg, free = clone_monomial(h, js)
-    return QuantumGraph(ind_terms(plg if labeled else plg.drop_labels(), free))
+    monomial = Product([phi_generator(h, j) for j in js])
+    return expand(monomial if labeled else Unlabel((), monomial))
 
 
 def ind_sum(atom):

@@ -32,6 +32,7 @@ from homdens.graphs import PLG, Graph, enumerate_graphs, is_isomorphic_labeled
 from homdens.polynomials import Polynomial
 
 from oracles import ind_sum, labeled_core
+from test_density import _random_expr
 
 K2 = Graph(2, [(0, 1)])
 P3 = Graph.path(3)
@@ -470,6 +471,73 @@ class TestIndProduct:
                 with pytest.raises(BudgetExceeded):
                     expand(tree, budget)
         assert expand(Product([small, big]), 64) == expand(big, 64)
+
+
+def random_subset(rng, labels):
+    return frozenset(lab for lab in labels if rng.random() < 0.5)
+
+
+class TestUnlabelPushdown:
+    """`expand` carries the labels an Unlabel keeps down the tree; the
+    reference expands labeled and unlabels afterwards."""
+
+    def test_random_trees(self):
+        rng = random.Random(71)
+        for _ in range(200):
+            expr = _random_expr(rng, rng.randint(1, 3))
+            keep = random_subset(rng, expr.label_set())
+            assert expand(Unlabel(keep, expr)) == unlabel(expand(expr), keep), expr
+
+    def test_products_of_free_pair_atoms(self):
+        rng = random.Random(73)
+        pool = plgs_with_label_subsets(3, (1, 2, 3))
+        atoms = [IndAtom(plg) for plg in pool] + free_pair_atoms(pool)
+        for _ in range(200):
+            factors = []
+            for _ in range(rng.randint(1, 3)):
+                if rng.random() < 0.2:
+                    factors.append(Const(Fraction(rng.randint(-3, 3), rng.randint(1, 3))))
+                else:
+                    factors.append(rng.choice(atoms))
+            expr = Product(factors)
+            keep = random_subset(rng, (1, 2, 3))
+            assert expand(Unlabel(keep, expr)) == unlabel(expand(expr), keep), factors
+
+    def test_nested_unlabels_intersect(self):
+        rng = random.Random(79)
+        pool = plgs_with_label_subsets(3, (1, 2, 3))
+        atoms = [IndAtom(plg) for plg in pool] + free_pair_atoms(pool) + [Atom(plg) for plg in pool]
+        for _ in range(100):
+            inner, outer, mid = (random_subset(rng, (1, 2, 3)) for _ in range(3))
+            expr = Product([rng.choice(atoms) for _ in range(2)])
+            side = rng.choice(atoms)
+            tree = Unlabel(outer, Sum([Unlabel(inner, expr), Unlabel(mid, side)]))
+            want = unlabel(unlabel(expand(expr), inner) + unlabel(expand(side), mid), outer)
+            assert expand(tree) == want, (inner, outer, mid, expr, side)
+
+    def test_poly_image_is_a_sum_of_products(self):
+        """Each monomial's generators multiplied one at a time, with
+        repeated variables, against `expand` of the image."""
+        rng = random.Random(83)
+        pool = plgs_with_label_subsets(3, (1, 2))
+        names = ("x1", "x2", "x3")
+        for _ in range(60):
+            gens = {var: Atom(rng.choice(pool)) for var in names}
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                exps = tuple(rng.randint(0, 3) for _ in names)
+                terms[exps] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            poly = Polynomial(names, terms)
+            reference = QuantumGraph.zero()
+            for exps, coeff in poly.terms.items():
+                term = QuantumGraph.unit()
+                for var, e in zip(names, exps):
+                    for _ in range(e):
+                        term = product(term, expand(gens[var]))
+                reference = reference + coeff * term
+            image = PolyImage(gens, poly)
+            assert expand(image) == reference, (gens, poly)
+            assert expand(Unlabel((), image)) == unlabel(reference, ()), (gens, poly)
 
 
 class TestQuantumFormat:

@@ -23,6 +23,12 @@ from homdens.graphs import (
 from homdens.polynomials import Polynomial, format_poly
 
 VARS6 = ("x1", "x2", "x3", "x4", "x5", "x6")
+# The counterexample as the unlabeled clone image of its polynomial.
+STRUCTURED_X = (
+    "(unlabel () (phi plg n=6 labels=1:1,2:2,3:3,4:4,5:5,6:6 "
+    "edges=1-2;1-3;2-3;2-6;3-4;3-6;4-5;5-6 | poly vars=x1,x2,x3,x4,x5,x6 ; "
+    "1*x2^2*x3 + -3*x2*x3*x4 + 1*x2*x4^2 + 1*x3^2*x4))"
+)
 
 
 def run_process(argv):
@@ -253,6 +259,15 @@ class TestCertificateCommands:
         assert (code, out) == (2, "")
         assert err.endswith("error: product of 3 by 3 terms exceeds 8\n")
         assert run(capsys, *argv, "9")[:2] == (1, "verified=false\n")
+
+    def test_verify_sos_expands_the_structured_counterexample(self, capsys, files):
+        """The 175-byte structured x expands within the default budget, each
+        monomial's generators glued by the ind product rule, so a
+        one-square certificate is checked, and rejected."""
+        target = files("x.qx", STRUCTURED_X + "\n")
+        cert = files("c.sos", "sos:\ng: (g plg n=2 labels=1:1 edges=1-2)\n")
+        code, out, _ = run(capsys, "verify-sos", "--target", target, "--cert", cert)
+        assert (code, out) == (1, "verified=false\n")
 
     def test_verify_sos_malformed_cert_exits_2(self, capsys, files):
         target = files("P3.qg", "1 * plg n=3 edges=1-2;2-3\n")

@@ -109,6 +109,12 @@ PROOFS = [
     "2: (ind plg n=4 labels=1:1 edges=1-2;2-3) ; by R3(1, T=1)\n",
 ]
 SQUARE = "(prod (g " + EDGE_1 + ") (g " + EDGE_1 + "))\n"
+# A small clone image: mutants that still parse reach expand's polynomial
+# images, whose monomials glue ind generators and drop labels inside.
+PHI_TARGET = (
+    "(unlabel () (phi plg n=3 labels=1:1,2:2,3:3 edges=1-2;2-3 | "
+    "poly vars=x1,x2,x3 ; 1*x1*x2 + -1*x3^2))\n"
+)
 BASES = [
     "plg n=1 labels=1:1\n" + EDGE_1 + "\n",
     "# basis\nplg n=2 labels=1:1\nplg n=3 labels=1:1 edges=1-2;2-3\n",
@@ -132,7 +138,7 @@ CASES = [
     (["verify-sos", "--target", "@t", "--cert", "@c"],
      {"t": P3_TERMS}, "c", CERTIFICATES, {"t": _expression, "c": _certificate}),
     (["verify-sos", "--target", "@t", "--cert", "@c"],
-     {"c": CERTIFICATES[0]}, "t", [P3_TERMS, "(unlabel () " + SQUARE.strip() + ")\n"],
+     {"c": CERTIFICATES[0]}, "t", [P3_TERMS, "(unlabel () " + SQUARE.strip() + ")\n", PHI_TARGET],
      {"t": _expression, "c": _certificate}),
     (["check-proof", "--in", "@p", "--claim", "@c"],
      {"c": P3_TERMS, "sq.qx": SQUARE}, "p", PROOFS, {"p": _proof, "c": _expression}),
@@ -228,7 +234,7 @@ def test_cli_exit_codes_under_mutation(tmp_path):
 def test_expression_prefixes_and_suffixes():
     """Every prefix and suffix of a valid expression parses or raises
     FormatError; nothing else escapes the reader."""
-    for text in EXPRESSIONS + [INSTANCE]:
+    for text in EXPRESSIONS + [INSTANCE, PHI_TARGET]:
         for cut in range(len(text) + 1):
             for piece in (text[:cut], text[cut:]):
                 try:

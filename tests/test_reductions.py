@@ -9,14 +9,16 @@ from homdens import density
 from homdens.algebra import (
     IndAtom,
     PolyImage,
-    Product,
+    QuantumGraph,
     Sum,
     Unlabel,
     expand,
     format_qexpr,
+    ind_product,
     ind_terms,
     parse_qexpr,
     product,
+    unlabel,
 )
 from homdens.density import WeightedGraph, density_polynomial, t, t_quantum
 from homdens.errors import BudgetExceeded, FormatError
@@ -41,7 +43,6 @@ from homdens.reductions import (
     alpha,
     build_counterexample,
     build_instance,
-    clone_monomial,
     exact_embeddings,
     is_exact_embedding,
     phi,
@@ -62,7 +63,7 @@ from oracles import (
     plain_monomial_terms,
 )
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 cached_counterexample = lru_cache(maxsize=None)(build_counterexample)
 
@@ -264,6 +265,12 @@ def plain_expansion(h, js, labeled=True):
     return merged_monomial_terms(h, js, plain_monomial_terms(h, js), labeled)
 
 
+def clone_trigraph(h, js):
+    """The clone image of prod x_j as one trigraph (plg, free pairs): the
+    generators glued by `ind_product`, as `expand` glues them."""
+    return reduce(ind_product, [(g.plg, g.free) for g in (phi_generator(h, j) for j in js)])
+
+
 class TestMonomialExpansion:
     SMALL = [
         (K2, (1,)),
@@ -279,15 +286,15 @@ class TestMonomialExpansion:
     ]
 
     def test_matches_product_expansion(self):
-        # the glued trigraph's ind terms against the generic expander, the
-        # glued product of the two-atom sums, and the plain enumeration
+        # the expanded product of the generators against the glued product
+        # of the two-atom sums, labeled and unlabeled, and against the
+        # plain enumeration
         for h, js in self.SMALL:
-            mine = phi_monomial_expansion(h, js)
-            assert mine == expand(Product([phi_generator(h, j) for j in js]))
             glued = ind_sum(phi_generator(h, js[0]))
             for j in js[1:]:
                 glued = product(glued, ind_sum(phi_generator(h, j)))
-            assert mine == glued
+            assert phi_monomial_expansion(h, js) == glued
+            assert phi_monomial_expansion(h, js, False) == unlabel(glued, ())
         for h, js in self.SMALL + [(P3, (1, 1, 1)), (P3, (3, 1, 3)), (K2, (2, 2, 2, 2))]:
             for labeled in (True, False):
                 assert phi_monomial_expansion(h, js, labeled) == plain_expansion(h, js, labeled)
@@ -299,7 +306,7 @@ class TestMonomialExpansion:
         cases += [(h, js) for h, js in self.SMALL if len(set(js)) == len(js)]
         for h, js in cases:
             mine = Counter(
-                (raw.graph.edges, weight) for raw, weight in ind_terms(*clone_monomial(h, js))
+                (raw.graph.edges, weight) for raw, weight in ind_terms(*clone_trigraph(h, js))
             )
             plain = Counter(
                 (Graph(h.n + len(js), edges).edges, sign)
@@ -327,16 +334,17 @@ class TestMonomialExpansion:
         2^(free pairs) plain terms."""
         counts = {}
         for js in counterexample_monomials():
-            plg, free = clone_monomial(H6, js)
+            plg, free = clone_trigraph(H6, js)
             terms = list(ind_terms(plg.drop_labels(), free))
             counts[js] = len(terms)
             assert sum(abs(w) for _, w in terms) == sum(1 for _ in plain_monomial_terms(H6, js))
         assert counts == {(2, 2, 3): 2560, (3, 3, 4): 3072, (2, 4, 4): 18432, (2, 3, 4): 8192}
         assert sum(counts.values()) == 32256
 
-    def test_rejects_empty_monomial(self):
-        with pytest.raises(ValueError):
-            phi_monomial_expansion(K2, ())
+    def test_empty_monomial_is_the_unit(self):
+        # a constant monomial maps to a multiple of the unit
+        assert phi_monomial_expansion(K2, ()) == QuantumGraph.unit()
+        assert expand(phi(K2, Polynomial.constant(3))) == 3
 
 
 class TestCounterexample:
@@ -344,16 +352,25 @@ class TestCounterexample:
         with pytest.raises(ValueError):
             build_counterexample(4)
 
+    def test_structured_form_round_trips(self):
+        """The expression the build expands, the unlabeled clone image of p
+        renamed to x1..x6, is 175 bytes of text that parse back to it."""
+        p = Polynomial(tuple(f"x{j}" for j in range(1, 7)), counterexample_poly(6).terms)
+        expr = Unlabel((), phi(H6, p))
+        text = format_qexpr(expr)
+        assert len(text) == 175
+        assert parse_qexpr(text) == expr
+
     def test_each_raw_term_canonicalized_once(self, canonical_calls):
         """32256 raw terms, one per copy-swap orbit, one canonical_form call
         each; the final normal form reuses the 11464 canonical keys.  The
-        only other calls build the generator atoms, one per distinct
-        variable of each of the four monomials, on the O(n) route."""
+        only other calls build the generator atoms of `phi`, one per
+        variable x1..x6, on the O(n) route."""
         x = build_counterexample(6)
         raw = [g for g in canonical_calls if not g.labels]
         assert len(raw) == 32256
         generators = [g for g in canonical_calls if g.labels]
-        assert len(generators) == 2 + 2 + 2 + 3
+        assert len(generators) == 6
         assert all(g.n == 7 and len(g.labels) == 6 for g in generators)
         assert len(x.terms) == 11464
 
