@@ -229,14 +229,6 @@ def product(f, g):
     return QuantumGraph(out)
 
 
-def _bounded_product(f, g, budget):
-    """product(f, g) of two QuantumGraphs, refused with BudgetExceeded
-    before anything is glued when the pairs to glue exceed the budget."""
-    if len(f.terms) * len(g.terms) > budget:
-        raise BudgetExceeded(f"product of {len(f.terms)} by {len(g.terms)} terms exceeds {budget}")
-    return product(f, g)
-
-
 def unlabel(f, keep=()):
     """Forget every label outside `keep`; linear in f."""
     keep = frozenset(keep)
@@ -401,13 +393,21 @@ class QExpr:
 
 
 def _as_qexpr(x):
+    """Lift x into an expression.  A QuantumGraph, or a term list (a tuple
+    of (plg, coefficient) pairs) through its normal form, becomes a Sum
+    of Const * Atom products; each call builds a new tree, so lift an
+    operand once before using it twice."""
     if isinstance(x, QExpr):
         return x
     if isinstance(x, (int, Fraction)):
         return Const(x)
     if isinstance(x, (PartiallyLabeledGraph, Graph)):
         return Atom(as_plg(x))
-    raise TypeError(f"cannot lift {type(x).__name__} into an expression")
+    if isinstance(x, tuple):
+        x = QuantumGraph(x)
+    elif not isinstance(x, QuantumGraph):
+        raise TypeError(f"cannot lift {type(x).__name__} into an expression")
+    return Sum(Product((Const(coeff), Atom(plg))) for plg, coeff in x.terms.items())
 
 
 class Const(QExpr):
@@ -562,13 +562,17 @@ class PolyImage(QExpr):
 def expand(expr, budget=EXPAND_BUDGET):
     """Expand a structured expression into a normal-form QuantumGraph.
 
-    Raises BudgetExceeded when an intermediate combination would hold more
-    than `budget` terms, so astronomically large images fail fast instead
-    of thrashing.  A PolyImage is the sum of its monomials' products.  A
-    product's Const factors scale it; its IndAtom factors multiply by
+    `expr` is anything `_as_qexpr` lifts, a QuantumGraph or a term list
+    included.  Raises BudgetExceeded when an intermediate combination
+    would hold more than `budget` terms, so astronomically large images
+    fail fast instead of thrashing.  A PolyImage is the sum of its
+    monomials' products.  A product's Const factors scale it, and a
+    product scaled by 0 expands nothing.  Its IndAtom factors multiply by
     `ind_product` into one trigraph, or 0, whose 2^(non-edges) terms are
-    checked before any is built; any other factor is expanded once and
-    glued on.  An Unlabel passes its kept labels down through Sum,
+    checked before any is built.  A lone other factor expands in place,
+    scaled; otherwise each other factor is expanded once and glued on,
+    refused before gluing when the two term counts multiply past the
+    budget.  An Unlabel passes its kept labels down through Sum,
     PolyImage and nested Unlabels into each product of IndAtom and Const
     factors, whose trigraph drops the rest before it expands, so its
     unlabeled twins collapse; any other product is unlabeled once expanded.
@@ -616,10 +620,15 @@ def _expand_into(acc, expr, scale, keep, budget):
                 inds.append((child.plg, child.free))
             else:
                 others.append(child)
+        if not scale:
+            return
+        if not inds and len(others) == 1:
+            _expand_into(acc, others[0], scale, keep, budget)
+            return
         glued = (EMPTY_PLG, frozenset())  # the unit
         if inds:  # a product of 0 is None, and stays None
             glued = reduce(lambda a, b: a and ind_product(a, b), inds)
-        if glued is None or not scale:
+        if glued is None:
             return
         missing = len(non_edges(*glued))
         if (1 << missing) > budget:
@@ -635,7 +644,14 @@ def _expand_into(acc, expr, scale, keep, budget):
                 factor = factors.get(id(child))
                 if factor is None:
                     factor = factors[id(child)] = expand(child, budget)
-                total = factor if total is None else _bounded_product(total, factor, budget)
+                if total is None:
+                    total = factor
+                elif len(total.terms) * len(factor.terms) > budget:
+                    raise BudgetExceeded(
+                        f"product of {len(total.terms)} by {len(factor.terms)} terms exceeds {budget}"
+                    )
+                else:
+                    total = product(total, factor)
             terms = total.terms.items()
         for term, coeff in terms:
             _add_term(acc, term, scale * coeff, keep)
@@ -796,12 +812,12 @@ def _take_flat(tokens):
     raise FormatError("unterminated expression")
 
 
-def load_expression(text, normal_form=True):
+def load_expression(text):
     """Parse a quantum-graph payload: an s-expression, one plg record, or a term list.
 
-    With `normal_form=False`, for callers that only evaluate, a plg record
-    or a term list comes back as the tuple of its `read_terms` pairs, with
-    no canonical labeling; densities are linear in the terms.
+    A plg record or a term list comes back as written: the tuple of its
+    `read_terms` pairs, with no canonical labeling.  Densities are linear
+    in the terms, and `expand` brings the tuple to its normal form.
     """
     stripped = text.strip()
     if not stripped:
@@ -809,6 +825,5 @@ def load_expression(text, normal_form=True):
     if stripped.startswith("("):
         return parse_qexpr(stripped)
     if stripped.startswith("plg"):
-        plg = parse_plg(stripped)
-        return as_quantum(plg) if normal_form else ((strip_isolated(plg), Fraction(1)),)
-    return parse_quantum(text) if normal_form else tuple(read_terms(text))
+        return ((strip_isolated(parse_plg(stripped)), Fraction(1)),)
+    return tuple(read_terms(text))

@@ -6,6 +6,11 @@ proofs in the Cauchy-Schwarz calculus, finite moment matrices with an
 exact positive-semidefiniteness test, and refutation search over small
 and random weighted targets.
 
+Each check builds the expression its rule names, such as the unlabeled
+sum of the squares or alpha*P_i + beta*P_j, and compares normal forms
+that come only from `expand`, so one budget bounds every rule.  Each
+operand is lifted into an expression once, so a square expands it once.
+
 Everything is decided over the rationals; nothing here floats.
 """
 
@@ -17,7 +22,6 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import (
-    Atom,
     Const,
     EXPAND_BUDGET,
     Product,
@@ -25,26 +29,17 @@ from .algebra import (
     QuantumGraph,
     Sum,
     Unlabel,
-    _bounded_product,
+    _as_qexpr,
     as_quantum,
     expand,
     load_expression,
     parse_qexpr,
-    product,
-    unlabel,
 )
 from .density import WeightedGraph, _label_set, compiled_density, t_quantum
 from .errors import FormatError
 from .graphs import Graph, enumerate_graphs, independent_blowup, record_lines
 
 PROOF_RULES = ("A1", "A2", "R1", "R2", "R3")
-
-
-def _as_normal(x, budget=EXPAND_BUDGET):
-    """Normal form of a QuantumGraph, QExpr, or PLG-like value."""
-    if isinstance(x, QExpr):
-        return expand(x, budget)
-    return as_quantum(x)
 
 
 # ---------------------------------------------------------------------------
@@ -56,24 +51,14 @@ def verify_sos(target, cert, budget=EXPAND_BUDGET):
 
     True is sound evidence of positivity: each square has nonnegative
     densities, and unlabeling preserves that.  False only means this
-    particular witness list fails.  Each square is expanded as a product
+    particular witness list fails.  The sum of squares is one expansion
     within the budget, so ind atoms meet the product rule.
     """
-    gs = list(cert)
+    gs = [_as_qexpr(g) for g in cert]
     if not gs:
         raise ValueError("a certificate needs at least one quantum graph")
-    total = QuantumGraph.zero()
-    for g in gs:
-        total = total + unlabel(_square(g, budget), ())
-    return total == _as_normal(target, budget)
-
-
-def _square(f, budget):
-    """f * f within the budget; a QExpr is expanded as that product."""
-    if isinstance(f, QExpr):
-        return expand(Product((f, f)), budget)
-    f = as_quantum(f)
-    return _bounded_product(f, f, budget)
+    squares = Unlabel((), Sum(g * g for g in gs))
+    return expand(squares, budget) == expand(target, budget)
 
 
 def parse_sos_certificate(text):
@@ -98,28 +83,8 @@ def parse_sos_certificate(text):
     return out
 
 
-def _quantum_to_qexpr(qg):
-    parts = []
-    for plg, coeff in qg.sorted_terms():
-        atom = Atom(plg)
-        parts.append(atom if coeff == 1 else Product([Const(coeff), atom]))
-    if not parts:
-        return Const(Fraction(0))
-    if len(parts) == 1:
-        return parts[0]
-    return Sum(parts)
-
-
 # ---------------------------------------------------------------------------
 # The Cauchy-Schwarz calculus
-
-
-def _as_expr(f):
-    if isinstance(f, QExpr):
-        return f
-    if isinstance(f, QuantumGraph):
-        return _quantum_to_qexpr(f)
-    return Atom(f)
 
 
 def cs_instance(f1, f2, T):
@@ -129,7 +94,7 @@ def cs_instance(f1, f2, T):
     roots is a conditional expectation, and this is its Cauchy-Schwarz
     inequality.  T must only use labels that appear in f1 or f2.
     """
-    f1, f2 = _as_expr(f1), _as_expr(f2)
+    f1, f2 = _as_qexpr(f1), _as_qexpr(f2)
     keep = frozenset(int(t) for t in T)
     known = f1.label_set() | f2.label_set()
     stray = keep - known
@@ -178,20 +143,23 @@ def check_cs_proof(proof, claimed, budget=EXPAND_BUDGET):
     """Validate a derivation line by line; True iff every conclusion is the
     exact normal form demanded by its rule and the last line proves
     `claimed`.  Reference errors raise; rule violations just reject.
+    Statements, rule expressions and the claim are each expanded within
+    the budget.
     """
     lines = list(proof)
     if not lines:
         raise ValueError("empty proof")
-    proved = []
+    proved = []  # each earlier line's normal form, lifted once
     for number, line in enumerate(lines, start=1):
-        stated = _as_normal(line.statement, budget)
+        stated = expand(line.statement, budget)
         rule, args = line.rule, line.args
         if rule == "A1":
             (f,) = args
-            expected = _square(f, budget)
+            f = _as_qexpr(f)
+            expected = f * f
         elif rule == "A2":
             f1, f2, T = args
-            expected = expand(cs_instance(f1, f2, T), budget)
+            expected = cs_instance(f1, f2, T)
         elif rule == "R1":
             i, j, alpha, beta = args
             i, j = _line_ref(i, number), _line_ref(j, number)
@@ -201,15 +169,15 @@ def check_cs_proof(proof, claimed, budget=EXPAND_BUDGET):
             expected = alpha * proved[i - 1] + beta * proved[j - 1]
         elif rule == "R2":
             i, j = (_line_ref(a, number) for a in args)
-            expected = _bounded_product(proved[i - 1], proved[j - 1], budget)
+            expected = proved[i - 1] * proved[j - 1]
         else:
             i, T = args
-            i = _line_ref(i, number)
-            expected = unlabel(proved[i - 1], frozenset(int(t) for t in T))
-        if stated != expected:
+            expected = Unlabel(T, proved[_line_ref(i, number) - 1])
+        if expand(expected, budget) != stated:
             return False
-        proved.append(stated)
-    return proved[-1] == _as_normal(claimed, budget)
+        if number < len(lines):  # only a later line reads it
+            proved.append(_as_qexpr(stated))
+    return stated == expand(claimed, budget)
 
 
 # -- proof file format -------------------------------------------------------
@@ -350,35 +318,16 @@ def parse_cs_proof(text, resolve=_default_resolver):
 # Moment matrices
 
 
-class MomentMatrix:
-    """Densities of pairwise products of a basis, at a fixed target."""
-
-    __slots__ = ("basis", "graph", "entries")
-
-    def __init__(self, basis, graph, entries):
-        object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in entries))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MomentMatrix is immutable")
-
-    def __repr__(self):
-        return f"MomentMatrix({len(self.basis)}x{len(self.basis)} at {self.graph!r})"
-
-
 def moment_matrix(g, basis):
-    """Entry (i, j) is the density of the unlabeled gluing of basis[i] and
-    basis[j] in g."""
-    qs = [QuantumGraph.of(b) for b in basis]
-    k = len(qs)
-    entries = [[Fraction(0)] * k for _ in range(k)]
+    """The rows, as a tuple of tuples, of the matrix whose entry (i, j) is
+    the density in g of the unlabeled gluing of basis[i] and basis[j]."""
+    bs = [_as_qexpr(b) for b in basis]
+    k = len(bs)
+    rows = [[Fraction(0)] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            value = t_quantum(unlabel(product(qs[i], qs[j]), ()), g)
-            entries[i][j] = value
-            entries[j][i] = value
-    return MomentMatrix(basis, g, entries)
+            rows[i][j] = rows[j][i] = t_quantum(expand(Unlabel((), bs[i] * bs[j])), g)
+    return tuple(tuple(row) for row in rows)
 
 
 def is_psd(matrix):
@@ -388,8 +337,7 @@ def is_psd(matrix):
     zero pivot must head an all-zero row, and surviving pivots certify a
     LDL^T factorization with nonnegative diagonal.
     """
-    entries = matrix.entries if isinstance(matrix, MomentMatrix) else matrix
-    a = [[Fraction(x) for x in row] for row in entries]
+    a = [[Fraction(x) for x in row] for row in matrix]
     n = len(a)
     for row in a:
         if len(row) != n:

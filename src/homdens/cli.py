@@ -7,11 +7,12 @@ rationals.  Exit codes: 0 for verified/none-found, 1 for rejected or
 witness-found, 2 for malformed input or exceeded caps, 3 for an
 unexpected internal error.
 
-Only the commands that compare quantum graphs, `verify-sos` and
-`check-proof`, bring a term list to its normal form.  `eval`, `density`
-and `refute` evaluate its records as written, since a density is linear
-in the terms, and `refute` compiles each term's search plan once for
-all its targets.
+Every command reads a term list as its written records.  The commands
+that compare quantum graphs, `verify-sos` and `check-proof`, bring what
+they compare to normal form through `expand`, every rule within the one
+`--budget`.  `eval`, `density` and `refute` evaluate the records as
+written, since a density is linear in the terms, and `refute` compiles
+each term's search plan once for all its targets.
 
 Identical invocations produce byte-identical output.
 """
@@ -103,7 +104,7 @@ def _warn_budget(args):
 
 
 def cmd_density(args):
-    pattern = load_expression(_read(args.infile), normal_form=False)
+    pattern = load_expression(_read(args.infile))
     target = _load_target(_read(args.target))
     value = t_quantum(pattern, target, _parse_roots(args.root))
     _emit("t", value)
@@ -164,7 +165,7 @@ def cmd_witness(args):
 
 
 def cmd_eval(args):
-    f = load_expression(_read(args.infile), normal_form=False)
+    f = load_expression(_read(args.infile))
     target = _load_target(_read(args.target))
     value = t_quantum(f, target, _parse_roots(args.root))
     _emit("value", value)
@@ -201,7 +202,7 @@ def cmd_refute(args):
     _check_search(args.max_n, args.samples, ("--max-n", "--samples"))
     jobs = min(args.jobs, os.cpu_count() or 1)
     target_text = _read(args.infile)
-    target = _refutation_target(load_expression(target_text, normal_form=False))
+    target = _refutation_target(load_expression(target_text))
     if jobs > 1:
         witness = _parallel_exhaustive(target_text, args.max_n, jobs)
         if witness is None:
@@ -232,7 +233,7 @@ def cmd_moment_matrix(args):
         raise FormatError("basis file lists no patterns")
     M = moment_matrix(target, basis)
     _emit("size", len(basis))
-    for i, row in enumerate(M.entries, start=1):
+    for i, row in enumerate(M, start=1):
         _emit(f"row{i}", ",".join(str(x) for x in row))
     ok = is_psd(M)
     _emit("psd", "true" if ok else "false")
@@ -263,7 +264,7 @@ _WORKER_TARGET = None
 
 def _refute_init(target_text):
     global _WORKER_TARGET
-    _WORKER_TARGET = compiled_density(load_expression(target_text, normal_form=False))
+    _WORKER_TARGET = compiled_density(load_expression(target_text))
 
 
 def _refute_probe(job):

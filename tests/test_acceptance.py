@@ -376,7 +376,7 @@ def test_criterion_8_certificates():
     point1 = PLG(Graph(1), {1: 0})
     nonedge1 = PLG(Graph(2), {1: 0})
     M = moment_matrix(K2, [point1, edge1])
-    assert M.entries == ((F(1), F(1, 2)), (F(1, 2), F(1, 4)))
+    assert M == ((F(1), F(1, 2)), (F(1, 2), F(1, 4)))
     assert is_psd(M)
     assert is_psd(moment_matrix(K3, [point1, nonedge1, edge1]))
     assert is_psd(moment_matrix(K3, [PLG(Graph(0), {})]))

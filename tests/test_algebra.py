@@ -15,6 +15,7 @@ from homdens.algebra import (
     QuantumGraph,
     Sum,
     Unlabel,
+    _as_qexpr,
     expand,
     format_qexpr,
     format_quantum,
@@ -285,6 +286,15 @@ class TestQExpr:
         del canonical_calls[:]
         assert expand(Product((f, f))) == square
         assert len(canonical_calls) == calls > once > 0
+
+    def test_zero_scale_expands_nothing(self, canonical_calls):
+        """A product scaled by 0 returns before its lone factor expands in
+        place, so an unlabeled sum adds no zero terms to canonicalize."""
+        f = _as_qexpr(QuantumGraph.of(edge(1, None)) - QuantumGraph.of(PLG(P3, [(1, 0), (2, 2)])))
+        assert expand(Product((Const(3), Unlabel((), f)))) == 3 * unlabel(expand(f), ())
+        del canonical_calls[:]
+        assert expand(Product((Const(0), Unlabel((), f)))).is_zero()
+        assert canonical_calls == []
 
     def test_expand_indatom(self):
         h = PLG(Graph(2), [(1, 0), (2, 1)])

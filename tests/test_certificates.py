@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from homdens import algebra
 from homdens.algebra import (
     Atom,
     QuantumGraph,
@@ -261,6 +262,56 @@ class TestProofChecker:
         with pytest.raises(BudgetExceeded, match="product of 3 by 3 terms exceeds 8"):
             verify_sos(sq, [f], budget=8)
 
+    def test_term_list_operand_is_lifted_once(self, canonical_calls, monkeypatch):
+        """A1 on a term list lifts it once, so both factors of the square
+        share one tree, which the product expands once.  Beyond the same
+        check on its normal form, the operand costs the canonical
+        labelings of one expand of it.  Each record memoizes its
+        canonical form, so each count reads a fresh term list."""
+        text = (
+            "1 * plg n=2 labels=1:1 edges=1-2\n"
+            "1/2 * plg n=3 labels=1:1 edges=1-2;2-3\n"
+            "-1 * plg n=3 labels=2:1 edges=1-2;1-3\n"
+        )
+        nf = expand(load_expression(text))
+        sq = product(nf, nf)
+        del canonical_calls[:]
+        expand(load_expression(text))
+        once = len(canonical_calls)
+        factors = []
+        original = algebra.expand
+        monkeypatch.setattr(algebra, "expand", lambda e, budget: factors.append(e) or original(e, budget))
+        calls = []
+        for operand in (load_expression(text), nf):
+            del canonical_calls[:]
+            assert check_cs_proof([ProofLine(sq, "A1", (operand,))], sq)
+            calls.append(len(canonical_calls))
+            assert len(factors) == len(calls)
+        assert calls[0] - calls[1] == once == 3
+
+    def test_sum_and_unlabel_lines_respect_the_budget(self):
+        """Each A1 line glues one pair, and the R1 and R3 lines have 2
+        terms: either proof is accepted at budget 2 and exceeds budget 1.
+        With a wrong one-term R1 statement, R1's own expression exceeds it."""
+        sq_e = product(as_quantum(EDGE_1), as_quantum(EDGE_1))
+        full = as_quantum(FULL_EDGE)
+        lines = [
+            ProofLine(sq_e, "A1", (EDGE_1,)),
+            ProofLine(full, "A1", (FULL_EDGE,)),
+            ProofLine(sq_e + full, "R1", (1, 2, 1, 1)),
+            ProofLine(as_quantum(P3) + as_quantum(K2), "R3", (3, frozenset())),
+        ]
+        for proof in (lines[:3], lines):
+            claim = proof[-1].statement
+            assert len(claim.terms) == 2
+            assert check_cs_proof(proof, claim, budget=2)
+            with pytest.raises(BudgetExceeded, match="expansion exceeded 1 terms"):
+                check_cs_proof(proof, claim, budget=1)
+        wrong = lines[:2] + [ProofLine(sq_e, "R1", (1, 2, 1, 1))]
+        assert not check_cs_proof(wrong, sq_e, budget=2)
+        with pytest.raises(BudgetExceeded, match="expansion exceeded 1 terms"):
+            check_cs_proof(wrong, sq_e, budget=1)
+
     def test_cauchy_schwarz_axiom_line(self):
         inst = cs_instance(EDGE_1, NONEDGE_1, frozenset())
         lines = [ProofLine(expand(inst), "A2", (EDGE_1, NONEDGE_1, frozenset()))]
@@ -361,12 +412,12 @@ class TestProofFormat:
 class TestMomentMatrix:
     def test_rooted_point_and_edge_at_the_single_edge(self):
         M = moment_matrix(K2, [POINT_1, EDGE_1])
-        assert M.entries == ((F(1), F(1, 2)), (F(1, 2), F(1, 4)))
+        assert M == ((F(1), F(1, 2)), (F(1, 2), F(1, 4)))
         assert is_psd(M)
 
     def test_empty_pattern_basis(self):
         M = moment_matrix(K3, [PLG(Graph(0), {})])
-        assert M.entries == ((F(1),),)
+        assert M == ((F(1),),)
         assert is_psd(M)
 
     def test_triangle_with_all_small_rooted_patterns(self):
@@ -377,7 +428,7 @@ class TestMomentMatrix:
         ]
         M = moment_matrix(K3, basis)
         assert is_psd(M)
-        for row in M.entries:
+        for row in M:
             for x in row:
                 assert 0 <= x <= 1
 
@@ -386,12 +437,12 @@ class TestMomentMatrix:
         M = moment_matrix(P3, basis)
         for i in range(3):
             for j in range(3):
-                assert M.entries[i][j] == M.entries[j][i]
+                assert M[i][j] == M[j][i]
         perm = [2, 0, 1]
         N = moment_matrix(P3, [basis[p] for p in perm])
         for i in range(3):
             for j in range(3):
-                assert N.entries[i][j] == M.entries[perm[i]][perm[j]]
+                assert N[i][j] == M[perm[i]][perm[j]]
 
 
 class TestIsPsd:
@@ -495,7 +546,7 @@ class TestRefute:
         )
         nf = parse_quantum(text)
         assert nf == as_quantum(K3) - as_quantum(K2)
-        raw = load_expression(text, normal_form=False)
+        raw = load_expression(text)
         for sizes in ({"max_n": 2, "samples": 0}, {"max_n": 4, "samples": 5}):
             w = refute(raw, **sizes)
             assert w == refute(nf, **sizes) == K2
@@ -503,13 +554,13 @@ class TestRefute:
         # x^2 - x/2 in the edge density, the edge written twice: only the
         # weighted phase finds a witness
         text = "1 * plg n=4 edges=1-2;3-4\n-1/4 * plg n=2 edges=1-2\n-1/4 * plg n=3 edges=2-3\n"
-        raw = load_expression(text, normal_form=False)
+        raw = load_expression(text)
         w = refute(raw, max_n=2, samples=300, seed=3)
         assert isinstance(w, WeightedGraph)
         assert w == refute(parse_quantum(text), max_n=2, samples=300, seed=3)
         assert t_quantum(raw, w) == t_quantum(parse_quantum(text), w) < 0
         with pytest.raises(ValueError) as exc:
-            refute(load_expression(text + "1 * plg n=2 labels=2:1 edges=1-2\n", normal_form=False))
+            refute(load_expression(text + "1 * plg n=2 labels=2:1 edges=1-2\n"))
         assert str(exc.value) == "target carries labels [2], expected none"
 
 

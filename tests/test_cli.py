@@ -298,6 +298,25 @@ class TestCertificateCommands:
         assert code == 1
         assert lines_of(out)["accepted"] == "false"
 
+    def test_check_proof_budget_bounds_sum_and_unlabel_lines(self, capsys, files):
+        """The R1 and R3 lines have 2 terms, from term-list statements,
+        and each A1 line glues one pair: accepted at --budget 2, exit 2
+        with one error line at --budget 1."""
+        files("sum.qg", "1 * plg n=3 labels=1:1 edges=1-2;1-3\n1 * plg n=2 labels=1:1,2:2 edges=1-2\n")
+        claim = files("c.qg", "1 * plg n=3 edges=1-2;2-3\n1 * plg n=2 edges=1-2\n")
+        proof = files("p.txt",
+                      "1: 1 * plg n=3 labels=1:1 edges=1-2;1-3 ; by A1(plg n=2 labels=1:1 edges=1-2)\n"
+                      "2: (g plg n=2 labels=1:1,2:2 edges=1-2) ; by A1((g plg n=2 labels=1:1,2:2 edges=1-2))\n"
+                      "3: @sum.qg ; by R1(1, 2, 1, 1)\n"
+                      "4: @c.qg ; by R3(3, T=)\n")
+        argv = ["check-proof", "--in", proof, "--claim", claim, "--budget"]
+        assert run(capsys, *argv, "2")[:2] == (0, "lines=4\naccepted=true\n")
+        code, out, err = run(capsys, *argv, "1")
+        assert (code, out) == (2, "")
+        assert [l for l in err.splitlines() if l.startswith("error:")] == [
+            "error: expansion exceeded 1 terms"
+        ]
+
     @pytest.mark.parametrize("alpha", ["1", "-1"])
     def test_check_proof_bad_reference_exits_2_whatever_the_sign(self, capsys, files, alpha):
         proof = files("p.txt",

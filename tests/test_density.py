@@ -669,11 +669,12 @@ class TestTermLists:
         targets = [g for n in range(1, 5) for g in enumerate_graphs(n)]
         for _ in range(10):
             text, records = _random_term_list(rng)
-            raw = load_expression(text, normal_form=False)
+            raw = load_expression(text)
             assert raw == tuple(
                 (PLG(*_stripped(plg)), c) for plg, c in records
             )
             nf = parse_quantum(text)
+            assert expand(raw) == nf
             labels = sorted(nf.label_set())
             assert 3 not in labels and 4 not in labels
             for g in targets:
@@ -686,7 +687,7 @@ class TestTermLists:
         rng = random.Random(2028)
         for _ in range(30):
             text, records = _random_term_list(rng)
-            raw = load_expression(text, normal_form=False)
+            raw = load_expression(text)
             nf = parse_quantum(text)
             G = random_weighted(rng, 4)
             # Labels 3 and 4 survive in no normal form: leave them out or
@@ -703,7 +704,7 @@ class TestTermLists:
         rng = random.Random(2029)
         for _ in range(30):
             text, _ = _random_term_list(rng)
-            raw = load_expression(text, normal_form=False)
+            raw = load_expression(text)
             nf = parse_quantum(text)
             g = random_graph(rng, rng.randint(1, 4))
             phi = {lab: rng.randrange(g.n) for lab in (1, 2)}
@@ -713,10 +714,10 @@ class TestTermLists:
 
     def test_single_record_payload(self):
         text = "plg n=4 labels=1:1,2:4 edges=1-2;2-3\n"
-        raw = load_expression(text, normal_form=False)
+        raw = load_expression(text)
         assert raw == ((PLG(Graph(3, [(0, 1), (1, 2)]), {1: 0}), F(1)),)
         for phi in _all_root_maps((1, 2), 3):
-            assert t_quantum(raw, P3, phi) == t_quantum(load_expression(text), P3, phi)
+            assert t_quantum(raw, P3, phi) == t_quantum(expand(raw), P3, phi)
 
     @pytest.mark.parametrize(
         "phi, message",
@@ -732,7 +733,7 @@ class TestTermLists:
             "2 * plg n=2 labels=1:2 edges=1-2\n"
             "-2 * plg n=2 labels=1:1 edges=1-2\n"
         )
-        for f in (load_expression(text, normal_form=False), parse_quantum(text)):
+        for f in (load_expression(text), parse_quantum(text)):
             with pytest.raises(ValueError) as exc:
                 t_quantum(f, K3, phi)
             assert str(exc.value) == message
@@ -748,7 +749,7 @@ class TestTermLists:
     )
     def test_bad_records_fail_alike(self, text, line):
         with pytest.raises(FormatError) as raw:
-            load_expression(text, normal_form=False)
+            load_expression(text)
         with pytest.raises(FormatError) as nf:
             parse_quantum(text)
         assert raw.value.line == nf.value.line == line

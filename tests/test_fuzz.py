@@ -107,6 +107,9 @@ PROOFS = [
     # parse reach the ind overlap products of expand.
     f"1: (prod (ind {FULL_P4}) (ind {FULL_P4})) ; by A1((ind {FULL_P4}))\n"
     "2: (ind plg n=4 labels=1:1 edges=1-2;2-3) ; by R3(1, T=1)\n",
+    # Term-list operand and statements: mutants reach the lifted route.
+    "1: @sq.qg ; by A1(@e.qg)\n"
+    "2: @c ; by R3(1, T=)\n",
 ]
 SQUARE = "(prod (g " + EDGE_1 + ") (g " + EDGE_1 + "))\n"
 # A small clone image: mutants that still parse reach expand's polynomial
@@ -141,7 +144,9 @@ CASES = [
      {"c": CERTIFICATES[0]}, "t", [P3_TERMS, "(unlabel () " + SQUARE.strip() + ")\n", PHI_TARGET],
      {"t": _expression, "c": _certificate}),
     (["check-proof", "--in", "@p", "--claim", "@c"],
-     {"c": P3_TERMS, "sq.qx": SQUARE}, "p", PROOFS, {"p": _proof, "c": _expression}),
+     {"c": P3_TERMS, "sq.qx": SQUARE, "e.qg": "1 * " + EDGE_1 + "\n",
+      "sq.qg": "1/2 * plg n=3 labels=1:1 edges=1-2;1-3\n1/2 * plg n=3 labels=1:2 edges=1-2;2-3\n"},
+     "p", PROOFS, {"p": _proof, "c": _expression}),
     (["check-proof", "--in", "@p", "--claim", "@c"],
      {"p": PROOFS[0]}, "c", [P3_TERMS], {"p": _proof, "c": _expression}),
     (["refute", "--in", "@t", "--max-n", "2", "--samples", "3"],
