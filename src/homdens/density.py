@@ -13,18 +13,24 @@ Moebius identities exact sums over supergraphs, with no injectivity error
 terms.
 
 Every density is a sum over the ways of extending a map, pinned on some
-vertices of a pattern, to all of it, and one kernel does all of them.  A
-plan fixes the search order of the free vertices, split into independent
-components, each ending in a tail whose vertices are summed over their
-candidate masks rather than enumerated.  One candidate rule, in hom, inj
-or exact mode, gives the target vertices open to each vertex, and also
-checks the pinned vertices.  The ring sum adds products of integer
-vertex-weight numerators over one denominator; the image walk yields whole
-images, for the monomial bins of density polynomials, for exact
-embeddings and for automorphisms.
+vertices of a pattern, to all of it, and one kernel does all of them.  The
+free vertices split into independent components, each with a plan: a
+search order grown one vertex at a time, only as deep as a search
+reaches, and ending in a tail whose vertices are summed over their
+candidate masks rather than enumerated.  A position's code names the
+earlier positions and pinned images its candidates depend on, in hom,
+inj or exact mode.  A term list is summed by one search over a trie of
+these codes, built as the search first reaches each node, so components
+that share a prefix enumerate its images once, and a leaf group counts
+every component ending in the same tail; a term is its coefficient times
+the product of its components' counts, in integer vertex-weight
+numerators over one denominator.  A single density is the search of a
+one-term list.  The image walk runs the same plans, grown as deep as it
+reaches, and yields whole images, for the monomial bins of density
+polynomials, for exact embeddings and for automorphisms.
 
-Quantum graphs and term lists evaluate linearly, through one term sum that
-every density shares.  Structured expressions evaluate without expansion:
+Quantum graphs and term lists evaluate linearly, through the one search
+that every density shares.  Structured expressions evaluate without expansion:
 Product nodes multiply factor densities, Unlabel nodes take an exact
 expectation over label assignments, abandoning a branch as soon as the
 partial assignment forces the child to vanish, and IndAtom nodes are the
@@ -38,6 +44,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import comb, lcm, perm
+from types import MappingProxyType
 
 from .algebra import (
     Atom,
@@ -133,82 +140,175 @@ def _target(G):
 HOM, INJ, EXACT = "hom", "inj", "exact"
 
 
+def _components(adj, rest):
+    """The components of the pattern on the vertex mask `rest`, lowest
+    vertex first, each as (vertex mask, number of edges inside it)."""
+    comps = []
+    free = rest
+    while rest:
+        comp = front = rest & -rest
+        degrees = 0
+        while front:
+            reach = 0
+            while front:
+                low = front & -front
+                front ^= low
+                a = adj[low.bit_length() - 1] & free
+                reach |= a
+                degrees += a.bit_count()
+            front = reach & ~comp
+            comp |= front
+        comps.append((comp, degrees // 2))
+        rest &= ~comp
+    return comps
+
+
+def _plans(pattern, pinned, mode, free=None):
+    """One `_Plan` per component of the free vertices: components of the
+    pattern in hom mode; in inj and exact modes every pair is constrained,
+    so all free vertices form one."""
+    pinmask = 0
+    for v in pinned:
+        pinmask |= 1 << v
+    rest = ((1 << pattern.n) - 1) & ~pinmask
+    if mode == HOM:
+        comps = _components(pattern.adj, rest)
+    else:
+        size = rest.bit_count()
+        comps = [(rest, size * (size - 1) // 2)] if rest else []
+    return [_Plan(pattern.adj, comp, left, pinned, pinmask, mode, free) for comp, left in comps]
+
+
 class _Plan:
-    """The search order for extending a map pinned on some pattern vertices.
+    """The search order of one component of a pattern's free vertices,
+    grown one position at a time, when a search first reaches it.
 
-    `order` lists the free vertices.  For position i, `nbs[i]` is the
-    pattern neighbourhood of order[i] and `earlier[i]` the pinned or
-    earlier vertices its candidates depend on: its neighbours among them,
-    or in exact mode all of them but its partners in the `free` rows, one
-    bitmask of free pairs per pattern vertex, or None.  `comps` holds one
-    (start, tail, stop) range of positions per component of the constraint
-    graph on the free vertices: the pattern in hom mode, the complete graph
-    in inj and exact modes.  Positions tail..stop-1 have no constrained
-    neighbour later in the order.
+    The next vertex touches a placed vertex, then has most placed or pinned
+    neighbours, then highest degree, then lowest index.  One int key per
+    vertex packs these fields above the mask of the positions of its
+    placed neighbours, and is raised as they are placed.  `left` counts
+    the constrained pairs among the unplaced vertices: edges in hom mode,
+    all pairs in inj and exact modes.  Once none is left, the unplaced
+    vertices are appended at once as the tail, whose vertices are summed
+    over their candidate masks rather than enumerated; `tail` is then its
+    first position.
+
+    `codes[i]` is what the candidates of position i depend on, named by
+    positions rather than vertices, so that components of different
+    patterns share codes.  In hom mode with no pinned neighbour it is the
+    mask of the earlier positions whose images the candidate must be
+    adjacent to.  Otherwise it is (root, near, apart): `near` is that mask,
+    `apart` the mask of earlier positions it must not be adjacent to in
+    exact mode, and `root` is (near, apart, used): the images of its pinned
+    neighbours and, in exact mode, non-neighbours, and the pinned images
+    inj mode excludes, as sorted tuples, or () when all are empty.  `free`
+    rows, one bitmask of free partners per pattern vertex, exempt pairs
+    from the exact rule.
     """
 
-    __slots__ = ("order", "nbs", "earlier", "comps", "mode", "exact", "inj", "free")
+    __slots__ = (
+        "order", "codes", "tail", "group", "mode",
+        "_adj", "_pinned", "_pinmask", "_free", "_freepos", "_keys", "_rest", "_left", "_plain",
+    )
 
-    def __init__(self, pattern, pinned, mode, free=None):
-        adj = pattern.adj
-        self.mode = mode
-        self.free = free
-        self.exact = mode == EXACT
-        self.inj = mode == INJ
-        bound = 0
-        for v in pinned:
-            bound |= 1 << v
-        rest = _bits(((1 << pattern.n) - 1) & ~bound)
-        order, starts, done = [], [], 0
-        while rest:
-            # Finish the current component first; within it, most placed
-            # neighbours first, then highest degree.
-            v = max(rest, key=lambda v: (
-                (adj[v] & done) != 0, (adj[v] & (bound | done)).bit_count(), adj[v].bit_count()
-            ))
-            if not order or mode == HOM and not adj[v] & done:
-                starts.append(len(order))
-            rest.remove(v)
-            order.append(v)
-            done |= 1 << v
-        # The tail of a component: its longest suffix with no constrained pair.
-        self.comps = []
-        for start, stop in zip(starts, starts[1:] + [len(order)]):
-            tail, later = stop, 0
-            while tail > start and not later & (adj[order[tail - 1]] if mode == HOM else -1):
-                tail -= 1
-                later |= 1 << order[tail]
-            self.comps.append((start, tail, stop))
-        self.order = order
-        self.nbs = [adj[v] for v in order]
-        self.earlier = []
-        for v in order:
-            exact = bound & ~free[v] if free else bound
-            self.earlier.append(_bits(exact if self.exact else adj[v] & bound))
-            bound |= 1 << v
+    def __init__(self, adj, comp, left, pinned, pinmask, mode, free):
+        n = len(adj)
+        shift = n.bit_length()
+        self._keys = [
+            (((a & pinmask).bit_count() << shift | a.bit_count()) << shift | n - 1 - v) << n
+            if comp >> v & 1 else -1
+            for v, a in enumerate(adj)
+        ]
+        self.order, self.codes, self.tail, self.group, self.mode = [], [], None, None, mode
+        self._adj, self._pinned, self._pinmask, self._free = adj, pinned, pinmask, free
+        self._freepos = [0] * n if free else None
+        self._rest, self._left, self._plain = comp, left, mode == HOM and not pinmask
+
+    def grow(self):
+        """Place the next vertex, or append the whole tail."""
+        order, keys = self.order, self._keys
+        p, n = len(order), len(keys)
+        near = (1 << n) - 1
+        if not self._left:
+            self.tail = p
+            tail = _bits(self._rest)
+            if self._plain:
+                self.codes += [keys[v] & near for v in tail]
+            else:
+                self.codes += [self._code(v, p, keys[v] & near) for v in tail]
+            order += tail
+            self._rest = 0
+            self._keys = self._freepos = None
+            return
+        shift = n.bit_length()
+        key = max(keys)
+        v = n - 1 - (key >> n & (1 << shift) - 1)
+        order.append(v)
+        self.codes.append(key & near if self._plain else self._code(v, p, key & near))
+        keys[v] = -1
+        self._rest = rest = self._rest & ~(1 << v)
+        nb = self._adj[v] & rest
+        self._left -= nb.bit_count() if self.mode == HOM else rest.bit_count()
+        # Set the touch bit and position p's bit, and count one more placed
+        # neighbour.
+        raised, step = 1 << 3 * shift + n | 1 << p, 1 << 2 * shift + n
+        while nb:
+            low = nb & -nb
+            nb ^= low
+            u = low.bit_length() - 1
+            keys[u] = (keys[u] | raised) + step
+        if self._free:
+            for u in _bits(self._free[v] & rest):
+                self._freepos[u] |= 1 << p
+
+    def _code(self, v, p, near):
+        root = self._root(v)
+        if self.mode == HOM:
+            return (root, near, 0) if root else near
+        apart = 0
+        if self.mode == EXACT:
+            apart = ((1 << p) - 1) & ~near
+            if self._free:
+                apart &= ~self._freepos[v]
+        return root, near, apart
+
+    def _root(self, v):
+        pinmask = self._pinmask
+        if not pinmask:
+            return ()
+        pinned, a, mode = self._pinned, self._adj[v], self.mode
+        near = tuple(sorted({pinned[u] for u in _bits(a & pinmask)}))
+        apart = used = ()
+        if mode == EXACT:
+            free = self._free[v] if self._free else 0
+            apart = tuple(sorted({pinned[u] for u in _bits(pinmask & ~a & ~free)}))
+        elif mode == INJ:
+            used = tuple(sorted(set(pinned.values())))
+        return (near, apart, used) if near or apart or used else ()
 
 
-def _candidates(nb, earlier, exact, adj, full, image, used):
-    """Target vertices open to a pattern vertex with neighbourhood `nb`,
-    given the images of the `earlier` vertices.
+def _split(code):
+    """(root, near, apart) of a plan's position code."""
+    return ((), code, 0) if isinstance(code, int) else code
 
-    A candidate is adjacent to the image of every earlier neighbour; in
-    exact mode it is also not adjacent to the image of any earlier
-    non-neighbour; it is never in `used`, which only inj mode fills.
-    """
-    cand = full & ~used
-    for u in earlier:
-        if nb >> u & 1:
-            cand &= adj[image[u]]
-        elif exact:
-            cand &= ~adj[image[u]]
-    return cand
+
+def _root_mask(root, gadj, full):
+    """The target vertices a code's `root` leaves open."""
+    mask = full
+    if root:
+        near, apart, used = root
+        for w in near:
+            mask &= gadj[w]
+        for w in apart:
+            mask &= ~gadj[w]
+        for w in used:
+            mask &= ~(1 << w)
+    return mask
 
 
 def _bind(pattern, pinned, mode, graph, free=None):
-    """Check the root map {pattern vertex: target vertex} by the candidate
-    rule: the image list holding it and the target vertices it uses (inj
-    mode only), or None when it breaks a constraint of `mode`.  `free`
+    """The image list of the root map {pattern vertex: target vertex}, or
+    None when two pinned vertices break a constraint of `mode`.  `free`
     rows, as in `_Plan`, exempt pairs from the exact rule.  Root images
     must be target vertices; the error names them 1-based, as the text
     formats do."""
@@ -217,19 +317,25 @@ def _bind(pattern, pinned, mode, graph, free=None):
         if not 0 <= w < n:
             raise ValueError(f"root image {w + 1} outside the target graph")
     adj, gadj, exact, inj = pattern.adj, graph.adj, mode == EXACT, mode == INJ
-    full = (1 << n) - 1
     image = [0] * pattern.n
-    used = 0
-    seen = []
+    seen = used = 0
     for v, w in pinned.items():
-        earlier = [u for u in seen if not free[v] >> u & 1] if free and free[v] else seen
-        if earlier and not _candidates(adj[v], earlier, exact, gadj, full, image, used) >> w & 1:
+        if inj and used >> w & 1:
             return None
+        earlier = seen & ~free[v] if free else seen
+        while earlier:
+            low = earlier & -earlier
+            earlier ^= low
+            u = low.bit_length() - 1
+            if adj[v] & low:
+                if not gadj[image[u]] >> w & 1:
+                    return None
+            elif exact and gadj[image[u]] >> w & 1:
+                return None
         image[v] = w
-        seen.append(v)
-        if inj:
-            used |= 1 << w
-    return image, used
+        seen |= 1 << v
+        used |= 1 << w
+    return image
 
 
 class _Weights:
@@ -248,66 +354,199 @@ class _Weights:
         self.num = [w.numerator * (self.den // w.denominator) for w in y]
         self.flat = self.num[0] if len(set(self.num)) == 1 else None
 
-    def mask_sum(self, mask):
-        if self.flat is not None:
-            return self.flat * mask.bit_count()
-        return sum(self.num[w] for w in _bits(mask))
 
+class _Node:
+    """A node of the term search's trie: the components whose plans share
+    the codes of the positions on the path to it.
 
-def _ring_sum(plan, graph, weights, image, used):
-    """Sum over extensions of the bound image of the product of the weight
-    numerators of the free vertices' images.
-
-    Components extend independently, so their sums multiply; a tail vertex
-    is summed over its candidate mask instead of enumerated.
+    `pending` holds those components until the search first reaches the
+    node and builds it.  Then `codes` lists, as (root id, near positions,
+    apart positions), the distinct codes of the next position and of the
+    tails that start here; `children` pairs a code index with the node of
+    the components placing that code next; `tails` lists the code indices
+    the tails use, and `leaves` pairs each distinct tail, as indices into
+    `tails`, with the leaf group that counts its components.
     """
-    adj, full, num = graph.adj, (1 << graph.n) - 1, weights.num
-    order, nbs, earlier, exact, inj = plan.order, plan.nbs, plan.earlier, plan.exact, plan.inj
 
-    def rec(i, tail, stop, used):
-        if i == tail:
-            value = 1
-            for j in range(tail, stop):
-                cand = _candidates(nbs[j], earlier[j], exact, adj, full, image, used)
-                value *= weights.mask_sum(cand)
-                if not value:
+    __slots__ = ("pending", "codes", "children", "tails", "leaves")
+
+    def __init__(self, pending):
+        self.pending = pending
+
+
+class _TermSearch:
+    """The weighted density sum of a term list, in one search.
+
+    Each term is (coefficient, pattern, pinned), its root map already
+    bound; `free` rows, as in `_Plan`, serve a one-term list.  Every
+    component of every term gets a `_Plan`, and the search walks a trie of
+    their position codes, built lazily, so components that share a prefix
+    enumerate its images once, and a component's plan grows only as deep
+    as the search reaches it.  A leaf group sums, over the images of its
+    path, the product of the weight numerators of the placed positions and
+    of each tail vertex's candidate mask.  A term is its coefficient times
+    the product of its components' counts.  The plans and the trie serve
+    every target `value` is called with.
+
+    Each count is an integer over den ** (free vertices), so the terms are
+    collected as integers per (free vertices, coefficient denominator) and
+    only those few sums become Fractions.
+    """
+
+    def __init__(self, terms, mode, free=None):
+        self.mode = mode
+        self.terms = terms
+        self.plans = plans = []
+        self.stops = []
+        depth = 0
+        for coeff, pattern, pinned in terms:
+            plans += _plans(pattern, pinned, mode, free)
+            self.stops.append(len(plans))
+            depth = max(depth, pattern.n - len(pinned))
+        self.root = _Node(list(plans))
+        self.depth = depth
+        self.groups = 0
+        self.roots = {(): 0}
+
+    def value(self, graph, weights):
+        gadj, num, flat = graph.adj, weights.num, weights.flat
+        full = (1 << graph.n) - 1
+        support = full if flat else sum(1 << w for w, x in enumerate(num) if x)
+        rmask = [_root_mask(root, gadj, full) for root in self.roots]
+        totals = [0] * self.groups
+        img = [0] * self.depth
+        inj = self.mode == INJ
+        build = self._build
+
+        def visit(node, d, weight, used):
+            if node.pending is not None:
+                build(node, d, rmask, totals, gadj, full)
+            masks = []
+            for rid, near, apart in node.codes:
+                cand = rmask[rid] & ~used
+                for p in near:
+                    cand &= gadj[img[p]]
+                for p in apart:
+                    cand &= ~gadj[img[p]]
+                masks.append(cand)
+            if node.leaves:
+                if flat:
+                    sums = [flat * masks[i].bit_count() for i in node.tails]
+                else:
+                    sums = [sum(num[w] for w in _bits(masks[i])) for i in node.tails]
+                for tail, group in node.leaves:
+                    value = weight
+                    for i in tail:
+                        value *= sums[i]
+                    totals[group] += value
+            for i, child in node.children:
+                cand = masks[i] & support
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    w = low.bit_length() - 1
+                    img[d] = w
+                    visit(child, d + 1, weight * num[w], used | low if inj else used)
+
+        visit(self.root, 0, 1, 0)
+        sums = Counter()
+        plans, start = self.plans, 0
+        for (coeff, pattern, pinned), stop in zip(self.terms, self.stops):
+            value = coeff.numerator
+            for i in range(start, stop):
+                group = plans[i].group
+                if group is None:
+                    value = 0
                     break
-            return value
-        cand = _candidates(nbs[i], earlier[i], exact, adj, full, image, used)
-        v = order[i]
-        total = 0
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            w = low.bit_length() - 1
-            image[v] = w
-            sub = rec(i + 1, tail, stop, used | low if inj else used)
-            if sub:
-                total += num[w] * sub
-        return total
+                value *= totals[group]
+            start = stop
+            if value:
+                sums[pattern.n - len(pinned), coeff.denominator] += value
+        return sum(
+            (Fraction(n, den * weights.den ** k) for (k, den), n in sums.items()),
+            Fraction(0),
+        )
 
-    value = 1
-    for start, tail, stop in plan.comps:
-        value *= rec(start, tail, stop, used)
-        if not value:
-            break
-    return value
+    def _build(self, node, d, rmask, totals, gadj, full):
+        """Grow the plans of a node's components by one position, or to
+        their tails, and group them by code."""
+        children, leaves = {}, {}
+        for plan in node.pending:
+            if plan.tail is None and len(plan.order) == d:
+                plan.grow()
+            if plan.tail == d:
+                # In hom mode a code is an int or a tuple: order by (root,
+                # near, apart).
+                tail = tuple(sorted(plan.codes[d:], key=_split))
+                leaves.setdefault(tail, []).append(plan)
+            else:
+                children.setdefault(plan.codes[d], []).append(plan)
+        index = {}
+        codes = []
+
+        def code_index(code):
+            i = index.get(code)
+            if i is None:
+                root, near, apart = _split(code)
+                rid = self.roots.get(root)
+                if rid is None:
+                    rid = self.roots[root] = len(rmask)
+                    rmask.append(_root_mask(root, gadj, full))
+                i = index[code] = len(codes)
+                codes.append((rid, tuple(_bits(near)), tuple(_bits(apart))))
+            return i
+
+        node.children = [(code_index(code), _Node(plans)) for code, plans in children.items()]
+        tails, node.leaves = {}, []
+        for tail, plans in leaves.items():
+            slots = tuple(tails.setdefault(code_index(code), len(tails)) for code in tail)
+            for plan in plans:
+                plan.group = self.groups
+            node.leaves.append((slots, self.groups))
+            self.groups += 1
+            totals.append(0)
+        node.tails = list(tails)
+        node.codes = codes
+        node.pending = None
 
 
-def _walk(plan, graph, image, used, budget=None):
-    """Yield `image` once per extension, with every free vertex filled in.
+def _walk(plans, graph, image, budget=None):
+    """Yield `image` once per extension of the bound image list, with every
+    free vertex filled in.  The `plans` run one after another, each grown
+    only as deep as the search reaches.
 
     The same list is yielded each time; `budget` caps the search nodes.
     """
-    order, nbs, earlier, exact, inj = plan.order, plan.nbs, plan.earlier, plan.exact, plan.inj
-    k = len(order)
+    k = sum(len(plan.order) + plan._rest.bit_count() for plan in plans)
     if not k:
         yield image
         return
-    adj, full = graph.adj, (1 << graph.n) - 1
-    used = [used] * (k + 1)
+    gadj, full = graph.adj, (1 << graph.n) - 1
+    order, rules = [0] * k, [None] * k
+    queue = iter(plans)
+    plan, start = next(queue), 0
+
+    def reach(i):
+        """The rule of position i, the next one the search reaches."""
+        nonlocal plan, start
+        p = i - start
+        while p == len(plan.order):
+            if plan.tail is None:
+                plan.grow()
+            else:
+                plan, start, p = next(queue), i, 0
+        root, near, apart = _split(plan.codes[p])
+        order[i] = plan.order[p]
+        near = [start + q for q in _bits(near)]
+        apart = [start + q for q in _bits(apart)]
+        rules[i] = rule = (_root_mask(root, gadj, full), near, apart)
+        return rule
+
+    inj = plans[0].mode == INJ
+    img = [0] * k
+    used = [0] * k
     masks = [0] * k
-    masks[0] = _candidates(nbs[0], earlier[0], exact, adj, full, image, used[0])
+    masks[0] = reach(0)[0]
     nodes = 0
     i = 0
     while i >= 0:
@@ -317,7 +556,7 @@ def _walk(plan, graph, image, used, budget=None):
             continue
         low = cand & -cand
         masks[i] = cand ^ low
-        image[order[i]] = low.bit_length() - 1
+        img[i] = image[order[i]] = low.bit_length() - 1
         nodes += 1
         if budget is not None and nodes > budget:
             raise BudgetExceeded(f"extension search exceeded {budget} nodes")
@@ -325,28 +564,33 @@ def _walk(plan, graph, image, used, budget=None):
             yield image
             continue
         i += 1
+        cand, near, apart = rules[i] or reach(i)
         if inj:
             used[i] = used[i - 1] | low
-        masks[i] = _candidates(nbs[i], earlier[i], exact, adj, full, image, used[i])
+            cand &= ~used[i]
+        for p in near:
+            cand &= gadj[img[p]]
+        for p in apart:
+            cand &= ~gadj[img[p]]
+        masks[i] = cand
 
 
 def extensions(pattern, pinned, mode, graph, budget=None):
     """Yield the image list (indexed by pattern vertex) of every extension
     of the root map `pinned` {pattern vertex: target vertex}."""
-    bound = _bind(pattern, pinned, mode, graph)
-    if bound is not None:
-        yield from _walk(_Plan(pattern, pinned, mode), graph, *bound, budget)
+    image = _bind(pattern, pinned, mode, graph)
+    if image is not None:
+        yield from _walk(_plans(pattern, pinned, mode), graph, image, budget)
 
 
 def _rooted_density(pattern, pinned, mode, graph, weights, free=None):
     """The weighted probability that a random extension of `pinned` is a
     homomorphism (hom mode), an injective one (inj) or exact (exact), with
-    the pairs in the `free` rows unconstrained."""
-    bound = _bind(pattern, pinned, mode, graph, free)
-    if bound is None:
+    the pairs in the `free` rows unconstrained: the search of a one-term
+    list."""
+    if _bind(pattern, pinned, mode, graph, free) is None:
         return Fraction(0)
-    value = _ring_sum(_Plan(pattern, pinned, mode, free), graph, weights, *bound)
-    return Fraction(value, weights.den ** (pattern.n - len(pinned)))
+    return _TermSearch([(Fraction(1), pattern, pinned)], mode, free).value(graph, weights)
 
 
 def _density(h, g, mode):
@@ -398,19 +642,28 @@ def t_quantum(f, G, phi=None):
     if isinstance(f, QExpr):
         _check_cover(f.label_set(), phi)
         return _eval_expr(f, graph, weights, phi)
-    return _sum_terms(_term_plans(_terms(f), phi, graph.n), graph, weights)
+    terms = _term_roots(_terms(f), phi, graph.n)
+    if phi:
+        terms = [
+            (coeff, pattern, pinned)
+            for coeff, pattern, pinned in terms
+            if not pinned or _bind(pattern, pinned, HOM, graph) is not None
+        ]
+    return _TermSearch(terms, HOM).value(graph, weights)
 
 
 def compiled_density(f):
     """The function G -> t_quantum(f, G) of an unlabeled f.
 
-    A term list or QuantumGraph compiles each term's plan once, here, and
-    reuses it for every target; a QExpr is evaluated afresh each call.
+    A term list or QuantumGraph keeps one term search for all the targets
+    it is called with, so the plans and trie nodes grown for one target
+    serve the next; they live as long as the function.  A QExpr is
+    evaluated afresh each call.
     """
     if isinstance(f, QExpr):
         return lambda G: t_quantum(f, G)
-    plans = list(_term_plans(_terms(f), {}, 0))
-    return lambda G: _sum_terms(plans, *_target(G))
+    search = _TermSearch(_term_roots(_terms(f), {}, 0), HOM)
+    return lambda G: search.value(*_target(G))
 
 
 def _terms(f):
@@ -428,10 +681,9 @@ def _label_set(f):
     return f.label_set()
 
 
-def _term_plans(terms, phi, n):
-    """Yield (coefficient, pattern, pinned, plan) per nonzero term of a term
-    list evaluated under the root map phi on an n-vertex target, one plan
-    at a time.
+def _term_roots(terms, phi, n):
+    """(coefficient, pattern, pinned) per nonzero term of a term list
+    evaluated under the root map phi on an n-vertex target.
 
     A label that only terms cancelling up to isomorphism carry is absent
     from the normal form, so phi need not cover it, and it stays unpinned:
@@ -443,35 +695,22 @@ def _term_plans(terms, phi, n):
         labels = _label_set(terms)
         _check_cover(labels, phi)
         phi = {lab: phi[lab] for lab in labels}
-    for plg, coeff in terms:
-        pinned = _pinned(plg, phi)
-        yield coeff, plg.graph, pinned, _Plan(plg.graph, pinned, HOM)
-
-
-def _sum_terms(plans, graph, weights):
-    """The sum of coefficient times density over (coefficient, pattern,
-    pinned, plan) tuples, in each plan's mode.
-
-    Each ring sum is an integer over den ** (free vertices), so the sums
-    are collected as integers per (free vertices, coefficient denominator)
-    and only those few become Fractions.
-    """
-    sums = Counter()
-    for coeff, pattern, pinned, plan in plans:
-        bound = _bind(pattern, pinned, plan.mode, graph, plan.free)
-        if bound is not None:
-            value = _ring_sum(plan, graph, weights, *bound)
-            sums[pattern.n - len(pinned), coeff.denominator] += coeff.numerator * value
-    return sum(
-        (Fraction(num, den * weights.den ** k) for (k, den), num in sums.items()),
-        Fraction(0),
-    )
+    # Unlabeled terms share one empty root map: the search holds every term
+    # at once, and each object per term is one more for the collector to
+    # traverse.
+    return [
+        (coeff, plg.graph, _pinned(plg, phi) if plg.labels else _UNPINNED)
+        for plg, coeff in terms
+    ]
 
 
 def _check_cover(labels, phi):
     missing = set(labels) - set(phi)
     if missing:
         raise ValueError(f"root map missing labels {sorted(missing)}")
+
+
+_UNPINNED = MappingProxyType({})
 
 
 def _pinned(plg, phi):
@@ -578,14 +817,15 @@ def density_polynomial(f, g, phi=None):
         )
     g = _as_graph(g) if not isinstance(g, WeightedGraph) else g.graph
     terms = Counter()
-    for coeff, pattern, pinned, plan in _term_plans(_terms(f), dict(phi or {}), g.n):
-        bound = _bind(pattern, pinned, plan.mode, g)
-        if bound is None:
+    for coeff, pattern, pinned in _term_roots(_terms(f), dict(phi or {}), g.n):
+        image = _bind(pattern, pinned, HOM, g)
+        if image is None:
             continue
+        free = [v for v in range(pattern.n) if v not in pinned]
         bins = Counter()
-        for image in _walk(plan, g, *bound):
+        for image in _walk(_plans(pattern, pinned, HOM), g, image):
             exps = [0] * g.n
-            for v in plan.order:
+            for v in free:
                 exps[image[v]] += 1
             bins[tuple(exps)] += 1
         for exps, count in bins.items():

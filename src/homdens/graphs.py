@@ -680,18 +680,29 @@ def plg_from_fields(fields, line=None):
             lab, sep, v = item.partition(":")
             if not sep:
                 raise FormatError(f"bad label item {item!r}", line=line)
-            labels.append((_parse_int(lab, "label", line), _parse_int(v, "vertex", line) - 1))
+            labels.append((_parse_int(lab, "label", line), _vertex(v, line)))
     edges = []
     if fields.get("edges"):
         for item in fields["edges"].split(";"):
             u, sep, v = item.partition("-")
             if not sep:
                 raise FormatError(f"bad edge item {item!r}", line=line)
-            edges.append((_parse_int(u, "vertex", line) - 1, _parse_int(v, "vertex", line) - 1))
+            edges.append((_vertex(u, line), _vertex(v, line)))
     try:
         return PartiallyLabeledGraph(Graph(n, edges), labels)
     except ValueError as exc:
         raise FormatError(str(exc), line=line) from None
+
+
+# The 0-based vertex of each plain 1-based vertex text a record can hold.
+_VERTEX = {str(v): v - 1 for v in range(1, VERTEX_CAP + 1)}
+
+
+def _vertex(text, line):
+    """The 0-based vertex of a 1-based vertex text: the table's, or else
+    what `int` reads."""
+    v = _VERTEX.get(text)
+    return _parse_int(text, "vertex", line) - 1 if v is None else v
 
 
 def _parse_int(text, what, line):

@@ -23,6 +23,7 @@ from homdens.density import (
     HOM,
     WeightedGraph,
     check_tasym,
+    compiled_density,
     density_polynomial,
     format_weighted_graph,
     hom_count,
@@ -31,7 +32,7 @@ from homdens.density import (
     t_ind,
     t_inj,
     t_quantum,
-    _Plan,
+    _plans,
 )
 from homdens.errors import CapExceeded, FormatError
 from homdens.graphs import (
@@ -324,13 +325,23 @@ STAR = Graph(4, [(0, 1), (0, 2), (0, 3)])
 
 
 def _labelings(h):
-    """h unlabeled, with its first vertex labeled, and with its first and
-    last vertices labeled."""
-    out = [PLG(h)]
-    if h.n:
-        out.append(PLG(h, {1: 0}))
+    """h unlabeled, with each one of its vertices labeled, and with its
+    first and last vertices labeled."""
+    out = [PLG(h)] + [PLG(h, {1: v}) for v in range(h.n)]
     if h.n > 1:
         out.append(PLG(h, {1: 0, 2: h.n - 1}))
+    return out
+
+
+def _grown_split(pattern, pinned):
+    """(start, tail, stop) positions of each component of the fully grown
+    plans, numbered as one search order."""
+    out, start = [], 0
+    for plan in _plans(pattern, pinned, HOM):
+        while plan.tail is None:
+            plan.grow()
+        out.append((start, start + plan.tail, start + len(plan.order)))
+        start += len(plan.order)
     return out
 
 
@@ -338,8 +349,8 @@ def _labelings(h):
     "mode", ["t", "t_inj", "t_ind", "t_quantum", "exact_embeddings", "density_polynomial"]
 )
 def test_kernel_modes_against_oracles(mode):
-    assert _Plan(SPLIT.graph, {0: 0, 2: 0}, HOM).comps == [(0, 0, 1), (1, 1, 2)]
-    assert _Plan(STAR, {}, HOM).comps == [(0, 1, 4)]
+    assert _grown_split(SPLIT.graph, {0: 0, 2: 0}) == [(0, 0, 1), (1, 1, 2)]
+    assert _grown_split(STAR, {}) == [(0, 1, 4)]
     rng = random.Random(61)
     for g in SMALL:
         y = random_distribution(rng, g.n) if g.n else []
@@ -755,6 +766,52 @@ class TestTermLists:
         assert raw.value.line == nf.value.line == line
         assert str(raw.value) == str(nf.value)
 
+
+def _mixed_term_list(rng, labeled=True):
+    """A term list for the shared search: random terms, disconnected ones,
+    a term split into components by its pinned vertex, the empty graph (no
+    free vertex), a repeated term and an isomorphic labeled pair whose
+    coefficients cancel.  With `labeled`, also labeled and fully pinned
+    terms; without, the normal form carries no label."""
+    terms = [(PLG(random_graph(rng, rng.randint(1, 5))), F(rng.randint(-3, 3), rng.randint(1, 3)))
+             for _ in range(rng.randint(2, 4))]
+    terms.append((PLG(Graph(0)), F(1, 3)))
+    if labeled:
+        terms += [(random_plg(rng, 4, labels=(1, 2, 3)), F(rng.randint(-3, 3), rng.randint(1, 3)))
+                  for _ in range(rng.randint(2, 4))]
+        n = rng.randint(1, 3)
+        terms.append((PLG(random_graph(rng, n), {lab: lab - 1 for lab in range(1, n + 1)}), F(-1, 2)))
+        terms.append((PLG(Graph(5, [(0, 1), (2, 3), (3, 4)]), {1: 3}), F(2)))
+    terms.append(rng.choice(terms))
+    pair = random_plg(rng, 4, labels=(1, 2, 3))
+    c = F(rng.randint(1, 3), 2)
+    terms += [(pair, c), (_relabeled(rng, pair), -c)]
+    rng.shuffle(terms)
+    return tuple(terms)
+
+
+class TestSharedSearch:
+    """One search serves a whole term list; every value must be the sum of
+    its terms' brute-force rooted densities."""
+
+    def test_term_lists_under_root_maps(self):
+        rng = random.Random(2031)
+        for _ in range(25):
+            terms = _mixed_term_list(rng)
+            G = random_weighted(rng, 4)
+            phi = {lab: rng.randrange(G.graph.n) for lab in (1, 2, 3)}
+            assert t_quantum(terms, G, phi) == _term_list_oracle(terms, G, phi)
+
+    def test_compiled_density_over_targets(self):
+        rng = random.Random(2032)
+        for _ in range(10):
+            terms = _mixed_term_list(rng, labeled=False)
+            density = compiled_density(terms)
+            for _ in range(4):
+                G = random_weighted(rng, 4)
+                want = _term_list_oracle(terms, G, {})
+                assert density(G) == want
+                assert t_quantum(terms, G) == want
 
 def _stripped(plg):
     """The graph and labels of plg without its isolated vertices."""

@@ -414,6 +414,33 @@ class TestPlgFormat:
             with pytest.raises(FormatError):
                 parse_plg(bad)
 
+    def test_item_errors_name_the_bad_item(self):
+        # A vertex text missing from the lookup table falls back to `int`,
+        # and every error keeps its text and line number.
+        for bad, message in [
+            ("edges=1-2;3", "bad edge item '3'"),
+            ("edges=1;2-3-4", "bad edge item '1'"),
+            ("edges=1-2;;2-3", "bad edge item ''"),
+            ("edges=1-2-3", "bad vertex '2-3'"),
+            ("edges=-1-2", "bad vertex ''"),
+            ("edges=1-x", "bad vertex 'x'"),
+            ("edges=0-1", "edge (-1,0) out of range for n=3"),
+            ("edges=1-1", "loop at vertex 0"),
+            ("labels=a:1", "bad label 'a'"),
+            ("labels=1:b", "bad vertex 'b'"),
+            ("labels=1:1,2", "bad label item '2'"),
+            ("labels=1:0", "label 1 on missing vertex -1"),
+        ]:
+            with pytest.raises(FormatError) as info:
+                parse_plg("plg n=3 " + bad, line=7)
+            assert str(info.value) == f"{message} (line 7)"
+            assert info.value.line == 7
+
+    def test_integers_read_as_int_reads_them(self):
+        plg = parse_plg("plg n=3 labels=+2:03 edges=01-2;2-3;2-1")
+        assert plg.labels == ((2, 2),)
+        assert plg.graph.edges == frozenset({(0, 1), (1, 2)})
+
     def test_error_carries_line(self):
         with pytest.raises(FormatError) as info:
             parse_plg("plg n=oops", line=12)

@@ -20,7 +20,7 @@ from homdens.algebra import (
     product,
     unlabel,
 )
-from homdens.density import WeightedGraph, density_polynomial, t, t_quantum
+from homdens.density import WeightedGraph, compiled_density, density_polynomial, t, t_quantum
 from homdens.errors import BudgetExceeded, FormatError
 from homdens.graphs import (
     PLG,
@@ -390,6 +390,19 @@ class TestCounterexample:
         for i in range(1, 7):
             want = want * Polynomial.variable(f"y{i}", yv)
         assert got == want
+
+    def test_compiled_density_grows_its_search_across_targets(self):
+        """Plans and trie nodes grown at K1 serve a weighted H6, which
+        searches deeper, and both serve K1 and K2 again: each value equals
+        a fresh t_quantum call."""
+        x = cached_counterexample()
+        rng = random.Random(43)
+        w = [rng.randint(1, 9) for _ in range(6)]
+        G = WeightedGraph(H6, [F(v, sum(w)) for v in w])
+        density = compiled_density(x)
+        values = [density(target) for target in (K1, G, K1, K2)]
+        assert values == [t_quantum(x, target) for target in (K1, G, K1, K2)]
+        assert values[1] > 0
 
     def test_nonnegative_on_small_graphs(self):
         x = cached_counterexample()
