@@ -43,6 +43,7 @@ from .graphs import (
     Graph,
     PartiallyLabeledGraph,
     _bits,
+    _marked,
     canonical_form,
     format_plg,
     parse_plg,
@@ -68,14 +69,21 @@ def as_plg(x):
 
 
 def strip_isolated(plg):
-    """Remove every isolated vertex, labeled or not."""
+    """Remove every isolated vertex, labeled or not.
+
+    What is left of a canonical form is flagged as one: canonical labeling
+    orders the labeled vertices by label, and places each component apart,
+    unlabeled isolated vertices before any other unlabeled component, so
+    dropping isolated vertices keeps the order of the rest.
+    """
     g = plg.graph
     keep = [v for v in range(g.n) if g.adj[v]]
     if len(keep) == g.n:
         return plg
     index = {v: i for i, v in enumerate(keep)}
     labels = [(lab, index[v]) for lab, v in plg.labels if v in index]
-    return PLG(g.induced(keep), labels)
+    stripped = PLG(g.induced(keep), labels)
+    return _marked(stripped) if plg._canon is True else stripped
 
 
 def _glue_map(a, b):

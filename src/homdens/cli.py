@@ -49,7 +49,7 @@ from .density import (
 from .errors import FormatError
 from .graphs import enumerate_graphs, format_plg, parse_plg, record_lines, stringent_graph
 from .polynomials import parse_poly
-from .reductions import build_counterexample, build_instance, witness_graph
+from .reductions import build_counterexample, build_instance, counterexample_expr, witness_graph
 
 
 def _read(path):
@@ -125,13 +125,17 @@ def cmd_stringent(args):
 
 
 def cmd_counterexample(args):
-    x = build_counterexample(args.k)
-    _emit("terms", len(x.terms))
+    if args.form == "expr":
+        text = format_qexpr(counterexample_expr(args.k)) + "\n"
+    else:
+        x = build_counterexample(args.k)
+        _emit("terms", len(x.terms))
+        text = format_quantum(x)
     if args.out:
-        _write(args.out, format_quantum(x))
+        _write(args.out, text)
         _emit("out", args.out)
     else:
-        sys.stdout.write(format_quantum(x))
+        sys.stdout.write(text)
     return 0
 
 
@@ -317,6 +321,8 @@ def _parser():
 
     p = command("counterexample", cmd_counterexample, "positive but not sum-of-squares quantum graph")
     p.add_argument("--k", type=int, default=6)
+    p.add_argument("--form", choices=("terms", "expr"), default="terms",
+                   help="the expanded term list, or the structured expression it expands")
     p.add_argument("--out")
 
     p = command("reduce", cmd_reduce, "map a polynomial to its decision-problem instance")

@@ -14,27 +14,23 @@ terms.
 
 Every density is a sum over the ways of extending a map, pinned on some
 vertices of a pattern, to all of it, and one kernel does all of them.  The
-free vertices split into independent components, each with a plan: a
-search order grown one vertex at a time, only as deep as a search
-reaches, and ending in a tail whose vertices are summed over their
-candidate masks rather than enumerated.  A position's code names the
-earlier positions and pinned images its candidates depend on, in hom,
-inj or exact mode.  A term list is summed by one search over a trie of
-these codes, built as the search first reaches each node, so components
-that share a prefix enumerate its images once, and a leaf group counts
-every component ending in the same tail; a term is its coefficient times
-the product of its components' counts, in integer vertex-weight
-numerators over one denominator.  A single density is the search of a
-one-term list.  The image walk runs the same plans, grown as deep as it
-reaches, and yields whole images, for the monomial bins of density
-polynomials, for exact embeddings and for automorphisms.
+free vertices split into components, each searched in the order of a
+`_Plan`, grown only as deep as a search reaches, in hom, inj or exact
+mode.  A term list is summed by one `_TermSearch` over a trie of the
+plans' position codes, so components that share a prefix enumerate its
+images once; a single density is the search of a one-term list.  The
+image walk `_walk` runs the same plans and yields whole images, for the
+monomial bins of density polynomials, for exact embeddings and
+automorphisms, and for the label walk of Unlabel nodes.
 
 Quantum graphs and term lists evaluate linearly, through the one search
 that every density shares.  Structured expressions evaluate without expansion:
-Product nodes multiply factor densities, Unlabel nodes take an exact
-expectation over label assignments, abandoning a branch as soon as the
-partial assignment forces the child to vanish, and IndAtom nodes are the
-exact mode of the kernel, which leaves their free pairs unconstrained.
+Product nodes multiply factor densities, and IndAtom nodes are the exact
+mode of the kernel, which leaves their free pairs unconstrained.  Every
+node has a label trigraph, the label pairs that each root map at which it
+is nonzero sends to edges or to non-edges, so an Unlabel node walks the
+exact embeddings of its child's trigraph with the kernel and evaluates
+the child once per embedding.
 Density polynomials are built from term lists only: a structured
 expression is expanded first.
 """
@@ -43,7 +39,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, lcm, perm
+from itertools import combinations
+from math import comb, lcm, perm, prod
 from types import MappingProxyType
 
 from .algebra import (
@@ -346,10 +343,9 @@ class _Weights:
     mask weighs its popcount times `flat`.
     """
 
-    __slots__ = ("y", "num", "den", "flat")
+    __slots__ = ("num", "den", "flat")
 
     def __init__(self, y):
-        self.y = y
         self.den = lcm(*(w.denominator for w in y))
         self.num = [w.numerator * (self.den // w.denominator) for w in y]
         self.flat = self.num[0] if len(set(self.num)) == 1 else None
@@ -575,12 +571,13 @@ def _walk(plans, graph, image, budget=None):
         masks[i] = cand
 
 
-def extensions(pattern, pinned, mode, graph, budget=None):
+def extensions(pattern, pinned, mode, graph, budget=None, free=None):
     """Yield the image list (indexed by pattern vertex) of every extension
-    of the root map `pinned` {pattern vertex: target vertex}."""
-    image = _bind(pattern, pinned, mode, graph)
+    of the root map `pinned` {pattern vertex: target vertex}; `free` rows,
+    as in `_Plan`, exempt pairs from the exact rule."""
+    image = _bind(pattern, pinned, mode, graph, free)
     if image is not None:
-        yield from _walk(_plans(pattern, pinned, mode), graph, image, budget)
+        yield from _walk(_plans(pattern, pinned, mode, free), graph, image, budget)
 
 
 def _rooted_density(pattern, pinned, mode, graph, weights, free=None):
@@ -640,7 +637,11 @@ def t_quantum(f, G, phi=None):
     graph, weights = _target(G)
     phi = dict(phi or {})
     if isinstance(f, QExpr):
-        _check_cover(f.label_set(), phi)
+        labels = f.label_set()
+        _check_cover(labels, phi)
+        # An expansion reads the empty target as its unit coefficient, its value at K1.
+        if not graph.n and not labels:
+            graph, weights = _target(Graph(1))
         return _eval_expr(f, graph, weights, phi)
     terms = _term_roots(_terms(f), phi, graph.n)
     if phi:
@@ -745,56 +746,55 @@ def _eval_expr(expr, graph, weights, phi):
 
 
 def _eval_unlabel(expr, graph, weights, phi):
-    inner_labels = expr.child.label_set()
-    free = sorted(inner_labels - expr.keep)
-    if len(free) > UNLABEL_CAP:
-        raise CapExceeded(
-            f"unlabeling over {len(free)} labels exceeds cap {UNLABEL_CAP}"
-        )
-    base = {lab: phi[lab] for lab in inner_labels & expr.keep}
-
-    def rec(i, assignment):
-        if _prune(expr.child, assignment, graph):
-            return Fraction(0)
-        if i == len(free):
-            return _eval_expr(expr.child, graph, weights, assignment)
-        total = Fraction(0)
-        for v in range(graph.n):
-            assignment[free[i]] = v
-            sub = rec(i + 1, assignment)
-            if sub:
-                total += weights.y[v] * sub
-            del assignment[free[i]]
-        return total
-
-    return rec(0, dict(base))
+    """The expectation of the child over the images of the labels it
+    loses: the kernel walks the exact embeddings of the child's label
+    trigraph, the kept labels pinned, and evaluates the child at each."""
+    labels = sorted(expr.child.label_set())
+    unlabeled = [i for i, lab in enumerate(labels) if lab not in expr.keep]
+    if len(unlabeled) > UNLABEL_CAP:
+        raise CapExceeded(f"unlabeling over {len(unlabeled)} labels exceeds cap {UNLABEL_CAP}")
+    tri = _trigraph(expr.child)
+    if tri is None:
+        return Fraction(0)
+    at = {lab: i for i, lab in enumerate(labels)}
+    rows = [sum(1 << at[b] for b in labels if a != b and (min(a, b), max(a, b)) not in tri)
+            for a in labels]
+    pattern = Graph(len(labels), [(at[a], at[b]) for (a, b), edge in tri.items() if edge])
+    pinned = {at[lab]: phi[lab] for lab in labels if lab in expr.keep}
+    total = 0
+    for image in extensions(pattern, pinned, EXACT, graph, free=rows):
+        weight = prod(weights.num[image[v]] for v in unlabeled)
+        if weight:
+            total += weight * _eval_expr(expr.child, graph, weights, dict(zip(labels, image)))
+    return Fraction(total, weights.den ** len(unlabeled))
 
 
-def _prune(expr, assignment, graph):
-    """True only when every completion of `assignment` makes expr vanish."""
+def _trigraph(expr):
+    """The label pairs that expr, wherever it is nonzero, maps as exact
+    mode does, as {(a, b): adjacent} with labels a < b; every other pair
+    is free.  None when expr is 0 at every root map."""
     if isinstance(expr, Const):
-        return expr.value == 0
+        return {} if expr.value else None
     if isinstance(expr, (Atom, IndAtom)):
-        mode, free = (HOM, None) if isinstance(expr, Atom) else (EXACT, expr.rows)
-        # The label search assigns labels in ascending order, and a branch
-        # mostly fails on its newest label: bind the highest labels first.
-        labels = reversed(expr.plg.labels)
-        pinned = {v: assignment[lab] for lab, v in labels if lab in assignment}
-        return _bind(expr.plg.graph, pinned, mode, graph, free) is None
-    if isinstance(expr, Sum):
-        return bool(expr.children) and all(
-            _prune(c, assignment, graph) for c in expr.children
-        )
+        adj = expr.plg.graph.adj
+        free = (expr.rows or [0] * len(adj)) if isinstance(expr, IndAtom) else None
+        return {(a, b): bool(adj[u] >> v & 1) for (a, u), (b, v) in combinations(expr.plg.labels, 2)
+                if adj[u] >> v & 1 or free and not free[u] >> v & 1}
     if isinstance(expr, Product):
-        return any(_prune(c, assignment, graph) for c in expr.children)
+        tri = {}
+        for sub in map(_trigraph, expr.children):
+            if sub is None or any(tri.setdefault(p, s) != s for p, s in sub.items()):
+                return None
+        return tri
     if isinstance(expr, Unlabel):
-        visible = {lab: v for lab, v in assignment.items() if lab in expr.keep}
-        return _prune(expr.child, visible, graph)
+        tri = _trigraph(expr.child)
+        return tri and {(a, b): s for (a, b), s in tri.items() if {a, b} <= expr.keep}
     if isinstance(expr, PolyImage):
-        if any(not _prune(gen, assignment, graph) for _, gen in expr.generators):
-            return False
-        return expr.poly.constant_term() == 0
-    return False
+        if expr.poly.constant_term():
+            return {}
+        expr = Sum(gen for _, gen in expr.generators)
+    tris = [tri.items() for tri in map(_trigraph, expr.children) if tri is not None]
+    return dict(set(tris[0]).intersection(*tris[1:])) if tris else None
 
 
 # ---------------------------------------------------------------------------

@@ -137,15 +137,21 @@ def alpha(h, G, phi_map, j):
     return sum((G.y[w] for w in resample_set(h, G.graph, phi_map, j)), Fraction(0))
 
 
-def build_counterexample(k=COUNTEREXAMPLE_K):
-    """The positive-but-not-square quantum graph: the unlabeled clone image
-    of the Motzkin-type polynomial, its y1..yk renamed x1..xk, over the
-    k-vertex stringent base.  Each monomial's glued trigraph expands
-    unlabeled, so each raw term stands for one orbit of copy swaps."""
+def counterexample_expr(k=COUNTEREXAMPLE_K):
+    """The positive-but-not-square quantum graph as a structured tree: the
+    unlabeled clone image of the Motzkin-type polynomial, its y1..yk
+    renamed x1..xk, over the k-vertex stringent base."""
     if k != COUNTEREXAMPLE_K:
         raise ValueError(f"only k = {COUNTEREXAMPLE_K} is supported")
     p = Polynomial(_x_vars(k), counterexample_poly(k).terms)
-    return expand(Unlabel((), phi(stringent_graph(k), p)))
+    return Unlabel((), phi(stringent_graph(k), p))
+
+
+def build_counterexample(k=COUNTEREXAMPLE_K):
+    """The expansion of `counterexample_expr`.  Each monomial's glued
+    trigraph expands unlabeled, so each raw term stands for one orbit of
+    copy swaps."""
+    return expand(counterexample_expr(k))
 
 
 # ---------------------------------------------------------------------------

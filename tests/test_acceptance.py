@@ -37,6 +37,7 @@ from homdens.certificates import (
 from homdens.density import (
     WeightedGraph,
     check_tasym,
+    compiled_density,
     density_polynomial,
     t,
     t_ind,
@@ -63,6 +64,7 @@ from homdens.reductions import (
     alpha,
     build_counterexample,
     build_instance,
+    counterexample_expr,
     exact_embeddings,
     psi_expr,
     psi_rooted_value,
@@ -149,24 +151,36 @@ def test_counterexample_output_bytes():
 
 
 def test_criterion_2_counterexample_positivity_scan():
-    """t(x; g) >= 0 for every graph with at most 6 vertices and for 500
-    seeded random weighted graphs, all exact."""
-    x = counterexample(6)
-    # route check: the embedding-sum identity against the generic
-    # evaluator, every target where direct evaluation is feasible
+    """t(x; g) >= 0 for every graph with at most 7 vertices and for 500
+    seeded random weighted graphs, all exact, evaluated by the package on
+    the structured x that `counterexample --form expr` writes.  On every
+    graph with at most 6 vertices and on the weighted targets it equals
+    the independent embedding-sum oracle."""
+    sx = counterexample_expr(6)
+    x = compiled_density(counterexample(6))
+    # route check: the structured x against its 11464-term expansion, every
+    # target where evaluating the expansion is quick
     for g in targets_up_to(4):
-        assert counterexample_value(g) == t_quantum(x, g)
+        assert t_quantum(sx, g) == x(g)
     scanned = 0
     for g in targets_up_to(6):
-        assert counterexample_value(g) >= 0, g
+        value = t_quantum(sx, g)
+        assert value == counterexample_value(g), g
+        assert value >= 0, g
         scanned += 1
     assert scanned == 1 + 2 + 4 + 11 + 34 + 156
+    sevens = enumerate_graphs(7)
+    assert len(sevens) == 1044
+    for g in sevens:
+        assert t_quantum(sx, g) >= 0, g
     rng = random.Random(20260816)
     for _ in range(500):
         g = random_graph(rng, rng.randint(1, 6))
         G = WeightedGraph(g, random_distribution(rng, g.n))
-        assert counterexample_value(G) >= 0, G
-    print("criterion 2: PASS (208 exhaustive + 500 weighted targets, all >= 0)")
+        value = t_quantum(sx, G)
+        assert value == counterexample_value(G), G
+        assert value >= 0, G
+    print("criterion 2: PASS (1252 exhaustive + 500 weighted targets, all >= 0)")
 
 
 def test_criterion_3_undecidability_pipeline_negative():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -26,10 +27,11 @@ from homdens.algebra import (
     parse_qexpr,
     parse_quantum,
     product,
+    strip_isolated,
     unlabel,
 )
 from homdens.errors import BudgetExceeded, CapExceeded, FormatError
-from homdens.graphs import PLG, Graph, enumerate_graphs, is_isomorphic_labeled
+from homdens.graphs import PLG, Graph, canonical_form, enumerate_graphs, is_isomorphic_labeled
 from homdens.polynomials import Polynomial
 
 from oracles import ind_sum, labeled_core
@@ -126,6 +128,32 @@ class TestNormalForm:
     def test_single_labeled_vertex_is_unit(self):
         one = PLG(Graph(1), [(1, 0)])
         assert QuantumGraph.of(one) == QuantumGraph.unit()
+
+    def test_stripped_canonical_forms_stay_canonical(self):
+        """Every labeling by 1..3 of every graph with at most 5 vertices:
+        the canonical form with its isolated vertices stripped, which is
+        flagged canonical, is what canonical labeling makes of it."""
+        for n in range(6):
+            for g in enumerate_graphs(n) if n else [Graph(0)]:
+                for k in range(min(n, 3) + 1):
+                    for vertices in permutations(range(n), k):
+                        plg = PLG(g, {i + 1: v for i, v in enumerate(vertices)})
+                        stripped = strip_isolated(plg.canonical())
+                        assert stripped.canonical() is stripped
+                        assert canonical_form(PLG(stripped.graph, stripped.labels))[0] == stripped
+
+    def test_atom_with_isolated_vertices_expands_with_one_canonicalization(self, canonical_calls):
+        """The atom canonicalizes its PLG once; the term it expands to is
+        that form stripped, so it costs no second call, as the normal form
+        of the same PLG costs one."""
+        plg = PLG(Graph(3, [(0, 1)]), {1: 0, 2: 2})
+        want = QuantumGraph.of(PLG(K2, {1: 0}))
+        del canonical_calls[:]
+        assert expand(Atom(plg)) == want
+        assert len(canonical_calls) == 1
+        del canonical_calls[:]
+        QuantumGraph.of(plg)
+        assert len(canonical_calls) == 1
 
     def test_keys_are_not_canonicalized_again(self, canonical_calls):
         rng = random.Random(71)

@@ -481,6 +481,20 @@ class TestRefuteCommand:
         assert code == 0
         assert out == "witness=none\n"
 
+    def test_counterexample_structured_form(self, capsys, tmp_path):
+        """`--form expr` writes the 175-byte structured x, which `refute`
+        reads as it is, and a newline, byte for byte on every run."""
+        assert len(STRUCTURED_X.encode()) == 175
+        for _ in range(2):
+            assert run(capsys, "counterexample", "--form", "expr") == (0, STRUCTURED_X + "\n", "")
+        path = str(tmp_path / "x.qx")
+        code, out, _ = run(capsys, "counterexample", "--form", "expr", "--out", path)
+        assert (code, out) == (0, f"out={path}\n")
+        with open(path, "rb") as fh:
+            assert fh.read() == (STRUCTURED_X + "\n").encode()
+        code, out, _ = run(capsys, "refute", "--in", path, "--max-n", "4", "--samples", "3")
+        assert (code, out) == (0, "witness=none\n")
+
     def test_labeled_target_exits_2(self, capsys, files):
         target = files("lab.qg", "1 * plg n=2 labels=1:1 edges=1-2\n")
         code, _, err = run(capsys, "refute", "--in", target, "--max-n", "2")

@@ -19,6 +19,7 @@ from homdens.algebra import (
     product as qproduct,
     unlabel as qunlabel,
 )
+from homdens import density
 from homdens.density import (
     HOM,
     WeightedGraph,
@@ -44,7 +45,7 @@ from homdens.graphs import (
 )
 from homdens.polynomials import Polynomial
 
-from homdens.reductions import exact_embeddings
+from homdens.reductions import exact_embeddings, psi_generator
 
 from oracles import (
     brute_exact_embeddings,
@@ -479,6 +480,93 @@ class TestStructuredEvaluation:
         poly = Polynomial.variable("x1") ** 2 - Polynomial.variable("x1")
         expr = Unlabel(frozenset(), PolyImage({"x1": Atom(EDGE1)}, poly))
         assert t_quantum(expr, K3) == t_quantum(expand(expr), K3)
+
+
+def _trigraph_targets():
+    """Every graph with at most 3 vertices, the empty one included, and
+    weighted targets whose weights vanish on some vertices."""
+    targets = [Graph(0)] + [g for n in range(1, 4) for g in enumerate_graphs(n)]
+    targets += [
+        WeightedGraph(P3, [F(1, 2), F(0), F(1, 2)]),
+        WeightedGraph(K3, [F(0), F(1, 3), F(2, 3)]),
+        WeightedGraph(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)]), [F(1, 4), F(0), F(1, 4), F(1, 2)]),
+    ]
+    return targets
+
+
+class TestUnlabelTrigraph:
+    """An Unlabel walks only the label maps that its child's label
+    trigraph allows; each rule that builds the trigraph must keep every
+    map at which the child is nonzero, so the walk agrees with the
+    expansion on every target."""
+
+    EDGE12 = Atom(PLG(K2, {1: 0, 2: 1}))
+    NONEDGE12 = IndAtom(PLG(Graph(2), {1: 0, 2: 1}))
+    EDGE23 = IndAtom(PLG(K2, {2: 0, 3: 1}))
+    PATH123 = IndAtom(PLG(P3, {1: 0, 2: 1, 3: 2}))
+
+    def _agrees(self, expr, keep=()):
+        """Unlabel(keep, expr) against its expansion, on every target and,
+        with kept labels, under every root map of them."""
+        keep = sorted(keep)
+        node = Unlabel(frozenset(keep), expr)
+        want = expand(node)
+        for G in _trigraph_targets():
+            n = (G if isinstance(G, Graph) else G.graph).n
+            for images in _all_maps(len(keep), n) if keep else [()]:
+                phi = dict(zip(keep, images))
+                assert t_quantum(node, G, phi) == t_quantum(want, G, phi), (expr, G, phi)
+
+    def test_atoms_force_only_their_labeled_pairs(self):
+        """An atom's labeled non-edge and an ind atom's free pair between
+        two labels leave the pair unforced."""
+        self._agrees(Atom(PLG(P3, {1: 0, 2: 2})))
+        self._agrees(Atom(PLG(P3, {1: 0, 2: 2})), keep=(1,))
+        free = IndAtom(PLG(Graph(3, [(0, 2)]), {1: 0, 2: 1}), free=[(0, 1)])
+        self._agrees(free)
+        self._agrees(Product([free, self.EDGE23]), keep=(2,))
+
+    def test_product_of_disagreeing_factors_is_zero(self, monkeypatch):
+        """No label map satisfies both factors, so no walk runs."""
+        walks = []
+        monkeypatch.setattr(density, "_walk", lambda *args: walks.append(args) or iter(()))
+        expr = Product([self.EDGE12, self.NONEDGE12])
+        assert expand(expr).is_zero()
+        for G in _trigraph_targets():
+            assert t_quantum(Unlabel((), expr), G) == 0
+        for g in enumerate_graphs(3):
+            assert t_quantum(Unlabel((2,), Product([Const(3), expr])), g, {2: 0}) == 0
+        assert walks == []
+        monkeypatch.undo()
+        self._agrees(Product([self.EDGE12, self.EDGE23]))
+
+    def test_sum_forces_only_the_pairs_its_children_agree_on(self):
+        self._agrees(Sum([self.EDGE12, self.NONEDGE12]))
+        self._agrees(Sum([Product([self.EDGE12, self.EDGE23]), self.PATH123]))
+        self._agrees(Sum([self.PATH123, Product([Const(0), self.EDGE12])]))
+
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_polyimage_constant_term(self, constant):
+        x1, x2 = Polynomial.variable("x1", ("x1", "x2")), Polynomial.variable("x2", ("x1", "x2"))
+        poly = x1 * x2 - 2 * x1 + constant
+        gens = {"x1": self.PATH123, "x2": Product([self.EDGE12, self.EDGE23])}
+        self._agrees(PolyImage(gens, poly))
+        self._agrees(PolyImage(gens, poly), keep=(2,))
+
+    def test_free_pair_generators(self):
+        for base in (K2, P3):
+            gens = [psi_generator(base, j, m) for j in range(1, base.n + 1) for m in (1, 2)]
+            for gen in gens:
+                assert gen.free
+                self._agrees(gen)
+            self._agrees(Product(gens[:2]))
+            self._agrees(Sum(gens[-2:]), keep=(1,))
+
+    def test_nested_unlabel_with_pinned_labels(self):
+        inner = Unlabel(frozenset({1, 2}), Product([self.PATH123, self.EDGE12]))
+        self._agrees(Product([inner, self.NONEDGE12]))
+        self._agrees(Product([inner, Atom(PLG(K2, {2: 0, 4: 1}))]), keep=(2,))
+        self._agrees(Sum([inner, self.EDGE23]), keep=(1, 3))
 
 
 def _random_expr(rng, depth):

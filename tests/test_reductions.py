@@ -608,11 +608,10 @@ class TestBuildInstance:
 
     def test_pruning_binds_one_atom_per_core(self, monkeypatch):
         """Each of the 18 generators is one IndAtom, and all share the
-        labeled core, so the pruning check of the Unlabel search binds one
-        atom per generator, and each of the 3 leaves, the exact embeddings,
-        evaluates 18 atoms: 19960 `_bind` calls on the flagship witness.
-        The generators as sums of 2 to 8 atoms bound 84 atoms per leaf
-        (20158 calls), and 92560 when the pruning check bound all of them."""
+        labeled core H6, so the Unlabel binds that core once as its label
+        trigraph, walks its 3 exact embeddings in the flagship witness,
+        and at each evaluates the 18 atoms: 1 + 3 * 18 = 55 `_bind`
+        calls."""
         binds = [0]
         original = density._bind
 
@@ -624,7 +623,7 @@ class TestBuildInstance:
         p = 1 - 2 * xvar("x1", XV6)
         value = t_quantum(build_instance(p), witness_graph(p, (3, 1, 1, 1, 1, 1)))
         assert value == -F(3**105, 2**2016)
-        assert binds[0] == 19960
+        assert binds[0] == 55
 
     def test_symbolic_density_is_a_clear_error(self):
         inst = build_instance(1 - 2 * xvar("x1", XV6))
