@@ -13,15 +13,16 @@ Moebius identities exact sums over supergraphs, with no injectivity error
 terms.
 
 Every density is a sum over the ways of extending a map, pinned on some
-vertices of a pattern, to all of it, and one kernel does all of them.  The
+vertices of a pattern, to all of it, and one search does all of them.  The
 free vertices split into components, each searched in the order of a
 `_Plan`, grown only as deep as a search reaches, in hom, inj or exact
-mode.  A term list is summed by one `_TermSearch` over a trie of the
-plans' position codes, so components that share a prefix enumerate its
-images once; a single density is the search of a one-term list.  The
-image walk `_walk` runs the same plans and yields whole images, for the
-monomial bins of density polynomials, for exact embeddings and
-automorphisms, and for the label walk of Unlabel nodes.
+mode.  A term list is one `_TermSearch` over a trie of the plans' position
+codes, so components that share a prefix enumerate its images once.
+Where components reach their tails, the search counts them for a density,
+or hands the path images and tail masks to a caller: a density polynomial
+sums its monomials there, and `extensions` lists whole images, for exact
+embeddings, automorphisms and the label walk of Unlabel nodes.  A single
+density or extension list is the search of a one-term list.
 
 Quantum graphs and term lists evaluate linearly, through the one search
 that every density shares.  Structured expressions evaluate without expansion:
@@ -37,9 +38,9 @@ expression is expanded first.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, lcm, perm, prod
 from types import MappingProxyType
 
@@ -186,9 +187,9 @@ class _Plan:
     placed neighbours, and is raised as they are placed.  `left` counts
     the constrained pairs among the unplaced vertices: edges in hom mode,
     all pairs in inj and exact modes.  Once none is left, the unplaced
-    vertices are appended at once as the tail, whose vertices are summed
-    over their candidate masks rather than enumerated; `tail` is then its
-    first position.
+    vertices are appended at once as the tail, which a search reads as
+    candidate masks rather than enumerating it; `tail` is then its first
+    position, and `group` the term search's leaf group of the tail.
 
     `codes[i]` is what the candidates of position i depend on, named by
     positions rather than vertices, so that components of different
@@ -216,7 +217,7 @@ class _Plan:
             if comp >> v & 1 else -1
             for v, a in enumerate(adj)
         ]
-        self.order, self.codes, self.tail, self.group, self.mode = [], [], None, None, mode
+        self.order, self.codes, self.tail, self.group, self.mode = [], [], None, 0, mode
         self._adj, self._pinned, self._pinmask, self._free = adj, pinned, pinmask, free
         self._freepos = [0] * n if free else None
         self._rest, self._left, self._plain = comp, left, mode == HOM and not pinmask
@@ -361,7 +362,7 @@ class _Node:
     tails that start here; `children` pairs a code index with the node of
     the components placing that code next; `tails` lists the code indices
     the tails use, and `leaves` pairs each distinct tail, as indices into
-    `tails`, with the leaf group that counts its components.
+    `tails`, with the leaf group of its components.
     """
 
     __slots__ = ("pending", "codes", "children", "tails", "leaves")
@@ -371,18 +372,20 @@ class _Node:
 
 
 class _TermSearch:
-    """The weighted density sum of a term list, in one search.
+    """The extensions of every term of a term list, in one search.
 
     Each term is (coefficient, pattern, pinned), its root map already
     bound; `free` rows, as in `_Plan`, serve a one-term list.  Every
     component of every term gets a `_Plan`, and the search walks a trie of
     their position codes, built lazily, so components that share a prefix
     enumerate its images once, and a component's plan grows only as deep
-    as the search reaches it.  A leaf group sums, over the images of its
-    path, the product of the weight numerators of the placed positions and
-    of each tail vertex's candidate mask.  A term is its coefficient times
-    the product of its components' counts.  The plans and the trie serve
-    every target `value` is called with.
+    as the search reaches it.  Components whose tails start at one node
+    and read the same codes form a leaf group, which `walk` either counts,
+    summing over the images of its path the product of the weight
+    numerators of the placed positions and of each tail vertex's candidate
+    mask, or hands to a caller.  In `value` a term is its coefficient
+    times the product of its components' counts.  The plans and the trie
+    serve every target.
 
     Each count is an integer over den ** (free vertices), so the terms are
     collected as integers per (free vertices, coefficient denominator) and
@@ -401,10 +404,37 @@ class _TermSearch:
             depth = max(depth, pattern.n - len(pinned))
         self.root = _Node(list(plans))
         self.depth = depth
-        self.groups = 0
+        self.groups = 1  # group 0 counts the tails no search has reached
         self.roots = {(): 0}
 
+    def components(self):
+        """Each term with the plans of its components."""
+        start = 0
+        for term, stop in zip(self.terms, self.stops):
+            yield term, self.plans[start:stop]
+            start = stop
+
     def value(self, graph, weights):
+        totals = self.walk(graph, weights)
+        sums = Counter()
+        for (coeff, pattern, pinned), plans in self.components():
+            value = coeff.numerator
+            for plan in plans:
+                value *= totals[plan.group]
+            if value:
+                sums[pattern.n - len(pinned), coeff.denominator] += value
+        return sum(
+            (Fraction(n, den * weights.den ** k) for (k, den), n in sums.items()),
+            Fraction(0),
+        )
+
+    def walk(self, graph, weights, leaf=None):
+        """Search the trie on one target.  Without `leaf`, return each
+        leaf group's count; with it, call leaf(node, d, img, masks) at
+        each node of depth d where tails start, img[:d] holding the images
+        of the path and masks[i] the candidates of the node's code i.
+        Only vertices of positive weight are placed on the path, so a walk
+        over every extension takes uniform weights."""
         gadj, num, flat = graph.adj, weights.num, weights.flat
         full = (1 << graph.n) - 1
         support = full if flat else sum(1 << w for w, x in enumerate(num) if x)
@@ -426,15 +456,18 @@ class _TermSearch:
                     cand &= ~gadj[img[p]]
                 masks.append(cand)
             if node.leaves:
-                if flat:
-                    sums = [flat * masks[i].bit_count() for i in node.tails]
+                if leaf:
+                    leaf(node, d, img, masks)
                 else:
-                    sums = [sum(num[w] for w in _bits(masks[i])) for i in node.tails]
-                for tail, group in node.leaves:
-                    value = weight
-                    for i in tail:
-                        value *= sums[i]
-                    totals[group] += value
+                    if flat:
+                        sums = [flat * masks[i].bit_count() for i in node.tails]
+                    else:
+                        sums = [sum(num[w] for w in _bits(masks[i])) for i in node.tails]
+                    for tail, group in node.leaves:
+                        value = weight
+                        for i in tail:
+                            value *= sums[i]
+                        totals[group] += value
             for i, child in node.children:
                 cand = masks[i] & support
                 while cand:
@@ -445,23 +478,8 @@ class _TermSearch:
                     visit(child, d + 1, weight * num[w], used | low if inj else used)
 
         visit(self.root, 0, 1, 0)
-        sums = Counter()
-        plans, start = self.plans, 0
-        for (coeff, pattern, pinned), stop in zip(self.terms, self.stops):
-            value = coeff.numerator
-            for i in range(start, stop):
-                group = plans[i].group
-                if group is None:
-                    value = 0
-                    break
-                value *= totals[group]
-            start = stop
-            if value:
-                sums[pattern.n - len(pinned), coeff.denominator] += value
-        return sum(
-            (Fraction(n, den * weights.den ** k) for (k, den), n in sums.items()),
-            Fraction(0),
-        )
+        del visit  # it refers to itself: unbound, the search is freed at once
+        return totals
 
     def _build(self, node, d, rmask, totals, gadj, full):
         """Grow the plans of a node's components by one position, or to
@@ -506,78 +524,36 @@ class _TermSearch:
         node.pending = None
 
 
-def _walk(plans, graph, image, budget=None):
-    """Yield `image` once per extension of the bound image list, with every
-    free vertex filled in.  The `plans` run one after another, each grown
-    only as deep as the search reaches.
-
-    The same list is yielded each time; `budget` caps the search nodes.
-    """
-    k = sum(len(plan.order) + plan._rest.bit_count() for plan in plans)
-    if not k:
-        yield image
-        return
-    gadj, full = graph.adj, (1 << graph.n) - 1
-    order, rules = [0] * k, [None] * k
-    queue = iter(plans)
-    plan, start = next(queue), 0
-
-    def reach(i):
-        """The rule of position i, the next one the search reaches."""
-        nonlocal plan, start
-        p = i - start
-        while p == len(plan.order):
-            if plan.tail is None:
-                plan.grow()
-            else:
-                plan, start, p = next(queue), i, 0
-        root, near, apart = _split(plan.codes[p])
-        order[i] = plan.order[p]
-        near = [start + q for q in _bits(near)]
-        apart = [start + q for q in _bits(apart)]
-        rules[i] = rule = (_root_mask(root, gadj, full), near, apart)
-        return rule
-
-    inj = plans[0].mode == INJ
-    img = [0] * k
-    used = [0] * k
-    masks = [0] * k
-    masks[0] = reach(0)[0]
-    nodes = 0
-    i = 0
-    while i >= 0:
-        cand = masks[i]
-        if not cand:
-            i -= 1
-            continue
-        low = cand & -cand
-        masks[i] = cand ^ low
-        img[i] = image[order[i]] = low.bit_length() - 1
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExceeded(f"extension search exceeded {budget} nodes")
-        if i + 1 == k:
-            yield image
-            continue
-        i += 1
-        cand, near, apart = rules[i] or reach(i)
-        if inj:
-            used[i] = used[i - 1] | low
-            cand &= ~used[i]
-        for p in near:
-            cand &= gadj[img[p]]
-        for p in apart:
-            cand &= ~gadj[img[p]]
-        masks[i] = cand
-
-
 def extensions(pattern, pinned, mode, graph, budget=None, free=None):
-    """Yield the image list (indexed by pattern vertex) of every extension
-    of the root map `pinned` {pattern vertex: target vertex}; `free` rows,
-    as in `_Plan`, exempt pairs from the exact rule."""
+    """The image tuples, indexed by pattern vertex, of every extension of
+    the root map `pinned` {pattern vertex: target vertex} in inj or exact
+    mode: the walk of a one-term search, as `_rooted_density` is its count.
+    `free` rows, as in `_Plan`, exempt pairs from the exact rule; `budget`
+    caps the number of extensions."""
+    if mode == HOM:
+        raise ValueError("extensions lists inj and exact maps only")
     image = _bind(pattern, pinned, mode, graph, free)
-    if image is not None:
-        yield from _walk(_plans(pattern, pinned, mode, free), graph, image, budget)
+    if image is None:
+        return []
+    search = _TermSearch([(Fraction(1), pattern, pinned)], mode, free)
+    if not search.plans:
+        return [tuple(image)]
+    order = search.plans[0].order
+    out = []
+
+    def leaf(node, d, img, masks):
+        # Every pair of free vertices is constrained, so they form one
+        # component, and its tail is its last vertex.
+        for p in range(d):
+            image[order[p]] = img[p]
+        for w in _bits(masks[node.tails[0]]):
+            image[order[d]] = w
+            out.append(tuple(image))
+        if budget is not None and len(out) > budget:
+            raise BudgetExceeded(f"extension search exceeded {budget} extensions")
+
+    search.walk(graph, _target(graph)[1], leaf)
+    return out
 
 
 def _rooted_density(pattern, pinned, mode, graph, weights, free=None):
@@ -634,23 +610,12 @@ def t_quantum(f, G, phi=None):
     QExpr tree; phi must cover every label of f's normal form.
     Structured trees are never expanded.
     """
-    graph, weights = _target(G)
     phi = dict(phi or {})
+    graph, weights = _read_target(f, G)
     if isinstance(f, QExpr):
-        labels = f.label_set()
-        _check_cover(labels, phi)
-        # An expansion reads the empty target as its unit coefficient, its value at K1.
-        if not graph.n and not labels:
-            graph, weights = _target(Graph(1))
-        return _eval_expr(f, graph, weights, phi)
-    terms = _term_roots(_terms(f), phi, graph.n)
-    if phi:
-        terms = [
-            (coeff, pattern, pinned)
-            for coeff, pattern, pinned in terms
-            if not pinned or _bind(pattern, pinned, HOM, graph) is not None
-        ]
-    return _TermSearch(terms, HOM).value(graph, weights)
+        _check_cover(f.label_set(), phi)
+        return _eval_expr(f, graph, weights, phi, {})
+    return _TermSearch(_term_roots(f, phi, graph), HOM).value(graph, weights)
 
 
 def compiled_density(f):
@@ -658,13 +623,23 @@ def compiled_density(f):
 
     A term list or QuantumGraph keeps one term search for all the targets
     it is called with, so the plans and trie nodes grown for one target
-    serve the next; they live as long as the function.  A QExpr is
-    evaluated afresh each call.
+    serve the next; a QExpr keeps the label walk of each Unlabel node.
+    They live as long as the function.
     """
     if isinstance(f, QExpr):
-        return lambda G: t_quantum(f, G)
-    search = _TermSearch(_term_roots(_terms(f), {}, 0), HOM)
-    return lambda G: search.value(*_target(G))
+        _check_cover(f.label_set(), {})
+        walks = {}
+        return lambda G: _eval_expr(f, *_read_target(f, G), {}, walks)
+    search = _TermSearch(_term_roots(f, {}, Graph(0)), HOM)
+    return lambda G: search.value(*_read_target(f, G))
+
+
+def _read_target(f, G):
+    """The graph and `_Weights` at which f reads the target G.  An f with
+    no labels reads the empty graph as its normal form does, at its unit
+    coefficient, which is its value at K1."""
+    graph, weights = _target(G)
+    return (graph, weights) if graph.n or _label_set(f) else _target(Graph(1))
 
 
 def _terms(f):
@@ -679,20 +654,21 @@ def _label_set(f):
         if not any(plg.labels for plg, _ in f):
             return frozenset()
         f = QuantumGraph(f)
-    return f.label_set()
+    return (f if isinstance(f, QExpr) else as_quantum(f)).label_set()
 
 
-def _term_roots(terms, phi, n):
-    """(coefficient, pattern, pinned) per nonzero term of a term list
-    evaluated under the root map phi on an n-vertex target.
+def _term_roots(f, phi, graph):
+    """(coefficient, pattern, pinned) per nonzero term of f evaluated under
+    the root map phi on `graph`, less the terms whose pinned vertices
+    already break an edge.
 
     A label that only terms cancelling up to isomorphism carry is absent
     from the normal form, so phi need not cover it, and it stays unpinned:
     those terms still cancel.  Only that case builds the normal form.
     """
-    terms = tuple((plg, coeff) for plg, coeff in terms if coeff)
+    terms = tuple((plg, coeff) for plg, coeff in _terms(f) if coeff)
     labels = {lab for plg, _ in terms for lab, _ in plg.labels}
-    if not all(lab in phi and 0 <= phi[lab] < n for lab in labels):
+    if not all(lab in phi and 0 <= phi[lab] < graph.n for lab in labels):
         labels = _label_set(terms)
         _check_cover(labels, phi)
         phi = {lab: phi[lab] for lab in labels}
@@ -700,8 +676,10 @@ def _term_roots(terms, phi, n):
     # at once, and each object per term is one more for the collector to
     # traverse.
     return [
-        (coeff, plg.graph, _pinned(plg, phi) if plg.labels else _UNPINNED)
+        (coeff, plg.graph, pinned)
         for plg, coeff in terms
+        if not (pinned := _pinned(plg, phi) if plg.labels else _UNPINNED)
+        or _bind(plg.graph, pinned, HOM, graph) is not None
     ]
 
 
@@ -719,53 +697,58 @@ def _pinned(plg, phi):
     return {v: phi[lab] for lab, v in plg.labels if lab in phi}
 
 
-def _eval_expr(expr, graph, weights, phi):
+def _eval_expr(expr, graph, weights, phi, walks):
+    """The value of expr; `walks` holds the label walks of its Unlabel nodes."""
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, (Atom, IndAtom)):
         mode, free = (HOM, None) if isinstance(expr, Atom) else (EXACT, expr.rows)
         return _rooted_density(expr.plg.graph, _pinned(expr.plg, phi), mode, graph, weights, free)
     if isinstance(expr, Sum):
-        total = Fraction(0)
-        for child in expr.children:
-            total = total + _eval_expr(child, graph, weights, phi)
-        return total
+        return sum((_eval_expr(c, graph, weights, phi, walks) for c in expr.children), Fraction(0))
     if isinstance(expr, Product):
-        total = Fraction(1)
-        for child in expr.children:
-            total = total * _eval_expr(child, graph, weights, phi)
-        return total
+        return prod((_eval_expr(c, graph, weights, phi, walks) for c in expr.children), start=Fraction(1))
     if isinstance(expr, Unlabel):
-        return _eval_unlabel(expr, graph, weights, phi)
+        return _eval_unlabel(expr, graph, weights, phi, walks)
     if isinstance(expr, PolyImage):
         values = {
-            var: _eval_expr(gen, graph, weights, phi) for var, gen in expr.generators
+            var: _eval_expr(gen, graph, weights, phi, walks) for var, gen in expr.generators
         }
         return expr.poly.evaluate(values)
     raise TypeError(f"unknown expression node {type(expr).__name__}")
 
 
-def _eval_unlabel(expr, graph, weights, phi):
+def _eval_unlabel(expr, graph, weights, phi, walks):
     """The expectation of the child over the images of the labels it
     loses: the kernel walks the exact embeddings of the child's label
-    trigraph, the kept labels pinned, and evaluates the child at each."""
-    labels = sorted(expr.child.label_set())
-    unlabeled = [i for i, lab in enumerate(labels) if lab not in expr.keep]
-    if len(unlabeled) > UNLABEL_CAP:
-        raise CapExceeded(f"unlabeling over {len(unlabeled)} labels exceeds cap {UNLABEL_CAP}")
-    tri = _trigraph(expr.child)
-    if tri is None:
+    trigraph, the kept labels pinned, and evaluates the child at each.
+    What the walk needs on every target is built once into `walks`: the
+    child's labels in order, the positions of those it loses, and the
+    pattern and free rows of the trigraph, or None when the child is 0 at
+    every root map."""
+    walk = walks.get(id(expr))
+    if walk is None:
+        labels = sorted(expr.child.label_set())
+        unlabeled = [i for i, lab in enumerate(labels) if lab not in expr.keep]
+        if len(unlabeled) > UNLABEL_CAP:
+            raise CapExceeded(f"unlabeling over {len(unlabeled)} labels exceeds cap {UNLABEL_CAP}")
+        tri = _trigraph(expr.child)
+        pattern = rows = None
+        if tri is not None:
+            at = {lab: i for i, lab in enumerate(labels)}
+            rows = [sum(1 << at[b] for b in labels if a != b and (min(a, b), max(a, b)) not in tri)
+                    for a in labels]
+            pattern = Graph(len(labels), [(at[a], at[b]) for (a, b), edge in tri.items() if edge])
+        walk = walks[id(expr)] = labels, unlabeled, pattern, rows
+    labels, unlabeled, pattern, rows = walk
+    if pattern is None:
         return Fraction(0)
-    at = {lab: i for i, lab in enumerate(labels)}
-    rows = [sum(1 << at[b] for b in labels if a != b and (min(a, b), max(a, b)) not in tri)
-            for a in labels]
-    pattern = Graph(len(labels), [(at[a], at[b]) for (a, b), edge in tri.items() if edge])
-    pinned = {at[lab]: phi[lab] for lab in labels if lab in expr.keep}
+    pinned = {i: phi[lab] for i, lab in enumerate(labels) if lab in expr.keep}
     total = 0
     for image in extensions(pattern, pinned, EXACT, graph, free=rows):
         weight = prod(weights.num[image[v]] for v in unlabeled)
         if weight:
-            total += weight * _eval_expr(expr.child, graph, weights, dict(zip(labels, image)))
+            total += weight * _eval_expr(expr.child, graph, weights, dict(zip(labels, image)), walks)
     return Fraction(total, weights.den ** len(unlabeled))
 
 
@@ -806,9 +789,10 @@ def density_polynomial(f, g, phi=None):
 
     f is a QuantumGraph (or plain graph material) or a term list, read as
     t_quantum reads it; evaluating the result at any probability
-    distribution equals t_quantum(f, (g, y), phi).  The extensions of each
-    term are binned by their image multiset.  A structured expression is a
-    TypeError: expand it first.
+    distribution equals t_quantum(f, (g, y), phi).  All terms share one
+    search: each leaf group sums the monomials of its extensions, and a
+    term is its coefficient times the product of its components' sums.  A
+    structured expression is a TypeError: expand it first.
     """
     if isinstance(f, QExpr):
         raise TypeError(
@@ -816,21 +800,31 @@ def density_polynomial(f, g, phi=None):
             "structured expression use density_polynomial(expand(expr), g, phi)"
         )
     g = _as_graph(g) if not isinstance(g, WeightedGraph) else g.graph
+    search = _TermSearch(_term_roots(f, dict(phi or {}), g), HOM)
+    # A monomial is the sorted tuple of the images of its free vertices.
+    groups = defaultdict(Counter)
+
+    def leaf(node, d, img, masks):
+        path = img[:d]
+        tails = [_bits(masks[i]) for i in node.tails]
+        for tail, group in node.leaves:
+            for ws in product(*(tails[i] for i in tail)):
+                groups[group][tuple(sorted(path + list(ws)))] += 1
+
+    search.walk(g, _target(g)[1], leaf)
     terms = Counter()
-    for coeff, pattern, pinned in _term_roots(_terms(f), dict(phi or {}), g.n):
-        image = _bind(pattern, pinned, HOM, g)
-        if image is None:
-            continue
-        free = [v for v in range(pattern.n) if v not in pinned]
-        bins = Counter()
-        for image in _walk(_plans(pattern, pinned, HOM), g, image):
-            exps = [0] * g.n
-            for v in free:
-                exps[image[v]] += 1
-            bins[tuple(exps)] += 1
-        for exps, count in bins.items():
-            terms[exps] += coeff * count
-    return Polynomial(tuple(f"y{i}" for i in range(1, g.n + 1)), terms)
+    for (coeff, _, _), plans in search.components():
+        poly = {(): coeff}
+        for plan in plans:
+            poly, partial = Counter(), poly
+            for images, c in partial.items():
+                for more, k in groups[plan.group].items():
+                    poly[tuple(sorted(images + more))] += c * k
+        terms.update(poly)
+    return Polynomial(
+        tuple(f"y{i}" for i in range(1, g.n + 1)),
+        {tuple(map(images.count, range(g.n))): c for images, c in terms.items()},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -485,7 +485,7 @@ def automorphisms(g, cap=AUTOMORPHISM_CAP):
     if plg.graph.n > cap:
         raise CapExceeded(f"automorphisms supports n <= {cap}, got {plg.graph.n}")
     fixed = {v: v for _, v in plg.labels}
-    return sorted(tuple(image) for image in extensions(plg.graph, fixed, INJ, plg.graph))
+    return sorted(extensions(plg.graph, fixed, INJ, plg.graph))
 
 
 def homogeneous_sets(g, cap=AUTOMORPHISM_CAP):

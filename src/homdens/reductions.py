@@ -80,16 +80,16 @@ def is_exact_embedding(h, g, phi):
     if set(phi) != set(range(1, h.n + 1)):
         raise ValueError("root map domain must be the labels 1..k")
     pinned = {v: phi[v + 1] for v in range(h.n)}
-    return next(extensions(h, pinned, EXACT, g), None) is not None
+    return bool(extensions(h, pinned, EXACT, g))
 
 
 def exact_embeddings(h, g, budget=EMBED_BUDGET):
     """All root maps V(h) -> V(g) preserving adjacency and non-adjacency.
 
-    `budget` bounds the number of search nodes.  Returns root maps keyed
+    `budget` bounds the number of embeddings.  Returns root maps keyed
     by label, sorted.
     """
-    images = sorted(tuple(image) for image in extensions(h, {}, EXACT, g, budget=budget))
+    images = sorted(extensions(h, {}, EXACT, g, budget=budget))
     return [{v + 1: w for v, w in enumerate(image)} for image in images]
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -21,11 +22,14 @@ from homdens.algebra import (
 )
 from homdens import density
 from homdens.density import (
+    EXACT,
     HOM,
+    INJ,
     WeightedGraph,
     check_tasym,
     compiled_density,
     density_polynomial,
+    extensions,
     format_weighted_graph,
     hom_count,
     parse_weighted_graph,
@@ -35,19 +39,21 @@ from homdens.density import (
     t_quantum,
     _plans,
 )
-from homdens.errors import CapExceeded, FormatError
+from homdens.errors import BudgetExceeded, CapExceeded, FormatError
 from homdens.graphs import (
     Graph,
     PartiallyLabeledGraph as PLG,
     enumerate_graphs,
     format_plg,
     independent_blowup,
+    stringent_graph,
 )
 from homdens.polynomials import Polynomial
 
-from homdens.reductions import exact_embeddings, psi_generator
+from homdens.reductions import counterexample_expr, exact_embeddings, psi_generator
 
 from oracles import (
+    brute_automorphisms,
     brute_exact_embeddings,
     brute_rooted_t,
     brute_t,
@@ -529,7 +535,7 @@ class TestUnlabelTrigraph:
     def test_product_of_disagreeing_factors_is_zero(self, monkeypatch):
         """No label map satisfies both factors, so no walk runs."""
         walks = []
-        monkeypatch.setattr(density, "_walk", lambda *args: walks.append(args) or iter(()))
+        monkeypatch.setattr(density, "extensions", lambda *args, **kw: walks.append(args) or [])
         expr = Product([self.EDGE12, self.NONEDGE12])
         assert expand(expr).is_zero()
         for G in _trigraph_targets():
@@ -837,6 +843,21 @@ class TestTermLists:
                 t_quantum(f, K3, phi)
             assert str(exc.value) == message
 
+    def test_unlabeled_term_lists_read_the_empty_target_at_k1(self):
+        """A term list with no labels reads the empty target as its normal
+        form does, at its unit coefficient, whatever isolated vertices its
+        records keep."""
+        vertex = ((PLG(Graph(1)), F(1)),)
+        assert t_quantum(vertex, Graph(0)) == 1
+        assert t_quantum(QuantumGraph.of(PLG(Graph(1))), Graph(0)) == 1
+        padded = ((PLG(K2), F(1)), (PLG(Graph(3, [(0, 1)])), F(-1)))
+        unit_less_edge = ((PLG(Graph(2)), F(2)), (PLG(Graph(3, [(1, 2)])), F(-1)))
+        for f in (vertex, padded, unit_less_edge):
+            for G in (Graph(0), K1, K2, P3, WeightedGraph(P3, [F(1, 2), 0, F(1, 2)])):
+                want = t_quantum(QuantumGraph(f), G)
+                assert t_quantum(f, G) == compiled_density(f)(G) == want
+        assert t_quantum(unit_less_edge, Graph(0)) == 2
+
     @pytest.mark.parametrize(
         "text, line",
         [
@@ -900,6 +921,96 @@ class TestSharedSearch:
                 want = _term_list_oracle(terms, G, {})
                 assert density(G) == want
                 assert t_quantum(terms, G) == want
+
+    def test_density_polynomial_under_root_maps(self):
+        """One search holds every term: the polynomial is the sum of the
+        terms' own, each a product over its components, and evaluates to
+        their brute-force densities."""
+        rng = random.Random(2033)
+        for _ in range(25):
+            terms = _mixed_term_list(rng)
+            g = random_graph(rng, rng.randint(1, 4))
+            phi = {lab: rng.randrange(g.n) for lab in (1, 2, 3)}
+            poly = density_polynomial(terms, g, phi)
+            parts = [density_polynomial((term,), g, phi) for term in terms]
+            assert poly == sum(parts[1:], parts[0])
+            for _ in range(3):
+                y = random_distribution(rng, g.n)
+                point = {f"y{i + 1}": y[i] for i in range(g.n)}
+                assert poly.evaluate(point) == _term_list_oracle(terms, WeightedGraph(g, y), phi)
+
+    def test_compiled_structured_expression(self):
+        """A compiled structured x keeps its label walks across targets,
+        repeated ones included, and reads each as a fresh t_quantum."""
+        x = counterexample_expr(6)
+        rng = random.Random(2034)
+        targets = [g for n in range(6) for g in enumerate_graphs(n)]
+        # Weighted targets with induced copies of the base, where x is not 0.
+        h6 = stringent_graph(6)
+        for _ in range(8):
+            extra = [(v, 6) for v in range(6) if rng.random() < 0.5]
+            g = rng.choice((h6, Graph(7, list(h6.edges) + extra)))
+            w = [rng.randint(1, 6) for _ in range(g.n)]
+            targets.append(WeightedGraph(g, [F(a, sum(w)) for a in w]))
+        wants = [t_quantum(x, G) for G in targets]
+        assert any(wants)
+        density = compiled_density(x)
+        for _ in range(2):
+            assert [density(G) for G in targets] == wants
+
+
+class TestExtensions:
+    """The enumerating search of a one-term list, in inj and exact mode,
+    against brute force."""
+
+    def test_exact_with_free_rows_and_pinned_vertices(self):
+        rng = random.Random(2035)
+        for _ in range(60):
+            h = random_graph(rng, rng.randint(1, 4))
+            g = random_graph(rng, rng.randint(1, 4))
+            nonedges = [(u, v) for u in range(h.n) for v in range(u + 1, h.n) if not h.has_edge(u, v)]
+            free = rng.sample(nonedges, rng.randint(0, len(nonedges)))
+            rows = [0] * h.n
+            for u, v in free:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            pinned = {v: rng.randrange(g.n) for v in rng.sample(range(h.n), rng.randint(0, h.n))}
+            # A free pair obeys one of the two rules at every map, so the
+            # exact maps with free pairs are those of some state of them.
+            want = set()
+            for state in product((False, True), repeat=len(free)):
+                wired = Graph(h.n, list(h.edges) + [p for p, on in zip(free, state) if on])
+                want.update(brute_exact_embeddings(wired, g))
+            want = sorted(m for m in want if all(m[v] == w for v, w in pinned.items()))
+            assert sorted(extensions(h, pinned, EXACT, g, free=rows if free else None)) == want
+
+    def test_inj_against_automorphisms_and_injections(self):
+        for h in SMALL:
+            for plg in _labelings(h):
+                fixed = {v: v for _, v in plg.labels}
+                assert sorted(extensions(h, fixed, INJ, h)) == brute_automorphisms(plg)
+        rng = random.Random(2036)
+        for _ in range(40):
+            h = random_graph(rng, rng.randint(1, 3))
+            g = random_graph(rng, rng.randint(1, 4))
+            pinned = {v: rng.randrange(g.n) for v in rng.sample(range(h.n), rng.randint(0, h.n))}
+            want = [
+                m for m in product(range(g.n), repeat=h.n)
+                if len(set(m)) == h.n
+                and all(g.has_edge(m[u], m[v]) for u, v in h.edges)
+                and all(m[v] == w for v, w in pinned.items())
+            ]
+            assert sorted(extensions(h, pinned, INJ, g)) == want
+
+    def test_budget_caps_the_extensions(self):
+        assert len(extensions(Graph(4), {}, EXACT, Graph(9), budget=9**4)) == 9**4
+        with pytest.raises(BudgetExceeded):
+            extensions(Graph(4), {}, EXACT, Graph(9), budget=10)
+
+    def test_hom_mode_is_refused(self):
+        with pytest.raises(ValueError, match="inj and exact"):
+            extensions(K2, {}, HOM, K3)
+
 
 def _stripped(plg):
     """The graph and labels of plg without its isolated vertices."""
