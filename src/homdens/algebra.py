@@ -44,6 +44,7 @@ from .graphs import (
     PartiallyLabeledGraph,
     _bits,
     _marked,
+    _moved,
     canonical_form,
     format_plg,
     parse_plg,
@@ -106,13 +107,12 @@ def glue(a, b):
     """Glue two PLGs: disjoint union, identify equal labels, drop doubled edges."""
     a, b = as_plg(a), as_plg(b)
     bmap, n = _glue_map(a, b)
-    edges = set(a.graph.edges)
-    for u, v in b.graph.edges:
-        x, y = bmap[u], bmap[v]
-        edges.add((x, y) if x < y else (y, x))
+    adj = [*a.graph.adj, *[0] * (n - a.graph.n)]
+    for u, row in enumerate(b.graph.adj):
+        adj[bmap[u]] |= _moved(row, bmap)
     labels = dict(a.labels)
     labels.update((lab, bmap[v]) for lab, v in b.labels)
-    return PLG(Graph(n, edges), labels)
+    return PLG(Graph._of_rows(tuple(adj)), labels)
 
 
 class QuantumGraph:
@@ -257,15 +257,6 @@ def non_edges(plg, free):
     return [p for p in combinations(range(g.n), 2) if not g.has_edge(*p) and p not in free]
 
 
-def _free_rows(free, n):
-    """The free pairs as one bitmask row per vertex of an n-vertex graph."""
-    rows = [0] * n
-    for u, v in free:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return rows
-
-
 def ind_terms(plg, free):
     """Yield (raw PLG, weight) pairs whose sum is ind of the trigraph (plg, free).
 
@@ -281,7 +272,7 @@ def ind_terms(plg, free):
     the pairs no class owns are plain, each added or not.
     """
     g, n = plg.graph, plg.n
-    rows = _free_rows(free, n)
+    rows = Graph(n, free).adj  # the free pairs as rows
     open_rows = [((1 << n) - 1) & ~(g.adj[v] | rows[v] | 1 << v) for v in range(n)]
     labeled = {v for _, v in plg.labels}
     twins = {}
@@ -307,13 +298,15 @@ def ind_terms(plg, free):
             choices.append(group)
     plain = [(u, v) for u, v in non_edges(plg, free) if not (owned >> u | owned >> v) & 1]
     choices.append([(extra, 1) for extra in subsets(plain)])
-    base = list(g.edges)
     for combo in cartesian(*choices):
-        extra, weight = [], 1
+        adj, added, weight = list(g.adj), 0, 1
         for edges, count in combo:
-            extra += edges
+            for u, v in edges:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            added += len(edges)
             weight *= count
-        yield PLG(Graph(n, base + extra), plg.labels), -weight if len(extra) % 2 else weight
+        yield PLG(Graph._of_rows(tuple(adj)), plg.labels), -weight if added % 2 else weight
 
 
 def ind_product(a, b):
@@ -328,24 +321,25 @@ def ind_product(a, b):
     (pa, fa), (pb, fb) = a, b
     bmap, n = _glue_map(pa, pb)
     k = pa.n
-    edges, free = set(pa.graph.edges), set(fa)
+    adj, free = [*pa.graph.adj, *[0] * (n - k)], set(fa)
     for u, v in combinations(range(pb.n), 2):
-        pair = (min(bmap[u], bmap[v]), max(bmap[u], bmap[v]))
+        x, y = sorted((bmap[u], bmap[v]))
         edge, loose = pb.graph.has_edge(u, v), (u, v) in fb
-        if pair[1] < k and pair not in free:
-            if not loose and (pair in edges) != edge:
+        if y < k and (x, y) not in free:
+            if not loose and adj[x] >> y & 1 != edge:
                 return None
         elif loose:
-            free.add(pair)
+            free.add((x, y))
         else:
-            free.discard(pair)
+            free.discard((x, y))
             if edge:
-                edges.add(pair)
+                adj[x] |= 1 << y
+                adj[y] |= 1 << x
     shared = set(bmap)
     free.update((x, y) for x in range(k) if x not in shared for y in range(k, n))
     labels = dict(pa.labels)
     labels.update((lab, bmap[v]) for lab, v in pb.labels)
-    return PLG(Graph(n, edges), labels), frozenset(free)
+    return PLG(Graph._of_rows(tuple(adj)), labels), frozenset(free)
 
 
 def ind(h, cap=IND_CAP):
@@ -477,7 +471,7 @@ class IndAtom(_Leaf):
         free = frozenset(tuple(sorted((cert[u], cert[v]))) for u, v in free)
         object.__setattr__(self, "plg", canon)
         object.__setattr__(self, "free", free)
-        object.__setattr__(self, "rows", tuple(_free_rows(free, canon.n)) if free else None)
+        object.__setattr__(self, "rows", Graph(canon.n, free).adj if free else None)
 
     def _key(self):
         return self.plg, self.free

@@ -61,6 +61,7 @@ from .graphs import (
     Graph,
     PartiallyLabeledGraph,
     _bits,
+    _components,
     format_plg,
     plg_from_fields,
     split_record_fields,
@@ -136,29 +137,6 @@ def _target(G):
 # The hom-extension kernel
 
 HOM, INJ, EXACT = "hom", "inj", "exact"
-
-
-def _components(adj, rest):
-    """The components of the pattern on the vertex mask `rest`, lowest
-    vertex first, each as (vertex mask, number of edges inside it)."""
-    comps = []
-    free = rest
-    while rest:
-        comp = front = rest & -rest
-        degrees = 0
-        while front:
-            reach = 0
-            while front:
-                low = front & -front
-                front ^= low
-                a = adj[low.bit_length() - 1] & free
-                reach |= a
-                degrees += a.bit_count()
-            front = reach & ~comp
-            comp |= front
-        comps.append((comp, degrees // 2))
-        rest &= ~comp
-    return comps
 
 
 def _plans(pattern, pinned, mode, free=None):
@@ -800,7 +778,8 @@ def density_polynomial(f, g, phi=None):
             "structured expression use density_polynomial(expand(expr), g, phi)"
         )
     g = _as_graph(g) if not isinstance(g, WeightedGraph) else g.graph
-    search = _TermSearch(_term_roots(f, dict(phi or {}), g), HOM)
+    read, weights = _read_target(f, g)
+    search = _TermSearch(_term_roots(f, dict(phi or {}), read), HOM)
     # A monomial is the sorted tuple of the images of its free vertices.
     groups = defaultdict(Counter)
 
@@ -811,7 +790,7 @@ def density_polynomial(f, g, phi=None):
             for ws in product(*(tails[i] for i in tail)):
                 groups[group][tuple(sorted(path + list(ws)))] += 1
 
-    search.walk(g, _target(g)[1], leaf)
+    search.walk(read, weights, leaf)
     terms = Counter()
     for (coeff, _, _), plans in search.components():
         poly = {(): coeff}
@@ -821,6 +800,8 @@ def density_polynomial(f, g, phi=None):
                 for more, k in groups[plan.group].items():
                     poly[tuple(sorted(images + more))] += c * k
         terms.update(poly)
+    if read is not g:  # the empty graph, read at K1: the constant of its value
+        return Polynomial((), {(): sum(terms.values())})
     return Polynomial(
         tuple(f"y{i}" for i in range(1, g.n + 1)),
         {tuple(map(images.count, range(g.n))): c for images, c in terms.items()},

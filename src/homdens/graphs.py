@@ -28,36 +28,47 @@ _ENUM_MEMO = {}  # n -> tuple of representatives, filled once per process
 
 
 class Graph:
-    """An immutable simple graph on vertices 0..n-1."""
+    """An immutable simple graph on vertices 0..n-1, kept as its adjacency
+    rows: `adj[v]` is the bitmask of the neighbours of v."""
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n, edges=()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        norm = set()
+        adj = [0] * n
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            norm.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(norm))
-        adj = [0] * n
-        for u, v in norm:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(adj))
+
+    @classmethod
+    def _of_rows(cls, adj):
+        """The graph of trusted rows, a tuple of symmetric loop-free
+        bitmasks, built without the constructor's checks."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", len(adj))
+        object.__setattr__(g, "adj", adj)
+        return g
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    @property
+    def edges(self):
+        """The edges as a frozenset of pairs (u, v) with u < v."""
+        return frozenset((u, v) for u, row in enumerate(self.adj) for v in _bits(row) if u < v)
+
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return isinstance(other, Graph) and self.adj == other.adj
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash(self.adj)
 
     def __repr__(self):
         return f"Graph({self.n}, {sorted(self.edges)})"
@@ -72,14 +83,13 @@ class Graph:
         return _bits(self.adj[v])
 
     def induced(self, vertices):
-        """Subgraph induced on `vertices`, re-indexed in the given order."""
+        """Subgraph induced on `vertices`, distinct vertices of the graph,
+        re-indexed in the given order."""
         index = {v: i for i, v in enumerate(vertices)}
-        edges = [
-            (index[u], index[v])
-            for u, v in self.edges
-            if u in index and v in index
-        ]
-        return Graph(len(vertices), edges)
+        mask = _cell_mask(index)
+        if len(index) != len(vertices) or mask >> self.n:
+            raise ValueError(f"not distinct vertices of the graph: {list(vertices)}")
+        return Graph._of_rows(tuple(_moved(self.adj[v] & mask, index) for v in vertices))
 
     @staticmethod
     def complete(n):
@@ -104,6 +114,16 @@ def _bits(mask):
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _moved(mask, to):
+    """The mask of the vertices to[v] for the vertices v of `mask`."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << to[low.bit_length() - 1]
         mask ^= low
     return out
 
@@ -145,7 +165,7 @@ class PartiallyLabeledGraph:
         )
 
     def __hash__(self):
-        return hash((self.graph, self.labels))
+        return hash((self.graph.adj, self.labels))
 
     def __repr__(self):
         return f"PLG({self.graph!r}, labels={dict(self.labels)})"
@@ -171,29 +191,17 @@ class PartiallyLabeledGraph:
 
         Raises ValueError unless `perm` is a permutation of range(n).  The
         image of a valid PLG under a permutation is valid, so the result is
-        built directly, without the constructors' checks.  The edges are
-        collected in a set first: a frozenset built from a list can keep a
-        larger table, 2264 bytes against 1240 for 20 pairs.
+        built directly, without the constructors' checks.
         """
-        old = self.graph
-        n = old.n
+        old = self.graph.adj
+        n = len(old)
         if len(perm) != n or set(perm) != set(range(n)):
             raise ValueError(f"not a permutation of range({n}): {list(perm)}")
-        edges = set()
         adj = [0] * n
-        for u, v in old.edges:
-            u, v = perm[u], perm[v]
-            if u > v:
-                u, v = v, u
-            edges.add((u, v))
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        g = object.__new__(Graph)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edges", frozenset(edges))
-        object.__setattr__(g, "adj", tuple(adj))
+        for u, row in enumerate(old):
+            adj[perm[u]] = _moved(row, perm)
         plg = object.__new__(PartiallyLabeledGraph)
-        object.__setattr__(plg, "graph", g)
+        object.__setattr__(plg, "graph", Graph._of_rows(tuple(adj)))
         object.__setattr__(plg, "labels", tuple((lab, perm[v]) for lab, v in self.labels))
         object.__setattr__(plg, "_canon", None)
         return plg
@@ -221,10 +229,17 @@ class PartiallyLabeledGraph:
     def sort_key(self):
         """Deterministic total order on canonical PLGs, used for serialization."""
         c = self.canonical()
-        return (c.n, len(c.graph.edges), sorted(c.graph.edges), c.labels)
+        return (c.n, *_edge_order(c.graph), c.labels)
 
 
 PLG = PartiallyLabeledGraph
+
+
+def _edge_order(g):
+    """Sorts n-vertex graphs as (edge count, sorted edge list) would: equal
+    length lists first differ where one holds the smaller pair, the higher
+    bit of the upper-triangle encoding, so the encoding is negated."""
+    return sum(row.bit_count() for row in g.adj) // 2, -_encode(g.adj, range(g.n))
 
 
 def canonical_form(g):
@@ -256,10 +271,10 @@ def canonical_form(g):
         if cert == tuple(range(n)):
             return _marked(g), cert
         return _marked(g.relabeled_vertices(cert)), cert
-    comps = _components(g.graph)
-    if len(comps) > 1:
-        return _canonical_disconnected(g, comps)
     adj = g.graph.adj
+    comps = _components(adj, (1 << n) - 1)
+    if len(comps) > 1:
+        return _canonical_disconnected(g, [_bits(comp) for comp, _ in comps])
     bits = n.bit_length()  # a count is at most n - 1
     labeled = [v for _, v in labels]
     rest = sorted(set(range(n)) - set(labeled))
@@ -341,22 +356,27 @@ def _marked(plg):
     return plg
 
 
-def _components(graph):
-    """Connected components as sorted vertex lists, in order of smallest vertex."""
-    unseen = (1 << graph.n) - 1
+def _components(adj, rest):
+    """The components of the graph of rows `adj` induced on the vertex mask
+    `rest`, lowest vertex first, each as (vertex mask, number of edges
+    inside it)."""
     comps = []
-    while unseen:
-        start = (unseen & -unseen).bit_length() - 1
-        frontier = 1 << start
-        comp = 0
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= graph.adj[v]
-            frontier = nxt & ~comp
-        comps.append(_bits(comp))
-        unseen &= ~comp
+    free = rest
+    while rest:
+        comp = front = rest & -rest
+        degrees = 0
+        while front:
+            reach = 0
+            while front:
+                low = front & -front
+                front ^= low
+                a = adj[low.bit_length() - 1] & free
+                reach |= a
+                degrees += a.bit_count()
+            front = reach & ~comp
+            comp |= front
+        comps.append((comp, degrees // 2))
+        rest &= ~comp
     return comps
 
 
@@ -543,21 +563,18 @@ def _blowup(g, counts, within_edges):
     if any(c < 1 for c in counts):
         raise ValueError("counts must be positive")
     _check_vertex_cap(sum(counts))
-    offset = [0] * g.n
-    total = 0
+    blocks, total = [], 0
+    for c in counts:
+        blocks.append(((1 << c) - 1) << total)
+        total += c
+    rows = []
     for v in range(g.n):
-        offset[v] = total
-        total += counts[v]
-    edges = []
-    for u, v in g.edges:
-        for i in range(counts[u]):
-            for j in range(counts[v]):
-                edges.append((offset[u] + i, offset[v] + j))
-    if within_edges:
-        for v in range(g.n):
-            for i, j in combinations(range(counts[v]), 2):
-                edges.append((offset[v] + i, offset[v] + j))
-    return Graph(total, edges)
+        out = 0
+        for u in _bits(g.adj[v]):
+            out |= blocks[u]
+        for i in _bits(blocks[v]):
+            rows.append(out | blocks[v] ^ 1 << i if within_edges else out)
+    return Graph._of_rows(tuple(rows))
 
 
 def independent_blowup(g, counts):
@@ -595,14 +612,14 @@ def enumerate_graphs(n, cap=ENUMERATION_CAP):
         result = [EMPTY_GRAPH]
     else:
         seen = {}
+        new = 1 << n - 1
         for base in enumerate_graphs(n - 1, cap=cap):
-            for nbhd in range(1 << (n - 1)):
-                edges = list(base.edges)
-                edges += [(v, n - 1) for v in _bits(nbhd)]
-                g = Graph(n, edges)
+            for nbhd in range(new):
+                rows = [row | new if nbhd >> v & 1 else row for v, row in enumerate(base.adj)]
+                g = Graph._of_rows((*rows, nbhd))
                 can = PartiallyLabeledGraph(g).canonical().graph
                 seen.setdefault(can, None)
-        result = sorted(seen, key=lambda g: (len(g.edges), sorted(g.edges)))
+        result = sorted(seen, key=_edge_order)
     _ENUM_MEMO[n] = tuple(result)
     return _ENUM_MEMO[n]
 
@@ -619,16 +636,21 @@ def format_plg(plg, *, canonicalize=False):
     `canonicalize=True` does that here; it stays only because
     bench/workloads.py passes `canonicalize=False`.
     """
-    if isinstance(plg, Graph):
-        plg = PartiallyLabeledGraph(plg)
     if canonicalize:
-        plg = plg.canonical()
-    parts = [f"plg n={plg.graph.n}"]
-    if plg.labels:
-        parts.append("labels=" + ",".join(f"{lab}:{v + 1}" for lab, v in plg.labels))
-    if plg.graph.edges:
-        edges = sorted(plg.graph.edges)
-        parts.append("edges=" + ";".join(f"{u + 1}-{v + 1}" for u, v in edges))
+        plg = (PartiallyLabeledGraph(plg) if isinstance(plg, Graph) else plg).canonical()
+    graph, labels = (plg, ()) if isinstance(plg, Graph) else (plg.graph, plg.labels)
+    parts = [f"plg n={graph.n}"]
+    if labels:
+        parts.append("labels=" + ",".join(f"{lab}:{v + 1}" for lab, v in labels))
+    edges = []
+    for u, row in enumerate(graph.adj):
+        row >>= u + 1
+        while row:
+            low = row & -row
+            edges.append(f"{u + 1}-{u + 1 + low.bit_length()}")
+            row ^= low
+    if edges:
+        parts.append("edges=" + ";".join(edges))
     return " ".join(parts)
 
 

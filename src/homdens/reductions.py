@@ -162,14 +162,12 @@ def psi_generator(h, j, m):
     """ind of H plus an unlabeled m-clique joined to N(j), with every pair
     between the clique and j free: the sum over the 2^m wirings of the
     clique to j."""
-    k = h.n
-    edges = list(h.edges)
-    for a in range(m):
-        c = k + a
-        edges.extend((u, c) for u in h.neighbors(j - 1))
-        edges.extend((k + b, c) for b in range(a))
-    free = [(j - 1, k + a) for a in range(m)]
-    return IndAtom(PartiallyLabeledGraph(Graph(k + m, edges), labeled_base(h).labels), free)
+    k, near = h.n, h.adj[j - 1]
+    clique = ((1 << m) - 1) << k
+    rows = [row | clique if near >> u & 1 else row for u, row in enumerate(h.adj)]
+    rows += [near | clique ^ 1 << c for c in range(k, k + m)]
+    free = [(j - 1, c) for c in range(k, k + m)]
+    return IndAtom(PartiallyLabeledGraph(Graph._of_rows(tuple(rows)), labeled_base(h).labels), free)
 
 
 def psi_expr(h, poly, origin=None):

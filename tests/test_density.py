@@ -858,6 +858,19 @@ class TestTermLists:
                 assert t_quantum(f, G) == compiled_density(f)(G) == want
         assert t_quantum(unit_less_edge, Graph(0)) == 2
 
+    def test_density_polynomial_of_term_lists_on_the_empty_target(self):
+        """`density_polynomial` reads an unlabeled term list on the empty
+        target at K1 too, as the constant polynomial of that value, which
+        its normal form gives; an edge stays 0, padded or not."""
+        vertex = ((PLG(Graph(1)), F(1)),)
+        padded_edge = ((PLG(Graph(3, [(0, 2)])), F(5)),)
+        unit_less_edge = ((PLG(Graph(2)), F(2)), (PLG(Graph(3, [(1, 2)])), F(-1)))
+        for f, want in ((vertex, 1), (padded_edge, 0), (((PLG(K2), F(1)),), 0), (unit_less_edge, 2)):
+            got = density_polynomial(f, Graph(0))
+            assert got == density_polynomial(QuantumGraph(f), Graph(0)) == want
+            assert got.vars == ()
+        assert density_polynomial(unit_less_edge, K2).evaluate({"y1": F(1, 2), "y2": F(1, 2)}) == F(3, 2)
+
     @pytest.mark.parametrize(
         "text, line",
         [

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from homdens import graphs
+from homdens.algebra import glue, ind_product, ind_terms, strip_isolated
 from homdens.errors import CapExceeded, FormatError
 from homdens.graphs import (
     PLG,
@@ -25,6 +26,7 @@ from homdens.graphs import (
 from oracles import (
     brute_automorphisms,
     brute_graph_classes,
+    _ref_components,
     _ref_encode,
     brute_isomorphic,
     round_based_canonical_form,
@@ -69,6 +71,12 @@ class TestGraphBasics:
         sub = g.induced([1, 2, 3])
         assert sub == Graph.path(3)
 
+    def test_induced_rejects_repeated_or_missing_vertices(self):
+        g = Graph.path(4)
+        for vertices in ([1, 1], [0, 4], [2, -1]):
+            with pytest.raises(ValueError):
+                g.induced(vertices)
+
     def test_plg_validation(self):
         g = Graph(3, [(0, 1)])
         with pytest.raises(ValueError):
@@ -100,6 +108,61 @@ class TestGraphBasics:
             assert got.graph.adj == g.adj
             assert got.labels == want.labels
             assert got._canon is None
+
+    def test_row_built_graphs_match_the_validating_constructor(self):
+        """Every route that builds a graph from trusted rows gives the graph
+        that `Graph(n, edges)` builds from its edge view, under ==, hash,
+        the edge view and the record; the edge view is also checked
+        against the edges each route should make."""
+        rng = random.Random(47)
+
+        def check(got, edges):
+            want = Graph(got.n, sorted(edges))
+            assert got == want and hash(got) == hash(want)
+            assert got.adj == want.adj and got.edges == want.edges == frozenset(edges)
+            assert format_plg(got) == format_plg(want)
+
+        def pair(u, v):
+            return (u, v) if u < v else (v, u)
+
+        assert Graph.__slots__ == ("n", "adj")
+        for n in range(6):
+            for g in enumerate_graphs(n):
+                check(g, g.edges)
+                k = rng.randint(0, n)
+                labeled = PLG(g, zip(rng.sample(range(1, 9), k), rng.sample(range(n), k)))
+                perm = rng.sample(range(n), n)
+                moved = labeled.relabeled_vertices(perm).graph
+                check(moved, {pair(perm[u], perm[v]) for u, v in g.edges})
+                vs = rng.sample(range(n), rng.randint(0, n))
+                check(g.induced(vs), {pair(i, j) for i, j in combinations(range(len(vs)), 2)
+                                      if g.has_edge(vs[i], vs[j])})
+                stripped = strip_isolated(labeled).graph
+                check(stripped, stripped.edges)
+                m = rng.randint(0, 4)
+                other = random_plg(rng, m, label_count=rng.randint(0, min(2, m)))
+                glued = glue(labeled, other)
+                at = labeled.label_map()
+                spot = {v: at[lab] for lab, v in other.labels if lab in at}
+                fresh = iter(range(n, glued.n))
+                where = [spot[v] if v in spot else next(fresh) for v in range(other.n)]
+                check(glued.graph, g.edges | {pair(where[u], where[v]) for u, v in other.graph.edges})
+                counts = [rng.randint(1, 3) for _ in range(n)]
+                starts = [sum(counts[:v]) for v in range(n)]
+                copies = [range(s, s + c) for s, c in zip(starts, counts)]
+                across = {pair(i, j) for u, v in g.edges for i in copies[u] for j in copies[v]}
+                check(independent_blowup(g, counts), across)
+                within = {p for c in copies for p in combinations(c, 2)}
+                check(clique_blowup(g, counts), across | within)
+                for raw, _ in ind_terms(labeled, frozenset()):
+                    check(raw.graph, raw.graph.edges)
+                    assert g.edges <= raw.graph.edges
+                free = frozenset(rng.sample(list(combinations(range(n), 2)), min(2, n * (n - 1) // 2)))
+                product = ind_product((labeled, free), (other, frozenset()))
+                if product is not None:
+                    check(product[0].graph, product[0].graph.edges)
+        with pytest.raises(AttributeError):
+            g.edges = frozenset()
 
     def test_encode_matches_reference(self):
         rng = random.Random(43)
@@ -149,7 +212,7 @@ class TestCanonicalForm:
             verts = rng.sample(range(n), rng.randint(0, min(3, n)))
             labels = sorted(rng.sample(range(1, 6), len(verts)))
             plg = PLG(Graph(n, edges), list(zip(labels, verts)))
-            disconnected += len(graphs._components(plg.graph)) > 1
+            disconnected += len(_ref_components(plg.graph)) > 1
             assert canonical_form(plg) == round_based_canonical_form(plg), plg
         assert disconnected > 500
 
@@ -183,7 +246,7 @@ class TestCanonicalForm:
             pairs = list(combinations(range(n), 2))
             for mask in range(1 << len(pairs)):
                 g = Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
-                disconnected += len(graphs._components(g)) > 1
+                disconnected += len(_ref_components(g)) > 1
                 for count in {n, max(n - 1, 0)}:
                     for labels in combinations(pool, count):
                         for verts in (range(count), range(n - 1, n - 1 - count, -1)):
