@@ -48,6 +48,7 @@ from .graphs import (
     canonical_form,
     format_plg,
     parse_plg,
+    parse_rational,
     record_lines,
 )
 from .polynomials import Polynomial
@@ -685,15 +686,17 @@ def format_quantum(f):
 def read_terms(text):
     """Yield the `(plg, coefficient)` pair of each record of a term list, as
     written but with isolated vertices stripped; bad records raise
-    FormatError with their line number."""
+    FormatError with their line number.  Each distinct coefficient text is
+    read once per call."""
+    coeffs = {}
     for lineno, body in record_lines(text):
         coeff_text, sep, record = body.partition("*")
         if not sep:
             raise FormatError("expected '<coefficient> * <plg record>'", line=lineno)
-        try:
-            coeff = Fraction(coeff_text.strip())
-        except (ValueError, ZeroDivisionError):
-            raise FormatError(f"bad coefficient {coeff_text.strip()!r}", line=lineno) from None
+        coeff_text = coeff_text.strip()
+        coeff = coeffs.get(coeff_text)
+        if coeff is None:
+            coeff = coeffs[coeff_text] = parse_rational(coeff_text, "coefficient", lineno)
         yield strip_isolated(parse_plg(record.strip(), line=lineno)), coeff
 
 
@@ -765,10 +768,7 @@ def _parse_node(tokens, depth):
         flat, rest = _take_flat(rest)
         if len(flat) != 1:
             raise FormatError("(q ...) takes one rational")
-        try:
-            return Const(Fraction(flat[0])), rest
-        except (ValueError, ZeroDivisionError):
-            raise FormatError(f"bad rational {flat[0]!r}") from None
+        return Const(parse_rational(flat[0], "rational")), rest
     if head in ("g", "ind"):
         flat, rest = _take_flat(rest)
         plg = parse_plg(" ".join(flat))

@@ -37,7 +37,7 @@ from .algebra import (
 )
 from .density import WeightedGraph, _label_set, compiled_density, t_quantum
 from .errors import FormatError
-from .graphs import Graph, enumerate_graphs, independent_blowup, record_lines
+from .graphs import Graph, enumerate_graphs, independent_blowup, parse_rational, record_lines
 
 PROOF_RULES = ("A1", "A2", "R1", "R2", "R3")
 
@@ -266,8 +266,8 @@ def _parse_justification(text, resolve, lineno):
             raise FormatError("R1 takes i,j,alpha,beta", line=lineno)
         try:
             i, j = int(parts[0]), int(parts[1])
-            alpha, beta = Fraction(parts[2].strip()), Fraction(parts[3].strip())
-        except (ValueError, ZeroDivisionError):
+            alpha, beta = (parse_rational(a.strip(), "rational") for a in parts[2:])
+        except ValueError:
             raise FormatError("bad R1 arguments", line=lineno) from None
         return rule, (i, j, alpha, beta)
     if rule == "R2":

@@ -63,6 +63,7 @@ from .graphs import (
     _bits,
     _components,
     format_plg,
+    parse_rational,
     plg_from_fields,
     split_record_fields,
 )
@@ -838,10 +839,7 @@ def parse_weighted_graph(text, line=None):
     plg = plg_from_fields({k: v for k, v in fields.items() if k != "weights"}, line=line)
     n = plg.graph.n
     if fields.get("weights"):
-        try:
-            y = [Fraction(wtxt) for wtxt in fields["weights"].split(",")]
-        except (ValueError, ZeroDivisionError):
-            raise FormatError("bad weight entry", line=line) from None
+        y = [parse_rational(wtxt, "weight", line) for wtxt in fields["weights"].split(",")]
     else:
         y = [Fraction(1, n)] * n if n else []
     try:

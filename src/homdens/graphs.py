@@ -13,6 +13,7 @@ Vertices are 0-based everywhere in code.  The text format and the docs use
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 from .errors import CapExceeded, FormatError
@@ -193,18 +194,10 @@ class PartiallyLabeledGraph:
         image of a valid PLG under a permutation is valid, so the result is
         built directly, without the constructors' checks.
         """
-        old = self.graph.adj
-        n = len(old)
+        n = self.graph.n
         if len(perm) != n or set(perm) != set(range(n)):
             raise ValueError(f"not a permutation of range({n}): {list(perm)}")
-        adj = [0] * n
-        for u, row in enumerate(old):
-            adj[perm[u]] = _moved(row, perm)
-        plg = object.__new__(PartiallyLabeledGraph)
-        object.__setattr__(plg, "graph", Graph._of_rows(tuple(adj)))
-        object.__setattr__(plg, "labels", tuple((lab, perm[v]) for lab, v in self.labels))
-        object.__setattr__(plg, "_canon", None)
-        return plg
+        return _moved_plg(self, perm)
 
     def drop_labels(self, keep=()):
         keep = frozenset(keep)
@@ -256,8 +249,12 @@ def canonical_form(g):
     When at most one vertex is unlabeled, the labels alone fix the order:
     each labeled vertex goes to the rank of its label and the free vertex,
     if any, goes last, the order the search and per-component routes reach
-    as well.  That form is built in O(n), with no refinement or search, and
-    an input already in that order is flagged and returned itself.
+    as well.  That form is built in O(n), with no refinement or search.
+
+    The search encodes leaves only to choose among them: when refinement
+    reaches a single leaf, its order is the answer unencoded.  On every
+    route, an input whose certificate is the identity is already its own
+    form; it is flagged and returned itself.
     """
     if isinstance(g, Graph):
         g = PartiallyLabeledGraph(g)
@@ -267,10 +264,7 @@ def canonical_form(g):
         cert = [len(labels)] * n
         for rank, (_, v) in enumerate(labels):
             cert[v] = rank
-        cert = tuple(cert)
-        if cert == tuple(range(n)):
-            return _marked(g), cert
-        return _marked(g.relabeled_vertices(cert)), cert
+        return _form(g, tuple(cert))
     adj = g.graph.adj
     comps = _components(adj, (1 << n) - 1)
     if len(comps) > 1:
@@ -282,7 +276,8 @@ def canonical_form(g):
     if rest:
         cells.append(rest)
 
-    best = None  # (encoding, order)
+    best = None  # the order of the least leaf so far
+    best_enc = None  # its encoding, computed once a second leaf appears
 
     def refine(cells, fresh):
         """Split cells by their neighbour counts into the `fresh` cells
@@ -293,22 +288,28 @@ def canonical_form(g):
         leaving those out of the signature gives the same pieces in the
         same sorted order as counting against every cell.  A signature is
         packed into one int, `bits` bits per count, first count most
-        significant, so it sorts as the tuple of counts would.
+        significant, so it sorts as the tuple of counts would; against one
+        fresh cell it is the count itself.
         """
         while fresh:
             out = []
             made = []
+            single = fresh[0] if len(fresh) == 1 else 0
             for cell in cells:
                 if len(cell) == 1:
                     out.append(cell)
                     continue
                 groups = {}
-                for v in cell:
-                    row = adj[v]
-                    sig = 0
-                    for m in fresh:
-                        sig = sig << bits | (row & m).bit_count()
-                    groups.setdefault(sig, []).append(v)
+                if single:
+                    for v in cell:
+                        groups.setdefault((adj[v] & single).bit_count(), []).append(v)
+                else:
+                    for v in cell:
+                        row = adj[v]
+                        sig = 0
+                        for m in fresh:
+                            sig = sig << bits | (row & m).bit_count()
+                        groups.setdefault(sig, []).append(v)
                 if len(groups) == 1:
                     out.append(cell)
                     continue
@@ -319,14 +320,19 @@ def canonical_form(g):
         return cells
 
     def search(cells, fresh):
-        nonlocal best
+        nonlocal best, best_enc
         cells = refine(cells, fresh)
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
             order = [c[0] for c in cells]
+            if best is None:
+                best = order
+                return
+            if best_enc is None:
+                best_enc = _encode(adj, best)
             enc = _encode(adj, order)
-            if best is None or enc < best[0]:
-                best = (enc, order)
+            if enc < best_enc:
+                best, best_enc = order, enc
             return
         cell = cells[target]
         if _all_twins(adj, cell):
@@ -342,12 +348,33 @@ def canonical_form(g):
             search(branch, [1 << v, _cell_mask(rest)])
 
     search(cells, [_cell_mask(c) for c in cells])
-    _, order = best
     cert = [0] * n
-    for new, old in enumerate(order):
+    for new, old in enumerate(best):
         cert[old] = new
-    cert = tuple(cert)
-    return _marked(g.relabeled_vertices(cert)), cert
+    return _form(g, tuple(cert))
+
+
+def _form(g, cert):
+    """The pair (canonical form, `cert`) of `g` under its certificate, a
+    permutation the caller trusts: `g` itself when `cert` is the identity,
+    else its image.  The form is flagged, so that `.canonical()` on it is
+    itself."""
+    form = g if cert == tuple(range(len(cert))) else _moved_plg(g, cert)
+    return _marked(form), cert
+
+
+def _moved_plg(plg, perm):
+    """The image of `plg` under a permutation the caller trusts: vertex v
+    goes to perm[v].  The image of a valid PLG is valid, so it is built
+    without the constructors' checks."""
+    adj = [0] * len(perm)
+    for u, row in enumerate(plg.graph.adj):
+        adj[perm[u]] = _moved(row, perm)
+    out = object.__new__(PartiallyLabeledGraph)
+    object.__setattr__(out, "graph", Graph._of_rows(tuple(adj)))
+    object.__setattr__(out, "labels", tuple((lab, perm[v]) for lab, v in plg.labels))
+    object.__setattr__(out, "_canon", None)
+    return out
 
 
 def _marked(plg):
@@ -390,7 +417,8 @@ def _canonical_disconnected(g, comps):
     ties there mean the components are interchangeable.
     """
     label_of = {v: lab for lab, v in g.labels}
-    pieces = []
+    with_labels = []  # (smallest label, component, form)
+    without = []  # ((vertex count, encoding), component, form)
     for comp in comps:
         sub = PartiallyLabeledGraph(
             g.graph.induced(comp),
@@ -398,21 +426,18 @@ def _canonical_disconnected(g, comps):
         )
         form = canonical_form(sub)
         canon = form[0]
-        min_label = min((lab for lab, _ in canon.labels), default=None)
-        enc_key = (
-            canon.graph.n,
-            _encode(canon.graph.adj, range(canon.graph.n)),
-            canon.labels,
-        )
-        pieces.append((comp, form, min_label, enc_key))
-    with_labels = sorted((p for p in pieces if p[2] is not None), key=lambda p: p[2])
-    without = sorted((p for p in pieces if p[2] is None), key=lambda p: p[3])
+        if canon.labels:
+            with_labels.append((canon.labels[0][0], comp, form))
+        else:
+            without.append(((canon.graph.n, _encode(canon.graph.adj, range(canon.graph.n))), comp, form))
+    with_labels.sort(key=lambda p: p[0])
+    without.sort(key=lambda p: p[0])
 
     all_labels = [lab for lab, _ in g.labels]
     label_pos = {lab: i for i, lab in enumerate(all_labels)}
     cert = [None] * g.graph.n
     next_free = len(all_labels)
-    for comp, (canon, sub_cert), _, _ in with_labels + without:
+    for _, comp, (canon, sub_cert) in with_labels + without:
         placed = [lab for lab, _ in canon.labels]
         for i, v in enumerate(comp):
             p = sub_cert[i]
@@ -421,8 +446,7 @@ def _canonical_disconnected(g, comps):
             else:
                 cert[v] = next_free + (p - len(placed))
         next_free += len(comp) - len(placed)
-    cert = tuple(cert)
-    return _marked(g.relabeled_vertices(cert)), cert
+    return _form(g, tuple(cert))
 
 
 def _cell_mask(cell):
@@ -696,6 +720,7 @@ def plg_from_fields(fields, line=None):
     except ValueError:
         raise FormatError(f"bad vertex count {fields['n']!r}", line=line) from None
     _check_vertex_cap(n)
+    vertex = _VERTEX.get
     labels = []
     if fields.get("labels"):
         for item in fields["labels"].split(","):
@@ -709,7 +734,10 @@ def plg_from_fields(fields, line=None):
             u, sep, v = item.partition("-")
             if not sep:
                 raise FormatError(f"bad edge item {item!r}", line=line)
-            edges.append((_vertex(u, line), _vertex(v, line)))
+            a, b = vertex(u), vertex(v)
+            if a is None or b is None:
+                a, b = _vertex(u, line), _vertex(v, line)
+            edges.append((a, b))
     try:
         return PartiallyLabeledGraph(Graph(n, edges), labels)
     except ValueError as exc:
@@ -731,4 +759,16 @@ def _parse_int(text, what, line):
     try:
         return int(text)
     except ValueError:
+        raise FormatError(f"bad {what} {text!r}", line=line) from None
+
+
+def parse_rational(text, what, line=None):
+    """The Fraction of an integer, `a/b` or plain decimal text.  Exponent
+    notation is refused: `Fraction` would expand `1e999999999` digit by
+    digit."""
+    try:
+        if "e" in text or "E" in text:
+            raise ValueError
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
         raise FormatError(f"bad {what} {text!r}", line=line) from None

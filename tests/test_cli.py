@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -598,6 +599,31 @@ class TestHostileInput:
         target = files("K2.plg", plg_text(Graph.complete(2)))
         code, out, err = run(capsys, "eval", "--in", expr, "--target", target)
         assert (code, out, err) == (2, "", "error: unterminated (unlabel ...)\n")
+
+    @pytest.mark.parametrize("site", ["coefficient", "q", "weights", "R1"])
+    def test_exponent_notation_exits_2_at_once(self, capsys, files, site):
+        """`Fraction('1e999999999')` would expand the exponent digit by digit
+        for hours; every reader of a rational refuses exponent notation."""
+        big = "1e999999999"
+        edge = files("K2.plg", plg_text(Graph.complete(2)))
+        proof = (
+            "1: 1 * plg n=3 labels=1:1 edges=1-2;1-3 ; by A1(plg n=2 labels=1:1 edges=1-2)\n"
+            f"2: 2 * plg n=3 labels=1:1 edges=1-2;1-3 ; by R1(1, 1, {big}, 1)\n"
+        )
+        argv, message = {
+            "coefficient": (["eval", "--in", files("f.qg", f"{big} * plg n=1\n"), "--target", edge],
+                            f"bad coefficient '{big}' (line 1)"),
+            "q": (["eval", "--in", files("f.qx", f"(q {big})\n"), "--target", edge],
+                  f"bad rational '{big}'"),
+            "weights": (["eval", "--in", edge, "--target", files("w.plg", f"plg n=2 weights={big},1\n")],
+                        f"bad weight '{big}'"),
+            "R1": (["check-proof", "--in", files("p.txt", proof), "--claim", files("c.qg", "1 * plg n=1\n")],
+                   "bad R1 arguments (line 2)"),
+        }[site]
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_unexpected_exception_exits_3(self, capsys, files, monkeypatch):
         def broken(*args, **kwargs):

@@ -1,6 +1,7 @@
 """Graph and PLG foundations: canonical forms, stringency, enumeration, format."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -21,6 +22,7 @@ from homdens.graphs import (
     is_isomorphic_labeled,
     is_stringent,
     parse_plg,
+    parse_rational,
     stringent_graph,
 )
 from oracles import (
@@ -199,10 +201,12 @@ class TestCanonicalForm:
             c = canonical_form(plg)[0]
             assert canonical_form(c)[0] == c
 
-    def test_matches_round_based_reference(self):
+    def test_matches_round_based_reference(self, monkeypatch):
         """Refining against the changed cells only picks the representative
         that counting against every cell picked, on connected and
-        disconnected PLGs alike."""
+        disconnected PLGs alike.  Vertex-transitive graphs refine to no
+        split at all, so their searches reach many leaves and the lazily
+        encoded comparison between leaves decides the answer."""
         rng = random.Random(29)
         disconnected = 0
         for _ in range(3000):
@@ -215,6 +219,28 @@ class TestCanonicalForm:
             disconnected += len(_ref_components(plg.graph)) > 1
             assert canonical_form(plg) == round_based_canonical_form(plg), plg
         assert disconnected > 500
+
+        encodings = []
+        encode = graphs._encode
+
+        def counting(adj, order):
+            encodings.append(order)
+            return encode(adj, order)
+
+        monkeypatch.setattr(graphs, "_encode", counting)
+        petersen = [(i, (i + 1) % 5) for i in range(5)]
+        petersen += [(i + 5, (i + 2) % 5 + 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+        transitive = [Graph.cycle(n) for n in range(5, 10)] + [
+            Graph(6, [(u, v) for u in range(3) for v in range(3, 6)]),
+            Graph(8, [(u, u | 1 << b) for u in range(8) for b in range(3) if not u >> b & 1]),
+            Graph(10, petersen),
+        ]
+        for g in transitive:
+            for count in range(3):
+                for _ in range(3):
+                    plg = shuffled_copy(rng, PLG(g, [(lab, v) for v, lab in enumerate((2, 5)[:count])]))
+                    assert canonical_form(plg) == round_based_canonical_form(plg), plg
+        assert len(encodings) > 500
 
     def test_enumerated_graphs_match_round_based_reference(self):
         rng = random.Random(31)
@@ -233,6 +259,32 @@ class TestCanonicalForm:
         assert all(c.canonical() is c for c in forms)
         assert canonical_calls == []
         assert [plg.canonical() for plg in plgs] == forms
+
+    def test_input_with_identity_certificate_is_its_own_form(self, canonical_calls):
+        """A PLG built afresh from a canonical form's graph and labels is
+        returned itself, with the identity certificate, on the refinement
+        route (with and without labels) and on the per-component route, as
+        on the O(n) route; it is flagged, so `.canonical()` makes no call."""
+        two_triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+        connected = [
+            PLG(Graph.path(5)),
+            PLG(Graph.cycle(6), [(3, 2)]),
+            PLG(stringent_graph(7), [(4, 6), (9, 1)]),
+        ]
+        disconnected = [
+            PLG(Graph(8, two_triangles + [(6, 7)])),
+            PLG(Graph(8, two_triangles + [(6, 7)]), [(3, 4)]),
+        ]
+        for plg in connected + disconnected:
+            form = canonical_form(plg)[0]
+            fresh = PLG(form.graph, form.labels)
+            assert fresh._canon is None and fresh.n - len(fresh.labels) > 1
+            assert (len(_ref_components(fresh.graph)) > 1) == (plg in disconnected)
+            got, cert = canonical_form(fresh)
+            assert got is fresh and cert == tuple(range(fresh.n))
+            del canonical_calls[:]
+            assert fresh.canonical() is fresh
+            assert canonical_calls == []
 
     def test_labels_fix_the_order(self):
         """With at most one vertex unlabeled, the O(n) route gives the
@@ -503,6 +555,14 @@ class TestPlgFormat:
         plg = parse_plg("plg n=3 labels=+2:03 edges=01-2;2-3;2-1")
         assert plg.labels == ((2, 2),)
         assert plg.graph.edges == frozenset({(0, 1), (1, 2)})
+
+    def test_rationals_take_no_exponent(self):
+        for text, value in [("3", 3), ("-2/4", Fraction(-1, 2)), ("0.25", Fraction(1, 4)), ("+.5", Fraction(1, 2))]:
+            assert parse_rational(text, "rational") == value
+        for text in ("1e3", "1E3", "2.5e-1", "1/0", "x", ""):
+            with pytest.raises(FormatError) as info:
+                parse_rational(text, "weight", line=4)
+            assert str(info.value) == f"bad weight {text!r} (line 4)"
 
     def test_error_carries_line(self):
         with pytest.raises(FormatError) as info:
