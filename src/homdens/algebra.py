@@ -343,7 +343,7 @@ def ind_product(a, b):
     return PLG(Graph._of_rows(tuple(adj)), labels), frozenset(free)
 
 
-def ind(h, cap=IND_CAP):
+def ind(h):
     """Alternating sum over all supergraphs of h on the same vertex set.
 
     ind(H) = sum over F >= H of (-1)^{|E(F) - E(H)|} F, labels kept.  The
@@ -352,8 +352,8 @@ def ind(h, cap=IND_CAP):
     """
     h = as_plg(h)
     missing = len(non_edges(h, frozenset()))
-    if missing > cap:
-        raise CapExceeded(f"ind expansion over {missing} absent pairs exceeds cap {cap}")
+    if missing > IND_CAP:
+        raise CapExceeded(f"ind expansion over {missing} absent pairs exceeds cap {IND_CAP}")
     return QuantumGraph(ind_terms(h, frozenset()))
 
 
@@ -739,78 +739,73 @@ def format_qexpr(expr):
     raise TypeError(f"unknown expression node {type(expr).__name__}")
 
 
-def _tokenize_sexpr(text):
-    out = []
-    for chunk in text.replace("(", " ( ").replace(")", " ) ").split():
-        out.append(chunk)
-    return out
-
-
 def parse_qexpr(text):
-    tokens = _tokenize_sexpr(text)
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise FormatError("empty expression")
-    expr, rest = _parse_node(tokens, 1)
-    if rest:
-        raise FormatError(f"trailing tokens after expression: {' '.join(rest[:4])}")
+    expr, end = _parse_node(tokens, 0, 1)
+    if end < len(tokens):
+        raise FormatError(f"trailing tokens after expression: {' '.join(tokens[end:end + 4])}")
     return expr
 
 
-def _parse_node(tokens, depth):
+def _parse_node(tokens, i, depth):
+    """The node whose '(' is tokens[i], and the index just past its ')'.
+    One index walks the tokens, so parsing is linear in their number."""
     if depth > QEXPR_DEPTH_CAP:
         raise FormatError(f"expression nested deeper than {QEXPR_DEPTH_CAP} levels")
-    if tokens[0] != "(":
-        raise FormatError(f"expected '(', got {tokens[0]!r}")
-    if len(tokens) < 2:
+    if tokens[i] != "(":
+        raise FormatError(f"expected '(', got {tokens[i]!r}")
+    if i + 1 == len(tokens):
         raise FormatError("unterminated expression")
-    head, rest = tokens[1], tokens[2:]
+    head, i = tokens[i + 1], i + 2
     if head == "q":
-        flat, rest = _take_flat(rest)
+        flat, i = _take_flat(tokens, i)
         if len(flat) != 1:
             raise FormatError("(q ...) takes one rational")
-        return Const(parse_rational(flat[0], "rational")), rest
+        return Const(parse_rational(flat[0], "rational")), i
     if head in ("g", "ind"):
-        flat, rest = _take_flat(rest)
+        flat, i = _take_flat(tokens, i)
         plg = parse_plg(" ".join(flat))
-        return (Atom(plg) if head == "g" else IndAtom(plg)), rest
+        return (Atom(plg) if head == "g" else IndAtom(plg)), i
     if head == "sum" or head == "prod":
         children = []
-        while rest and rest[0] != ")":
-            child, rest = _parse_node(rest, depth + 1)
+        while i < len(tokens) and tokens[i] != ")":
+            child, i = _parse_node(tokens, i, depth + 1)
             children.append(child)
-        if not rest:
+        if i == len(tokens):
             raise FormatError(f"unterminated ({head} ...)")
-        node = Sum(children) if head == "sum" else Product(children)
-        return node, rest[1:]
+        return (Sum(children) if head == "sum" else Product(children)), i + 1
     if head == "unlabel":
-        if not rest or rest[0] != "(":
+        if i == len(tokens) or tokens[i] != "(":
             raise FormatError("(unlabel ...) needs a label list")
-        close = rest.index(")") if ")" in rest else len(rest)
-        if close + 1 >= len(rest):
+        close = i + 1
+        while close < len(tokens) and tokens[close] != ")":
+            close += 1
+        if close + 1 >= len(tokens):
             raise FormatError("unterminated (unlabel ...)")
         try:
-            keep = [int(t) for t in rest[1:close]]
+            keep = [int(t) for t in tokens[i + 1:close]]
         except ValueError:
             raise FormatError("label list must contain integers") from None
-        child, rest = _parse_node(rest[close + 1:], depth + 1)
-        if not rest or rest[0] != ")":
+        child, i = _parse_node(tokens, close + 1, depth + 1)
+        if i == len(tokens) or tokens[i] != ")":
             raise FormatError("unterminated (unlabel ...)")
-        return Unlabel(keep, child), rest[1:]
+        return Unlabel(keep, child), i + 1
     if head in QEXPR_HEADS:
-        flat, rest = _take_flat(rest)
-        return QEXPR_HEADS[head](flat), rest
+        flat, i = _take_flat(tokens, i)
+        return QEXPR_HEADS[head](flat), i
     raise FormatError(f"unknown expression head {head!r}")
 
 
-def _take_flat(tokens):
-    """Consume tokens up to the node's closing paren; no nesting allowed."""
-    flat = []
-    for i, tok in enumerate(tokens):
-        if tok == ")":
-            return flat, tokens[i + 1:]
-        if tok == "(":
+def _take_flat(tokens, i):
+    """The tokens from tokens[i] up to the node's closing paren, which
+    allows no nesting, and the index just past that paren."""
+    for j in range(i, len(tokens)):
+        if tokens[j] == ")":
+            return tokens[i:j], j + 1
+        if tokens[j] == "(":
             raise FormatError("unexpected '(' inside a flat node")
-        flat.append(tok)
     raise FormatError("unterminated expression")
 
 

@@ -28,7 +28,9 @@ import sys
 from .algebra import EXPAND_BUDGET, format_qexpr, format_quantum, load_expression
 from .certificates import (
     _check_search,
+    _first_negative,
     _refutation_target,
+    _scan_exhaustive,
     _scan_random,
     check_cs_proof,
     integer_witness,
@@ -36,7 +38,6 @@ from .certificates import (
     moment_matrix,
     parse_cs_proof,
     parse_sos_certificate,
-    refute,
     verify_sos,
 )
 from .density import (
@@ -62,8 +63,33 @@ def _write(path, text):
         fh.write(text)
 
 
-def _emit(key, value):
-    print(f"{key}={value}")
+def _emit(key, *values):
+    """Print `key=` and the values, comma-separated.  Exact values print at
+    any length: the interpreter's limit on the digits of an integer turned
+    into text, which guards reading, is lifted only while they are formatted."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = ",".join(map(str, values))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    print(f"{key}={text}")
+
+
+def _output(args, text, records=False):
+    """Write `text` to `--out` and emit `out=`, or else print it: as it is,
+    or as one `graph=` line per record."""
+    if args.out:
+        _write(args.out, text)
+        _emit("out", args.out)
+    elif records:
+        for record in text.splitlines():
+            _emit("graph", record)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 def _load_target(text):
@@ -103,52 +129,42 @@ def _warn_budget(args):
 # Commands
 
 
-def cmd_density(args):
-    pattern = load_expression(_read(args.infile))
+def _evaluate(args, key):
+    """The value of `--in` at `--target` under `--root`, emitted as `key`."""
+    f = load_expression(_read(args.infile))
     target = _load_target(_read(args.target))
-    value = t_quantum(pattern, target, _parse_roots(args.root))
-    _emit("t", value)
+    value = t_quantum(f, target, _parse_roots(args.root))
+    _emit(key, value)
+    return value
+
+
+def cmd_density(args):
+    _evaluate(args, "t")
     return 0
+
+
+def cmd_eval(args):
+    return 1 if _evaluate(args, "value") < 0 else 0
 
 
 def cmd_stringent(args):
     g = stringent_graph(args.k)
-    record = format_plg(g)
     _emit("n", g.n)
     _emit("edges", len(g.edges))
-    if args.out:
-        _write(args.out, record + "\n")
-        _emit("out", args.out)
-    else:
-        _emit("graph", record)
-    return 0
+    return _output(args, format_plg(g) + "\n", records=True)
 
 
 def cmd_counterexample(args):
     if args.form == "expr":
-        text = format_qexpr(counterexample_expr(args.k)) + "\n"
-    else:
-        x = build_counterexample(args.k)
-        _emit("terms", len(x.terms))
-        text = format_quantum(x)
-    if args.out:
-        _write(args.out, text)
-        _emit("out", args.out)
-    else:
-        sys.stdout.write(text)
-    return 0
+        return _output(args, format_qexpr(counterexample_expr(args.k)) + "\n")
+    x = build_counterexample(args.k)
+    _emit("terms", len(x.terms))
+    return _output(args, format_quantum(x))
 
 
 def cmd_reduce(args):
     p = parse_poly(_read(args.poly))
-    instance = build_instance(p, k=args.k)
-    text = format_qexpr(instance) + "\n"
-    if args.out:
-        _write(args.out, text)
-        _emit("out", args.out)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _output(args, format_qexpr(build_instance(p, k=args.k)) + "\n")
 
 
 def cmd_witness(args):
@@ -158,22 +174,8 @@ def cmd_witness(args):
     except ValueError:
         raise FormatError(f"bad sizes {args.sizes!r}") from None
     g = witness_graph(p, counts)
-    record = format_plg(g)
     _emit("n", g.n)
-    if args.out:
-        _write(args.out, record + "\n")
-        _emit("out", args.out)
-    else:
-        _emit("graph", record)
-    return 0
-
-
-def cmd_eval(args):
-    f = load_expression(_read(args.infile))
-    target = _load_target(_read(args.target))
-    value = t_quantum(f, target, _parse_roots(args.root))
-    _emit("value", value)
-    return 1 if value < 0 else 0
+    return _output(args, format_plg(g) + "\n", records=True)
 
 
 def cmd_verify_sos(args):
@@ -201,32 +203,31 @@ def cmd_check_proof(args):
 
 
 def cmd_refute(args):
+    """`refute`'s search at one density compiled here, which also gives the
+    witness's values; the pool of `--jobs N` serves the exhaustive phase."""
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     _check_search(args.max_n, args.samples, ("--max-n", "--samples"))
     jobs = min(args.jobs, os.cpu_count() or 1)
     target_text = _read(args.infile)
-    target = _refutation_target(load_expression(target_text))
+    density = compiled_density(_refutation_target(load_expression(target_text)))
     if jobs > 1:
-        witness = _parallel_exhaustive(target_text, args.max_n, jobs)
-        if witness is None:
-            witness = _scan_random(
-                compiled_density(target), args.max_n, args.samples, args.seed
-            )
+        with multiprocessing.Pool(jobs, initializer=_refute_init, initargs=(target_text,)) as pool:
+            first_negative = functools.partial(_pooled_first_negative, pool, jobs)
+            witness = _scan_exhaustive(first_negative, args.max_n)
     else:
-        witness = refute(target, max_n=args.max_n, samples=args.samples, seed=args.seed)
+        witness = _scan_exhaustive(functools.partial(_first_negative, density), args.max_n)
+    witness = witness or _scan_random(density, args.max_n, args.samples, args.seed)
     if witness is None:
         _emit("witness", "none")
         return 0
-    if isinstance(witness, WeightedGraph):
-        _emit("witness", format_weighted_graph(witness))
-        _emit("value", t_quantum(target, witness))
+    weighted = isinstance(witness, WeightedGraph)
+    _emit("witness", (format_weighted_graph if weighted else format_plg)(witness))
+    _emit("value", density(witness))
+    if weighted:
         blown = integer_witness(witness)
         _emit("integer_witness", format_plg(blown))
-        _emit("integer_value", t_quantum(target, blown))
-    else:
-        _emit("witness", format_plg(witness))
-        _emit("value", t_quantum(target, witness))
+        _emit("integer_value", density(blown))
     return 1
 
 
@@ -238,7 +239,7 @@ def cmd_moment_matrix(args):
     M = moment_matrix(target, basis)
     _emit("size", len(basis))
     for i, row in enumerate(M, start=1):
-        _emit(f"row{i}", ",".join(str(x) for x in row))
+        _emit(f"row{i}", *row)
     ok = is_psd(M)
     _emit("psd", "true" if ok else "false")
     return 0 if ok else 1
@@ -247,18 +248,11 @@ def cmd_moment_matrix(args):
 def cmd_enumerate(args):
     graphs = enumerate_graphs(args.n)
     _emit("count", len(graphs))
-    records = [format_plg(g) for g in graphs]
-    if args.out:
-        _write(args.out, "".join(r + "\n" for r in records))
-        _emit("out", args.out)
-    else:
-        for r in records:
-            _emit("graph", r)
-    return 0
+    return _output(args, "".join(format_plg(g) + "\n" for g in graphs), records=True)
 
 
 # ---------------------------------------------------------------------------
-# Parallel exhaustive refutation.  One pool serves every n.  Each worker
+# The pool of `refute --jobs N`.  One pool serves every n.  Each worker
 # reads the target once and compiles its density; workers receive
 # candidate records as text, and the lowest negative index wins, so the
 # winner is independent of the worker count.
@@ -277,18 +271,10 @@ def _refute_probe(job):
     return index if _WORKER_TARGET(g) < 0 else None
 
 
-def _parallel_exhaustive(target_text, max_n, jobs):
-    with multiprocessing.Pool(
-        jobs, initializer=_refute_init, initargs=(target_text,)
-    ) as pool:
-        for n in range(1, max_n + 1):
-            candidates = enumerate_graphs(n)
-            jobs_for_n = [(i, format_plg(g)) for i, g in enumerate(candidates)]
-            chunk = max(1, len(jobs_for_n) // (jobs * 4))
-            hits = [i for i in pool.map(_refute_probe, jobs_for_n, chunk) if i is not None]
-            if hits:
-                return candidates[min(hits)]
-    return None
+def _pooled_first_negative(pool, jobs, graphs):
+    work = [(i, format_plg(g)) for i, g in enumerate(graphs)]
+    hits = pool.map(_refute_probe, work, max(1, len(work) // (jobs * 4)))
+    return min((i for i in hits if i is not None), default=None)
 
 
 # ---------------------------------------------------------------------------

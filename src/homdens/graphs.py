@@ -514,7 +514,7 @@ def is_isomorphic_labeled(a, b):
     return a.canonical() == b.canonical()
 
 
-def automorphisms(g, cap=AUTOMORPHISM_CAP):
+def automorphisms(g):
     """All adjacency-preserving vertex permutations of g.
 
     For a PLG, labeled vertices must be fixed points.  Returned as tuples
@@ -526,21 +526,21 @@ def automorphisms(g, cap=AUTOMORPHISM_CAP):
     from .density import INJ, extensions
 
     plg = g if isinstance(g, PartiallyLabeledGraph) else PartiallyLabeledGraph(g)
-    if plg.graph.n > cap:
-        raise CapExceeded(f"automorphisms supports n <= {cap}, got {plg.graph.n}")
+    if plg.graph.n > AUTOMORPHISM_CAP:
+        raise CapExceeded(f"automorphisms supports n <= {AUTOMORPHISM_CAP}, got {plg.graph.n}")
     fixed = {v: v for _, v in plg.labels}
     return sorted(extensions(plg.graph, fixed, INJ, plg.graph))
 
 
-def homogeneous_sets(g, cap=AUTOMORPHISM_CAP):
+def homogeneous_sets(g):
     """All vertex sets W with 1 < |W| <= n-1 whose members look alike outside W.
 
     The condition is N(u) \\ W == N(v) \\ W for every two distinct u, v
     in W.
     """
     n = g.n
-    if n > cap:
-        raise CapExceeded(f"homogeneous_sets supports n <= {cap}, got {n}")
+    if n > AUTOMORPHISM_CAP:
+        raise CapExceeded(f"homogeneous_sets supports n <= {AUTOMORPHISM_CAP}, got {n}")
     adj = g.adj
     found = []
     for size in range(2, n):
@@ -553,11 +553,11 @@ def homogeneous_sets(g, cap=AUTOMORPHISM_CAP):
     return found
 
 
-def is_stringent(g, cap=AUTOMORPHISM_CAP):
+def is_stringent(g):
     """A graph is stringent when it has no homogeneous set and no nontrivial automorphism."""
-    if homogeneous_sets(g, cap=cap):
+    if homogeneous_sets(g):
         return False
-    return len(automorphisms(g, cap=cap)) == 1
+    return len(automorphisms(g)) == 1
 
 
 def _check_vertex_cap(n):
@@ -617,7 +617,7 @@ def blowup_block(counts, v):
     return range(start, start + counts[v])
 
 
-def enumerate_graphs(n, cap=ENUMERATION_CAP):
+def enumerate_graphs(n):
     """One canonical representative per isomorphism class of n-vertex graphs,
     as a tuple, memoized per process.
 
@@ -626,8 +626,8 @@ def enumerate_graphs(n, cap=ENUMERATION_CAP):
     deduplicating by canonical form is exhaustive.  Counts follow the known
     sequence 1, 1, 2, 4, 11, 34, 156, 1044.
     """
-    if n > cap:
-        raise CapExceeded(f"enumerate_graphs supports n <= {cap}, got {n}")
+    if n > ENUMERATION_CAP:
+        raise CapExceeded(f"enumerate_graphs supports n <= {ENUMERATION_CAP}, got {n}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n in _ENUM_MEMO:
@@ -637,7 +637,7 @@ def enumerate_graphs(n, cap=ENUMERATION_CAP):
     else:
         seen = {}
         new = 1 << n - 1
-        for base in enumerate_graphs(n - 1, cap=cap):
+        for base in enumerate_graphs(n - 1):
             for nbhd in range(new):
                 rows = [row | new if nbhd >> v & 1 else row for v, row in enumerate(base.adj)]
                 g = Graph._of_rows((*rows, nbhd))

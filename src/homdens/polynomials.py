@@ -20,7 +20,10 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import FormatError
+from .errors import CapExceeded, FormatError
+
+# The largest total degree of a term that `parse_poly` reads.
+DEGREE_CAP = 1000
 
 _VAR_RE = re.compile(r"^([A-Za-z]+)([0-9]*)$")
 
@@ -459,11 +462,11 @@ def parse_poly(text, line=None):
         raise FormatError(str(exc), line=line) from None
     if len(set(vars)) != len(vars):
         raise FormatError("duplicate variable in vars=", line=line)
-    result = Polynomial.constant(0, vars)
-    for signed in _split_terms(body, line):
-        sign, term = signed
-        result = result + sign * _parse_term(term, vars, line)
-    return result
+    terms = {}
+    for sign, term in _split_terms(body, line):
+        mono, coeff = _parse_term(term, vars, line)
+        terms[mono] = terms.get(mono, 0) + sign * coeff
+    return Polynomial(vars, terms)
 
 
 def _split_terms(body, line):
@@ -511,6 +514,10 @@ def _parse_term(term, vars, line):
             continue
         if name not in exps:
             raise FormatError(f"unknown variable {name!r}", line=line)
+        if len(power.lstrip("0")) > len(str(DEGREE_CAP)):
+            raise CapExceeded(f"exponent of {name} exceeds the degree cap {DEGREE_CAP}")
         exps[name] += int(power) if caret else 1
     mono = tuple(exps[v] for v in vars)
-    return Polynomial(vars, {mono: coeff})
+    if sum(mono) > DEGREE_CAP:
+        raise CapExceeded(f"term degree {sum(mono)} exceeds the degree cap {DEGREE_CAP}")
+    return mono, coeff

@@ -1,11 +1,13 @@
 """Quantum-graph algebra: gluing, normal forms, ind, QExpr."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
+from homdens import algebra
 from homdens.algebra import (
     QEXPR_DEPTH_CAP,
     Atom,
@@ -239,12 +241,13 @@ class TestInd:
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            ind(PLG(Graph(7)), cap=20)
+            ind(PLG(Graph(7)))
 
-    def test_term_count(self):
+    def test_term_count(self, monkeypatch):
         # K1,2 with no labels has two absent pairs... use a concrete case:
         h = PLG(Graph(3, [(0, 1)]))
-        assert sum(1 for _ in ind(h, cap=2).terms) <= 4
+        monkeypatch.setattr(algebra, "IND_CAP", 2)
+        assert sum(1 for _ in ind(h).terms) <= 4
 
     def test_orthogonality(self):
         # ind images of graphs with different labeled cores multiply to zero.
@@ -640,6 +643,17 @@ class TestQExprFormat:
         ]:
             with pytest.raises(FormatError):
                 parse_qexpr(bad)
+
+    def test_long_sum_parses_in_linear_time(self):
+        """One index walks the tokens: a parse that copied the rest of the
+        token list at every node would take about a minute here."""
+        child = "(prod (q 3) (g plg n=3 edges=1-2;2-3))"
+        text = "(sum " + " ".join([child] * 20000) + ")"
+        start = time.perf_counter()
+        expr = parse_qexpr(text)
+        assert time.perf_counter() - start < 5
+        assert len(expr.children) == 20000
+        assert expr.children[-1] == parse_qexpr(child)
 
     def test_depth_cap(self):
         def nested(depth):

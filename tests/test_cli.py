@@ -9,9 +9,9 @@ import pytest
 
 import homdens
 from homdens import cli
-from homdens.algebra import parse_quantum
+from homdens.algebra import load_expression, parse_quantum
 from homdens.cli import main
-from homdens.density import t_quantum
+from homdens.density import parse_weighted_graph, t_quantum
 from homdens.graphs import (
     VERTEX_CAP,
     Graph,
@@ -21,7 +21,7 @@ from homdens.graphs import (
     is_stringent,
     parse_plg,
 )
-from homdens.polynomials import Polynomial, format_poly
+from homdens.polynomials import DEGREE_CAP, Polynomial, format_poly
 
 VARS6 = ("x1", "x2", "x3", "x4", "x5", "x6")
 # The counterexample as the unlabeled clone image of its polynomial.
@@ -228,6 +228,45 @@ class TestReductionPipeline:
         ):
             assert run(capsys, *argv) == (2, "", message), argv
 
+    def test_degree_past_the_cap_exits_2_at_once(self, capsys, files):
+        """`parse_poly` refuses the exponent by its length before it reads
+        the digits, so no power is ever taken: for `reduce`, for `witness`
+        and for a polynomial inside an expression."""
+        body = "1*x1^999999999 + -2"
+        poly = files("p.poly", f"poly vars=x1,x2,x3,x4,x5,x6 ; {body}\n")
+        expr = files("f.qx", STRUCTURED_X.split(" ; ")[0] + f" ; {body}))\n")
+        edge = files("K2.plg", plg_text(Graph.complete(2)))
+        message = f"error: exponent of x1 exceeds the degree cap {DEGREE_CAP}\n"
+        for argv in (
+            ["reduce", "--poly", poly],
+            ["witness", "--poly", poly, "--sizes", "2,1,1,1,1,1"],
+            ["eval", "--in", expr, "--target", edge],
+        ):
+            start = time.perf_counter()
+            assert run(capsys, *argv) == (2, "", message), argv
+            assert time.perf_counter() - start < 1, argv
+
+    def test_values_print_at_any_length(self, capsys, files, tmp_path):
+        """This value has more digits than the interpreter turns into text
+        by default.  It prints whole, and the limit, which guards reading
+        digits, is in force again once `main` returns."""
+        limit = sys.get_int_max_str_digits()
+        p = Polynomial(VARS6, {(0,) * 6: F(-2), (150, 0, 0, 0, 0, 0): F(1)})
+        poly = files("p.poly", format_poly(p) + "\n")
+        inst, wit = tmp_path / "inst.qx", tmp_path / "G.plg"
+        assert run(capsys, "reduce", "--poly", poly, "--out", str(inst))[0] == 0
+        assert run(capsys, "witness", "--poly", poly, "--sizes", "40,1,1,1,1,1", "--out", str(wit))[0] == 0
+        code, out, err = run(capsys, "eval", "--in", str(inst), "--target", str(wit))
+        assert sys.get_int_max_str_digits() == limit
+        value = t_quantum(load_expression(inst.read_text()), parse_plg(wit.read_text().strip()).graph)
+        assert value < 0 and value.denominator >= 10**limit
+        try:
+            sys.set_int_max_str_digits(0)
+            want = f"value={value}\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out, err) == (1, want, "")
+
     def test_bad_sizes_exit_2(self, capsys, files):
         p = Polynomial(VARS6, {(0,) * 6: F(1), (1, 0, 0, 0, 0, 0): F(-2)})
         poly = files("p.poly", format_poly(p) + "\n")
@@ -412,6 +451,26 @@ class TestRefuteCommand:
         assert F(kv["value"]) < 0
         assert F(kv["integer_value"]) == F(kv["value"])
 
+    def test_weighted_witness_values_are_its_densities(self, capsys, files):
+        """`value=` and `integer_value=` come from the one compiled search,
+        and equal the target's densities at the printed graphs."""
+        text = "1 * plg n=4 edges=1-2;3-4\n-1/2 * plg n=2 edges=1-2\n"
+        target = files("t.qg", text)
+        code, out, _ = run(
+            capsys, "refute", "--in", target, "--max-n", "2", "--samples", "300", "--seed", "3"
+        )
+        kv = lines_of(out)
+        assert (code, list(kv)) == (1, ["witness", "value", "integer_witness", "integer_value"])
+        f = load_expression(text)
+        assert F(kv["value"]) == t_quantum(f, parse_weighted_graph(kv["witness"])) < 0
+        assert F(kv["integer_value"]) == t_quantum(f, parse_plg(kv["integer_witness"]).graph)
+
+    def test_jobs_print_the_same_bytes_at_a_three_vertex_witness(self, capsys, files):
+        target = files("negK3.qg", "-1 * plg n=3 edges=1-2;1-3;2-3\n")
+        serial = run(capsys, "refute", "--in", target, "--max-n", "4", "--jobs", "1")
+        pooled = run(capsys, "refute", "--in", target, "--max-n", "4", "--jobs", "2")
+        assert serial == pooled == (1, "witness=plg n=3 edges=1-2;1-3;2-3\nvalue=-2/9\n", "")
+
     def test_jobs_do_not_change_the_result(self, capsys, files):
         target = files("t.qg", "1 * plg n=3 edges=1-2;1-3;2-3\n-1 * plg n=2 edges=1-2\n")
         code1, out1, _ = run(capsys, "refute", "--in", target, "--max-n", "4")
@@ -538,6 +597,36 @@ class TestEnumerate:
         assert code == 0
         assert lines_of(out)["count"] == "4"
         assert len((tmp_path / "g3.txt").read_text().splitlines()) == 4
+
+
+class TestOutput:
+    @pytest.mark.parametrize(
+        "argv, records",
+        [
+            (["stringent", "--k", "7"], True),
+            (["counterexample", "--form", "expr"], False),
+            (["reduce", "--poly", "@p"], False),
+            (["witness", "--poly", "@p", "--sizes", "3,1,1,1,1,1"], True),
+            (["enumerate", "--n", "4"], True),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else None,
+    )
+    def test_out_file_is_the_printed_payload(self, capsys, files, tmp_path, argv, records):
+        """With `--out` the payload goes to the file and `out=` replaces it;
+        without, it is printed as it is, or as one `graph=` line per record."""
+        poly = files("p.poly", "poly vars=x1,x2,x3,x4,x5,x6 ; 1 + -2*x1\n")
+        argv = [poly if a == "@p" else a for a in argv]
+        path = tmp_path / "out.txt"
+        code, printed, _ = run(capsys, *argv)
+        assert code == 0
+        code, written, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0
+        tail = f"out={path}\n"
+        assert written.endswith(tail)
+        payload = path.read_text()
+        if records:
+            payload = "".join(f"graph={record}\n" for record in payload.splitlines())
+        assert printed == written[: -len(tail)] + payload
 
 
 class TestEntryPoint:

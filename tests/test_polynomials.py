@@ -1,12 +1,14 @@
 """Polynomial arithmetic and the named polynomial constructions."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from homdens.errors import FormatError
+from homdens.errors import CapExceeded, FormatError
 from homdens.polynomials import (
+    DEGREE_CAP,
     M_constant,
     Polynomial,
     bollobas_L,
@@ -375,6 +377,35 @@ class TestPolyFormat:
         ]:
             with pytest.raises(FormatError):
                 parse_poly(bad)
+
+    def test_many_terms_parse_in_linear_time(self):
+        text = "poly vars=x1,x2,x3 ; " + " + ".join(
+            f"{i}*x1^{i % 7}*x2^{i % 11}*x3^{i % 13}" for i in range(1, 3001)
+        )
+        start = time.perf_counter()
+        p = parse_poly(text)
+        assert time.perf_counter() - start < 1
+        assert len(p.terms) == 1001  # the exponents repeat with period 7 * 11 * 13
+        assert p.coefficient({}) == sum(range(1001, 3001, 1001))
+
+    def test_repeated_terms_sum(self):
+        rng = random.Random(67)
+        vars = ("x1", "x2", "x3")
+        terms = [rand_poly(rng, vars, max_terms=1, max_exp=2) for _ in range(25)]
+        terms += [-t for t in terms[:10]] + terms[10:20] + [2 * t for t in terms[20:25]]
+        rng.shuffle(terms)
+        terms = [t for t in terms if not t.is_zero()]
+        text = "poly vars=x1,x2,x3 ; " + " + ".join(format_poly(t).split(" ; ")[1] for t in terms)
+        assert parse_poly(text) == sum(terms, Polynomial.constant(0, vars))
+
+    def test_degree_cap(self):
+        """The cap holds per term, and a long exponent is refused by its
+        length, before its digits are read."""
+        for ok in (f"x1^{DEGREE_CAP}", f"x1^0000{DEGREE_CAP}", f"x1^{DEGREE_CAP - 1}*x2 + x2^{DEGREE_CAP}"):
+            assert parse_poly(f"poly vars=x1,x2 ; {ok}").total_degree() == DEGREE_CAP
+        for bad in (f"x1^{DEGREE_CAP + 1}", f"x1^{DEGREE_CAP}*x2", "x1^600*x1^600", "x1^" + "9" * 5000):
+            with pytest.raises(CapExceeded, match=f"degree cap {DEGREE_CAP}"):
+                parse_poly(f"poly vars=x1,x2 ; {bad} + -2")
 
     def test_caret_needs_digits(self):
         for bad in ["poly vars=x1 ; x1^", "poly vars=x1 ; 2^", "poly vars=x1 ; 3*x1^ + 1"]:
