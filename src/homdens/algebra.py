@@ -121,9 +121,12 @@ class QuantumGraph:
 
     Keys are canonical isolated-vertex-free PLGs; the empty graph is the
     unit of the unlabeled subalgebra.  The empty map is zero.
+
+    `_search` is the term search that `density` keeps on a graph with no
+    labels once it is first evaluated, and None until then.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_search")
 
     def __init__(self, terms=()):
         if isinstance(terms, dict):
@@ -143,6 +146,7 @@ class QuantumGraph:
                 key = plg.canonical()
                 acc[key] = acc.get(key, 0) + coeff
         object.__setattr__(self, "terms", {k: c for k, c in acc.items() if c})
+        object.__setattr__(self, "_search", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuantumGraph is immutable")
@@ -743,15 +747,17 @@ def parse_qexpr(text):
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise FormatError("empty expression")
-    expr, end = _parse_node(tokens, 0, 1)
+    expr, end = _parse_node(tokens, 0, 1, {})
     if end < len(tokens):
         raise FormatError(f"trailing tokens after expression: {' '.join(tokens[end:end + 4])}")
     return expr
 
 
-def _parse_node(tokens, i, depth):
+def _parse_node(tokens, i, depth, leaves):
     """The node whose '(' is tokens[i], and the index just past its ')'.
-    One index walks the tokens, so parsing is linear in their number."""
+    One index walks the tokens, so parsing is linear in their number.
+    `leaves` maps the record text of each leaf parsed so far to its
+    canonical form, so equal records are canonicalized once per parse."""
     if depth > QEXPR_DEPTH_CAP:
         raise FormatError(f"expression nested deeper than {QEXPR_DEPTH_CAP} levels")
     if tokens[i] != "(":
@@ -766,12 +772,15 @@ def _parse_node(tokens, i, depth):
         return Const(parse_rational(flat[0], "rational")), i
     if head in ("g", "ind"):
         flat, i = _take_flat(tokens, i)
-        plg = parse_plg(" ".join(flat))
+        record = " ".join(flat)
+        plg = leaves.get(record)
+        if plg is None:
+            plg = leaves[record] = parse_plg(record).canonical()
         return (Atom(plg) if head == "g" else IndAtom(plg)), i
     if head == "sum" or head == "prod":
         children = []
         while i < len(tokens) and tokens[i] != ")":
-            child, i = _parse_node(tokens, i, depth + 1)
+            child, i = _parse_node(tokens, i, depth + 1, leaves)
             children.append(child)
         if i == len(tokens):
             raise FormatError(f"unterminated ({head} ...)")
@@ -788,7 +797,7 @@ def _parse_node(tokens, i, depth):
             keep = [int(t) for t in tokens[i + 1:close]]
         except ValueError:
             raise FormatError("label list must contain integers") from None
-        child, i = _parse_node(tokens, close + 1, depth + 1)
+        child, i = _parse_node(tokens, close + 1, depth + 1, leaves)
         if i == len(tokens) or tokens[i] != ")":
             raise FormatError("unterminated (unlabel ...)")
         return Unlabel(keep, child), i + 1

@@ -111,9 +111,12 @@ def _parse_roots(text):
         if not sep:
             raise FormatError(f"bad root {item!r}, expected label:vertex")
         try:
-            phi[int(lab)] = int(vertex) - 1
+            lab, image = int(lab), int(vertex) - 1
         except ValueError:
             raise FormatError(f"bad root {item!r}") from None
+        if lab in phi:
+            raise FormatError(f"root label {lab} given twice")
+        phi[lab] = image
     return phi
 
 

@@ -14,18 +14,20 @@ terms.
 
 Every density is a sum over the ways of extending a map, pinned on some
 vertices of a pattern, to all of it, and one search does all of them.  The
-free vertices split into components, each searched in the order of a
-`_Plan`, grown only as deep as a search reaches, in hom, inj or exact
-mode.  A term list is one `_TermSearch` over a trie of the plans' position
-codes, so components that share a prefix enumerate its images once.
-Where components reach their tails, the search counts them for a density,
-or hands the path images and tail masks to a caller: a density polynomial
+free vertices split into components, each searched in a greedy order,
+grown only as deep as a search reaches, in hom, inj or exact mode.  A term
+list is one `_TermSearch` over a trie of the components' position codes,
+so components that share a prefix enumerate its images once.  Where
+components reach their tails, the search counts them for a density, or
+hands the path images and tail masks to a caller: a density polynomial
 sums its monomials there, and `extensions` lists whole images, for exact
 embeddings, automorphisms and the label walk of Unlabel nodes.  A single
 density or extension list is the search of a one-term list.
 
 Quantum graphs and term lists evaluate linearly, through the one search
-that every density shares.  Structured expressions evaluate without expansion:
+that every density shares; an unlabeled QuantumGraph keeps its search,
+which serves every target, and a term list gets a new one per call or
+compiled function.  Structured expressions evaluate without expansion:
 Product nodes multiply factor densities, and IndAtom nodes are the exact
 mode of the kernel, which leaves their free pairs unconstrained.  Every
 node has a label trigraph, the label pairs that each root map at which it
@@ -140,128 +142,18 @@ def _target(G):
 HOM, INJ, EXACT = "hom", "inj", "exact"
 
 
-def _plans(pattern, pinned, mode, free=None):
-    """One `_Plan` per component of the free vertices: components of the
-    pattern in hom mode; in inj and exact modes every pair is constrained,
-    so all free vertices form one."""
-    pinmask = 0
-    for v in pinned:
-        pinmask |= 1 << v
-    rest = ((1 << pattern.n) - 1) & ~pinmask
-    if mode == HOM:
-        comps = _components(pattern.adj, rest)
-    else:
-        size = rest.bit_count()
-        comps = [(rest, size * (size - 1) // 2)] if rest else []
-    return [_Plan(pattern.adj, comp, left, pinned, pinmask, mode, free) for comp, left in comps]
-
-
-class _Plan:
-    """The search order of one component of a pattern's free vertices,
-    grown one position at a time, when a search first reaches it.
-
-    The next vertex touches a placed vertex, then has most placed or pinned
-    neighbours, then highest degree, then lowest index.  One int key per
-    vertex packs these fields above the mask of the positions of its
-    placed neighbours, and is raised as they are placed.  `left` counts
-    the constrained pairs among the unplaced vertices: edges in hom mode,
-    all pairs in inj and exact modes.  Once none is left, the unplaced
-    vertices are appended at once as the tail, which a search reads as
-    candidate masks rather than enumerating it; `tail` is then its first
-    position, and `group` the term search's leaf group of the tail.
-
-    `codes[i]` is what the candidates of position i depend on, named by
-    positions rather than vertices, so that components of different
-    patterns share codes.  In hom mode with no pinned neighbour it is the
-    mask of the earlier positions whose images the candidate must be
-    adjacent to.  Otherwise it is (root, near, apart): `near` is that mask,
-    `apart` the mask of earlier positions it must not be adjacent to in
-    exact mode, and `root` is (near, apart, used): the images of its pinned
-    neighbours and, in exact mode, non-neighbours, and the pinned images
-    inj mode excludes, as sorted tuples, or () when all are empty.  `free`
-    rows, one bitmask of free partners per pattern vertex, exempt pairs
-    from the exact rule.
-    """
-
-    __slots__ = (
-        "order", "codes", "tail", "group", "mode",
-        "_adj", "_pinned", "_pinmask", "_free", "_freepos", "_keys", "_rest", "_left", "_plain",
-    )
-
-    def __init__(self, adj, comp, left, pinned, pinmask, mode, free):
-        n = len(adj)
-        shift = n.bit_length()
-        self._keys = [
-            (((a & pinmask).bit_count() << shift | a.bit_count()) << shift | n - 1 - v) << n
-            if comp >> v & 1 else -1
-            for v, a in enumerate(adj)
-        ]
-        self.order, self.codes, self.tail, self.group, self.mode = [], [], None, 0, mode
-        self._adj, self._pinned, self._pinmask, self._free = adj, pinned, pinmask, free
-        self._freepos = [0] * n if free else None
-        self._rest, self._left, self._plain = comp, left, mode == HOM and not pinmask
-
-    def grow(self):
-        """Place the next vertex, or append the whole tail."""
-        order, keys = self.order, self._keys
-        p, n = len(order), len(keys)
-        near = (1 << n) - 1
-        if not self._left:
-            self.tail = p
-            tail = _bits(self._rest)
-            if self._plain:
-                self.codes += [keys[v] & near for v in tail]
-            else:
-                self.codes += [self._code(v, p, keys[v] & near) for v in tail]
-            order += tail
-            self._rest = 0
-            self._keys = self._freepos = None
-            return
-        shift = n.bit_length()
-        key = max(keys)
-        v = n - 1 - (key >> n & (1 << shift) - 1)
-        order.append(v)
-        self.codes.append(key & near if self._plain else self._code(v, p, key & near))
-        keys[v] = -1
-        self._rest = rest = self._rest & ~(1 << v)
-        nb = self._adj[v] & rest
-        self._left -= nb.bit_count() if self.mode == HOM else rest.bit_count()
-        # Set the touch bit and position p's bit, and count one more placed
-        # neighbour.
-        raised, step = 1 << 3 * shift + n | 1 << p, 1 << 2 * shift + n
-        while nb:
-            low = nb & -nb
-            nb ^= low
-            u = low.bit_length() - 1
-            keys[u] = (keys[u] | raised) + step
-        if self._free:
-            for u in _bits(self._free[v] & rest):
-                self._freepos[u] |= 1 << p
-
-    def _code(self, v, p, near):
-        root = self._root(v)
-        if self.mode == HOM:
-            return (root, near, 0) if root else near
-        apart = 0
-        if self.mode == EXACT:
-            apart = ((1 << p) - 1) & ~near
-            if self._free:
-                apart &= ~self._freepos[v]
-        return root, near, apart
-
-    def _root(self, v):
-        pinmask = self._pinmask
-        if not pinmask:
-            return ()
-        pinned, a, mode = self._pinned, self._adj[v], self.mode
-        near = tuple(sorted({pinned[u] for u in _bits(a & pinmask)}))
-        apart = used = ()
-        if mode == EXACT:
-            free = self._free[v] if self._free else 0
-            apart = tuple(sorted({pinned[u] for u in _bits(pinmask & ~a & ~free)}))
-        elif mode == INJ:
-            used = tuple(sorted(set(pinned.values())))
-        return (near, apart, used) if near or apart or used else ()
+def _root(pinned, a, pinmask, mode, free):
+    """The `root` of the code of a vertex with neighbour row `a` and free
+    row `free`, as `_TermSearch` describes it."""
+    if not pinmask:
+        return ()
+    near = tuple(sorted({pinned[u] for u in _bits(a & pinmask)}))
+    apart = used = ()
+    if mode == EXACT:
+        apart = tuple(sorted({pinned[u] for u in _bits(pinmask & ~a & ~free)}))
+    elif mode == INJ:
+        used = tuple(sorted(set(pinned.values())))
+    return (near, apart, used) if near or apart or used else ()
 
 
 def _split(code):
@@ -286,7 +178,7 @@ def _root_mask(root, gadj, full):
 def _bind(pattern, pinned, mode, graph, free=None):
     """The image list of the root map {pattern vertex: target vertex}, or
     None when two pinned vertices break a constraint of `mode`.  `free`
-    rows, as in `_Plan`, exempt pairs from the exact rule.  Root images
+    rows, as in `_TermSearch`, exempt pairs from the exact rule.  Root images
     must be target vertices; the error names them 1-based, as the text
     formats do."""
     n = graph.n
@@ -332,15 +224,15 @@ class _Weights:
 
 
 class _Node:
-    """A node of the term search's trie: the components whose plans share
-    the codes of the positions on the path to it.
+    """A node of the term search's trie: the components whose search
+    orders share the codes of the positions on the path to it.
 
-    `pending` holds those components until the search first reaches the
-    node and builds it.  Then `codes` lists, as (root id, near positions,
-    apart positions), the distinct codes of the next position and of the
-    tails that start here; `children` pairs a code index with the node of
-    the components placing that code next; `tails` lists the code indices
-    the tails use, and `leaves` pairs each distinct tail, as indices into
+    `pending` holds their indices until the search first reaches the node
+    and builds it.  Then `codes` lists, as (root id, near positions, apart
+    positions), the distinct codes of the next position and of the tails
+    that start here; `children` pairs a code index with the node of the
+    components placing that code next; `tails` lists the code indices the
+    tails use, and `leaves` pairs each distinct tail, as indices into
     `tails`, with the leaf group of its components.
     """
 
@@ -354,66 +246,101 @@ class _TermSearch:
     """The extensions of every term of a term list, in one search.
 
     Each term is (coefficient, pattern, pinned), its root map already
-    bound; `free` rows, as in `_Plan`, serve a one-term list.  Every
-    component of every term gets a `_Plan`, and the search walks a trie of
-    their position codes, built lazily, so components that share a prefix
-    enumerate its images once, and a component's plan grows only as deep
-    as the search reaches it.  Components whose tails start at one node
-    and read the same codes form a leaf group, which `walk` either counts,
+    bound; `free` rows, one bitmask of free partners per pattern vertex,
+    exempt pairs from the exact rule in a one-term list.  A term's free
+    vertices form components, the pattern's in hom mode and one in inj and
+    exact modes, where every pair is constrained.  A component is placed
+    in a greedy order: the next vertex touches a placed vertex, then has
+    most placed or pinned neighbours, then highest degree, then lowest
+    index.  Once no constrained pair is left among the unplaced vertices,
+    they are placed at once as the tail, read as candidate masks.
+
+    A position's code is what its candidates depend on, named by positions
+    rather than vertices, so that components of different patterns share
+    codes.  In hom mode with no pinned neighbour it is the mask of the
+    earlier positions whose images the candidate must be adjacent to.
+    Otherwise it is (root, near, apart): `near` is that mask, `apart` the
+    mask of earlier positions it must not be adjacent to in exact mode, and
+    `root` is (near, apart, used): the images of its pinned neighbours and,
+    in exact mode, non-neighbours, and the pinned images inj mode excludes,
+    as sorted tuples, or () when all are empty.
+
+    The search walks a trie of the codes, built lazily, so components that
+    share a prefix enumerate its images once and an order grows only as
+    deep as a search reaches.  Components whose tails start at one node and
+    read the same codes form a leaf group, which `walk` either counts,
     summing over the images of its path the product of the weight
     numerators of the placed positions and of each tail vertex's candidate
-    mask, or hands to a caller.  In `value` a term is its coefficient
-    times the product of its components' counts.  The plans and the trie
-    serve every target.
+    mask, or hands to a caller.  In `value` a term is its coefficient times
+    the product of its components' counts.  Each count is an integer over
+    den ** (free vertices), so terms are summed as integers per (free
+    vertices, coefficient denominator) and only those sums become Fractions.
 
-    Each count is an integer over den ** (free vertices), so the terms are
-    collected as integers per (free vertices, coefficient denominator) and
-    only those few sums become Fractions.
+    The state is flat lists of ints and shared references, one entry per
+    term or component, so that a search with no root map, which serves
+    every target, can be kept.  Per term: coefficient, free vertex count,
+    end of its components.  Per component: its pattern's rows, root map and
+    pinned mask, `left` constrained pairs among its unplaced vertices, leaf
+    group (0 until its tail is placed) and `state`, the mask of its unplaced
+    vertices with its order above, n.bit_length() bits a position.
     """
 
     def __init__(self, terms, mode, free=None):
-        self.mode = mode
-        self.terms = terms
-        self.plans = plans = []
-        self.stops = []
-        depth = 0
+        self.mode, self.free = mode, free
+        self.coeffs, self.sizes, self.stops = [], [], []
+        self.rows, self.pins, self.pinmask, self.state, self.left = [], [], [], [], []
         for coeff, pattern, pinned in terms:
-            plans += _plans(pattern, pinned, mode, free)
-            self.stops.append(len(plans))
-            depth = max(depth, pattern.n - len(pinned))
-        self.root = _Node(list(plans))
-        self.depth = depth
-        self.groups = 1  # group 0 counts the tails no search has reached
+            pinmask = 0
+            for v in pinned:
+                pinmask |= 1 << v
+            rest = (1 << pattern.n) - 1 ^ pinmask
+            if mode == HOM:
+                comps = _components(pattern.adj, rest)
+            else:
+                comps = [(rest, rest.bit_count() * (rest.bit_count() - 1) // 2)] if rest else []
+            for comp, left in comps:
+                self.state.append(comp)
+                self.left.append(left)
+                self.rows.append(pattern.adj)
+                self.pins.append(pinned)
+                self.pinmask.append(pinmask)
+            self.coeffs.append(coeff)
+            self.sizes.append(pattern.n - len(pinned))
+            self.stops.append(len(self.state))
+        self.group = [0] * len(self.state)  # group 0 counts the tails no search has reached
+        self.root = _Node(list(range(len(self.state))))
+        self.depth = max(self.sizes, default=0)
+        self.groups = 1
         self.roots = {(): 0}
 
-    def components(self):
-        """Each term with the plans of its components."""
-        start = 0
-        for term, stop in zip(self.terms, self.stops):
-            yield term, self.plans[start:stop]
-            start = stop
+    def order(self, c, d):
+        """The vertices at the first d positions of component c."""
+        n, b = len(self.rows[c]), len(self.rows[c]).bit_length()
+        return [self.state[c] >> n + p * b & (1 << b) - 1 for p in range(d)]
 
-    def value(self, graph, weights):
-        totals = self.walk(graph, weights)
-        sums = Counter()
-        for (coeff, pattern, pinned), plans in self.components():
+    def value(self, graph, weights, growing=None):
+        totals = self.walk(graph, weights, growing=growing)
+        sums, group, start = Counter(), self.group, 0
+        for coeff, size, stop in zip(self.coeffs, self.sizes, self.stops):
             value = coeff.numerator
-            for plan in plans:
-                value *= totals[plan.group]
+            for c in range(start, stop):
+                value *= totals[group[c]]
+            start = stop
             if value:
-                sums[pattern.n - len(pinned), coeff.denominator] += value
+                sums[size, coeff.denominator] += value
         return sum(
             (Fraction(n, den * weights.den ** k) for (k, den), n in sums.items()),
             Fraction(0),
         )
 
-    def walk(self, graph, weights, leaf=None):
+    def walk(self, graph, weights, leaf=None, growing=None):
         """Search the trie on one target.  Without `leaf`, return each
         leaf group's count; with it, call leaf(node, d, img, masks) at
         each node of depth d where tails start, img[:d] holding the images
         of the path and masks[i] the candidates of the node's code i.
         Only vertices of positive weight are placed on the path, so a walk
-        over every extension takes uniform weights."""
+        over every extension takes uniform weights.  The keys of the
+        components it grows live in `growing`: the caller's, or the walk's."""
         gadj, num, flat = graph.adj, weights.num, weights.flat
         full = (1 << graph.n) - 1
         support = full if flat else sum(1 << w for w, x in enumerate(num) if x)
@@ -421,11 +348,11 @@ class _TermSearch:
         totals = [0] * self.groups
         img = [0] * self.depth
         inj = self.mode == INJ
-        build = self._build
+        build, growing = self._build, {} if growing is None else growing
 
         def visit(node, d, weight, used):
             if node.pending is not None:
-                build(node, d, rmask, totals, gadj, full)
+                build(node, d, rmask, totals, gadj, full, growing)
             masks = []
             for rid, near, apart in node.codes:
                 cand = rmask[rid] & ~used
@@ -460,20 +387,73 @@ class _TermSearch:
         del visit  # it refers to itself: unbound, the search is freed at once
         return totals
 
-    def _build(self, node, d, rmask, totals, gadj, full):
-        """Grow the plans of a node's components by one position, or to
+    def _grow(self, c, d, growing):
+        """Place position d of component c and return its code, or once
+        `left` is 0 place its tail and return their codes.  One int key per
+        unplaced vertex packs the fields of the order rule above the
+        positions of its placed neighbours.  `growing` holds the state and
+        keys of the components its owner grew; others are rebuilt."""
+        adj, s, left = self.rows[c], self.state[c], self.left[c]
+        n, b = len(adj), len(adj).bit_length()
+        rest, near = s & (1 << n) - 1, (1 << n) - 1
+        # Set the touch bit and position p's bit, and count one more placed
+        # neighbour.
+        touch, step = 1 << 3 * b + n, 1 << 2 * b + n
+        pinmask = self.pinmask[c]
+        grown, keys = growing.pop(c, (None, None))
+        if grown != s:
+            keys = [(((a & pinmask).bit_count() << b | a.bit_count()) << b | n - 1 - v) << n
+                    if rest >> v & 1 else -1 for v, a in enumerate(adj)]
+            for p, v in enumerate(self.order(c, d) if d else ()):
+                for u in _bits(adj[v] & rest):
+                    keys[u] = (keys[u] | touch | 1 << p) + step
+        if not left:
+            tail = _bits(rest)
+            for p, v in enumerate(tail, d):
+                s |= v << n + p * b
+            self.state[c] = s & ~rest
+            return [self._code(c, v, d, keys[v] & near, pinmask) for v in tail]
+        key = max(keys)
+        v = n - 1 - (key >> n & (1 << b) - 1)
+        keys[v] = -1
+        rest ^= 1 << v
+        self.state[c] = s = s ^ 1 << v | v << n + d * b
+        nb = adj[v] & rest
+        self.left[c] = left - (nb.bit_count() if self.mode == HOM else rest.bit_count())
+        while nb:
+            u = nb & -nb
+            nb ^= u
+            u = u.bit_length() - 1
+            keys[u] = (keys[u] | touch | 1 << d) + step
+        growing[c] = s, keys
+        return key & near if not pinmask and self.mode == HOM else self._code(c, v, d, key & near, pinmask)
+
+    def _code(self, c, v, d, near, pinmask):
+        """The code of vertex v of component c at position d, or in a tail
+        starting there, with placed neighbours at the positions `near`."""
+        free = self.free[v] if self.free else 0
+        root = _root(self.pins[c], self.rows[c][v], pinmask, self.mode, free)
+        if self.mode == HOM:
+            return (root, near, 0) if root else near
+        apart = 0
+        if self.mode == EXACT and d:
+            for p, u in enumerate(self.order(c, d)):
+                if not (near >> p | free >> u) & 1:
+                    apart |= 1 << p
+        return root, near, apart
+
+    def _build(self, node, d, rmask, totals, gadj, full, growing):
+        """Grow the orders of a node's components by one position, or to
         their tails, and group them by code."""
         children, leaves = {}, {}
-        for plan in node.pending:
-            if plan.tail is None and len(plan.order) == d:
-                plan.grow()
-            if plan.tail == d:
+        for c in node.pending:
+            code = self._grow(c, d, growing)
+            if type(code) is list:
                 # In hom mode a code is an int or a tuple: order by (root,
                 # near, apart).
-                tail = tuple(sorted(plan.codes[d:], key=_split))
-                leaves.setdefault(tail, []).append(plan)
+                leaves.setdefault(tuple(sorted(code, key=_split)), []).append(c)
             else:
-                children.setdefault(plan.codes[d], []).append(plan)
+                children.setdefault(code, []).append(c)
         index = {}
         codes = []
 
@@ -489,12 +469,12 @@ class _TermSearch:
                 codes.append((rid, tuple(_bits(near)), tuple(_bits(apart))))
             return i
 
-        node.children = [(code_index(code), _Node(plans)) for code, plans in children.items()]
+        node.children = [(code_index(code), _Node(comps)) for code, comps in children.items()]
         tails, node.leaves = {}, []
-        for tail, plans in leaves.items():
+        for tail, comps in leaves.items():
             slots = tuple(tails.setdefault(code_index(code), len(tails)) for code in tail)
-            for plan in plans:
-                plan.group = self.groups
+            for c in comps:
+                self.group[c] = self.groups
             node.leaves.append((slots, self.groups))
             self.groups += 1
             totals.append(0)
@@ -503,26 +483,27 @@ class _TermSearch:
         node.pending = None
 
 
-def extensions(pattern, pinned, mode, graph, budget=None, free=None):
+def extensions(pattern, pinned, mode, graph, budget=None, free=None, search=None):
     """The image tuples, indexed by pattern vertex, of every extension of
     the root map `pinned` {pattern vertex: target vertex} in inj or exact
     mode: the walk of a one-term search, as `_rooted_density` is its count.
-    `free` rows, as in `_Plan`, exempt pairs from the exact rule; `budget`
-    caps the number of extensions."""
+    `free` rows, as in `_TermSearch`, exempt pairs from the exact rule;
+    `budget` caps the number of extensions.  `search` is a one-term search
+    of the same arguments that an earlier call built, to walk again."""
     if mode == HOM:
         raise ValueError("extensions lists inj and exact maps only")
     image = _bind(pattern, pinned, mode, graph, free)
     if image is None:
         return []
-    search = _TermSearch([(Fraction(1), pattern, pinned)], mode, free)
-    if not search.plans:
+    search = search or _TermSearch([(Fraction(1), pattern, pinned)], mode, free)
+    if not search.state:
         return [tuple(image)]
-    order = search.plans[0].order
     out = []
 
     def leaf(node, d, img, masks):
         # Every pair of free vertices is constrained, so they form one
         # component, and its tail is its last vertex.
+        order = search.order(0, d + 1)
         for p in range(d):
             image[order[p]] = img[p]
         for w in _bits(masks[node.tails[0]]):
@@ -594,23 +575,36 @@ def t_quantum(f, G, phi=None):
     if isinstance(f, QExpr):
         _check_cover(f.label_set(), phi)
         return _eval_expr(f, graph, weights, phi, {})
-    return _TermSearch(_term_roots(f, phi, graph), HOM).value(graph, weights)
+    return _term_search(f, phi, graph).value(graph, weights)
 
 
 def compiled_density(f):
     """The function G -> t_quantum(f, G) of an unlabeled f.
 
     A term list or QuantumGraph keeps one term search for all the targets
-    it is called with, so the plans and trie nodes grown for one target
-    serve the next; a QExpr keeps the label walk of each Unlabel node.
-    They live as long as the function.
+    it is called with, so the orders and trie nodes grown for one target,
+    and the keys of the orders still growing, serve the next; a QExpr keeps
+    the label walk of each Unlabel node.  They live as long as the function
+    (the search of a QuantumGraph as long as f).
     """
     if isinstance(f, QExpr):
         _check_cover(f.label_set(), {})
         walks = {}
         return lambda G: _eval_expr(f, *_read_target(f, G), {}, walks)
-    search = _TermSearch(_term_roots(f, {}, Graph(0)), HOM)
-    return lambda G: search.value(*_read_target(f, G))
+    search, growing = _term_search(f, {}, Graph(0)), {}
+    return lambda G: search.value(*_read_target(f, G), growing)
+
+
+def _term_search(f, phi, graph):
+    """The term search of f under phi on `graph`: the one a QuantumGraph
+    with no labels keeps from its first evaluation on, or a new one."""
+    if isinstance(f, QuantumGraph):
+        if f._search is None and not any(plg.labels for plg in f.terms):
+            terms = ((coeff, plg.graph, _UNPINNED) for plg, coeff in f.terms.items())
+            object.__setattr__(f, "_search", _TermSearch(terms, HOM))
+        if f._search is not None:
+            return f._search
+    return _TermSearch(_term_roots(f, phi, graph), HOM)
 
 
 def _read_target(f, G):
@@ -702,9 +696,10 @@ def _eval_unlabel(expr, graph, weights, phi, walks):
     loses: the kernel walks the exact embeddings of the child's label
     trigraph, the kept labels pinned, and evaluates the child at each.
     What the walk needs on every target is built once into `walks`: the
-    child's labels in order, the positions of those it loses, and the
-    pattern and free rows of the trigraph, or None when the child is 0 at
-    every root map."""
+    child's labels in order, the positions of those it loses, the pattern
+    and free rows of the trigraph, or None when the child is 0 at every
+    root map, and, when it keeps none of them, the one-term search of the
+    walk, which then serves every target."""
     walk = walks.get(id(expr))
     if walk is None:
         labels = sorted(expr.child.label_set())
@@ -718,13 +713,15 @@ def _eval_unlabel(expr, graph, weights, phi, walks):
             rows = [sum(1 << at[b] for b in labels if a != b and (min(a, b), max(a, b)) not in tri)
                     for a in labels]
             pattern = Graph(len(labels), [(at[a], at[b]) for (a, b), edge in tri.items() if edge])
-        walk = walks[id(expr)] = labels, unlabeled, pattern, rows
-    labels, unlabeled, pattern, rows = walk
+        keeps = pattern is not None and len(unlabeled) == len(labels)
+        search = _TermSearch([(Fraction(1), pattern, {})], EXACT, rows) if keeps else None
+        walk = walks[id(expr)] = labels, unlabeled, pattern, rows, search
+    labels, unlabeled, pattern, rows, search = walk
     if pattern is None:
         return Fraction(0)
     pinned = {i: phi[lab] for i, lab in enumerate(labels) if lab in expr.keep}
     total = 0
-    for image in extensions(pattern, pinned, EXACT, graph, free=rows):
+    for image in extensions(pattern, pinned, EXACT, graph, free=rows, search=search):
         weight = prod(weights.num[image[v]] for v in unlabeled)
         if weight:
             total += weight * _eval_expr(expr.child, graph, weights, dict(zip(labels, image)), walks)
@@ -780,7 +777,7 @@ def density_polynomial(f, g, phi=None):
         )
     g = _as_graph(g) if not isinstance(g, WeightedGraph) else g.graph
     read, weights = _read_target(f, g)
-    search = _TermSearch(_term_roots(f, dict(phi or {}), read), HOM)
+    search = _term_search(f, dict(phi or {}), read)
     # A monomial is the sorted tuple of the images of its free vertices.
     groups = defaultdict(Counter)
 
@@ -792,15 +789,16 @@ def density_polynomial(f, g, phi=None):
                 groups[group][tuple(sorted(path + list(ws)))] += 1
 
     search.walk(read, weights, leaf)
-    terms = Counter()
-    for (coeff, _, _), plans in search.components():
+    terms, start = Counter(), 0
+    for coeff, stop in zip(search.coeffs, search.stops):
         poly = {(): coeff}
-        for plan in plans:
+        for group in search.group[start:stop]:
             poly, partial = Counter(), poly
             for images, c in partial.items():
-                for more, k in groups[plan.group].items():
+                for more, k in groups[group].items():
                     poly[tuple(sorted(images + more))] += c * k
         terms.update(poly)
+        start = stop
     if read is not g:  # the empty graph, read at K1: the constant of its value
         return Polynomial((), {(): sum(terms.values())})
     return Polynomial(

@@ -655,6 +655,19 @@ class TestQExprFormat:
         assert len(expr.children) == 20000
         assert expr.children[-1] == parse_qexpr(child)
 
+    def test_equal_leaves_canonicalized_once_per_parse(self, canonical_calls):
+        """Equal leaf records share one canonical form within a parse; the
+        next parse canonicalizes again, so no form outlives its parse."""
+        text = "(sum " + " ".join(["(g plg n=3 edges=1-2;2-3)"] * 8000) + ")"
+        expr = parse_qexpr(text)
+        assert len(canonical_calls) == 1
+        assert len(expr.children) == 8000 and len({id(c.plg) for c in expr.children}) == 1
+        parse_qexpr(text)
+        assert len(canonical_calls) == 2
+        mixed = parse_qexpr("(prod (g plg n=3 edges=1-2;2-3) (ind plg n=3 edges=1-2;2-3))")
+        assert len(canonical_calls) == 3
+        assert mixed == Product([Atom(PLG(P3)), IndAtom(PLG(P3))])
+
     def test_depth_cap(self):
         def nested(depth):
             return "(unlabel () " * (depth - 1) + "(q 1)" + ")" * (depth - 1)

@@ -412,7 +412,11 @@ class TestEvalReadsTermListsAsWritten:
 
     @pytest.mark.parametrize(
         "root, message",
-        [("2:1", "root map missing labels [1]"), ("1:1,2:9", "root image 9 outside the target graph")],
+        [
+            ("2:1", "root map missing labels [1]"),
+            ("1:1,2:9", "root image 9 outside the target graph"),
+            ("1:2,1:3", "root label 1 given twice"),
+        ],
     )
     def test_root_errors_match_the_normal_form(self, capsys, files, root, message):
         pattern = files("f.qg", self.TEXT)

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -37,7 +38,7 @@ from homdens.density import (
     t_ind,
     t_inj,
     t_quantum,
-    _plans,
+    _TermSearch,
 )
 from homdens.errors import BudgetExceeded, CapExceeded, FormatError
 from homdens.graphs import (
@@ -342,13 +343,15 @@ def _labelings(h):
 
 def _grown_split(pattern, pinned):
     """(start, tail, stop) positions of each component of the fully grown
-    plans, numbered as one search order."""
+    search orders, numbered as one search order."""
+    search, growing = _TermSearch([(F(1), pattern, pinned)], HOM), {}
     out, start = [], 0
-    for plan in _plans(pattern, pinned, HOM):
-        while plan.tail is None:
-            plan.grow()
-        out.append((start, start + plan.tail, start + len(plan.order)))
-        start += len(plan.order)
+    for c in range(len(search.state)):
+        tail = 0
+        while not isinstance(codes := search._grow(c, tail, growing), list):
+            tail += 1
+        out.append((start, start + tail, start + tail + len(codes)))
+        start += tail + len(codes)
     return out
 
 
@@ -970,6 +973,92 @@ class TestSharedSearch:
         density = compiled_density(x)
         for _ in range(2):
             assert [density(G) for G in targets] == wants
+
+
+class TestKeptSearch:
+    """An unlabeled QuantumGraph keeps one term search from its first
+    evaluation on, and every route reads it."""
+
+    H6 = stringent_graph(6)
+
+    def test_routes_interleave_on_one_search(self):
+        """Each value, in any order of the routes, equals a fresh search of
+        the same terms as written and their brute-force densities."""
+        rng = random.Random(2041)
+        split = PLG(Graph(6, [(0, 1), (1, 2), (3, 4)]))  # P3, K2 and a vertex
+        pair = PLG(Graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)]))  # K2 and K3
+        terms = (
+            (split, F(2)),
+            (_relabeled(rng, split), F(-1, 2)),
+            (pair, F(3)),
+            (_relabeled(rng, pair), F(-3)),
+            (PLG(Graph.cycle(4)), F(1, 3)),
+            (PLG(TWO_EDGES), F(-5, 4)),
+            (PLG(Graph(0)), F(1, 7)),
+        )
+        x = QuantumGraph(terms)
+        assert not x.label_set() and x._search is None
+        density = compiled_density(x)
+        search = x._search
+        assert search is not None
+        zero_weight = WeightedGraph(self.H6, [F(0), F(1, 5), F(1, 5), F(1, 10), F(3, 10), F(1, 5)])
+        for i, G in enumerate([K1, zero_weight, Graph.complete(4), self.H6]):
+            W = G if isinstance(G, WeightedGraph) else WeightedGraph.uniform(G)
+            want = _term_list_oracle(terms, W, {})
+            point = {f"y{v + 1}": w for v, w in enumerate(W.y)}
+            assert t_quantum(terms, G) == density_polynomial(terms, W.graph).evaluate(point) == want
+            routes = [
+                lambda: t_quantum(x, G),
+                lambda: density_polynomial(x, W.graph).evaluate(point),
+                lambda: density(G),
+            ]
+            assert [route() for route in routes[i % 3:] + routes[:i % 3]] == [want] * 3
+            assert x._search is search
+
+    def test_compiled_function_after_other_calls(self):
+        """A compiled function keeps the keys of the orders it grows; once
+        another call has grown one of them further, they are rebuilt."""
+        rng = random.Random(2043)
+        terms = tuple((PLG(random_graph(rng, rng.randint(3, 6))), F(rng.randint(1, 4))) for _ in range(12))
+        terms += ((PLG(Graph.path(6)), F(-2)), (PLG(STAR), F(3)))
+        x = QuantumGraph(terms)
+        density = compiled_density(x)
+        # The routes alternate over targets that reach more and more trie
+        # nodes, so each grows orders that the other grew last.
+        targets = [K1, K2, K3, Graph.path(4), Graph.cycle(5), Graph.complete(4), Graph.complete(5)]
+        for i, G in enumerate(targets):
+            want = t_quantum(terms, G)
+            assert (density(G) if i % 2 == 0 else t_quantum(x, G)) == want
+        assert [density(G) for G in targets] == [t_quantum(terms, G) for G in targets]
+
+    def test_labeled_graph_keeps_no_search(self):
+        rng = random.Random(2042)
+        terms = _mixed_term_list(rng)
+        x = QuantumGraph(terms)
+        assert x.label_set()
+        G = random_weighted(rng, 4)
+        point = {f"y{v + 1}": w for v, w in enumerate(G.y)}
+        for phi in _all_root_maps([1, 2, 3], G.graph.n):
+            want = _term_list_oracle(terms, G, phi)
+            assert t_quantum(x, G, phi) == t_quantum(terms, G, phi) == want
+            assert density_polynomial(x, G.graph, phi).evaluate(point) == want
+        with pytest.raises(ValueError, match="root map missing labels"):
+            compiled_density(x)
+        assert x._search is None
+
+    def test_kept_search_holds_fewer_objects_than_terms(self):
+        """The search keeps its state in flat lists of ints, not a few
+        objects per term."""
+        from test_reductions import cached_counterexample
+
+        x = QuantumGraph(cached_counterexample().terms)
+        assert x._search is None and len(x.terms) == 11464
+        gc.collect()
+        before = len(gc.get_objects())
+        assert t_quantum(x, self.H6) == 0
+        gc.collect()
+        assert x._search is not None
+        assert len(gc.get_objects()) - before < len(x.terms)
 
 
 class TestExtensions:
