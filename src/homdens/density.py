@@ -25,15 +25,15 @@ embeddings, automorphisms and the label walk of Unlabel nodes.  A single
 density or extension list is the search of a one-term list.
 
 Quantum graphs and term lists evaluate linearly, through the one search
-that every density shares; an unlabeled QuantumGraph keeps its search,
-which serves every target, and a term list gets a new one per call or
-compiled function.  Structured expressions evaluate without expansion:
-Product nodes multiply factor densities, and IndAtom nodes are the exact
-mode of the kernel, which leaves their free pairs unconstrained.  Every
-node has a label trigraph, the label pairs that each root map at which it
-is nonzero sends to edges or to non-edges, so an Unlabel node walks the
-exact embeddings of its child's trigraph with the kernel and evaluates
-the child once per embedding.
+that every density shares; an unlabeled QuantumGraph keeps it for its next
+t_quantum or density_polynomial call, since it serves every target.
+Structured expressions evaluate without expansion: Product nodes
+multiply factor densities, and IndAtom nodes are the exact mode of the
+kernel, which leaves their free pairs unconstrained.  Every node has a
+label trigraph, the label pairs that each root map at which it is nonzero
+sends to edges or to non-edges, so an Unlabel node walks the exact
+embeddings of its child's trigraph with the kernel and evaluates the
+child once per embedding.
 Density polynomials are built from term lists only: a structured
 expression is expanded first.
 """
@@ -157,7 +157,7 @@ def _root(pinned, a, pinmask, mode, free):
 
 
 def _split(code):
-    """(root, near, apart) of a plan's position code."""
+    """(root, near, apart) of a position code."""
     return ((), code, 0) if isinstance(code, int) else code
 
 
@@ -276,31 +276,29 @@ class _TermSearch:
     den ** (free vertices), so terms are summed as integers per (free
     vertices, coefficient denominator) and only those sums become Fractions.
 
-    The state is flat lists of ints and shared references, one entry per
-    term or component, so that a search with no root map, which serves
-    every target, can be kept.  Per term: coefficient, free vertex count,
-    end of its components.  Per component: its pattern's rows, root map and
-    pinned mask, `left` constrained pairs among its unplaced vertices, leaf
-    group (0 until its tail is placed) and `state`, the mask of its unplaced
-    vertices with its order above, n.bit_length() bits a position.
+    The state is flat lists, not objects per term for the collector to
+    traverse.  Per term: coefficient, free vertex count, end of its
+    components.  Per component: its pattern's rows, root map and pinned
+    mask, constrained pairs, leaf group (0 until its tail is placed),
+    `state`, its vertex mask with its order above, n.bit_length() bits a
+    position holding the vertex plus one, and `keys`, what `_grow` keeps
+    of an order still growing, for one walk or for a compiled function.
     """
 
     def __init__(self, terms, mode, free=None):
         self.mode, self.free = mode, free
         self.coeffs, self.sizes, self.stops = [], [], []
-        self.rows, self.pins, self.pinmask, self.state, self.left = [], [], [], [], []
+        self.rows, self.pins, self.pinmask, self.state, self.pairs = [], [], [], [], []
         for coeff, pattern, pinned in terms:
             pinmask = 0
             for v in pinned:
                 pinmask |= 1 << v
             rest = (1 << pattern.n) - 1 ^ pinmask
-            if mode == HOM:
-                comps = _components(pattern.adj, rest)
-            else:
-                comps = [(rest, rest.bit_count() * (rest.bit_count() - 1) // 2)] if rest else []
-            for comp, left in comps:
+            k = rest.bit_count()
+            comps = _components(pattern.adj, rest) if mode == HOM else [(rest, k * (k - 1) // 2)] * (k > 0)
+            for comp, pairs in comps:
                 self.state.append(comp)
-                self.left.append(left)
+                self.pairs.append(pairs)
                 self.rows.append(pattern.adj)
                 self.pins.append(pinned)
                 self.pinmask.append(pinmask)
@@ -308,6 +306,7 @@ class _TermSearch:
             self.sizes.append(pattern.n - len(pinned))
             self.stops.append(len(self.state))
         self.group = [0] * len(self.state)  # group 0 counts the tails no search has reached
+        self.keys = None
         self.root = _Node(list(range(len(self.state))))
         self.depth = max(self.sizes, default=0)
         self.groups = 1
@@ -316,10 +315,10 @@ class _TermSearch:
     def order(self, c, d):
         """The vertices at the first d positions of component c."""
         n, b = len(self.rows[c]), len(self.rows[c]).bit_length()
-        return [self.state[c] >> n + p * b & (1 << b) - 1 for p in range(d)]
+        return [(self.state[c] >> n + p * b & (1 << b) - 1) - 1 for p in range(d)]
 
-    def value(self, graph, weights, growing=None):
-        totals = self.walk(graph, weights, growing=growing)
+    def value(self, graph, weights):
+        totals = self.walk(graph, weights)
         sums, group, start = Counter(), self.group, 0
         for coeff, size, stop in zip(self.coeffs, self.sizes, self.stops):
             value = coeff.numerator
@@ -333,14 +332,13 @@ class _TermSearch:
             Fraction(0),
         )
 
-    def walk(self, graph, weights, leaf=None, growing=None):
+    def walk(self, graph, weights, leaf=None):
         """Search the trie on one target.  Without `leaf`, return each
         leaf group's count; with it, call leaf(node, d, img, masks) at
         each node of depth d where tails start, img[:d] holding the images
         of the path and masks[i] the candidates of the node's code i.
         Only vertices of positive weight are placed on the path, so a walk
-        over every extension takes uniform weights.  The keys of the
-        components it grows live in `growing`: the caller's, or the walk's."""
+        over every extension takes uniform weights."""
         gadj, num, flat = graph.adj, weights.num, weights.flat
         full = (1 << graph.n) - 1
         support = full if flat else sum(1 << w for w, x in enumerate(num) if x)
@@ -348,11 +346,11 @@ class _TermSearch:
         totals = [0] * self.groups
         img = [0] * self.depth
         inj = self.mode == INJ
-        build, growing = self._build, {} if growing is None else growing
+        build = self._build
 
         def visit(node, d, weight, used):
             if node.pending is not None:
-                build(node, d, rmask, totals, gadj, full, growing)
+                build(node, d, rmask, totals, gadj, full)
             masks = []
             for rid, near, apart in node.codes:
                 cand = rmask[rid] & ~used
@@ -383,50 +381,58 @@ class _TermSearch:
                     img[d] = w
                     visit(child, d + 1, weight * num[w], used | low if inj else used)
 
-        visit(self.root, 0, 1, 0)
-        del visit  # it refers to itself: unbound, the search is freed at once
+        keys = self.keys  # a compiled function's, or None: this walk's only
+        self.keys = keys or [None] * len(self.state)
+        try:
+            visit(self.root, 0, 1, 0)
+        finally:
+            self.keys = keys
+            del visit  # it refers to itself: unbound, the search is freed at once
         return totals
 
-    def _grow(self, c, d, growing):
-        """Place position d of component c and return its code, or once
-        `left` is 0 place its tail and return their codes.  One int key per
-        unplaced vertex packs the fields of the order rule above the
-        positions of its placed neighbours.  `growing` holds the state and
-        keys of the components its owner grew; others are rebuilt."""
-        adj, s, left = self.rows[c], self.state[c], self.left[c]
+    def _grow(self, c, d):
+        """Place position d of component c and return its code, or, once no
+        constrained pair is left among its unplaced vertices, place them as
+        its tail and return their codes.  One int key per unplaced vertex
+        packs the fields of the order rule above the positions of its placed
+        neighbours.  Only the first d positions are read, and kept keys only
+        if they belong to them, so a build that was cut off can run again."""
+        adj, pinmask = self.rows[c], self.pinmask[c]
         n, b = len(adj), len(adj).bit_length()
-        rest, near = s & (1 << n) - 1, (1 << n) - 1
-        # Set the touch bit and position p's bit, and count one more placed
-        # neighbour.
+        s, near = self.state[c] & (1 << n + d * b) - 1, (1 << n) - 1
+        # A placed neighbour sets the touch bit and its position's bit, and counts.
         touch, step = 1 << 3 * b + n, 1 << 2 * b + n
-        pinmask = self.pinmask[c]
-        grown, keys = growing.pop(c, (None, None))
-        if grown != s:
+        hom, grown, self.keys[c] = self.mode == HOM, self.keys[c], None
+        if grown and grown[0] == s:
+            _, rest, left, keys = grown
+        else:
+            order, rest, left = self.order(c, d) if d else (), s & near, self.pairs[c]
+            for v in order:
+                rest ^= 1 << v
+                left -= (adj[v] & rest).bit_count() if hom else rest.bit_count()
             keys = [(((a & pinmask).bit_count() << b | a.bit_count()) << b | n - 1 - v) << n
                     if rest >> v & 1 else -1 for v, a in enumerate(adj)]
-            for p, v in enumerate(self.order(c, d) if d else ()):
+            for p, v in enumerate(order):
                 for u in _bits(adj[v] & rest):
                     keys[u] = (keys[u] | touch | 1 << p) + step
         if not left:
             tail = _bits(rest)
-            for p, v in enumerate(tail, d):
-                s |= v << n + p * b
-            self.state[c] = s & ~rest
+            self.state[c] = s | sum(v + 1 << n + p * b for p, v in enumerate(tail, d))
             return [self._code(c, v, d, keys[v] & near, pinmask) for v in tail]
         key = max(keys)
         v = n - 1 - (key >> n & (1 << b) - 1)
         keys[v] = -1
         rest ^= 1 << v
-        self.state[c] = s = s ^ 1 << v | v << n + d * b
         nb = adj[v] & rest
-        self.left[c] = left - (nb.bit_count() if self.mode == HOM else rest.bit_count())
+        left -= nb.bit_count() if hom else rest.bit_count()
         while nb:
             u = nb & -nb
             nb ^= u
             u = u.bit_length() - 1
             keys[u] = (keys[u] | touch | 1 << d) + step
-        growing[c] = s, keys
-        return key & near if not pinmask and self.mode == HOM else self._code(c, v, d, key & near, pinmask)
+        self.state[c] = s = s | v + 1 << n + d * b
+        self.keys[c] = s, rest, left, keys
+        return key & near if not pinmask and hom else self._code(c, v, d, key & near, pinmask)
 
     def _code(self, c, v, d, near, pinmask):
         """The code of vertex v of component c at position d, or in a tail
@@ -436,18 +442,17 @@ class _TermSearch:
         if self.mode == HOM:
             return (root, near, 0) if root else near
         apart = 0
-        if self.mode == EXACT and d:
-            for p, u in enumerate(self.order(c, d)):
-                if not (near >> p | free >> u) & 1:
-                    apart |= 1 << p
+        for p, u in enumerate(self.order(c, d) if self.mode == EXACT and d else ()):
+            if not (near >> p | free >> u) & 1:
+                apart |= 1 << p
         return root, near, apart
 
-    def _build(self, node, d, rmask, totals, gadj, full, growing):
+    def _build(self, node, d, rmask, totals, gadj, full):
         """Grow the orders of a node's components by one position, or to
         their tails, and group them by code."""
         children, leaves = {}, {}
         for c in node.pending:
-            code = self._grow(c, d, growing)
+            code = self._grow(c, d)
             if type(code) is list:
                 # In hom mode a code is an int or a tuple: order by (root,
                 # near, apart).
@@ -483,19 +488,22 @@ class _TermSearch:
         node.pending = None
 
 
-def extensions(pattern, pinned, mode, graph, budget=None, free=None, search=None):
+def extensions(pattern, pinned, mode, graph, budget=None, free=None):
     """The image tuples, indexed by pattern vertex, of every extension of
     the root map `pinned` {pattern vertex: target vertex} in inj or exact
     mode: the walk of a one-term search, as `_rooted_density` is its count.
     `free` rows, as in `_TermSearch`, exempt pairs from the exact rule;
-    `budget` caps the number of extensions.  `search` is a one-term search
-    of the same arguments that an earlier call built, to walk again."""
+    `budget` caps the number of extensions."""
     if mode == HOM:
         raise ValueError("extensions lists inj and exact maps only")
     image = _bind(pattern, pinned, mode, graph, free)
     if image is None:
         return []
-    search = search or _TermSearch([(Fraction(1), pattern, pinned)], mode, free)
+    return _walk_extensions(_TermSearch([(Fraction(1), pattern, pinned)], mode, free), image, graph, budget)
+
+
+def _walk_extensions(search, image, graph, budget=None):
+    """The extensions that the one-term `search` walks from `image`, its bound root map."""
     if not search.state:
         return [tuple(image)]
     out = []
@@ -581,30 +589,27 @@ def t_quantum(f, G, phi=None):
 def compiled_density(f):
     """The function G -> t_quantum(f, G) of an unlabeled f.
 
-    A term list or QuantumGraph keeps one term search for all the targets
-    it is called with, so the orders and trie nodes grown for one target,
-    and the keys of the orders still growing, serve the next; a QExpr keeps
-    the label walk of each Unlabel node.  They live as long as the function
-    (the search of a QuantumGraph as long as f).
+    A term list or QuantumGraph gets a term search of its own, and a QExpr
+    keeps the label walk of each Unlabel node, for the function's life:
+    the orders, trie nodes and keys grown for one target serve the next.
     """
     if isinstance(f, QExpr):
         _check_cover(f.label_set(), {})
         walks = {}
         return lambda G: _eval_expr(f, *_read_target(f, G), {}, walks)
-    search, growing = _term_search(f, {}, Graph(0)), {}
-    return lambda G: search.value(*_read_target(f, G), growing)
+    search = _TermSearch(_term_roots(f, {}, Graph(0)), HOM)
+    search.keys = [None] * len(search.state)
+    return lambda G: search.value(*_read_target(f, G))
 
 
 def _term_search(f, phi, graph):
     """The term search of f under phi on `graph`: the one a QuantumGraph
     with no labels keeps from its first evaluation on, or a new one."""
-    if isinstance(f, QuantumGraph):
-        if f._search is None and not any(plg.labels for plg in f.terms):
-            terms = ((coeff, plg.graph, _UNPINNED) for plg, coeff in f.terms.items())
-            object.__setattr__(f, "_search", _TermSearch(terms, HOM))
-        if f._search is not None:
-            return f._search
-    return _TermSearch(_term_roots(f, phi, graph), HOM)
+    if not isinstance(f, QuantumGraph) or not f._search and any(plg.labels for plg in f.terms):
+        return _TermSearch(_term_roots(f, phi, graph), HOM)
+    if f._search is None:
+        object.__setattr__(f, "_search", _TermSearch(_term_roots(f, {}, graph), HOM))
+    return f._search
 
 
 def _read_target(f, G):
@@ -720,8 +725,10 @@ def _eval_unlabel(expr, graph, weights, phi, walks):
     if pattern is None:
         return Fraction(0)
     pinned = {i: phi[lab] for i, lab in enumerate(labels) if lab in expr.keep}
+    images = (_walk_extensions(search, _bind(pattern, pinned, EXACT, graph, rows), graph) if search
+              else extensions(pattern, pinned, EXACT, graph, free=rows))
     total = 0
-    for image in extensions(pattern, pinned, EXACT, graph, free=rows, search=search):
+    for image in images:
         weight = prod(weights.num[image[v]] for v in unlabeled)
         if weight:
             total += weight * _eval_expr(expr.child, graph, weights, dict(zip(labels, image)), walks)

@@ -344,11 +344,12 @@ def _labelings(h):
 def _grown_split(pattern, pinned):
     """(start, tail, stop) positions of each component of the fully grown
     search orders, numbered as one search order."""
-    search, growing = _TermSearch([(F(1), pattern, pinned)], HOM), {}
+    search = _TermSearch([(F(1), pattern, pinned)], HOM)
+    search.keys = [None] * len(search.state)  # as a walk grows them
     out, start = [], 0
     for c in range(len(search.state)):
         tail = 0
-        while not isinstance(codes := search._grow(c, tail, growing), list):
+        while not isinstance(codes := search._grow(c, tail), list):
             tail += 1
         out.append((start, start + tail, start + tail + len(codes)))
         start += tail + len(codes)
@@ -538,7 +539,7 @@ class TestUnlabelTrigraph:
     def test_product_of_disagreeing_factors_is_zero(self, monkeypatch):
         """No label map satisfies both factors, so no walk runs."""
         walks = []
-        monkeypatch.setattr(density, "extensions", lambda *args, **kw: walks.append(args) or [])
+        monkeypatch.setattr(density, "_walk_extensions", lambda *args, **kw: walks.append(args) or [])
         expr = Product([self.EDGE12, self.NONEDGE12])
         assert expand(expr).is_zero()
         for G in _trigraph_targets():
@@ -977,7 +978,8 @@ class TestSharedSearch:
 
 class TestKeptSearch:
     """An unlabeled QuantumGraph keeps one term search from its first
-    evaluation on, and every route reads it."""
+    t_quantum or density_polynomial on; a compiled function keeps one of
+    its own."""
 
     H6 = stringent_graph(6)
 
@@ -997,11 +999,11 @@ class TestKeptSearch:
             (PLG(Graph(0)), F(1, 7)),
         )
         x = QuantumGraph(terms)
-        assert not x.label_set() and x._search is None
+        assert not x.label_set()
         density = compiled_density(x)
-        search = x._search
-        assert search is not None
+        assert x._search is None
         zero_weight = WeightedGraph(self.H6, [F(0), F(1, 5), F(1, 5), F(1, 10), F(3, 10), F(1, 5)])
+        searches = set()
         for i, G in enumerate([K1, zero_weight, Graph.complete(4), self.H6]):
             W = G if isinstance(G, WeightedGraph) else WeightedGraph.uniform(G)
             want = _term_list_oracle(terms, W, {})
@@ -1013,22 +1015,38 @@ class TestKeptSearch:
                 lambda: density(G),
             ]
             assert [route() for route in routes[i % 3:] + routes[:i % 3]] == [want] * 3
-            assert x._search is search
+            searches.add(id(x._search))
+        assert len(searches) == 1 and x._search is not None
 
-    def test_compiled_function_after_other_calls(self):
-        """A compiled function keeps the keys of the orders it grows; once
-        another call has grown one of them further, they are rebuilt."""
+    @pytest.mark.parametrize("compiled", [False, True])
+    @pytest.mark.parametrize("cut", [1, 9, 33, 50])
+    def test_search_cut_off_while_growing_runs_again(self, monkeypatch, compiled, cut):
+        """A kept search that is cut off, as by an interrupt, right after
+        growing an order gives the same values afterwards."""
+
+        class Cut(Exception):
+            pass
+
         rng = random.Random(2043)
         terms = tuple((PLG(random_graph(rng, rng.randint(3, 6))), F(rng.randint(1, 4))) for _ in range(12))
         terms += ((PLG(Graph.path(6)), F(-2)), (PLG(STAR), F(3)))
         x = QuantumGraph(terms)
-        density = compiled_density(x)
-        # The routes alternate over targets that reach more and more trie
-        # nodes, so each grows orders that the other grew last.
+        density = compiled_density(x) if compiled else lambda G: t_quantum(x, G)
         targets = [K1, K2, K3, Graph.path(4), Graph.cycle(5), Graph.complete(4), Graph.complete(5)]
-        for i, G in enumerate(targets):
-            want = t_quantum(terms, G)
-            assert (density(G) if i % 2 == 0 else t_quantum(x, G)) == want
+        grow, calls = _TermSearch._grow, []
+
+        def cut_off(self, *args):
+            code = grow(self, *args)
+            calls.append(args)
+            if len(calls) == cut:
+                raise Cut
+            return code
+
+        monkeypatch.setattr(_TermSearch, "_grow", cut_off)
+        with pytest.raises(Cut):
+            for G in targets:
+                density(G)
+        monkeypatch.undo()
         assert [density(G) for G in targets] == [t_quantum(terms, G) for G in targets]
 
     def test_labeled_graph_keeps_no_search(self):
@@ -1048,7 +1066,7 @@ class TestKeptSearch:
 
     def test_kept_search_holds_fewer_objects_than_terms(self):
         """The search keeps its state in flat lists of ints, not a few
-        objects per term."""
+        objects per term, and no key list outlives a call."""
         from test_reductions import cached_counterexample
 
         x = QuantumGraph(cached_counterexample().terms)
@@ -1057,7 +1075,7 @@ class TestKeptSearch:
         before = len(gc.get_objects())
         assert t_quantum(x, self.H6) == 0
         gc.collect()
-        assert x._search is not None
+        assert x._search is not None and x._search.keys is None
         assert len(gc.get_objects()) - before < len(x.terms)
 
 
