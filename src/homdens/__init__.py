@@ -48,7 +48,7 @@ from .graphs import (
     parse_plg,
     stringent_graph,
 )
-from .polynomials import Polynomial, counterexample_poly, parse_poly, tau
+from .polynomials import Polynomial, counterexample_poly, parse_poly
 from .reductions import (
     build_counterexample,
     build_instance,
@@ -103,7 +103,6 @@ __all__ = [
     "t_ind",
     "t_inj",
     "t_quantum",
-    "tau",
     "unlabel",
     "verify_sos",
     "witness_eval",

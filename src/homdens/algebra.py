@@ -368,17 +368,12 @@ def ind(h):
 class QExpr:
     """Base of the structured expression tree.
 
-    Nodes are immutable.  Two nodes are equal when they have the same type
-    and equal `_key()`.
+    Nodes are immutable.  Each node type defines `_key()` and
+    `label_set()`; two nodes are equal when they have the same type and
+    equal `_key()`.
     """
 
     __slots__ = ()
-
-    def _key(self):
-        raise NotImplementedError
-
-    def label_set(self):
-        raise NotImplementedError
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

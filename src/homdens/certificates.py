@@ -390,9 +390,9 @@ def refute(target, max_n=5, samples=200, seed=0):
     then `samples` seeded random weighted graphs.  Returns the first
     witness (a Graph, or a WeightedGraph from the random phase) or None.
     The result is deterministic in (max_n, samples, seed).  A term list
-    (a tuple of (plg, coefficient) pairs) or a quantum graph keeps one
-    term search for every target, so plans and trie nodes grown for one
-    target serve the next.
+    (a tuple of (plg, coefficient) pairs) or a quantum graph keeps its
+    term search and trie for every target, so the orders and trie nodes
+    grown for one target serve the next.
     """
     _check_search(max_n, samples)
     density = compiled_density(_refutation_target(target))

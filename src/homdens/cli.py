@@ -11,8 +11,8 @@ Every command reads a term list as its written records.  The commands
 that compare quantum graphs, `verify-sos` and `check-proof`, bring what
 they compare to normal form through `expand`, every rule within the one
 `--budget`.  `eval`, `density` and `refute` evaluate the records as
-written, since a density is linear in the terms, and `refute` keeps one
-term search, its plans and trie, for all its targets.
+written, since a density is linear in the terms, and `refute` keeps its
+term search and trie for all its targets.
 
 Identical invocations produce byte-identical output.
 """

@@ -43,7 +43,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, lcm, perm, prod
+from math import lcm, perm, prod
 from types import MappingProxyType
 
 from .algebra import (
@@ -543,11 +543,6 @@ def _density(h, g, mode):
 # Basic densities
 
 
-def hom_count(h, g):
-    """Number of maps V(h) -> V(g) sending every edge of h to an edge of g."""
-    return int(t(h, g) * g.n ** h.n)
-
-
 def t(h, g):
     """Probability that a uniformly random map V(h) -> V(g) is a homomorphism."""
     return _density(h, g, HOM)
@@ -812,19 +807,6 @@ def density_polynomial(f, g, phi=None):
         tuple(f"y{i}" for i in range(1, g.n + 1)),
         {tuple(map(images.count, range(g.n))): c for images, c in terms.items()},
     )
-
-
-# ---------------------------------------------------------------------------
-# The near-injectivity bound
-
-
-def check_tasym(h, g):
-    """|t - t_inj| <= C(|V(h)|, 2) / |V(g)|, the random-collision bound."""
-    h, g = _as_graph(h), _as_graph(g)
-    gap = abs(t(h, g) - t_inj(h, g))
-    if g.n == 0:
-        return gap == 0
-    return gap <= Fraction(comb(h.n, 2), g.n)
 
 
 # ---------------------------------------------------------------------------

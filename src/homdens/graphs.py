@@ -181,24 +181,6 @@ class PartiallyLabeledGraph:
     def label_map(self):
         return dict(self.labels)
 
-    def vertex_of(self, label):
-        for lab, v in self.labels:
-            if lab == label:
-                return v
-        raise KeyError(label)
-
-    def relabeled_vertices(self, perm):
-        """Apply a vertex permutation: new index of old vertex v is perm[v].
-
-        Raises ValueError unless `perm` is a permutation of range(n).  The
-        image of a valid PLG under a permutation is valid, so the result is
-        built directly, without the constructors' checks.
-        """
-        n = self.graph.n
-        if len(perm) != n or set(perm) != set(range(n)):
-            raise ValueError(f"not a permutation of range({n}): {list(perm)}")
-        return _moved_plg(self, perm)
-
     def drop_labels(self, keep=()):
         keep = frozenset(keep)
         return PartiallyLabeledGraph(
@@ -505,15 +487,6 @@ def _encode(adj, order):
     return enc
 
 
-def is_isomorphic_labeled(a, b):
-    """Label-preserving isomorphism test via canonical forms."""
-    if isinstance(a, Graph):
-        a = PartiallyLabeledGraph(a)
-    if isinstance(b, Graph):
-        b = PartiallyLabeledGraph(b)
-    return a.canonical() == b.canonical()
-
-
 def automorphisms(g):
     """All adjacency-preserving vertex permutations of g.
 
@@ -609,12 +582,6 @@ def independent_blowup(g, counts):
 def clique_blowup(g, counts):
     """Replace vertex v by a clique of counts[v] copies."""
     return _blowup(g, counts, within_edges=True)
-
-
-def blowup_block(counts, v):
-    """The copy indices of original vertex v in a blow-up with these counts."""
-    start = sum(counts[:v])
-    return range(start, start + counts[v])
 
 
 def enumerate_graphs(n):

@@ -9,14 +9,13 @@ of their variable sets.
 Besides generic arithmetic this module houses the concrete polynomial
 constructions the rest of the package builds on: the Motzkin-type form S,
 the nonnegative-orthant polynomial p fed to the clone reduction, the
-grid-to-cube transform, the edge/triangle bound functions g and L, the
+grid-to-cube transform, Goodman's triangle bound g, the
 penalized polynomial q with its constant M, and the clearing substitution
 tau into (v, e, t) variables.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
@@ -400,27 +399,6 @@ def goodman_g(x):
     """g(x) = 2x^2 - x, the lower triangle-density bound along clique blow-ups."""
     x = Fraction(x)
     return 2 * x * x - x
-
-
-def bollobas_L(x):
-    """The piecewise-linear lower boundary of the edge/triangle region.
-
-    On [1 - 1/s, 1 - 1/(s+1)] this is the chord of g between the interval's
-    endpoints; the interval index is s = floor(1/(1-x)).  Defined for
-    0 <= x < 1; at a breakpoint the two pieces agree and the right-hand one
-    is used.
-    """
-    x = Fraction(x)
-    if not 0 <= x < 1:
-        raise ValueError(f"bollobas_L needs 0 <= x < 1, got {x}")
-    s = math.floor(Fraction(1) / (1 - x))
-    slope = Fraction(3 * s * s - s - 2, s * (s + 1))
-    return slope * x - Fraction(2 * (s - 1), s + 1)
-
-
-def in_region_R(x, y):
-    """Whether (x, y) lies on or above the boundary L."""
-    return Fraction(y) >= bollobas_L(x)
 
 
 # ---------------------------------------------------------------------------

@@ -103,12 +103,6 @@ def resample_set(h, g, phi, j):
 # The clone construction
 
 
-def phi_generator(h, j):
-    """ind(H_j): H plus an unlabeled copy of j joined to N(j), with the
-    copy-to-j pair free; the clique generator with a one-vertex clique."""
-    return psi_generator(h, j, 1)
-
-
 def _x_vars(k):
     return tuple(f"x{j}" for j in range(1, k + 1))
 
@@ -123,7 +117,7 @@ def phi(h, p):
     """The image of p under the clone homomorphism, as a structured tree."""
     k = h.n
     _check_vars(p, _x_vars(k))
-    gens = {f"x{j}": phi_generator(h, j) for j in range(1, k + 1)}
+    gens = {f"x{j}": psi_generator(h, j, 1) for j in range(1, k + 1)}
     origin = f"(phi {format_plg(labeled_base(h))} | {format_poly(p)})"
     return PolyImage(gens, p, origin=origin)
 
@@ -215,43 +209,6 @@ class _TauSubstituted:
         for v in vs:
             clear *= v ** (3 * self.degree)
         return self.q_value(xs, ys) * clear
-
-
-class TauPoly(_TauSubstituted):
-    """The cleared substitution image of an explicit polynomial q(x, y)."""
-
-    __slots__ = ("q", "k", "degree", "vars")
-
-    def __init__(self, q, k):
-        _check_vars(q, _x_vars(k) + tuple(f"y{j}" for j in range(1, k + 1)))
-        if q.total_degree() == 0:
-            raise ValueError("source polynomial must not be constant")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "degree", q.total_degree())
-        object.__setattr__(self, "vars", _etv_vars(k))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TauPoly is immutable")
-
-    def q_value(self, xs, ys):
-        point = {}
-        for var in self.q.vars:
-            idx = int(var[1:]) - 1
-            point[var] = xs[idx] if var[0] == "x" else ys[idx]
-        return self.q.evaluate(point)
-
-    def as_polynomial(self):
-        return tau(self.q, k=self.k)
-
-    def __eq__(self, other):
-        return isinstance(other, TauPoly) and self.q == other.q and self.k == other.k
-
-    def __hash__(self):
-        return hash(("TauPoly", self.q, self.k))
-
-    def __repr__(self):
-        return f"TauPoly({self.q!r}, k={self.k})"
 
 
 class TauCalculusPoly(_TauSubstituted):

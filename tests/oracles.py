@@ -1,19 +1,25 @@
-"""Independent brute-force reference implementations used by the tests.
+"""Independent brute-force reference implementations used by the tests,
+and the test-only helpers that no command needs.
 
 Everything here is deliberately naive: permutations, all maps, all edge
 subsets.  These functions never import from homdens internals beyond the
 Graph/PLG data holders, so a bug in the package cannot hide in its own
 oracle.  The exceptions are `phi_monomial_expansion`, which expands the
 package's clone generators with `expand` so that a test can hold it
-against `plain_monomial_terms`, and `ind_sum`, which spells out an ind
-atom's free pairs through the package's plain `ind`.
+against `plain_monomial_terms`; `ind_sum`, which spells out an ind
+atom's free pairs through the package's plain `ind`; and the helpers at
+the end, which state facts about the package's own values (`hom_count`,
+`check_tasym`, `is_isomorphic_labeled`) or build test inputs (`TauPoly`).
 """
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from homdens.graphs import Graph, PartiallyLabeledGraph
+from homdens.polynomials import tau
+from homdens.reductions import _check_vars, _etv_vars, _TauSubstituted, _x_vars
 
 
 def brute_isomorphic(a, b):
@@ -53,6 +59,26 @@ def brute_automorphisms(g):
         if mapped == edges:
             out.append(perm)
     return out
+
+
+def relabeled_vertices(plg, perm):
+    """The image of `plg` under a vertex permutation: vertex v goes to
+    perm[v].  Raises ValueError unless `perm` is a permutation of range(n).
+    Built through the validating constructors, apart from the package's
+    trusted-permutation route."""
+    n = plg.graph.n
+    if len(perm) != n or set(perm) != set(range(n)):
+        raise ValueError(f"not a permutation of range({n}): {list(perm)}")
+    edges = [(perm[u], perm[v]) for u, v in plg.graph.edges]
+    return PartiallyLabeledGraph(Graph(n, edges), [(lab, perm[v]) for lab, v in plg.labels])
+
+
+def vertex_of(plg, label):
+    """The vertex of `plg` that carries `label`; KeyError if none does."""
+    for lab, v in plg.labels:
+        if lab == label:
+            return v
+    raise KeyError(label)
 
 
 def brute_graph_classes(n):
@@ -118,9 +144,9 @@ def phi_monomial_expansion(h, js, labeled=True):
     of the generators, or its unlabeled image, whose labels `expand` drops
     before the one ind expansion, as the counterexample build does."""
     from homdens.algebra import Product, Unlabel, expand
-    from homdens.reductions import phi_generator
+    from homdens.reductions import psi_generator
 
-    monomial = Product([phi_generator(h, j) for j in js])
+    monomial = Product([psi_generator(h, j, 1) for j in js])
     return expand(monomial if labeled else Unlabel((), monomial))
 
 
@@ -342,7 +368,7 @@ def round_based_canonical_form(g):
     for new, old in enumerate(order):
         cert[old] = new
     cert = tuple(cert)
-    return ReferenceForm(g.relabeled_vertices(cert), cert)
+    return ReferenceForm(relabeled_vertices(g, cert), cert)
 
 
 def _ref_bits(mask):
@@ -406,7 +432,7 @@ def _ref_canonical_disconnected(g, comps):
                 cert[v] = next_free + (p - len(placed))
         next_free += len(comp) - len(placed)
     cert = tuple(cert)
-    return ReferenceForm(g.relabeled_vertices(cert), cert)
+    return ReferenceForm(relabeled_vertices(g, cert), cert)
 
 
 def _ref_cell_mask(cell):
@@ -438,3 +464,100 @@ def _ref_encode(adj, order):
         for v in order[i + 1:]:
             enc = enc << 1 | (row >> v & 1)
     return enc
+
+
+# ---------------------------------------------------------------------------
+# Statements about the package's values, and test inputs.
+
+
+def hom_count(h, g):
+    """Number of maps V(h) -> V(g) sending every edge of h to an edge of g,
+    read off the package's `t`."""
+    from homdens.density import t
+
+    return int(t(h, g) * g.n ** h.n)
+
+
+def check_tasym(h, g):
+    """|t - t_inj| <= C(|V(h)|, 2) / |V(g)|, the random-collision bound."""
+    from homdens.density import t, t_inj
+
+    gap = abs(t(h, g) - t_inj(h, g))
+    if g.n == 0:
+        return gap == 0
+    return gap <= Fraction(math.comb(h.n, 2), g.n)
+
+
+def is_isomorphic_labeled(a, b):
+    """Label-preserving isomorphism test via the package's canonical forms."""
+    if isinstance(a, Graph):
+        a = PartiallyLabeledGraph(a)
+    if isinstance(b, Graph):
+        b = PartiallyLabeledGraph(b)
+    return a.canonical() == b.canonical()
+
+
+def blowup_block(counts, v):
+    """The copy indices of original vertex v in a blow-up with these counts."""
+    start = sum(counts[:v])
+    return range(start, start + counts[v])
+
+
+def bollobas_L(x):
+    """The piecewise-linear lower boundary of the edge/triangle region.
+
+    On [1 - 1/s, 1 - 1/(s+1)] this is the chord of g between the interval's
+    endpoints; the interval index is s = floor(1/(1-x)).  Defined for
+    0 <= x < 1; at a breakpoint the two pieces agree and the right-hand one
+    is used.
+    """
+    x = Fraction(x)
+    if not 0 <= x < 1:
+        raise ValueError(f"bollobas_L needs 0 <= x < 1, got {x}")
+    s = math.floor(Fraction(1) / (1 - x))
+    slope = Fraction(3 * s * s - s - 2, s * (s + 1))
+    return slope * x - Fraction(2 * (s - 1), s + 1)
+
+
+def in_region_R(x, y):
+    """Whether (x, y) lies on or above the boundary L."""
+    return Fraction(y) >= bollobas_L(x)
+
+
+class TauPoly(_TauSubstituted):
+    """The cleared substitution image of an explicit polynomial q(x, y): a
+    test double of the clique image's `TauCalculusPoly`, which `witness_eval`
+    and `psi_rooted_value` accept alike."""
+
+    __slots__ = ("q", "k", "degree", "vars")
+
+    def __init__(self, q, k):
+        _check_vars(q, _x_vars(k) + tuple(f"y{j}" for j in range(1, k + 1)))
+        if q.total_degree() == 0:
+            raise ValueError("source polynomial must not be constant")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "degree", q.total_degree())
+        object.__setattr__(self, "vars", _etv_vars(k))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TauPoly is immutable")
+
+    def q_value(self, xs, ys):
+        point = {}
+        for var in self.q.vars:
+            idx = int(var[1:]) - 1
+            point[var] = xs[idx] if var[0] == "x" else ys[idx]
+        return self.q.evaluate(point)
+
+    def as_polynomial(self):
+        return tau(self.q, k=self.k)
+
+    def __eq__(self, other):
+        return isinstance(other, TauPoly) and self.q == other.q and self.k == other.k
+
+    def __hash__(self):
+        return hash(("TauPoly", self.q, self.k))
+
+    def __repr__(self):
+        return f"TauPoly({self.q!r}, k={self.k})"

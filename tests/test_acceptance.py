@@ -36,7 +36,6 @@ from homdens.certificates import (
 )
 from homdens.density import (
     WeightedGraph,
-    check_tasym,
     compiled_density,
     density_polynomial,
     t,
@@ -46,7 +45,6 @@ from homdens.density import (
 from homdens.graphs import (
     Graph,
     PartiallyLabeledGraph as PLG,
-    blowup_block,
     clique_blowup,
     enumerate_graphs,
     is_stringent,
@@ -54,13 +52,10 @@ from homdens.graphs import (
 )
 from homdens.polynomials import (
     Polynomial,
-    bollobas_L,
     counterexample_poly,
     goodman_g,
-    in_region_R,
 )
 from homdens.reductions import (
-    TauPoly,
     alpha,
     build_counterexample,
     build_instance,
@@ -72,7 +67,14 @@ from homdens.reductions import (
     witness_graph,
 )
 
-from oracles import labeled_core
+from oracles import (
+    TauPoly,
+    blowup_block,
+    bollobas_L,
+    check_tasym,
+    in_region_R,
+    labeled_core,
+)
 
 H6 = stringent_graph(6)
 K2 = Graph.complete(2)

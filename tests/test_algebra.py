@@ -33,10 +33,10 @@ from homdens.algebra import (
     unlabel,
 )
 from homdens.errors import BudgetExceeded, CapExceeded, FormatError
-from homdens.graphs import PLG, Graph, canonical_form, enumerate_graphs, is_isomorphic_labeled
+from homdens.graphs import PLG, Graph, canonical_form, enumerate_graphs
 from homdens.polynomials import Polynomial
 
-from oracles import ind_sum, labeled_core
+from oracles import ind_sum, is_isomorphic_labeled, labeled_core
 from test_density import _random_expr
 
 K2 = Graph(2, [(0, 1)])

@@ -11,17 +11,17 @@ from homdens.polynomials import (
     DEGREE_CAP,
     M_constant,
     Polynomial,
-    bollobas_L,
     calculus_q,
     counterexample_poly,
     format_poly,
     goodman_g,
     hilbert10_transform,
-    in_region_R,
     motzkin_S,
     parse_poly,
     tau,
 )
+
+from oracles import bollobas_L, in_region_R
 
 
 def rand_fraction(rng, lo=-4, hi=4, den=5):

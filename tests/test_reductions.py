@@ -25,7 +25,6 @@ from homdens.errors import BudgetExceeded, FormatError
 from homdens.graphs import (
     PLG,
     Graph,
-    blowup_block,
     clique_blowup,
     enumerate_graphs,
     stringent_graph,
@@ -39,23 +38,22 @@ from homdens.polynomials import (
 )
 from homdens.reductions import (
     TauCalculusPoly,
-    TauPoly,
     alpha,
     build_counterexample,
     build_instance,
     exact_embeddings,
     is_exact_embedding,
     phi,
-    phi_generator,
     psi_expr,
     psi_generator,
-    psi_rooted_value,
     resample_set,
     witness_eval,
     witness_graph,
 )
 
 from oracles import (
+    TauPoly,
+    blowup_block,
     brute_exact_embeddings,
     ind_sum,
     merged_monomial_terms,
@@ -152,7 +150,7 @@ class TestCloneConstruction:
     def test_clone_pair_shape(self):
         # one atom: the copy 3 of vertex 1 gets its neighborhood {0, 2},
         # and its pair to vertex 1 is free, neither edge nor non-edge
-        atom = phi_generator(P3, 2)
+        atom = psi_generator(P3, 2, 1)
         assert atom.plg.n == 4
         assert sorted(atom.plg.graph.neighbors(3)) == [0, 2]
         assert atom.free == {(1, 3)}
@@ -268,7 +266,7 @@ def plain_expansion(h, js, labeled=True):
 def clone_trigraph(h, js):
     """The clone image of prod x_j as one trigraph (plg, free pairs): the
     generators glued by `ind_product`, as `expand` glues them."""
-    return reduce(ind_product, [(g.plg, g.free) for g in (phi_generator(h, j) for j in js)])
+    return reduce(ind_product, [(g.plg, g.free) for g in (psi_generator(h, j, 1) for j in js)])
 
 
 class TestMonomialExpansion:
@@ -290,9 +288,9 @@ class TestMonomialExpansion:
         # of the two-atom sums, labeled and unlabeled, and against the
         # plain enumeration
         for h, js in self.SMALL:
-            glued = ind_sum(phi_generator(h, js[0]))
+            glued = ind_sum(psi_generator(h, js[0], 1))
             for j in js[1:]:
-                glued = product(glued, ind_sum(phi_generator(h, j)))
+                glued = product(glued, ind_sum(psi_generator(h, j, 1)))
             assert phi_monomial_expansion(h, js) == glued
             assert phi_monomial_expansion(h, js, False) == unlabel(glued, ())
         for h, js in self.SMALL + [(P3, (1, 1, 1)), (P3, (3, 1, 3)), (K2, (2, 2, 2, 2))]:
@@ -427,12 +425,11 @@ def wirings(h, j, m):
 
 
 class TestOneAtomGenerators:
-    """Each generator is one atom with free pairs; the two-atom clone sum
-    and the 2^m-atom clique sum it replaces are built here."""
+    """Each generator is one atom with free pairs; the 2^m-atom clique sum
+    it replaces, the two-atom clone sum at m = 1, is built here."""
 
     def generators(self, h):
         for j in range(1, h.n + 1):
-            yield phi_generator(h, j), wirings(h, j, 1)
             for m in (1, 2, 3):
                 yield psi_generator(h, j, m), wirings(h, j, m)
 
@@ -473,7 +470,7 @@ class TestOneAtomGenerators:
                 for ph in exact_embeddings(H6, g):
                     assert t_quantum(atom, g, ph) == t_quantum(old, g, ph), (atom, ph)
         for j in range(1, 7):
-            assert expand(phi_generator(H6, j)) == expand(Sum(wirings(H6, j, 1)))
+            assert expand(psi_generator(H6, j, 1)) == expand(Sum(wirings(H6, j, 1)))
         for m in (1, 2):
             assert expand(psi_generator(H6, 3, m)) == expand(Sum(wirings(H6, 3, m)))
 
@@ -691,29 +688,6 @@ class TestWitnessEval:
     def test_rejects_plain_expressions(self):
         with pytest.raises(ValueError):
             witness_eval(phi(K1, xvar("x1", ("x1",))), K3)
-
-
-class TestCliqueImageIdentity:
-    def test_formula_equals_expansion_exhaustively(self):
-        # every 2-vertex base, four source polynomials, all targets up to
-        # 4 vertices, every root map; three independent evaluation routes
-        xv, yv = ("x1", "x2"), ("y1", "y2")
-        qs = [
-            xvar("x1", xv),
-            xvar("y1", yv),
-            xvar("x1", xv) * xvar("x2", xv),
-            xvar("y2", yv),
-        ]
-        for q in qs:
-            tp = TauPoly(q, 2)
-            for base in enumerate_graphs(2):
-                expr = psi_expr(base, tp)
-                expanded = expand(expr)
-                for g in targets_up_to(4):
-                    for ph in all_root_maps(2, g):
-                        formula = psi_rooted_value(base, tp, g, ph)
-                        assert formula == t_quantum(expanded, g, ph)
-                        assert formula == t_quantum(expr, g, ph)
 
 
 class TestBlowupEmbeddingUniqueness:
