@@ -19,13 +19,13 @@ product instead of gluing as the unit, and an Unlabel passes the labels
 it keeps down the tree, so a product of ind atoms drops the rest before
 its one expansion.
 
-An IndAtom may carry free pairs, which are neither edges nor non-edges;
-a PLG with free pairs is a trigraph.  ind of a trigraph is the
-alternating sum over the supergraphs that add non-edges, and free pairs
-never appear in it.  Two inds multiply by one rule, `ind_product`, with
-no gluing of terms: glue the trigraphs at their shared labels; a pair
-that both cover must agree, a free pair yielding to the other state, or
-the product is 0; a pair between the parts of different factors is free.
+A trigraph is a PLG plus one free row per vertex, the bitmask of its free
+pairs, which are neither edges nor non-edges; with none, its rows are 0.
+An IndAtom is ind of a trigraph, the alternating sum over the supergraphs
+that add non-edges, where free pairs never appear.  Two inds multiply by
+one rule, `ind_product`, which merges rows and glues no terms: a pair that
+both trigraphs cover must agree, a free pair yielding to the other state,
+or the product is 0; a pair between the parts of different factors is free.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from itertools import product as cartesian
 from math import factorial
 
@@ -45,6 +45,7 @@ from .graphs import (
     _bits,
     _marked,
     _moved,
+    _moved_plg,
     canonical_form,
     format_plg,
     parse_plg,
@@ -89,30 +90,30 @@ def strip_isolated(plg):
 
 
 def _glue_map(a, b):
-    """Where gluing PLG b onto PLG a sends each vertex of b, as a list, and
-    the glued vertex count: a keeps its vertices, a vertex of b with a
-    label of a goes to that vertex, and the rest come after a's."""
-    at = a.label_map()
+    """Where gluing PLG b onto PLG a sends each vertex of b, as a list, the
+    glued vertex count and the glued labels, as {label: vertex}: a keeps
+    its vertices, a vertex of b with a label of a goes to that vertex, and
+    the rest come after a's."""
+    labels = a.label_map()
     label_of = {v: lab for lab, v in b.labels}
     bmap, n = [], a.graph.n
     for v in range(b.graph.n):
-        if label_of.get(v) in at:
-            bmap.append(at[label_of[v]])
+        if label_of.get(v) in labels:
+            bmap.append(labels[label_of[v]])
         else:
             bmap.append(n)
             n += 1
-    return bmap, n
+    labels.update((lab, bmap[v]) for lab, v in b.labels)
+    return bmap, n, labels
 
 
 def glue(a, b):
     """Glue two PLGs: disjoint union, identify equal labels, drop doubled edges."""
     a, b = as_plg(a), as_plg(b)
-    bmap, n = _glue_map(a, b)
+    bmap, n, labels = _glue_map(a, b)
     adj = [*a.graph.adj, *[0] * (n - a.graph.n)]
     for u, row in enumerate(b.graph.adj):
         adj[bmap[u]] |= _moved(row, bmap)
-    labels = dict(a.labels)
-    labels.update((lab, bmap[v]) for lab, v in b.labels)
     return PLG(Graph._of_rows(tuple(adj)), labels)
 
 
@@ -252,18 +253,18 @@ def unlabel(f, keep=()):
 
 
 # ---------------------------------------------------------------------------
-# Induced densities: ind of a trigraph, a PLG plus a set of free pairs that
-# are neither edges nor non-edges.
+# Induced densities: ind of a trigraph (plg, rows), a PLG plus the free row
+# of each vertex, its pairs that are neither edges nor non-edges.
 
 
-def non_edges(plg, free):
-    """The pairs of plg that are neither edges nor free."""
-    g = plg.graph
-    return [p for p in combinations(range(g.n), 2) if not g.has_edge(*p) and p not in free]
+def _absent(plg, rows):
+    """How many pairs of the trigraph (plg, rows) are neither edges nor free."""
+    n = plg.n
+    return (n * (n - 1) - sum(a.bit_count() + r.bit_count() for a, r in zip(plg.graph.adj, rows))) // 2
 
 
-def ind_terms(plg, free):
-    """Yield (raw PLG, weight) pairs whose sum is ind of the trigraph (plg, free).
+def ind_terms(plg, rows):
+    """Yield (raw PLG, weight) pairs whose sum is ind of the trigraph (plg, rows).
 
     ind is the alternating sum over the supergraphs that add a set A of
     non-edges, with sign (-1)^|A|; free pairs are never added, so they stay
@@ -277,7 +278,6 @@ def ind_terms(plg, free):
     the pairs no class owns are plain, each added or not.
     """
     g, n = plg.graph, plg.n
-    rows = Graph(n, free).adj  # the free pairs as rows
     open_rows = [((1 << n) - 1) & ~(g.adj[v] | rows[v] | 1 << v) for v in range(n)]
     labeled = {v for _, v in plg.labels}
     twins = {}
@@ -301,7 +301,7 @@ def ind_terms(plg, free):
                     count //= factorial(mult)
                 group.append(([(w, c) for c, s in zip(members, picks) for w in picked[s]], count))
             choices.append(group)
-    plain = [(u, v) for u, v in non_edges(plg, free) if not (owned >> u | owned >> v) & 1]
+    plain = [(u, v) for u in range(n) if not owned >> u & 1 for v in _bits(open_rows[u] & ~owned) if u < v]
     choices.append([(extra, 1) for extra in subsets(plain)])
     for combo in cartesian(*choices):
         adj, added, weight = list(g.adj), 0, 1
@@ -316,35 +316,33 @@ def ind_terms(plg, free):
 
 def ind_product(a, b):
     """ind a * ind b as the ind of one trigraph, for trigraphs a and b
-    given as (plg, free pairs); None when the product is 0.
+    given as (plg, rows); None when the product is 0.
 
     The factors are glued at their shared labels.  A pair that both cover
     must agree, where a free pair yields to the other factor's state, and
     an edge against a non-edge makes the product 0.  A pair between
-    vertices that only one factor covers each is free.
+    vertices that only one factor covers each is free.  No pair is
+    visited: each vertex of b merges its moved rows into the glued ones.
     """
-    (pa, fa), (pb, fb) = a, b
-    bmap, n = _glue_map(pa, pb)
+    (pa, ra), (pb, rb) = a, b
+    bmap, n, labels = _glue_map(pa, pb)
     k = pa.n
-    adj, free = [*pa.graph.adj, *[0] * (n - k)], set(fa)
-    for u, v in combinations(range(pb.n), 2):
-        x, y = sorted((bmap[u], bmap[v]))
-        edge, loose = pb.graph.has_edge(u, v), (u, v) in fb
-        if y < k and (x, y) not in free:
-            if not loose and adj[x] >> y & 1 != edge:
+    own, shared = (1 << k) - 1, sum(1 << x for x in bmap if x < k)
+    fresh, alone = (1 << n) - 1 ^ own, own ^ shared
+    adj, free = [*pa.graph.adj, *[0] * (n - k)], [*ra, *[0] * (n - k)]
+    for u, x in enumerate(bmap):
+        edge, loose = _moved(pb.graph.adj[u], bmap), _moved(rb[u], bmap)
+        if x < k:
+            both = shared ^ 1 << x  # the pairs at x that both factors cover
+            if adj[x] & both & ~edge & ~loose or edge & both & ~adj[x] & ~free[x]:
                 return None
-        elif loose:
-            free.add((x, y))
+            adj[x] |= edge
+            free[x] = free[x] & (loose | ~both) | loose & fresh  # free where its coverers agree
         else:
-            free.discard((x, y))
-            if edge:
-                adj[x] |= 1 << y
-                adj[y] |= 1 << x
-    shared = set(bmap)
-    free.update((x, y) for x in range(k) if x not in shared for y in range(k, n))
-    labels = dict(pa.labels)
-    labels.update((lab, bmap[v]) for lab, v in pb.labels)
-    return PLG(Graph._of_rows(tuple(adj)), labels), frozenset(free)
+            adj[x], free[x] = edge, loose | alone
+    for v in _bits(alone):
+        free[v] |= fresh
+    return PLG(Graph._of_rows(tuple(adj)), labels), tuple(free)
 
 
 def ind(h):
@@ -355,10 +353,10 @@ def ind(h):
     IndAtom nodes.
     """
     h = as_plg(h)
-    missing = len(non_edges(h, frozenset()))
+    missing = _absent(h, (0,) * h.n)
     if missing > IND_CAP:
         raise CapExceeded(f"ind expansion over {missing} absent pairs exceeds cap {IND_CAP}")
-    return QuantumGraph(ind_terms(h, frozenset()))
+    return QuantumGraph(ind_terms(h, (0,) * h.n))
 
 
 # ---------------------------------------------------------------------------
@@ -451,33 +449,34 @@ class Atom(_Leaf):
 
 
 class IndAtom(_Leaf):
-    """ind(plg), kept unexpanded, with a set of free pairs.
+    """ind of a trigraph, kept unexpanded: the canonical form `plg` and
+    its free `rows`, the `free` pairs mapped through the certificate.
 
-    A free pair is neither an edge nor a non-edge: ind leaves it
-    unconstrained, so one atom with free pairs is the sum of the plain
-    atoms over every state of those pairs.  Only code builds such atoms;
-    they have no text form.  The leaf stores its graph's canonical form,
-    with the free pairs mapped through the certificate, so equal atoms are
-    isomorphic; `rows` holds the free pairs as one bitmask row per vertex.
+    A free pair joins two non-adjacent vertices and is neither an edge nor
+    a non-edge: ind leaves it unconstrained, so one atom with free pairs
+    is the sum of the plain atoms over every state of those pairs.  Only
+    code builds such atoms; they have no text form.  Equal atoms are
+    isomorphic trigraphs.
     """
 
-    __slots__ = ("free", "rows")
+    __slots__ = ("rows",)
 
     def __init__(self, plg, free=()):
         plg = as_plg(plg)
-        if any(u == v or plg.graph.has_edge(u, v) for u, v in free):
+        rows = Graph(plg.n, free).adj
+        if any(a & r for a, r in zip(plg.graph.adj, rows)):
             raise ValueError("a free pair must join two non-adjacent vertices")
-        canon, cert = canonical_form(plg) if free else (plg.canonical(), None)
-        free = frozenset(tuple(sorted((cert[u], cert[v]))) for u, v in free)
-        object.__setattr__(self, "plg", canon)
-        object.__setattr__(self, "free", free)
-        object.__setattr__(self, "rows", Graph(canon.n, free).adj if free else None)
+        if any(rows):
+            plg, cert = canonical_form(plg)
+            rows = _moved_plg(PLG(Graph._of_rows(rows)), cert).graph.adj
+        object.__setattr__(self, "plg", plg.canonical())
+        object.__setattr__(self, "rows", rows)
 
     def _key(self):
-        return self.plg, self.free
+        return self.plg, self.rows
 
     def __repr__(self):
-        free = f", free={sorted(self.free)}" if self.free else ""
+        free = f", free={sorted(Graph._of_rows(self.rows).edges)}" if any(self.rows) else ""
         return f"IndAtom({format_plg(self.plg)!r}{free})"
 
 
@@ -619,7 +618,7 @@ def _expand_into(acc, expr, scale, keep, budget):
             if isinstance(child, Const):
                 scale *= child.value
             elif isinstance(child, IndAtom):
-                inds.append((child.plg, child.free))
+                inds.append((child.plg, child.rows))
             else:
                 others.append(child)
         if not scale:
@@ -627,20 +626,20 @@ def _expand_into(acc, expr, scale, keep, budget):
         if not inds and len(others) == 1:
             _expand_into(acc, others[0], scale, keep, budget)
             return
-        glued = (EMPTY_PLG, frozenset())  # the unit
+        glued = (EMPTY_PLG, ())  # the unit
         if inds:  # a product of 0 is None, and stays None
             glued = reduce(lambda a, b: a and ind_product(a, b), inds)
         if glued is None:
             return
-        missing = len(non_edges(*glued))
+        missing = _absent(*glued)
         if (1 << missing) > budget:
             raise BudgetExceeded(f"ind expansion needs 2^{missing} terms, budget is {budget}")
-        plg, free = glued
+        plg, rows = glued
         if not others:
-            terms = ind_terms(plg if keep is None else plg.drop_labels(keep), free)
+            terms = ind_terms(plg if keep is None else plg.drop_labels(keep), rows)
             keep = None
         else:
-            total = QuantumGraph(ind_terms(plg, free)) if inds else None
+            total = QuantumGraph(ind_terms(plg, rows)) if inds else None
             factors = {}  # keyed by identity: hashing a deep child costs more
             for child in others:
                 factor = factors.get(id(child))
@@ -721,7 +720,7 @@ def format_qexpr(expr):
     if isinstance(expr, Atom):
         return f"(g {format_plg(expr.plg)})"
     if isinstance(expr, IndAtom):
-        if expr.free:
+        if any(expr.rows):
             raise ValueError("an ind atom with free pairs has no text form")
         return f"(ind {format_plg(expr.plg)})"
     if isinstance(expr, Sum):

@@ -153,7 +153,7 @@ def cmd_eval(args):
 def cmd_stringent(args):
     g = stringent_graph(args.k)
     _emit("n", g.n)
-    _emit("edges", len(g.edges))
+    _emit("edges", sum(row.bit_count() for row in g.adj) // 2)
     return _output(args, format_plg(g) + "\n", records=True)
 
 

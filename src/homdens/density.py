@@ -738,7 +738,7 @@ def _trigraph(expr):
         return {} if expr.value else None
     if isinstance(expr, (Atom, IndAtom)):
         adj = expr.plg.graph.adj
-        free = (expr.rows or [0] * len(adj)) if isinstance(expr, IndAtom) else None
+        free = expr.rows if isinstance(expr, IndAtom) else None
         return {(a, b): bool(adj[u] >> v & 1) for (a, u), (b, v) in combinations(expr.plg.labels, 2)
                 if adj[u] >> v & 1 or free and not free[u] >> v & 1}
     if isinstance(expr, Product):

@@ -150,12 +150,17 @@ def phi_monomial_expansion(h, js, labeled=True):
     return expand(monomial if labeled else Unlabel((), monomial))
 
 
+def free_pairs(rows):
+    """The free pairs of a trigraph's free rows, as a set of (u, v), u < v."""
+    return {(u, v) for u, row in enumerate(rows) for v in range(u + 1, len(rows)) if row >> v & 1}
+
+
 def ind_sum(atom):
     """ind of an IndAtom as the sum of plain inds over every edge or
     non-edge state of its free pairs, without the free-pair code."""
     from homdens.algebra import QuantumGraph, ind
 
-    plg, free = atom.plg, sorted(atom.free)
+    plg, free = atom.plg, sorted(free_pairs(atom.rows))
     total = QuantumGraph.zero()
     for mask in range(1 << len(free)):
         extra = [pair for i, pair in enumerate(free) if mask >> i & 1]

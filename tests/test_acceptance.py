@@ -245,7 +245,7 @@ def test_criterion_6_algebra_identities():
         for g in enumerate_graphs(n):
             h = PLG(g, [(1, 0)])
             total = QuantumGraph.zero()
-            for sup, _ in ind_terms(h, frozenset()):
+            for sup, _ in ind_terms(h, (0,) * h.n):
                 total = total + ind(sup)
             assert total == QuantumGraph.of(h)
 

@@ -3,7 +3,7 @@
 import random
 import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -25,7 +25,6 @@ from homdens.algebra import (
     glue,
     ind,
     ind_product,
-    non_edges,
     parse_qexpr,
     parse_quantum,
     product,
@@ -292,7 +291,7 @@ class TestInd:
             for g in enumerate_graphs(n):
                 h = PLG(g, [(1, 0)] if n >= 1 else [])
                 total = QuantumGraph.zero()
-                for sup, _ in ind_terms(h, frozenset()):
+                for sup, _ in ind_terms(h, (0,) * h.n):
                     total = total + ind(sup)
                 assert total == QuantumGraph.of(h), g
 
@@ -397,8 +396,6 @@ class TestQExpr:
 def plgs_with_label_subsets(max_n, labels):
     """One representative per PLG class on at most max_n vertices whose
     labels are any subset of `labels`."""
-    from itertools import combinations, permutations
-
     out = {}
     for n in range(max_n + 1):
         for g in enumerate_graphs(n):
@@ -415,11 +412,16 @@ def fully_labeled(g):
 
 def free_pair_atoms(pool):
     """Each PLG of the pool with each one of its non-edges made free."""
-    return [IndAtom(plg, [pair]) for plg in pool for pair in non_edges(plg, frozenset())]
+    return [
+        IndAtom(plg, [pair])
+        for plg in pool
+        for pair in combinations(range(plg.n), 2)
+        if not plg.graph.has_edge(*pair)
+    ]
 
 
 def trigraph(atom):
-    return atom.plg, atom.free
+    return atom.plg, atom.rows
 
 
 class TestIndProduct:
@@ -512,6 +514,15 @@ class TestIndProduct:
                 with pytest.raises(BudgetExceeded):
                     expand(tree, budget)
         assert expand(Product([small, big]), 64) == expand(big, 64)
+
+    def test_free_pairs_are_checked(self):
+        """A free pair must join two distinct non-adjacent vertices of the
+        graph; a negative vertex does not wrap round to the last one."""
+        base = PLG(Graph(3, [(0, 1)]))
+        for free in ([(-1, 0)], [(0, 5)], [(2, 2)], [(1, 0)]):
+            with pytest.raises(ValueError):
+                IndAtom(base, free)
+        assert repr(IndAtom(base, [(2, 0)])) == "IndAtom('plg n=3 edges=2-3', free=[(0, 1)])"
 
 
 def random_subset(rng, labels):

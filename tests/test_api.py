@@ -43,6 +43,8 @@ UNREACHED = {
     "graphs.Graph.complete",
     "graphs.Graph.cycle",
     "graphs.Graph.degree",
+    "graphs.Graph.edges",
+    "graphs.Graph.has_edge",
     "graphs.Graph.neighbors",
     "graphs.Graph.path",
     "graphs.automorphisms",

@@ -300,6 +300,18 @@ class TestCertificateCommands:
         assert err.endswith("error: product of 3 by 3 terms exceeds 8\n")
         assert run(capsys, *argv, "9")[:2] == (1, "verified=false\n")
 
+    def test_deep_clone_product_is_refused_at_once(self, capsys, files):
+        """x1^1000 over H6 glues 1000 clone generators into one trigraph
+        with 7 + 3*1000 absent pairs, and the budget refuses it from that
+        count."""
+        base = STRUCTURED_X.split("(phi ")[1].split(" | ")[0]
+        target = files("deep.qx", f"(phi {base} | poly vars=x1 ; 1*x1^1000)\n")
+        cert = files("c.sos", "sos:\ng: (g plg n=2 labels=1:1 edges=1-2)\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify-sos", "--target", target, "--cert", cert)
+        assert time.perf_counter() - start < 3
+        assert (code, out, err) == (2, "", "error: ind expansion needs 2^3007 terms, budget is 200000\n")
+
     def test_verify_sos_expands_the_structured_counterexample(self, capsys, files):
         """The 175-byte structured x expands within the default budget, each
         monomial's generators glued by the ind product rule, so a

@@ -568,7 +568,7 @@ class TestUnlabelTrigraph:
         for base in (K2, P3):
             gens = [psi_generator(base, j, m) for j in range(1, base.n + 1) for m in (1, 2)]
             for gen in gens:
-                assert gen.free
+                assert any(gen.rows)
                 self._agrees(gen)
             self._agrees(Product(gens[:2]))
             self._agrees(Sum(gens[-2:]), keep=(1,))

@@ -158,11 +158,11 @@ class TestGraphBasics:
                 check(independent_blowup(g, counts), across)
                 within = {p for c in copies for p in combinations(c, 2)}
                 check(clique_blowup(g, counts), across | within)
-                for raw, _ in ind_terms(labeled, frozenset()):
+                for raw, _ in ind_terms(labeled, (0,) * n):
                     check(raw.graph, raw.graph.edges)
                     assert g.edges <= raw.graph.edges
                 free = frozenset(rng.sample(list(combinations(range(n), 2)), min(2, n * (n - 1) // 2)))
-                product = ind_product((labeled, free), (other, frozenset()))
+                product = ind_product((labeled, Graph(n, free).adj), (other, (0,) * other.n))
                 if product is not None:
                     check(product[0].graph, product[0].graph.edges)
         with pytest.raises(AttributeError):

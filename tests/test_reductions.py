@@ -55,6 +55,7 @@ from oracles import (
     TauPoly,
     blowup_block,
     brute_exact_embeddings,
+    free_pairs,
     ind_sum,
     merged_monomial_terms,
     phi_monomial_expansion,
@@ -153,8 +154,17 @@ class TestCloneConstruction:
         atom = psi_generator(P3, 2, 1)
         assert atom.plg.n == 4
         assert sorted(atom.plg.graph.neighbors(3)) == [0, 2]
-        assert atom.free == {(1, 3)}
+        assert free_pairs(atom.rows) == {(1, 3)}
         assert atom.plg.label_map() == {1: 0, 2: 1, 3: 2}
+
+    def test_deep_products_count_their_absent_pairs(self):
+        """The glued trigraph of x1^m over H6 has 7 + 3m absent pairs: the 7
+        non-edges of H6, and per copy of vertex 1 its 3 non-edges to the
+        vertices outside N(1); its pairs to vertex 1 and to the other copies
+        are free.  The budget refuses the expansion from that count."""
+        for m in (1, 2, 3, 10, 100, 1000):
+            with pytest.raises(BudgetExceeded, match=rf"needs 2\^{7 + 3 * m} terms"):
+                expand(phi(H6, xvar("x1", ("x1",)) ** m), budget=1)
 
     def test_single_vertex_base_evaluates_to_one(self):
         expr = phi(K1, xvar("x1", ("x1",)))
@@ -264,9 +274,9 @@ def plain_expansion(h, js, labeled=True):
 
 
 def clone_trigraph(h, js):
-    """The clone image of prod x_j as one trigraph (plg, free pairs): the
+    """The clone image of prod x_j as one trigraph (plg, free rows): the
     generators glued by `ind_product`, as `expand` glues them."""
-    return reduce(ind_product, [(g.plg, g.free) for g in (psi_generator(h, j, 1) for j in js)])
+    return reduce(ind_product, [(g.plg, g.rows) for g in (psi_generator(h, j, 1) for j in js)])
 
 
 class TestMonomialExpansion:
@@ -332,8 +342,8 @@ class TestMonomialExpansion:
         2^(free pairs) plain terms."""
         counts = {}
         for js in counterexample_monomials():
-            plg, free = clone_trigraph(H6, js)
-            terms = list(ind_terms(plg.drop_labels(), free))
+            plg, rows = clone_trigraph(H6, js)
+            terms = list(ind_terms(plg.drop_labels(), rows))
             counts[js] = len(terms)
             assert sum(abs(w) for _, w in terms) == sum(1 for _ in plain_monomial_terms(H6, js))
         assert counts == {(2, 2, 3): 2560, (3, 3, 4): 3072, (2, 4, 4): 18432, (2, 3, 4): 8192}
@@ -480,7 +490,7 @@ class TestCliqueGenerators:
         for m in (1, 2, 3):
             gen = psi_generator(K2, 1, m)
             assert gen.plg.n == 2 + m
-            assert gen.free == {(0, 2 + a) for a in range(m)}
+            assert free_pairs(gen.rows) == {(0, 2 + a) for a in range(m)}
             assert expand(gen) == expand(Sum(wirings(K2, 1, m)))
 
     def test_vertex_generator_example(self):
