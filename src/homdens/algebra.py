@@ -704,13 +704,8 @@ def parse_quantum(text):
 
 
 # s-expressions: (q 2/3), (g <plg>), (ind <plg>), (sum e...), (prod e...),
-# (unlabel (1 2) e).  Extra heads may be registered by other modules.
-
-QEXPR_HEADS = {}
-
-
-def register_qexpr_head(name, parser):
-    QEXPR_HEADS[name] = parser
+# (unlabel (1 2) e), and the reductions' (phi <plg> | <poly>) and
+# (psitau <plg> | <poly>).
 
 
 def format_qexpr(expr):
@@ -795,9 +790,11 @@ def _parse_node(tokens, i, depth, leaves):
         if i == len(tokens) or tokens[i] != ")":
             raise FormatError("unterminated (unlabel ...)")
         return Unlabel(keep, child), i + 1
-    if head in QEXPR_HEADS:
+    if head == "phi" or head == "psitau":
+        from .reductions import _parse_phi_head, _parse_psitau_head
+
         flat, i = _take_flat(tokens, i)
-        return QEXPR_HEADS[head](flat), i
+        return (_parse_phi_head if head == "phi" else _parse_psitau_head)(flat), i
     raise FormatError(f"unknown expression head {head!r}")
 
 

@@ -16,7 +16,6 @@ Everything is decided over the rationals; nothing here floats.
 
 from __future__ import annotations
 
-import functools
 import random
 import re
 from fractions import Fraction
@@ -395,9 +394,13 @@ def refute(target, max_n=5, samples=200, seed=0):
     grown for one target serve the next.
     """
     _check_search(max_n, samples)
-    density = compiled_density(_refutation_target(target))
-    first_negative = functools.partial(_first_negative, density)
-    return _scan_exhaustive(first_negative, max_n) or _scan_random(density, max_n, samples, seed)
+    if not isinstance(target, (QExpr, QuantumGraph, tuple)):
+        target = as_quantum(target)
+    labels = _label_set(target)
+    if labels:
+        raise ValueError(f"target carries labels {sorted(labels)}, expected none")
+    density = compiled_density(target)
+    return _scan_exhaustive(density, max_n) or _scan_random(density, max_n, samples, seed)
 
 
 def _check_search(max_n, samples, names=("max_n", "samples")):
@@ -409,30 +412,14 @@ def _check_search(max_n, samples, names=("max_n", "samples")):
         raise ValueError(f"{names[1]} must be at least 0, got {samples}")
 
 
-def _refutation_target(target):
-    if not isinstance(target, (QExpr, QuantumGraph, tuple)):
-        target = as_quantum(target)
-    labels = _label_set(target)
-    if labels:
-        raise ValueError(f"target carries labels {sorted(labels)}, expected none")
-    return target
-
-
-def _scan_exhaustive(first_negative, max_n):
+def _scan_exhaustive(density, max_n):
     """The first graph, in canonical order by vertex count, at which the
-    density is negative, or None.  `first_negative(graphs)` gives the
-    lowest such index of one vertex count's classes, or None."""
+    density is negative, or None."""
     for n in range(1, max_n + 1):
-        graphs = enumerate_graphs(n)
-        index = first_negative(graphs)
-        if index is not None:
-            return graphs[index]
+        for g in enumerate_graphs(n):
+            if density(g) < 0:
+                return g
     return None
-
-
-def _first_negative(density, graphs):
-    """The serial finder: the lowest index at which `density` is negative."""
-    return next((i for i, g in enumerate(graphs) if density(g) < 0), None)
 
 
 def _scan_random(density, max_n, samples, seed):

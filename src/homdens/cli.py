@@ -11,8 +11,9 @@ Every command reads a term list as its written records.  The commands
 that compare quantum graphs, `verify-sos` and `check-proof`, bring what
 they compare to normal form through `expand`, every rule within the one
 `--budget`.  `eval`, `density` and `refute` evaluate the records as
-written, since a density is linear in the terms, and `refute` keeps its
-term search and trie for all its targets.
+written, since a density is linear in the terms.  `refute` is
+`certificates.refute`, whose one term search and trie serve all its
+targets; its `--jobs` flag is checked and otherwise ignored.
 
 Identical invocations produce byte-identical output.
 """
@@ -21,32 +22,22 @@ from __future__ import annotations
 
 import argparse
 import functools
-import multiprocessing
 import os
 import sys
 
 from .algebra import EXPAND_BUDGET, format_qexpr, format_quantum, load_expression
 from .certificates import (
     _check_search,
-    _first_negative,
-    _refutation_target,
-    _scan_exhaustive,
-    _scan_random,
     check_cs_proof,
     integer_witness,
     is_psd,
     moment_matrix,
     parse_cs_proof,
     parse_sos_certificate,
+    refute,
     verify_sos,
 )
-from .density import (
-    WeightedGraph,
-    compiled_density,
-    format_weighted_graph,
-    parse_weighted_graph,
-    t_quantum,
-)
+from .density import WeightedGraph, format_weighted_graph, parse_weighted_graph, t_quantum
 from .errors import FormatError
 from .graphs import enumerate_graphs, format_plg, parse_plg, record_lines, stringent_graph
 from .polynomials import parse_poly
@@ -206,31 +197,23 @@ def cmd_check_proof(args):
 
 
 def cmd_refute(args):
-    """`refute`'s search at one density compiled here, which also gives the
-    witness's values; the pool of `--jobs N` serves the exhaustive phase."""
+    """`refute` on `--in`; a witness's values are the target's densities
+    there.  `--jobs N` is checked and has no other effect."""
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     _check_search(args.max_n, args.samples, ("--max-n", "--samples"))
-    jobs = min(args.jobs, os.cpu_count() or 1)
-    target_text = _read(args.infile)
-    density = compiled_density(_refutation_target(load_expression(target_text)))
-    if jobs > 1:
-        with multiprocessing.Pool(jobs, initializer=_refute_init, initargs=(target_text,)) as pool:
-            first_negative = functools.partial(_pooled_first_negative, pool, jobs)
-            witness = _scan_exhaustive(first_negative, args.max_n)
-    else:
-        witness = _scan_exhaustive(functools.partial(_first_negative, density), args.max_n)
-    witness = witness or _scan_random(density, args.max_n, args.samples, args.seed)
+    f = load_expression(_read(args.infile))
+    witness = refute(f, args.max_n, args.samples, args.seed)
     if witness is None:
         _emit("witness", "none")
         return 0
     weighted = isinstance(witness, WeightedGraph)
     _emit("witness", (format_weighted_graph if weighted else format_plg)(witness))
-    _emit("value", density(witness))
+    _emit("value", t_quantum(f, witness))
     if weighted:
         blown = integer_witness(witness)
         _emit("integer_witness", format_plg(blown))
-        _emit("integer_value", density(blown))
+        _emit("integer_value", t_quantum(f, blown))
     return 1
 
 
@@ -252,32 +235,6 @@ def cmd_enumerate(args):
     graphs = enumerate_graphs(args.n)
     _emit("count", len(graphs))
     return _output(args, "".join(format_plg(g) + "\n" for g in graphs), records=True)
-
-
-# ---------------------------------------------------------------------------
-# The pool of `refute --jobs N`.  One pool serves every n.  Each worker
-# reads the target once and compiles its density; workers receive
-# candidate records as text, and the lowest negative index wins, so the
-# winner is independent of the worker count.
-
-_WORKER_TARGET = None
-
-
-def _refute_init(target_text):
-    global _WORKER_TARGET
-    _WORKER_TARGET = compiled_density(load_expression(target_text))
-
-
-def _refute_probe(job):
-    index, record = job
-    g = parse_plg(record).graph
-    return index if _WORKER_TARGET(g) < 0 else None
-
-
-def _pooled_first_negative(pool, jobs, graphs):
-    work = [(i, format_plg(g)) for i, g in enumerate(graphs)]
-    hits = pool.map(_refute_probe, work, max(1, len(work) // (jobs * 4)))
-    return min((i for i in hits if i is not None), default=None)
 
 
 # ---------------------------------------------------------------------------

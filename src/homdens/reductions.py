@@ -29,13 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import (
-    IndAtom,
-    PolyImage,
-    Unlabel,
-    expand,
-    register_qexpr_head,
-)
+from .algebra import IndAtom, PolyImage, Unlabel, expand
 from .density import EXACT, as_weighted, extensions, t
 from .errors import FormatError
 from .graphs import (
@@ -361,7 +355,3 @@ def _parse_phi_head(tokens):
 
 def _parse_psitau_head(tokens):
     return _psitau_expr(*_split_head(tokens, "psitau"))
-
-
-register_qexpr_head("phi", _parse_phi_head)
-register_qexpr_head("psitau", _parse_psitau_head)

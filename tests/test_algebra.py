@@ -655,6 +655,10 @@ class TestQExprFormat:
             with pytest.raises(FormatError):
                 parse_qexpr(bad)
 
+    def test_unknown_head_is_named(self):
+        with pytest.raises(FormatError, match="unknown expression head 'foo'"):
+            parse_qexpr("(foo 1)")
+
     def test_long_sum_parses_in_linear_time(self):
         """One index walks the tokens: a parse that copied the rest of the
         token list at every node would take about a minute here."""

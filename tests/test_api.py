@@ -56,12 +56,11 @@ UNREACHED = {
     "density.density_polynomial",
     "polynomials.hilbert10_transform",
     "polynomials.motzkin_S",
-    # Traced by bench/tracing.py, which no command calls: `refute`, whose
-    # command scans through its own loop, `parse_quantum`, and the
-    # `witness_eval` chain with `alpha` and the `WeightedGraph.uniform` it
-    # uses, until ROADMAP item 2 moves or retraces them.
+    # Traced by bench/tracing.py, which no command calls: `parse_quantum`,
+    # and the `witness_eval` chain with `alpha` and the
+    # `WeightedGraph.uniform` it uses, until ROADMAP item 2 moves or
+    # retraces them.
     "algebra.parse_quantum",
-    "certificates.refute",
     "density.WeightedGraph.uniform",
     "reductions._instance_parts",
     "reductions.alpha",
@@ -70,11 +69,6 @@ UNREACHED = {
     "reductions.psi_rooted_value",
     "reductions.resample_set",
     "reductions.witness_eval",
-    # The pool of `refute --jobs N`, which the profiled run does not start:
-    # its probes run in worker processes, which a profile does not follow.
-    "cli._pooled_first_negative",
-    "cli._refute_init",
-    "cli._refute_probe",
     # Reached only by `counterexample --k 6`, which the pinned-hash test
     # `test_counterexample_output_bytes` runs, and which takes about 2.5
     # times as long under the profile.

@@ -11,7 +11,7 @@ import homdens
 from homdens import cli
 from homdens.algebra import load_expression, parse_quantum
 from homdens.cli import main
-from homdens.density import parse_weighted_graph, t_quantum
+from homdens.density import compiled_density, parse_weighted_graph, t_quantum
 from homdens.graphs import (
     VERTEX_CAP,
     Graph,
@@ -98,7 +98,7 @@ class TestDensity:
         assert code == 2
         assert "error:" in err
 
-    def test_term_lists_are_never_canonicalized(self, capsys, files, monkeypatch, canonical_calls):
+    def test_term_lists_are_never_canonicalized(self, capsys, files, canonical_calls):
         # Duplicates up to isomorphism, an isolated vertex and a term that
         # cancels: evaluation reads the records as written.
         text = (
@@ -111,17 +111,16 @@ class TestDensity:
         target = files("t.qg", text)
         for n in range(1, 4):
             enumerate_graphs(n)
-        monkeypatch.setattr(cli, "_WORKER_TARGET", None)
         del canonical_calls[:]
         code, out, _ = run(capsys, "refute", "--in", target, "--max-n", "3", "--samples", "5")
         assert (code, lines_of(out)["witness"], lines_of(out)["value"]) == (1, "plg n=2 edges=1-2", "-1/2")
-        cli._refute_init(text)
-        assert cli._refute_probe((7, "plg n=2 edges=1-2")) == 7
+        density = compiled_density(load_expression(text))
+        assert density(Graph.complete(2)) < 0
         assert canonical_calls == []
         nf = parse_quantum(text)
         del canonical_calls[:]
         for g in enumerate_graphs(3):
-            assert cli._WORKER_TARGET(g) == t_quantum(nf, g)
+            assert density(g) == t_quantum(nf, g)
         assert canonical_calls == []
 
     def test_labeled_target_exits_2(self, capsys, files):
@@ -468,8 +467,8 @@ class TestRefuteCommand:
         assert F(kv["integer_value"]) == F(kv["value"])
 
     def test_weighted_witness_values_are_its_densities(self, capsys, files):
-        """`value=` and `integer_value=` come from the one compiled search,
-        and equal the target's densities at the printed graphs."""
+        """`value=` and `integer_value=` equal the target's densities at
+        the printed graphs."""
         text = "1 * plg n=4 edges=1-2;3-4\n-1/2 * plg n=2 edges=1-2\n"
         target = files("t.qg", text)
         code, out, _ = run(
@@ -514,37 +513,6 @@ class TestRefuteCommand:
         target = files("negK2.qg", "-1 * plg n=2 edges=1-2\n")
         code, out, err = run(capsys, "refute", "--in", target, *flags)
         assert (code, out, err) == (2, "", f"error: {message}\n")
-
-    def test_jobs_capped_at_cpu_count(self, capsys, files, monkeypatch):
-        # An in-process pool records the worker count it is asked for.
-        requested = []
-
-        class FakePool:
-            def __init__(self, processes, initializer, initargs):
-                requested.append(processes)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, func, iterable, chunksize):
-                return [func(job) for job in iterable]
-
-        monkeypatch.setattr(cli, "_WORKER_TARGET", None)
-        monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-        target = files("t.qg", "1 * plg n=3 edges=1-2;1-3;2-3\n-1 * plg n=2 edges=1-2\n")
-        serial = run(capsys, "refute", "--in", target, "--max-n", "4", "--jobs", "1")
-        assert requested == []
-        capped = run(capsys, "refute", "--in", target, "--max-n", "4", "--jobs", "100000")
-        assert requested and set(requested) == {3}
-        assert capped == serial
-        assert serial[0] == 1
-        # The witness is a 2-vertex graph: one pool served n = 1 and n = 2.
-        assert len(requested) == 1
 
     def test_counterexample_pipeline_finds_nothing_small(self, capsys, files, tmp_path):
         out_path = str(tmp_path / "x.qg")
