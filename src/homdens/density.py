@@ -17,12 +17,14 @@ vertices of a pattern, to all of it, and one search does all of them.  The
 free vertices split into components, each searched in a greedy order,
 grown only as deep as a search reaches, in hom, inj or exact mode.  A term
 list is one `_TermSearch` over a trie of the components' position codes,
-so components that share a prefix enumerate its images once.  Where
-components reach their tails, the search counts them for a density, or
-hands the path images and tail masks to a caller: a density polynomial
-sums its monomials there, and `extensions` lists whole images, for exact
-embeddings, automorphisms and the label walk of Unlabel nodes.  A single
-density or extension list is the search of a one-term list.
+so components that share a prefix enumerate its images once.  Codes name
+pinned vertices by keys, such as labels, not by their images, so a search
+serves every root map.  Where components reach their tails, the search
+counts them for a density, or hands the path images and tail masks to a
+caller: a density polynomial sums its monomials there, and `extensions`
+lists whole images, for exact embeddings, automorphisms and the label
+walk of Unlabel nodes.  A single density or extension list is the search
+of a one-term list.
 
 Quantum graphs and term lists evaluate linearly, through the one search
 that every density shares; an unlabeled QuantumGraph keeps it for its next
@@ -147,31 +149,27 @@ def _root(pinned, a, pinmask, mode, free):
     row `free`, as `_TermSearch` describes it."""
     if not pinmask:
         return ()
-    near = tuple(sorted({pinned[u] for u in _bits(a & pinmask)}))
+    near = tuple(sorted(pinned[u] for u in _bits(a & pinmask)))
     apart = used = ()
     if mode == EXACT:
-        apart = tuple(sorted({pinned[u] for u in _bits(pinmask & ~a & ~free)}))
+        apart = tuple(sorted(pinned[u] for u in _bits(pinmask & ~a & ~free)))
     elif mode == INJ:
-        used = tuple(sorted(set(pinned.values())))
+        used = tuple(sorted(pinned.values()))
     return (near, apart, used) if near or apart or used else ()
 
 
-def _split(code):
-    """(root, near, apart) of a position code."""
-    return ((), code, 0) if isinstance(code, int) else code
-
-
-def _root_mask(root, gadj, full):
-    """The target vertices a code's `root` leaves open."""
+def _root_mask(root, at, gadj, full):
+    """The target vertices a code's `root` leaves open under the root map
+    `at`, which sends each key to its image."""
     mask = full
     if root:
         near, apart, used = root
-        for w in near:
-            mask &= gadj[w]
-        for w in apart:
-            mask &= ~gadj[w]
-        for w in used:
-            mask &= ~(1 << w)
+        for k in near:
+            mask &= gadj[at[k]]
+        for k in apart:
+            mask &= ~gadj[at[k]]
+        for k in used:
+            mask &= ~(1 << at[k])
     return mask
 
 
@@ -245,25 +243,28 @@ class _Node:
 class _TermSearch:
     """The extensions of every term of a term list, in one search.
 
-    Each term is (coefficient, pattern, pinned), its root map already
-    bound; `free` rows, one bitmask of free partners per pattern vertex,
-    exempt pairs from the exact rule in a one-term list.  A term's free
-    vertices form components, the pattern's in hom mode and one in inj and
-    exact modes, where every pair is constrained.  A component is placed
-    in a greedy order: the next vertex touches a placed vertex, then has
-    most placed or pinned neighbours, then highest degree, then lowest
-    index.  Once no constrained pair is left among the unplaced vertices,
-    they are placed at once as the tail, read as candidate masks.
+    Each term is (coefficient, pattern, pinned), `pinned` mapping each
+    pinned vertex to a key: a label, or the vertex itself.  The search
+    reads keys only, so it serves every root map: `walk` and `value` take
+    the root map `at`, key -> target vertex, checked with `_bind`.  `free`
+    rows, one bitmask of free partners per pattern vertex, exempt pairs
+    from the exact rule in a one-term list.  A term's free vertices form
+    components, the pattern's in hom mode and one in inj and exact modes,
+    where every pair is constrained.  A component is placed in a greedy
+    order: the next vertex touches a placed vertex, then has most placed
+    or pinned neighbours, then highest degree, then lowest index.  Once no
+    constrained pair is left among the unplaced vertices, they are placed
+    at once as the tail, read as candidate masks.
 
     A position's code is what its candidates depend on, named by positions
-    rather than vertices, so that components of different patterns share
-    codes.  In hom mode with no pinned neighbour it is the mask of the
-    earlier positions whose images the candidate must be adjacent to.
-    Otherwise it is (root, near, apart): `near` is that mask, `apart` the
-    mask of earlier positions it must not be adjacent to in exact mode, and
-    `root` is (near, apart, used): the images of its pinned neighbours and,
-    in exact mode, non-neighbours, and the pinned images inj mode excludes,
-    as sorted tuples, or () when all are empty.
+    and keys rather than vertices and images, so that components of
+    different patterns share codes.  It is (root, near, apart): `near` is
+    the mask of the earlier positions whose images the candidate must be
+    adjacent to, `apart` the mask of those it must not be adjacent to in
+    exact mode, and `root` is (near, apart, used): the keys of its pinned
+    neighbours and, in exact mode, non-neighbours, and the pinned keys inj
+    mode excludes, as sorted tuples, or () when all are empty.  A walk
+    reads each root's images through `at` once.
 
     The search walks a trie of the codes, built lazily, so components that
     share a prefix enumerate its images once and an order grows only as
@@ -278,7 +279,7 @@ class _TermSearch:
 
     The state is flat lists, not objects per term for the collector to
     traverse.  Per term: coefficient, free vertex count, end of its
-    components.  Per component: its pattern's rows, root map and pinned
+    components.  Per component: its pattern's rows, pinned keys and pinned
     mask, constrained pairs, leaf group (0 until its tail is placed),
     `state`, its vertex mask with its order above, n.bit_length() bits a
     position holding the vertex plus one, and `keys`, what `_grow` keeps
@@ -317,8 +318,8 @@ class _TermSearch:
         n, b = len(self.rows[c]), len(self.rows[c]).bit_length()
         return [(self.state[c] >> n + p * b & (1 << b) - 1) - 1 for p in range(d)]
 
-    def value(self, graph, weights):
-        totals = self.walk(graph, weights)
+    def value(self, graph, weights, at):
+        totals = self.walk(graph, weights, at)
         sums, group, start = Counter(), self.group, 0
         for coeff, size, stop in zip(self.coeffs, self.sizes, self.stops):
             value = coeff.numerator
@@ -332,17 +333,17 @@ class _TermSearch:
             Fraction(0),
         )
 
-    def walk(self, graph, weights, leaf=None):
-        """Search the trie on one target.  Without `leaf`, return each
-        leaf group's count; with it, call leaf(node, d, img, masks) at
-        each node of depth d where tails start, img[:d] holding the images
-        of the path and masks[i] the candidates of the node's code i.
-        Only vertices of positive weight are placed on the path, so a walk
-        over every extension takes uniform weights."""
+    def walk(self, graph, weights, at, leaf=None):
+        """Search the trie on one target under the root map `at`.  Without
+        `leaf`, return each leaf group's count; with it, call leaf(node, d,
+        img, masks) at each node of depth d where tails start, img[:d]
+        holding the images of the path and masks[i] the candidates of the
+        node's code i.  Only vertices of positive weight are placed on the
+        path, so a walk over every extension takes uniform weights."""
         gadj, num, flat = graph.adj, weights.num, weights.flat
         full = (1 << graph.n) - 1
         support = full if flat else sum(1 << w for w, x in enumerate(num) if x)
-        rmask = [_root_mask(root, gadj, full) for root in self.roots]
+        rmask = [_root_mask(root, at, gadj, full) for root in self.roots]
         totals = [0] * self.groups
         img = [0] * self.depth
         inj = self.mode == INJ
@@ -350,7 +351,7 @@ class _TermSearch:
 
         def visit(node, d, weight, used):
             if node.pending is not None:
-                build(node, d, rmask, totals, gadj, full)
+                build(node, d, rmask, totals, at, gadj, full)
             masks = []
             for rid, near, apart in node.codes:
                 cand = rmask[rid] & ~used
@@ -432,31 +433,28 @@ class _TermSearch:
             keys[u] = (keys[u] | touch | 1 << d) + step
         self.state[c] = s = s | v + 1 << n + d * b
         self.keys[c] = s, rest, left, keys
-        return key & near if not pinmask and hom else self._code(c, v, d, key & near, pinmask)
+        # An unpinned vertex in hom mode, as in the counterexample's terms, skips `_code`.
+        return ((), key & near, 0) if not pinmask and hom else self._code(c, v, d, key & near, pinmask)
 
     def _code(self, c, v, d, near, pinmask):
         """The code of vertex v of component c at position d, or in a tail
         starting there, with placed neighbours at the positions `near`."""
         free = self.free[v] if self.free else 0
         root = _root(self.pins[c], self.rows[c][v], pinmask, self.mode, free)
-        if self.mode == HOM:
-            return (root, near, 0) if root else near
         apart = 0
         for p, u in enumerate(self.order(c, d) if self.mode == EXACT and d else ()):
             if not (near >> p | free >> u) & 1:
                 apart |= 1 << p
         return root, near, apart
 
-    def _build(self, node, d, rmask, totals, gadj, full):
+    def _build(self, node, d, rmask, totals, at, gadj, full):
         """Grow the orders of a node's components by one position, or to
         their tails, and group them by code."""
         children, leaves = {}, {}
         for c in node.pending:
             code = self._grow(c, d)
             if type(code) is list:
-                # In hom mode a code is an int or a tuple: order by (root,
-                # near, apart).
-                leaves.setdefault(tuple(sorted(code, key=_split)), []).append(c)
+                leaves.setdefault(tuple(sorted(code)), []).append(c)
             else:
                 children.setdefault(code, []).append(c)
         index = {}
@@ -465,11 +463,11 @@ class _TermSearch:
         def code_index(code):
             i = index.get(code)
             if i is None:
-                root, near, apart = _split(code)
+                root, near, apart = code
                 rid = self.roots.get(root)
                 if rid is None:
                     rid = self.roots[root] = len(rmask)
-                    rmask.append(_root_mask(root, gadj, full))
+                    rmask.append(_root_mask(root, at, gadj, full))
                 i = index[code] = len(codes)
                 codes.append((rid, tuple(_bits(near)), tuple(_bits(apart))))
             return i
@@ -491,19 +489,20 @@ class _TermSearch:
 def extensions(pattern, pinned, mode, graph, budget=None, free=None):
     """The image tuples, indexed by pattern vertex, of every extension of
     the root map `pinned` {pattern vertex: target vertex} in inj or exact
-    mode: the walk of a one-term search, as `_rooted_density` is its count.
-    `free` rows, as in `_TermSearch`, exempt pairs from the exact rule;
-    `budget` caps the number of extensions."""
+    mode: the walk of a one-term search whose keys are the pinned vertices
+    themselves.  `free` rows, as in `_TermSearch`, exempt pairs from the
+    exact rule; `budget` caps the number of extensions."""
     if mode == HOM:
         raise ValueError("extensions lists inj and exact maps only")
     image = _bind(pattern, pinned, mode, graph, free)
     if image is None:
         return []
-    return _walk_extensions(_TermSearch([(Fraction(1), pattern, pinned)], mode, free), image, graph, budget)
+    search = _TermSearch([(Fraction(1), pattern, {v: v for v in pinned})], mode, free)
+    return _walk_extensions(search, image, graph, budget)
 
 
 def _walk_extensions(search, image, graph, budget=None):
-    """The extensions that the one-term `search` walks from `image`, its bound root map."""
+    """The extensions the one-term `search`, keyed by vertex, walks from its root map `image`."""
     if not search.state:
         return [tuple(image)]
     out = []
@@ -520,23 +519,14 @@ def _walk_extensions(search, image, graph, budget=None):
         if budget is not None and len(out) > budget:
             raise BudgetExceeded(f"extension search exceeded {budget} extensions")
 
-    search.walk(graph, _target(graph)[1], leaf)
+    search.walk(graph, _target(graph)[1], image, leaf)
     return out
 
 
-def _rooted_density(pattern, pinned, mode, graph, weights, free=None):
-    """The weighted probability that a random extension of `pinned` is a
-    homomorphism (hom mode), an injective one (inj) or exact (exact), with
-    the pairs in the `free` rows unconstrained: the search of a one-term
-    list."""
-    if _bind(pattern, pinned, mode, graph, free) is None:
-        return Fraction(0)
-    return _TermSearch([(Fraction(1), pattern, pinned)], mode, free).value(graph, weights)
-
-
 def _density(h, g, mode):
+    """The density of h in g in `mode`: a one-term search with no root."""
     h, g = _as_graph(h), _as_graph(g)
-    return _rooted_density(h, {}, mode, *_target(g))
+    return _TermSearch([(Fraction(1), h, {})], mode).value(*_target(g), {})
 
 
 # ---------------------------------------------------------------------------
@@ -576,17 +566,18 @@ def t_quantum(f, G, phi=None):
     phi = dict(phi or {})
     graph, weights = _read_target(f, G)
     if isinstance(f, QExpr):
-        _check_cover(f.label_set(), phi)
+        _check_cover(f.label_set(), phi, graph)
         return _eval_expr(f, graph, weights, phi, {})
-    return _term_search(f, phi, graph).value(graph, weights)
+    return _term_search(f, phi, graph).value(graph, weights, phi)
 
 
 def compiled_density(f):
     """The function G -> t_quantum(f, G) of an unlabeled f.
 
     A term list or QuantumGraph gets a term search of its own, and a QExpr
-    keeps the label walk of each Unlabel node, for the function's life:
-    the orders, trie nodes and keys grown for one target serve the next.
+    keeps the label walk of each Unlabel node and the search of each
+    distinct atom, for the function's life: the orders, trie nodes and
+    keys grown for one target serve the next.
     """
     if isinstance(f, QExpr):
         _check_cover(f.label_set(), {})
@@ -594,7 +585,7 @@ def compiled_density(f):
         return lambda G: _eval_expr(f, *_read_target(f, G), {}, walks)
     search = _TermSearch(_term_roots(f, {}, Graph(0)), HOM)
     search.keys = [None] * len(search.state)
-    return lambda G: search.value(*_read_target(f, G))
+    return lambda G: search.value(*_read_target(f, G), {})
 
 
 def _term_search(f, phi, graph):
@@ -649,17 +640,19 @@ def _term_roots(f, phi, graph):
     # at once, and each object per term is one more for the collector to
     # traverse.
     return [
-        (coeff, plg.graph, pinned)
+        (coeff, plg.graph, {v: lab for lab, v in plg.labels if lab in phi} if plg.labels else _UNPINNED)
         for plg, coeff in terms
-        if not (pinned := _pinned(plg, phi) if plg.labels else _UNPINNED)
-        or _bind(plg.graph, pinned, HOM, graph) is not None
+        if not plg.labels or _bind(plg.graph, _pinned(plg, phi), HOM, graph) is not None
     ]
 
 
-def _check_cover(labels, phi):
+def _check_cover(labels, phi, graph=None):
     missing = set(labels) - set(phi)
     if missing:
         raise ValueError(f"root map missing labels {sorted(missing)}")
+    for lab in sorted(labels) if graph is not None else ():
+        if not 0 <= phi[lab] < graph.n:
+            raise ValueError(f"root image {phi[lab] + 1} outside the target graph")
 
 
 _UNPINNED = MappingProxyType({})
@@ -671,12 +664,20 @@ def _pinned(plg, phi):
 
 
 def _eval_expr(expr, graph, weights, phi, walks):
-    """The value of expr; `walks` holds the label walks of its Unlabel nodes."""
+    """The value of expr; `walks` holds the label walks of its Unlabel
+    nodes, by id, and the one-term search of each distinct atom, by value.
+    Neither holds a root image, so they serve every root map and target."""
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, (Atom, IndAtom)):
-        mode, free = (HOM, None) if isinstance(expr, Atom) else (EXACT, expr.rows)
-        return _rooted_density(expr.plg.graph, _pinned(expr.plg, phi), mode, graph, weights, free)
+        plg, (mode, free) = expr.plg, (HOM, None) if isinstance(expr, Atom) else (EXACT, expr.rows)
+        if _bind(plg.graph, _pinned(plg, phi), mode, graph, free) is None:
+            return Fraction(0)
+        search = walks.get(expr)
+        if search is None:
+            keys = {v: lab for lab, v in plg.labels}
+            search = walks[expr] = _TermSearch([(Fraction(1), plg.graph, keys)], mode, free)
+        return search.value(graph, weights, phi)
     if isinstance(expr, Sum):
         return sum((_eval_expr(c, graph, weights, phi, walks) for c in expr.children), Fraction(0))
     if isinstance(expr, Product):
@@ -695,35 +696,32 @@ def _eval_unlabel(expr, graph, weights, phi, walks):
     """The expectation of the child over the images of the labels it
     loses: the kernel walks the exact embeddings of the child's label
     trigraph, the kept labels pinned, and evaluates the child at each.
-    What the walk needs on every target is built once into `walks`: the
-    child's labels in order, the positions of those it loses, the pattern
-    and free rows of the trigraph, or None when the child is 0 at every
-    root map, and, when it keeps none of them, the one-term search of the
-    walk, which then serves every target."""
+    `walks` keeps what every root map and target share: the child's labels
+    in order, the positions of those it loses, the kept ones as search
+    keys, the trigraph's pattern and the walk's one-term search, None when
+    the child is 0 at every root map."""
     walk = walks.get(id(expr))
     if walk is None:
         labels = sorted(expr.child.label_set())
         unlabeled = [i for i, lab in enumerate(labels) if lab not in expr.keep]
         if len(unlabeled) > UNLABEL_CAP:
             raise CapExceeded(f"unlabeling over {len(unlabeled)} labels exceeds cap {UNLABEL_CAP}")
+        kept = {i: i for i, lab in enumerate(labels) if lab in expr.keep}
         tri = _trigraph(expr.child)
-        pattern = rows = None
+        pattern = search = None
         if tri is not None:
-            at = {lab: i for i, lab in enumerate(labels)}
-            rows = [sum(1 << at[b] for b in labels if a != b and (min(a, b), max(a, b)) not in tri)
+            index = {lab: i for i, lab in enumerate(labels)}
+            rows = [sum(1 << index[b] for b in labels if a != b and (min(a, b), max(a, b)) not in tri)
                     for a in labels]
-            pattern = Graph(len(labels), [(at[a], at[b]) for (a, b), edge in tri.items() if edge])
-        keeps = pattern is not None and len(unlabeled) == len(labels)
-        search = _TermSearch([(Fraction(1), pattern, {})], EXACT, rows) if keeps else None
-        walk = walks[id(expr)] = labels, unlabeled, pattern, rows, search
-    labels, unlabeled, pattern, rows, search = walk
-    if pattern is None:
+            pattern = Graph(len(labels), [(index[a], index[b]) for (a, b), edge in tri.items() if edge])
+            search = _TermSearch([(Fraction(1), pattern, kept)], EXACT, rows)
+        walk = walks[id(expr)] = labels, unlabeled, kept, pattern, search
+    labels, unlabeled, kept, pattern, search = walk
+    bound = search and _bind(pattern, {i: phi[labels[i]] for i in kept}, EXACT, graph, search.free)
+    if bound is None:
         return Fraction(0)
-    pinned = {i: phi[lab] for i, lab in enumerate(labels) if lab in expr.keep}
-    images = (_walk_extensions(search, _bind(pattern, pinned, EXACT, graph, rows), graph) if search
-              else extensions(pattern, pinned, EXACT, graph, free=rows))
     total = 0
-    for image in images:
+    for image in _walk_extensions(search, bound, graph):
         weight = prod(weights.num[image[v]] for v in unlabeled)
         if weight:
             total += weight * _eval_expr(expr.child, graph, weights, dict(zip(labels, image)), walks)
@@ -778,8 +776,8 @@ def density_polynomial(f, g, phi=None):
             "structured expression use density_polynomial(expand(expr), g, phi)"
         )
     g = _as_graph(g) if not isinstance(g, WeightedGraph) else g.graph
-    read, weights = _read_target(f, g)
-    search = _term_search(f, dict(phi or {}), read)
+    read, weights, phi = *_read_target(f, g), dict(phi or {})
+    search = _term_search(f, phi, read)
     # A monomial is the sorted tuple of the images of its free vertices.
     groups = defaultdict(Counter)
 
@@ -790,7 +788,7 @@ def density_polynomial(f, g, phi=None):
             for ws in product(*(tails[i] for i in tail)):
                 groups[group][tuple(sorted(path + list(ws)))] += 1
 
-    search.walk(read, weights, leaf)
+    search.walk(read, weights, phi, leaf)
     terms, start = Counter(), 0
     for coeff, stop in zip(search.coeffs, search.stops):
         poly = {(): coeff}

@@ -19,10 +19,8 @@ REACH = os.path.join(os.path.dirname(__file__), "reach.py")
 UNREACHED = {
     # The keys behind the expression nodes' `__eq__` and `__hash__`.
     "algebra.Const._key",
-    "algebra.IndAtom._key",
     "algebra.PolyImage._key",
     "algebra.Unlabel._key",
-    "algebra._Leaf._key",
     "algebra._NAry._key",
     # Documented API (README: quick start, Modules table, Library API), and
     # the helpers that only it reaches.

@@ -148,6 +148,20 @@ class TestDensity:
         assert code == 2
         assert err == "error: root image 4 outside the target graph\n"
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # 0 at every root map: its factors disagree on the pair 1-2.
+            "(unlabel (1) (prod (ind plg n=2 labels=1:1,2:2 edges=1-2) (ind plg n=2 labels=1:1,2:2)))",
+            "(prod (q 0) (g plg n=2 labels=1:1 edges=1-2))",
+        ],
+    )
+    def test_structured_root_out_of_range_exits_2(self, capsys, files, text):
+        target = files("K3.plg", plg_text(Graph.complete(3)))
+        expr = files("z.qx", text + "\n")
+        code, out, err = run(capsys, "density", "--target", target, "--in", expr, "--root", "1:9")
+        assert (code, out, err) == (2, "", "error: root image 9 outside the target graph\n")
+
 
 class TestStringent:
     def test_construct_and_verify(self, capsys, files, tmp_path):

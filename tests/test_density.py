@@ -580,6 +580,55 @@ class TestUnlabelTrigraph:
         self._agrees(Sum([inner, self.EDGE23]), keep=(1, 3))
 
 
+class TestSearchesServeEveryRootMap:
+    """An evaluation keeps one search per Unlabel node and per distinct
+    atom, keyed by label rather than by image, so one `walks` dict serves
+    every root map and target."""
+
+    FREE = IndAtom(PLG(Graph(3, [(0, 2)]), {1: 0, 2: 1}), free=[(0, 1)])
+    # FREE with its vertices permuted: a distinct object, equal to FREE.
+    FREE_AGAIN = IndAtom(PLG(Graph(3, [(0, 1)]), {1: 1, 2: 2}), free=[(1, 2)])
+
+    def _agrees(self, node):
+        """Evaluate node through one `walks` dict at every root map of
+        every target, against a fresh evaluation and the expansion, and
+        return the dict."""
+        labels, want, walks = sorted(node.label_set()), expand(node), {}
+        for G in _trigraph_targets():
+            graph, weights = density._read_target(node, G)
+            for images in _all_maps(len(labels), graph.n):
+                phi = dict(zip(labels, images))
+                got = density._eval_expr(node, graph, weights, phi, walks)
+                assert got == t_quantum(node, G, phi) == t_quantum(want, G, phi), (node, G, phi)
+        return walks
+
+    def test_atoms(self):
+        walks = self._agrees(Atom(PLG(P3, {1: 0, 2: 2})))
+        assert len(walks) == 1
+        for gen in [self.FREE] + [psi_generator(P3, j, m) for j in (1, 3) for m in (1, 2)]:
+            assert any(gen.rows)
+            self._agrees(gen)
+
+    def test_equal_atoms_share_one_search(self):
+        path, path_again = Atom(PLG(P3, {1: 0, 2: 2})), Atom(PLG(P3, {2: 0, 1: 2}))
+        for a, b in [(path, path_again), (self.FREE, self.FREE_AGAIN)]:
+            assert a is not b and a == b
+            assert list(self._agrees(Product([a, b]))) == [a]
+
+    def test_unlabel_nodes_that_keep_labels(self):
+        path123 = IndAtom(PLG(P3, {1: 0, 2: 1, 3: 2}))
+        edge12, edge23 = Atom(PLG(K2, {1: 0, 2: 1})), IndAtom(PLG(K2, {2: 0, 3: 1}))
+        inner = Unlabel(frozenset({1, 2}), Product([path123, edge12]))
+        for node in [
+            Unlabel(frozenset({1}), Product([path123, edge12])),
+            Unlabel(frozenset({2}), Product([self.FREE, edge23])),
+            Unlabel(frozenset({1, 3}), Sum([inner, edge23])),
+            Unlabel(frozenset({1}), Sum([psi_generator(P3, 1, 2), psi_generator(P3, 2, 1)])),
+        ]:
+            walks = self._agrees(node)
+            assert id(node) in walks
+
+
 def _random_expr(rng, depth):
     if depth == 0:
         kind = rng.randrange(3)
