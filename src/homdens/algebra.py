@@ -37,7 +37,7 @@ from itertools import combinations_with_replacement
 from itertools import product as cartesian
 from math import factorial
 
-from .errors import BudgetExceeded, CapExceeded, FormatError
+from .errors import BudgetExceeded, FormatError
 from .graphs import (
     PLG,
     Graph,
@@ -54,7 +54,6 @@ from .graphs import (
 )
 from .polynomials import Polynomial
 
-IND_CAP = 20
 EXPAND_BUDGET = 200_000
 # Deepest s-expression nesting accepted; the parser and the recursive
 # evaluators stay well inside the interpreter's recursion limit.
@@ -348,15 +347,11 @@ def ind_product(a, b):
 def ind(h):
     """Alternating sum over all supergraphs of h on the same vertex set.
 
-    ind(H) = sum over F >= H of (-1)^{|E(F) - E(H)|} F, labels kept.  The
-    number of absent pairs is capped; larger graphs must stay symbolic as
-    IndAtom nodes.
+    ind(H) = sum over F >= H of (-1)^{|E(F) - E(H)|} F, labels kept: the
+    expansion of the atom `IndAtom(h)`, so the expand budget bounds its
+    2^(absent pairs) terms before any is built.
     """
-    h = as_plg(h)
-    missing = _absent(h, (0,) * h.n)
-    if missing > IND_CAP:
-        raise CapExceeded(f"ind expansion over {missing} absent pairs exceeds cap {IND_CAP}")
-    return QuantumGraph(ind_terms(h, (0,) * h.n))
+    return expand(IndAtom(h))
 
 
 # ---------------------------------------------------------------------------
@@ -564,20 +559,23 @@ def expand(expr, budget=EXPAND_BUDGET):
     """Expand a structured expression into a normal-form QuantumGraph.
 
     `expr` is anything `_as_qexpr` lifts, a QuantumGraph or a term list
-    included.  Raises BudgetExceeded when an intermediate combination
-    would hold more than `budget` terms, so astronomically large images
-    fail fast instead of thrashing.  A PolyImage is the sum of its
-    monomials' products.  A product's Const factors scale it, and a
-    product scaled by 0 expands nothing.  Its IndAtom factors multiply by
-    `ind_product` into one trigraph, or 0, whose 2^(non-edges) terms are
-    checked before any is built.  A lone other factor expands in place,
-    scaled; otherwise each other factor is expanded once and glued on,
-    refused before gluing when the two term counts multiply past the
-    budget.  An Unlabel passes its kept labels down through Sum,
-    PolyImage and nested Unlabels into each product of IndAtom and Const
-    factors, whose trigraph drops the rest before it expands, so its
-    unlabeled twins collapse; any other product is unlabeled once expanded.
+    included.  The budget must be at least 1.  Raises BudgetExceeded when
+    an intermediate combination would hold more than `budget` terms, so
+    astronomically large images fail fast instead of thrashing.  A
+    PolyImage is the sum of its monomials' products.  A product's Const
+    factors scale it, and a product scaled by 0 expands nothing.  Its
+    IndAtom factors multiply by `ind_product` into one trigraph, or 0,
+    whose 2^(non-edges) terms are checked before any is built.  A lone
+    other factor expands in place, scaled; otherwise each other factor is
+    expanded once and glued on, refused before gluing when the two term
+    counts multiply past the budget.  An Unlabel passes its kept labels
+    down through Sum, PolyImage and nested Unlabels into each product of
+    IndAtom and Const factors, whose trigraph drops the rest before it
+    expands, so its unlabeled twins collapse; any other product is
+    unlabeled once expanded.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     acc = {}
     _expand_into(acc, _as_qexpr(expr), 1, None, budget)
     return QuantumGraph._normal(acc)

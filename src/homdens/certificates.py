@@ -36,11 +36,15 @@ from .algebra import (
     parse_qexpr,
 )
 from .density import WeightedGraph, _label_set, compiled_density, t_quantum
-from .errors import FormatError
-from .graphs import Graph, enumerate_graphs, independent_blowup, parse_rational, record_lines
-
-PROOF_RULES = ("A1", "A2", "R1", "R2", "R3")
-
+from .errors import CapExceeded, FormatError
+from .graphs import (
+    ENUMERATION_CAP,
+    Graph,
+    enumerate_graphs,
+    independent_blowup,
+    parse_rational,
+    record_lines,
+)
 
 # ---------------------------------------------------------------------------
 # Sum-of-squares certificates
@@ -107,23 +111,20 @@ def cs_instance(f1, f2, T):
 
 
 class ProofLine:
-    """One derivation step: a statement `f >= 0` plus its justification.
-
-    rule A1 args (f,): statement must be f^2.
-    rule A2 args (f1, f2, T): statement must be the Cauchy-Schwarz instance.
-    rule R1 args (i, j, alpha, beta): statement is alpha*line_i + beta*line_j.
-    rule R2 args (i, j): statement is line_i * line_j.
-    rule R3 args (i, T): statement is line_i unlabeled down to T.
-    """
+    """One derivation step: a statement `f >= 0`, the rule that justifies
+    it, and the rule's operands, one per kind that `RULES` lists."""
 
     __slots__ = ("statement", "rule", "args")
 
     def __init__(self, statement, rule, args):
-        if rule not in PROOF_RULES:
+        if rule not in RULES:
             raise ValueError(f"unknown rule {rule!r}")
+        args, kinds = tuple(args), RULES[rule][0]
+        if len(args) != len(kinds):
+            raise ValueError(f"{rule} takes {','.join(kinds)}")
         object.__setattr__(self, "statement", statement)
         object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "args", tuple(args))
+        object.__setattr__(self, "args", args)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProofLine is immutable")
@@ -132,11 +133,26 @@ class ProofLine:
         return f"ProofLine({self.rule}, {self.args!r})"
 
 
-def _line_ref(value, upto):
-    i = int(value)
-    if not 1 <= i < upto:
-        raise ValueError(f"line {upto} references line {i}, which is not earlier")
-    return i
+def _conic(earlier, i, j, alpha, beta):
+    """alpha*line_i + beta*line_j, or None for a negative coefficient; a
+    bad reference raises whatever the signs."""
+    combination = alpha * earlier(i) + beta * earlier(j)
+    return combination if alpha >= 0 and beta >= 0 else None
+
+
+# The rules of the calculus.  Each maps to its operand kinds, as a proof
+# file writes them: f an expression, i an earlier line's number, q a
+# rational, and T the labels, which take the remaining operands.  Its
+# builder gets `earlier(i)`, line i's statement lifted, and the operands,
+# and returns the expression the line's statement must equal, or None to
+# reject the line.
+RULES = {
+    "A1": ("f", lambda earlier, f: Product([_as_qexpr(f)] * 2)),  # f^2
+    "A2": ("ffT", lambda earlier, f1, f2, T: cs_instance(f1, f2, T)),
+    "R1": ("iiqq", _conic),
+    "R2": ("ii", lambda earlier, i, j: earlier(i) * earlier(j)),
+    "R3": ("iT", lambda earlier, i, T: Unlabel(T, earlier(i))),
+}
 
 
 def check_cs_proof(proof, claimed, budget=EXPAND_BUDGET):
@@ -150,30 +166,16 @@ def check_cs_proof(proof, claimed, budget=EXPAND_BUDGET):
     if not lines:
         raise ValueError("empty proof")
     proved = []  # each earlier line's normal form, lifted once
+
+    def earlier(i):
+        if not 1 <= i < number:
+            raise ValueError(f"line {number} references line {i}, which is not earlier")
+        return proved[i - 1]
+
     for number, line in enumerate(lines, start=1):
         stated = expand(line.statement, budget)
-        rule, args = line.rule, line.args
-        if rule == "A1":
-            (f,) = args
-            f = _as_qexpr(f)
-            expected = f * f
-        elif rule == "A2":
-            f1, f2, T = args
-            expected = cs_instance(f1, f2, T)
-        elif rule == "R1":
-            i, j, alpha, beta = args
-            i, j = _line_ref(i, number), _line_ref(j, number)
-            alpha, beta = Fraction(alpha), Fraction(beta)
-            if alpha < 0 or beta < 0:
-                return False
-            expected = alpha * proved[i - 1] + beta * proved[j - 1]
-        elif rule == "R2":
-            i, j = (_line_ref(a, number) for a in args)
-            expected = proved[i - 1] * proved[j - 1]
-        else:
-            i, T = args
-            expected = Unlabel(T, proved[_line_ref(i, number) - 1])
-        if expand(expected, budget) != stated:
+        expected = RULES[line.rule][1](earlier, *line.args)
+        if expected is None or expand(expected, budget) != stated:
             return False
         if number < len(lines):  # only a later line reads it
             proved.append(_as_qexpr(stated))
@@ -248,47 +250,29 @@ def _parse_justification(text, resolve, lineno):
         raise FormatError("expected <rule>(<operands>)", line=lineno)
     rule, _, inner = text.partition("(")
     rule = rule.strip()
-    if rule not in PROOF_RULES:
+    if rule not in RULES:
         raise FormatError(f"unknown rule {rule!r}", line=lineno)
+    kinds = RULES[rule][0]
     parts = _split_top_level(inner[:-1])
-    if rule == "A1":
-        if len(parts) != 1:
-            raise FormatError("A1 takes one operand", line=lineno)
-        return rule, (_parse_operand(parts[0], resolve, lineno),)
-    if rule == "A2":
-        if len(parts) < 3:
-            raise FormatError("A2 takes two operands and T=", line=lineno)
-        f1 = _parse_operand(parts[0], resolve, lineno)
-        f2 = _parse_operand(parts[1], resolve, lineno)
-        return rule, (f1, f2, _parse_labels(parts[2:], lineno))
-    if rule == "R1":
-        if len(parts) != 4:
-            raise FormatError("R1 takes i,j,alpha,beta", line=lineno)
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            alpha, beta = (parse_rational(a.strip(), "rational") for a in parts[2:])
-        except ValueError:
-            raise FormatError("bad R1 arguments", line=lineno) from None
-        return rule, (i, j, alpha, beta)
-    if rule == "R2":
-        if len(parts) != 2:
-            raise FormatError("R2 takes i,j", line=lineno)
-        try:
-            return rule, (int(parts[0]), int(parts[1]))
-        except ValueError:
-            raise FormatError("bad R2 arguments", line=lineno) from None
-    if len(parts) < 2:
-        raise FormatError("R3 takes i and T=", line=lineno)
-    try:
-        i = int(parts[0])
-    except ValueError:
-        raise FormatError("bad R3 line reference", line=lineno) from None
-    return rule, (i, _parse_labels(parts[1:], lineno))
+    if len(parts) < len(kinds) or len(parts) > len(kinds) and kinds[-1] != "T":
+        raise FormatError(f"{rule} takes {','.join(kinds)}", line=lineno)
+    args = []
+    for at, (kind, part) in enumerate(zip(kinds, parts)):
+        if kind == "f":
+            args.append(_parse_operand(part, resolve, lineno))
+        elif kind == "T":
+            args.append(_parse_labels(parts[at:], lineno))
+        else:
+            try:
+                args.append(int(part) if kind == "i" else parse_rational(part.strip(), "rational"))
+            except ValueError:
+                raise FormatError(f"bad {rule} arguments", line=lineno) from None
+    return rule, tuple(args)
 
 
 # Graph records use ';' and ':' internally, so the split points are the
 # first ':' (numbers precede any record) and the last '; by <rule>('.
-_BY_RULE = re.compile(r";\s*by\s+(?=(?:A1|A2|R1|R2|R3)\s*\()")
+_BY_RULE = re.compile(r";\s*by\s+(?=(?:" + "|".join(RULES) + r")\s*\()")
 
 
 def parse_cs_proof(text, resolve=_default_resolver):
@@ -408,6 +392,8 @@ def _check_search(max_n, samples, names=("max_n", "samples")):
     arguments' names in the error messages."""
     if max_n < 1:
         raise ValueError(f"{names[0]} must be at least 1, got {max_n}")
+    if max_n > ENUMERATION_CAP:
+        raise CapExceeded(f"{names[0]} must be at most {ENUMERATION_CAP}, got {max_n}")
     if samples < 0:
         raise ValueError(f"{names[1]} must be at least 0, got {samples}")
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import IndAtom, PolyImage, Unlabel, expand
-from .density import EXACT, as_weighted, extensions, t
+from .density import EXACT, extensions, t
 from .errors import FormatError
 from .graphs import (
     Graph,
@@ -116,15 +116,6 @@ def phi(h, p):
     return PolyImage(gens, p, origin=origin)
 
 
-def alpha(h, G, phi_map, j):
-    """Probability that redrawing phi(j) from the vertex distribution keeps
-    the map an exact embedding."""
-    G = as_weighted(G)
-    if not is_exact_embedding(h, G.graph, phi_map):
-        raise ValueError("root map is not an exact embedding")
-    return sum((G.y[w] for w in resample_set(h, G.graph, phi_map, j)), Fraction(0))
-
-
 def counterexample_expr(k=COUNTEREXAMPLE_K):
     """The positive-but-not-square quantum graph as a structured tree: the
     unlabeled clone image of the Motzkin-type polynomial, its y1..yk
@@ -180,15 +171,29 @@ def _etv_vars(k):
     return tuple(out)
 
 
-class _TauSubstituted:
-    """Shared evaluation for cleared-substitution polynomials.
+class TauCalculusPoly:
+    """The cleared substitution image of q = p * prod(1-x_i)^6 + M * sum(y_i - g(x_i)).
 
-    evaluate() takes generator values keyed e_j/t_j/v_j and computes
+    q is never expanded (it would have on the order of 7^k monomials);
+    q_value evaluates the structured form directly from p.  evaluate()
+    takes generator values keyed e_j/t_j/v_j and computes
     q(e/v^2, t/v^3) * prod v^(3 deg q) by rational substitution.  When some
     v_j = 0 it returns 0, which equals the cleared polynomial whenever the
     point satisfies e_j = t_j = 0 alongside v_j = 0; generator evaluations
     always do, since all three are moments of the same redraw set.
     """
+
+    __slots__ = ("p", "k", "M", "degree", "vars")
+
+    def __init__(self, p, k):
+        _check_vars(p, _x_vars(k))
+        if p.total_degree() == 0:
+            raise ValueError("source polynomial must not be constant")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "M", M_constant(p))
+        object.__setattr__(self, "degree", p.total_degree() + 6 * k)
+        object.__setattr__(self, "vars", _etv_vars(k))
 
     def constant_term(self):
         return Fraction(0)
@@ -204,28 +209,8 @@ class _TauSubstituted:
             clear *= v ** (3 * self.degree)
         return self.q_value(xs, ys) * clear
 
-
-class TauCalculusPoly(_TauSubstituted):
-    """The cleared substitution image of q = p * prod(1-x_i)^6 + M * sum(y_i - g(x_i)).
-
-    q is never expanded (it would have on the order of 7^k monomials);
-    q_value evaluates the structured form directly from p.
-    """
-
-    __slots__ = ("p", "k", "M", "degree", "vars")
-
-    def __init__(self, p, k):
-        _check_vars(p, _x_vars(k))
-        if p.total_degree() == 0:
-            raise ValueError("source polynomial must not be constant")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "M", M_constant(p))
-        object.__setattr__(self, "degree", p.total_degree() + 6 * k)
-        object.__setattr__(self, "vars", _etv_vars(k))
-
     def __setattr__(self, name, value):
-        raise AttributeError("TauCalculusPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def q_value(self, xs, ys):
         point = {var: xs[int(var[1:]) - 1] for var in self.p.vars}
@@ -290,7 +275,7 @@ def _instance_parts(instance):
     if not isinstance(expr, PolyImage):
         raise ValueError("expected a clique-image expression")
     poly = expr.poly
-    if not isinstance(poly, _TauSubstituted):
+    if not isinstance(poly, TauCalculusPoly):
         raise ValueError("expected a cleared-substitution polynomial")
     core = expr.generator_map()["v1"].plg
     at = core.label_map()

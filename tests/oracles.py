@@ -9,7 +9,8 @@ package's clone generators with `expand` so that a test can hold it
 against `plain_monomial_terms`; `ind_sum`, which spells out an ind
 atom's free pairs through the package's plain `ind`; and the helpers at
 the end, which state facts about the package's own values (`hom_count`,
-`check_tasym`, `is_isomorphic_labeled`) or build test inputs (`TauPoly`).
+`alpha`, `check_tasym`, `is_isomorphic_labeled`) or build test inputs
+(`TauPoly`).
 """
 
 import math
@@ -19,7 +20,7 @@ from itertools import combinations, permutations, product
 
 from homdens.graphs import Graph, PartiallyLabeledGraph
 from homdens.polynomials import tau
-from homdens.reductions import _check_vars, _etv_vars, _TauSubstituted, _x_vars
+from homdens.reductions import TauCalculusPoly, _check_vars, _etv_vars, _x_vars
 
 
 def brute_isomorphic(a, b):
@@ -483,6 +484,18 @@ def hom_count(h, g):
     return int(t(h, g) * g.n ** h.n)
 
 
+def alpha(h, G, phi_map, j):
+    """Probability that redrawing phi(j) from the vertex distribution keeps
+    the map an exact embedding, summed over the package's redraw set."""
+    from homdens.density import as_weighted
+    from homdens.reductions import is_exact_embedding, resample_set
+
+    G = as_weighted(G)
+    if not is_exact_embedding(h, G.graph, phi_map):
+        raise ValueError("root map is not an exact embedding")
+    return sum((G.y[w] for w in resample_set(h, G.graph, phi_map, j)), Fraction(0))
+
+
 def check_tasym(h, g):
     """|t - t_inj| <= C(|V(h)|, 2) / |V(g)|, the random-collision bound."""
     from homdens.density import t, t_inj
@@ -529,12 +542,13 @@ def in_region_R(x, y):
     return Fraction(y) >= bollobas_L(x)
 
 
-class TauPoly(_TauSubstituted):
+class TauPoly(TauCalculusPoly):
     """The cleared substitution image of an explicit polynomial q(x, y): a
-    test double of the clique image's `TauCalculusPoly`, which `witness_eval`
-    and `psi_rooted_value` accept alike."""
+    test double of the clique image's `TauCalculusPoly`, whose evaluation
+    it inherits, and which `witness_eval` and `psi_rooted_value` accept
+    alike."""
 
-    __slots__ = ("q", "k", "degree", "vars")
+    __slots__ = ("q",)
 
     def __init__(self, q, k):
         _check_vars(q, _x_vars(k) + tuple(f"y{j}" for j in range(1, k + 1)))
@@ -544,9 +558,6 @@ class TauPoly(_TauSubstituted):
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "degree", q.total_degree())
         object.__setattr__(self, "vars", _etv_vars(k))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TauPoly is immutable")
 
     def q_value(self, xs, ys):
         point = {}

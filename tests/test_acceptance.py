@@ -56,7 +56,6 @@ from homdens.polynomials import (
     goodman_g,
 )
 from homdens.reductions import (
-    alpha,
     build_counterexample,
     build_instance,
     counterexample_expr,
@@ -69,6 +68,7 @@ from homdens.reductions import (
 
 from oracles import (
     TauPoly,
+    alpha,
     blowup_block,
     bollobas_L,
     check_tasym,

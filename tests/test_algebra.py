@@ -7,7 +7,6 @@ from itertools import combinations, permutations
 
 import pytest
 
-from homdens import algebra
 from homdens.algebra import (
     QEXPR_DEPTH_CAP,
     Atom,
@@ -31,7 +30,7 @@ from homdens.algebra import (
     strip_isolated,
     unlabel,
 )
-from homdens.errors import BudgetExceeded, CapExceeded, FormatError
+from homdens.errors import BudgetExceeded, FormatError
 from homdens.graphs import PLG, Graph, canonical_form, enumerate_graphs
 from homdens.polynomials import Polynomial
 
@@ -239,13 +238,16 @@ class TestInd:
         assert ind(PLG(Graph(0))) == QuantumGraph.unit()
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
+        # The expand budget prices the 2^(absent pairs) terms before any is
+        # built: 18 absent pairs are past the default 200000.
+        with pytest.raises(BudgetExceeded, match=r"needs 2\^18 terms"):
+            ind(PLG(Graph(7, [(0, 1), (2, 3), (4, 5)])))
+        with pytest.raises(BudgetExceeded, match=r"needs 2\^21 terms"):
             ind(PLG(Graph(7)))
 
-    def test_term_count(self, monkeypatch):
+    def test_term_count(self):
         # K1,2 with no labels has two absent pairs... use a concrete case:
         h = PLG(Graph(3, [(0, 1)]))
-        monkeypatch.setattr(algebra, "IND_CAP", 2)
         assert sum(1 for _ in ind(h).terms) <= 4
 
     def test_orthogonality(self):
@@ -328,7 +330,7 @@ class TestQExpr:
 
     def test_expand_indatom(self):
         h = PLG(Graph(2), [(1, 0), (2, 1)])
-        assert expand(IndAtom(h)) == ind(h)
+        assert expand(IndAtom(h)) == QuantumGraph.of(h) - QuantumGraph.of(edge(1, 2))
 
     def test_budget(self):
         big = IndAtom(PLG(Graph(9)))  # 36 absent pairs
@@ -342,6 +344,13 @@ class TestQExpr:
         assert len(expand(wide, budget=336).terms) == 126
         with pytest.raises(BudgetExceeded):
             expand(wide, budget=335)
+
+    @pytest.mark.parametrize("text", ["(g plg n=2 edges=1-2)", "(q 1)", "(ind plg n=2)"])
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_is_refused_at_entry(self, text, budget):
+        with pytest.raises(ValueError) as exc:
+            expand(parse_qexpr(text), budget)
+        assert str(exc.value) == f"budget must be at least 1, got {budget}"
 
     def test_poly_image(self):
         p = Polynomial.variable("x1") ** 2

@@ -54,14 +54,15 @@ UNREACHED = {
     "density.density_polynomial",
     "polynomials.hilbert10_transform",
     "polynomials.motzkin_S",
-    # Traced by bench/tracing.py, which no command calls: `parse_quantum`,
-    # and the `witness_eval` chain with `alpha` and the
-    # `WeightedGraph.uniform` it uses, until ROADMAP item 2 moves or
-    # retraces them.
-    "algebra.parse_quantum",
+    # `as_weighted` lifts a plain graph through it, but no command hands
+    # `as_weighted` one: `_target` weighs a plain graph itself, and
+    # `refute` formats only a weighted witness with `format_weighted_graph`.
     "density.WeightedGraph.uniform",
+    # Traced by bench/tracing.py, which no command calls: `parse_quantum`,
+    # and the `witness_eval` chain, until ROADMAP item 2 moves or retraces
+    # them.
+    "algebra.parse_quantum",
     "reductions._instance_parts",
-    "reductions.alpha",
     "reductions.exact_embeddings",
     "reductions.is_exact_embedding",
     "reductions.psi_rooted_value",

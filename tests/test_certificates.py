@@ -18,6 +18,7 @@ from homdens.algebra import (
     product,
     unlabel,
 )
+from homdens import certificates
 from homdens.certificates import (
     ProofLine,
     check_cs_proof,
@@ -31,7 +32,7 @@ from homdens.certificates import (
     verify_sos,
 )
 from homdens.density import WeightedGraph, t_quantum
-from homdens.errors import BudgetExceeded, FormatError
+from homdens.errors import BudgetExceeded, CapExceeded, FormatError
 from homdens.graphs import Graph, PartiallyLabeledGraph as PLG, enumerate_graphs, format_plg
 
 K1 = Graph(1)
@@ -323,6 +324,10 @@ class TestProofChecker:
         with pytest.raises(ValueError):
             check_cs_proof(lines, unlabel(sq, ()))
 
+    def test_operand_count_is_checked(self):
+        with pytest.raises(ValueError, match="^R2 takes i,i$"):
+            ProofLine(as_quantum(P3), "R2", (1,))
+
     def test_empty_proof_raises(self):
         with pytest.raises(ValueError):
             check_cs_proof([], as_quantum(P3))
@@ -407,6 +412,30 @@ class TestProofFormat:
     def test_empty_text(self):
         with pytest.raises(FormatError):
             parse_cs_proof("# nothing here\n")
+
+    @pytest.mark.parametrize(
+        "rule, message",
+        [
+            ("A1((g plg n=1), (g plg n=1))", "A1 takes f"),
+            ("A2((g plg n=1), T=)", "A2 takes f,f,T"),
+            ("R1(1, 1, 2)", "R1 takes i,i,q,q"),
+            ("R1(1, 1, 2, 1, 1)", "R1 takes i,i,q,q"),
+            ("R2(1)", "R2 takes i,i"),
+            ("R3(1)", "R3 takes i,T"),
+            ("R1(1, 1, a, 1)", "bad R1 arguments"),
+            ("R2(1, x)", "bad R2 arguments"),
+            ("R3(x, T=)", "bad R3 arguments"),
+            ("R3(1, 1)", "expected T=<labels>"),
+            ("A2((g plg n=1), (g plg n=1), T=1, y)", "bad label 'y'"),
+        ],
+    )
+    def test_operand_errors_name_the_rule_and_line(self, rule, message):
+        """The operand kinds in `RULES` drive the parser: an arity error
+        lists them, and an operand that is not its kind names the rule."""
+        text = "1: (g plg n=1) ; by A1((g plg n=1))\n2: (g plg n=1) ; by " + rule + "\n"
+        with pytest.raises(FormatError) as exc:
+            parse_cs_proof(text)
+        assert str(exc.value) == f"{message} (line 2)"
 
 
 class TestMomentMatrix:
@@ -533,6 +562,17 @@ class TestRefute:
         with pytest.raises(ValueError) as exc:
             refute(parse_qexpr("(q -1)"), **sizes)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("target", [-as_quantum(K2), as_quantum(P3)], ids=["negative", "nonnegative"])
+    def test_max_n_past_the_enumeration_cap_is_refused_before_scanning(self, target, monkeypatch):
+        def scan(*_):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(certificates, "_scan_exhaustive", scan)
+        monkeypatch.setattr(certificates, "_scan_random", scan)
+        for max_n in (8, 9):
+            with pytest.raises(CapExceeded, match=f"max_n must be at most 7, got {max_n}"):
+                refute(target, max_n=max_n, samples=0)
 
     def test_term_lists_refute_as_their_normal_forms(self):
         # K3 - K2 written with a relabeled duplicate, an isolated vertex and

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import homdens
-from homdens import cli
+from homdens import certificates, cli
 from homdens.algebra import load_expression, parse_quantum
 from homdens.cli import main
 from homdens.density import compiled_density, parse_weighted_graph, t_quantum
@@ -382,6 +382,16 @@ class TestCertificateCommands:
             "error: expansion exceeded 1 terms"
         ]
 
+    def test_budget_below_one_exits_2(self, capsys, files):
+        target = files("P3.qg", "1 * plg n=3 edges=1-2;2-3\n")
+        cert = files("c.sos", "sos:\ng: (g plg n=2 labels=1:1 edges=1-2)\n")
+        proof = files("p.txt", "1: 1 * plg n=3 labels=1:1 edges=1-2;1-3 ; by A1(plg n=2 labels=1:1 edges=1-2)\n")
+        for argv in (["verify-sos", "--target", target, "--cert", cert],
+                     ["check-proof", "--in", proof, "--claim", target]):
+            code, out, err = run(capsys, *argv, "--budget", "0")
+            assert (code, out) == (2, "")
+            assert err.splitlines()[-1] == "error: budget must be at least 1, got 0"
+
     @pytest.mark.parametrize("alpha", ["1", "-1"])
     def test_check_proof_bad_reference_exits_2_whatever_the_sign(self, capsys, files, alpha):
         proof = files("p.txt",
@@ -527,6 +537,22 @@ class TestRefuteCommand:
         target = files("negK2.qg", "-1 * plg n=2 edges=1-2\n")
         code, out, err = run(capsys, "refute", "--in", target, *flags)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text", ["-1 * plg n=2 edges=1-2\n", "1 * plg n=3 edges=1-2;2-3\n"],
+                             ids=["negative", "nonnegative"])
+    def test_max_n_past_the_enumeration_cap_exits_2_before_scanning(self, capsys, files,
+                                                                     monkeypatch, text):
+        """Neither target is scanned: the negative one would otherwise exit 1
+        at its witness, and the nonnegative one scan every graph up to the
+        cap before `enumerate_graphs` refused."""
+        def scan(*_):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(certificates, "_scan_exhaustive", scan)
+        target = files("t.qg", text)
+        for max_n in ("8", "9"):
+            code, out, err = run(capsys, "refute", "--in", target, "--max-n", max_n, "--samples", "0")
+            assert (code, out, err) == (2, "", f"error: --max-n must be at most 7, got {max_n}\n")
 
     def test_counterexample_pipeline_finds_nothing_small(self, capsys, files, tmp_path):
         out_path = str(tmp_path / "x.qg")

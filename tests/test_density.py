@@ -1,7 +1,7 @@
 import gc
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -278,43 +278,11 @@ def _plgs_with_labels(max_n, labels):
     for n in range(1, max_n + 1):
         for g in enumerate_graphs(n):
             for count in range(min(len(labels), n) + 1):
-                for chosen in _subsets(labels, count):
-                    for verts in _injections(n, count):
+                for chosen in combinations(labels, count):
+                    for verts in permutations(range(n), count):
                         plg = PLG(g, dict(zip(chosen, verts)))
                         seen[plg.canonical()] = plg
     return list(seen.values())
-
-
-def _subsets(items, size):
-    items = list(items)
-    if size == 0:
-        return [()]
-    out = []
-
-    def rec(start, acc):
-        if len(acc) == size:
-            out.append(tuple(acc))
-            return
-        for i in range(start, len(items)):
-            rec(i + 1, acc + [items[i]])
-
-    rec(0, [])
-    return out
-
-
-def _injections(n, size):
-    out = []
-
-    def rec(acc):
-        if len(acc) == size:
-            out.append(tuple(acc))
-            return
-        for v in range(n):
-            if v not in acc:
-                rec(acc + (v,))
-
-    rec(())
-    return out
 
 
 def _all_root_maps(labels, n):

@@ -97,6 +97,14 @@ CERTIFICATES = [
     "sos:\n# one square\ng: (sum (g " + EDGE_1 + ") (q 0))\n",
 ]
 FULL_P4 = "plg n=4 labels=1:1,2:2,3:3,4:4 edges=1-2;2-3"
+CHERRY = "(g plg n=3 labels=1:1 edges=1-2;1-3)"
+# [e^2][n^2] - [e n]^2 for the edge e and the non-edge n rooted at label 1.
+CS_INSTANCE = (
+    f"(sum (prod (unlabel () (prod (g {EDGE_1}) (g {EDGE_1})))"
+    " (unlabel () (prod (g plg n=2 labels=1:1) (g plg n=2 labels=1:1))))"
+    f" (prod (q -1) (unlabel () (prod (g {EDGE_1}) (g plg n=2 labels=1:1)))"
+    f" (unlabel () (prod (g {EDGE_1}) (g plg n=2 labels=1:1)))))\n"
+)
 PROOFS = [
     "1: 1 * plg n=3 labels=1:1 edges=1-2;1-3 ; by A1(" + EDGE_1 + ")\n"
     "2: 1 * plg n=3 edges=1-2;2-3 ; by R3(1, T=)\n",
@@ -110,6 +118,11 @@ PROOFS = [
     # Term-list operand and statements: mutants reach the lifted route.
     "1: @sq.qg ; by A1(@e.qg)\n"
     "2: @c ; by R3(1, T=)\n",
+    # A Cauchy-Schwarz instance, and a product of a line with itself:
+    # with the seeds above, mutants reach every operand kind of the rules.
+    "1: @cs.qx ; by A2((g " + EDGE_1 + "), (g plg n=2 labels=1:1), T=)\n",
+    "1: 1 * plg n=3 labels=1:1 edges=1-2;1-3 ; by A1(" + EDGE_1 + ")\n"
+    f"2: (prod {CHERRY} {CHERRY}) ; by R2(1, 1)\n",
 ]
 SQUARE = "(prod (g " + EDGE_1 + ") (g " + EDGE_1 + "))\n"
 # A small clone image: mutants that still parse reach expand's polynomial
@@ -144,7 +157,7 @@ CASES = [
      {"c": CERTIFICATES[0]}, "t", [P3_TERMS, "(unlabel () " + SQUARE.strip() + ")\n", PHI_TARGET],
      {"t": _expression, "c": _certificate}),
     (["check-proof", "--in", "@p", "--claim", "@c"],
-     {"c": P3_TERMS, "sq.qx": SQUARE, "e.qg": "1 * " + EDGE_1 + "\n",
+     {"c": P3_TERMS, "sq.qx": SQUARE, "cs.qx": CS_INSTANCE, "e.qg": "1 * " + EDGE_1 + "\n",
       "sq.qg": "1/2 * plg n=3 labels=1:1 edges=1-2;1-3\n1/2 * plg n=3 labels=1:2 edges=1-2;2-3\n"},
      "p", PROOFS, {"p": _proof, "c": _expression}),
     (["check-proof", "--in", "@p", "--claim", "@c"],

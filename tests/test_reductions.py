@@ -38,7 +38,6 @@ from homdens.polynomials import (
 )
 from homdens.reductions import (
     TauCalculusPoly,
-    alpha,
     build_counterexample,
     build_instance,
     exact_embeddings,
@@ -53,6 +52,7 @@ from homdens.reductions import (
 
 from oracles import (
     TauPoly,
+    alpha,
     blowup_block,
     brute_exact_embeddings,
     free_pairs,
