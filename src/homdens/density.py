@@ -21,10 +21,11 @@ so components that share a prefix enumerate its images once.  Codes name
 pinned vertices by keys, such as labels, not by their images, so a search
 serves every root map.  Where components reach their tails, the search
 counts them for a density, or hands the path images and tail masks to a
-caller: a density polynomial sums its monomials there, and `extensions`
-lists whole images, for exact embeddings, automorphisms and the label
-walk of Unlabel nodes.  A single density or extension list is the search
-of a one-term list.
+caller: a density polynomial counts its monomials there, each one packed
+int of exponents, and sums the terms as integer numerators over one
+denominator; `extensions` lists whole images, for exact embeddings,
+automorphisms and the label walk of Unlabel nodes.  A single density or
+extension list is the search of a one-term list.
 
 Quantum graphs and term lists evaluate linearly, through the one search
 that every density shares; an unlabeled QuantumGraph keeps it for its next
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import lcm, perm, prod
 from types import MappingProxyType
 
@@ -766,8 +767,13 @@ def density_polynomial(f, g, phi=None):
     f is a QuantumGraph (or plain graph material) or a term list, read as
     t_quantum reads it; evaluating the result at any probability
     distribution equals t_quantum(f, (g, y), phi).  All terms share one
-    search: each leaf group sums the monomials of its extensions, and a
-    term is its coefficient times the product of its components' sums.  A
+    search: each leaf group counts the monomials of its extensions, and a
+    term is its coefficient times the product of its components' counts.
+    A monomial is one int, b bits of exponent per target vertex, so that
+    multiplying monomials adds ints: a term's degree is its free vertex
+    count, at most the search's depth, so no exponent reaches 2 ** b.
+    Coefficients are integer numerators over their least common
+    denominator D, and each monomial's sum becomes one Fraction over D.  A
     structured expression is a TypeError: expand it first.
     """
     if isinstance(f, QExpr):
@@ -778,32 +784,47 @@ def density_polynomial(f, g, phi=None):
     g = _as_graph(g) if not isinstance(g, WeightedGraph) else g.graph
     read, weights, phi = *_read_target(f, g), dict(phi or {})
     search = _term_search(f, phi, read)
-    # A monomial is the sorted tuple of the images of its free vertices.
-    groups = defaultdict(Counter)
+    b = max(search.depth, 1).bit_length()
+    unit = [1 << b * w for w in range(read.n)]
+    groups = defaultdict(lambda: defaultdict(int))
+    units_of = {}  # the units of a candidate mask's vertices, by mask
 
     def leaf(node, d, img, masks):
-        path = img[:d]
-        tails = [_bits(masks[i]) for i in node.tails]
+        path = sum(map(unit.__getitem__, img[:d]))
+        tails = [units_of[m] if m in units_of else units_of.setdefault(m, [unit[w] for w in _bits(m)])
+                 for m in map(masks.__getitem__, node.tails)]
         for tail, group in node.leaves:
-            for ws in product(*(tails[i] for i in tail)):
-                groups[group][tuple(sorted(path + list(ws)))] += 1
+            monos = [path]
+            for i in tail:
+                monos = [mono + u for mono in monos for u in tails[i]]
+            into = groups[group]
+            for mono in monos:
+                into[mono] += 1
 
     search.walk(read, weights, phi, leaf)
-    terms, start = Counter(), 0
+    den = lcm(*(coeff.denominator for coeff in search.coeffs))
+    # Terms whose components fall in the same leaf groups share one product.
+    scaled, start = defaultdict(int), 0
     for coeff, stop in zip(search.coeffs, search.stops):
-        poly = {(): coeff}
-        for group in search.group[start:stop]:
-            poly, partial = Counter(), poly
-            for images, c in partial.items():
-                for more, k in groups[group].items():
-                    poly[tuple(sorted(images + more))] += c * k
-        terms.update(poly)
+        scaled[tuple(search.group[start:stop])] += coeff.numerator * (den // coeff.denominator)
         start = stop
+    terms = defaultdict(int)
+    for comps, num in scaled.items():
+        poly = {0: num} if num else {}
+        for group in comps:
+            poly, partial = defaultdict(int), poly
+            for mono, c in partial.items():
+                for more, k in groups[group].items():
+                    poly[mono + more] += c * k
+        for mono, c in poly.items():
+            terms[mono] += c
     if read is not g:  # the empty graph, read at K1: the constant of its value
-        return Polynomial((), {(): sum(terms.values())})
+        return Polynomial((), {(): Fraction(sum(terms.values()), den)})
+    field = (1 << b) - 1
     return Polynomial(
         tuple(f"y{i}" for i in range(1, g.n + 1)),
-        {tuple(map(images.count, range(g.n))): c for images, c in terms.items()},
+        {tuple(mono >> b * w & field for w in range(g.n)): Fraction(c, den)
+         for mono, c in terms.items() if c},
     )
 
 

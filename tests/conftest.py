@@ -1,9 +1,20 @@
 import os
 import sys
+from functools import lru_cache
 
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
+
+
+@lru_cache(maxsize=None)
+def counterexample():
+    """The 11464-term counterexample x, built once per test session for
+    every module that imports it from here.  It keeps the term search that
+    its first evaluation grows."""
+    from homdens.reductions import build_counterexample
+
+    return build_counterexample()
 
 
 @pytest.fixture

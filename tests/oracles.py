@@ -247,16 +247,41 @@ def brute_rooted_t(h, g, phi_partial, y=None):
     free = [v for v in range(hg.n) if v not in pinned]
     if y is None:
         y = [Fraction(1, g.n)] * g.n
+    edges = hg.edges  # a Graph derives its edge set on each read
     total = Fraction(0)
     for assignment in product(range(g.n), repeat=len(free)):
         phi = dict(pinned)
         phi.update(zip(free, assignment))
-        if all(g.has_edge(phi[u], phi[v]) for u, v in hg.edges):
+        if all(g.has_edge(phi[u], phi[v]) for u, v in edges):
             w = Fraction(1)
             for v in free:
                 w *= y[phi[v]]
             total += w
     return total
+
+
+def brute_density_polynomial(plg, g, phi):
+    """The terms of the rooted density polynomial of plg in g under the
+    root map phi {label: target vertex}: over every map of the free
+    vertices, one count per homomorphism on the exponent vector of their
+    images, as {exponents: Fraction}, without zero coefficients.  Every
+    vertex counts, as in a term list: the normal form of a quantum graph
+    drops isolated vertices, and a free one multiplies the polynomial by
+    y1 + ... + yn."""
+    if isinstance(plg, Graph):
+        plg = PartiallyLabeledGraph(plg)
+    h = plg.graph
+    pinned = {v: phi[lab] for lab, v in plg.labels}
+    free = [v for v in range(h.n) if v not in pinned]
+    edges = h.edges  # a Graph derives its edge set on each read
+    counts = {}
+    for assignment in product(range(g.n), repeat=len(free)):
+        image = dict(pinned)
+        image.update(zip(free, assignment))
+        if all(g.has_edge(image[u], image[v]) for u, v in edges):
+            exps = tuple(assignment.count(w) for w in range(g.n))
+            counts[exps] = counts.get(exps, 0) + 1
+    return {exps: Fraction(k) for exps, k in counts.items()}
 
 
 def brute_weighted_t(h, g, y):

@@ -8,7 +8,6 @@ inequality; nothing here floats and nothing is tolerance-based.
 import hashlib
 import random
 from fractions import Fraction as F
-from functools import lru_cache
 from itertools import permutations
 
 from homdens.algebra import (
@@ -56,7 +55,6 @@ from homdens.polynomials import (
     goodman_g,
 )
 from homdens.reductions import (
-    build_counterexample,
     build_instance,
     counterexample_expr,
     exact_embeddings,
@@ -66,6 +64,7 @@ from homdens.reductions import (
     witness_graph,
 )
 
+from conftest import counterexample
 from oracles import (
     TauPoly,
     alpha,
@@ -81,8 +80,6 @@ K2 = Graph.complete(2)
 K3 = Graph.complete(3)
 P3 = Graph.path(3)
 VARS6 = ("x1", "x2", "x3", "x4", "x5", "x6")
-
-counterexample = lru_cache(maxsize=None)(build_counterexample)
 
 
 def targets_up_to(n):
@@ -135,7 +132,7 @@ def counterexample_value(G):
 def test_criterion_1_counterexample_identity():
     """Rooted density polynomial of the counterexample at its own base
     graph equals y1*...*y6 times the cyclic Motzkin form, exactly."""
-    got = density_polynomial(counterexample(6), H6)
+    got = density_polynomial(counterexample(), H6)
     yv = tuple(f"y{i}" for i in range(1, 7))
     want = counterexample_poly(6).in_vars(yv)
     for i in range(1, 7):
@@ -146,7 +143,7 @@ def test_criterion_1_counterexample_identity():
 
 def test_counterexample_output_bytes():
     """The written counterexample stays byte-identical."""
-    text = format_quantum(counterexample(6)).encode()
+    text = format_quantum(counterexample()).encode()
     assert hashlib.sha256(text).hexdigest() == (
         "4dadc9a6723029645846779517b34de0da6d903162b23b849c16b4f4a5f91b3b"
     )
@@ -159,7 +156,7 @@ def test_criterion_2_counterexample_positivity_scan():
     graph with at most 6 vertices and on the weighted targets it equals
     the independent embedding-sum oracle."""
     sx = counterexample_expr(6)
-    x = compiled_density(counterexample(6))
+    x = compiled_density(counterexample())
     # route check: the structured x against its 11464-term expansion, every
     # target where evaluating the expansion is quick
     for g in targets_up_to(4):

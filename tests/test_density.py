@@ -51,8 +51,10 @@ from homdens.polynomials import Polynomial
 
 from homdens.reductions import counterexample_expr, exact_embeddings, psi_generator
 
+from conftest import counterexample
 from oracles import (
     brute_automorphisms,
+    brute_density_polynomial,
     brute_exact_embeddings,
     brute_rooted_t,
     brute_t,
@@ -353,6 +355,10 @@ def test_kernel_modes_against_oracles(mode):
                         if mode == "t_quantum":
                             assert t_quantum(plg, WeightedGraph(g, y), phi) == want
                         else:
+                            # A term list keeps the isolated vertices that the
+                            # normal form of plg drops.
+                            listed = density_polynomial(((plg, F(1)),), g, phi)
+                            assert listed.terms == brute_density_polynomial(plg, g, phi)
                             assert density_polynomial(plg, g, phi).evaluate(point) == want
 
 
@@ -674,6 +680,78 @@ class TestDensityPolynomial:
                 y = random_distribution(rng, g.n)
                 point = {f"y{i + 1}": y[i] for i in range(g.n)}
                 assert p.evaluate(point) == t_quantum(expr, WeightedGraph(g, y), phi)
+
+
+def _star(leaves):
+    """K_{1,leaves} with its centre, vertex 0, labeled 1."""
+    return PLG(Graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)]), {1: 0})
+
+
+def _brute_terms(terms, g, phi):
+    """The terms of a term list's density polynomial, summed from the
+    brute-force terms of each record."""
+    total = {}
+    for plg, coeff in terms:
+        for exps, k in brute_density_polynomial(plg, g, phi).items():
+            total[exps] = total.get(exps, 0) + coeff * k
+    return {exps: c for exps, c in total.items() if c}
+
+
+class TestPackedMonomials:
+    """A monomial is one int with a field of exponent bits per target
+    vertex, wide enough for the search's deepest term."""
+
+    @pytest.mark.parametrize("leaves", [7, 8])
+    def test_star_fills_its_exponent_field(self, leaves):
+        """7 free leaves fill a 3-bit field and 8 need a 4-bit one."""
+        star = _star(leaves)
+        assert density_polynomial(star, K2, {1: 0}).terms == {(0, leaves): 1}
+        assert density_polynomial(star, K2, {1: 1}).terms == {(leaves, 0): 1}
+
+    def test_shallow_and_deep_terms_in_one_list(self):
+        """A depth-2 term and a depth-8 term share the deep term's field."""
+        terms = ((PLG(K2), F(3)), (_star(8), F(-1, 2)))
+        for phi in ({1: 0}, {1: 1}):
+            poly = density_polynomial(terms, P3, phi)
+            assert poly.terms == _brute_terms(terms, P3, phi)
+        assert poly.coefficient({"y1": 4, "y3": 4}) == -35
+
+    def test_terms_of_several_components(self):
+        rng = random.Random(2051)
+        split = PLG(Graph(6, [(0, 1), (1, 2), (3, 4)]))  # P3, K2 and a vertex
+        terms = (
+            (PLG(TWO_EDGES), F(2)),
+            (split, F(-1, 3)),
+            (_relabeled(rng, split), F(1, 4)),
+            (SPLIT, F(5)),
+            (PLG(Graph(5, [(0, 1), (2, 3), (3, 4)]), {1: 3}), F(-2)),
+        )
+        for g in (K2, P3, K3):
+            for phi in _all_root_maps([1, 2], g.n):
+                assert density_polynomial(terms, g, phi).terms == _brute_terms(terms, g, phi)
+
+    def test_coefficients_cancel_on_a_monomial(self):
+        """1/2, 1/3 and -5/6 share the denominator 6; y2 cancels across
+        leaf groups, and no zero coefficient is kept."""
+        terms = (
+            (PLG(K2, {1: 0}), F(1, 2)),
+            (PLG(Graph(2), {1: 0}), F(1, 3)),
+            (PLG(Graph(2), {1: 1}), F(-5, 6)),
+        )
+        poly = density_polynomial(terms, K2, {1: 0})
+        assert poly.terms == {(1, 0): F(-1, 2)} == _brute_terms(terms, K2, {1: 0})
+        same = ((PLG(P3), F(1, 2)), (PLG(P3), F(1, 3)), (PLG(P3), F(-5, 6)))
+        assert density_polynomial(same, K3).terms == {}
+
+    def test_eleven_vertex_target(self):
+        """y10 and y11 come out in the natural variable order."""
+        g = Graph.path(11)
+        terms = ((PLG(K2), F(1)), (PLG(Graph(3, [(0, 1), (0, 2)]), {1: 0}), F(1, 2)))
+        poly = density_polynomial(terms, g, {1: 10})
+        assert poly.vars == tuple(f"y{i}" for i in range(1, 12))
+        assert poly.terms == _brute_terms(terms, g, {1: 10})
+        assert poly.coefficient({"y10": 1, "y11": 1}) == 2
+        assert poly.coefficient({"y10": 2}) == F(1, 2)
 
 
 class TestCauchySchwarzNumeric:
@@ -1085,9 +1163,7 @@ class TestKeptSearch:
     def test_kept_search_holds_fewer_objects_than_terms(self):
         """The search keeps its state in flat lists of ints, not a few
         objects per term, and no key list outlives a call."""
-        from test_reductions import cached_counterexample
-
-        x = QuantumGraph(cached_counterexample().terms)
+        x = QuantumGraph(counterexample().terms)
         assert x._search is None and len(x.terms) == 11464
         gc.collect()
         before = len(gc.get_objects())

@@ -50,6 +50,7 @@ from homdens.reductions import (
     witness_graph,
 )
 
+from conftest import counterexample
 from oracles import (
     TauPoly,
     alpha,
@@ -62,9 +63,7 @@ from oracles import (
     plain_monomial_terms,
 )
 
-from functools import lru_cache, reduce
-
-cached_counterexample = lru_cache(maxsize=None)(build_counterexample)
+from functools import reduce
 
 K1 = Graph.complete(1)
 K2 = Graph.complete(2)
@@ -383,16 +382,16 @@ class TestCounterexample:
         assert len(x.terms) == 11464
 
     def test_terms_stay_small(self):
-        x = cached_counterexample()
+        x = counterexample()
         assert x.terms
         assert all(plg.n <= 9 for plg in x.terms)
         assert all(not plg.labels for plg in x.terms)
 
     def test_vanishes_on_single_vertex(self):
-        assert t_quantum(cached_counterexample(), K1) == 0
+        assert t_quantum(counterexample(), K1) == 0
 
     def test_density_polynomial_at_base(self):
-        got = density_polynomial(cached_counterexample(), H6)
+        got = density_polynomial(counterexample(), H6)
         yv = tuple(f"y{i}" for i in range(1, 7))
         want = counterexample_poly(6).in_vars(yv)
         for i in range(1, 7):
@@ -403,7 +402,7 @@ class TestCounterexample:
         """Plans and trie nodes grown at K1 serve a weighted H6, which
         searches deeper, and both serve K1 and K2 again: each value equals
         a fresh t_quantum call."""
-        x = cached_counterexample()
+        x = counterexample()
         rng = random.Random(43)
         w = [rng.randint(1, 9) for _ in range(6)]
         G = WeightedGraph(H6, [F(v, sum(w)) for v in w])
@@ -413,7 +412,7 @@ class TestCounterexample:
         assert values[1] > 0
 
     def test_nonnegative_on_small_graphs(self):
-        x = cached_counterexample()
+        x = counterexample()
         for g in targets_up_to(3):
             assert t_quantum(x, g) >= 0
 
