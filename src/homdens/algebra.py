@@ -789,10 +789,10 @@ def _parse_node(tokens, i, depth, leaves):
             raise FormatError("unterminated (unlabel ...)")
         return Unlabel(keep, child), i + 1
     if head == "phi" or head == "psitau":
-        from .reductions import _parse_phi_head, _parse_psitau_head
+        from .reductions import _parse_head
 
         flat, i = _take_flat(tokens, i)
-        return (_parse_phi_head if head == "phi" else _parse_psitau_head)(flat), i
+        return _parse_head(head, flat), i
     raise FormatError(f"unknown expression head {head!r}")
 
 

@@ -4,14 +4,17 @@ A polynomial is stored as a map from exponent tuples to nonzero Fraction
 coefficients, together with a tuple of variable names.  Variable names are
 kept in a canonical order (alphabetic prefix, then numeric suffix), so
 `x1 < x2 < x10 < y1`; binary operations align operands by taking the union
-of their variable sets.
+of their variable sets.  Substituting polynomials for variables is
+`Polynomial.evaluate` at polynomial values.
 
 Besides generic arithmetic this module houses the concrete polynomial
 constructions the rest of the package builds on: the Motzkin-type form S,
 the nonnegative-orthant polynomial p fed to the clone reduction, the
-grid-to-cube transform, Goodman's triangle bound g, the
-penalized polynomial q with its constant M, and the clearing substitution
-tau into (v, e, t) variables.
+grid-to-cube transform, Goodman's triangle bound g, the penalized
+polynomial q with its constant M, and the clearing substitution tau into
+(e, t, v) variables.  q has one definition, `penalized_q`, read at
+rationals by the reduction's evaluator and at the variables by
+`calculus_q`.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import re
 from fractions import Fraction
 
 from .errors import CapExceeded, FormatError
+from .graphs import parse_rational
 
 # The largest total degree of a term that `parse_poly` reads.
 DEGREE_CAP = 1000
@@ -208,13 +212,14 @@ class Polynomial:
     def __repr__(self):
         return f"Polynomial({format_poly(self)!r})"
 
-    # -- evaluation and substitution ----------------------------------------
+    # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, point):
         """Value at a full assignment {var: value}.
 
         Values may be rationals or anything that adds and multiplies with
-        them, such as polynomials.
+        them.  At polynomial values this is substitution: the composite
+        polynomial, as in `p.evaluate({"y1": x1 ** 2})`.
         """
         missing = set(self.vars) - set(point)
         if missing:
@@ -227,43 +232,6 @@ class Polynomial:
                     val = val * point[v] ** e
             total = total + val
         return total
-
-    def substitute_monomials(self, mapping, clear=None):
-        """Replace variables by Laurent monomials and clear denominators.
-
-        mapping: var -> {new_var: exponent}, exponents may be negative (a
-        monomial denominator).  clear: {new_var: exponent} multiplied onto
-        every term afterwards.  Raises if any exponent stays negative, i.e.
-        the declared clearing power was insufficient.
-        """
-        clear = clear or {}
-        new_names = set(clear)
-        for repl in mapping.values():
-            new_names |= set(repl)
-        for v in self.vars:
-            if v not in mapping:
-                new_names.add(v)
-        new_vars = _sort_vars(new_names)
-        pos = {v: i for i, v in enumerate(new_vars)}
-        terms = {}
-        for exps, coeff in self.terms.items():
-            acc = [0] * len(new_vars)
-            for v, e in clear.items():
-                acc[pos[v]] += e
-            for v, e in zip(self.vars, exps):
-                if not e:
-                    continue
-                repl = mapping.get(v)
-                if repl is None:
-                    acc[pos[v]] += e
-                else:
-                    for nv, ne in repl.items():
-                        acc[pos[nv]] += ne * e
-            if any(a < 0 for a in acc):
-                raise ValueError("clearing power too small")
-            key = tuple(acc)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return Polynomial(new_vars, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +289,8 @@ def hilbert10_transform(q):
     p(x) = (prod n_i^-deg q) * q(n), so p and q have equal signs there.
     """
     d = q.total_degree()
-    k = len(q.vars)
-    xvars = tuple(f"x{i}" for i in range(1, k + 1))
-    one_minus = [
-        Polynomial(xvars, {(0,) * k: Fraction(1)})
-        - Polynomial.variable(xvars[i], xvars)
-        for i in range(k)
-    ]
+    xvars = _x_vars(len(q.vars))
+    one_minus = [1 - Polynomial.variable(v, xvars) for v in xvars]
     result = Polynomial.constant(0, xvars)
     for exps, coeff in q.terms.items():
         term = Polynomial.constant(coeff, xvars)
@@ -337,68 +300,87 @@ def hilbert10_transform(q):
     return result
 
 
-def M_constant(p):
-    """(sum of |coefficients|) * 100 * deg(p); rejects constant p."""
-    d = p.total_degree()
-    if d < 1:
-        raise ValueError("M_constant needs a nonconstant polynomial")
-    return p.abs_coeff_sum() * 100 * d
+# ---------------------------------------------------------------------------
+# The reduction's polynomial: p in x1..xk, its penalized q in x1..xk, y1..yk,
+# and q cleared by tau into e1..ek, t1..tk, v1..vk
 
 
-def calculus_q(p):
-    """q(x, y) = p(x) * prod_i (1-x_i)^6 + M * sum_i (y_i - g(x_i)).
-
-    p lives in x1..xk; the result lives in x1..xk, y1..yk with M the
-    penalty constant M_constant(p) and g(x) = 2x^2 - x.  Along the moment
-    curve y_i = g(x_i) the penalty vanishes, so q inherits the sign of p
-    there (up to the positive factor prod (1-x_i)^6 for x in [0,1)).
-    """
-    k = len(p.vars)
-    if tuple(p.vars) != tuple(f"x{i}" for i in range(1, k + 1)):
-        raise ValueError("p must be declared over x1..xk")
-    M = M_constant(p)
-    allvars = p.vars + tuple(f"y{i}" for i in range(1, k + 1))
-    q = p.in_vars(allvars)
-    for i in range(1, k + 1):
-        xi = Polynomial.variable(f"x{i}", allvars)
-        q = q * (1 - xi) ** 6
-    penalty = Polynomial.constant(0, allvars)
-    for i in range(1, k + 1):
-        xi = Polynomial.variable(f"x{i}", allvars)
-        yi = Polynomial.variable(f"y{i}", allvars)
-        penalty = penalty + yi - (2 * xi * xi - xi)
-    return q + M * penalty
+def _x_vars(k):
+    return tuple(f"x{i}" for i in range(1, k + 1))
 
 
-def tau(q, k=None):
-    """Clear the substitution x_i -> e_i/v_i^2, y_i -> t_i/v_i^3 in q.
+def _xy_vars(k):
+    return _x_vars(k) + tuple(f"y{i}" for i in range(1, k + 1))
 
-    Returns a polynomial in v_i, e_i, t_i (i = 1..k) such that for all
-    nonzero v_i,  tau(q)(v,e,t) = q(e/v^2, t/v^3) * prod_i v_i^{3 deg q}.
-    The clearing power 3*deg(q) per v_i always suffices because each
-    monomial has 2a_i + 3b_i <= 3(a_i + b_i) <= 3 deg q.
-    """
-    if k is None:
-        k = 0
-        for v in q.vars:
-            prefix, num = _var_key(v)
-            if prefix not in ("x", "y") or num < 1:
-                raise ValueError(f"unexpected variable {v!r}")
-            k = max(k, num)
-    d = q.total_degree()
-    mapping = {}
-    clear = {}
-    for i in range(1, k + 1):
-        mapping[f"x{i}"] = {f"e{i}": 1, f"v{i}": -2}
-        mapping[f"y{i}"] = {f"t{i}": 1, f"v{i}": -3}
-        clear[f"v{i}"] = 3 * d
-    return q.substitute_monomials(mapping, clear)
+
+def _etv_vars(k):
+    return tuple(f"{prefix}{i}" for prefix in "etv" for i in range(1, k + 1))
+
+
+def _check_vars(p, allowed):
+    bad = set(p.vars) - set(allowed)
+    if bad:
+        raise ValueError(f"polynomial uses variables {sorted(bad)}, expected {', '.join(allowed)}")
 
 
 def goodman_g(x):
     """g(x) = 2x^2 - x, the lower triangle-density bound along clique blow-ups."""
-    x = Fraction(x)
     return 2 * x * x - x
+
+
+def M_constant(p):
+    """(sum of |coefficients|) * 100 * deg(p); rejects constant p."""
+    d = p.total_degree()
+    if d < 1:
+        raise ValueError("need a non-constant polynomial")
+    return p.abs_coeff_sum() * 100 * d
+
+
+def penalized_q(p, M, xs, ys):
+    """q(x, y) = p(x) * prod_i (1-x_i)^6 + M * sum_i (y_i - g(x_i)) at a point.
+
+    p's variable x_j reads xs[j-1]; the coordinates may be rationals or
+    polynomials.  M is the penalty constant `M_constant(p)`, which callers
+    compute once per p.  Along the moment curve y_i = g(x_i) the penalty
+    vanishes, so q inherits the sign of p there (up to the positive factor
+    prod (1-x_i)^6 for x in [0,1)).
+    """
+    value = p.evaluate({var: xs[int(var[1:]) - 1] for var in p.vars})
+    for x in xs:
+        value = value * (1 - x) ** 6
+    return value + M * sum(y - goodman_g(x) for x, y in zip(xs, ys))
+
+
+def calculus_q(p):
+    """`penalized_q` as a polynomial in x1..xk, y1..yk, for p in x1..xk."""
+    k = len(p.vars)
+    if p.vars != _x_vars(k):
+        raise ValueError("p must be declared over x1..xk")
+    xy = _xy_vars(k)
+    gens = [Polynomial.variable(v, xy) for v in xy]
+    return penalized_q(p, M_constant(p), gens[:k], gens[k:])
+
+
+def tau(q, k):
+    """Clear the substitution x_i -> e_i/v_i^2, y_i -> t_i/v_i^3 in q.
+
+    q lives in x1..xk, y1..yk.  Returns a polynomial in e_i, t_i, v_i
+    (i = 1..k) such that for all nonzero v_i,
+    tau(q)(e,t,v) = q(e/v^2, t/v^3) * prod_i v_i^{3 deg q}: the monomial
+    x_i^a y_i^b becomes e_i^a t_i^b v_i^(3 deg q - 2a - 3b).  That power is
+    never negative, because 2a + 3b <= 3(a + b) <= 3 deg q.
+    """
+    _check_vars(q, _xy_vars(k))
+    d = q.total_degree()
+    terms = {}
+    for exps, coeff in q.terms.items():
+        out = [0] * (2 * k) + [3 * d] * k
+        for var, e in zip(q.vars, exps):
+            i, is_y = int(var[1:]) - 1, var[0] == "y"
+            out[is_y * k + i] += e
+            out[2 * k + i] -= (2 + is_y) * e
+        terms[tuple(out)] = coeff
+    return Polynomial(_etv_vars(k), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +463,10 @@ def _parse_term(term, vars, line):
         name, caret, power = factor.partition("^")
         if caret and not power.isdecimal():
             raise FormatError(f"bad exponent {power!r}", line=line)
-        if name.lstrip("-").replace("/", "").isdigit():
+        if not _VAR_RE.match(name):
             if seen_coeff or caret:
                 raise FormatError(f"bad term {term!r}", line=line)
-            try:
-                coeff = Fraction(name)
-            except (ValueError, ZeroDivisionError):
-                raise FormatError(f"bad coefficient {name!r}", line=line) from None
+            coeff = parse_rational(name, "coefficient", line)
             seen_coeff = True
             continue
         if name not in exps:

@@ -43,11 +43,14 @@ from .graphs import (
 from .polynomials import (
     M_constant,
     Polynomial,
+    _check_vars,
+    _etv_vars,
+    _x_vars,
     calculus_q,
     counterexample_poly,
     format_poly,
-    goodman_g,
     parse_poly,
+    penalized_q,
     tau,
 )
 
@@ -95,16 +98,6 @@ def resample_set(h, g, phi, j):
 
 # ---------------------------------------------------------------------------
 # The clone construction
-
-
-def _x_vars(k):
-    return tuple(f"x{j}" for j in range(1, k + 1))
-
-
-def _check_vars(p, allowed):
-    bad = set(p.vars) - set(allowed)
-    if bad:
-        raise ValueError(f"polynomial uses variables {sorted(bad)}, expected {', '.join(allowed)}")
 
 
 def phi(h, p):
@@ -164,18 +157,11 @@ def _psitau_expr(h, p):
     return psi_expr(h, TauCalculusPoly(p, h.n), origin=origin)
 
 
-def _etv_vars(k):
-    out = []
-    for prefix in ("e", "t", "v"):
-        out.extend(f"{prefix}{j}" for j in range(1, k + 1))
-    return tuple(out)
-
-
 class TauCalculusPoly:
-    """The cleared substitution image of q = p * prod(1-x_i)^6 + M * sum(y_i - g(x_i)).
+    """tau of p's penalized q (`polynomials.penalized_q`), unexpanded.
 
     q is never expanded (it would have on the order of 7^k monomials);
-    q_value evaluates the structured form directly from p.  evaluate()
+    q_value reads `penalized_q` at rationals, straight from p.  evaluate()
     takes generator values keyed e_j/t_j/v_j and computes
     q(e/v^2, t/v^3) * prod v^(3 deg q) by rational substitution.  When some
     v_j = 0 it returns 0, which equals the cleared polynomial whenever the
@@ -187,8 +173,6 @@ class TauCalculusPoly:
 
     def __init__(self, p, k):
         _check_vars(p, _x_vars(k))
-        if p.total_degree() == 0:
-            raise ValueError("source polynomial must not be constant")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "M", M_constant(p))
@@ -213,12 +197,7 @@ class TauCalculusPoly:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def q_value(self, xs, ys):
-        point = {var: xs[int(var[1:]) - 1] for var in self.p.vars}
-        value = self.p.evaluate(point)
-        for x in xs:
-            value *= (1 - x) ** 6
-        penalty = sum((y - goodman_g(x) for x, y in zip(xs, ys)), Fraction(0))
-        return value + self.M * penalty
+        return penalized_q(self.p, self.M, xs, ys)
 
     def as_polynomial(self):
         return tau(calculus_q(self.p.in_vars(_x_vars(self.k))), k=self.k)
@@ -240,8 +219,6 @@ class TauCalculusPoly:
 def build_instance(p, k=COUNTEREXAMPLE_K):
     """The unlabeled clique image of the cleared calculus polynomial of p,
     as a structured expression over the k-vertex stringent base."""
-    if p.total_degree() < 1:
-        raise ValueError("need a non-constant polynomial")
     for _, coeff in p.terms.items():
         if coeff.denominator != 1:
             raise ValueError("coefficients must be integers")
@@ -324,19 +301,12 @@ def _graph_by_labels(plg):
     return plg.graph.induced([at[j] for j in range(1, k + 1)])
 
 
-def _split_head(tokens, head):
+def _parse_head(head, tokens):
+    """The body of a `(phi ...)` or `(psitau ...)` record: a base graph
+    labeled 1..k, '|', and a polynomial."""
     if "|" not in tokens:
         raise FormatError(f"({head} ...) needs a '|' between graph and polynomial")
     cut = tokens.index("|")
-    plg = parse_plg(" ".join(tokens[:cut]))
-    poly = parse_poly(" ".join(tokens[cut + 1:]))
-    return _graph_by_labels(plg), poly
-
-
-def _parse_phi_head(tokens):
-    h, p = _split_head(tokens, "phi")
-    return phi(h, p)
-
-
-def _parse_psitau_head(tokens):
-    return _psitau_expr(*_split_head(tokens, "psitau"))
+    h = _graph_by_labels(parse_plg(" ".join(tokens[:cut])))
+    p = parse_poly(" ".join(tokens[cut + 1:]))
+    return (phi if head == "phi" else _psitau_expr)(h, p)

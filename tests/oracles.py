@@ -19,8 +19,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from homdens.graphs import Graph, PartiallyLabeledGraph
-from homdens.polynomials import tau
-from homdens.reductions import TauCalculusPoly, _check_vars, _etv_vars, _x_vars
+from homdens.polynomials import _check_vars, _etv_vars, _xy_vars, tau
+from homdens.reductions import TauCalculusPoly
 
 
 def brute_isomorphic(a, b):
@@ -576,7 +576,7 @@ class TauPoly(TauCalculusPoly):
     __slots__ = ("q",)
 
     def __init__(self, q, k):
-        _check_vars(q, _x_vars(k) + tuple(f"y{j}" for j in range(1, k + 1)))
+        _check_vars(q, _xy_vars(k))
         if q.total_degree() == 0:
             raise ValueError("source polynomial must not be constant")
         object.__setattr__(self, "q", q)

@@ -50,7 +50,7 @@ UNREACHED = {
     "graphs.is_stringent",
     "polynomials.Polynomial.coefficient",
     "polynomials.Polynomial.is_zero",
-    # Kept for ROADMAP items 1 and 7, which give them a command.
+    # Kept for ROADMAP items 3, 4 and 9, which give them a command.
     "density.density_polynomial",
     "polynomials.hilbert10_transform",
     "polynomials.motzkin_S",
@@ -59,7 +59,7 @@ UNREACHED = {
     # `refute` formats only a weighted witness with `format_weighted_graph`.
     "density.WeightedGraph.uniform",
     # Traced by bench/tracing.py, which no command calls: `parse_quantum`,
-    # and the `witness_eval` chain, until ROADMAP item 2 moves or retraces
+    # and the `witness_eval` chain, until ROADMAP item 1 moves or retraces
     # them.
     "algebra.parse_quantum",
     "reductions._instance_parts",

@@ -713,7 +713,7 @@ class TestHostileInput:
         code, out, err = run(capsys, "eval", "--in", expr, "--target", target)
         assert (code, out, err) == (2, "", "error: unterminated (unlabel ...)\n")
 
-    @pytest.mark.parametrize("site", ["coefficient", "q", "weights", "R1"])
+    @pytest.mark.parametrize("site", ["coefficient", "q", "weights", "R1", "poly"])
     def test_exponent_notation_exits_2_at_once(self, capsys, files, site):
         """`Fraction('1e999999999')` would expand the exponent digit by digit
         for hours; every reader of a rational refuses exponent notation."""
@@ -732,6 +732,8 @@ class TestHostileInput:
                         f"bad weight '{big}'"),
             "R1": (["check-proof", "--in", files("p.txt", proof), "--claim", files("c.qg", "1 * plg n=1\n")],
                    "bad R1 arguments (line 2)"),
+            "poly": (["reduce", "--poly", files("p.poly", f"poly vars=x1 ; {big}*x1\n")],
+                     f"bad coefficient '{big}'"),
         }[site]
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
