@@ -37,7 +37,7 @@ from .certificates import (
     refute,
     verify_sos,
 )
-from .density import WeightedGraph, format_weighted_graph, parse_weighted_graph, t_quantum
+from .density import WeightedGraph, _check_cover, format_weighted_graph, parse_weighted_graph, t_quantum
 from .errors import FormatError
 from .graphs import enumerate_graphs, format_plg, parse_plg, record_lines, stringent_graph
 from .polynomials import parse_poly
@@ -124,10 +124,14 @@ def _warn_budget(args):
 
 
 def _evaluate(args, key):
-    """The value of `--in` at `--target` under `--root`, emitted as `key`."""
+    """The value of `--in` at `--target` under `--root`, emitted as `key`.
+    Every root image must be a target vertex, even one whose label the
+    input does not carry or loses with its isolated vertices."""
     f = load_expression(_read(args.infile))
     target = _load_target(_read(args.target))
-    value = t_quantum(f, target, _parse_roots(args.root))
+    phi = _parse_roots(args.root)
+    _check_cover(phi, phi, target.graph if isinstance(target, WeightedGraph) else target)
+    value = t_quantum(f, target, phi)
     _emit(key, value)
     return value
 

@@ -20,12 +20,13 @@ list is one `_TermSearch` over a trie of the components' position codes,
 so components that share a prefix enumerate its images once.  Codes name
 pinned vertices by keys, such as labels, not by their images, so a search
 serves every root map.  Where components reach their tails, the search
-counts them for a density, or hands the path images and tail masks to a
-caller: a density polynomial counts its monomials there, each one packed
-int of exponents, and sums the terms as integer numerators over one
-denominator; `extensions` lists whole images, for exact embeddings,
-automorphisms and the label walk of Unlabel nodes.  A single density or
-extension list is the search of a one-term list.
+counts them for a density, weighing each distinct candidate mask once per
+target, or hands the path images and tail masks to a caller: a density
+polynomial counts its monomials there, each one packed int of exponents,
+and sums the terms as integer numerators over one denominator;
+`extensions` lists whole images, for exact embeddings, automorphisms and
+the label walk of Unlabel nodes.  A single density or extension list is
+the search of a one-term list.
 
 Quantum graphs and term lists evaluate linearly, through the one search
 that every density shares; an unlabeled QuantumGraph keeps it for its next
@@ -211,15 +212,19 @@ class _Weights:
     least common denominator, so a search adds and multiplies integers only.
 
     `flat` is the common numerator when all are equal, so that a candidate
-    mask weighs its popcount times `flat`.
+    mask weighs its popcount times `flat`.  Otherwise a mask weighs the sum
+    of its vertices' numerators, and `mask_sums` keeps that sum for each
+    mask a search has read.  It lives as long as this object, one per
+    target, so every atom and label walk evaluated at the target shares it.
     """
 
-    __slots__ = ("num", "den", "flat")
+    __slots__ = ("num", "den", "flat", "mask_sums")
 
     def __init__(self, y):
         self.den = lcm(*(w.denominator for w in y))
         self.num = [w.numerator * (self.den // w.denominator) for w in y]
         self.flat = self.num[0] if len(set(self.num)) == 1 else None
+        self.mask_sums = {}
 
 
 class _Node:
@@ -273,10 +278,12 @@ class _TermSearch:
     read the same codes form a leaf group, which `walk` either counts,
     summing over the images of its path the product of the weight
     numerators of the placed positions and of each tail vertex's candidate
-    mask, or hands to a caller.  In `value` a term is its coefficient times
-    the product of its components' counts.  Each count is an integer over
-    den ** (free vertices), so terms are summed as integers per (free
-    vertices, coefficient denominator) and only those sums become Fractions.
+    mask, or hands to a caller.  A mask's weight is read from `_Weights`,
+    which sums each distinct mask once per target.  In `value` a term is
+    its coefficient times the product of its components' counts.  Each
+    count is an integer over den ** (free vertices), so terms are summed as
+    integers per (free vertices, coefficient denominator) and only those
+    sums become Fractions.
 
     The state is flat lists, not objects per term for the collector to
     traverse.  Per term: coefficient, free vertex count, end of its
@@ -341,7 +348,7 @@ class _TermSearch:
         holding the images of the path and masks[i] the candidates of the
         node's code i.  Only vertices of positive weight are placed on the
         path, so a walk over every extension takes uniform weights."""
-        gadj, num, flat = graph.adj, weights.num, weights.flat
+        gadj, num, flat, weighed = graph.adj, weights.num, weights.flat, weights.mask_sums
         full = (1 << graph.n) - 1
         support = full if flat else sum(1 << w for w, x in enumerate(num) if x)
         rmask = [_root_mask(root, at, gadj, full) for root in self.roots]
@@ -368,7 +375,9 @@ class _TermSearch:
                     if flat:
                         sums = [flat * masks[i].bit_count() for i in node.tails]
                     else:
-                        sums = [sum(num[w] for w in _bits(masks[i])) for i in node.tails]
+                        sums = [weighed[m] if (m := masks[i]) in weighed
+                                else weighed.setdefault(m, sum(num[w] for w in _bits(m)))
+                                for i in node.tails]
                     for tail, group in node.leaves:
                         value = weight
                         for i in tail:

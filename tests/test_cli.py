@@ -162,6 +162,30 @@ class TestDensity:
         code, out, err = run(capsys, "density", "--target", target, "--in", expr, "--root", "1:9")
         assert (code, out, err) == (2, "", "error: root image 9 outside the target graph\n")
 
+    @pytest.mark.parametrize("command", ["density", "eval"])
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("l1.plg", "plg n=1 labels=1:1\n"),
+            # Reading strips the labeled vertex, and its label with it.
+            ("l1.qg", "1 * plg n=3 labels=1:1 edges=2-3\n"),
+            ("l1.qx", "(g plg n=1 labels=1:1)\n"),
+        ],
+    )
+    def test_root_of_an_isolated_label_is_checked(self, capsys, files, command, name, text):
+        target = files("K3.plg", plg_text(Graph.complete(3)))
+        pattern = files(name, text)
+        code, out, err = run(capsys, command, "--target", target, "--in", pattern, "--root", "1:99")
+        assert (code, out, err) == (2, "", "error: root image 99 outside the target graph\n")
+
+    def test_root_of_a_label_the_input_lacks_is_checked(self, capsys, files):
+        target = files("K3.plg", plg_text(Graph.complete(3)))
+        pattern = files("e1.plg", "plg n=2 labels=1:1 edges=1-2\n")
+        code, out, err = run(capsys, "density", "--target", target, "--in", pattern, "--root", "1:1,2:7")
+        assert (code, out, err) == (2, "", "error: root image 7 outside the target graph\n")
+        code, out, _ = run(capsys, "density", "--target", target, "--in", pattern, "--root", "1:1,2:3")
+        assert (code, out) == (0, "t=2/3\n")
+
 
 class TestStringent:
     def test_construct_and_verify(self, capsys, files, tmp_path):

@@ -2,6 +2,7 @@ import gc
 import random
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
+from math import prod
 
 import pytest
 
@@ -1070,6 +1071,115 @@ class TestSharedSearch:
         density = compiled_density(x)
         for _ in range(2):
             assert [density(G) for G in targets] == wants
+
+
+def _tail_target(rng, n):
+    """A seeded weighted graph on n vertices whose weights repeat and
+    include 0, so that a search weighs candidate masks vertex by vertex."""
+    w = [0, 2, 2, 1, 3, 1, 0][:n]
+    rng.shuffle(w)
+    g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6])
+    return WeightedGraph(g, [F(a, sum(w)) for a in w])
+
+
+def _brute_value(f, G, psi):
+    """The brute-force density of a QuantumGraph f under the root map psi."""
+    return sum(
+        (c * brute_rooted_t(plg, G.graph, {v: psi[lab] for lab, v in plg.labels}, list(G.y))
+         for plg, c in f.terms.items()),
+        F(0),
+    )
+
+
+class TestWeightedTails:
+    """A weighted target sums each distinct candidate mask's weights once,
+    and every search at that target reads the sums: tails that share a
+    mask, root maps, and the atoms and label walks of one structured
+    evaluation must all read them exactly."""
+
+    # Stars place the centre, then take their leaves as one tail whose
+    # vertices share the centre's mask; the rest split into components.
+    TERMS = (
+        (PLG(Graph(3, [(0, 1), (0, 2)])), F(1)),
+        (PLG(Graph(4, [(0, 1), (0, 2), (0, 3)])), F(-1, 2)),
+        (_star(3), F(2)),
+        (PLG(TWO_EDGES), F(3)),
+        (PLG(Graph(5, [(0, 1), (1, 2), (3, 4)])), F(-1, 3)),
+        (PLG(Graph(5, [(0, 1), (0, 2), (3, 4)]), {1: 3}), F(1, 4)),
+    )
+
+    def test_tails_that_share_a_mask(self):
+        rng = random.Random(2061)
+        for n in (5, 6, 7):
+            G = _tail_target(rng, n)
+            assert G.y.count(F(0)) and len(set(G.y)) < n
+            for w in rng.sample(range(n), 3):
+                phi = {1: w}
+                assert t_quantum(self.TERMS, G, phi) == _term_list_oracle(self.TERMS, G, phi)
+
+    def test_each_target_weighs_its_own_masks(self):
+        """One compiled search over several weightings of one graph: each
+        target's sums serve that target only."""
+        rng = random.Random(2062)
+        terms = tuple((plg, c) for plg, c in self.TERMS if not plg.labels)
+        density = compiled_density(terms)
+        g = _tail_target(rng, 6).graph
+        for _ in range(4):
+            w = [rng.choice((0, 1, 1, 3)) for _ in range(5)] + [2]
+            G = WeightedGraph(g, [F(a, sum(w)) for a in w])
+            assert density(G) == t_quantum(terms, G) == _term_list_oracle(terms, G, {})
+
+    def test_labeled_term_list_under_root_maps(self):
+        rng = random.Random(2063)
+        for _ in range(6):
+            terms = _mixed_term_list(rng)
+            G = _tail_target(rng, rng.randint(5, 6))
+            for _ in range(3):
+                phi = {lab: rng.randrange(G.graph.n) for lab in (1, 2, 3)}
+                assert t_quantum(terms, G, phi) == _term_list_oracle(terms, G, phi)
+
+    def test_unlabel_atoms_share_the_target(self):
+        """The label walk and every atom it evaluates read one target's
+        sums; the value is the expectation, over the weighted images of
+        the labels, of the product of the factors' brute-force densities."""
+        factors = [
+            Atom(PLG(Graph(4, [(0, 1), (0, 2), (0, 3)]), {1: 0})),
+            IndAtom(PLG(P3, {1: 0, 2: 2})),
+            Atom(PLG(TWO_EDGES, {2: 0})),
+        ]
+        expr = Unlabel(frozenset(), Product(factors))
+        rng = random.Random(2064)
+        for n in (5, 6):
+            G = _tail_target(rng, n)
+            want = F(0)
+            for a, b in product(range(n), repeat=2):
+                psi = {1: a, 2: b}
+                want += G.y[a] * G.y[b] * prod(_brute_value(expand(f), G, psi) for f in factors)
+            assert t_quantum(expr, G) == compiled_density(expr)(G) == want
+            assert t_quantum(expand(expr), G) == want
+
+    def test_counterexample_identity_at_weighted_h6(self):
+        """t(x; (H6, y)) = y1...y6 * p(y2, y3, y4), on H6 and on a
+        relabeled copy of H6 carrying the same weights."""
+        x, h6 = counterexample(), stringent_graph(6)
+        rng = random.Random(2065)
+        weights = [
+            [rng.randint(1, 9) for _ in range(6)],
+            [4, 3, 3, 3, 1, 2],  # y2 = y3 = y4: p vanishes
+            [2, 5, 1, 0, 4, 3],  # a zero weight
+        ]
+        perm = list(range(6))
+        rng.shuffle(perm)
+        copy = Graph(6, [(perm[u], perm[v]) for u, v in h6.edges])
+        for w in weights:
+            y = [F(a, sum(w)) for a in w]
+            p = y[1] ** 2 * y[2] + y[2] ** 2 * y[3] + y[3] ** 2 * y[1] - 3 * y[1] * y[2] * y[3]
+            want = prod(y) * p
+            moved = [None] * 6
+            for v, u in enumerate(perm):
+                moved[u] = y[v]
+            assert t_quantum(x, WeightedGraph(h6, y)) == t_quantum(x, WeightedGraph(copy, moved)) == want
+            assert (want == 0) == (0 in w or w[1] == w[2] == w[3])
 
 
 class TestKeptSearch:
