@@ -8,8 +8,9 @@ and random weighted targets.
 
 Each check builds the expression its rule names, such as the unlabeled
 sum of the squares or alpha*P_i + beta*P_j, and compares normal forms
-that come only from `expand`, so one budget bounds every rule.  Each
-operand is lifted into an expression once, so a square expands it once.
+that come only from `expand`, so one budget bounds every rule.  Operands
+and proof statements are lifted into expressions once, so a square
+expands its operand once, and a rule reads an earlier line as stated.
 
 Everything is decided over the rationals; nothing here floats.
 """
@@ -159,26 +160,25 @@ def check_cs_proof(proof, claimed, budget=EXPAND_BUDGET):
     """Validate a derivation line by line; True iff every conclusion is the
     exact normal form demanded by its rule and the last line proves
     `claimed`.  Reference errors raise; rule violations just reject.
-    Statements, rule expressions and the claim are each expanded within
-    the budget.
+    Rules read earlier statements as written.  Statements, rule
+    expressions and the claim are each expanded within the budget.
     """
     lines = list(proof)
     if not lines:
         raise ValueError("empty proof")
-    proved = []  # each earlier line's normal form, lifted once
+    statements = []  # each line's statement, lifted once
 
     def earlier(i):
         if not 1 <= i < number:
             raise ValueError(f"line {number} references line {i}, which is not earlier")
-        return proved[i - 1]
+        return statements[i - 1]
 
     for number, line in enumerate(lines, start=1):
-        stated = expand(line.statement, budget)
+        statements.append(_as_qexpr(line.statement))
+        stated = expand(statements[-1], budget)
         expected = RULES[line.rule][1](earlier, *line.args)
         if expected is None or expand(expected, budget) != stated:
             return False
-        if number < len(lines):  # only a later line reads it
-            proved.append(_as_qexpr(stated))
     return stated == expand(claimed, budget)
 
 

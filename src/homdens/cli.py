@@ -69,11 +69,15 @@ def _emit(key, *values):
     print(f"{key}={text}")
 
 
-def _output(args, text, records=False):
-    """Write `text` to `--out` and emit `out=`, or else print it: as it is,
-    or as one `graph=` line per record."""
+def _output(args, text, records=False, keys=()):
+    """Write `text` to `--out`, then emit the `keys`, (key, value) pairs,
+    and `out=`; or else emit the `keys` and print `text`: as it is, or as
+    one `graph=` line per record.  A failed write prints nothing."""
     if args.out:
         _write(args.out, text)
+    for key, value in keys:
+        _emit(key, value)
+    if args.out:
         _emit("out", args.out)
     elif records:
         for record in text.splitlines():
@@ -105,6 +109,8 @@ def _parse_roots(text):
             lab, image = int(lab), int(vertex) - 1
         except ValueError:
             raise FormatError(f"bad root {item!r}") from None
+        if lab < 1:
+            raise FormatError(f"root label {lab} is not a positive integer")
         if lab in phi:
             raise FormatError(f"root label {lab} given twice")
         phi[lab] = image
@@ -147,17 +153,15 @@ def cmd_eval(args):
 
 def cmd_stringent(args):
     g = stringent_graph(args.k)
-    _emit("n", g.n)
-    _emit("edges", sum(row.bit_count() for row in g.adj) // 2)
-    return _output(args, format_plg(g) + "\n", records=True)
+    edges = sum(row.bit_count() for row in g.adj) // 2
+    return _output(args, format_plg(g) + "\n", records=True, keys=(("n", g.n), ("edges", edges)))
 
 
 def cmd_counterexample(args):
     if args.form == "expr":
         return _output(args, format_qexpr(counterexample_expr(args.k)) + "\n")
     x = build_counterexample(args.k)
-    _emit("terms", len(x.terms))
-    return _output(args, format_quantum(x))
+    return _output(args, format_quantum(x), keys=(("terms", len(x.terms)),))
 
 
 def cmd_reduce(args):
@@ -172,8 +176,7 @@ def cmd_witness(args):
     except ValueError:
         raise FormatError(f"bad sizes {args.sizes!r}") from None
     g = witness_graph(p, counts)
-    _emit("n", g.n)
-    return _output(args, format_plg(g) + "\n", records=True)
+    return _output(args, format_plg(g) + "\n", records=True, keys=(("n", g.n),))
 
 
 def cmd_verify_sos(args):
@@ -237,8 +240,8 @@ def cmd_moment_matrix(args):
 
 def cmd_enumerate(args):
     graphs = enumerate_graphs(args.n)
-    _emit("count", len(graphs))
-    return _output(args, "".join(format_plg(g) + "\n" for g in graphs), records=True)
+    text = "".join(format_plg(g) + "\n" for g in graphs)
+    return _output(args, text, records=True, keys=(("count", len(graphs)),))
 
 
 # ---------------------------------------------------------------------------

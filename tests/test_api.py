@@ -23,13 +23,15 @@ UNREACHED = {
     "algebra.Unlabel._key",
     "algebra._NAry._key",
     # Documented API (README: quick start, Modules table, Library API), and
-    # the helpers that only it reaches.
+    # the helpers that only it reaches.  bench/tracing.py also traces
+    # `parse_quantum`.
     "algebra.QuantumGraph.is_zero",
     "algebra.QuantumGraph.label_set",
     "algebra.QuantumGraph.of",
     "algebra.QuantumGraph.unit",
     "algebra.QuantumGraph.zero",
     "algebra.ind",
+    "algebra.parse_quantum",
     "algebra.unlabel",
     "certificates._default_resolver",
     "density._as_graph",
@@ -58,10 +60,8 @@ UNREACHED = {
     # `as_weighted` one: `_target` weighs a plain graph itself, and
     # `refute` formats only a weighted witness with `format_weighted_graph`.
     "density.WeightedGraph.uniform",
-    # Traced by bench/tracing.py, which no command calls: `parse_quantum`,
-    # and the `witness_eval` chain, until ROADMAP item 1 moves or retraces
-    # them.
-    "algebra.parse_quantum",
+    # Traced by bench/tracing.py, which no command calls: the `witness_eval`
+    # chain, until ROADMAP item 1 moves it or stops tracing it.
     "reductions._instance_parts",
     "reductions.exact_embeddings",
     "reductions.is_exact_embedding",

@@ -290,6 +290,38 @@ class TestProofChecker:
             assert len(factors) == len(calls)
         assert calls[0] - calls[1] == once == 3
 
+    @pytest.mark.parametrize(
+        "h, full, T, calls",
+        [
+            ("plg n=4 labels=1:1 edges=1-2;1-4;2-3",
+             "plg n=4 labels=1:1,2:2,3:3,4:4 edges=1-2;1-4;2-3", "1", 41),
+            ("plg n=4 edges=1-2", "plg n=4 labels=1:1,2:2,3:3,4:4 edges=1-2", "", 170),
+        ],
+        ids=["P4", "K2+2K1"],
+    )
+    def test_rules_read_statements_not_normal_forms(self, canonical_calls, monkeypatch,
+                                                    h, full, T, calls):
+        """The certify benchmark's proof shape: the square of a fully
+        labeled ind atom by A1, then ind h by R3.  R3 builds on line 1's
+        statement as written, so no normal form is lifted back into an
+        expression, and the canonical labelings of the check and the
+        claim's parse stay at their count."""
+        proof = parse_cs_proof(
+            f"1: (prod (ind {full}) (ind {full})) ; by A1((ind {full}))\n"
+            f"2: (ind {h}) ; by R3(1, T={T})\n"
+        )
+        lifted = []
+        original = certificates._as_qexpr
+
+        def counting(x):
+            lifted.append(len(x.terms) if isinstance(x, QuantumGraph) else 0)
+            return original(x)
+
+        monkeypatch.setattr(certificates, "_as_qexpr", counting)
+        del canonical_calls[:]
+        assert check_cs_proof(proof, load_expression(f"(ind {h})"))
+        assert (sum(lifted), len(canonical_calls)) == (0, calls)
+
     def test_sum_and_unlabel_lines_respect_the_budget(self):
         """Each A1 line glues one pair, and the R1 and R3 lines have 2
         terms: either proof is accepted at budget 2 and exceeds budget 1.

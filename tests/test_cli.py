@@ -475,12 +475,16 @@ class TestEvalReadsTermListsAsWritten:
             ("2:1", "root map missing labels [1]"),
             ("1:1,2:9", "root image 9 outside the target graph"),
             ("1:2,1:3", "root label 1 given twice"),
+            # No record carries such a label, so it is refused, not ignored.
+            ("1:1,2:2,0:1", "root label 0 is not a positive integer"),
+            ("-2:1", "root label -2 is not a positive integer"),
         ],
     )
     def test_root_errors_match_the_normal_form(self, capsys, files, root, message):
         pattern = files("f.qg", self.TEXT)
         target = files("P4.plg", plg_text(Graph.path(4)))
-        code, out, err = run(capsys, "eval", "--in", pattern, "--target", target, "--root", root)
+        # `--root=`, so that argparse reads a map starting with '-' as its value.
+        code, out, err = run(capsys, "eval", "--in", pattern, "--target", target, f"--root={root}")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
@@ -675,6 +679,24 @@ class TestOutput:
         if records:
             payload = "".join(f"graph={record}\n" for record in payload.splitlines())
         assert printed == written[: -len(tail)] + payload
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--n", "3"],
+            ["stringent", "--k", "7"],
+            ["witness", "--poly", "@p", "--sizes", "3,1,1,1,1,1"],
+        ],
+        ids=lambda v: v[0],
+    )
+    def test_failed_write_prints_nothing(self, capsys, files, tmp_path, argv):
+        """The `--out` file is written before any key is printed, so a run
+        that exits 2 on the write leaves stdout empty."""
+        poly = files("p.poly", "poly vars=x1,x2,x3,x4,x5,x6 ; 1 + -2*x1\n")
+        argv = [poly if a == "@p" else a for a in argv]
+        path = str(tmp_path / "missing" / "out.txt")
+        code, out, err = run(capsys, *argv, "--out", path)
+        assert (code, out, err) == (2, "", f"error: [Errno 2] No such file or directory: {path!r}\n")
 
 
 class TestEntryPoint:
