@@ -79,9 +79,9 @@ def strip_isolated(plg):
     dropping isolated vertices keeps the order of the rest.
     """
     g = plg.graph
-    keep = [v for v in range(g.n) if g.adj[v]]
-    if len(keep) == g.n:
+    if all(g.adj):
         return plg
+    keep = [v for v in range(g.n) if g.adj[v]]
     index = {v: i for i, v in enumerate(keep)}
     labels = [(lab, index[v]) for lab, v in plg.labels if v in index]
     stripped = PLG(g.induced(keep), labels)
@@ -136,15 +136,14 @@ class QuantumGraph:
         # a canonical form costs nothing.
         raw = {}
         for plg, coeff in terms:
-            coeff = Fraction(coeff)
+            if not isinstance(coeff, Fraction):
+                coeff = Fraction(coeff)
             if coeff:
-                key = strip_isolated(as_plg(plg))
-                raw[key] = raw.get(key, 0) + coeff
+                _merge(raw, strip_isolated(as_plg(plg)), coeff)
         acc = {}
         for plg, coeff in raw.items():
             if coeff:
-                key = plg.canonical()
-                acc[key] = acc.get(key, 0) + coeff
+                _merge(acc, plg.canonical(), coeff)
         object.__setattr__(self, "terms", {k: c for k, c in acc.items() if c})
         object.__setattr__(self, "_search", None)
 
@@ -161,9 +160,11 @@ class QuantumGraph:
 
     @staticmethod
     def _normal(terms):
-        """The QuantumGraph of a dict keyed by canonical isolated-free PLGs."""
+        """The QuantumGraph of a dict from canonical isolated-free PLGs to
+        rational coefficients."""
         f = QuantumGraph()
-        object.__setattr__(f, "terms", {key: Fraction(c) for key, c in terms.items() if c})
+        terms = {key: c if isinstance(c, Fraction) else Fraction(c) for key, c in terms.items() if c}
+        object.__setattr__(f, "terms", terms)
         return f
 
     @staticmethod
@@ -186,7 +187,7 @@ class QuantumGraph:
         other = as_quantum(other)
         merged = dict(self.terms)
         for plg, coeff in other.terms.items():
-            merged[plg] = merged.get(plg, Fraction(0)) + coeff
+            _merge(merged, plg, coeff)
         return QuantumGraph(merged)
 
     __radd__ = __add__
@@ -310,7 +311,7 @@ def ind_terms(plg, rows):
                 adj[v] |= 1 << u
             added += len(edges)
             weight *= count
-        yield PLG(Graph._of_rows(tuple(adj)), plg.labels), -weight if added % 2 else weight
+        yield PLG._of_parts(Graph._of_rows(tuple(adj)), plg.labels), -weight if added % 2 else weight
 
 
 def ind_product(a, b):
@@ -565,10 +566,12 @@ def expand(expr, budget=EXPAND_BUDGET):
     PolyImage is the sum of its monomials' products.  A product's Const
     factors scale it, and a product scaled by 0 expands nothing.  Its
     IndAtom factors multiply by `ind_product` into one trigraph, or 0,
-    whose 2^(non-edges) terms are checked before any is built.  A lone
-    other factor expands in place, scaled; otherwise each other factor is
-    expanded once and glued on, refused before gluing when the two term
-    counts multiply past the budget.  An Unlabel passes its kept labels
+    whose 2^(non-edges) terms are checked before any is built; with no
+    other factor, its raw terms add their integer weights per canonical
+    form, and the scale meets each form once.  A lone other factor expands
+    in place, scaled; otherwise each other factor is expanded once and
+    glued on, refused before gluing when the two term counts multiply past
+    the budget.  An Unlabel passes its kept labels
     down through Sum, PolyImage and nested Unlabels into each product of
     IndAtom and Const factors, whose trigraph drops the rest before it
     expands, so its unlabeled twins collapse; any other product is
@@ -586,8 +589,13 @@ def _add_term(acc, plg, coeff, keep):
     with the labels outside `keep` forgotten; None keeps every label."""
     if keep is not None:
         plg = plg.drop_labels(keep)
-    key = strip_isolated(plg).canonical()
-    acc[key] = acc.get(key, 0) + coeff
+    _merge(acc, strip_isolated(plg).canonical(), coeff)
+
+
+def _merge(acc, key, coeff):
+    """Add coeff to acc[key]; a coefficient is only touched when two meet."""
+    old = acc.get(key)
+    acc[key] = coeff if old is None else old + coeff
 
 
 def _expand_into(acc, expr, scale, keep, budget):
@@ -634,25 +642,29 @@ def _expand_into(acc, expr, scale, keep, budget):
             raise BudgetExceeded(f"ind expansion needs 2^{missing} terms, budget is {budget}")
         plg, rows = glued
         if not others:
-            terms = ind_terms(plg if keep is None else plg.drop_labels(keep), rows)
-            keep = None
-        else:
-            total = QuantumGraph(ind_terms(plg, rows)) if inds else None
-            factors = {}  # keyed by identity: hashing a deep child costs more
-            for child in others:
-                factor = factors.get(id(child))
-                if factor is None:
-                    factor = factors[id(child)] = expand(child, budget)
-                if total is None:
-                    total = factor
-                elif len(total.terms) * len(factor.terms) > budget:
-                    raise BudgetExceeded(
-                        f"product of {len(total.terms)} by {len(factor.terms)} terms exceeds {budget}"
-                    )
-                else:
-                    total = product(total, factor)
-            terms = total.terms.items()
-        for term, coeff in terms:
+            # Integer weights are merged per canonical form first, so the
+            # rational scale meets each form once.
+            counts = {}
+            for term, weight in ind_terms(plg if keep is None else plg.drop_labels(keep), rows):
+                _merge(counts, strip_isolated(term).canonical(), weight)
+            for key, count in counts.items():
+                _merge(acc, key, scale * count)
+            return
+        total = QuantumGraph(ind_terms(plg, rows)) if inds else None
+        factors = {}  # keyed by identity: hashing a deep child costs more
+        for child in others:
+            factor = factors.get(id(child))
+            if factor is None:
+                factor = factors[id(child)] = expand(child, budget)
+            if total is None:
+                total = factor
+            elif len(total.terms) * len(factor.terms) > budget:
+                raise BudgetExceeded(
+                    f"product of {len(total.terms)} by {len(factor.terms)} terms exceeds {budget}"
+                )
+            else:
+                total = product(total, factor)
+        for term, coeff in total.terms.items():
             _add_term(acc, term, scale * coeff, keep)
     else:
         raise TypeError(f"unknown expression node {type(expr).__name__}")
@@ -683,8 +695,9 @@ def read_terms(text):
     """Yield the `(plg, coefficient)` pair of each record of a term list, as
     written but with isolated vertices stripped; bad records raise
     FormatError with their line number.  Each distinct coefficient text is
-    read once per call."""
-    coeffs = {}
+    read once per call, and the records share each distinct adjacency row's
+    int."""
+    coeffs, rows = {}, {}
     for lineno, body in record_lines(text):
         coeff_text, sep, record = body.partition("*")
         if not sep:
@@ -693,7 +706,11 @@ def read_terms(text):
         coeff = coeffs.get(coeff_text)
         if coeff is None:
             coeff = coeffs[coeff_text] = parse_rational(coeff_text, "coefficient", lineno)
-        yield strip_isolated(parse_plg(record.strip(), line=lineno)), coeff
+        plg = strip_isolated(parse_plg(record.strip(), line=lineno))
+        # The graph is new, so trading its rows for equal ones read before
+        # changes nothing but memory.
+        object.__setattr__(plg.graph, "adj", tuple([rows.setdefault(r, r) for r in plg.graph.adj]))
+        yield plg, coeff
 
 
 def parse_quantum(text):
@@ -784,6 +801,7 @@ def _parse_node(tokens, i, depth, leaves):
             keep = [int(t) for t in tokens[i + 1:close]]
         except ValueError:
             raise FormatError("label list must contain integers") from None
+        keep = _keep_set(keep)
         child, i = _parse_node(tokens, close + 1, depth + 1, leaves)
         if i == len(tokens) or tokens[i] != ")":
             raise FormatError("unterminated (unlabel ...)")
@@ -794,6 +812,19 @@ def _parse_node(tokens, i, depth, leaves):
         flat, i = _take_flat(tokens, i)
         return _parse_head(head, flat), i
     raise FormatError(f"unknown expression head {head!r}")
+
+
+def _keep_set(labels, line=None):
+    """The set of a written label list, whose labels must be positive and
+    distinct, as they are on a PLG; FormatError otherwise."""
+    seen = set()
+    for lab in labels:
+        if lab < 1:
+            raise FormatError(f"label {lab} is not a positive integer", line=line)
+        if lab in seen:
+            raise FormatError(f"label {lab} given twice", line=line)
+        seen.add(lab)
+    return frozenset(seen)
 
 
 def _take_flat(tokens, i):

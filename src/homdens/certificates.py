@@ -31,6 +31,7 @@ from .algebra import (
     Sum,
     Unlabel,
     _as_qexpr,
+    _keep_set,
     as_quantum,
     expand,
     load_expression,
@@ -161,25 +162,33 @@ def check_cs_proof(proof, claimed, budget=EXPAND_BUDGET):
     exact normal form demanded by its rule and the last line proves
     `claimed`.  Reference errors raise; rule violations just reject.
     Rules read earlier statements as written.  Statements, rule
-    expressions and the claim are each expanded within the budget.
+    expressions and the claim are each expanded within the budget, and
+    equal expressions once.
     """
     lines = list(proof)
     if not lines:
         raise ValueError("empty proof")
     statements = []  # each line's statement, lifted once
+    forms = {}  # the normal form of each distinct expression expanded
 
     def earlier(i):
         if not 1 <= i < number:
             raise ValueError(f"line {number} references line {i}, which is not earlier")
         return statements[i - 1]
 
+    def normal(expr):
+        form = forms.get(expr)
+        if form is None:
+            form = forms[expr] = expand(expr, budget)
+        return form
+
     for number, line in enumerate(lines, start=1):
         statements.append(_as_qexpr(line.statement))
-        stated = expand(statements[-1], budget)
+        stated = normal(statements[-1])
         expected = RULES[line.rule][1](earlier, *line.args)
-        if expected is None or expand(expected, budget) != stated:
+        if expected is None or normal(expected) != stated:
             return False
-    return stated == expand(claimed, budget)
+    return stated == normal(_as_qexpr(claimed))
 
 
 # -- proof file format -------------------------------------------------------
@@ -241,7 +250,7 @@ def _parse_labels(parts, lineno):
             labels.append(int(item))
         except ValueError:
             raise FormatError(f"bad label {item!r}", line=lineno) from None
-    return frozenset(labels)
+    return _keep_set(labels, lineno)
 
 
 def _parse_justification(text, resolve, lineno):

@@ -137,7 +137,7 @@ class PartiallyLabeledGraph:
     def __init__(self, graph, labels=()):
         if isinstance(labels, dict):
             labels = labels.items()
-        labels = tuple(sorted((int(l), int(v)) for l, v in labels))
+        labels = tuple(sorted((int(l), int(v)) for l, v in labels)) if labels else ()
         seen_labels = set()
         seen_vertices = set()
         for lab, v in labels:
@@ -154,6 +154,16 @@ class PartiallyLabeledGraph:
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_canon", None)
+
+    @classmethod
+    def _of_parts(cls, graph, labels):
+        """The PLG of a graph and a labels tuple, sorted by label, that the
+        caller trusts, built without the constructor's checks."""
+        plg = object.__new__(cls)
+        object.__setattr__(plg, "graph", graph)
+        object.__setattr__(plg, "labels", labels)
+        object.__setattr__(plg, "_canon", None)
+        return plg
 
     def __setattr__(self, name, value):
         raise AttributeError("PartiallyLabeledGraph is immutable")
@@ -222,9 +232,10 @@ def canonical_form(g):
 
     Labeled vertices are pinned to the first positions in ascending label
     order; the unlabeled remainder is ordered by color refinement plus
-    backtracking, minimizing the adjacency encoding.  Disconnected graphs
-    are canonicalized per component and reassembled, which sidesteps the
-    branching blow-up on unions of many isomorphic pieces.  Returns the
+    backtracking, minimizing the adjacency encoding.  Disconnected graphs,
+    found by one flood from vertex 0, are canonicalized per component and
+    reassembled, which sidesteps the branching blow-up on unions of many
+    isomorphic pieces.  Returns the
     pair (canonical PLG, certificate), where the certificate is a tuple
     `cert` with cert[old_vertex] = new_vertex.
 
@@ -248,15 +259,17 @@ def canonical_form(g):
             cert[v] = rank
         return _form(g, tuple(cert))
     adj = g.graph.adj
-    comps = _components(adj, (1 << n) - 1)
-    if len(comps) > 1:
+    full = (1 << n) - 1
+    if _reach(adj, 1) != full:
+        comps = _components(adj, full)
         return _canonical_disconnected(g, [_bits(comp) for comp, _ in comps])
     bits = n.bit_length()  # a count is at most n - 1
-    labeled = [v for _, v in labels]
-    rest = sorted(set(range(n)) - set(labeled))
-    cells = [[v] for v in labeled]
-    if rest:
-        cells.append(rest)
+    if labels:
+        pinned = {v for _, v in labels}
+        cells = [[v] for _, v in labels] + [[v for v in range(n) if v not in pinned]]
+        fresh = [_cell_mask(c) for c in cells]
+    else:
+        cells, fresh = [list(range(n))], [full]
 
     best = None  # the order of the least leaf so far
     best_enc = None  # its encoding, computed once a second leaf appears
@@ -329,7 +342,7 @@ def canonical_form(g):
             branch = cells[:target] + [[v], rest] + cells[target + 1:]
             search(branch, [1 << v, _cell_mask(rest)])
 
-    search(cells, [_cell_mask(c) for c in cells])
+    search(cells, fresh)
     cert = [0] * n
     for new, old in enumerate(best):
         cert[old] = new
@@ -352,17 +365,29 @@ def _moved_plg(plg, perm):
     adj = [0] * len(perm)
     for u, row in enumerate(plg.graph.adj):
         adj[perm[u]] = _moved(row, perm)
-    out = object.__new__(PartiallyLabeledGraph)
-    object.__setattr__(out, "graph", Graph._of_rows(tuple(adj)))
-    object.__setattr__(out, "labels", tuple((lab, perm[v]) for lab, v in plg.labels))
-    object.__setattr__(out, "_canon", None)
-    return out
+    labels = tuple((lab, perm[v]) for lab, v in plg.labels)
+    return PartiallyLabeledGraph._of_parts(Graph._of_rows(tuple(adj)), labels)
 
 
 def _marked(plg):
     """Flag `plg` as a canonical form, so that `plg.canonical()` is `plg`."""
     object.__setattr__(plg, "_canon", True)
     return plg
+
+
+def _reach(adj, start):
+    """The mask of the vertices that the vertex mask `start` reaches in the
+    graph of rows `adj`, `start` included."""
+    seen = front = start
+    while front:
+        reach = 0
+        while front:
+            low = front & -front
+            front ^= low
+            reach |= adj[low.bit_length() - 1]
+        front = reach & ~seen
+        seen |= front
+    return seen
 
 
 def _components(adj, rest):

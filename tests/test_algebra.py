@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
 
 import pytest
@@ -24,9 +25,11 @@ from homdens.algebra import (
     glue,
     ind,
     ind_product,
+    ind_terms,
     parse_qexpr,
     parse_quantum,
     product,
+    read_terms,
     strip_isolated,
     unlabel,
 )
@@ -601,6 +604,47 @@ class TestUnlabelPushdown:
             assert expand(Unlabel((), image)) == unlabel(reference, ()), (gens, poly)
 
 
+class TestIntegerMerge:
+    """A product of ind atoms and Const factors adds its raw terms'
+    integer weights per canonical form, then scales each form once.  The
+    reference multiplies the `ind_sum` expansions and unlabels after."""
+
+    def test_seeded_scaled_differences(self):
+        """s * ind(a with a free pair) * rest - s * ind(a) * rest, unlabeled
+        to a seeded keep set: ind(a with a free pair) is ind(a) plus
+        ind(a with that pair an edge), so the forms of the second product
+        meet raw terms of the first with the opposite weight and cancel.
+        Products of atoms that share a label and hang an unlabeled vertex
+        on it glue twins, taken up to swapping."""
+        rng = random.Random(109)
+        pool = plgs_with_label_subsets(3, (1, 2))
+        loose_atoms = free_pair_atoms(pool)
+        atoms = [IndAtom(plg) for plg in pool] + loose_atoms
+        twins = cancelled = 0
+        for _ in range(150):
+            loose = rng.choice(loose_atoms)
+            plain = IndAtom(loose.plg)
+            rest = [rng.choice(atoms) for _ in range(rng.randint(0, 2))]
+            scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
+            keep = random_subset(rng, (1, 2))
+            got = expand(Unlabel(keep, Sum([
+                Product([Const(scale), loose, *rest]),
+                Product([plain, *rest, Const(-scale)]),
+            ])))
+            others = QuantumGraph.unit()
+            for atom in rest:
+                others = product(others, ind_sum(atom))
+            difference = product(ind_sum(loose), others) - product(ind(plain.plg), others)
+            assert got == unlabel(scale * difference, keep), (loose, rest, keep)
+            assert all(isinstance(c, Fraction) and c for c in got.terms.values())
+            glued = reduce(lambda a, b: a and ind_product(a, b), [trigraph(a) for a in (loose, *rest)])
+            if glued is not None:
+                plg, rows = glued
+                twins += any(abs(w) > 1 for _, w in ind_terms(plg.drop_labels(keep), rows))
+            cancelled += bool(set(expand(Unlabel(keep, Product([plain, *rest]))).terms) - set(got.terms))
+        assert twins > 20 and cancelled > 100, (twins, cancelled)
+
+
 class TestQuantumFormat:
     def test_round_trip(self):
         rng = random.Random(103)
@@ -624,6 +668,16 @@ class TestQuantumFormat:
         with pytest.raises(FormatError) as info:
             parse_quantum("# fine\nx * plg n=2\n")
         assert info.value.line == 2
+
+    def test_records_share_equal_rows(self):
+        """The records of one term list share each distinct row's int.  A
+        row of a 9-vertex graph can pass 256, above the ints that Python
+        shares by itself: here K9 and K9 less the edge 1-2."""
+        k9 = ";".join(f"{u}-{v}" for u in range(1, 10) for v in range(u + 1, 10))
+        (a, _), (b, _) = read_terms(f"1 * plg n=9 edges={k9}\n-1 * plg n=9 edges={k9[4:]}\n")
+        assert b.graph.adj[0] == a.graph.adj[0] ^ 2
+        assert a.graph.adj[5] == 511 ^ 32
+        assert all(a.graph.adj[v] is b.graph.adj[v] for v in range(2, 9))
 
 
 class TestQExprFormat:

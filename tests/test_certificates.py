@@ -294,8 +294,8 @@ class TestProofChecker:
         "h, full, T, calls",
         [
             ("plg n=4 labels=1:1 edges=1-2;1-4;2-3",
-             "plg n=4 labels=1:1,2:2,3:3,4:4 edges=1-2;1-4;2-3", "1", 41),
-            ("plg n=4 edges=1-2", "plg n=4 labels=1:1,2:2,3:3,4:4 edges=1-2", "", 170),
+             "plg n=4 labels=1:1,2:2,3:3,4:4 edges=1-2;1-4;2-3", "1", 25),
+            ("plg n=4 edges=1-2", "plg n=4 labels=1:1,2:2,3:3,4:4 edges=1-2", "", 104),
         ],
         ids=["P4", "K2+2K1"],
     )
@@ -305,7 +305,9 @@ class TestProofChecker:
         labeled ind atom by A1, then ind h by R3.  R3 builds on line 1's
         statement as written, so no normal form is lifted back into an
         expression, and the canonical labelings of the check and the
-        claim's parse stay at their count."""
+        claim's parse stay at their count.  Line 1's statement is its A1
+        expression and the claim is line 2's statement, so three distinct
+        expressions are expanded, each once."""
         proof = parse_cs_proof(
             f"1: (prod (ind {full}) (ind {full})) ; by A1((ind {full}))\n"
             f"2: (ind {h}) ; by R3(1, T={T})\n"
@@ -321,6 +323,20 @@ class TestProofChecker:
         del canonical_calls[:]
         assert check_cs_proof(proof, load_expression(f"(ind {h})"))
         assert (sum(lifted), len(canonical_calls)) == (0, calls)
+
+    def test_equal_expressions_expand_once(self, canonical_calls):
+        """A square stated as A1 builds it, `f^2 ; by A1(f)`, and claimed
+        as stated, costs the canonical labelings of one expansion of f*f:
+        the rule expression and the claim equal the statement."""
+        f = "(sum (ind plg n=3 labels=1:1 edges=1-2) (prod (q -1/2) (g plg n=3 labels=1:1,2:2 edges=1-2;2-3)))"
+        proof = parse_cs_proof(f"1: (prod {f} {f}) ; by A1({f})\n")
+        square = parse_qexpr(f"(prod {f} {f})")
+        del canonical_calls[:]
+        expand(square)
+        once = len(canonical_calls)
+        del canonical_calls[:]
+        assert check_cs_proof(proof, square)
+        assert len(canonical_calls) == once > 0
 
     def test_sum_and_unlabel_lines_respect_the_budget(self):
         """Each A1 line glues one pair, and the R1 and R3 lines have 2

@@ -259,3 +259,58 @@ def test_expression_prefixes_and_suffixes():
                     load_expression(piece)
                 except FormatError:
                     pass
+
+
+# Seeds whose `(unlabel (...))` keep lists and proofs' `T=` lists are
+# rewritten: (argv, fixed files, rewritten input, its seeds).
+LABEL_CASES = [
+    (["eval", "--in", "@f", "--target", "@g"], {"g": K3}, "f", [EXPRESSIONS[3]]),
+    (["eval", "--in", "@f", "--target", "@g"], {"g": P4}, "f", [INSTANCE]),
+    (["verify-sos", "--target", "@t", "--cert", "@c"], {"c": CERTIFICATES[0]}, "t", [PHI_TARGET]),
+    (["check-proof", "--in", "@p", "--claim", "@c"],
+     {"c": P3_TERMS, "cs.qx": CS_INSTANCE}, "p", PROOFS[:1] + PROOFS[2:3] + PROOFS[4:5]),
+    (["check-proof", "--in", "@p", "--claim", "@c"],
+     {"c": P3_TERMS, "p": PROOFS[4]}, "cs.qx", [CS_INSTANCE]),
+]
+KEEP_LIST = re.compile(r"\(unlabel \(([^()]*)\)")
+T_LIST = re.compile(r"T=([^)]*)\)")
+
+
+def _relabeled(rng, seed):
+    """The seed with each label list replaced by a draw of one to three
+    labels from -2..2, and whether some list holds a label below 1 or a
+    label twice."""
+    bad = False
+
+    def draw(sep):
+        nonlocal bad
+        labels = [rng.choice((-2, -1, 0, 1, 1, 2)) for _ in range(rng.randint(1, 3))]
+        bad |= min(labels) < 1 or len(set(labels)) < len(labels)
+        return sep.join(map(str, labels))
+
+    text = KEEP_LIST.sub(lambda m: f"(unlabel ({draw(' ')})", seed)
+    return T_LIST.sub(lambda m: f"T={draw(',')})", text), bad
+
+
+def test_label_lists_refuse_non_labels(tmp_path):
+    """Keep lists and T= lists holding 0, negative or repeated labels: a
+    run exits 0, 1 or 2, and 2 with one error line when a list holds a
+    label that no PLG can carry."""
+    rng = random.Random(SEED)
+    refused = 0
+    for argv, fixed, mutated, seeds in LABEL_CASES:
+        for seed in seeds:
+            for _ in range(20):
+                texts = dict(fixed)
+                texts[mutated], bad = _relabeled(rng, seed)
+                for name, text in texts.items():
+                    (tmp_path / name).write_text(text, encoding="utf-8")
+                args = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+                code, err = _run(args)
+                case = f"{argv[0]} {mutated}={texts[mutated]!r}"
+                assert code in (0, 1, 2), f"{case} exited {code}: {err}"
+                assert "Traceback" not in err, case
+                if bad:
+                    assert code == 2 and err.count("\n") == 1 and err.startswith("error: label"), case
+                    refused += 1
+    assert refused > 50
