@@ -259,8 +259,6 @@ def _parse_justification(text, resolve, lineno):
         raise FormatError("expected <rule>(<operands>)", line=lineno)
     rule, _, inner = text.partition("(")
     rule = rule.strip()
-    if rule not in RULES:
-        raise FormatError(f"unknown rule {rule!r}", line=lineno)
     kinds = RULES[rule][0]
     parts = _split_top_level(inner[:-1])
     if len(parts) < len(kinds) or len(parts) > len(kinds) and kinds[-1] != "T":

@@ -19,7 +19,9 @@ grown only as deep as a search reaches, in hom, inj or exact mode.  A term
 list is one `_TermSearch` over a trie of the components' position codes,
 so components that share a prefix enumerate its images once.  Codes name
 pinned vertices by keys, such as labels, not by their images, so a search
-serves every root map.  Where components reach their tails, the search
+serves every root map.  Pinned vertices have codes too, read against the
+pins before them, so a walk checks the whole root map and zeroes the
+terms it breaks.  Where components reach their tails, the search
 counts them for a density, weighing each distinct candidate mask once per
 target, or hands the path images and tail masks to a caller: a density
 polynomial counts its monomials there, each one packed int of exponents,
@@ -148,7 +150,8 @@ HOM, INJ, EXACT = "hom", "inj", "exact"
 
 def _root(pinned, a, pinmask, mode, free):
     """The `root` of the code of a vertex with neighbour row `a` and free
-    row `free`, as `_TermSearch` describes it."""
+    row `free`, as `_TermSearch` describes it, against the pinned vertices
+    in `pinmask`."""
     if not pinmask:
         return ()
     near = tuple(sorted(pinned[u] for u in _bits(a & pinmask)))
@@ -156,7 +159,7 @@ def _root(pinned, a, pinmask, mode, free):
     if mode == EXACT:
         apart = tuple(sorted(pinned[u] for u in _bits(pinmask & ~a & ~free)))
     elif mode == INJ:
-        used = tuple(sorted(pinned.values()))
+        used = tuple(sorted(pinned[u] for u in _bits(pinmask)))
     return (near, apart, used) if near or apart or used else ()
 
 
@@ -173,38 +176,6 @@ def _root_mask(root, at, gadj, full):
         for k in used:
             mask &= ~(1 << at[k])
     return mask
-
-
-def _bind(pattern, pinned, mode, graph, free=None):
-    """The image list of the root map {pattern vertex: target vertex}, or
-    None when two pinned vertices break a constraint of `mode`.  `free`
-    rows, as in `_TermSearch`, exempt pairs from the exact rule.  Root images
-    must be target vertices; the error names them 1-based, as the text
-    formats do."""
-    n = graph.n
-    for w in pinned.values():
-        if not 0 <= w < n:
-            raise ValueError(f"root image {w + 1} outside the target graph")
-    adj, gadj, exact, inj = pattern.adj, graph.adj, mode == EXACT, mode == INJ
-    image = [0] * pattern.n
-    seen = used = 0
-    for v, w in pinned.items():
-        if inj and used >> w & 1:
-            return None
-        earlier = seen & ~free[v] if free else seen
-        while earlier:
-            low = earlier & -earlier
-            earlier ^= low
-            u = low.bit_length() - 1
-            if adj[v] & low:
-                if not gadj[image[u]] >> w & 1:
-                    return None
-            elif exact and gadj[image[u]] >> w & 1:
-                return None
-        image[v] = w
-        seen |= 1 << v
-        used |= 1 << w
-    return image
 
 
 class _Weights:
@@ -252,13 +223,13 @@ class _TermSearch:
     Each term is (coefficient, pattern, pinned), `pinned` mapping each
     pinned vertex to a key: a label, or the vertex itself.  The search
     reads keys only, so it serves every root map: `walk` and `value` take
-    the root map `at`, key -> target vertex, checked with `_bind`.  `free`
-    rows, one bitmask of free partners per pattern vertex, exempt pairs
-    from the exact rule in a one-term list.  A term's free vertices form
-    components, the pattern's in hom mode and one in inj and exact modes,
-    where every pair is constrained.  A component is placed in a greedy
-    order: the next vertex touches a placed vertex, then has most placed
-    or pinned neighbours, then highest degree, then lowest index.  Once no
+    the root map `at`, key -> target vertex.  `free` rows, one bitmask of
+    free partners per pattern vertex, exempt pairs from the exact rule in
+    a one-term list.  A term's free vertices form components, the
+    pattern's in hom mode and one in inj and exact modes, where every pair
+    is constrained.  A component is placed in a greedy order: the next
+    vertex touches a placed vertex, then has most placed or pinned
+    neighbours, then highest degree, then lowest index.  Once no
     constrained pair is left among the unplaced vertices, they are placed
     at once as the tail, read as candidate masks.
 
@@ -270,7 +241,10 @@ class _TermSearch:
     exact mode, and `root` is (near, apart, used): the keys of its pinned
     neighbours and, in exact mode, non-neighbours, and the pinned keys inj
     mode excludes, as sorted tuples, or () when all are empty.  A walk
-    reads each root's images through `at` once.
+    reads each root's images through `at` once.  A pinned vertex has a
+    root too, against the pinned vertices before it in `pinned`, so a walk
+    checks the whole root map: it zeroes each term with a pinned image
+    outside its root's mask.
 
     The search walks a trie of the codes, built lazily, so components that
     share a prefix enumerate its images once and an order grows only as
@@ -287,7 +261,8 @@ class _TermSearch:
 
     The state is flat lists, not objects per term for the collector to
     traverse.  Per term: coefficient, free vertex count, end of its
-    components.  Per component: its pattern's rows, pinned keys and pinned
+    components; per pinned vertex with a nonempty root: its term, key and
+    root id.  Per component: its pattern's rows, pinned keys and pinned
     mask, constrained pairs, leaf group (0 until its tail is placed),
     `state`, its vertex mask with its order above, n.bit_length() bits a
     position holding the vertex plus one, and `keys`, what `_grow` keeps
@@ -296,11 +271,16 @@ class _TermSearch:
 
     def __init__(self, terms, mode, free=None):
         self.mode, self.free = mode, free
-        self.coeffs, self.sizes, self.stops = [], [], []
+        self.coeffs, self.sizes, self.stops, self.checks = [], [], [], []
         self.rows, self.pins, self.pinmask, self.state, self.pairs = [], [], [], [], []
+        self.roots = {(): 0}
         for coeff, pattern, pinned in terms:
             pinmask = 0
             for v in pinned:
+                root = _root(pinned, pattern.adj[v], pinmask, mode, free[v] if free else 0)
+                if root:
+                    rid = self.roots.setdefault(root, len(self.roots))
+                    self.checks.append((len(self.coeffs), pinned[v], rid))
                 pinmask |= 1 << v
             rest = (1 << pattern.n) - 1 ^ pinmask
             k = rest.bit_count()
@@ -319,7 +299,6 @@ class _TermSearch:
         self.root = _Node(list(range(len(self.state))))
         self.depth = max(self.sizes, default=0)
         self.groups = 1
-        self.roots = {(): 0}
 
     def order(self, c, d):
         """The vertices at the first d positions of component c."""
@@ -327,9 +306,9 @@ class _TermSearch:
         return [(self.state[c] >> n + p * b & (1 << b) - 1) - 1 for p in range(d)]
 
     def value(self, graph, weights, at):
-        totals = self.walk(graph, weights, at)
+        coeffs, totals = self.walk(graph, weights, at)
         sums, group, start = Counter(), self.group, 0
-        for coeff, size, stop in zip(self.coeffs, self.sizes, self.stops):
+        for coeff, size, stop in zip(coeffs, self.sizes, self.stops):
             value = coeff.numerator
             for c in range(start, stop):
                 value *= totals[group[c]]
@@ -342,17 +321,24 @@ class _TermSearch:
         )
 
     def walk(self, graph, weights, at, leaf=None):
-        """Search the trie on one target under the root map `at`.  Without
-        `leaf`, return each leaf group's count; with it, call leaf(node, d,
-        img, masks) at each node of depth d where tails start, img[:d]
-        holding the images of the path and masks[i] the candidates of the
-        node's code i.  Only vertices of positive weight are placed on the
-        path, so a walk over every extension takes uniform weights."""
+        """Search the trie on one target under the root map `at`, whose
+        images must be target vertices.  Return the coefficients, 0 for
+        each term that `at` breaks, and, without `leaf`, each leaf group's
+        count; with it, call leaf(node, d, img, masks) at each node of depth
+        d where tails start, img[:d] holding the images of the path and
+        masks[i] the candidates of the node's code i.  A walk that breaks
+        every term visits no node.  Only vertices of positive weight are
+        placed on the path, so a walk over every extension takes uniform
+        weights."""
         gadj, num, flat, weighed = graph.adj, weights.num, weights.flat, weights.mask_sums
         full = (1 << graph.n) - 1
         support = full if flat else sum(1 << w for w, x in enumerate(num) if x)
         rmask = [_root_mask(root, at, gadj, full) for root in self.roots]
         totals = [0] * self.groups
+        broken = {term for term, key, rid in self.checks if not rmask[rid] >> at[key] & 1}
+        coeffs = [0 if i in broken else c for i, c in enumerate(self.coeffs)] if broken else self.coeffs
+        if broken and len(broken) == len(coeffs):
+            return coeffs, totals
         img = [0] * self.depth
         inj = self.mode == INJ
         build = self._build
@@ -399,7 +385,7 @@ class _TermSearch:
         finally:
             self.keys = keys
             del visit  # it refers to itself: unbound, the search is freed at once
-        return totals
+        return coeffs, totals
 
     def _grow(self, c, d):
         """Place position d of component c and return its code, or, once no
@@ -500,21 +486,19 @@ def extensions(pattern, pinned, mode, graph, budget=None, free=None):
     """The image tuples, indexed by pattern vertex, of every extension of
     the root map `pinned` {pattern vertex: target vertex} in inj or exact
     mode: the walk of a one-term search whose keys are the pinned vertices
-    themselves.  `free` rows, as in `_TermSearch`, exempt pairs from the
-    exact rule; `budget` caps the number of extensions."""
+    themselves, which checks the pins by their root codes.  `free` rows,
+    as in `_TermSearch`, exempt pairs from the exact rule; `budget` caps
+    the number of extensions."""
     if mode == HOM:
         raise ValueError("extensions lists inj and exact maps only")
-    image = _bind(pattern, pinned, mode, graph, free)
-    if image is None:
-        return []
+    _check_cover(pinned, pinned, graph)
+    image = [pinned.get(v, 0) for v in range(pattern.n)]
     search = _TermSearch([(Fraction(1), pattern, {v: v for v in pinned})], mode, free)
     return _walk_extensions(search, image, graph, budget)
 
 
 def _walk_extensions(search, image, graph, budget=None):
     """The extensions the one-term `search`, keyed by vertex, walks from its root map `image`."""
-    if not search.state:
-        return [tuple(image)]
     out = []
 
     def leaf(node, d, img, masks):
@@ -529,7 +513,9 @@ def _walk_extensions(search, image, graph, budget=None):
         if budget is not None and len(out) > budget:
             raise BudgetExceeded(f"extension search exceeded {budget} extensions")
 
-    search.walk(graph, _target(graph)[1], image, leaf)
+    coeffs, _ = search.walk(graph, _target(graph)[1], image, leaf)
+    if not search.state:  # no free vertex: the root map extends only to itself
+        return [tuple(image)] if coeffs[0] else []
     return out
 
 
@@ -633,8 +619,8 @@ def _label_set(f):
 
 def _term_roots(f, phi, graph):
     """(coefficient, pattern, pinned) per nonzero term of f evaluated under
-    the root map phi on `graph`, less the terms whose pinned vertices
-    already break an edge.
+    the root map phi, whose images must be vertices of `graph`.  The
+    search checks the pinned vertices by their root codes.
 
     A label that only terms cancelling up to isomorphism carry is absent
     from the normal form, so phi need not cover it, and it stays unpinned:
@@ -644,7 +630,7 @@ def _term_roots(f, phi, graph):
     labels = {lab for plg, _ in terms for lab, _ in plg.labels}
     if not all(lab in phi and 0 <= phi[lab] < graph.n for lab in labels):
         labels = _label_set(terms)
-        _check_cover(labels, phi)
+        _check_cover(labels, phi, graph)
         phi = {lab: phi[lab] for lab in labels}
     # Unlabeled terms share one empty root map: the search holds every term
     # at once, and each object per term is one more for the collector to
@@ -652,7 +638,6 @@ def _term_roots(f, phi, graph):
     return [
         (coeff, plg.graph, {v: lab for lab, v in plg.labels if lab in phi} if plg.labels else _UNPINNED)
         for plg, coeff in terms
-        if not plg.labels or _bind(plg.graph, _pinned(plg, phi), HOM, graph) is not None
     ]
 
 
@@ -668,11 +653,6 @@ def _check_cover(labels, phi, graph=None):
 _UNPINNED = MappingProxyType({})
 
 
-def _pinned(plg, phi):
-    """The root map on the labeled vertices of plg."""
-    return {v: phi[lab] for lab, v in plg.labels if lab in phi}
-
-
 def _eval_expr(expr, graph, weights, phi, walks):
     """The value of expr; `walks` holds the label walks of its Unlabel
     nodes, by id, and the one-term search of each distinct atom, by value.
@@ -680,13 +660,11 @@ def _eval_expr(expr, graph, weights, phi, walks):
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, (Atom, IndAtom)):
-        plg, (mode, free) = expr.plg, (HOM, None) if isinstance(expr, Atom) else (EXACT, expr.rows)
-        if _bind(plg.graph, _pinned(plg, phi), mode, graph, free) is None:
-            return Fraction(0)
         search = walks.get(expr)
         if search is None:
-            keys = {v: lab for lab, v in plg.labels}
-            search = walks[expr] = _TermSearch([(Fraction(1), plg.graph, keys)], mode, free)
+            mode, free = (HOM, None) if isinstance(expr, Atom) else (EXACT, expr.rows)
+            keys = {v: lab for lab, v in expr.plg.labels}
+            search = walks[expr] = _TermSearch([(Fraction(1), expr.plg.graph, keys)], mode, free)
         return search.value(graph, weights, phi)
     if isinstance(expr, Sum):
         return sum((_eval_expr(c, graph, weights, phi, walks) for c in expr.children), Fraction(0))
@@ -708,8 +686,8 @@ def _eval_unlabel(expr, graph, weights, phi, walks):
     trigraph, the kept labels pinned, and evaluates the child at each.
     `walks` keeps what every root map and target share: the child's labels
     in order, the positions of those it loses, the kept ones as search
-    keys, the trigraph's pattern and the walk's one-term search, None when
-    the child is 0 at every root map."""
+    keys and the walk's one-term search, None when the child is 0 at every
+    root map."""
     walk = walks.get(id(expr))
     if walk is None:
         labels = sorted(expr.child.label_set())
@@ -718,20 +696,20 @@ def _eval_unlabel(expr, graph, weights, phi, walks):
             raise CapExceeded(f"unlabeling over {len(unlabeled)} labels exceeds cap {UNLABEL_CAP}")
         kept = {i: i for i, lab in enumerate(labels) if lab in expr.keep}
         tri = _trigraph(expr.child)
-        pattern = search = None
+        search = None
         if tri is not None:
             index = {lab: i for i, lab in enumerate(labels)}
             rows = [sum(1 << index[b] for b in labels if a != b and (min(a, b), max(a, b)) not in tri)
                     for a in labels]
             pattern = Graph(len(labels), [(index[a], index[b]) for (a, b), edge in tri.items() if edge])
             search = _TermSearch([(Fraction(1), pattern, kept)], EXACT, rows)
-        walk = walks[id(expr)] = labels, unlabeled, kept, pattern, search
-    labels, unlabeled, kept, pattern, search = walk
-    bound = search and _bind(pattern, {i: phi[labels[i]] for i in kept}, EXACT, graph, search.free)
-    if bound is None:
+        walk = walks[id(expr)] = labels, unlabeled, kept, search
+    labels, unlabeled, kept, search = walk
+    if search is None:
         return Fraction(0)
+    at = [phi[lab] if i in kept else 0 for i, lab in enumerate(labels)]
     total = 0
-    for image in _walk_extensions(search, bound, graph):
+    for image in _walk_extensions(search, at, graph):
         weight = prod(weights.num[image[v]] for v in unlabeled)
         if weight:
             total += weight * _eval_expr(expr.child, graph, weights, dict(zip(labels, image)), walks)
@@ -810,11 +788,11 @@ def density_polynomial(f, g, phi=None):
             for mono in monos:
                 into[mono] += 1
 
-    search.walk(read, weights, phi, leaf)
-    den = lcm(*(coeff.denominator for coeff in search.coeffs))
+    coeffs, _ = search.walk(read, weights, phi, leaf)
+    den = lcm(*(coeff.denominator for coeff in coeffs))
     # Terms whose components fall in the same leaf groups share one product.
     scaled, start = defaultdict(int), 0
-    for coeff, stop in zip(search.coeffs, search.stops):
+    for coeff, stop in zip(coeffs, search.stops):
         scaled[tuple(search.group[start:stop])] += coeff.numerator * (den // coeff.denominator)
         start = stop
     terms = defaultdict(int)

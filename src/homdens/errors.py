@@ -12,14 +12,10 @@ class BudgetExceeded(ValueError):
 class FormatError(ValueError):
     """A text record failed to parse.
 
-    Carries an optional 1-based line number and column so command-line
-    callers can point at the offending spot.
+    Carries an optional 1-based line number so command-line callers can
+    point at the offending record.
     """
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         self.line = line
-        self.column = column
-        where = ""
-        if line is not None:
-            where = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + where)
+        super().__init__(message if line is None else f"{message} (line {line})")

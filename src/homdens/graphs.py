@@ -684,7 +684,7 @@ def split_record_fields(text, line=None, allowed=("n", "labels", "edges", "weigh
     """Split a `plg ...` record into its key=value fields."""
     tokens = text.split()
     if not tokens or tokens[0] != "plg":
-        raise FormatError("expected record to start with 'plg'", line=line, column=1)
+        raise FormatError("expected record to start with 'plg'", line=line)
     fields = {}
     for tok in tokens[1:]:
         if "=" not in tok:

@@ -734,6 +734,37 @@ def nested_sum(depth):
     return "(sum " * depth + "(q 1)" + ")" * depth + "\n"
 
 
+class TestInputErrorsExit2:
+    """An input error exits 2 with one `error:` line and no output."""
+
+    def test_negative_enumeration_size(self, capsys):
+        assert run(capsys, "enumerate", "--n", "-1") == (2, "", "error: n must be nonnegative\n")
+
+    def test_certificate_of_only_comments(self, capsys, files):
+        target = files("P3.qg", "1 * plg n=3 edges=1-2;2-3\n")
+        cert = files("c.sos", "# no header\n\n")
+        code, out, err = run(capsys, "verify-sos", "--target", target, "--cert", cert)
+        assert (code, out, err) == (2, "", "error: certificate must start with 'sos:'\n")
+
+    def test_proof_line_with_an_empty_operand(self, capsys, files):
+        proof = files("p.txt", "1: (q 1) ; by A1()\n")
+        claim = files("c.qg", "1 * plg n=1\n")
+        code, out, err = run(capsys, "check-proof", "--in", proof, "--claim", claim)
+        assert (code, out, err) == (2, "", "error: empty operand (line 1)\n")
+
+    def test_basis_of_only_comments(self, capsys, files):
+        target = files("K2.plg", plg_text(Graph.complete(2)))
+        basis = files("basis.txt", "# none\n")
+        code, out, err = run(capsys, "moment-matrix", "--target", target, "--basis", basis)
+        assert (code, out, err) == (2, "", "error: basis file lists no patterns\n")
+
+    def test_term_list_record_without_plg(self, capsys, files):
+        target = files("K3.plg", plg_text(Graph.complete(3)))
+        pattern = files("f.qg", "1 * graph n=2 edges=1-2\n")
+        code, out, err = run(capsys, "density", "--target", target, "--in", pattern)
+        assert (code, out, err) == (2, "", "error: expected record to start with 'plg' (line 1)\n")
+
+
 class TestHostileInput:
     def test_deep_nest_exits_2(self, capsys, files):
         expr = files("deep.qx", nested_sum(3000))

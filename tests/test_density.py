@@ -28,6 +28,7 @@ from homdens.density import (
     HOM,
     INJ,
     WeightedGraph,
+    as_weighted,
     compiled_density,
     density_polynomial,
     extensions,
@@ -173,6 +174,10 @@ class TestBasicDensities:
     def test_inj_small_target(self):
         assert t_inj(K3, K2) == 0
         assert t_inj(K1, K1) == 1
+
+    def test_labeled_pattern_is_refused(self):
+        with pytest.raises(ValueError, match="expected an unlabeled graph"):
+            t(PLG(K2, {1: 0}), K3)
 
     def test_path_in_edge(self):
         assert t(P3, K2) == F(1, 4)
@@ -1281,6 +1286,103 @@ class TestKeptSearch:
         gc.collect()
         assert x._search is not None and x._search.keys is None
         assert len(gc.get_objects()) - before < len(x.terms)
+
+
+class TestPinsCheckedByRootCodes:
+    """Each pinned vertex has a root code against the pins before it, so a
+    walk checks the whole root map and zeroes the terms it breaks.  The
+    root maps below are all of them on small targets, so they include maps
+    that break a pinned edge, a pinned exact non-edge and, in inj mode,
+    send two pins to one vertex."""
+
+    TARGETS = [G for G in _trigraph_targets() if (G if isinstance(G, Graph) else G.graph).n]
+
+    def test_labeled_term_lists(self):
+        rng = random.Random(2044)
+        for _ in range(8):
+            terms = [(random_plg(rng, 4, labels=(1, 2, 3)), F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)))
+                     for _ in range(rng.randint(1, 4))]
+            # A pinned edge, a fully pinned path and an unlabeled term.
+            terms += [(PLG(P3, {1: 0, 2: 1}), F(2)), (PLG(P3, {1: 0, 2: 1, 3: 2}), F(-1)), (PLG(K2), F(1, 2))]
+            terms = tuple(terms)
+            for G in map(as_weighted, self.TARGETS):
+                point = {f"y{v + 1}": w for v, w in enumerate(G.y)}
+                for phi in _all_root_maps([1, 2, 3], G.graph.n):
+                    want = _term_list_oracle(terms, G, phi)
+                    assert t_quantum(terms, G, phi) == want, (terms, G, phi)
+                    assert density_polynomial(terms, G.graph, phi).evaluate(point) == want
+
+    def test_ind_atoms_with_free_rows(self):
+        rng = random.Random(2045)
+        atoms = [
+            # Pins 1 and 2 are an exact non-edge, pins 2 and 3 a free pair.
+            IndAtom(PLG(Graph(3, [(0, 2)]), {1: 0, 2: 1, 3: 2}), free=[(1, 2)]),
+            IndAtom(PLG(Graph(4, [(0, 1), (2, 3)]), {1: 0, 2: 2}), free=[(1, 2)]),
+        ]
+        for _ in range(10):
+            h = random_graph(rng, rng.randint(2, 4))
+            nonedges = [(u, v) for u in range(h.n) for v in range(u + 1, h.n) if not h.has_edge(u, v)]
+            free = rng.sample(nonedges, rng.randint(0, len(nonedges)))
+            pins = rng.sample(range(h.n), rng.randint(2, h.n))
+            atoms.append(IndAtom(PLG(h, {lab: v for lab, v in enumerate(pins, 1)}), free=free))
+        for atom in atoms:
+            h, pins = atom.plg.graph, dict(atom.plg.labels)
+            free = [(u, v) for u in range(h.n) for v in range(u + 1, h.n) if atom.rows[u] >> v & 1]
+            for G in map(as_weighted, self.TARGETS):
+                # A free pair obeys one of the two rules at every map, so
+                # the maps of the atom are the exact maps of some state.
+                maps = set()
+                for state in product((False, True), repeat=len(free)):
+                    wired = Graph(h.n, list(h.edges) + [p for p, on in zip(free, state) if on])
+                    maps.update(brute_exact_embeddings(wired, G.graph))
+                for phi in _all_root_maps(sorted(pins), G.graph.n):
+                    want = sum((prod(G.y[m[v]] for v in range(h.n) if v not in pins.values())
+                                for m in maps if all(m[v] == phi[lab] for lab, v in pins.items())), F(0))
+                    assert t_quantum(atom, G, phi) == want, (atom, G, phi)
+
+    def test_inj_extensions(self):
+        for h in [g for n in range(1, 4) for g in enumerate_graphs(n)]:
+            for G in self.TARGETS:
+                g = G if isinstance(G, Graph) else G.graph
+                injections = [m for m in product(range(g.n), repeat=h.n)
+                              if len(set(m)) == h.n and all(g.has_edge(m[u], m[v]) for u, v in h.edges)]
+                for k in range(1, h.n + 1):
+                    for pins in combinations(range(h.n), k):
+                        for images in _all_maps(k, g.n):
+                            pinned = dict(zip(pins, images))
+                            want = [m for m in injections if all(m[v] == w for v, w in pinned.items())]
+                            assert sorted(extensions(h, pinned, INJ, g)) == want, (h, pinned, g)
+
+    def test_broken_pins_visit_no_node(self):
+        """A one-term search whose pins all break returns 0, or no
+        extension, before it builds the root of its trie."""
+        # A pinned edge on one vertex.
+        search = _TermSearch([(F(1), P3, {0: 1, 1: 2})], HOM)
+        _, weights = density._target(K3)
+        assert search.value(K3, weights, {1: 0, 2: 0}) == 0
+        assert search.root.pending is not None
+        assert search.value(K3, weights, {1: 0, 2: 1}) == F(2, 3)
+        assert search.root.pending is None
+        cases = [
+            # A pinned exact non-edge on an edge.
+            (_TermSearch([(F(1), P3, {0: 0, 2: 2})], EXACT), [0, 0, 1], [0, 0, 0], [(0, 1, 0), (0, 2, 0)]),
+            # Two inj pins on one vertex.
+            (_TermSearch([(F(1), Graph(3), {0: 0, 1: 1})], INJ), [2, 2, 0], [2, 1, 0], [(2, 1, 0)]),
+        ]
+        for search, broken, kept, want in cases:
+            assert density._walk_extensions(search, broken, K3) == []
+            assert search.root.pending is not None
+            assert density._walk_extensions(search, kept, K3) == want
+            assert search.root.pending is None
+        # A term list with no pinned vertex has nothing to check.
+        assert _TermSearch([(F(1), P3, {}), (F(2), K2, {})], HOM).checks == []
+
+    def test_out_of_range_pins_are_named(self):
+        for mode in (INJ, EXACT):
+            with pytest.raises(ValueError, match="^root image 4 outside the target graph$"):
+                extensions(P3, {0: 0, 1: 3}, mode, K3)
+            with pytest.raises(ValueError, match="^root image 0 outside the target graph$"):
+                extensions(P3, {2: -1}, mode, K3)
 
 
 class TestExtensions:

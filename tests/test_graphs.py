@@ -63,6 +63,12 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph(2, [(0, 2)])
 
+    def test_rejects_bad_sizes(self):
+        with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+            Graph(-1)
+        with pytest.raises(ValueError, match="cycle needs at least 3 vertices"):
+            Graph.cycle(2)
+
     def test_constructors(self):
         assert len(Graph.complete(5).edges) == 10
         assert len(Graph.path(4).edges) == 3

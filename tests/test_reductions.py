@@ -614,22 +614,21 @@ class TestBuildInstance:
 
     def test_pruning_binds_one_atom_per_core(self, monkeypatch):
         """Each of the 18 generators is one IndAtom, and all share the
-        labeled core H6, so the Unlabel binds that core once as its label
-        trigraph, walks its 3 exact embeddings in the flagship witness,
-        and at each evaluates the 18 atoms: 1 + 3 * 18 = 55 `_bind`
-        calls."""
-        binds = [0]
-        original = density._bind
+        labeled core H6, so the Unlabel walks that core once as its label
+        trigraph, finding its 3 exact embeddings in the flagship witness,
+        and at each walks the 18 atoms' searches: 1 + 3 * 18 = 55 walks."""
+        walks = [0]
+        original = density._TermSearch.walk
 
         def counting(*args):
-            binds[0] += 1
+            walks[0] += 1
             return original(*args)
 
-        monkeypatch.setattr(density, "_bind", counting)
+        monkeypatch.setattr(density._TermSearch, "walk", counting)
         p = 1 - 2 * xvar("x1", XV6)
         value = t_quantum(build_instance(p), witness_graph(p, (3, 1, 1, 1, 1, 1)))
         assert value == -F(3**105, 2**2016)
-        assert binds[0] == 55
+        assert walks[0] == 55
 
     def test_symbolic_density_is_a_clear_error(self):
         inst = build_instance(1 - 2 * xvar("x1", XV6))
