@@ -51,6 +51,8 @@ from .graphs import (
     parse_plg,
     parse_rational,
     record_lines,
+    record_text,
+    single_record,
 )
 from .polynomials import Polynomial
 
@@ -120,7 +122,8 @@ class QuantumGraph:
     """A rational combination of PLGs, stored in normal form.
 
     Keys are canonical isolated-vertex-free PLGs; the empty graph is the
-    unit of the unlabeled subalgebra.  The empty map is zero.
+    unit of the unlabeled subalgebra.  The empty map is zero.  Raw terms
+    become keys by `_add_raw`, the normal-form rule `expand` applies too.
 
     `_search` is the term search that `density` keeps on a graph with no
     labels once it is first evaluated, and None until then.
@@ -131,19 +134,8 @@ class QuantumGraph:
     def __init__(self, terms=()):
         if isinstance(terms, dict):
             terms = terms.items()
-        # Equal raw terms are merged first, so each distinct one with a
-        # nonzero coefficient is canonicalized once; a term that is already
-        # a canonical form costs nothing.
-        raw = {}
-        for plg, coeff in terms:
-            if not isinstance(coeff, Fraction):
-                coeff = Fraction(coeff)
-            if coeff:
-                _merge(raw, strip_isolated(as_plg(plg)), coeff)
         acc = {}
-        for plg, coeff in raw.items():
-            if coeff:
-                _merge(acc, plg.canonical(), coeff)
+        _add_raw(acc, ((as_plg(plg), c if isinstance(c, Fraction) else Fraction(c)) for plg, c in terms))
         object.__setattr__(self, "terms", {k: c for k, c in acc.items() if c})
         object.__setattr__(self, "_search", None)
 
@@ -160,8 +152,7 @@ class QuantumGraph:
 
     @staticmethod
     def _normal(terms):
-        """The QuantumGraph of a dict from canonical isolated-free PLGs to
-        rational coefficients."""
+        """The QuantumGraph of a dict from canonical isolated-free PLGs to coefficients."""
         f = QuantumGraph()
         terms = {key: c if isinstance(c, Fraction) else Fraction(c) for key, c in terms.items() if c}
         object.__setattr__(f, "terms", terms)
@@ -175,20 +166,13 @@ class QuantumGraph:
         return not self.terms
 
     def label_set(self):
-        out = set()
-        for plg in self.terms:
-            out |= plg.label_set()
-        return frozenset(out)
+        return frozenset().union(*(plg.label_set() for plg in self.terms))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
     def __add__(self, other):
-        other = as_quantum(other)
-        merged = dict(self.terms)
-        for plg, coeff in other.terms.items():
-            _merge(merged, plg, coeff)
-        return QuantumGraph(merged)
+        return QuantumGraph([*self.terms.items(), *as_quantum(other).terms.items()])
 
     __radd__ = __add__
 
@@ -206,8 +190,7 @@ class QuantumGraph:
             return QuantumGraph({p: c * other for p, c in self.terms.items()})
         return product(self, other)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -236,20 +219,13 @@ def as_quantum(x):
 def product(f, g):
     """Bilinear extension of PLG gluing; commutative and associative."""
     f, g = as_quantum(f), as_quantum(g)
-    out = []
-    for h1, c1 in f.terms.items():
-        for h2, c2 in g.terms.items():
-            out.append((glue(h1, h2), c1 * c2))
-    return QuantumGraph(out)
+    return QuantumGraph((glue(a, b), ca * cb) for a, ca in f.terms.items() for b, cb in g.terms.items())
 
 
 def unlabel(f, keep=()):
     """Forget every label outside `keep`; linear in f."""
     keep = frozenset(keep)
-    f = as_quantum(f)
-    return QuantumGraph(
-        [(plg.drop_labels(keep), coeff) for plg, coeff in f.terms.items()]
-    )
+    return QuantumGraph((plg.drop_labels(keep), coeff) for plg, coeff in as_quantum(f).terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -567,16 +543,15 @@ def expand(expr, budget=EXPAND_BUDGET):
     factors scale it, and a product scaled by 0 expands nothing.  Its
     IndAtom factors multiply by `ind_product` into one trigraph, or 0,
     whose 2^(non-edges) terms are checked before any is built; with no
-    other factor, its raw terms add their integer weights per canonical
-    form, and the scale meets each form once.  A lone other factor expands
-    in place, scaled; otherwise each other factor is expanded once and
-    glued on, refused before gluing when the two term counts multiply past
-    the budget.  An Unlabel passes its kept labels
-    down through Sum, PolyImage and nested Unlabels into each product of
-    IndAtom and Const factors, whose trigraph drops the rest before it
-    expands, so its unlabeled twins collapse; any other product is
-    unlabeled once expanded.
-    """
+    other factor, its raw terms go to the normal-form rule `_add_raw`.  A
+    lone other factor expands in place, scaled; otherwise each other factor
+    is expanded once, all but the last fold by `product`, and the last
+    gluing's pairs go to the rule, so no product is canonicalized twice; a
+    gluing is refused when its term counts multiply past the budget.  An
+    Unlabel passes its kept labels down through Sum, PolyImage and nested
+    Unlabels to each product, whose rule drops the rest: a product of
+    IndAtom and Const factors drops them from its trigraph before it
+    expands, so its unlabeled twins collapse."""
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     acc = {}
@@ -584,12 +559,22 @@ def expand(expr, budget=EXPAND_BUDGET):
     return QuantumGraph._normal(acc)
 
 
-def _add_term(acc, plg, coeff, keep):
-    """Add coeff * plg to acc, a dict from canonical PLG to coefficient,
-    with the labels outside `keep` forgotten; None keeps every label."""
-    if keep is not None:
-        plg = plg.drop_labels(keep)
-    _merge(acc, strip_isolated(plg).canonical(), coeff)
+def _add_raw(acc, terms, scale=1, keep=None):
+    """The normal-form rule: add scale times the sum of the raw (PLG, weight)
+    `terms` to acc, keyed by canonical PLG.  Labels outside `keep` (None keeps
+    all) and isolated vertices go first; equal raw terms merge, each distinct
+    nonzero one is canonicalized once, and the scale meets each form once.
+    No form is cached on a raw term: the raw dict would keep each copy alive."""
+    raw = {}
+    for plg, weight in terms:
+        if weight:
+            _merge(raw, strip_isolated(plg if keep is None else plg.drop_labels(keep)), weight)
+    forms = acc if scale == 1 else {}
+    for plg, weight in raw.items():
+        if weight:
+            _merge(forms, plg if plg._canon is True else plg._canon or canonical_form(plg)[0], weight)
+    for key, weight in () if forms is acc else forms.items():
+        _merge(acc, key, scale * weight)
 
 
 def _merge(acc, key, coeff):
@@ -599,9 +584,9 @@ def _merge(acc, key, coeff):
 
 
 def _expand_into(acc, expr, scale, keep, budget):
-    """Add scale * expr, unlabeled down to `keep` as in `_add_term`, to acc."""
+    """Add scale * expr, unlabeled down to `keep` as in `_add_raw`, to acc."""
     if isinstance(expr, Atom):
-        _add_term(acc, expr.plg, scale, keep)
+        _add_raw(acc, ((expr.plg, scale),), 1, keep)
     elif isinstance(expr, (Const, IndAtom)):
         _expand_into(acc, Product((expr,)), scale, keep, budget)
     elif isinstance(expr, Sum):
@@ -632,9 +617,8 @@ def _expand_into(acc, expr, scale, keep, budget):
         if not inds and len(others) == 1:
             _expand_into(acc, others[0], scale, keep, budget)
             return
-        glued = (EMPTY_PLG, ())  # the unit
-        if inds:  # a product of 0 is None, and stays None
-            glued = reduce(lambda a, b: a and ind_product(a, b), inds)
+        # The unit, or the inds' product; a product of 0 is None, and stays None.
+        glued = reduce(lambda a, b: a and ind_product(a, b), inds) if inds else (EMPTY_PLG, ())
         if glued is None:
             return
         missing = _absent(*glued)
@@ -642,30 +626,24 @@ def _expand_into(acc, expr, scale, keep, budget):
             raise BudgetExceeded(f"ind expansion needs 2^{missing} terms, budget is {budget}")
         plg, rows = glued
         if not others:
-            # Integer weights are merged per canonical form first, so the
-            # rational scale meets each form once.
-            counts = {}
-            for term, weight in ind_terms(plg if keep is None else plg.drop_labels(keep), rows):
-                _merge(counts, strip_isolated(term).canonical(), weight)
-            for key, count in counts.items():
-                _merge(acc, key, scale * count)
+            _add_raw(acc, ind_terms(plg if keep is None else plg.drop_labels(keep), rows), scale)
             return
-        total = QuantumGraph(ind_terms(plg, rows)) if inds else None
-        factors = {}  # keyed by identity: hashing a deep child costs more
+        expanded = {}  # keyed by identity: hashing a deep child costs more
+        factors = [QuantumGraph(ind_terms(plg, rows))] if inds else []
         for child in others:
-            factor = factors.get(id(child))
-            if factor is None:
-                factor = factors[id(child)] = expand(child, budget)
-            if total is None:
-                total = factor
-            elif len(total.terms) * len(factor.terms) > budget:
-                raise BudgetExceeded(
-                    f"product of {len(total.terms)} by {len(factor.terms)} terms exceeds {budget}"
-                )
-            else:
+            if id(child) not in expanded:
+                expanded[id(child)] = expand(child, budget)
+            factors.append(expanded[id(child)])
+        # All but the last factor fold by `product`; the last gluing is raw.
+        total = factors[0]
+        for i, factor in enumerate(factors[1:], start=2):
+            m, n = len(total.terms), len(factor.terms)
+            if m * n > budget:
+                raise BudgetExceeded(f"product of {m} by {n} terms exceeds {budget}")
+            if i < len(factors):
                 total = product(total, factor)
-        for term, coeff in total.terms.items():
-            _add_term(acc, term, scale * coeff, keep)
+        pairs = ((glue(a, b), ca * cb) for a, ca in total.terms.items() for b, cb in factor.terms.items())
+        _add_raw(acc, pairs, scale, keep)
     else:
         raise TypeError(f"unknown expression node {type(expr).__name__}")
 
@@ -841,15 +819,16 @@ def _take_flat(tokens, i):
 def load_expression(text):
     """Parse a quantum-graph payload: an s-expression, one plg record, or a term list.
 
-    A plg record or a term list comes back as written: the tuple of its
-    `read_terms` pairs, with no canonical labeling.  Densities are linear
-    in the terms, and `expand` brings the tuple to its normal form.
+    Comments are cut first; a file of comments alone is the empty term
+    list.  A plg record or a term list comes back as written: the tuple of
+    its `read_terms` pairs, with no canonical labeling.  Densities are
+    linear in the terms, and `expand` brings the tuple to its normal form.
     """
-    stripped = text.strip()
-    if not stripped:
+    if not text.strip():
         raise FormatError("empty input")
-    if stripped.startswith("("):
-        return parse_qexpr(stripped)
-    if stripped.startswith("plg"):
-        return ((strip_isolated(parse_plg(stripped)), Fraction(1)),)
+    first = next(record_lines(text), (None, ""))[1]
+    if first.startswith("("):
+        return parse_qexpr(record_text(text))
+    if first.startswith("plg"):
+        return ((strip_isolated(parse_plg(single_record(text))), Fraction(1)),)
     return tuple(read_terms(text))

@@ -39,7 +39,7 @@ from .certificates import (
 )
 from .density import WeightedGraph, _check_cover, format_weighted_graph, parse_weighted_graph, t_quantum
 from .errors import FormatError
-from .graphs import enumerate_graphs, format_plg, parse_plg, record_lines, stringent_graph
+from .graphs import enumerate_graphs, format_plg, parse_plg, record_lines, single_record, stringent_graph
 from .polynomials import parse_poly
 from .reductions import build_counterexample, build_instance, counterexample_expr, witness_graph
 
@@ -88,10 +88,10 @@ def _output(args, text, records=False, keys=()):
 
 
 def _load_target(text):
-    stripped = text.strip()
-    if "weights=" in stripped:
-        return parse_weighted_graph(stripped)
-    plg = parse_plg(stripped)
+    record = single_record(text)
+    if "weights=" in record:
+        return parse_weighted_graph(record)
+    plg = parse_plg(record)
     if plg.labels:
         raise FormatError("target graphs carry no labels")
     return plg.graph

@@ -556,8 +556,8 @@ def t_quantum(f, G, phi=None):
 
     f may be a QuantumGraph (or plain graph material), a term list (a
     tuple of (plg, coefficient) pairs, isomorphic duplicates allowed) or a
-    QExpr tree; phi must cover every label of f's normal form.
-    Structured trees are never expanded.
+    QExpr tree; phi must cover the labels of f's normal form, or a tree's
+    `label_set`, every label it names, as trees are never expanded.
     """
     phi = dict(phi or {})
     graph, weights = _read_target(f, G)

@@ -24,6 +24,9 @@ ENUMERATION_CAP = 7
 # of them in one clique has ~500000 edges, one of the largest graphs that
 # the commands build and write out in a few seconds.
 VERTEX_CAP = 1000
+# Most nodes of one canonical-labeling search (the tests and benchmark need
+# 191): a huge glued product of cliques is refused, not searched leaf by leaf.
+CANONICAL_NODE_CAP = 20_000
 
 _ENUM_MEMO = {}  # n -> tuple of representatives, filled once per process
 
@@ -273,6 +276,7 @@ def canonical_form(g):
 
     best = None  # the order of the least leaf so far
     best_enc = None  # its encoding, computed once a second leaf appears
+    nodes = 0
 
     def refine(cells, fresh):
         """Split cells by their neighbour counts into the `fresh` cells
@@ -315,7 +319,10 @@ def canonical_form(g):
         return cells
 
     def search(cells, fresh):
-        nonlocal best, best_enc
+        nonlocal best, best_enc, nodes
+        nodes += 1
+        if nodes > CANONICAL_NODE_CAP:
+            raise CapExceeded(f"canonical labeling of {n} vertices exceeds {CANONICAL_NODE_CAP} search nodes")
         cells = refine(cells, fresh)
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
@@ -678,6 +685,20 @@ def record_lines(text):
         body = raw.split("#", 1)[0].strip()
         if body:
             yield lineno, body
+
+
+def record_text(text):
+    """The records of a text file as `record_lines` reads them, one per line."""
+    return "\n".join(body for _, body in record_lines(text))
+
+
+def single_record(text):
+    """The one record of a text file, or "" for none; FormatError names the
+    line of a second."""
+    records = list(record_lines(text))
+    if len(records) > 1:
+        raise FormatError("expected one record, found a second", line=records[1][0])
+    return records[0][1] if records else ""
 
 
 def split_record_fields(text, line=None, allowed=("n", "labels", "edges", "weights")):

@@ -23,7 +23,7 @@ import re
 from fractions import Fraction
 
 from .errors import CapExceeded, FormatError
-from .graphs import parse_rational
+from .graphs import parse_rational, record_text
 
 # The largest total degree of a term that `parse_poly` reads.
 DEGREE_CAP = 1000
@@ -407,7 +407,7 @@ def format_poly(p):
 
 
 def parse_poly(text, line=None):
-    head, sep, body = text.partition(";")
+    head, sep, body = record_text(text).partition(";")
     if not sep:
         raise FormatError("missing ';' between header and terms", line=line)
     tokens = head.split()

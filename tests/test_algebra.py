@@ -2,6 +2,7 @@
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
@@ -33,6 +34,7 @@ from homdens.algebra import (
     strip_isolated,
     unlabel,
 )
+from homdens.certificates import verify_sos
 from homdens.errors import BudgetExceeded, FormatError
 from homdens.graphs import PLG, Graph, canonical_form, enumerate_graphs
 from homdens.polynomials import Polynomial
@@ -643,6 +645,70 @@ class TestIntegerMerge:
                 twins += any(abs(w) > 1 for _, w in ind_terms(plg.drop_labels(keep), rows))
             cancelled += bool(set(expand(Unlabel(keep, Product([plain, *rest]))).terms) - set(got.terms))
         assert twins > 20 and cancelled > 100, (twins, cancelled)
+
+
+def non_ind_factor(rng, pool):
+    """An Atom, a Sum of scaled Atoms, or an Unlabel of such a Sum."""
+    atoms = [Atom(rng.choice(pool)) for _ in range(rng.randint(1, 3))]
+    kind = rng.randrange(3)
+    if kind == 0:
+        return atoms[0]
+    summed = Sum([Product([Const(Fraction(rng.randint(-3, 3), rng.randint(1, 3))), a]) for a in atoms])
+    return summed if kind == 1 else Unlabel(random_subset(rng, (1, 2, 3)), summed)
+
+
+class TestLastGluing:
+    """A product with a factor that is not an ind atom folds all but its
+    last factor through `product` and sends the last gluing's pairs
+    straight to the normal-form rule.  The reference takes each factor's
+    normal form, multiplies them by `product`, then unlabels."""
+
+    def test_seeded_products_match_the_factor_route(self):
+        rng = random.Random(113)
+        pool = plgs_with_label_subsets(3, (1, 2, 3))
+        inds = [IndAtom(plg) for plg in pool] + free_pair_atoms(pool)
+        seen = Counter()
+        for _ in range(150):
+            factors = []
+            for _ in range(rng.randint(1, 3)):
+                # a repeated factor is one object, expanded once
+                reuse = factors and rng.random() < 0.25
+                factors.append(rng.choice(factors) if reuse else non_ind_factor(rng, pool))
+            with_ind = rng.random() < 0.5
+            if with_ind:
+                factors.insert(rng.randrange(len(factors) + 1), rng.choice(inds))
+            keep = random_subset(rng, (1, 2, 3))
+            reference = reduce(product, [expand(f) for f in factors])
+            got = expand(Unlabel(keep, Product(factors)))
+            assert got == unlabel(reference, keep), (factors, keep)
+            seen[len(factors) - with_ind, with_ind] += 1
+        assert all(seen[n, i] > 10 for n in (1, 2, 3) for i in (False, True)), seen
+
+    def test_verify_sos_canonicalizes_each_unlabeled_glued_term_once(self, canonical_calls):
+        """Each square of a certificate glues its term pairs and unlabels
+        them in one step: each distinct glued term, stripped and with its
+        labels dropped, is canonicalized once, and no labeled product is
+        built first.  Every term carries label 1, so each glued term is
+        connected and costs one call; the target's keys cost none, and so
+        does the unlabeled glued term of the first square whose weights
+        cancel."""
+        cert = [parse_qexpr(text) for text in (
+            "(sum (g plg n=2 labels=1:1 edges=1-2) (prod (q -2) (g plg n=3 labels=1:1,2:2 edges=1-2;1-3)))",
+            "(sum (g plg n=3 labels=1:1 edges=1-2;2-3) (prod (q 1/3) (g plg n=3 labels=1:1,2:3 edges=1-3;2-3))"
+            " (g plg n=3 labels=2:1,1:2 edges=1-2;1-3;2-3))",
+        )]
+        target = expand(Unlabel((), Sum(g * g for g in cert)))
+        want = 0
+        for g in cert:
+            f = expand(g)
+            raw = Counter()
+            for a, ca in f.terms.items():
+                for b, cb in f.terms.items():
+                    raw[strip_isolated(glue(a, b).drop_labels(()))] += ca * cb
+            want += sum(1 for c in raw.values() if c)
+        del canonical_calls[:]
+        assert verify_sos(target, cert)
+        assert len(canonical_calls) == want == 10
 
 
 class TestQuantumFormat:

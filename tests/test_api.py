@@ -31,6 +31,9 @@ UNREACHED = {
     "algebra.QuantumGraph.zero",
     "algebra.ind",
     "algebra.parse_quantum",
+    # `expand` glues the last factor of a product straight into its normal
+    # form, so only a fold of three or more factors calls `product`.
+    "algebra.product",
     "algebra.unlabel",
     "certificates._default_resolver",
     "density._as_graph",

@@ -13,6 +13,7 @@ from homdens.algebra import load_expression, parse_quantum
 from homdens.cli import main
 from homdens.density import compiled_density, parse_weighted_graph, t_quantum
 from homdens.graphs import (
+    CANONICAL_NODE_CAP,
     VERTEX_CAP,
     Graph,
     PartiallyLabeledGraph as PLG,
@@ -765,7 +766,69 @@ class TestInputErrorsExit2:
         assert (code, out, err) == (2, "", "error: expected record to start with 'plg' (line 1)\n")
 
 
+# (argv, input files): "@name" in argv is the path of file `name`.
+COMMENT_CASES = {
+    "density-record": (["density", "--in", "@e.plg", "--target", "@k3.plg", "--root", "1:2"],
+                       {"e.plg": "plg n=2 labels=1:1 edges=1-2\n", "k3.plg": "plg n=3 edges=1-2;1-3;2-3\n"}),
+    "density-terms": (["density", "--in", "@f.qg", "--target", "@k3.plg"],
+                      {"f.qg": "1/2 * plg n=2 edges=1-2\n-1 * plg n=3 edges=1-2;2-3\n",
+                       "k3.plg": "plg n=3 edges=1-2;1-3;2-3 weights=1/2,1/4,1/4\n"}),
+    "eval": (["eval", "--in", "@f.qx", "--target", "@k3.plg"],
+             {"f.qx": "(sum (g plg n=2 edges=1-2)\n (q -1))\n", "k3.plg": "plg n=3 edges=1-2;1-3;2-3\n"}),
+    "reduce": (["reduce", "--poly", "@p.poly", "--k", "6"],
+               {"p.poly": "poly vars=x1,x2,x3,x4,x5,x6 ; 1 + -2*x1\n"}),
+    "witness": (["witness", "--poly", "@p.poly", "--sizes", "3,1,1,1,1,1"],
+                {"p.poly": "poly vars=x1,x2,x3,x4,x5,x6 ;\n1 + -2*x1\n"}),
+    "verify-sos": (["verify-sos", "--target", "@p3.qg", "--cert", "@c.sos"],
+                   {"p3.qg": "1 * plg n=3 edges=1-2;2-3\n", "c.sos": "sos:\ng: (g plg n=2 labels=1:1 edges=1-2)\n"}),
+    "check-proof": (["check-proof", "--in", "@p.txt", "--claim", "@c.qx"],
+                    {"p.txt": "1: (g plg n=3 labels=1:1 edges=1-2;1-3) ; by A1((g plg n=2 labels=1:1 edges=1-2))\n"
+                              "2: (g plg n=3 edges=1-2;2-3) ; by R3(1, T=)\n",
+                     "c.qx": "(g plg n=3 edges=1-2;2-3)\n"}),
+    "refute": (["refute", "--in", "@f.qg", "--max-n", "2", "--samples", "2"],
+               {"f.qg": "-1 * plg n=2 edges=1-2\n"}),
+    "moment-matrix": (["moment-matrix", "--target", "@k2.plg", "--basis", "@b.txt"],
+                      {"k2.plg": "plg n=2 edges=1-2\n", "b.txt": "plg n=1 labels=1:1\nplg n=2 labels=1:1 edges=1-2\n"}),
+}
+
+
+class TestComments:
+    @pytest.mark.parametrize("case", sorted(COMMENT_CASES))
+    def test_leading_and_trailing_comments_change_no_output(self, capsys, tmp_path, case):
+        """Every input file may open and close with comment lines; each
+        command's exit code and output bytes stay those of the bare files."""
+        argv, texts = COMMENT_CASES[case]
+        results = []
+        for name, wrap in (("bare", lambda t: t), ("commented", lambda t: f"# leading\n\n{t}# trailing\n")):
+            folder = tmp_path / name
+            folder.mkdir()
+            for file, text in texts.items():
+                (folder / file).write_text(wrap(text))
+            results.append(run(capsys, *[str(folder / a[1:]) if a.startswith("@") else a for a in argv]))
+        assert results[0] == results[1]
+        assert results[0][0] in (0, 1) and results[0][1], results[0]
+
+    @pytest.mark.parametrize("flag", ["--in", "--target"])
+    def test_single_record_files_refuse_a_second(self, capsys, files, flag):
+        """A target or a one-record pattern names the line of a second record."""
+        paths = {"--in": files("e.plg", "plg n=2 edges=1-2\n"), "--target": files("k2.plg", "plg n=2 edges=1-2\n")}
+        paths[flag] = files("two.plg", "# two records\nplg n=2 edges=1-2\n\nplg n=3\n")
+        code, out, err = run(capsys, "density", "--in", paths["--in"], "--target", paths["--target"])
+        assert (code, out, err) == (2, "", "error: expected one record, found a second (line 4)\n")
+
+
 class TestHostileInput:
+    def test_clique_product_past_the_search_node_cap_exits_2(self, capsys, files):
+        """The clique image of x1 over a labeled edge glues one monomial's
+        generators into an 80-vertex product of cliques, whose canonical
+        search would encode every one of its many leaves; the node cap
+        refuses it with one error line."""
+        target = files("t.qx", "(psitau plg n=2 labels=1:1,2:2 edges=1-2 | poly vars=x1,x2 ; 1*x1)\n")
+        cert = files("c.sos", "sos:\ng: (q 1)\n")
+        code, out, err = run(capsys, "verify-sos", "--target", target, "--cert", cert)
+        message = f"canonical labeling of 80 vertices exceeds {CANONICAL_NODE_CAP} search nodes"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_deep_nest_exits_2(self, capsys, files):
         expr = files("deep.qx", nested_sum(3000))
         target = files("K2.plg", plg_text(Graph.complete(2)))

@@ -949,6 +949,19 @@ class TestTermLists:
                 t_quantum(f, K3, phi)
             assert str(exc.value) == message
 
+    def test_label_cover_rule_of_each_form(self):
+        """An edge rooted at label 1 less itself: a term list needs no image
+        for label 1, which its normal form lacks, and is 0; a tree carries
+        every label it mentions, and its missing image is refused."""
+        edge = "plg n=2 labels=1:1 edges=1-2"
+        terms = load_expression(f"1 * {edge}\n-1 * {edge}\n")
+        tree = load_expression(f"(sum (g {edge}) (prod (q -1) (g {edge})))\n")
+        assert t_quantum(terms, K2) == 0
+        assert expand(tree).is_zero() and tree.label_set() == {1}
+        with pytest.raises(ValueError) as exc:
+            t_quantum(tree, K2)
+        assert str(exc.value) == "root map missing labels [1]"
+
     def test_unlabeled_term_lists_read_the_empty_target_at_k1(self):
         """A term list with no labels reads the empty target as its normal
         form does, at its unit coefficient, whatever isolated vertices its
