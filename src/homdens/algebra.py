@@ -177,7 +177,7 @@ class QuantumGraph:
     __radd__ = __add__
 
     def __neg__(self):
-        return QuantumGraph({p: -c for p, c in self.terms.items()})
+        return QuantumGraph._normal({p: -c for p, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-as_quantum(other))
@@ -187,7 +187,7 @@ class QuantumGraph:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QuantumGraph({p: c * other for p, c in self.terms.items()})
+            return QuantumGraph._normal({p: c * other for p, c in self.terms.items()})
         return product(self, other)
 
     __rmul__ = __mul__
@@ -830,5 +830,6 @@ def load_expression(text):
     if first.startswith("("):
         return parse_qexpr(record_text(text))
     if first.startswith("plg"):
-        return ((strip_isolated(parse_plg(single_record(text))), Fraction(1)),)
+        line, record = single_record(text)
+        return ((strip_isolated(parse_plg(record, line)), Fraction(1)),)
     return tuple(read_terms(text))

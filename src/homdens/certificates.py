@@ -43,6 +43,7 @@ from .graphs import (
     ENUMERATION_CAP,
     Graph,
     enumerate_graphs,
+    form_table,
     independent_blowup,
     parse_rational,
     record_lines,
@@ -58,13 +59,17 @@ def verify_sos(target, cert, budget=EXPAND_BUDGET):
     True is sound evidence of positivity: each square has nonnegative
     densities, and unlabeling preserves that.  False only means this
     particular witness list fails.  The sum of squares is one expansion
-    within the budget, so ind atoms meet the product rule.
+    within the budget, so ind atoms meet the product rule.  Both
+    expansions share one `form_table`: a target written as the glued
+    products of the squares, and the repeated components of those
+    products, are searched once.
     """
-    gs = [_as_qexpr(g) for g in cert]
-    if not gs:
-        raise ValueError("a certificate needs at least one quantum graph")
-    squares = Unlabel((), Sum(g * g for g in gs))
-    return expand(squares, budget) == expand(target, budget)
+    with form_table():
+        gs = [_as_qexpr(g) for g in cert]
+        if not gs:
+            raise ValueError("a certificate needs at least one quantum graph")
+        squares = Unlabel((), Sum(g * g for g in gs))
+        return expand(squares, budget) == expand(target, budget)
 
 
 def parse_sos_certificate(text):
@@ -163,7 +168,8 @@ def check_cs_proof(proof, claimed, budget=EXPAND_BUDGET):
     `claimed`.  Reference errors raise; rule violations just reject.
     Rules read earlier statements as written.  Statements, rule
     expressions and the claim are each expanded within the budget, and
-    equal expressions once.
+    equal expressions once; every expansion shares one `form_table`, so a
+    graph that several lines make is searched once.
     """
     lines = list(proof)
     if not lines:
@@ -182,13 +188,14 @@ def check_cs_proof(proof, claimed, budget=EXPAND_BUDGET):
             form = forms[expr] = expand(expr, budget)
         return form
 
-    for number, line in enumerate(lines, start=1):
-        statements.append(_as_qexpr(line.statement))
-        stated = normal(statements[-1])
-        expected = RULES[line.rule][1](earlier, *line.args)
-        if expected is None or normal(expected) != stated:
-            return False
-    return stated == normal(_as_qexpr(claimed))
+    with form_table():
+        for number, line in enumerate(lines, start=1):
+            statements.append(_as_qexpr(line.statement))
+            stated = normal(statements[-1])
+            expected = RULES[line.rule][1](earlier, *line.args)
+            if expected is None or normal(expected) != stated:
+                return False
+        return stated == normal(_as_qexpr(claimed))
 
 
 # -- proof file format -------------------------------------------------------

@@ -88,12 +88,12 @@ def _output(args, text, records=False, keys=()):
 
 
 def _load_target(text):
-    record = single_record(text)
+    line, record = single_record(text)
     if "weights=" in record:
-        return parse_weighted_graph(record)
-    plg = parse_plg(record)
+        return parse_weighted_graph(record, line)
+    plg = parse_plg(record, line)
     if plg.labels:
-        raise FormatError("target graphs carry no labels")
+        raise FormatError("target graphs carry no labels", line=line)
     return plg.graph
 
 

@@ -13,6 +13,7 @@ Vertices are 0-based everywhere in code.  The text format and the docs use
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
@@ -29,6 +30,7 @@ VERTEX_CAP = 1000
 CANONICAL_NODE_CAP = 20_000
 
 _ENUM_MEMO = {}  # n -> tuple of representatives, filled once per process
+_FORMS = None  # (adj, labels) -> certificate, a dict only inside `form_table`
 
 
 class Graph:
@@ -251,6 +253,11 @@ def canonical_form(g):
     reaches a single leaf, its order is the answer unencoded.  On every
     route, an input whose certificate is the identity is already its own
     form; it is flagged and returned itself.
+
+    Inside a `form_table` scope, the search route looks the input's rows
+    and labels up first and records the certificate it finds, so each
+    connected graph, a component included, is searched once per scope.  A
+    disconnected input still splits into its components, one call each.
     """
     if isinstance(g, Graph):
         g = PartiallyLabeledGraph(g)
@@ -266,6 +273,12 @@ def canonical_form(g):
     if _reach(adj, 1) != full:
         comps = _components(adj, full)
         return _canonical_disconnected(g, [_bits(comp) for comp, _ in comps])
+    table = _FORMS
+    if table is not None:
+        key = (adj, labels)
+        cert = table.get(key)
+        if cert is not None:
+            return _form(g, cert)
     bits = n.bit_length()  # a count is at most n - 1
     if labels:
         pinned = {v for _, v in labels}
@@ -353,7 +366,29 @@ def canonical_form(g):
     cert = [0] * n
     for new, old in enumerate(best):
         cert[old] = new
-    return _form(g, tuple(cert))
+    cert = tuple(cert)
+    if table is not None:
+        table[key] = cert
+    return _form(g, cert)
+
+
+@contextmanager
+def form_table():
+    """A scope in which `canonical_form` keeps the certificate of each
+    connected input it searches, keyed by its rows and labels, and reuses
+    it for an equal input.  A nested scope shares the open table; leaving
+    the outermost one, by return or exception, drops it.  A check opens
+    one around its expansions, which canonicalize many equal graphs; a
+    build or parse whose inputs are all distinct opens none, as the table
+    would only hold memory."""
+    global _FORMS
+    outer = _FORMS
+    if outer is None:
+        _FORMS = {}
+    try:
+        yield
+    finally:
+        _FORMS = outer
 
 
 def _form(g, cert):
@@ -693,12 +728,12 @@ def record_text(text):
 
 
 def single_record(text):
-    """The one record of a text file, or "" for none; FormatError names the
-    line of a second."""
+    """(line number, body) of the one record of a text file, or (None, "")
+    for none; FormatError names the line of a second."""
     records = list(record_lines(text))
     if len(records) > 1:
         raise FormatError("expected one record, found a second", line=records[1][0])
-    return records[0][1] if records else ""
+    return records[0] if records else (None, "")
 
 
 def split_record_fields(text, line=None, allowed=("n", "labels", "edges", "weights")):

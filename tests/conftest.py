@@ -34,3 +34,21 @@ def canonical_calls(monkeypatch):
     for module in (graphs, algebra):
         monkeypatch.setattr(module, "canonical_form", counting)
     return calls
+
+
+@pytest.fixture
+def canonical_tables(canonical_calls, monkeypatch):
+    """The form table open at each `canonical_form` call of the test, None
+    outside every scope, one entry per call that `canonical_calls` lists."""
+    from homdens import algebra, graphs
+
+    tables = []
+    counting = graphs.canonical_form
+
+    def recording(g):
+        tables.append(graphs._FORMS)
+        return counting(g)
+
+    for module in (graphs, algebra):
+        monkeypatch.setattr(module, "canonical_form", recording)
+    return tables

@@ -169,6 +169,24 @@ class TestNormalForm:
         assert -f * 3 + f * Fraction(3) == QuantumGraph.zero()
         assert canonical_calls == []
 
+    def test_negation_and_scalars_scale_the_keys_as_they_are(self, canonical_calls):
+        """`-f` and `f * c` keep f's keys and scale their coefficients: the
+        terms the constructor makes of the scaled pairs, with no call, and
+        `f * 0` is zero."""
+        rng = random.Random(73)
+        f = random_quantum(rng, max_terms=8, max_n=5)
+        assert len(f.terms) > 1
+        scaled = {s: QuantumGraph([(p, c * s) for p, c in f.terms.items()]).terms
+                  for s in (-1, 3, Fraction(-2, 3))}
+        del canonical_calls[:]
+        cases = [(-f, -1), (f * 3, 3), (3 * f, 3), (f * Fraction(-2, 3), Fraction(-2, 3))]
+        assert canonical_calls == []
+        for got, s in cases:
+            assert got.terms == scaled[s]
+            assert all(type(c) is Fraction for c in got.terms.values())
+            assert all(a is b for a, b in zip(got.terms, f.terms))
+        assert (f * 0).is_zero() and (0 * f).terms == {}
+
     def test_each_distinct_raw_term_canonicalized_once(self, canonical_calls):
         """ind(F) squared, for F the fully labeled empty 4-vertex graph:
         the 4096 glued terms fall into 297 distinct raw terms, 64 of them
@@ -719,6 +737,14 @@ class TestQuantumFormat:
             text = format_quantum(f)
             assert parse_quantum(text) == f
             assert format_quantum(parse_quantum(text)) == text
+
+    def test_parse_opens_no_form_table(self, canonical_tables):
+        """Equal records, each written in a different vertex order, are
+        each canonicalized with no form table open."""
+        text = "1 * plg n=4 edges=1-2;2-3;3-4\n2 * plg n=4 edges=2-1;1-4;4-3\n-1 * plg n=4 edges=3-1;1-2;2-4\n"
+        f = parse_quantum(text)
+        assert canonical_tables == [None] * 3
+        assert f == 2 * QuantumGraph.of(Graph.path(4))
 
     def test_zero(self):
         assert parse_quantum(format_quantum(QuantumGraph.zero())).is_zero()

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from homdens import algebra
+from homdens import algebra, graphs
 from homdens.algebra import (
     Atom,
     QuantumGraph,
@@ -107,6 +107,53 @@ class TestVerifySos:
     def test_empty_certificate_is_rejected(self):
         with pytest.raises(ValueError):
             verify_sos(as_quantum(P3), [])
+
+
+class TestFormTable:
+    """`verify_sos` and `check_cs_proof` run every expansion in one form
+    table, and no table is open once they return or raise."""
+
+    def test_each_check_expands_in_one_table(self, canonical_tables):
+        two_squares = unlabel(product(as_quantum(EDGE_1), as_quantum(EDGE_1)), ()) + unlabel(
+            product(as_quantum(POINT_1), as_quantum(POINT_1)), ()
+        )
+        proof, path, edge, triangle = p3_proof(), as_quantum(P3), as_quantum(K2), as_quantum(K3)
+        checks = [
+            lambda: verify_sos(two_squares, [EDGE_1, POINT_1]),
+            lambda: not verify_sos(-edge, [EDGE_1]),
+            lambda: check_cs_proof(proof, path),
+            lambda: not check_cs_proof(proof, triangle),
+        ]
+        for check in checks:
+            del canonical_tables[:]
+            assert check()
+            assert canonical_tables and canonical_tables[-1] is not None
+            assert {id(t) for t in canonical_tables} == {id(canonical_tables[-1])}
+            assert graphs._FORMS is None
+
+    def test_a_refused_check_closes_its_table(self, canonical_tables):
+        """The squares expand, then the target exceeds the budget of 1."""
+        f = as_quantum(EDGE_1) + as_quantum(POINT_1) + as_quantum(FULL_EDGE)
+        sq = product(f, f)
+        del canonical_tables[:]
+        with pytest.raises(BudgetExceeded):
+            verify_sos(sq, [EDGE_1], budget=1)
+        assert canonical_tables and None not in canonical_tables
+        assert graphs._FORMS is None
+        with pytest.raises(BudgetExceeded):
+            check_cs_proof([ProofLine(sq, "A1", (f,))], sq, budget=1)
+        assert graphs._FORMS is None
+
+    def test_a_nested_check_shares_the_open_table(self, canonical_tables):
+        target = as_quantum(P3)
+        with graphs.form_table():
+            outer = graphs._FORMS
+            del canonical_tables[:]
+            assert verify_sos(target, [EDGE_1])
+            assert check_cs_proof(p3_proof(), target)
+            assert graphs._FORMS is outer
+        assert outer and all(t is outer for t in canonical_tables)
+        assert graphs._FORMS is None
 
 
 class TestSosFormat:

@@ -765,6 +765,19 @@ class TestInputErrorsExit2:
         code, out, err = run(capsys, "density", "--target", target, "--in", pattern)
         assert (code, out, err) == (2, "", "error: expected record to start with 'plg' (line 1)\n")
 
+    @pytest.mark.parametrize("record, message", [
+        ("plg n=2 edges=1-2 weights=1e9,1", "bad weight '1e9'"),
+        ("plg n=2 edges=1-3", "edge (0,2) out of range for n=2"),
+        ("plg n=2 labels=1:1 edges=1-2", "target graphs carry no labels"),
+    ])
+    def test_target_record_errors_name_their_line(self, capsys, files, record, message):
+        """A target file's one record may follow comments; an error in it
+        names its line, as an error in a term list does."""
+        target = files("t.plg", f"# a comment\n{record}\n")
+        pattern = files("K2.plg", plg_text(Graph.complete(2)))
+        code, out, err = run(capsys, "eval", "--in", pattern, "--target", target)
+        assert (code, out, err) == (2, "", f"error: {message} (line 2)\n")
+
 
 # (argv, input files): "@name" in argv is the path of file `name`.
 COMMENT_CASES = {
@@ -869,7 +882,7 @@ class TestHostileInput:
             "q": (["eval", "--in", files("f.qx", f"(q {big})\n"), "--target", edge],
                   f"bad rational '{big}'"),
             "weights": (["eval", "--in", edge, "--target", files("w.plg", f"plg n=2 weights={big},1\n")],
-                        f"bad weight '{big}'"),
+                        f"bad weight '{big}' (line 1)"),
             "R1": (["check-proof", "--in", files("p.txt", proof), "--claim", files("c.qg", "1 * plg n=1\n")],
                    "bad R1 arguments (line 2)"),
             "poly": (["reduce", "--poly", files("p.poly", f"poly vars=x1 ; {big}*x1\n")],

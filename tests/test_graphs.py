@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -293,6 +293,59 @@ class TestCanonicalForm:
             del canonical_calls[:]
             assert fresh.canonical() is fresh
             assert canonical_calls == []
+
+    def test_form_table_gives_the_unscoped_forms(self, monkeypatch):
+        """Inside a `form_table` scope, the first and a repeated call on a
+        fresh copy of each input give the form (rows and labels) and the
+        certificate of a call outside any scope, on every labeling by 0-2
+        labels of every graph with at most 5 vertices and on 3·K2 ∪ P3,
+        unlabeled and labeled; an identity-certificate input is returned
+        itself, flagged.  The repeated pass runs with a search cap of 0 nodes,
+        so every search-route input, each component included, comes from
+        the table."""
+        plgs = []
+        for n in range(6):
+            for g in enumerate_graphs(n) if n else [Graph(0)]:
+                for k in range(min(n, 2) + 1):
+                    for vertices in permutations(range(n), k):
+                        plgs.append(PLG(g, {i + 1: v for i, v in enumerate(vertices)}))
+        union = Graph(9, [(0, 1), (2, 3), (4, 5), (6, 7), (7, 8)])
+        plgs += [PLG(union), PLG(union, {1: 7}), PLG(union, {1: 2, 2: 8})]
+
+        def fresh():
+            return [PLG(plg.graph, plg.labels) for plg in plgs]
+
+        def results(inputs):
+            for plg in inputs:
+                form, cert = canonical_form(plg)
+                assert form._canon is True
+                assert (form is plg) == (cert == tuple(range(plg.n)))
+                yield form.graph.adj, form.labels, cert
+
+        want = list(results(fresh()))
+        assert graphs._FORMS is None
+        with graphs.form_table():
+            assert list(results(fresh())) == want
+            entries = len(graphs._FORMS)
+            monkeypatch.setattr(graphs, "CANONICAL_NODE_CAP", 0)
+            assert list(results(fresh())) == want
+            assert len(graphs._FORMS) == entries > 0
+        assert graphs._FORMS is None
+
+    def test_refused_search_leaves_no_table_entry(self, monkeypatch):
+        """A search past the node cap raises inside a scope and records
+        nothing; with the cap restored the same input is searched."""
+        plg = PLG(Graph.cycle(6))
+        want = canonical_form(plg)
+        with graphs.form_table():
+            monkeypatch.setattr(graphs, "CANONICAL_NODE_CAP", 0)
+            with pytest.raises(CapExceeded):
+                canonical_form(PLG(plg.graph))
+            assert graphs._FORMS == {}
+            monkeypatch.undo()
+            assert canonical_form(PLG(plg.graph)) == want
+            assert list(graphs._FORMS.values()) == [want[1]]
+        assert graphs._FORMS is None
 
     def test_labels_fix_the_order(self):
         """With at most one vertex unlabeled, the O(n) route gives the

@@ -368,12 +368,14 @@ class TestCounterexample:
         assert len(text) == 175
         assert parse_qexpr(text) == expr
 
-    def test_each_raw_term_canonicalized_once(self, canonical_calls):
+    def test_each_raw_term_canonicalized_once(self, canonical_calls, canonical_tables):
         """32256 raw terms, one per copy-swap orbit, one canonical_form call
         each; the final normal form reuses the 11464 canonical keys.  The
         only other calls build the generator atoms of `phi`, one per
-        variable x1..x6, on the O(n) route."""
+        variable x1..x6, on the O(n) route.  The raw terms are all
+        distinct, so no form table is open: it would only hold memory."""
         x = build_counterexample(6)
+        assert canonical_tables == [None] * len(canonical_calls)
         raw = [g for g in canonical_calls if not g.labels]
         assert len(raw) == 32256
         generators = [g for g in canonical_calls if g.labels]
