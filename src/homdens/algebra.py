@@ -45,7 +45,7 @@ from .graphs import (
     _bits,
     _marked,
     _moved,
-    _moved_plg,
+    _moved_rows,
     canonical_form,
     format_plg,
     parse_plg,
@@ -440,7 +440,7 @@ class IndAtom(_Leaf):
             raise ValueError("a free pair must join two non-adjacent vertices")
         if any(rows):
             plg, cert = canonical_form(plg)
-            rows = _moved_plg(PLG(Graph._of_rows(rows)), cert).graph.adj
+            rows = _moved_rows(rows, cert)
         object.__setattr__(self, "plg", plg.canonical())
         object.__setattr__(self, "rows", rows)
 

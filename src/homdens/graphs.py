@@ -4,8 +4,10 @@ A partially labeled graph (PLG) is a simple finite graph together with an
 injective assignment of distinct positive integer labels to some of its
 vertices.  Two PLGs are considered the same object when a bijection of the
 vertices preserves edges, non-edges, and every label; `canonical_form`
-realizes that quotient by computing a deterministic canonical vertex order
-(labeled vertices pinned first, in ascending label order).
+realizes that quotient.  One routine, `_certificate`, maps a graph's
+adjacency rows and sorted labels to a deterministic canonical vertex order
+(labeled vertices pinned first, in ascending label order), and the form is
+the input moved by it.
 
 Vertices are 0-based everywhere in code.  The text format and the docs use
 1-based vertices, matching the usual v1..vk notation.
@@ -233,149 +235,177 @@ def _edge_order(g):
 
 
 def canonical_form(g):
-    """Canonical form of a PLG (or a bare Graph, treated as unlabeled).
+    """Canonical form of a PLG (or a bare Graph, treated as unlabeled): the
+    pair (canonical PLG, certificate), where the certificate is the tuple
+    `cert` with cert[old_vertex] = new_vertex that `_certificate` gives for
+    the input's rows and labels.  An input whose certificate is the
+    identity is already its own form; it is flagged and returned itself."""
+    if isinstance(g, Graph):
+        g = PartiallyLabeledGraph._of_parts(g, ())
+    return _form(g, _certificate(g.graph.adj, g.labels))
+
+
+def _certificate(adj, labels):
+    """The certificate of the PLG of rows `adj` and `labels`, a tuple of
+    (label, vertex) pairs sorted by label.
 
     Labeled vertices are pinned to the first positions in ascending label
-    order; the unlabeled remainder is ordered by color refinement plus
-    backtracking, minimizing the adjacency encoding.  Disconnected graphs,
-    found by one flood from vertex 0, are canonicalized per component and
-    reassembled, which sidesteps the branching blow-up on unions of many
-    isomorphic pieces.  Returns the
-    pair (canonical PLG, certificate), where the certificate is a tuple
-    `cert` with cert[old_vertex] = new_vertex.
+    order.  When at most one vertex is unlabeled, that fixes the order: the
+    free vertex, if any, goes last, the order the search and per-component
+    routes reach as well, in O(n) with no refinement or search.
 
-    When at most one vertex is unlabeled, the labels alone fix the order:
-    each labeled vertex goes to the rank of its label and the free vertex,
-    if any, goes last, the order the search and per-component routes reach
-    as well.  That form is built in O(n), with no refinement or search.
+    A disconnected graph, found by one flood from vertex 0, is labeled per
+    component, each cut as rows, which sidesteps the branching blow-up on
+    unions of many isomorphic pieces.  Components carrying labels come in
+    order of their smallest label; unlabeled ones are ordered by size and
+    then by their encoding under their own certificate, and ties there mean
+    the components are interchangeable.  The unlabeled vertices take the
+    positions after the labels, grouped by component.
 
-    The search encodes leaves only to choose among them: when refinement
-    reaches a single leaf, its order is the answer unencoded.  On every
-    route, an input whose certificate is the identity is already its own
-    form; it is flagged and returned itself.
-
-    Inside a `form_table` scope, the search route looks the input's rows
-    and labels up first and records the certificate it finds, so each
-    connected graph, a component included, is searched once per scope.  A
-    disconnected input still splits into its components, one call each.
+    A connected graph is ordered by `_search`.  Inside a `form_table`
+    scope its rows and labels are looked up first and the certificate found
+    is recorded, so each connected graph, a component included, is searched
+    once per scope.
     """
-    if isinstance(g, Graph):
-        g = PartiallyLabeledGraph(g)
-    n = g.graph.n
-    labels = g.labels
+    n = len(adj)
+    cert = [len(labels)] * n
+    for rank, (_, v) in enumerate(labels):
+        cert[v] = rank
     if n - len(labels) <= 1:
-        cert = [len(labels)] * n
-        for rank, (_, v) in enumerate(labels):
-            cert[v] = rank
-        return _form(g, tuple(cert))
-    adj = g.graph.adj
+        return tuple(cert)
     full = (1 << n) - 1
     if _reach(adj, 1) != full:
-        comps = _components(adj, full)
-        return _canonical_disconnected(g, [_bits(comp) for comp, _ in comps])
+        pieces = []  # (sort key, vertices, certificate, label count)
+        for comp, _ in _components(adj, full):
+            verts = _bits(comp)
+            index = {v: i for i, v in enumerate(verts)}
+            rows = tuple(_moved(adj[v] & comp, index) for v in verts)
+            sub_labels = tuple((lab, index[v]) for lab, v in labels if comp >> v & 1)
+            sub = _certificate(rows, sub_labels)
+            if sub_labels:
+                key = (0, sub_labels[0][0])
+            else:
+                key = (1, len(verts), _encode(rows, sorted(range(len(sub)), key=sub.__getitem__)))
+            pieces.append((key, verts, sub, len(sub_labels)))
+        pieces.sort(key=lambda p: p[0])
+        free = len(labels)
+        for _, verts, sub, labeled in pieces:
+            for v, p in zip(verts, sub):
+                if p >= labeled:
+                    cert[v] = free + p - labeled
+            free += len(verts) - labeled
+        return tuple(cert)
     table = _FORMS
     if table is not None:
-        key = (adj, labels)
-        cert = table.get(key)
-        if cert is not None:
-            return _form(g, cert)
-    bits = n.bit_length()  # a count is at most n - 1
+        found = table.get((adj, labels))
+        if found is not None:
+            return found
     if labels:
         pinned = {v for _, v in labels}
         cells = [[v] for _, v in labels] + [[v for v in range(n) if v not in pinned]]
         fresh = [_cell_mask(c) for c in cells]
     else:
         cells, fresh = [list(range(n))], [full]
+    for new, old in enumerate(_search(adj, cells, fresh)):
+        cert[old] = new
+    cert = tuple(cert)
+    if table is not None:
+        table[adj, labels] = cert
+    return cert
 
+
+def _search(adj, cells, fresh):
+    """The vertex order of the least leaf of the search tree from `cells`,
+    the last split of which made the `fresh` cells (see `_refine`).
+
+    A node refines its cells; a leaf has only singletons.  Elsewhere the
+    first cell of several vertices is split by individualizing each of its
+    vertices in turn, or fixed at once when its vertices are twins.  Leaves
+    are visited depth first, smallest vertex first, and encoded only to
+    choose among them: when refinement reaches a single leaf, its order is
+    the answer unencoded.  Of equal encodings the first leaf wins.
+    """
+    bits = len(adj).bit_length()  # a count is at most n - 1
     best = None  # the order of the least leaf so far
     best_enc = None  # its encoding, computed once a second leaf appears
     nodes = 0
-
-    def refine(cells, fresh):
-        """Split cells by their neighbour counts into the `fresh` cells
-        until no cell splits.
-
-        `fresh` holds the masks of the cells the last split made, in cell
-        order.  Every cell already has one count into each other cell, so
-        leaving those out of the signature gives the same pieces in the
-        same sorted order as counting against every cell.  A signature is
-        packed into one int, `bits` bits per count, first count most
-        significant, so it sorts as the tuple of counts would; against one
-        fresh cell it is the count itself.
-        """
-        while fresh:
-            out = []
-            made = []
-            single = fresh[0] if len(fresh) == 1 else 0
-            for cell in cells:
-                if len(cell) == 1:
-                    out.append(cell)
-                    continue
-                groups = {}
-                if single:
-                    for v in cell:
-                        groups.setdefault((adj[v] & single).bit_count(), []).append(v)
-                else:
-                    for v in cell:
-                        row = adj[v]
-                        sig = 0
-                        for m in fresh:
-                            sig = sig << bits | (row & m).bit_count()
-                        groups.setdefault(sig, []).append(v)
-                if len(groups) == 1:
-                    out.append(cell)
-                    continue
-                for key in sorted(groups):
-                    out.append(groups[key])
-                    made.append(_cell_mask(groups[key]))
-            cells, fresh = out, made
-        return cells
-
-    def search(cells, fresh):
-        nonlocal best, best_enc, nodes
+    stack = [(cells, fresh)]
+    while stack:
         nodes += 1
         if nodes > CANONICAL_NODE_CAP:
-            raise CapExceeded(f"canonical labeling of {n} vertices exceeds {CANONICAL_NODE_CAP} search nodes")
-        cells = refine(cells, fresh)
+            raise CapExceeded(f"canonical labeling of {len(adj)} vertices exceeds {CANONICAL_NODE_CAP} search nodes")
+        cells, fresh = stack.pop()
+        cells = _refine(adj, bits, cells, fresh)
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
             order = [c[0] for c in cells]
             if best is None:
                 best = order
-                return
+                continue
             if best_enc is None:
                 best_enc = _encode(adj, best)
             enc = _encode(adj, order)
             if enc < best_enc:
                 best, best_enc = order, enc
-            return
+            continue
         cell = cells[target]
         if _all_twins(adj, cell):
             # Each other vertex sees all twins or none, and each cell had one
             # count into the twin cell, so it has one count into every twin
             # singleton too: nothing is fresh.
-            fixed = cells[:target] + [[v] for v in sorted(cell)] + cells[target + 1:]
-            search(fixed, [])
-            return
-        for v in sorted(cell):
+            stack.append((cells[:target] + [[v] for v in sorted(cell)] + cells[target + 1:], []))
+            continue
+        for v in sorted(cell, reverse=True):  # popped smallest first
             rest = [u for u in cell if u != v]
-            branch = cells[:target] + [[v], rest] + cells[target + 1:]
-            search(branch, [1 << v, _cell_mask(rest)])
+            stack.append((cells[:target] + [[v], rest] + cells[target + 1:], [1 << v, _cell_mask(rest)]))
+    return best
 
-    search(cells, fresh)
-    cert = [0] * n
-    for new, old in enumerate(best):
-        cert[old] = new
-    cert = tuple(cert)
-    if table is not None:
-        table[key] = cert
-    return _form(g, cert)
+
+def _refine(adj, bits, cells, fresh):
+    """Split cells by their neighbour counts into the `fresh` cells until
+    no cell splits.
+
+    `fresh` holds the masks of the cells the last split made, in cell
+    order.  Every cell already has one count into each other cell, so
+    leaving those out of the signature gives the same pieces in the same
+    sorted order as counting against every cell.  A signature is packed
+    into one int, `bits` bits per count, first count most significant, so
+    it sorts as the tuple of counts would; against one fresh cell it is
+    the count itself.
+    """
+    while fresh:
+        out = []
+        made = []
+        single = fresh[0] if len(fresh) == 1 else 0
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups = {}
+            if single:
+                for v in cell:
+                    groups.setdefault((adj[v] & single).bit_count(), []).append(v)
+            else:
+                for v in cell:
+                    row = adj[v]
+                    sig = 0
+                    for m in fresh:
+                        sig = sig << bits | (row & m).bit_count()
+                    groups.setdefault(sig, []).append(v)
+            if len(groups) == 1:
+                out.append(cell)
+                continue
+            for key in sorted(groups):
+                out.append(groups[key])
+                made.append(_cell_mask(groups[key]))
+        cells, fresh = out, made
+    return cells
 
 
 @contextmanager
 def form_table():
-    """A scope in which `canonical_form` keeps the certificate of each
-    connected input it searches, keyed by its rows and labels, and reuses
+    """A scope in which `_certificate` keeps the certificate of each
+    connected graph it searches, keyed by its rows and labels, and reuses
     it for an equal input.  A nested scope shares the open table; leaving
     the outermost one, by return or exception, drops it.  A check opens
     one around its expansions, which canonicalize many equal graphs; a
@@ -404,11 +434,16 @@ def _moved_plg(plg, perm):
     """The image of `plg` under a permutation the caller trusts: vertex v
     goes to perm[v].  The image of a valid PLG is valid, so it is built
     without the constructors' checks."""
-    adj = [0] * len(perm)
-    for u, row in enumerate(plg.graph.adj):
-        adj[perm[u]] = _moved(row, perm)
     labels = tuple((lab, perm[v]) for lab, v in plg.labels)
-    return PartiallyLabeledGraph._of_parts(Graph._of_rows(tuple(adj)), labels)
+    return PartiallyLabeledGraph._of_parts(Graph._of_rows(_moved_rows(plg.graph.adj, perm)), labels)
+
+
+def _moved_rows(adj, perm):
+    """The rows `adj` with each vertex v moved to perm[v]."""
+    out = [0] * len(perm)
+    for u, row in enumerate(adj):
+        out[perm[u]] = _moved(row, perm)
+    return tuple(out)
 
 
 def _marked(plg):
@@ -454,48 +489,6 @@ def _components(adj, rest):
         comps.append((comp, degrees // 2))
         rest &= ~comp
     return comps
-
-
-def _canonical_disconnected(g, comps):
-    """Canonicalize each component, then assemble in a deterministic order.
-
-    Global positions still follow the contract: one slot per label in
-    ascending label order first, then the unlabeled vertices, grouped by
-    component.  Components carrying labels come in order of their smallest
-    label; unlabeled components are ordered by their canonical encoding, and
-    ties there mean the components are interchangeable.
-    """
-    label_of = {v: lab for lab, v in g.labels}
-    with_labels = []  # (smallest label, component, form)
-    without = []  # ((vertex count, encoding), component, form)
-    for comp in comps:
-        sub = PartiallyLabeledGraph(
-            g.graph.induced(comp),
-            [(label_of[v], i) for i, v in enumerate(comp) if v in label_of],
-        )
-        form = canonical_form(sub)
-        canon = form[0]
-        if canon.labels:
-            with_labels.append((canon.labels[0][0], comp, form))
-        else:
-            without.append(((canon.graph.n, _encode(canon.graph.adj, range(canon.graph.n))), comp, form))
-    with_labels.sort(key=lambda p: p[0])
-    without.sort(key=lambda p: p[0])
-
-    all_labels = [lab for lab, _ in g.labels]
-    label_pos = {lab: i for i, lab in enumerate(all_labels)}
-    cert = [None] * g.graph.n
-    next_free = len(all_labels)
-    for _, comp, (canon, sub_cert) in with_labels + without:
-        placed = [lab for lab, _ in canon.labels]
-        for i, v in enumerate(comp):
-            p = sub_cert[i]
-            if p < len(placed):
-                cert[v] = label_pos[placed[p]]
-            else:
-                cert[v] = next_free + (p - len(placed))
-        next_free += len(comp) - len(placed)
-    return _form(g, tuple(cert))
 
 
 def _cell_mask(cell):

@@ -19,36 +19,34 @@ def counterexample():
 
 @pytest.fixture
 def canonical_calls(monkeypatch):
-    """The list of inputs of every `canonical_form` call made during the
-    test, recursive calls on components included, in every module that
-    imports it."""
-    from homdens import algebra, graphs
+    """The input of every canonical labeling made during the test, each
+    component of a disconnected input included, as the PLG of the rows
+    and labels handed to `graphs._certificate`."""
+    from homdens import graphs
 
     calls = []
-    original = graphs.canonical_form
+    original = graphs._certificate
 
-    def counting(g):
-        calls.append(g)
-        return original(g)
+    def counting(adj, labels):
+        calls.append(graphs.PLG._of_parts(graphs.Graph._of_rows(adj), labels))
+        return original(adj, labels)
 
-    for module in (graphs, algebra):
-        monkeypatch.setattr(module, "canonical_form", counting)
+    monkeypatch.setattr(graphs, "_certificate", counting)
     return calls
 
 
 @pytest.fixture
 def canonical_tables(canonical_calls, monkeypatch):
-    """The form table open at each `canonical_form` call of the test, None
-    outside every scope, one entry per call that `canonical_calls` lists."""
-    from homdens import algebra, graphs
+    """The form table open at each canonical labeling of the test, None
+    outside every scope, one entry per input that `canonical_calls` lists."""
+    from homdens import graphs
 
     tables = []
-    counting = graphs.canonical_form
+    counting = graphs._certificate
 
-    def recording(g):
+    def recording(adj, labels):
         tables.append(graphs._FORMS)
-        return counting(g)
+        return counting(adj, labels)
 
-    for module in (graphs, algebra):
-        monkeypatch.setattr(module, "canonical_form", recording)
+    monkeypatch.setattr(graphs, "_certificate", recording)
     return tables

@@ -1,5 +1,6 @@
 """Graph and PLG foundations: canonical forms, stringency, enumeration, format."""
 
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -7,7 +8,7 @@ from itertools import combinations, permutations
 import pytest
 
 from homdens import graphs
-from homdens.algebra import glue, ind_product, ind_terms, strip_isolated
+from homdens.algebra import format_quantum, glue, ind_product, ind_terms, parse_quantum, strip_isolated
 from homdens.errors import CapExceeded, FormatError
 from homdens.graphs import (
     PLG,
@@ -24,6 +25,7 @@ from homdens.graphs import (
     parse_rational,
     stringent_graph,
 )
+from conftest import counterexample
 from oracles import (
     brute_automorphisms,
     brute_graph_classes,
@@ -250,6 +252,21 @@ class TestCanonicalForm:
                     assert canonical_form(plg) == round_based_canonical_form(plg), plg
         assert len(encodings) > 500
 
+        # 3·K2 ∪ 2·P3 ∪ C4: unlabeled components that tie, and labels on
+        # two components, outside a form table and twice inside one.
+        union = Graph(16, [(0, 1), (2, 3), (4, 5), (6, 7), (7, 8), (9, 10), (10, 11)]
+                      + [(12, 13), (13, 14), (14, 15), (12, 15)])
+        ties = [
+            shuffled_copy(rng, PLG(union, labels))
+            for labels in ({}, {1: 0}, {1: 6, 3: 13}, {2: 1, 5: 7}, {4: 9, 1: 3}, {1: 0, 2: 8, 6: 12})
+            for _ in range(4)
+        ]
+        want = [round_based_canonical_form(plg) for plg in ties]
+        assert [canonical_form(PLG(plg.graph, plg.labels)) for plg in ties] == want
+        with graphs.form_table():
+            for _ in range(2):
+                assert [canonical_form(PLG(plg.graph, plg.labels)) for plg in ties] == want
+
     def test_enumerated_graphs_match_round_based_reference(self):
         rng = random.Random(31)
         for g in enumerate_graphs(6):
@@ -293,6 +310,25 @@ class TestCanonicalForm:
             del canonical_calls[:]
             assert fresh.canonical() is fresh
             assert canonical_calls == []
+
+    def test_labeling_leaves_no_cyclic_garbage(self):
+        """With the collector off, labeling frees everything by reference
+        counting: parsing the counterexample's text, 1000 labelings of C6
+        and a labeled disconnected input leave no cycle to collect."""
+        text = format_quantum(counterexample())
+        union = Graph(11, [(0, 1), (2, 3), (4, 5), (6, 7), (7, 8), (9, 10)])
+        gc.collect()
+        gc.disable()
+        try:
+            parse_quantum(text)
+            assert gc.collect() == 0
+            for _ in range(1000):
+                canonical_form(PLG(Graph.cycle(6)))
+            assert gc.collect() == 0
+            canonical_form(PLG(union, {1: 7, 2: 2}))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_form_table_gives_the_unscoped_forms(self, monkeypatch):
         """Inside a `form_table` scope, the first and a repeated call on a
