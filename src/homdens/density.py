@@ -24,11 +24,12 @@ pins before them, so a walk checks the whole root map and zeroes the
 terms it breaks.  Where components reach their tails, the search
 counts them for a density, weighing each distinct candidate mask once per
 target, or hands the path images and tail masks to a caller: a density
-polynomial counts its monomials there, each one packed int of exponents,
-and sums the terms as integer numerators over one denominator;
-`extensions` lists whole images, for exact embeddings, automorphisms and
-the label walk of Unlabel nodes.  A single density or extension list is
-the search of a one-term list.
+polynomial counts its monomials there, each one packed int of exponents
+in the layout of `polynomials.Polynomial`, sums the terms as integer
+numerators over one denominator, and hands the monomials to that ring
+as they are; `extensions` lists whole images, for exact embeddings,
+automorphisms and the label walk of Unlabel nodes.  A single density or
+extension list is the search of a one-term list.
 
 Quantum graphs and term lists evaluate linearly, through the one search
 that every density shares; an unlabeled QuantumGraph keeps it for its next
@@ -75,7 +76,7 @@ from .graphs import (
     plg_from_fields,
     split_record_fields,
 )
-from .polynomials import Polynomial
+from .polynomials import Polynomial, _width
 
 UNLABEL_CAP = 8
 
@@ -758,9 +759,10 @@ def density_polynomial(f, g, phi=None):
     term is its coefficient times the product of its components' counts.
     A monomial is one int, b bits of exponent per target vertex, so that
     multiplying monomials adds ints: a term's degree is its free vertex
-    count, at most the search's depth, so no exponent reaches 2 ** b.
-    Coefficients are integer numerators over their least common
-    denominator D, and each monomial's sum becomes one Fraction over D.  A
+    count, at most the search's depth, and b is the ring's width for that
+    degree.  Coefficients are integer numerators over their least common
+    denominator D, and each monomial's sum becomes one Fraction over D.
+    The packed monomials are the result's own, with nothing unpacked.  A
     structured expression is a TypeError: expand it first.
     """
     if isinstance(f, QExpr):
@@ -771,7 +773,7 @@ def density_polynomial(f, g, phi=None):
     g = _as_graph(g) if not isinstance(g, WeightedGraph) else g.graph
     read, weights, phi = *_read_target(f, g), dict(phi or {})
     search = _term_search(f, phi, read)
-    b = max(search.depth, 1).bit_length()
+    b = _width(search.depth)
     unit = [1 << b * w for w in range(read.n)]
     groups = defaultdict(lambda: defaultdict(int))
     units_of = {}  # the units of a candidate mask's vertices, by mask
@@ -806,13 +808,9 @@ def density_polynomial(f, g, phi=None):
         for mono, c in poly.items():
             terms[mono] += c
     if read is not g:  # the empty graph, read at K1: the constant of its value
-        return Polynomial((), {(): Fraction(sum(terms.values()), den)})
-    field = (1 << b) - 1
-    return Polynomial(
-        tuple(f"y{i}" for i in range(1, g.n + 1)),
-        {tuple(mono >> b * w & field for w in range(g.n)): Fraction(c, den)
-         for mono, c in terms.items() if c},
-    )
+        return Polynomial._of_monos((), 1, {0: Fraction(sum(terms.values()), den)})
+    ys = tuple(f"y{i}" for i in range(1, g.n + 1))
+    return Polynomial._of_monos(ys, b, {mono: Fraction(c, den) for mono, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------

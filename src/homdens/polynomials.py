@@ -1,11 +1,23 @@
 """Sparse multivariate polynomials over the rationals.
 
-A polynomial is stored as a map from exponent tuples to nonzero Fraction
-coefficients, together with a tuple of variable names.  Variable names are
-kept in a canonical order (alphabetic prefix, then numeric suffix), so
-`x1 < x2 < x10 < y1`; binary operations align operands by taking the union
-of their variable sets.  Substituting polynomials for variables is
-`Polynomial.evaluate` at polynomial values.
+A polynomial is a tuple of variable names, a field width w, and a map
+from monomials to nonzero Fraction coefficients.  A monomial is one packed
+int: w bits of exponent per variable, with variable i at bits w*i, so
+multiplying monomials adds their ints.  w keeps every monomial's total
+degree below 2 ** w - 1, so each exponent fits its field and a
+monomial's total degree is its int modulo 2 ** w - 1.  The constructor
+takes the least such width; a sum takes the wider of its operands', and
+a product widens that, before it is formed, to what the sum of their
+total degrees needs.  The constructor checks what parsers and callers
+hand in, as exponent tuples; arithmetic, `tau` and
+`density.density_polynomial` build their results through the trusted
+`Polynomial._of_monos`, and `terms` derives the map from exponent tuples
+to coefficients on each read.  Variable names are kept in a canonical
+order (alphabetic prefix, then numeric suffix), so `x1 < x2 < x10 < y1`;
+binary operations align operands on the union of their variable sets,
+and equality and hashing see neither unused variables nor widths.
+Substituting polynomials for variables is `Polynomial.evaluate` at
+polynomial values.
 
 Besides generic arithmetic this module houses the concrete polynomial
 constructions the rest of the package builds on: the Motzkin-type form S,
@@ -43,10 +55,17 @@ def _sort_vars(names):
     return tuple(sorted(names, key=_var_key))
 
 
+def _width(degree):
+    """The field width for total degrees up to `degree`: the least with
+    degree < 2 ** width - 1, so every exponent fits its field and a
+    monomial's total degree is its int modulo 2 ** width - 1."""
+    return (degree + 1).bit_length()
+
+
 class Polynomial:
     """Immutable sparse polynomial with Fraction coefficients."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "width", "monos")
 
     def __init__(self, vars, terms):
         vars = tuple(vars)
@@ -55,12 +74,7 @@ class Polynomial:
         if len(set(vars)) != len(vars):
             raise ValueError("duplicate variable name")
         order = _sort_vars(vars)
-        if order != vars:
-            remap = [vars.index(v) for v in order]
-            terms = {
-                tuple(exps[i] for i in remap): c for exps, c in dict(terms).items()
-            }
-            vars = order
+        remap = [vars.index(v) for v in order]
         clean = {}
         for exps, coeff in dict(terms).items():
             exps = tuple(int(e) for e in exps)
@@ -68,12 +82,26 @@ class Polynomial:
                 raise ValueError("exponent tuple length mismatch")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[exps] = clean.get(exps, Fraction(0)) + coeff
-        clean = {e: c for e, c in clean.items() if c}
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", clean)
+            exps = tuple(exps[i] for i in remap)
+            clean[exps] = clean.get(exps, 0) + Fraction(coeff)
+        clean = {exps: c for exps, c in clean.items() if c}
+        width = _width(max(map(sum, clean), default=0))
+        object.__setattr__(self, "vars", order)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "monos", {
+            sum(e << width * i for i, e in enumerate(exps)): c for exps, c in clean.items()})
+
+    @classmethod
+    def _of_monos(cls, vars, width, monos):
+        """The polynomial of trusted parts, built without the constructor's
+        checks: `vars` in canonical order, a `width` that fits every
+        monomial's total degree, and coefficients keyed by packed
+        monomials.  Zero coefficients are dropped."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", vars)
+        object.__setattr__(p, "width", width)
+        object.__setattr__(p, "monos", {m: c for m, c in monos.items() if c})
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -82,10 +110,7 @@ class Polynomial:
 
     @staticmethod
     def constant(value, vars=()):
-        value = Fraction(value)
-        vars = _sort_vars(vars)
-        if not value:
-            return Polynomial(vars, {})
+        vars = tuple(vars)
         return Polynomial(vars, {(0,) * len(vars): value})
 
     @staticmethod
@@ -100,17 +125,22 @@ class Polynomial:
 
     # -- structure ----------------------------------------------------------
 
+    @property
+    def terms(self):
+        """The terms as a dict from exponent tuples, in `vars` order, to
+        coefficients, derived from the packed monomials on each read."""
+        mask, shifts = (1 << self.width) - 1, range(0, self.width * len(self.vars), self.width)
+        return {tuple(m >> s & mask for s in shifts): c for m, c in self.monos.items()}
+
     def is_zero(self):
-        return not self.terms
+        return not self.monos
 
     def total_degree(self):
         """Maximum total degree; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return max((m % ((1 << self.width) - 1) for m in self.monos), default=0)
 
     def constant_term(self):
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+        return self.monos.get(0, Fraction(0))
 
     def coefficient(self, monomial):
         """Coefficient of a monomial given as {var: exponent}."""
@@ -121,41 +151,47 @@ class Polynomial:
         return self.terms.get(exps, Fraction(0))
 
     def abs_coeff_sum(self):
-        return sum((abs(c) for c in self.terms.values()), Fraction(0))
+        return sum((abs(c) for c in self.monos.values()), Fraction(0))
 
     def in_vars(self, vars):
         """The same polynomial over a larger variable set."""
-        vars = _sort_vars(set(vars) | set(self.vars))
-        pos = {v: i for i, v in enumerate(vars)}
-        terms = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * len(vars)
-            for v, e in zip(self.vars, exps):
-                new[pos[v]] = e
-            terms[tuple(new)] = coeff
-        return Polynomial(vars, terms)
+        return self._recast(_sort_vars(set(vars) | set(self.vars)), self.width)
+
+    def _recast(self, vars, width):
+        """The same polynomial over `vars`, a canonically ordered superset
+        of its own, with fields `width` bits wide: each field moves to its
+        variable's place."""
+        if vars == self.vars and width == self.width:
+            return self
+        mask = (1 << self.width) - 1
+        moves = [(self.width * i, width * vars.index(v)) for i, v in enumerate(self.vars)]
+        return Polynomial._of_monos(vars, width, {
+            sum((m >> src & mask) << dst for src, dst in moves): c for m, c in self.monos.items()})
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _pair(self, other):
+    def _pair(self, other, product=False):
+        """Both operands over the union of their variables, at one width:
+        the wider of theirs, or wide enough for their product."""
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(other)
-        if self.vars == other.vars:
-            return self, other
-        union = set(self.vars) | set(other.vars)
-        return self.in_vars(union), other.in_vars(union)
+        vars = self.vars if self.vars == other.vars else _sort_vars(set(self.vars) | set(other.vars))
+        width = max(self.width, other.width)
+        if product:
+            width = max(width, _width(self.total_degree() + other.total_degree()))
+        return self._recast(vars, width), other._recast(vars, width)
 
     def __add__(self, other):
         a, b = self._pair(other)
-        terms = dict(a.terms)
-        for exps, coeff in b.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return Polynomial(a.vars, terms)
+        monos = dict(a.monos)
+        for m, c in b.monos.items():
+            monos[m] = monos.get(m, 0) + c
+        return Polynomial._of_monos(a.vars, a.width, monos)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.vars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of_monos(self.vars, self.width, {m: -c for m, c in self.monos.items()})
 
     def __sub__(self, other):
         a, b = self._pair(other)
@@ -165,21 +201,20 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        a, b = self._pair(other)
-        terms = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                acc = terms.get(key)
-                terms[key] = c1 * c2 if acc is None else acc + c1 * c2
-        return Polynomial(a.vars, terms)
+        a, b = self._pair(other, product=True)
+        monos = {}
+        for m1, c1 in a.monos.items():
+            for m2, c2 in b.monos.items():
+                acc = monos.get(m1 + m2)
+                monos[m1 + m2] = c1 * c2 if acc is None else acc + c1 * c2
+        return Polynomial._of_monos(a.vars, a.width, monos)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
         if exponent < 0:
             raise ValueError("negative power")
-        result = Polynomial.constant(1, self.vars)
+        result = Polynomial._of_monos(self.vars, 1, {0: Fraction(1)})
         base = self
         e = exponent
         while e:
@@ -191,17 +226,15 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            if self.terms and set(self.terms) != {(0,) * len(self.vars)}:
-                return False
-            return self.constant_term() == other
+            return self.monos.keys() <= {0} and self.constant_term() == other
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = self._pair(other)
-        return a.terms == b.terms
+        return a.monos == b.monos
 
     def __hash__(self):
         # A constant equals its number, so it hashes as that number.
-        if set(self.terms) <= {(0,) * len(self.vars)}:
+        if self.monos.keys() <= {0}:
             return hash(self.constant_term())
         # Unused variables are left out, as `__eq__` ignores them.
         return hash(frozenset(
@@ -345,7 +378,7 @@ def penalized_q(p, M, xs, ys):
     vanishes, so q inherits the sign of p there (up to the positive factor
     prod (1-x_i)^6 for x in [0,1)).
     """
-    value = p.evaluate({var: xs[int(var[1:]) - 1] for var in p.vars})
+    value = p.evaluate(dict(zip(_x_vars(len(xs)), xs)))
     for x in xs:
         value = value * (1 - x) ** 6
     return value + M * sum(y - goodman_g(x) for x, y in zip(xs, ys))
@@ -369,18 +402,21 @@ def tau(q, k):
     tau(q)(e,t,v) = q(e/v^2, t/v^3) * prod_i v_i^{3 deg q}: the monomial
     x_i^a y_i^b becomes e_i^a t_i^b v_i^(3 deg q - 2a - 3b).  That power is
     never negative, because 2a + 3b <= 3(a + b) <= 3 deg q.
+
+    Each monomial moves as one int, at a width that fits the result's
+    total degree, at most 3k deg q: x_i and y_i keep their fields as e_i
+    and t_i, and v_i takes field 2k + i, where the k fields of v are
+    3 deg q minus twice the x fields minus three times the y fields, all
+    at once, since no field of 2a + 3b passes 3 deg q to carry or borrow.
     """
     _check_vars(q, _xy_vars(k))
     d = q.total_degree()
-    terms = {}
-    for exps, coeff in q.terms.items():
-        out = [0] * (2 * k) + [3 * d] * k
-        for var, e in zip(q.vars, exps):
-            i, is_y = int(var[1:]) - 1, var[0] == "y"
-            out[is_y * k + i] += e
-            out[2 * k + i] -= (2 + is_y) * e
-        terms[tuple(out)] = coeff
-    return Polynomial(_etv_vars(k), terms)
+    width = _width(3 * d * k)
+    q, shift = q._recast(_xy_vars(k), width), width * k
+    top = 3 * d * sum(1 << width * i for i in range(k))
+    monos = {m | (top - 2 * (m & (1 << shift) - 1) - 3 * (m >> shift)) << 2 * shift: c
+             for m, c in q.monos.items()}
+    return Polynomial._of_monos(_etv_vars(k), width, monos)
 
 
 # ---------------------------------------------------------------------------

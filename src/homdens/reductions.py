@@ -235,10 +235,11 @@ def witness_graph(p, counts):
     if any(c < 1 for c in counts):
         raise ValueError("blow-up counts must be positive")
     _check_vars(p, _x_vars(k))
-    point = {var: 1 - Fraction(1, counts[int(var[1:]) - 1]) for var in p.vars}
-    value = p.evaluate(point)
+    value = p.evaluate(dict(zip(_x_vars(k), (1 - Fraction(1, c) for c in counts))))
     if value >= 0:
-        raise ValueError(f"grid point evaluates to {value}, need a negative value")
+        # The sign, not the value, which may have more digits than print.
+        sign = "0" if value == 0 else "a positive value"
+        raise ValueError(f"grid point evaluates to {sign}, need a negative value")
     return clique_blowup(stringent_graph(k), counts)
 
 

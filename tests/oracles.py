@@ -498,6 +498,110 @@ def _ref_encode(adj, order):
 
 
 # ---------------------------------------------------------------------------
+# Dict-of-exponent-tuples polynomial arithmetic, kept as the reference for
+# the package's packed monomials.
+
+
+def _ref_var_key(name):
+    prefix = name.rstrip("0123456789")
+    return prefix, int(name[len(prefix):] or -1)
+
+
+class TermsPoly:
+    """A polynomial as canonically ordered variable names and a dict from
+    exponent tuples, in that order, to nonzero Fractions, with the plain
+    tuple arithmetic of the package's `Polynomial` before it packed its
+    monomials into ints.  Numbers take part as constants."""
+
+    def __init__(self, vars, terms):
+        self.vars = tuple(sorted(vars, key=_ref_var_key))
+        order = [tuple(vars).index(v) for v in self.vars]
+        self.terms = {}
+        for exps, coeff in terms.items():
+            exps = tuple(exps[i] for i in order)
+            self.terms[exps] = self.terms.get(exps, 0) + Fraction(coeff)
+        self.terms = {e: c for e, c in self.terms.items() if c}
+
+    def in_vars(self, vars):
+        vars = tuple(sorted(set(vars) | set(self.vars), key=_ref_var_key))
+        pos = [vars.index(v) for v in self.vars]
+        terms = {}
+        for exps, coeff in self.terms.items():
+            new = [0] * len(vars)
+            for p, e in zip(pos, exps):
+                new[p] = e
+            terms[tuple(new)] = coeff
+        return TermsPoly(vars, terms)
+
+    def _pair(self, other):
+        if not isinstance(other, TermsPoly):
+            other = TermsPoly((), {(): other})
+        union = set(self.vars) | set(other.vars)
+        return self.in_vars(union), other.in_vars(union)
+
+    def __add__(self, other):
+        a, b = self._pair(other)
+        terms = dict(a.terms)
+        for exps, coeff in b.terms.items():
+            terms[exps] = terms.get(exps, 0) + coeff
+        return TermsPoly(a.vars, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TermsPoly(self.vars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -1 * other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        a, b = self._pair(other)
+        terms = {}
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
+                key = tuple(x + y for x, y in zip(e1, e2))
+                terms[key] = terms.get(key, 0) + c1 * c2
+        return TermsPoly(a.vars, terms)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent):
+        result = TermsPoly(self.vars, {(0,) * len(self.vars): 1})
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def evaluate(self, point):
+        total = Fraction(0)
+        for exps, coeff in self.terms.items():
+            val = coeff
+            for v, e in zip(self.vars, exps):
+                if e:
+                    val = val * point[v] ** e
+            total = total + val
+        return total
+
+    def __eq__(self, other):
+        a, b = self._pair(other)
+        return a.terms == b.terms
+
+    def total_degree(self):
+        return max(map(sum, self.terms), default=0)
+
+    def hash_value(self):
+        """A constant's number's hash, else the hash of the terms over the
+        variables each uses."""
+        if set(self.terms) <= {(0,) * len(self.vars)}:
+            return hash(self.terms.get((0,) * len(self.vars), Fraction(0)))
+        return hash(frozenset(
+            (tuple((v, e) for v, e in zip(self.vars, exps) if e), c) for exps, c in self.terms.items()
+        ))
+
+
+# ---------------------------------------------------------------------------
 # Statements about the package's values, and test inputs.
 
 

@@ -305,6 +305,25 @@ class TestReductionPipeline:
             sys.set_int_max_str_digits(limit)
         assert (code, out, err) == (1, want, "")
 
+    def test_refusal_names_the_sign_of_a_long_value(self, capsys, files):
+        """The grid value here has more digits than the interpreter turns
+        into text by default; the refusal names its sign in one line."""
+        poly = files("p.poly", "poly vars=x1,x2,x3,x4,x5,x6 ; 1*x1^1000 + 1*x2^1000\n")
+        code, out, err = run(capsys, "witness", "--poly", poly, "--sizes", "499,497,1,1,1,1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: grid point") and err.count("\n") == 1, err
+
+    def test_cleared_instance_is_refused_by_the_ind_budget(self, capsys, files, tmp_path):
+        """verify-sos on the reduce instance of 1 - 2*x1 builds its cleared
+        polynomial, 134462 terms of degree 37, before the budget refuses
+        the ind expansion of its first monomial."""
+        poly = files("p.poly", "poly vars=x1,x2,x3,x4,x5,x6 ; 1 + -2*x1\n")
+        inst = str(tmp_path / "inst.qx")
+        assert run(capsys, "reduce", "--poly", poly, "--k", "6", "--out", inst)[0] == 0
+        cert = files("c.sos", "sos:\ng: (g plg n=2 labels=1:1 edges=1-2)\n")
+        message = "error: ind expansion needs 2^1561 terms, budget is 200000\n"
+        assert run(capsys, "verify-sos", "--target", inst, "--cert", cert) == (2, "", message)
+
     def test_bad_sizes_exit_2(self, capsys, files):
         p = Polynomial(VARS6, {(0,) * 6: F(1), (1, 0, 0, 0, 0, 0): F(-2)})
         poly = files("p.poly", format_poly(p) + "\n")

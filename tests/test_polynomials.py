@@ -1,5 +1,6 @@
 """Polynomial arithmetic and the named polynomial constructions."""
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -21,7 +22,7 @@ from homdens.polynomials import (
     tau,
 )
 
-from oracles import bollobas_L, in_region_R
+from oracles import TermsPoly, bollobas_L, in_region_R
 
 
 def rand_fraction(rng, lo=-4, hi=4, den=5):
@@ -122,6 +123,72 @@ class TestArithmetic:
             Polynomial(("x",), {(-1,): 1})
         with pytest.raises(ValueError):
             Polynomial(("2bad",), {})
+
+
+# Names whose canonical order differs from their text order: x2 < x10.
+POOL = ("x1", "x2", "x10", "y1", "y3")
+
+
+def ref_pair(rng, max_exp, max_terms=5):
+    """One seeded polynomial over some of POOL, in the package's ring and
+    in the reference's."""
+    vars = tuple(rng.sample(POOL, rng.randint(1, 4)))
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        exps = tuple(rng.randint(0, max_exp) for _ in vars)
+        terms[exps] = terms.get(exps, 0) + rand_fraction(rng)
+    return Polynomial(vars, terms), TermsPoly(vars, terms)
+
+
+def same(got, want):
+    return (got.vars, got.terms, got.total_degree()) == (want.vars, want.terms, want.total_degree())
+
+
+class TestAgainstTermsReference:
+    """Packed monomials against the dict-of-tuples reference, over mixed
+    variable sets, with degrees past the first field widths."""
+
+    def test_arithmetic(self):
+        rng = random.Random(71)
+        for _ in range(150):
+            (a, ra), (b, rb) = ref_pair(rng, 9), ref_pair(rng, 9)
+            pairs = [
+                (a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb), (-a, -ra),
+                (a ** 3, ra ** 3), (2 - a, 2 - ra), (a * Fraction(1, 3), ra * Fraction(1, 3)),
+                (a.in_vars(b.vars), ra.in_vars(rb.vars)),
+            ]
+            for got, want in pairs:
+                assert same(got, want)
+                assert hash(got) == want.hash_value()
+            assert (a == b) == (ra == rb)
+            assert a * b - b * a == 0
+
+    def test_evaluate_at_rationals_and_polynomials(self):
+        rng = random.Random(79)
+        for _ in range(60):
+            a, ra = ref_pair(rng, 9)
+            point = {v: rand_fraction(rng) for v in POOL}
+            assert a.evaluate(point) == ra.evaluate(point)
+            a, ra = ref_pair(rng, 2)
+            values = {v: ref_pair(rng, 2, max_terms=3) for v in a.vars}
+            got = a.evaluate({v: p for v, (p, _) in values.items()}) + Polynomial.constant(0, POOL)
+            want = ra.evaluate({v: r for v, (_, r) in values.items()}) + TermsPoly(POOL, {})
+            assert same(got, want)
+
+    def test_widths_change_neither_equality_nor_hash(self):
+        """A sum that passes through degree 40 keeps the wider fields of
+        its operands, yet equals and hashes as the narrow original."""
+        rng = random.Random(83)
+        far = Polynomial.variable("x1") ** 40
+        for _ in range(40):
+            a, _ = ref_pair(rng, 3)
+            wide = (a + far) - far
+            assert wide.width > a.width
+            assert wide == a and hash(wide) == hash(a)
+        three = (Polynomial.constant(3) + far) - far
+        assert three.width > Polynomial.constant(3).width
+        assert three == Polynomial.constant(3) == 3
+        assert hash(three) == hash(Polynomial.constant(3)) == hash(3)
 
 
 class TestMotzkinS:
@@ -314,6 +381,14 @@ class TestTau:
             for vi in v:
                 rhs *= vi ** (3 * q.total_degree())
             assert lhs == rhs
+
+
+    def test_output_bytes_are_pinned(self):
+        """The cleared penalized polynomial of 1 - 2*x1 over x1..x3."""
+        cleared = tau(calculus_q(parse_poly("poly vars=x1,x2,x3 ; 1 + -2*x1")), 3)
+        digest = hashlib.sha256(format_poly(cleared).encode()).hexdigest()
+        assert (len(cleared.terms), digest) == (
+            395, "6190bdd2e294ecccdedb89052c81e4dccc48c1f2bdbc7ac7fc0c444b39d4d0c8")
 
 
 class TestGoodmanBollobas:
