@@ -33,7 +33,6 @@ from .density import (
     density_polynomial,
     t,
     t_ind,
-    t_inj,
     t_quantum,
 )
 from .errors import BudgetExceeded, CapExceeded, FormatError
@@ -44,7 +43,6 @@ from .graphs import (
     enumerate_graphs,
     format_plg,
     independent_blowup,
-    is_stringent,
     parse_plg,
     stringent_graph,
 )
@@ -52,10 +50,8 @@ from .polynomials import Polynomial, counterexample_poly, parse_poly
 from .reductions import (
     build_counterexample,
     build_instance,
-    exact_embeddings,
     phi,
     psi_expr,
-    witness_eval,
     witness_graph,
 )
 
@@ -77,7 +73,6 @@ __all__ = [
     "cs_instance",
     "density_polynomial",
     "enumerate_graphs",
-    "exact_embeddings",
     "expand",
     "format_plg",
     "format_qexpr",
@@ -86,7 +81,6 @@ __all__ = [
     "independent_blowup",
     "integer_witness",
     "is_psd",
-    "is_stringent",
     "moment_matrix",
     "parse_cs_proof",
     "parse_plg",
@@ -101,10 +95,8 @@ __all__ = [
     "stringent_graph",
     "t",
     "t_ind",
-    "t_inj",
     "t_quantum",
     "unlabel",
     "verify_sos",
-    "witness_eval",
     "witness_graph",
 ]

@@ -147,10 +147,6 @@ class QuantumGraph:
         return QuantumGraph([(as_plg(plg), coeff)])
 
     @staticmethod
-    def zero():
-        return QuantumGraph()
-
-    @staticmethod
     def _normal(terms):
         """The QuantumGraph of a dict from canonical isolated-free PLGs to coefficients."""
         f = QuantumGraph()
@@ -161,9 +157,6 @@ class QuantumGraph:
     @staticmethod
     def unit():
         return QuantumGraph.of(EMPTY_PLG)
-
-    def is_zero(self):
-        return not self.terms
 
     def label_set(self):
         return frozenset().union(*(plg.label_set() for plg in self.terms))

@@ -204,16 +204,13 @@ def check_cs_proof(proof, claimed, budget=EXPAND_BUDGET):
 # Statements and rule operands are inline s-expressions or @file references.
 
 
-def _default_resolver(path):
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _parse_operand(text, resolve, lineno):
     text = text.strip()
     if not text:
         raise FormatError("empty operand", line=lineno)
     if text.startswith("@"):
+        if resolve is None:
+            raise FormatError(f"no resolver for the reference {text!r}", line=lineno)
         try:
             text = resolve(text[1:])
         except OSError as exc:
@@ -289,8 +286,9 @@ def _parse_justification(text, resolve, lineno):
 _BY_RULE = re.compile(r";\s*by\s+(?=(?:" + "|".join(RULES) + r")\s*\()")
 
 
-def parse_cs_proof(text, resolve=_default_resolver):
-    """Parse a numbered proof file; @refs are loaded through `resolve`."""
+def parse_cs_proof(text, resolve=None):
+    """Parse a numbered proof file; @refs are loaded through `resolve`, and
+    with none an @ref is a FormatError."""
     lines = []
     for lineno, body in record_lines(text):
         number, sep, rest = body.partition(":")

@@ -1,10 +1,10 @@
 """Exact density functionals.
 
 Everything here returns exact rationals.  The basic quantities are
-homomorphism densities t, injective densities t_inj, and induced densities
-t_ind of a small graph in a larger one; labeled variants fix some vertices
-through a root map (a dict label -> target vertex) and average the rest
-over a vertex-weight distribution y.
+homomorphism densities t and induced densities t_ind of a small graph in
+a larger one; labeled variants fix some vertices through a root map (a
+dict label -> target vertex) and average the rest over a vertex-weight
+distribution y.
 
 t_ind uses the convention that a non-edge is respected by a pair of equal
 images: an edge must go to a distinct adjacent pair, a non-edge to a pair
@@ -15,7 +15,7 @@ terms.
 Every density is a sum over the ways of extending a map, pinned on some
 vertices of a pattern, to all of it, and one search does all of them.  The
 free vertices split into components, each searched in a greedy order,
-grown only as deep as a search reaches, in hom, inj or exact mode.  A term
+grown only as deep as a search reaches, in hom or exact mode.  A term
 list is one `_TermSearch` over a trie of the components' position codes,
 so components that share a prefix enumerate its images once.  Codes name
 pinned vertices by keys, such as labels, not by their images, so a search
@@ -27,8 +27,8 @@ target, or hands the path images and tail masks to a caller: a density
 polynomial counts its monomials there, each one packed int of exponents
 in the layout of `polynomials.Polynomial`, sums the terms as integer
 numerators over one denominator, and hands the monomials to that ring
-as they are; `extensions` lists whole images, for exact embeddings,
-automorphisms and the label walk of Unlabel nodes.  A single density or
+as they are; `extensions` lists whole exact images, for exact
+embeddings and the label walk of Unlabel nodes.  A single density or
 extension list is the search of a one-term list.
 
 Quantum graphs and term lists evaluate linearly, through the one search
@@ -50,7 +50,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, perm, prod
+from math import lcm, prod
 from types import MappingProxyType
 
 from .algebra import (
@@ -110,11 +110,6 @@ class WeightedGraph:
     def __setattr__(self, name, value):
         raise AttributeError("WeightedGraph is immutable")
 
-    @staticmethod
-    def uniform(graph):
-        n = graph.n
-        return WeightedGraph(graph, [Fraction(1, n)] * n if n else [])
-
     def __eq__(self, other):
         return (
             isinstance(other, WeightedGraph)
@@ -129,8 +124,6 @@ class WeightedGraph:
 def as_weighted(G):
     if isinstance(G, WeightedGraph):
         return G
-    if isinstance(G, Graph):
-        return WeightedGraph.uniform(G)
     raise TypeError(f"expected a graph or weighted graph, got {type(G).__name__}")
 
 
@@ -146,7 +139,7 @@ def _target(G):
 # ---------------------------------------------------------------------------
 # The hom-extension kernel
 
-HOM, INJ, EXACT = "hom", "inj", "exact"
+HOM, EXACT = "hom", "exact"
 
 
 def _root(pinned, a, pinmask, mode, free):
@@ -156,12 +149,8 @@ def _root(pinned, a, pinmask, mode, free):
     if not pinmask:
         return ()
     near = tuple(sorted(pinned[u] for u in _bits(a & pinmask)))
-    apart = used = ()
-    if mode == EXACT:
-        apart = tuple(sorted(pinned[u] for u in _bits(pinmask & ~a & ~free)))
-    elif mode == INJ:
-        used = tuple(sorted(pinned[u] for u in _bits(pinmask)))
-    return (near, apart, used) if near or apart or used else ()
+    apart = tuple(sorted(pinned[u] for u in _bits(pinmask & ~a & ~free))) if mode == EXACT else ()
+    return (near, apart) if near or apart else ()
 
 
 def _root_mask(root, at, gadj, full):
@@ -169,13 +158,11 @@ def _root_mask(root, at, gadj, full):
     `at`, which sends each key to its image."""
     mask = full
     if root:
-        near, apart, used = root
+        near, apart = root
         for k in near:
             mask &= gadj[at[k]]
         for k in apart:
             mask &= ~gadj[at[k]]
-        for k in used:
-            mask &= ~(1 << at[k])
     return mask
 
 
@@ -227,8 +214,8 @@ class _TermSearch:
     the root map `at`, key -> target vertex.  `free` rows, one bitmask of
     free partners per pattern vertex, exempt pairs from the exact rule in
     a one-term list.  A term's free vertices form components, the
-    pattern's in hom mode and one in inj and exact modes, where every pair
-    is constrained.  A component is placed in a greedy order: the next
+    pattern's in hom mode and one in exact mode, where every pair is
+    constrained.  A component is placed in a greedy order: the next
     vertex touches a placed vertex, then has most placed or pinned
     neighbours, then highest degree, then lowest index.  Once no
     constrained pair is left among the unplaced vertices, they are placed
@@ -239,13 +226,12 @@ class _TermSearch:
     different patterns share codes.  It is (root, near, apart): `near` is
     the mask of the earlier positions whose images the candidate must be
     adjacent to, `apart` the mask of those it must not be adjacent to in
-    exact mode, and `root` is (near, apart, used): the keys of its pinned
-    neighbours and, in exact mode, non-neighbours, and the pinned keys inj
-    mode excludes, as sorted tuples, or () when all are empty.  A walk
-    reads each root's images through `at` once.  A pinned vertex has a
-    root too, against the pinned vertices before it in `pinned`, so a walk
-    checks the whole root map: it zeroes each term with a pinned image
-    outside its root's mask.
+    exact mode, and `root` is (near, apart): the keys of its pinned
+    neighbours and, in exact mode, non-neighbours, as sorted tuples, or
+    () when both are empty.  A walk reads each root's images through `at`
+    once.  A pinned vertex has a root too, against the pinned vertices
+    before it in `pinned`, so a walk checks the whole root map: it zeroes
+    each term with a pinned image outside its root's mask.
 
     The search walks a trie of the codes, built lazily, so components that
     share a prefix enumerate its images once and an order grows only as
@@ -341,15 +327,14 @@ class _TermSearch:
         if broken and len(broken) == len(coeffs):
             return coeffs, totals
         img = [0] * self.depth
-        inj = self.mode == INJ
         build = self._build
 
-        def visit(node, d, weight, used):
+        def visit(node, d, weight):
             if node.pending is not None:
                 build(node, d, rmask, totals, at, gadj, full)
             masks = []
             for rid, near, apart in node.codes:
-                cand = rmask[rid] & ~used
+                cand = rmask[rid]
                 for p in near:
                     cand &= gadj[img[p]]
                 for p in apart:
@@ -377,12 +362,12 @@ class _TermSearch:
                     cand ^= low
                     w = low.bit_length() - 1
                     img[d] = w
-                    visit(child, d + 1, weight * num[w], used | low if inj else used)
+                    visit(child, d + 1, weight * num[w])
 
         keys = self.keys  # a compiled function's, or None: this walk's only
         self.keys = keys or [None] * len(self.state)
         try:
-            visit(self.root, 0, 1, 0)
+            visit(self.root, 0, 1)
         finally:
             self.keys = keys
             del visit  # it refers to itself: unbound, the search is freed at once
@@ -483,18 +468,16 @@ class _TermSearch:
         node.pending = None
 
 
-def extensions(pattern, pinned, mode, graph, budget=None, free=None):
-    """The image tuples, indexed by pattern vertex, of every extension of
-    the root map `pinned` {pattern vertex: target vertex} in inj or exact
-    mode: the walk of a one-term search whose keys are the pinned vertices
-    themselves, which checks the pins by their root codes.  `free` rows,
-    as in `_TermSearch`, exempt pairs from the exact rule; `budget` caps
-    the number of extensions."""
-    if mode == HOM:
-        raise ValueError("extensions lists inj and exact maps only")
+def extensions(pattern, pinned, graph, budget=None, free=None):
+    """The image tuples, indexed by pattern vertex, of every exact
+    extension of the root map `pinned` {pattern vertex: target vertex}:
+    the walk of a one-term search in exact mode whose keys are the pinned
+    vertices themselves, which checks the pins by their root codes.
+    `free` rows, as in `_TermSearch`, exempt pairs from the exact rule;
+    `budget` caps the number of extensions."""
     _check_cover(pinned, pinned, graph)
     image = [pinned.get(v, 0) for v in range(pattern.n)]
-    search = _TermSearch([(Fraction(1), pattern, {v: v for v in pinned})], mode, free)
+    search = _TermSearch([(Fraction(1), pattern, {v: v for v in pinned})], EXACT, free)
     return _walk_extensions(search, image, graph, budget)
 
 
@@ -533,13 +516,6 @@ def _density(h, g, mode):
 def t(h, g):
     """Probability that a uniformly random map V(h) -> V(g) is a homomorphism."""
     return _density(h, g, HOM)
-
-
-def t_inj(h, g):
-    """Density over injective maps; 0 when the target is smaller than h."""
-    if g.n < h.n:
-        return Fraction(0)
-    return _density(h, g, INJ) * Fraction(g.n ** h.n, perm(g.n, h.n))
 
 
 def t_ind(h, g):

@@ -21,7 +21,6 @@ from itertools import combinations
 
 from .errors import CapExceeded, FormatError
 
-AUTOMORPHISM_CAP = 10
 ENUMERATION_CAP = 7
 # Most vertices of a built stringent graph or blow-up.  A witness with all
 # of them in one clique has ~500000 edges, one of the largest graphs that
@@ -80,15 +79,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph({self.n}, {sorted(self.edges)})"
-
-    def has_edge(self, u, v):
-        return bool(self.adj[u] >> v & 1)
-
-    def degree(self, v):
-        return self.adj[v].bit_count()
-
-    def neighbors(self, v):
-        return _bits(self.adj[v])
 
     def induced(self, vertices):
         """Subgraph induced on `vertices`, distinct vertices of the graph,
@@ -545,52 +535,6 @@ def _encode(adj, order):
         left -= 1
         enc = enc << left | bits
     return enc
-
-
-def automorphisms(g):
-    """All adjacency-preserving vertex permutations of g.
-
-    For a PLG, labeled vertices must be fixed points.  Returned as tuples
-    `perm` with perm[v] = image of v, sorted, so the identity comes first.
-    They are the injective homomorphisms from g to itself: such a map is a
-    bijection of the vertices sending the finitely many edges injectively,
-    hence onto, the edges, so it also sends non-edges to non-edges.
-    """
-    from .density import INJ, extensions
-
-    plg = g if isinstance(g, PartiallyLabeledGraph) else PartiallyLabeledGraph(g)
-    if plg.graph.n > AUTOMORPHISM_CAP:
-        raise CapExceeded(f"automorphisms supports n <= {AUTOMORPHISM_CAP}, got {plg.graph.n}")
-    fixed = {v: v for _, v in plg.labels}
-    return sorted(extensions(plg.graph, fixed, INJ, plg.graph))
-
-
-def homogeneous_sets(g):
-    """All vertex sets W with 1 < |W| <= n-1 whose members look alike outside W.
-
-    The condition is N(u) \\ W == N(v) \\ W for every two distinct u, v
-    in W.
-    """
-    n = g.n
-    if n > AUTOMORPHISM_CAP:
-        raise CapExceeded(f"homogeneous_sets supports n <= {AUTOMORPHISM_CAP}, got {n}")
-    adj = g.adj
-    found = []
-    for size in range(2, n):
-        for comb in combinations(range(n), size):
-            wmask = _cell_mask(comb)
-            outs = [adj[v] & ~wmask for v in comb]
-            if all(o == outs[0] for o in outs):
-                found.append(frozenset(comb))
-    found.sort(key=lambda w: (len(w), sorted(w)))
-    return found
-
-
-def is_stringent(g):
-    """A graph is stringent when it has no homogeneous set and no nontrivial automorphism."""
-    if homogeneous_sets(g):
-        return False
-    return len(automorphisms(g)) == 1
 
 
 def _check_vertex_cap(n):

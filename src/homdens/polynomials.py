@@ -132,23 +132,12 @@ class Polynomial:
         mask, shifts = (1 << self.width) - 1, range(0, self.width * len(self.vars), self.width)
         return {tuple(m >> s & mask for s in shifts): c for m, c in self.monos.items()}
 
-    def is_zero(self):
-        return not self.monos
-
     def total_degree(self):
         """Maximum total degree; 0 for the zero polynomial."""
         return max((m % ((1 << self.width) - 1) for m in self.monos), default=0)
 
     def constant_term(self):
         return self.monos.get(0, Fraction(0))
-
-    def coefficient(self, monomial):
-        """Coefficient of a monomial given as {var: exponent}."""
-        exps = tuple(monomial.get(v, 0) for v in self.vars)
-        extra = set(monomial) - set(self.vars)
-        if extra:
-            raise ValueError(f"unknown variables {sorted(extra)}")
-        return self.terms.get(exps, Fraction(0))
 
     def abs_coeff_sum(self):
         return sum((abs(c) for c in self.monos.values()), Fraction(0))
@@ -353,7 +342,7 @@ def _etv_vars(k):
 def _check_vars(p, allowed):
     bad = set(p.vars) - set(allowed)
     if bad:
-        raise ValueError(f"polynomial uses variables {sorted(bad)}, expected {', '.join(allowed)}")
+        raise ValueError(f"polynomial uses variables {sorted(bad)}, expected {', '.join(allowed) or 'no variables'}")
 
 
 def goodman_g(x):

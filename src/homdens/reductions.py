@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import IndAtom, PolyImage, Unlabel, expand
-from .density import EXACT, extensions, t
+from .density import extensions, t
 from .errors import FormatError
 from .graphs import (
     Graph,
@@ -77,7 +77,7 @@ def is_exact_embedding(h, g, phi):
     if set(phi) != set(range(1, h.n + 1)):
         raise ValueError("root map domain must be the labels 1..k")
     pinned = {v: phi[v + 1] for v in range(h.n)}
-    return bool(extensions(h, pinned, EXACT, g))
+    return bool(extensions(h, pinned, g))
 
 
 def exact_embeddings(h, g, budget=EMBED_BUDGET):
@@ -86,14 +86,14 @@ def exact_embeddings(h, g, budget=EMBED_BUDGET):
     `budget` bounds the number of embeddings.  Returns root maps keyed
     by label, sorted.
     """
-    images = sorted(extensions(h, {}, EXACT, g, budget=budget))
+    images = sorted(extensions(h, {}, g, budget=budget))
     return [{v + 1: w for v, w in enumerate(image)} for image in images]
 
 
 def resample_set(h, g, phi, j):
     """U_j: the vertices w for which phi with j redirected to w stays exact."""
     others = {v: phi[v + 1] for v in range(h.n) if v != j - 1}
-    return [image[j - 1] for image in extensions(h, others, EXACT, g)]
+    return [image[j - 1] for image in extensions(h, others, g)]
 
 
 # ---------------------------------------------------------------------------

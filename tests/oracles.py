@@ -10,7 +10,7 @@ against `plain_monomial_terms`; `ind_sum`, which spells out an ind
 atom's free pairs through the package's plain `ind`; and the helpers at
 the end, which state facts about the package's own values (`hom_count`,
 `alpha`, `check_tasym`, `is_isomorphic_labeled`) or build test inputs
-(`TauPoly`).
+(`weighted`, `TauPoly`).
 """
 
 import math
@@ -48,18 +48,40 @@ def brute_isomorphic(a, b):
 
 def brute_automorphisms(g):
     """Every permutation of the vertices, in lexicographic order, that fixes
-    the labeled vertices and maps the edge set onto itself."""
+    the labeled vertices and maps the edge set onto itself.  A bijection
+    maps the edges injectively, so into the edge set is onto it."""
     if isinstance(g, Graph):
         g = PartiallyLabeledGraph(g)
-    edges = set(g.graph.edges)
+    edges = g.graph.edges
     out = []
     for perm in permutations(range(g.graph.n)):
         if any(perm[v] != v for _, v in g.labels):
             continue
-        mapped = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges}
-        if mapped == edges:
+        if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in edges for u, v in edges):
             out.append(perm)
     return out
+
+
+def homogeneous_sets(g):
+    """All vertex sets W with 1 < |W| <= n-1 whose members look alike outside W.
+
+    The condition is N(u) \\ W == N(v) \\ W for every two distinct u, v
+    in W.
+    """
+    found = []
+    for size in range(2, g.n):
+        for comb in combinations(range(g.n), size):
+            outside = sum(1 << v for v in comb)
+            outs = [g.adj[v] & ~outside for v in comb]
+            if all(o == outs[0] for o in outs):
+                found.append(frozenset(comb))
+    return found
+
+
+def is_stringent(g):
+    """A graph is stringent when it has no homogeneous set and no
+    nontrivial automorphism."""
+    return not homogeneous_sets(g) and len(brute_automorphisms(g)) == 1
 
 
 def relabeled_vertices(plg, perm):
@@ -117,11 +139,11 @@ def plain_monomial_terms(h, js):
     """
     k = h.n
     base = list(h.edges)
-    free = [(u, v) for u, v in combinations(range(k), 2) if not h.has_edge(u, v)]
+    free = [(u, v) for u, v in combinations(range(k), 2) if not h.adj[u] >> v & 1]
     for i, j in enumerate(js):
         c = k + i
-        base.extend((u, c) for u in h.neighbors(j - 1))
-        free.extend((w, c) for w in range(k) if w != j - 1 and not h.has_edge(w, j - 1))
+        base.extend((u, c) for u in range(k) if h.adj[j - 1] >> u & 1)
+        free.extend((w, c) for w in range(k) if w != j - 1 and not h.adj[w] >> j - 1 & 1)
     for mask in range(1 << len(free)):
         extra = [free[i] for i in range(len(free)) if mask >> i & 1]
         yield base + extra, -1 if len(extra) % 2 else 1
@@ -162,7 +184,7 @@ def ind_sum(atom):
     from homdens.algebra import QuantumGraph, ind
 
     plg, free = atom.plg, sorted(free_pairs(atom.rows))
-    total = QuantumGraph.zero()
+    total = QuantumGraph()
     for mask in range(1 << len(free)):
         extra = [pair for i, pair in enumerate(free) if mask >> i & 1]
         graph = Graph(plg.n, list(plg.graph.edges) + extra)
@@ -176,7 +198,7 @@ def brute_hom_count(h, g):
         return 1
     count = 0
     for phi in product(range(g.n), repeat=h.n):
-        if all(g.has_edge(phi[u], phi[v]) for u, v in h.edges):
+        if all(g.adj[phi[u]] >> phi[v] & 1 for u, v in h.edges):
             count += 1
     return count
 
@@ -194,7 +216,7 @@ def brute_t_inj(h, g):
         return Fraction(0)
     count = 0
     for phi in permutations(range(g.n), h.n):
-        if all(g.has_edge(phi[u], phi[v]) for u, v in h.edges):
+        if all(g.adj[phi[u]] >> phi[v] & 1 for u, v in h.edges):
             count += 1
     denom = 1
     for i in range(h.n):
@@ -221,11 +243,11 @@ def brute_t_ind(h, g):
         for u, v in pairs:
             a, b = phi[u], phi[v]
             if (u, v) in edge_set:
-                if a == b or not g.has_edge(a, b):
+                if a == b or not g.adj[a] >> b & 1:
                     ok = False
                     break
             else:
-                if a != b and g.has_edge(a, b):
+                if a != b and g.adj[a] >> b & 1:
                     ok = False
                     break
         if ok:
@@ -252,7 +274,7 @@ def brute_rooted_t(h, g, phi_partial, y=None):
     for assignment in product(range(g.n), repeat=len(free)):
         phi = dict(pinned)
         phi.update(zip(free, assignment))
-        if all(g.has_edge(phi[u], phi[v]) for u, v in edges):
+        if all(g.adj[phi[u]] >> phi[v] & 1 for u, v in edges):
             w = Fraction(1)
             for v in free:
                 w *= y[phi[v]]
@@ -278,7 +300,7 @@ def brute_density_polynomial(plg, g, phi):
     for assignment in product(range(g.n), repeat=len(free)):
         image = dict(pinned)
         image.update(zip(free, assignment))
-        if all(g.has_edge(image[u], image[v]) for u, v in edges):
+        if all(g.adj[image[u]] >> image[v] & 1 for u, v in edges):
             exps = tuple(assignment.count(w) for w in range(g.n))
             counts[exps] = counts.get(exps, 0) + 1
     return {exps: Fraction(k) for exps, k in counts.items()}
@@ -290,7 +312,7 @@ def brute_weighted_t(h, g, y):
         return Fraction(1)
     total = Fraction(0)
     for phi in product(range(g.n), repeat=h.n):
-        if all(g.has_edge(phi[u], phi[v]) for u, v in h.edges):
+        if all(g.adj[phi[u]] >> phi[v] & 1 for u, v in h.edges):
             w = Fraction(1)
             for v in range(h.n):
                 w *= y[phi[v]]
@@ -304,14 +326,14 @@ def brute_exact_embeddings(h, g):
     for phi in product(range(g.n), repeat=h.n):
         ok = True
         for u, v in combinations(range(h.n), 2):
-            hu = h.has_edge(u, v)
+            hu = h.adj[u] >> v & 1
             a, b = phi[u], phi[v]
             if hu:
-                if a == b or not g.has_edge(a, b):
+                if a == b or not g.adj[a] >> b & 1:
                     ok = False
                     break
             else:
-                if a != b and g.has_edge(a, b):
+                if a != b and g.adj[a] >> b & 1:
                     ok = False
                     break
         if ok:
@@ -616,23 +638,33 @@ def hom_count(h, g):
 def alpha(h, G, phi_map, j):
     """Probability that redrawing phi(j) from the vertex distribution keeps
     the map an exact embedding, summed over the package's redraw set."""
-    from homdens.density import as_weighted
     from homdens.reductions import is_exact_embedding, resample_set
 
-    G = as_weighted(G)
+    G = weighted(G)
     if not is_exact_embedding(h, G.graph, phi_map):
         raise ValueError("root map is not an exact embedding")
     return sum((G.y[w] for w in resample_set(h, G.graph, phi_map, j)), Fraction(0))
 
 
 def check_tasym(h, g):
-    """|t - t_inj| <= C(|V(h)|, 2) / |V(g)|, the random-collision bound."""
-    from homdens.density import t, t_inj
+    """|t - t_inj| <= C(|V(h)|, 2) / |V(g)|, the random-collision bound,
+    with the package's t against the brute-force injective density."""
+    from homdens.density import t
 
-    gap = abs(t(h, g) - t_inj(h, g))
+    gap = abs(t(h, g) - brute_t_inj(h, g))
     if g.n == 0:
         return gap == 0
     return gap <= Fraction(math.comb(h.n, 2), g.n)
+
+
+def weighted(G):
+    """G itself if it is weighted, else the plain graph G with every vertex
+    weighing 1/n."""
+    from homdens.density import WeightedGraph
+
+    if isinstance(G, WeightedGraph):
+        return G
+    return WeightedGraph(G, [Fraction(1, G.n)] * G.n if G.n else [])
 
 
 def is_isomorphic_labeled(a, b):

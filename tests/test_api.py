@@ -1,5 +1,6 @@
 """The public surface: `homdens.__all__`, the names the benchmark traces,
-and the functions that no command reaches."""
+the functions that no command reaches, and which of those README's
+examples call."""
 
 import importlib
 import importlib.util
@@ -7,63 +8,59 @@ import os
 
 import homdens
 
+from reach import definitions
 from test_cli import run_process
+from test_readme import python_calls
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
 REACH = os.path.join(os.path.dirname(__file__), "reach.py")
 
-# The named functions and methods of `homdens.*` that no command reaches,
-# as `tests/reach.py` finds them, grouped by why each stays in the package.
-# Dunders, among them the immutability guards and `__repr__`s, are not
-# scanned.
-UNREACHED = {
-    # The key behind a polynomial image's `__eq__` and `__hash__`:
-    # `check-proof` keys its normal forms by expression, but no proof that
-    # the commands check states one.
-    "algebra.PolyImage._key",
-    # Documented API (README: quick start, Modules table, Library API), and
-    # the helpers that only it reaches.  bench/tracing.py also traces
-    # `parse_quantum`.
-    "algebra.QuantumGraph.is_zero",
+# The functions and methods that README's Python examples call and no
+# command reaches: the documented library API (README: quick start and
+# Library API), with the helpers that only it reaches.  bench/tracing.py
+# also traces `parse_quantum` and `density_polynomial`.
+DOCUMENTED = {
     "algebra.QuantumGraph.label_set",
     "algebra.QuantumGraph.of",
+    # A printed QuantumGraph lists its terms through these two, which
+    # `counterexample --k 6` reaches too (see below).
+    "algebra.QuantumGraph.sorted_terms",
     "algebra.QuantumGraph.unit",
-    "algebra.QuantumGraph.zero",
     "algebra.ind",
     "algebra.parse_quantum",
     # `expand` glues the last factor of a product straight into its normal
     # form, so only a fold of three or more factors calls `product`.
     "algebra.product",
     "algebra.unlabel",
-    "certificates._default_resolver",
     "density._as_graph",
     "density._density",
-    "density.extensions",
+    "density.density_polynomial",
     "density.t",
     "density.t_ind",
-    "density.t_inj",
     "graphs.Graph.complete",
     "graphs.Graph.cycle",
-    "graphs.Graph.degree",
     "graphs.Graph.edges",
-    "graphs.Graph.has_edge",
-    "graphs.Graph.neighbors",
     "graphs.Graph.path",
-    "graphs.automorphisms",
-    "graphs.homogeneous_sets",
-    "graphs.is_stringent",
-    "polynomials.Polynomial.coefficient",
-    "polynomials.Polynomial.is_zero",
+    "graphs.PartiallyLabeledGraph.sort_key",
+}
+
+# The named functions and methods of `homdens.*` that no command reaches,
+# as `tests/reach.py` finds them, grouped by why each stays in the package.
+# Dunders, among them the immutability guards and `__repr__`s, are not
+# scanned.
+UNREACHED = DOCUMENTED | {
+    # The key behind a polynomial image's `__eq__` and `__hash__`:
+    # `check-proof` keys its normal forms by expression, but no proof that
+    # the commands check states one.
+    "algebra.PolyImage._key",
     # Kept for ROADMAP items 3, 4 and 9, which give them a command.
-    "density.density_polynomial",
     "polynomials.hilbert10_transform",
     "polynomials.motzkin_S",
-    # `as_weighted` lifts a plain graph through it, but no command hands
-    # `as_weighted` one: `_target` weighs a plain graph itself, and
-    # `refute` formats only a weighted witness with `format_weighted_graph`.
-    "density.WeightedGraph.uniform",
     # Traced by bench/tracing.py, which no command calls: the `witness_eval`
-    # chain, until ROADMAP item 1 moves it or stops tracing it.
+    # chain and the exact extension lists it rests on, until ROADMAP item 1
+    # moves it or stops tracing it.  `exact_embeddings` and `witness_eval`
+    # are not in `homdens.__all__`.
+    "density.extensions",
     "reductions._instance_parts",
     "reductions.exact_embeddings",
     "reductions.is_exact_embedding",
@@ -73,9 +70,7 @@ UNREACHED = {
     # Reached only by `counterexample --k 6`, which the pinned-hash test
     # `test_counterexample_output_bytes` runs, and which takes about 2.5
     # times as long under the profile.
-    "algebra.QuantumGraph.sorted_terms",
     "algebra.format_quantum",
-    "graphs.PartiallyLabeledGraph.sort_key",
     "reductions.build_counterexample",
 }
 
@@ -110,3 +105,12 @@ def test_commands_reach_all_but_the_allowlist():
         "new": set(),
         "now reached": set(),
     }
+
+
+def test_documented_names_are_what_readme_calls():
+    """The documented group is exactly the unreached names that README's
+    Python examples call, so a name the examples stop calling leaves the
+    package or moves to another group, and the group cannot drift."""
+    calls = python_calls()
+    called = {name for code, name in definitions().items() if code in calls}
+    assert DOCUMENTED == called & UNREACHED

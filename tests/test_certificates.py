@@ -192,7 +192,7 @@ class TestCsInstance:
     def test_equal_factors_vanish_identically(self):
         for f in (EDGE_1, NONEDGE_1, POINT_1, FULL_EDGE):
             inst = cs_instance(f, f, f.label_set())
-            assert expand(inst) == QuantumGraph.zero()
+            assert expand(inst) == QuantumGraph()
 
     def test_edge_against_nonedge_at_the_triangle(self):
         inst = cs_instance(EDGE_1, NONEDGE_1, [])
@@ -479,6 +479,18 @@ class TestProofFormat:
         lines = parse_cs_proof(text, resolve=files.__getitem__)
         assert check_cs_proof(lines, expand(inst))
 
+    def test_references_need_a_resolver(self, tmp_path, monkeypatch):
+        """With no resolver an @file operand is refused with its line, even
+        when the file is in the working directory."""
+        (tmp_path / "f.qx").write_text("(g plg n=2 labels=1:1 edges=1-2)\n")
+        monkeypatch.chdir(tmp_path)
+        statement = "1: @f.qx ; by A1((g plg n=1))\n"
+        operand = "1: (g plg n=1) ; by A1((g plg n=1))\n2: (g plg n=1) ; by A1(@f.qx)\n"
+        for text, line in ((statement, 1), (operand, 2)):
+            with pytest.raises(FormatError) as exc:
+                parse_cs_proof(text)
+            assert str(exc.value) == f"no resolver for the reference '@f.qx' (line {line})"
+
     def test_rational_rule_arguments(self):
         text = (
             "1: (prod (g plg n=2 labels=1:1 edges=1-2) (g plg n=2 labels=1:1 edges=1-2))"
@@ -637,7 +649,7 @@ class TestRefute:
         rng = random.Random(99)
         patterns = [as_quantum(K2), as_quantum(K3), as_quantum(P3), QuantumGraph.unit()]
         for _ in range(20):
-            target = QuantumGraph.zero()
+            target = QuantumGraph()
             for p in patterns:
                 target = target + F(rng.randint(-2, 2), rng.randint(1, 3)) * p
             w = refute(target, max_n=3, samples=40, seed=11)

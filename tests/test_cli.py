@@ -19,10 +19,11 @@ from homdens.graphs import (
     PartiallyLabeledGraph as PLG,
     enumerate_graphs,
     format_plg,
-    is_stringent,
     parse_plg,
 )
 from homdens.polynomials import DEGREE_CAP, Polynomial, format_poly
+
+from oracles import is_stringent
 
 VARS6 = ("x1", "x2", "x3", "x4", "x5", "x6")
 # The counterexample as the unlabeled clone image of its polynomial.
@@ -860,6 +861,15 @@ class TestHostileInput:
         code, out, err = run(capsys, "verify-sos", "--target", target, "--cert", cert)
         message = f"canonical labeling of 80 vertices exceeds {CANONICAL_NODE_CAP} search nodes"
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_variables_on_an_unlabeled_base_name_none_expected(self, capsys, files):
+        """A clone image over the empty base allows no variable, and the
+        refusal says so instead of ending in a blank list."""
+        expr = files("e.qx", "(phi plg n=0 | poly vars=x1 ; 1*x1)\n")
+        target = files("k2.plg", "plg n=2 edges=1-2\n")
+        code, out, err = run(capsys, "eval", "--in", expr, "--target", target)
+        message = "error: polynomial uses variables ['x1'], expected no variables\n"
+        assert (code, out, err) == (2, "", message)
 
     def test_deep_nest_exits_2(self, capsys, files):
         expr = files("deep.qx", nested_sum(3000))

@@ -111,9 +111,8 @@ class TestArithmetic:
     def test_degree_and_coefficients(self):
         p = 2 * x(1) ** 3 * x(2) - x(2)
         assert p.total_degree() == 4
-        assert p.coefficient({"x1": 3, "x2": 1}) == 2
-        assert p.coefficient({"x2": 1}) == -1
-        assert p.coefficient({}) == 0
+        assert p.terms == {(3, 1): 2, (0, 1): -1}
+        assert p.constant_term() == 0
         assert p.abs_coeff_sum() == 3
 
     def test_rejects_bad_construction(self):
@@ -438,9 +437,8 @@ class TestPolyFormat:
 
     def test_examples(self):
         p = parse_poly("poly vars=x1,x2 ; 1*x1^2*x2 + -2/3*x2")
-        assert p.coefficient({"x1": 2, "x2": 1}) == 1
-        assert p.coefficient({"x2": 1}) == Fraction(-2, 3)
-        assert parse_poly("poly vars=x1 ; 0").is_zero()
+        assert p.terms == {(2, 1): 1, (0, 1): Fraction(-2, 3)}
+        assert parse_poly("poly vars=x1 ; 0") == 0
         assert parse_poly("poly vars=x1 ; x1 - 2") == x(1) - 2
         assert parse_poly("poly vars= ; 5") == 5
         assert parse_poly("poly vars=x1 ; 0.5*x1 + -0.25") == Fraction(1, 2) * x(1) - Fraction(1, 4)
@@ -468,7 +466,7 @@ class TestPolyFormat:
         p = parse_poly(text)
         assert time.perf_counter() - start < 1
         assert len(p.terms) == 1001  # the exponents repeat with period 7 * 11 * 13
-        assert p.coefficient({}) == sum(range(1001, 3001, 1001))
+        assert p.constant_term() == sum(range(1001, 3001, 1001))
 
     def test_repeated_terms_sum(self):
         rng = random.Random(67)
@@ -476,7 +474,7 @@ class TestPolyFormat:
         terms = [rand_poly(rng, vars, max_terms=1, max_exp=2) for _ in range(25)]
         terms += [-t for t in terms[:10]] + terms[10:20] + [2 * t for t in terms[20:25]]
         rng.shuffle(terms)
-        terms = [t for t in terms if not t.is_zero()]
+        terms = [t for t in terms if t != 0]
         text = "poly vars=x1,x2,x3 ; " + " + ".join(format_poly(t).split(" ; ")[1] for t in terms)
         assert parse_poly(text) == sum(terms, Polynomial.constant(0, vars))
 
