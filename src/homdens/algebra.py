@@ -43,6 +43,7 @@ from .graphs import (
     Graph,
     PartiallyLabeledGraph,
     _bits,
+    _form_parts,
     _marked,
     _moved,
     _moved_rows,
@@ -80,14 +81,21 @@ def strip_isolated(plg):
     unlabeled isolated vertices before any other unlabeled component, so
     dropping isolated vertices keeps the order of the rest.
     """
-    g = plg.graph
-    if all(g.adj):
+    if all(plg.graph.adj):
         return plg
-    keep = [v for v in range(g.n) if g.adj[v]]
-    index = {v: i for i, v in enumerate(keep)}
-    labels = [(lab, index[v]) for lab, v in plg.labels if v in index]
-    stripped = PLG(g.induced(keep), labels)
+    adj, labels = _stripped(plg.graph.adj, plg.labels)
+    stripped = PLG._of_parts(Graph._of_rows(adj), labels)
     return _marked(stripped) if plg._canon is True else stripped
+
+
+def _stripped(adj, labels):
+    """The rows and labels of the PLG of rows `adj` and `labels`, sorted
+    by label, with every isolated vertex removed."""
+    index = {v: i for i, v in enumerate(v for v, row in enumerate(adj) if row)}
+    return (
+        tuple(_moved(row, index) for row in adj if row),
+        tuple((lab, index[v]) for lab, v in labels if v in index),
+    )
 
 
 def _glue_map(a, b):
@@ -110,20 +118,26 @@ def _glue_map(a, b):
 
 def glue(a, b):
     """Glue two PLGs: disjoint union, identify equal labels, drop doubled edges."""
-    a, b = as_plg(a), as_plg(b)
+    adj, labels = _glued(as_plg(a), as_plg(b))
+    return PLG._of_parts(Graph._of_rows(adj), labels)
+
+
+def _glued(a, b):
+    """The rows and labels, sorted by label, of `glue(a, b)` for PLGs a and b."""
     bmap, n, labels = _glue_map(a, b)
     adj = [*a.graph.adj, *[0] * (n - a.graph.n)]
     for u, row in enumerate(b.graph.adj):
         adj[bmap[u]] |= _moved(row, bmap)
-    return PLG(Graph._of_rows(tuple(adj)), labels)
+    return tuple(adj), tuple(sorted(labels.items()))
 
 
 class QuantumGraph:
     """A rational combination of PLGs, stored in normal form.
 
     Keys are canonical isolated-vertex-free PLGs; the empty graph is the
-    unit of the unlabeled subalgebra.  The empty map is zero.  Raw terms
-    become keys by `_add_raw`, the normal-form rule `expand` applies too.
+    unit of the unlabeled subalgebra.  The empty map is zero, and no
+    coefficient is 0.  Raw terms become keys by `_add_raw`, the
+    normal-form rule `expand` applies too.
 
     `_search` is the term search that `density` keeps on a graph with no
     labels once it is first evaluated, and None until then.
@@ -134,9 +148,9 @@ class QuantumGraph:
     def __init__(self, terms=()):
         if isinstance(terms, dict):
             terms = terms.items()
-        acc = {}
+        acc = _Terms()
         _add_raw(acc, ((as_plg(plg), c if isinstance(c, Fraction) else Fraction(c)) for plg, c in terms))
-        object.__setattr__(self, "terms", {k: c for k, c in acc.items() if c})
+        object.__setattr__(self, "terms", acc.terms())
         object.__setattr__(self, "_search", None)
 
     def __setattr__(self, name, value):
@@ -148,9 +162,9 @@ class QuantumGraph:
 
     @staticmethod
     def _normal(terms):
-        """The QuantumGraph of a dict from canonical isolated-free PLGs to coefficients."""
+        """The QuantumGraph of `terms`, a dict from canonical isolated-free
+        PLGs to nonzero Fractions, which it keeps."""
         f = QuantumGraph()
-        terms = {key: c if isinstance(c, Fraction) else Fraction(c) for key, c in terms.items() if c}
         object.__setattr__(f, "terms", terms)
         return f
 
@@ -180,6 +194,8 @@ class QuantumGraph:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            if not other:
+                return QuantumGraph()
             return QuantumGraph._normal({p: c * other for p, c in self.terms.items()})
         return product(self, other)
 
@@ -233,7 +249,8 @@ def _absent(plg, rows):
 
 
 def ind_terms(plg, rows):
-    """Yield (raw PLG, weight) pairs whose sum is ind of the trigraph (plg, rows).
+    """Yield the raw terms whose sum is ind of the trigraph (plg, rows), each
+    as ((adj, labels), weight), the rows and labels of a PLG never built.
 
     ind is the alternating sum over the supergraphs that add a set A of
     non-edges, with sign (-1)^|A|; free pairs are never added, so they stay
@@ -244,7 +261,9 @@ def ind_terms(plg, rows):
     ascending order, weighted by the m!/prod(multiplicity!) orders that
     reach the choice.  A class owns its members' pairs, so it is taken up
     to swapping only when no earlier such class is among its partners;
-    the pairs no class owns are plain, each added or not.
+    the pairs no class owns are plain, each added or not.  The raw terms
+    are pairwise distinct: they share the labels, and each choice adds
+    different edges.
     """
     g, n = plg.graph, plg.n
     open_rows = [((1 << n) - 1) & ~(g.adj[v] | rows[v] | 1 << v) for v in range(n)]
@@ -280,7 +299,7 @@ def ind_terms(plg, rows):
                 adj[v] |= 1 << u
             added += len(edges)
             weight *= count
-        yield PLG._of_parts(Graph._of_rows(tuple(adj)), plg.labels), -weight if added % 2 else weight
+        yield (tuple(adj), plg.labels), -weight if added % 2 else weight
 
 
 def ind_product(a, b):
@@ -536,10 +555,10 @@ def expand(expr, budget=EXPAND_BUDGET):
     factors scale it, and a product scaled by 0 expands nothing.  Its
     IndAtom factors multiply by `ind_product` into one trigraph, or 0,
     whose 2^(non-edges) terms are checked before any is built; with no
-    other factor, its raw terms go to the normal-form rule `_add_raw`.  A
-    lone other factor expands in place, scaled; otherwise each other factor
+    other factor, its raw terms go to the normal-form rule as rows, by
+    `_add_ind`.  A lone other factor expands in place, scaled; otherwise each other factor
     is expanded once, all but the last fold by `product`, and the last
-    gluing's pairs go to the rule, so no product is canonicalized twice; a
+    gluing's rows go to the rule, so no product is canonicalized twice; a
     gluing is refused when its term counts multiply past the budget.  An
     Unlabel passes its kept labels down through Sum, PolyImage and nested
     Unlabels to each product, whose rule drops the rest: a product of
@@ -547,27 +566,117 @@ def expand(expr, budget=EXPAND_BUDGET):
     expands, so its unlabeled twins collapse."""
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    acc = {}
+    acc = _Terms()
     _expand_into(acc, _as_qexpr(expr), 1, None, budget)
-    return QuantumGraph._normal(acc)
+    return QuantumGraph._normal(acc.terms())
+
+
+class _Terms:
+    """A sum on its way to normal form: `coeffs` maps the rows and labels
+    of each canonical form reached to its coefficient.  Rows that labeling
+    moved take one shared int per distinct row from `rows`, as a parsed
+    form's do.  `forms` holds the PLG of a form that arrived as one;
+    `terms` builds the rest."""
+
+    __slots__ = ("coeffs", "forms", "rows")
+
+    def __init__(self):
+        self.coeffs, self.forms, self.rows = {}, {}, {}
+
+    def terms(self):
+        """The dict from each flagged form with a nonzero coefficient to
+        that coefficient as a Fraction, equal coefficients one object."""
+        out, shared = {}, {}
+        for key, c in self.coeffs.items():
+            if c:
+                form = self.forms.get(key)
+                if form is None:
+                    form = _marked(PLG._of_parts(Graph._of_rows(key[0]), key[1]))
+                f = shared.get(c)
+                if f is None:
+                    f = shared[c] = c if isinstance(c, Fraction) else Fraction(c)
+                out[form] = f
+        return out
 
 
 def _add_raw(acc, terms, scale=1, keep=None):
-    """The normal-form rule: add scale times the sum of the raw (PLG, weight)
-    `terms` to acc, keyed by canonical PLG.  Labels outside `keep` (None keeps
-    all) and isolated vertices go first; equal raw terms merge, each distinct
-    nonzero one is canonicalized once, and the scale meets each form once.
+    """The normal-form rule: add scale times the sum of the raw `terms` to
+    the `_Terms` acc.  A raw term is (PLG, weight) or ((adj, labels),
+    weight), the rows and labels, sorted by label, of a PLG never built.
+    Labels outside `keep` (None keeps all) and isolated vertices go first;
+    then equal raw terms merge, and `_add_distinct` adds the nonzero ones.
+    A PLG that comes through unchanged is handed on, so that one already a
+    form, or with its form cached, is not labeled again, and one whose
+    certificate is the identity is its own form; what is left of a form
+    once its isolated vertices go is a form too (see `strip_isolated`).
     No form is cached on a raw term: the raw dict would keep each copy alive."""
-    raw = {}
-    for plg, weight in terms:
-        if weight:
-            _merge(raw, strip_isolated(plg if keep is None else plg.drop_labels(keep)), weight)
-    forms = acc if scale == 1 else {}
-    for plg, weight in raw.items():
-        if weight:
-            _merge(forms, plg if plg._canon is True else plg._canon or canonical_form(plg)[0], weight)
-    for key, weight in () if forms is acc else forms.items():
-        _merge(acc, key, scale * weight)
+    raw, given = {}, {}
+    for term, weight in terms:
+        if not weight:
+            continue
+        if isinstance(term, tuple):
+            (adj, labels), plg = term, None
+        else:
+            adj, labels, plg = term.graph.adj, term.labels, term
+        if keep is not None and any(lab not in keep for lab, _ in labels):
+            labels, plg = tuple(lv for lv in labels if lv[0] in keep), None
+        if not all(adj):
+            adj, labels = _stripped(adj, labels)
+            canon = plg is not None and plg._canon is True
+            plg = _marked(PLG._of_parts(Graph._of_rows(adj), labels)) if canon else None
+        key = adj, labels
+        _merge(raw, key, weight)
+        if plg is not None:
+            given.setdefault(key, plg)
+    _add_distinct(acc, ((key, w) for key, w in raw.items() if w), scale, given)
+
+
+def _add_distinct(acc, terms, scale=1, given=None):
+    """Add scale times the sum of `terms` to the `_Terms` acc: pairwise
+    distinct ((adj, labels), weight) raw terms, none with an isolated
+    vertex or a zero weight, so none merges before labeling.  `given` maps
+    the rows and labels of a term that came as a PLG to that PLG.
+
+    Each term is labeled once, unless its PLG is a form or caches its form,
+    and the form's rows and labels key the merge.  A given PLG whose
+    certificate is the identity is flagged and kept as its own form.  The
+    scale meets each form once."""
+    coeffs = acc.coeffs if scale == 1 else {}
+    forms, rows = acc.forms, acc.rows
+    for key, weight in terms:
+        plg = given.get(key) if given else None
+        moved = False
+        if plg is not None and plg._canon:
+            form = plg if plg._canon is True else plg._canon
+            key = form.graph.adj, form.labels
+            forms.setdefault(key, form)
+        else:
+            adj, labels, _ = _form_parts(*key)
+            if adj is not key[0]:
+                key, moved = (adj, labels), True
+            elif plg is not None:
+                forms.setdefault(key, _marked(plg))
+        old = coeffs.get(key)
+        if old is None:
+            if moved:
+                key = tuple([rows.setdefault(r, r) for r in key[0]]), key[1]
+            coeffs[key] = weight
+        else:
+            coeffs[key] = old + weight
+    if coeffs is not acc.coeffs:
+        for key, weight in coeffs.items():
+            _merge(acc.coeffs, key, scale * weight)
+
+
+def _add_ind(acc, plg, rows, scale=1):
+    """Add scale times ind of the trigraph (plg, rows) to the `_Terms` acc.
+    Its raw terms are pairwise distinct, so they go straight to labeling
+    unless the graph has an isolated vertex, whose loss can make two equal."""
+    terms = ind_terms(plg, rows)
+    if all(plg.graph.adj):
+        _add_distinct(acc, terms, scale)
+    else:
+        _add_raw(acc, terms, scale)
 
 
 def _merge(acc, key, coeff):
@@ -619,10 +728,14 @@ def _expand_into(acc, expr, scale, keep, budget):
             raise BudgetExceeded(f"ind expansion needs 2^{missing} terms, budget is {budget}")
         plg, rows = glued
         if not others:
-            _add_raw(acc, ind_terms(plg if keep is None else plg.drop_labels(keep), rows), scale)
+            _add_ind(acc, plg if keep is None else plg.drop_labels(keep), rows, scale)
             return
         expanded = {}  # keyed by identity: hashing a deep child costs more
-        factors = [QuantumGraph(ind_terms(plg, rows))] if inds else []
+        factors = []
+        if inds:
+            ind_acc = _Terms()
+            _add_ind(ind_acc, plg, rows)
+            factors.append(QuantumGraph._normal(ind_acc.terms()))
         for child in others:
             if id(child) not in expanded:
                 expanded[id(child)] = expand(child, budget)
@@ -635,14 +748,15 @@ def _expand_into(acc, expr, scale, keep, budget):
                 raise BudgetExceeded(f"product of {m} by {n} terms exceeds {budget}")
             if i < len(factors):
                 total = product(total, factor)
-        pairs = ((glue(a, b), ca * cb) for a, ca in total.terms.items() for b, cb in factor.terms.items())
+        pairs = ((_glued(a, b), ca * cb) for a, ca in total.terms.items() for b, cb in factor.terms.items())
         _add_raw(acc, pairs, scale, keep)
     else:
         raise TypeError(f"unknown expression node {type(expr).__name__}")
 
 
 def _check_budget(acc, budget):
-    if len(acc) > budget and sum(1 for c in acc.values() if c) > budget:
+    coeffs = acc.coeffs
+    if len(coeffs) > budget and sum(1 for c in coeffs.values() if c) > budget:
         raise BudgetExceeded(f"expansion exceeded {budget} terms")
 
 
@@ -685,8 +799,11 @@ def read_terms(text):
 
 
 def parse_quantum(text):
-    """The normal form of a term list."""
-    return QuantumGraph(read_terms(text))
+    """The normal form of a term list, whose records reach the normal-form
+    rule as rows, so that no parsed PLG outlives its line."""
+    acc = _Terms()
+    _add_raw(acc, (((plg.graph.adj, plg.labels), c) for plg, c in read_terms(text)))
+    return QuantumGraph._normal(acc.terms())
 
 
 # s-expressions: (q 2/3), (g <plg>), (ind <plg>), (sum e...), (prod e...),

@@ -121,18 +121,13 @@ class WeightedGraph:
         return f"WeightedGraph({self.graph!r}, y={list(self.y)})"
 
 
-def as_weighted(G):
-    if isinstance(G, WeightedGraph):
-        return G
-    raise TypeError(f"expected a graph or weighted graph, got {type(G).__name__}")
-
-
 def _target(G):
     """The graph and `_Weights` of a target; a plain graph weighs each
     vertex 1/n, with no WeightedGraph to build and validate."""
     if isinstance(G, Graph):
         return G, _Weights((Fraction(1, G.n),) * G.n if G.n else ())
-    G = as_weighted(G)
+    if not isinstance(G, WeightedGraph):
+        raise TypeError(f"expected a graph or weighted graph, got {type(G).__name__}")
     return G.graph, _Weights(G.y)
 
 
@@ -794,7 +789,6 @@ def density_polynomial(f, g, phi=None):
 
 
 def format_weighted_graph(G):
-    G = as_weighted(G)
     record = format_plg(G.graph)
     if G.graph.n:
         record += " weights=" + ",".join(str(w) for w in G.y)

@@ -232,7 +232,21 @@ def canonical_form(g):
     identity is already its own form; it is flagged and returned itself."""
     if isinstance(g, Graph):
         g = PartiallyLabeledGraph._of_parts(g, ())
-    return _form(g, _certificate(g.graph.adj, g.labels))
+    adj, labels, cert = _form_parts(g.graph.adj, g.labels)
+    form = g if adj is g.graph.adj else PartiallyLabeledGraph._of_parts(Graph._of_rows(adj), labels)
+    return _marked(form), cert
+
+
+def _form_parts(adj, labels):
+    """The rows and labels of the canonical form of the PLG of rows `adj`
+    and `labels`, and the certificate `_certificate` gives for them.  When
+    the certificate is the identity, the rows and labels returned are the
+    input objects themselves, so `is` tells an input that is its own form.
+    """
+    cert = _certificate(adj, labels)
+    if cert != tuple(range(len(cert))):
+        adj, labels = _moved_rows(adj, cert), tuple((lab, cert[v]) for lab, v in labels)
+    return adj, labels, cert
 
 
 def _certificate(adj, labels):
@@ -411,28 +425,16 @@ def form_table():
         _FORMS = outer
 
 
-def _form(g, cert):
-    """The pair (canonical form, `cert`) of `g` under its certificate, a
-    permutation the caller trusts: `g` itself when `cert` is the identity,
-    else its image.  The form is flagged, so that `.canonical()` on it is
-    itself."""
-    form = g if cert == tuple(range(len(cert))) else _moved_plg(g, cert)
-    return _marked(form), cert
-
-
-def _moved_plg(plg, perm):
-    """The image of `plg` under a permutation the caller trusts: vertex v
-    goes to perm[v].  The image of a valid PLG is valid, so it is built
-    without the constructors' checks."""
-    labels = tuple((lab, perm[v]) for lab, v in plg.labels)
-    return PartiallyLabeledGraph._of_parts(Graph._of_rows(_moved_rows(plg.graph.adj, perm)), labels)
-
-
 def _moved_rows(adj, perm):
     """The rows `adj` with each vertex v moved to perm[v]."""
     out = [0] * len(perm)
     for u, row in enumerate(adj):
-        out[perm[u]] = _moved(row, perm)
+        moved = 0  # `_moved(row, perm)`, inlined: forms are moved once per raw term
+        while row:
+            low = row & -row
+            moved |= 1 << perm[low.bit_length() - 1]
+            row ^= low
+        out[perm[u]] = moved
     return tuple(out)
 
 

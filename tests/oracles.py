@@ -192,6 +192,68 @@ def ind_sum(atom):
     return total
 
 
+def brute_ind_terms(atom):
+    """The raw terms of ind of an IndAtom as (PLG, sign) pairs: the atom
+    plus each set A of the pairs that are neither edges nor free, with
+    sign (-1)^|A|.  Summing `ind_sum` over the states of the free pairs
+    cancels every term that adds a free pair, so none is listed."""
+    plg, free = atom.plg, free_pairs(atom.rows)
+    absent = [
+        (u, v) for u, v in combinations(range(plg.n), 2)
+        if not plg.graph.adj[u] >> v & 1 and (u, v) not in free
+    ]
+    for mask in range(1 << len(absent)):
+        extra = [pair for i, pair in enumerate(absent) if mask >> i & 1]
+        graph = Graph(plg.n, list(plg.graph.edges) + extra)
+        yield PartiallyLabeledGraph(graph, plg.labels), -1 if len(extra) % 2 else 1
+
+
+def brute_glue(a, b):
+    """Glue two PLGs edge by edge: b's vertex with a label of a becomes
+    a's vertex with that label, b's other vertices come after a's."""
+    at = dict(a.labels)
+    label_of = {v: lab for lab, v in b.labels}
+    where, n = [], a.n
+    for v in range(b.n):
+        if label_of.get(v) in at:
+            where.append(at[label_of[v]])
+        else:
+            where.append(n)
+            n += 1
+    edges = set(a.graph.edges) | {tuple(sorted((where[u], where[v]))) for u, v in b.graph.edges}
+    labels = {**at, **{lab: where[v] for lab, v in b.labels}}
+    return PartiallyLabeledGraph(Graph(n, sorted(edges)), labels)
+
+
+def brute_strip(plg, keep=None):
+    """plg without the labels outside `keep` (None keeps all) and without
+    its isolated vertices."""
+    kept = [v for v in range(plg.n) if plg.graph.adj[v]]
+    index = {v: i for i, v in enumerate(kept)}
+    labels = [(lab, index[v]) for lab, v in plg.labels if v in index and (keep is None or lab in keep)]
+    return PartiallyLabeledGraph(plg.graph.induced(kept), labels)
+
+
+def brute_ind_product_form(atoms, keep=None):
+    """The normal form of the product of the IndAtoms' inds, unlabeled to
+    `keep`, by brute force: glue every choice of one raw term per atom,
+    strip it, give each distinct stripped PLG its `round_based` form on
+    its own, and add the weights of equal forms.  A dict from forms to
+    nonzero Fractions, as `QuantumGraph.terms`."""
+    raw = [(PartiallyLabeledGraph(Graph(0)), 1)]
+    for atom in atoms:
+        raw = [(brute_glue(a, b), wa * wb) for a, wa in raw for b, wb in brute_ind_terms(atom)]
+    stripped = {}
+    for plg, weight in raw:
+        key = brute_strip(plg, keep)
+        stripped[key] = stripped.get(key, 0) + weight
+    forms = {}
+    for plg, weight in stripped.items():
+        form = round_based_canonical_form(plg).plg
+        forms[form] = forms.get(form, 0) + weight
+    return {form: Fraction(c) for form, c in forms.items() if c}
+
+
 def brute_hom_count(h, g):
     """Number of maps V(h) -> V(g) sending every edge to an edge."""
     if h.n == 0:

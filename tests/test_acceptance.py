@@ -243,8 +243,8 @@ def test_criterion_6_algebra_identities():
         for g in enumerate_graphs(n):
             h = PLG(g, [(1, 0)])
             total = QuantumGraph()
-            for sup, _ in ind_terms(h, (0,) * h.n):
-                total = total + ind(sup)
+            for (adj, labels), _ in ind_terms(h, (0,) * h.n):
+                total = total + ind(PLG(Graph._of_rows(adj), labels))
             assert total == QuantumGraph.of(h)
 
     # the same pair of identities at the density level: h up to 4,

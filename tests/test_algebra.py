@@ -39,7 +39,8 @@ from homdens.errors import BudgetExceeded, FormatError
 from homdens.graphs import PLG, Graph, canonical_form, enumerate_graphs
 from homdens.polynomials import Polynomial
 
-from oracles import ind_sum, is_isomorphic_labeled, labeled_core
+from homdens import algebra
+from oracles import brute_ind_product_form, brute_strip, ind_sum, is_isomorphic_labeled, labeled_core
 from test_density import _random_expr
 
 K2 = Graph(2, [(0, 1)])
@@ -316,8 +317,8 @@ class TestInd:
             for g in enumerate_graphs(n):
                 h = PLG(g, [(1, 0)] if n >= 1 else [])
                 total = QuantumGraph()
-                for sup, _ in ind_terms(h, (0,) * h.n):
-                    total = total + ind(sup)
+                for (adj, labels), _ in ind_terms(h, (0,) * h.n):
+                    total = total + ind(PLG(Graph._of_rows(adj), labels))
                 assert total == QuantumGraph.of(h), g
 
 
@@ -663,6 +664,81 @@ class TestIntegerMerge:
                 twins += any(abs(w) > 1 for _, w in ind_terms(plg.drop_labels(keep), rows))
             cancelled += bool(set(expand(Unlabel(keep, Product([plain, *rest]))).terms) - set(got.terms))
         assert twins > 20 and cancelled > 100, (twins, cancelled)
+
+
+class TestRawTermOracle:
+    """`expand` of ind products against `brute_ind_product_form`, which
+    labels every stripped raw term of the product on its own and merges by
+    brute force.  The normal-form rule labels each distinct stripped raw
+    term of the glued trigraph once, one `_form_parts` call each, except
+    those whose weights cancel before labeling."""
+
+    @pytest.fixture
+    def labelings(self, monkeypatch):
+        calls = []
+        original = algebra._form_parts
+
+        def counting(adj, labels):
+            calls.append((adj, labels))
+            return original(adj, labels)
+
+        monkeypatch.setattr(algebra, "_form_parts", counting)
+        return calls
+
+    def check(self, atoms, keep, labelings):
+        """Assert both facts for one product; return its raw term count
+        and how many distinct stripped raw terms they make."""
+        del labelings[:]
+        expr = Product(atoms)
+        got = expand(expr if keep is None else Unlabel(keep, expr))
+        assert got.terms == brute_ind_product_form(atoms, keep), (atoms, keep)
+        glued = reduce(lambda a, b: a and ind_product(a, b), [trigraph(a) for a in atoms])
+        if glued is None:
+            assert labelings == []
+            return 0, 0
+        plg, rows = glued
+        stripped = Counter()
+        raw = 0
+        for (adj, labels), weight in ind_terms(plg if keep is None else plg.drop_labels(keep), rows):
+            stripped[brute_strip(PLG(Graph._of_rows(adj), labels))] += weight
+            raw += 1
+        assert len(labelings) == sum(1 for w in stripped.values() if w), (atoms, keep)
+        return raw, len(stripped)
+
+    def test_seeded_products_keeping_labels_or_some(self, labelings):
+        rng = random.Random(113)
+        pool = plgs_with_label_subsets(3, (1, 2))
+        atoms = [IndAtom(plg) for plg in pool] + free_pair_atoms(pool)
+        kept = partial = 0
+        for _ in range(60):
+            factors = [rng.choice(atoms) for _ in range(rng.randint(1, 3))]
+            keep = None if rng.random() < 0.5 else random_subset(rng, (1, 2))
+            raw, _ = self.check(factors, keep, labelings)
+            if raw:
+                kept += keep is None
+                partial += keep is not None and bool(keep)
+        assert kept > 10 and partial > 5, (kept, partial)
+
+    def test_stripping_merges_raw_terms(self, labelings):
+        """Bases with isolated vertices, whose raw terms differ only in
+        where an edge lands among them, strip to equal PLGs."""
+        rng = random.Random(127)
+        bases = [
+            PLG(Graph(3), {1: 0}),
+            PLG(Graph(4, [(0, 1)]), {1: 0, 2: 2}),
+            PLG(Graph(3), {}),
+            PLG(Graph(4, [(2, 3)]), {2: 2}),
+        ]
+        merged = 0
+        for base in bases:
+            for keep in (None, (), (1,), (2,)):
+                raw, distinct = self.check([IndAtom(base)], keep, labelings)
+                merged += distinct < raw
+        for _ in range(20):
+            factors = [IndAtom(rng.choice(bases)) for _ in range(2)]
+            raw, distinct = self.check(factors, random_subset(rng, (1, 2)), labelings)
+            merged += distinct < raw
+        assert merged > 10, merged
 
 
 def non_ind_factor(rng, pool):

@@ -113,6 +113,11 @@ class TestWeightedGraph:
                 assert t_quantum(h, g) == t_quantum(h, WeightedGraph(g, [F(1, g.n)] * g.n))
         assert t_quantum(K2, Graph(0)) == t_quantum(K2, WeightedGraph(Graph(0), []))
 
+    def test_other_targets_are_refused(self):
+        for target in ("K2", PLG(K2), None):
+            with pytest.raises(TypeError, match=f"^expected a graph or weighted graph, got {type(target).__name__}$"):
+                t_quantum(K2, target)
+
     def test_immutable(self):
         G = WeightedGraph(K2, [F(1, 2)] * 2)
         with pytest.raises(AttributeError):

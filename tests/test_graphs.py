@@ -104,21 +104,22 @@ class TestGraphBasics:
 
     def test_relabel_matches_the_constructors(self):
         """The package's image under a trusted permutation, built without
-        the checks, equals the one the validating constructors build,
-        edges, rows and labels alike."""
+        the checks, has the rows the validating constructor builds, and
+        the form `_form_parts` gives is the input's image under its
+        certificate, rows and labels alike."""
         rng = random.Random(41)
         for _ in range(300):
             n = rng.randint(0, 9)
             plg = random_plg(rng, n, label_count=rng.randint(0, n))
             perm = list(range(n))
             rng.shuffle(perm)
-            got = graphs._moved_plg(plg, tuple(perm))
-            g = Graph(n, [(perm[u], perm[v]) for u, v in plg.graph.edges])
-            want = PLG(g, [(lab, perm[v]) for lab, v in plg.labels])
-            assert got == want
-            assert got.graph.adj == g.adj
-            assert got.labels == want.labels
-            assert got._canon is None
+            got = graphs._moved_rows(plg.graph.adj, tuple(perm))
+            assert got == Graph(n, [(perm[u], perm[v]) for u, v in plg.graph.edges]).adj
+            adj, labels, cert = graphs._form_parts(plg.graph.adj, plg.labels)
+            g = Graph(n, [(cert[u], cert[v]) for u, v in plg.graph.edges])
+            want = PLG(g, [(lab, cert[v]) for lab, v in plg.labels])
+            assert adj == want.graph.adj
+            assert labels == want.labels
 
     def test_row_built_graphs_match_the_validating_constructor(self):
         """Every route that builds a graph from trusted rows gives the graph
@@ -143,7 +144,7 @@ class TestGraphBasics:
                 k = rng.randint(0, n)
                 labeled = PLG(g, zip(rng.sample(range(1, 9), k), rng.sample(range(n), k)))
                 perm = rng.sample(range(n), n)
-                moved = graphs._moved_plg(labeled, perm).graph
+                moved = Graph._of_rows(graphs._moved_rows(labeled.graph.adj, perm))
                 check(moved, {pair(perm[u], perm[v]) for u, v in g.edges})
                 vs = rng.sample(range(n), rng.randint(0, n))
                 check(g.induced(vs), {pair(i, j) for i, j in combinations(range(len(vs)), 2)
@@ -165,9 +166,10 @@ class TestGraphBasics:
                 check(independent_blowup(g, counts), across)
                 within = {p for c in copies for p in combinations(c, 2)}
                 check(clique_blowup(g, counts), across | within)
-                for raw, _ in ind_terms(labeled, (0,) * n):
-                    check(raw.graph, raw.graph.edges)
-                    assert g.edges <= raw.graph.edges
+                for (adj, labels), _ in ind_terms(labeled, (0,) * n):
+                    raw = Graph._of_rows(adj)
+                    check(raw, raw.edges)
+                    assert g.edges <= raw.edges and labels == labeled.labels
                 free = frozenset(rng.sample(list(combinations(range(n), 2)), min(2, n * (n - 1) // 2)))
                 product = ind_product((labeled, Graph(n, free).adj), (other, (0,) * other.n))
                 if product is not None:

@@ -313,7 +313,7 @@ class TestMonomialExpansion:
         cases += [(h, js) for h, js in self.SMALL if len(set(js)) == len(js)]
         for h, js in cases:
             mine = Counter(
-                (raw.graph.edges, weight) for raw, weight in ind_terms(*clone_trigraph(h, js))
+                (Graph._of_rows(adj).edges, weight) for (adj, _), weight in ind_terms(*clone_trigraph(h, js))
             )
             plain = Counter(
                 (Graph(h.n + len(js), edges).edges, sign)
@@ -382,6 +382,16 @@ class TestCounterexample:
         assert len(generators) == 6
         assert all(g.n == 7 and len(g.labels) == 6 for g in generators)
         assert len(x.terms) == 11464
+
+    def test_one_monomial_labels_each_raw_term_once(self, canonical_calls):
+        """x2^2*x3, one monomial of the build: its unlabeled trigraph has
+        2560 raw terms, one per copy-swap orbit, each labeled once, plus
+        the six generator atoms of `phi`; they make 1801 forms."""
+        xs = tuple(f"x{j}" for j in range(1, 7))
+        p = Polynomial.variable("x2", xs) ** 2 * Polynomial.variable("x3", xs)
+        f = expand(Unlabel((), phi(H6, p)))
+        assert len(canonical_calls) == 2566
+        assert len(f.terms) == 1801
 
     def test_terms_stay_small(self):
         x = counterexample()
