@@ -47,6 +47,7 @@ from .graphs import (
     _marked,
     _moved,
     _moved_rows,
+    _read_record,
     canonical_form,
     format_plg,
     parse_plg,
@@ -62,7 +63,7 @@ EXPAND_BUDGET = 200_000
 # evaluators stay well inside the interpreter's recursion limit.
 QEXPR_DEPTH_CAP = 100
 
-EMPTY_PLG = PLG(Graph(0))
+EMPTY_PLG = _marked(PLG(Graph(0)))
 
 
 def as_plg(x):
@@ -73,24 +74,15 @@ def as_plg(x):
     raise TypeError(f"expected a graph or PLG, got {type(x).__name__}")
 
 
-def strip_isolated(plg):
-    """Remove every isolated vertex, labeled or not.
-
-    What is left of a canonical form is flagged as one: canonical labeling
-    orders the labeled vertices by label, and places each component apart,
-    unlabeled isolated vertices before any other unlabeled component, so
-    dropping isolated vertices keeps the order of the rest.
-    """
-    if all(plg.graph.adj):
-        return plg
-    adj, labels = _stripped(plg.graph.adj, plg.labels)
-    stripped = PLG._of_parts(Graph._of_rows(adj), labels)
-    return _marked(stripped) if plg._canon is True else stripped
-
-
 def _stripped(adj, labels):
     """The rows and labels of the PLG of rows `adj` and `labels`, sorted
-    by label, with every isolated vertex removed."""
+    by label, with every isolated vertex removed.
+
+    What is left of a canonical form is one: canonical labeling orders the
+    labeled vertices by label, and places each component apart, unlabeled
+    isolated vertices before any other unlabeled component, so dropping
+    isolated vertices keeps the order of the rest.
+    """
     index = {v: i for i, v in enumerate(v for v, row in enumerate(adj) if row)}
     return (
         tuple(_moved(row, index) for row in adj if row),
@@ -118,8 +110,7 @@ def _glue_map(a, b):
 
 def glue(a, b):
     """Glue two PLGs: disjoint union, identify equal labels, drop doubled edges."""
-    adj, labels = _glued(as_plg(a), as_plg(b))
-    return PLG._of_parts(Graph._of_rows(adj), labels)
+    return PLG._of_parts(*_glued(as_plg(a), as_plg(b)))
 
 
 def _glued(a, b):
@@ -136,8 +127,8 @@ class QuantumGraph:
 
     Keys are canonical isolated-vertex-free PLGs; the empty graph is the
     unit of the unlabeled subalgebra.  The empty map is zero, and no
-    coefficient is 0.  Raw terms become keys by `_add_raw`, the
-    normal-form rule `expand` applies too.
+    coefficient is 0.  Given PLGs become keys by `_add_plgs`, which hands
+    those not known to be forms to `_add_raw`, the normal-form rule.
 
     `_search` is the term search that `density` keeps on a graph with no
     labels once it is first evaluated, and None until then.
@@ -149,7 +140,7 @@ class QuantumGraph:
         if isinstance(terms, dict):
             terms = terms.items()
         acc = _Terms()
-        _add_raw(acc, ((as_plg(plg), c if isinstance(c, Fraction) else Fraction(c)) for plg, c in terms))
+        _add_plgs(acc, ((as_plg(plg), c if isinstance(c, Fraction) else Fraction(c)) for plg, c in terms))
         object.__setattr__(self, "terms", acc.terms())
         object.__setattr__(self, "_search", None)
 
@@ -179,7 +170,10 @@ class QuantumGraph:
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
     def __add__(self, other):
-        return QuantumGraph([*self.terms.items(), *as_quantum(other).terms.items()])
+        terms = dict(self.terms)
+        for p, c in as_quantum(other).terms.items():
+            _merge(terms, p, c)
+        return QuantumGraph._normal({p: c for p, c in terms.items() if c})
 
     __radd__ = __add__
 
@@ -228,13 +222,16 @@ def as_quantum(x):
 def product(f, g):
     """Bilinear extension of PLG gluing; commutative and associative."""
     f, g = as_quantum(f), as_quantum(g)
-    return QuantumGraph((glue(a, b), ca * cb) for a, ca in f.terms.items() for b, cb in g.terms.items())
+    return _normalized((_glued(a, b), ca * cb) for a, ca in f.terms.items() for b, cb in g.terms.items())
 
 
 def unlabel(f, keep=()):
-    """Forget every label outside `keep`; linear in f."""
-    keep = frozenset(keep)
-    return QuantumGraph((plg.drop_labels(keep), coeff) for plg, coeff in as_quantum(f).terms.items())
+    """Forget every label outside `keep`, labels read as integers as
+    `Unlabel` reads them; linear in f.  A key that keeps all its labels
+    is not labeled again."""
+    acc = _Terms()
+    _add_plgs(acc, as_quantum(f).terms.items(), frozenset(int(t) for t in keep))
+    return QuantumGraph._normal(acc.terms())
 
 
 # ---------------------------------------------------------------------------
@@ -575,91 +572,86 @@ class _Terms:
     """A sum on its way to normal form: `coeffs` maps the rows and labels
     of each canonical form reached to its coefficient.  Rows that labeling
     moved take one shared int per distinct row from `rows`, as a parsed
-    form's do.  `forms` holds the PLG of a form that arrived as one;
-    `terms` builds the rest."""
+    form's do."""
 
-    __slots__ = ("coeffs", "forms", "rows")
+    __slots__ = ("coeffs", "rows")
 
     def __init__(self):
-        self.coeffs, self.forms, self.rows = {}, {}, {}
+        self.coeffs, self.rows = {}, {}
 
     def terms(self):
-        """The dict from each flagged form with a nonzero coefficient to
-        that coefficient as a Fraction, equal coefficients one object."""
+        """The dict from the flagged PLG of each form with a nonzero
+        coefficient to that coefficient as a Fraction, equal coefficients
+        one object."""
         out, shared = {}, {}
-        for key, c in self.coeffs.items():
+        for (adj, labels), c in self.coeffs.items():
             if c:
-                form = self.forms.get(key)
-                if form is None:
-                    form = _marked(PLG._of_parts(Graph._of_rows(key[0]), key[1]))
                 f = shared.get(c)
                 if f is None:
                     f = shared[c] = c if isinstance(c, Fraction) else Fraction(c)
-                out[form] = f
+                out[_marked(PLG._of_parts(adj, labels))] = f
         return out
+
+
+def _normalized(terms):
+    """The QuantumGraph of the raw `terms`, by `_add_raw`."""
+    acc = _Terms()
+    _add_raw(acc, terms)
+    return QuantumGraph._normal(acc.terms())
+
+
+def _add_plgs(acc, terms, keep=None):
+    """Add the sum of `terms`, (PLG, weight) pairs, to the `_Terms` acc,
+    unlabeled down to `keep` as in `_add_raw`.  A PLG that is a form or
+    caches one, and keeps all its labels, is not labeled again: its form's
+    rows and labels, stripped (see `_stripped`), key its weight.  The rest
+    go to `_add_raw` as rows."""
+    raw = []
+    for plg, weight in terms:
+        form = plg if plg._canon is True else plg._canon
+        if form is None or keep is not None and any(lab not in keep for lab, _ in plg.labels):
+            raw.append(((plg.graph.adj, plg.labels), weight))
+        elif weight:
+            adj, labels = form.graph.adj, form.labels
+            _merge(acc.coeffs, (adj, labels) if all(adj) else _stripped(adj, labels), weight)
+    _add_raw(acc, raw, 1, keep)
 
 
 def _add_raw(acc, terms, scale=1, keep=None):
     """The normal-form rule: add scale times the sum of the raw `terms` to
-    the `_Terms` acc.  A raw term is (PLG, weight) or ((adj, labels),
-    weight), the rows and labels, sorted by label, of a PLG never built.
-    Labels outside `keep` (None keeps all) and isolated vertices go first;
-    then equal raw terms merge, and `_add_distinct` adds the nonzero ones.
-    A PLG that comes through unchanged is handed on, so that one already a
-    form, or with its form cached, is not labeled again, and one whose
-    certificate is the identity is its own form; what is left of a form
-    once its isolated vertices go is a form too (see `strip_isolated`).
-    No form is cached on a raw term: the raw dict would keep each copy alive."""
-    raw, given = {}, {}
-    for term, weight in terms:
+    the `_Terms` acc.  A raw term is ((adj, labels), weight), the rows and
+    labels, sorted by label, of a PLG that need not be built.  Labels
+    outside `keep` (None keeps all) and isolated vertices go first; then
+    equal raw terms merge, and `_add_distinct` labels the nonzero ones."""
+    raw = {}
+    for (adj, labels), weight in terms:
         if not weight:
             continue
-        if isinstance(term, tuple):
-            (adj, labels), plg = term, None
-        else:
-            adj, labels, plg = term.graph.adj, term.labels, term
         if keep is not None and any(lab not in keep for lab, _ in labels):
-            labels, plg = tuple(lv for lv in labels if lv[0] in keep), None
+            labels = tuple(lv for lv in labels if lv[0] in keep)
         if not all(adj):
             adj, labels = _stripped(adj, labels)
-            canon = plg is not None and plg._canon is True
-            plg = _marked(PLG._of_parts(Graph._of_rows(adj), labels)) if canon else None
-        key = adj, labels
-        _merge(raw, key, weight)
-        if plg is not None:
-            given.setdefault(key, plg)
-    _add_distinct(acc, ((key, w) for key, w in raw.items() if w), scale, given)
+        _merge(raw, (adj, labels), weight)
+    _add_distinct(acc, ((key, w) for key, w in raw.items() if w), scale)
 
 
-def _add_distinct(acc, terms, scale=1, given=None):
+def _add_distinct(acc, terms, scale=1):
     """Add scale times the sum of `terms` to the `_Terms` acc: pairwise
     distinct ((adj, labels), weight) raw terms, none with an isolated
-    vertex or a zero weight, so none merges before labeling.  `given` maps
-    the rows and labels of a term that came as a PLG to that PLG.
-
-    Each term is labeled once, unless its PLG is a form or caches its form,
-    and the form's rows and labels key the merge.  A given PLG whose
-    certificate is the identity is flagged and kept as its own form.  The
-    scale meets each form once."""
+    vertex or a zero weight, so none merges before labeling.  Each term is
+    labeled once, and its form's rows and labels key the merge.  The scale
+    meets each form once."""
     coeffs = acc.coeffs if scale == 1 else {}
-    forms, rows = acc.forms, acc.rows
+    rows = acc.rows
     for key, weight in terms:
-        plg = given.get(key) if given else None
-        moved = False
-        if plg is not None and plg._canon:
-            form = plg if plg._canon is True else plg._canon
-            key = form.graph.adj, form.labels
-            forms.setdefault(key, form)
-        else:
-            adj, labels, _ = _form_parts(*key)
-            if adj is not key[0]:
-                key, moved = (adj, labels), True
-            elif plg is not None:
-                forms.setdefault(key, _marked(plg))
+        adj, labels, _ = _form_parts(*key)
+        moved = adj is not key[0]
+        if moved:
+            key = adj, labels
         old = coeffs.get(key)
         if old is None:
             if moved:
-                key = tuple([rows.setdefault(r, r) for r in key[0]]), key[1]
+                key = tuple([rows.setdefault(r, r) for r in adj]), labels
             coeffs[key] = weight
         else:
             coeffs[key] = old + weight
@@ -688,7 +680,7 @@ def _merge(acc, key, coeff):
 def _expand_into(acc, expr, scale, keep, budget):
     """Add scale * expr, unlabeled down to `keep` as in `_add_raw`, to acc."""
     if isinstance(expr, Atom):
-        _add_raw(acc, ((expr.plg, scale),), 1, keep)
+        _add_plgs(acc, ((expr.plg, scale),), keep)
     elif isinstance(expr, (Const, IndAtom)):
         _expand_into(acc, Product((expr,)), scale, keep, budget)
     elif isinstance(expr, Sum):
@@ -776,12 +768,12 @@ def format_quantum(f):
     return "\n".join(lines) + "\n"
 
 
-def read_terms(text):
-    """Yield the `(plg, coefficient)` pair of each record of a term list, as
-    written but with isolated vertices stripped; bad records raise
-    FormatError with their line number.  Each distinct coefficient text is
-    read once per call, and the records share each distinct adjacency row's
-    int."""
+def _raw_terms(text):
+    """Yield the raw term ((adj, labels), coefficient) of each record of a
+    term list, as written but with isolated vertices stripped; bad records
+    raise FormatError with their line number.  Each distinct coefficient
+    text is read once per call, and the records share each distinct
+    adjacency row's int."""
     coeffs, rows = {}, {}
     for lineno, body in record_lines(text):
         coeff_text, sep, record = body.partition("*")
@@ -791,19 +783,22 @@ def read_terms(text):
         coeff = coeffs.get(coeff_text)
         if coeff is None:
             coeff = coeffs[coeff_text] = parse_rational(coeff_text, "coefficient", lineno)
-        plg = strip_isolated(parse_plg(record.strip(), line=lineno))
-        # The graph is new, so trading its rows for equal ones read before
-        # changes nothing but memory.
-        object.__setattr__(plg.graph, "adj", tuple([rows.setdefault(r, r) for r in plg.graph.adj]))
-        yield plg, coeff
+        adj, labels = _read_record(record.strip(), line=lineno)
+        if not all(adj):
+            adj, labels = _stripped(adj, labels)
+        yield (tuple([rows.setdefault(r, r) for r in adj]), labels), coeff
+
+
+def read_terms(text):
+    """The `(plg, coefficient)` pair of each raw term `_raw_terms` reads."""
+    for parts, coeff in _raw_terms(text):
+        yield PLG._of_parts(*parts), coeff
 
 
 def parse_quantum(text):
     """The normal form of a term list, whose records reach the normal-form
-    rule as rows, so that no parsed PLG outlives its line."""
-    acc = _Terms()
-    _add_raw(acc, (((plg.graph.adj, plg.labels), c) for plg, c in read_terms(text)))
-    return QuantumGraph._normal(acc.terms())
+    rule as rows, so that no PLG is built for a record."""
+    return _normalized(_raw_terms(text))
 
 
 # s-expressions: (q 2/3), (g <plg>), (ind <plg>), (sum e...), (prod e...),
@@ -941,5 +936,5 @@ def load_expression(text):
         return parse_qexpr(record_text(text))
     if first.startswith("plg"):
         line, record = single_record(text)
-        return ((strip_isolated(parse_plg(record, line)), Fraction(1)),)
+        return ((PLG._of_parts(*_stripped(*_read_record(record, line))), Fraction(1)),)
     return tuple(read_terms(text))

@@ -71,9 +71,9 @@ from .graphs import (
     PartiallyLabeledGraph,
     _bits,
     _components,
+    _record_parts,
     format_plg,
     parse_rational,
-    plg_from_fields,
     split_record_fields,
 )
 from .polynomials import Polynomial, _width
@@ -463,16 +463,15 @@ class _TermSearch:
         node.pending = None
 
 
-def extensions(pattern, pinned, graph, budget=None, free=None):
+def extensions(pattern, pinned, graph, budget=None):
     """The image tuples, indexed by pattern vertex, of every exact
     extension of the root map `pinned` {pattern vertex: target vertex}:
     the walk of a one-term search in exact mode whose keys are the pinned
     vertices themselves, which checks the pins by their root codes.
-    `free` rows, as in `_TermSearch`, exempt pairs from the exact rule;
     `budget` caps the number of extensions."""
     _check_cover(pinned, pinned, graph)
     image = [pinned.get(v, 0) for v in range(pattern.n)]
-    search = _TermSearch([(Fraction(1), pattern, {v: v for v in pinned})], EXACT, free)
+    search = _TermSearch([(Fraction(1), pattern, {v: v for v in pinned})], EXACT)
     return _walk_extensions(search, image, graph, budget)
 
 
@@ -797,13 +796,13 @@ def format_weighted_graph(G):
 
 def parse_weighted_graph(text, line=None):
     fields = split_record_fields(text, line=line, allowed=("n", "edges", "weights"))
-    plg = plg_from_fields({k: v for k, v in fields.items() if k != "weights"}, line=line)
-    n = plg.graph.n
+    adj, _ = _record_parts(fields, line=line)
+    n = len(adj)
     if fields.get("weights"):
         y = [parse_rational(wtxt, "weight", line) for wtxt in fields["weights"].split(",")]
     else:
         y = [Fraction(1, n)] * n if n else []
     try:
-        return WeightedGraph(plg.graph, y)
+        return WeightedGraph(Graph._of_rows(adj), y)
     except ValueError as exc:
         raise FormatError(str(exc), line=line) from None

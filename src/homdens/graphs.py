@@ -41,18 +41,8 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n, edges=()):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        adj = [0] * n
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", tuple(adj))
+        object.__setattr__(self, "adj", _rows(n, edges))
 
     @classmethod
     def _of_rows(cls, adj):
@@ -104,6 +94,22 @@ class Graph:
         return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def _rows(n, edges):
+    """The adjacency rows of the graph on n vertices with the pairs
+    `edges`; ValueError for a negative n, a loop or a vertex out of range."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    adj = [0] * n
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return tuple(adj)
+
+
 EMPTY_GRAPH = Graph(0)
 
 
@@ -134,30 +140,16 @@ class PartiallyLabeledGraph:
     def __init__(self, graph, labels=()):
         if isinstance(labels, dict):
             labels = labels.items()
-        labels = tuple(sorted((int(l), int(v)) for l, v in labels)) if labels else ()
-        seen_labels = set()
-        seen_vertices = set()
-        for lab, v in labels:
-            if lab <= 0:
-                raise ValueError(f"label {lab} is not a positive integer")
-            if not 0 <= v < graph.n:
-                raise ValueError(f"label {lab} on missing vertex {v}")
-            if lab in seen_labels:
-                raise ValueError(f"label {lab} used twice")
-            if v in seen_vertices:
-                raise ValueError(f"vertex {v} labeled twice")
-            seen_labels.add(lab)
-            seen_vertices.add(v)
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", _checked_labels(labels, graph.n))
         object.__setattr__(self, "_canon", None)
 
     @classmethod
-    def _of_parts(cls, graph, labels):
-        """The PLG of a graph and a labels tuple, sorted by label, that the
-        caller trusts, built without the constructor's checks."""
+    def _of_parts(cls, adj, labels):
+        """The PLG of rows and a labels tuple, sorted by label, that the
+        caller trusts, built without the graph and PLG constructors' checks."""
         plg = object.__new__(cls)
-        object.__setattr__(plg, "graph", graph)
+        object.__setattr__(plg, "graph", Graph._of_rows(adj))
         object.__setattr__(plg, "labels", labels)
         object.__setattr__(plg, "_canon", None)
         return plg
@@ -217,6 +209,26 @@ class PartiallyLabeledGraph:
 PLG = PartiallyLabeledGraph
 
 
+def _checked_labels(labels, n):
+    """The (label, vertex) pairs `labels` of an n-vertex graph as a tuple
+    sorted by label; ValueError unless the labels are distinct positive
+    integers on distinct vertices."""
+    labels = tuple(sorted((int(l), int(v)) for l, v in labels)) if labels else ()
+    seen_labels, seen_vertices = set(), set()
+    for lab, v in labels:
+        if lab <= 0:
+            raise ValueError(f"label {lab} is not a positive integer")
+        if not 0 <= v < n:
+            raise ValueError(f"label {lab} on missing vertex {v}")
+        if lab in seen_labels:
+            raise ValueError(f"label {lab} used twice")
+        if v in seen_vertices:
+            raise ValueError(f"vertex {v} labeled twice")
+        seen_labels.add(lab)
+        seen_vertices.add(v)
+    return labels
+
+
 def _edge_order(g):
     """Sorts n-vertex graphs as (edge count, sorted edge list) would: equal
     length lists first differ where one holds the smaller pair, the higher
@@ -231,9 +243,9 @@ def canonical_form(g):
     the input's rows and labels.  An input whose certificate is the
     identity is already its own form; it is flagged and returned itself."""
     if isinstance(g, Graph):
-        g = PartiallyLabeledGraph._of_parts(g, ())
+        g = PartiallyLabeledGraph._of_parts(g.adj, ())
     adj, labels, cert = _form_parts(g.graph.adj, g.labels)
-    form = g if adj is g.graph.adj else PartiallyLabeledGraph._of_parts(Graph._of_rows(adj), labels)
+    form = g if adj is g.graph.adj else PartiallyLabeledGraph._of_parts(adj, labels)
     return _marked(form), cert
 
 
@@ -696,12 +708,19 @@ def split_record_fields(text, line=None, allowed=("n", "labels", "edges", "weigh
 
 
 def parse_plg(text, line=None):
+    return PartiallyLabeledGraph._of_parts(*_read_record(text, line))
+
+
+def _read_record(text, line=None):
+    """The adjacency rows and the labels, sorted by label, of a `plg`
+    record, checked as the graph and PLG constructors check theirs."""
     fields = split_record_fields(text, line=line, allowed=("n", "labels", "edges"))
-    return plg_from_fields(fields, line=line)
+    return _record_parts(fields, line=line)
 
 
-def plg_from_fields(fields, line=None):
-    """The PLG of a record's fields, its vertex count checked first."""
+def _record_parts(fields, line=None):
+    """The rows and sorted labels of a record's fields, its vertex count
+    checked first; FormatError names `line`."""
     try:
         n = int(fields["n"])
     except ValueError:
@@ -726,7 +745,7 @@ def plg_from_fields(fields, line=None):
                 a, b = _vertex(u, line), _vertex(v, line)
             edges.append((a, b))
     try:
-        return PartiallyLabeledGraph(Graph(n, edges), labels)
+        return _rows(n, edges), _checked_labels(labels, n)
     except ValueError as exc:
         raise FormatError(str(exc), line=line) from None
 

@@ -28,7 +28,7 @@ def canonical_calls(monkeypatch):
     original = graphs._certificate
 
     def counting(adj, labels):
-        calls.append(graphs.PLG._of_parts(graphs.Graph._of_rows(adj), labels))
+        calls.append(graphs.PLG._of_parts(adj, labels))
         return original(adj, labels)
 
     monkeypatch.setattr(graphs, "_certificate", counting)

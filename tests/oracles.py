@@ -237,14 +237,20 @@ def brute_strip(plg, keep=None):
 def brute_ind_product_form(atoms, keep=None):
     """The normal form of the product of the IndAtoms' inds, unlabeled to
     `keep`, by brute force: glue every choice of one raw term per atom,
-    strip it, give each distinct stripped PLG its `round_based` form on
-    its own, and add the weights of equal forms.  A dict from forms to
-    nonzero Fractions, as `QuantumGraph.terms`."""
+    then `brute_normal_form`."""
     raw = [(PartiallyLabeledGraph(Graph(0)), 1)]
     for atom in atoms:
         raw = [(brute_glue(a, b), wa * wb) for a, wa in raw for b, wb in brute_ind_terms(atom)]
+    return brute_normal_form(raw, keep)
+
+
+def brute_normal_form(terms, keep=None):
+    """The normal form of the raw `terms`, (PLG, weight) pairs, unlabeled
+    to `keep`, by brute force: strip each PLG, give each distinct stripped
+    PLG its `round_based` form on its own, and add the weights of equal
+    forms.  A dict from forms to nonzero Fractions, as `QuantumGraph.terms`."""
     stripped = {}
-    for plg, weight in raw:
+    for plg, weight in terms:
         key = brute_strip(plg, keep)
         stripped[key] = stripped.get(key, 0) + weight
     forms = {}

@@ -31,16 +31,23 @@ from homdens.algebra import (
     parse_quantum,
     product,
     read_terms,
-    strip_isolated,
     unlabel,
 )
 from homdens.certificates import verify_sos
 from homdens.errors import BudgetExceeded, FormatError
-from homdens.graphs import PLG, Graph, canonical_form, enumerate_graphs
+from homdens.graphs import PLG, Graph, canonical_form, enumerate_graphs, parse_plg
 from homdens.polynomials import Polynomial
 
 from homdens import algebra
-from oracles import brute_ind_product_form, brute_strip, ind_sum, is_isomorphic_labeled, labeled_core
+from oracles import (
+    brute_glue,
+    brute_ind_product_form,
+    brute_normal_form,
+    brute_strip,
+    ind_sum,
+    is_isomorphic_labeled,
+    labeled_core,
+)
 from test_density import _random_expr
 
 K2 = Graph(2, [(0, 1)])
@@ -137,28 +144,32 @@ class TestNormalForm:
 
     def test_stripped_canonical_forms_stay_canonical(self):
         """Every labeling by 1..3 of every graph with at most 5 vertices:
-        the canonical form with its isolated vertices stripped, which is
-        flagged canonical, is what canonical labeling makes of it."""
+        the rows and labels of the canonical form with its isolated
+        vertices stripped, which the normal form keys without labeling
+        them, are what canonical labeling makes of them."""
         for n in range(6):
             for g in enumerate_graphs(n) if n else [Graph(0)]:
                 for k in range(min(n, 3) + 1):
                     for vertices in permutations(range(n), k):
-                        plg = PLG(g, {i + 1: v for i, v in enumerate(vertices)})
-                        stripped = strip_isolated(plg.canonical())
-                        assert stripped.canonical() is stripped
-                        assert canonical_form(PLG(stripped.graph, stripped.labels))[0] == stripped
+                        form = PLG(g, {i + 1: v for i, v in enumerate(vertices)}).canonical()
+                        adj, labels = algebra._stripped(form.graph.adj, form.labels)
+                        stripped = PLG(Graph._of_rows(adj), labels)
+                        assert canonical_form(stripped) == (stripped, tuple(range(len(adj))))
 
     def test_atom_with_isolated_vertices_expands_with_one_canonicalization(self, canonical_calls):
         """The atom canonicalizes its PLG once; the term it expands to is
-        that form stripped, so it costs no second call, as the normal form
-        of the same PLG costs one."""
+        that form stripped, so it costs no second call.  The PLG caches
+        its form, so its normal form costs none either, while a fresh copy
+        of it costs one."""
         plg = PLG(Graph(3, [(0, 1)]), {1: 0, 2: 2})
         want = QuantumGraph.of(PLG(K2, {1: 0}))
         del canonical_calls[:]
         assert expand(Atom(plg)) == want
         assert len(canonical_calls) == 1
         del canonical_calls[:]
-        QuantumGraph.of(plg)
+        assert QuantumGraph.of(plg) == want
+        assert canonical_calls == []
+        assert QuantumGraph.of(PLG(plg.graph, plg.labels)) == want
         assert len(canonical_calls) == 1
 
     def test_keys_are_not_canonicalized_again(self, canonical_calls):
@@ -198,6 +209,73 @@ class TestNormalForm:
         del canonical_calls[:]
         assert product(f, f) == f
         assert len(canonical_calls) == 64
+
+
+def random_terms(rng, max_terms=4, max_n=4, labels=(1, 2, 3)):
+    """Raw (PLG, Fraction) terms, isolated vertices and repeats included."""
+    terms = []
+    for _ in range(rng.randint(1, max_terms)):
+        n = rng.randint(0, max_n)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        k = rng.randint(0, min(len(labels), n))
+        plg = PLG(Graph(n, edges), zip(rng.sample(labels, k), rng.sample(range(n), k)))
+        terms.append((plg, Fraction(rng.randint(-3, 3), rng.randint(1, 3))))
+    return terms + rng.sample(terms, rng.randint(0, len(terms)))
+
+
+class TestRoutesIntoTheRule:
+    """Each route that hands the normal-form rule rows, against gluing,
+    stripping and labeling by brute force on seeded inputs."""
+
+    def test_product(self):
+        rng = random.Random(4001)
+        for _ in range(40):
+            f, g = QuantumGraph(random_terms(rng)), QuantumGraph(random_terms(rng))
+            raw = [(brute_glue(a, b), ca * cb) for a, ca in f.terms.items() for b, cb in g.terms.items()]
+            assert product(f, g).terms == brute_normal_form(raw), (f, g)
+
+    def test_unlabel_with_a_partial_keep(self, canonical_calls):
+        """Only a key that loses a label is labeled again."""
+        rng = random.Random(4002)
+        for _ in range(40):
+            f = QuantumGraph(random_terms(rng))
+            keep = set(rng.sample((1, 2, 3, 4), rng.randint(0, 3)))
+            want = brute_normal_form(f.terms.items(), keep)
+            assert unlabel(f, keep).terms == want, (f, keep)
+            del canonical_calls[:]
+            assert unlabel(f, (1, 2, 3)) == f
+            assert canonical_calls == []
+            # Written labels are read as integers, on both routes.
+            written = [str(lab) for lab in keep]
+            assert unlabel(f, written).terms == want
+            assert expand(Unlabel(written, f)).terms == want
+
+    def test_unlabel_reads_written_labels_as_unlabel_does(self):
+        f = QuantumGraph.of(edge(1, None))
+        assert unlabel(f, ["1"]) == expand(Unlabel(["1"], f)) == f
+        assert unlabel(f, ["1"]) != unlabel(f) == QuantumGraph.of(K2)
+
+    def test_sum(self):
+        rng = random.Random(4003)
+        for _ in range(40):
+            f, g = QuantumGraph(random_terms(rng)), QuantumGraph(random_terms(rng))
+            assert (f + g).terms == brute_normal_form([*f.terms.items(), *g.terms.items()]), (f, g)
+            assert (f - f).terms == {}
+
+    def test_known_forms_are_merged_unlabeled(self, canonical_calls):
+        """PLGs that cache their form, and forms with isolated vertices,
+        reach the normal form without a labeling."""
+        rng = random.Random(4004)
+        for _ in range(40):
+            terms = random_terms(rng)
+            want = brute_normal_form(terms)
+            cached = [(plg, c) for plg, c in terms if plg.canonical() is not plg]
+            forms = [(canonical_form(plg)[0], c) for plg, c in terms]
+            del canonical_calls[:]
+            assert QuantumGraph(cached).terms == brute_normal_form(cached)
+            assert QuantumGraph(forms).terms == want
+            assert QuantumGraph(terms).terms == want
+            assert canonical_calls == []
 
 
 class TestRingAxioms:
@@ -798,7 +876,7 @@ class TestLastGluing:
             raw = Counter()
             for a, ca in f.terms.items():
                 for b, cb in f.terms.items():
-                    raw[strip_isolated(glue(a, b).drop_labels(()))] += ca * cb
+                    raw[brute_strip(glue(a, b), ())] += ca * cb
             want += sum(1 for c in raw.values() if c)
         del canonical_calls[:]
         assert verify_sos(target, cert)
@@ -836,6 +914,28 @@ class TestQuantumFormat:
         with pytest.raises(FormatError) as info:
             parse_quantum("# fine\nx * plg n=2\n")
         assert info.value.line == 2
+
+    def test_bad_records_read_alike_on_every_route(self):
+        """A bad record gives one message and line as a lone record, in a
+        term list and in its normal form; the label and edge messages are
+        those of the PLG and graph constructors."""
+        for record, message in [
+            ("plg n=x", "bad vertex count 'x'"),
+            ("plg n=-1", "vertex count must be nonnegative"),
+            ("plg n=2 edges=1-1", "loop at vertex 0"),
+            ("plg n=2 edges=1-3", "edge (0,2) out of range for n=2"),
+            ("plg n=2 labels=0:1", "label 0 is not a positive integer"),
+            ("plg n=2 labels=2:3", "label 2 on missing vertex 2"),
+            ("plg n=2 labels=1:1,1:2", "label 1 used twice"),
+            ("plg n=2 labels=2:1,1:1", "vertex 0 labeled twice"),
+            ("plg n=2 labels=1:1 bogus=1", "unknown field 'bogus'"),
+        ]:
+            text = f"# two lines\n1 * plg n=1\n-1/2 * {record}\n"
+            for read in (lambda: parse_plg(record, line=3), lambda: list(read_terms(text)),
+                         lambda: parse_quantum(text)):
+                with pytest.raises(FormatError) as info:
+                    read()
+                assert (str(info.value), info.value.line) == (f"{message} (line 3)", 3)
 
     def test_records_share_equal_rows(self):
         """The records of one term list share each distinct row's int.  A

@@ -14,6 +14,7 @@ from test_readme import python_calls
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
 REACH = os.path.join(os.path.dirname(__file__), "reach.py")
+LOC = os.path.join(os.path.dirname(__file__), "loc.py")
 
 # The functions and methods that README's Python examples call and no
 # command reaches: the documented library API (README: quick start and
@@ -26,9 +27,8 @@ DOCUMENTED = {
     # `counterexample --k 6` reaches too (see below).
     "algebra.QuantumGraph.sorted_terms",
     "algebra.QuantumGraph.unit",
-    # `expand` hands the rows of each gluing to the normal-form rule, so
-    # only `product` builds glued PLGs.
-    "algebra.glue",
+    # The normal form of raw terms, for `parse_quantum` and `product`.
+    "algebra._normalized",
     "algebra.ind",
     "algebra.parse_quantum",
     # `expand` glues the last factor of a product straight into its normal
@@ -59,6 +59,10 @@ UNREACHED = DOCUMENTED | {
     # Kept for ROADMAP items 3, 4 and 9, which give them a command.
     "polynomials.hilbert10_transform",
     "polynomials.motzkin_S",
+    # Traced by bench/tracing.py, which no command calls.  `product` and
+    # `expand` hand the rows of each gluing to the normal-form rule, so
+    # nothing in the package builds a glued PLG.
+    "algebra.glue",
     # Traced by bench/tracing.py, which no command calls: the `witness_eval`
     # chain and the exact extension lists it rests on, until ROADMAP item 1
     # moves it or stops tracing it.  `exact_embeddings` and `witness_eval`
@@ -108,6 +112,18 @@ def test_commands_reach_all_but_the_allowlist():
         "new": set(),
         "now reached": set(),
     }
+
+
+def test_loc_counts_every_module():
+    """`tests/loc.py` prints one code-line count per package module and
+    their total."""
+    done = run_process([LOC])
+    assert done.returncode == 0, done.stderr
+    *rows, total = [line.split() for line in done.stdout.splitlines()]
+    modules = sorted(name for name in os.listdir(os.path.dirname(homdens.__file__)) if name.endswith(".py"))
+    assert [name for _, name in rows] == modules
+    assert total == [str(sum(int(count) for count, _ in rows)), "total"]
+    assert all(int(count) > 0 for count, _ in rows)
 
 
 def test_documented_names_are_what_readme_calls():

@@ -1409,7 +1409,10 @@ class TestExtensions:
                 wired = Graph(h.n, list(h.edges) + [p for p, on in zip(free, state) if on])
                 want.update(brute_exact_embeddings(wired, g))
             want = sorted(m for m in want if all(m[v] == w for v, w in pinned.items()))
-            assert sorted(extensions(h, pinned, g, free=rows if free else None)) == want
+            # The exact one-term search with free rows that `_eval_unlabel` walks.
+            search = _TermSearch([(F(1), h, {v: v for v in pinned})], EXACT, rows if free else None)
+            image = [pinned.get(v, 0) for v in range(h.n)]
+            assert sorted(density._walk_extensions(search, image, g)) == want
 
     def test_budget_caps_the_extensions(self):
         assert len(extensions(Graph(4), {}, Graph(9), budget=9**4)) == 9**4
