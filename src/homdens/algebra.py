@@ -127,8 +127,8 @@ class QuantumGraph:
 
     Keys are canonical isolated-vertex-free PLGs; the empty graph is the
     unit of the unlabeled subalgebra.  The empty map is zero, and no
-    coefficient is 0.  Given PLGs become keys by `_add_plgs`, which hands
-    those not known to be forms to `_add_raw`, the normal-form rule.
+    coefficient is 0.  Given PLGs become keys by `_add_plgs`, which labels
+    each once and records its form on it.
 
     `_search` is the term search that `density` keeps on a graph with no
     labels once it is first evaluated, and None until then.
@@ -384,8 +384,8 @@ def _as_qexpr(x):
         return Const(x)
     if isinstance(x, (PartiallyLabeledGraph, Graph)):
         return Atom(as_plg(x))
-    if isinstance(x, tuple):
-        x = QuantumGraph(x)
+    if isinstance(x, tuple):  # a term list: equal records merge before labeling, as in parse_quantum
+        x = _normalized(((plg.graph.adj, plg.labels), c) for plg, c in x)
     elif not isinstance(x, QuantumGraph):
         raise TypeError(f"cannot lift {type(x).__name__} into an expression")
     return Sum(Product((Const(coeff), Atom(plg))) for plg, coeff in x.terms.items())
@@ -602,16 +602,16 @@ def _normalized(terms):
 
 def _add_plgs(acc, terms, keep=None):
     """Add the sum of `terms`, (PLG, weight) pairs, to the `_Terms` acc,
-    unlabeled down to `keep` as in `_add_raw`.  A PLG that is a form or
-    caches one, and keeps all its labels, is not labeled again: its form's
-    rows and labels, stripped (see `_stripped`), key its weight.  The rest
-    go to `_add_raw` as rows."""
+    unlabeled down to `keep` as in `_add_raw`.  A PLG that keeps all its
+    labels is keyed by the rows and labels of its form, stripped (see
+    `_stripped`), and `canonical` records that form on it, so a PLG given
+    again is not labeled again.  The rest go to `_add_raw` as rows."""
     raw = []
     for plg, weight in terms:
-        form = plg if plg._canon is True else plg._canon
-        if form is None or keep is not None and any(lab not in keep for lab, _ in plg.labels):
+        if keep is not None and any(lab not in keep for lab, _ in plg.labels):
             raw.append(((plg.graph.adj, plg.labels), weight))
         elif weight:
+            form = plg.canonical()
             adj, labels = form.graph.adj, form.labels
             _merge(acc.coeffs, (adj, labels) if all(adj) else _stripped(adj, labels), weight)
     _add_raw(acc, raw, 1, keep)

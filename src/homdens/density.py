@@ -41,8 +41,16 @@ label trigraph, the label pairs that each root map at which it is nonzero
 sends to edges or to non-edges, so an Unlabel node walks the exact
 embeddings of its child's trigraph with the kernel and evaluates the
 child once per embedding.
-Density polynomials are built from term lists only: a structured
-expression is expanded first.
+
+A density polynomial is the same evaluation in a second ring: the symbolic
+reading of the target's weights, where each vertex weighs its variable
+y_w, so a search counts packed monomials, an Unlabel node weighs each
+embedding by a monomial and a PolyImage substitutes polynomials.  Every
+kind of input takes t_quantum's route, and a structured expression is
+never expanded.  Two routes to one quantum graph, such as a tree and its
+expansion, agree on the simplex y_1 + ... + y_n = 1, where the values
+are, though not always as polynomials: a normal form strips isolated
+vertices, and an isolated vertex weighs y_1 + ... + y_n.
 """
 
 from __future__ import annotations
@@ -63,6 +71,7 @@ from .algebra import (
     QuantumGraph,
     Sum,
     Unlabel,
+    _as_qexpr,
     as_quantum,
 )
 from .errors import BudgetExceeded, CapExceeded, FormatError
@@ -170,15 +179,20 @@ class _Weights:
     of its vertices' numerators, and `mask_sums` keeps that sum for each
     mask a search has read.  It lives as long as this object, one per
     target, so every atom and label walk evaluated at the target shares it.
+
+    `vertex` is what each vertex weighs over `den`: its numerator, or, in
+    the symbolic reading that `vars` names, its variable y_w.  That reading
+    walks at uniform weights 1, and values are polynomials in y_1..y_n.
     """
 
-    __slots__ = ("num", "den", "flat", "mask_sums")
+    __slots__ = ("num", "den", "flat", "mask_sums", "vars", "vertex")
 
-    def __init__(self, y):
+    def __init__(self, y, vars=()):
         self.den = lcm(*(w.denominator for w in y))
         self.num = [w.numerator * (self.den // w.denominator) for w in y]
         self.flat = self.num[0] if len(set(self.num)) == 1 else None
-        self.mask_sums = {}
+        self.mask_sums, self.vars = {}, vars
+        self.vertex = [Polynomial.variable(v, vars) for v in vars] if vars else self.num
 
 
 class _Node:
@@ -288,6 +302,10 @@ class _TermSearch:
         return [(self.state[c] >> n + p * b & (1 << b) - 1) - 1 for p in range(d)]
 
     def value(self, graph, weights, at):
+        """The term list's value at the target under `at`: a Fraction, or
+        in the symbolic reading of `weights` its `polynomial`."""
+        if weights.vars:
+            return self.polynomial(graph, weights, at)
         coeffs, totals = self.walk(graph, weights, at)
         sums, group, start = Counter(), self.group, 0
         for coeff, size, stop in zip(coeffs, self.sizes, self.stops):
@@ -301,6 +319,53 @@ class _TermSearch:
             (Fraction(n, den * weights.den ** k) for (k, den), n in sums.items()),
             Fraction(0),
         )
+
+    def polynomial(self, graph, weights, at):
+        """`value` in the symbolic reading of `weights`, whose `vars` name
+        the target's vertices.  Each leaf group counts the monomials of its
+        extensions, and a term is its coefficient times the product of its
+        components' counts.  A monomial is one int, b bits of exponent per
+        target vertex, so that multiplying monomials adds ints: a term's
+        degree is its free vertex count, at most the search's depth, and b
+        is the ring's width for that degree.  Coefficients are integer
+        numerators over their least common denominator D, and each
+        monomial's sum becomes one Fraction over D.  The packed monomials
+        are the result's own, with nothing unpacked."""
+        b = _width(self.depth)
+        unit = [1 << b * w for w in range(graph.n)]
+        groups = defaultdict(lambda: defaultdict(int))
+        units_of = {}  # the units of a candidate mask's vertices, by mask
+
+        def leaf(node, d, img, masks):
+            path = sum(map(unit.__getitem__, img[:d]))
+            tails = [units_of[m] if m in units_of else units_of.setdefault(m, [unit[w] for w in _bits(m)])
+                     for m in map(masks.__getitem__, node.tails)]
+            for tail, group in node.leaves:
+                monos = [path]
+                for i in tail:
+                    monos = [mono + u for mono in monos for u in tails[i]]
+                into = groups[group]
+                for mono in monos:
+                    into[mono] += 1
+
+        coeffs, _ = self.walk(graph, weights, at, leaf)
+        den = lcm(*(coeff.denominator for coeff in coeffs))
+        # Terms whose components fall in the same leaf groups share one product.
+        scaled, start = defaultdict(int), 0
+        for coeff, stop in zip(coeffs, self.stops):
+            scaled[tuple(self.group[start:stop])] += coeff.numerator * (den // coeff.denominator)
+            start = stop
+        terms = defaultdict(int)
+        for comps, num in scaled.items():
+            poly = {0: num} if num else {}
+            for group in comps:
+                poly, partial = defaultdict(int), poly
+                for mono, c in partial.items():
+                    for more, k in groups[group].items():
+                        poly[mono + more] += c * k
+            for mono, c in poly.items():
+                terms[mono] += c
+        return Polynomial._of_monos(weights.vars, b, {mono: Fraction(c, den) for mono, c in terms.items()})
 
     def walk(self, graph, weights, at, leaf=None):
         """Search the trie on one target under the root map `at`, whose
@@ -530,8 +595,13 @@ def t_quantum(f, G, phi=None):
     QExpr tree; phi must cover the labels of f's normal form, or a tree's
     `label_set`, every label it names, as trees are never expanded.
     """
-    phi = dict(phi or {})
-    graph, weights = _read_target(f, G)
+    return _value(f, *_read_target(f, G), dict(phi or {}))
+
+
+def _value(f, graph, weights, phi):
+    """The value of f at the target (graph, weights) under phi, in the
+    reading of `weights`: t_quantum's route, which density_polynomial
+    takes in the symbolic reading."""
     if isinstance(f, QExpr):
         _check_cover(f.label_set(), phi, graph)
         return _eval_expr(f, graph, weights, phi, {})
@@ -584,7 +654,7 @@ def _label_set(f):
     if isinstance(f, tuple):
         if not any(plg.labels for plg, _ in f):
             return frozenset()
-        f = QuantumGraph(f)
+        f = _as_qexpr(f)
     return (f if isinstance(f, QExpr) else as_quantum(f)).label_set()
 
 
@@ -681,10 +751,10 @@ def _eval_unlabel(expr, graph, weights, phi, walks):
     at = [phi[lab] if i in kept else 0 for i, lab in enumerate(labels)]
     total = 0
     for image in _walk_extensions(search, at, graph):
-        weight = prod(weights.num[image[v]] for v in unlabeled)
+        weight = prod(weights.vertex[image[v]] for v in unlabeled)
         if weight:
             total += weight * _eval_expr(expr.child, graph, weights, dict(zip(labels, image)), walks)
-    return Fraction(total, weights.den ** len(unlabeled))
+    return total * Fraction(1, weights.den ** len(unlabeled))
 
 
 def _trigraph(expr):
@@ -722,65 +792,26 @@ def _trigraph(expr):
 def density_polynomial(f, g, phi=None):
     """The density as a polynomial in vertex weights y_1..y_n of the target.
 
-    f is a QuantumGraph (or plain graph material) or a term list, read as
-    t_quantum reads it; evaluating the result at any probability
-    distribution equals t_quantum(f, (g, y), phi).  All terms share one
-    search: each leaf group counts the monomials of its extensions, and a
-    term is its coefficient times the product of its components' counts.
-    A monomial is one int, b bits of exponent per target vertex, so that
-    multiplying monomials adds ints: a term's degree is its free vertex
-    count, at most the search's depth, and b is the ring's width for that
-    degree.  Coefficients are integer numerators over their least common
-    denominator D, and each monomial's sum becomes one Fraction over D.
-    The packed monomials are the result's own, with nothing unpacked.  A
-    structured expression is a TypeError: expand it first.
+    f is a term list, a QuantumGraph (or plain graph material) or a QExpr,
+    read as t_quantum reads it, on its route in the symbolic reading of the
+    target's weights: each vertex weighs its variable y_w, an atom or term
+    list is its search's `polynomial`, an Unlabel weighs each embedding by
+    the monomial of the images of the labels it loses, and a PolyImage
+    substitutes its generators' polynomials.  Evaluating the result at any
+    probability distribution y equals t_quantum(f, (g, y), phi).
+
+    Polynomials are compared on the simplex y_1 + ... + y_n = 1: a tree
+    and its expansion give the same values there, but not always the same
+    polynomial, since a normal form strips isolated vertices, each of which
+    weighs y_1 + ... + y_n before it is stripped.  The empty target is read
+    at K1, as t_quantum reads it: the result is the constant of its value.
     """
-    if isinstance(f, QExpr):
-        raise TypeError(
-            "density_polynomial takes a quantum graph or term list; for a "
-            "structured expression use density_polynomial(expand(expr), g, phi)"
-        )
     g = _as_graph(g) if not isinstance(g, WeightedGraph) else g.graph
-    read, weights, phi = *_read_target(f, g), dict(phi or {})
-    search = _term_search(f, phi, read)
-    b = _width(search.depth)
-    unit = [1 << b * w for w in range(read.n)]
-    groups = defaultdict(lambda: defaultdict(int))
-    units_of = {}  # the units of a candidate mask's vertices, by mask
-
-    def leaf(node, d, img, masks):
-        path = sum(map(unit.__getitem__, img[:d]))
-        tails = [units_of[m] if m in units_of else units_of.setdefault(m, [unit[w] for w in _bits(m)])
-                 for m in map(masks.__getitem__, node.tails)]
-        for tail, group in node.leaves:
-            monos = [path]
-            for i in tail:
-                monos = [mono + u for mono in monos for u in tails[i]]
-            into = groups[group]
-            for mono in monos:
-                into[mono] += 1
-
-    coeffs, _ = search.walk(read, weights, phi, leaf)
-    den = lcm(*(coeff.denominator for coeff in coeffs))
-    # Terms whose components fall in the same leaf groups share one product.
-    scaled, start = defaultdict(int), 0
-    for coeff, stop in zip(coeffs, search.stops):
-        scaled[tuple(search.group[start:stop])] += coeff.numerator * (den // coeff.denominator)
-        start = stop
-    terms = defaultdict(int)
-    for comps, num in scaled.items():
-        poly = {0: num} if num else {}
-        for group in comps:
-            poly, partial = defaultdict(int), poly
-            for mono, c in partial.items():
-                for more, k in groups[group].items():
-                    poly[mono + more] += c * k
-        for mono, c in poly.items():
-            terms[mono] += c
-    if read is not g:  # the empty graph, read at K1: the constant of its value
-        return Polynomial._of_monos((), 1, {0: Fraction(sum(terms.values()), den)})
     ys = tuple(f"y{i}" for i in range(1, g.n + 1))
-    return Polynomial._of_monos(ys, b, {mono: Fraction(c, den) for mono, c in terms.items()})
+    # K1 for an unlabeled f at the empty target, whose reading, with no
+    # variables, is rational: the value at K1.
+    graph = _read_target(f, g)[0]
+    return Polynomial.constant(0, ys) + _value(f, graph, _Weights((Fraction(1),) * graph.n, ys), dict(phi or {}))
 
 
 # ---------------------------------------------------------------------------

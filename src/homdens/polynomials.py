@@ -10,7 +10,7 @@ takes the least such width; a sum takes the wider of its operands', and
 a product widens that, before it is formed, to what the sum of their
 total degrees needs.  The constructor checks what parsers and callers
 hand in, as exponent tuples; arithmetic, `tau` and
-`density.density_polynomial` build their results through the trusted
+`density._TermSearch.polynomial` build their results through the trusted
 `Polynomial._of_monos`, and `terms` derives the map from exponent tuples
 to coefficients on each read.  Variable names are kept in a canonical
 order (alphabetic prefix, then numeric suffix), so `x1 < x2 < x10 < y1`;

@@ -166,7 +166,9 @@ class TauCalculusPoly:
     q(e/v^2, t/v^3) * prod v^(3 deg q) by rational substitution.  When some
     v_j = 0 it returns 0, which equals the cleared polynomial whenever the
     point satisfies e_j = t_j = 0 alongside v_j = 0; generator evaluations
-    always do, since all three are moments of the same redraw set.
+    always do, since all three are moments of the same redraw set.  It
+    reads rationals only: at polynomial values, as a density polynomial
+    would substitute, it raises ValueError, since q is never expanded.
     """
 
     __slots__ = ("p", "k", "M", "degree", "vars")
@@ -183,6 +185,8 @@ class TauCalculusPoly:
         return Fraction(0)
 
     def evaluate(self, point):
+        if any(isinstance(point[v], Polynomial) for v in self.vars):
+            raise ValueError("the cleared substitution is read at rationals only")
         vs = [Fraction(point[f"v{j}"]) for j in range(1, self.k + 1)]
         if any(v == 0 for v in vs):
             return Fraction(0)

@@ -25,6 +25,7 @@ from homdens.algebra import (
     product,
     unlabel,
 )
+from homdens import algebra
 from homdens.algebra import ind_terms
 from homdens.certificates import (
     ProofLine,
@@ -130,15 +131,23 @@ def counterexample_value(G):
     return total
 
 
-def test_criterion_1_counterexample_identity():
+def test_criterion_1_counterexample_identity(monkeypatch):
     """Rooted density polynomial of the counterexample at its own base
-    graph equals y1*...*y6 times the cyclic Motzkin form, exactly."""
+    graph equals y1*...*y6 times the cyclic Motzkin form, exactly, both
+    for x and for its structured tree, which is read without expansion."""
     got = density_polynomial(counterexample(), H6)
     yv = tuple(f"y{i}" for i in range(1, 7))
     want = counterexample_poly(6).in_vars(yv)
     for i in range(1, 7):
         want = want * Polynomial.variable(f"y{i}", yv)
     assert got == want
+    sx = counterexample_expr(6)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the structured route expanded its tree")
+
+    monkeypatch.setattr(algebra, "expand", refuse)
+    assert density_polynomial(sx, H6) == want
     print("criterion 1: PASS (exact polynomial identity at the base graph)")
 
 

@@ -277,6 +277,16 @@ class TestRoutesIntoTheRule:
             assert QuantumGraph(terms).terms == want
             assert canonical_calls == []
 
+    def test_a_given_plg_is_labeled_once(self, canonical_calls):
+        """The first build records the form on the given PLG, so building
+        from it again labels nothing."""
+        e, want = PLG(K2), QuantumGraph.of(K2)
+        del canonical_calls[:]
+        for _ in range(5):
+            assert QuantumGraph([(e, 1)]) == want
+        assert len(canonical_calls) == 1
+        assert e.canonical() is e
+
 
 class TestRingAxioms:
     def test_randomized(self):

@@ -27,14 +27,15 @@ DOCUMENTED = {
     # `counterexample --k 6` reaches too (see below).
     "algebra.QuantumGraph.sorted_terms",
     "algebra.QuantumGraph.unit",
-    # The normal form of raw terms, for `parse_quantum` and `product`.
-    "algebra._normalized",
     "algebra.ind",
     "algebra.parse_quantum",
     # `expand` glues the last factor of a product straight into its normal
     # form, so only a fold of three or more factors calls `product`.
     "algebra.product",
     "algebra.unlabel",
+    # The symbolic reading of a term search, which only
+    # `density_polynomial` asks for.
+    "density._TermSearch.polynomial",
     "density._as_graph",
     "density._density",
     "density.density_polynomial",

@@ -53,6 +53,7 @@ from homdens.reductions import counterexample_expr, exact_embeddings, psi_genera
 from conftest import counterexample
 from oracles import (
     brute_density_polynomial,
+    brute_ind_terms,
     brute_exact_embeddings,
     brute_rooted_t,
     brute_t,
@@ -667,21 +668,51 @@ class TestDensityPolynomial:
                 QuantumGraph.of(h), WeightedGraph(g, y), phi
             )
 
-    def test_structured_input_is_a_type_error(self):
-        # The route for a tree is its expansion, whose polynomial agrees
-        # with the structured evaluation at every distribution.
+    def test_structured_and_expanded_routes_agree_on_the_simplex(self):
+        """A tree's polynomial, read without expansion, and its expansion's
+        polynomial both equal t_quantum of the tree at seeded points of the
+        simplex y1 + ... + yn = 1.  As polynomials they may differ, since a
+        normal form strips isolated vertices, and some of these trees do.
+        The empty target reads both as the constant of the value at K1."""
         rng = random.Random(43)
-        for _ in range(20):
-            expr = _random_expr(rng, depth=1)
+        differ = 0
+        for trial in range(150):
+            expr = _random_expr(rng, depth=1 + trial % 2)
             g = random_graph(rng, rng.randint(1, 3))
             phi = {lab: rng.randrange(g.n) for lab in expr.label_set()}
-            with pytest.raises(TypeError, match=r"density_polynomial\(expand\(expr\), g, phi\)"):
-                density_polynomial(expr, g, phi)
-            p = density_polynomial(expand(expr), g, phi)
+            p, q = density_polynomial(expr, g, phi), density_polynomial(expand(expr), g, phi)
+            differ += p != q
             for _ in range(3):
                 y = random_distribution(rng, g.n)
                 point = {f"y{i + 1}": y[i] for i in range(g.n)}
-                assert p.evaluate(point) == t_quantum(expr, WeightedGraph(g, y), phi)
+                assert p.evaluate(point) == q.evaluate(point) == t_quantum(expr, WeightedGraph(g, y), phi)
+            closed = Unlabel(frozenset(), expr)
+            empty = density_polynomial(closed, Graph(0))
+            assert empty == density_polynomial(expand(closed), Graph(0)) == t_quantum(closed, Graph(0))
+            assert empty.vars == ()
+        assert 0 < differ < 150
+
+    def test_one_atom_trees_match_brute_force(self):
+        """An atom, ind or not, is the polynomial of its one-term list,
+        isolated vertices included, as the brute force counts it."""
+        rng = random.Random(47)
+        for _ in range(30):
+            h = random_plg(rng, 3)
+            g = random_graph(rng, rng.randint(1, 3))
+            phi = {lab: rng.randrange(g.n) for lab in h.label_set()}
+            assert density_polynomial(Atom(h), g, phi).terms == brute_density_polynomial(h, g, phi)
+            atom = IndAtom(h)
+            raw = tuple((plg, F(sign)) for plg, sign in brute_ind_terms(atom))
+            assert density_polynomial(atom, g, phi).terms == _brute_terms(raw, g, phi)
+
+    def test_generator_free_pairs_match_brute_force(self):
+        """A clique-construction generator leaves its free pairs
+        unconstrained in its polynomial too."""
+        for j, m in ((1, 1), (2, 2), (3, 1)):
+            atom = psi_generator(P3, j, m)
+            raw = tuple((plg, F(sign)) for plg, sign in brute_ind_terms(atom))
+            for phi in _all_root_maps([1, 2, 3], 3):
+                assert density_polynomial(atom, P3, phi).terms == _brute_terms(raw, P3, phi)
 
 
 def _star(leaves):
