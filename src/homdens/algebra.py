@@ -572,24 +572,25 @@ class _Terms:
     """A sum on its way to normal form: `coeffs` maps the rows and labels
     of each canonical form reached to its coefficient.  Rows that labeling
     moved take one shared int per distinct row from `rows`, as a parsed
-    form's do."""
+    form's do.  `given` maps the rows and labels of each form given as a
+    PLG to that PLG, which `terms` keeps as the key's PLG."""
 
-    __slots__ = ("coeffs", "rows")
+    __slots__ = ("coeffs", "rows", "given")
 
     def __init__(self):
-        self.coeffs, self.rows = {}, {}
+        self.coeffs, self.rows, self.given = {}, {}, {}
 
     def terms(self):
         """The dict from the flagged PLG of each form with a nonzero
         coefficient to that coefficient as a Fraction, equal coefficients
-        one object."""
-        out, shared = {}, {}
-        for (adj, labels), c in self.coeffs.items():
+        one object; a given PLG is kept, and the rest are built."""
+        out, shared, given = {}, {}, self.given
+        for key, c in self.coeffs.items():
             if c:
                 f = shared.get(c)
                 if f is None:
                     f = shared[c] = c if isinstance(c, Fraction) else Fraction(c)
-                out[_marked(PLG._of_parts(adj, labels))] = f
+                out[given.get(key) or _marked(PLG._of_parts(*key))] = f
         return out
 
 
@@ -605,7 +606,8 @@ def _add_plgs(acc, terms, keep=None):
     unlabeled down to `keep` as in `_add_raw`.  A PLG that keeps all its
     labels is keyed by the rows and labels of its form, stripped (see
     `_stripped`), and `canonical` records that form on it, so a PLG given
-    again is not labeled again.  The rest go to `_add_raw` as rows."""
+    again is not labeled again; a form with no isolated vertex is kept as
+    its key's PLG.  The rest go to `_add_raw` as rows."""
     raw = []
     for plg, weight in terms:
         if keep is not None and any(lab not in keep for lab, _ in plg.labels):
@@ -613,6 +615,7 @@ def _add_plgs(acc, terms, keep=None):
         elif weight:
             form = plg.canonical()
             adj, labels = form.graph.adj, form.labels
+            acc.given[adj, labels] = form
             _merge(acc.coeffs, (adj, labels) if all(adj) else _stripped(adj, labels), weight)
     _add_raw(acc, raw, 1, keep)
 
@@ -772,9 +775,9 @@ def _raw_terms(text):
     """Yield the raw term ((adj, labels), coefficient) of each record of a
     term list, as written but with isolated vertices stripped; bad records
     raise FormatError with their line number.  Each distinct coefficient
-    text is read once per call, and the records share each distinct
-    adjacency row's int."""
-    coeffs, rows = {}, {}
+    text and edge item is read once per call, and the records share each
+    distinct adjacency row's int."""
+    coeffs, rows, items = {}, {}, {}
     for lineno, body in record_lines(text):
         coeff_text, sep, record = body.partition("*")
         if not sep:
@@ -783,7 +786,7 @@ def _raw_terms(text):
         coeff = coeffs.get(coeff_text)
         if coeff is None:
             coeff = coeffs[coeff_text] = parse_rational(coeff_text, "coefficient", lineno)
-        adj, labels = _read_record(record.strip(), line=lineno)
+        adj, labels = _read_record(record.strip(), lineno, items)
         if not all(adj):
             adj, labels = _stripped(adj, labels)
         yield (tuple([rows.setdefault(r, r) for r in adj]), labels), coeff
@@ -936,5 +939,5 @@ def load_expression(text):
         return parse_qexpr(record_text(text))
     if first.startswith("plg"):
         line, record = single_record(text)
-        return ((PLG._of_parts(*_stripped(*_read_record(record, line))), Fraction(1)),)
+        return ((PLG._of_parts(*_stripped(*_read_record(record, line, {}))), Fraction(1)),)
     return tuple(read_terms(text))

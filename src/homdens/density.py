@@ -827,7 +827,7 @@ def format_weighted_graph(G):
 
 def parse_weighted_graph(text, line=None):
     fields = split_record_fields(text, line=line, allowed=("n", "edges", "weights"))
-    adj, _ = _record_parts(fields, line=line)
+    adj, _ = _record_parts(fields, line, {})
     n = len(adj)
     if fields.get("weights"):
         y = [parse_rational(wtxt, "weight", line) for wtxt in fields["weights"].split(",")]

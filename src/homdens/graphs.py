@@ -27,7 +27,9 @@ ENUMERATION_CAP = 7
 # the commands build and write out in a few seconds.
 VERTEX_CAP = 1000
 # Most nodes of one canonical-labeling search (the tests and benchmark need
-# 191): a huge glued product of cliques is refused, not searched leaf by leaf.
+# 191, for the unlabeled Petersen graph, which has no twins; twin cells
+# fixed in place count no node): a huge glued product of cliques is
+# refused, not searched leaf by leaf.
 CANONICAL_NODE_CAP = 20_000
 
 _ENUM_MEMO = {}  # n -> tuple of representatives, filled once per process
@@ -334,9 +336,14 @@ def _search(adj, cells, fresh):
     """The vertex order of the least leaf of the search tree from `cells`,
     the last split of which made the `fresh` cells (see `_refine`).
 
-    A node refines its cells; a leaf has only singletons.  Elsewhere the
-    first cell of several vertices is split by individualizing each of its
-    vertices in turn, or fixed at once when its vertices are twins.  Leaves
+    A node refines its cells.  Then, while the first cell of several
+    vertices holds twins, the node splits it into singletons in place, with
+    no refinement: each other cell sees all the twins or none, so it has
+    one count into each twin singleton and nothing is fresh.  A leaf has
+    only singletons.  Elsewhere the first cell of several vertices is split
+    by individualizing each of its vertices in turn, and the child's one
+    fresh cell is the vertex's: the rest is the last piece of the split,
+    which `_refine` leaves out.  Leaves
     are visited depth first, smallest vertex first, and encoded only to
     choose among them: when refinement reaches a single leaf, its order is
     the answer unencoded.  Of equal encodings the first leaf wins.
@@ -352,8 +359,13 @@ def _search(adj, cells, fresh):
             raise CapExceeded(f"canonical labeling of {len(adj)} vertices exceeds {CANONICAL_NODE_CAP} search nodes")
         cells, fresh = stack.pop()
         cells = _refine(adj, bits, cells, fresh)
-        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-        if target is None:
+        while len(cells) < len(adj):
+            target = next(i for i, c in enumerate(cells) if len(c) > 1)
+            cell = cells[target]
+            if not _all_twins(adj, cell):
+                break
+            cells = cells[:target] + [[v] for v in sorted(cell)] + cells[target + 1:]
+        if len(cells) == len(adj):
             order = [c[0] for c in cells]
             if best is None:
                 best = order
@@ -364,32 +376,30 @@ def _search(adj, cells, fresh):
             if enc < best_enc:
                 best, best_enc = order, enc
             continue
-        cell = cells[target]
-        if _all_twins(adj, cell):
-            # Each other vertex sees all twins or none, and each cell had one
-            # count into the twin cell, so it has one count into every twin
-            # singleton too: nothing is fresh.
-            stack.append((cells[:target] + [[v] for v in sorted(cell)] + cells[target + 1:], []))
-            continue
         for v in sorted(cell, reverse=True):  # popped smallest first
             rest = [u for u in cell if u != v]
-            stack.append((cells[:target] + [[v], rest] + cells[target + 1:], [1 << v, _cell_mask(rest)]))
+            stack.append((cells[:target] + [[v], rest] + cells[target + 1:], [1 << v]))
     return best
 
 
 def _refine(adj, bits, cells, fresh):
     """Split cells by their neighbour counts into the `fresh` cells until
-    no cell splits.
+    no cell splits or every cell is a singleton.
 
-    `fresh` holds the masks of the cells the last split made, in cell
-    order.  Every cell already has one count into each other cell, so
-    leaving those out of the signature gives the same pieces in the same
-    sorted order as counting against every cell.  A signature is packed
-    into one int, `bits` bits per count, first count most significant, so
-    it sorts as the tuple of counts would; against one fresh cell it is
-    the count itself.
+    `fresh` holds the masks of cells the last split made, in cell order.
+    Every cell already has one count into each cell of the partition before
+    that split, so
+    leaving the other cells out of the signature gives the same pieces in
+    the same sorted order as counting against every cell.  A split's last
+    piece is left out of `fresh` too: a cell's count into it is its one
+    count into the old cell less its counts into the piece's siblings, and
+    as the pieces of one cell sit together in `fresh`, the last of them
+    ending the block, two signatures never first differ at it.  A
+    signature is packed into one int, `bits` bits per count, first count
+    most significant, so it sorts as the tuple of counts would; against one
+    fresh cell it is the count itself.
     """
-    while fresh:
+    while fresh and len(cells) < len(adj):
         out = []
         made = []
         single = fresh[0] if len(fresh) == 1 else 0
@@ -414,6 +424,7 @@ def _refine(adj, bits, cells, fresh):
             for key in sorted(groups):
                 out.append(groups[key])
                 made.append(_cell_mask(groups[key]))
+            made.pop()
         cells, fresh = out, made
     return cells
 
@@ -708,25 +719,33 @@ def split_record_fields(text, line=None, allowed=("n", "labels", "edges", "weigh
 
 
 def parse_plg(text, line=None):
-    return PartiallyLabeledGraph._of_parts(*_read_record(text, line))
+    return PartiallyLabeledGraph._of_parts(*_read_record(text, line, {}))
 
 
-def _read_record(text, line=None):
+def _read_record(text, line, items):
     """The adjacency rows and the labels, sorted by label, of a `plg`
-    record, checked as the graph and PLG constructors check theirs."""
+    record, checked as the graph and PLG constructors check theirs;
+    `items` as in `_record_parts`."""
     fields = split_record_fields(text, line=line, allowed=("n", "labels", "edges"))
-    return _record_parts(fields, line=line)
+    return _record_parts(fields, line, items)
 
 
-def _record_parts(fields, line=None):
+def _record_parts(fields, line, items):
     """The rows and sorted labels of a record's fields, its vertex count
-    checked first; FormatError names `line`."""
+    checked first; FormatError names `line`.
+
+    `items`, a dict that a reader keeps across its records, maps each edge
+    item read before to its two vertices and their bits, which are ORed
+    straight into the rows.  An item that is not two distinct plain vertex
+    texts, a vertex out of range or a negative count sends the record to
+    the checked route instead, which reads every item before it checks an
+    edge, so its error is the one the graph constructor would name.
+    """
     try:
         n = int(fields["n"])
     except ValueError:
         raise FormatError(f"bad vertex count {fields['n']!r}", line=line) from None
     _check_vertex_cap(n)
-    vertex = _VERTEX.get
     labels = []
     if fields.get("labels"):
         for item in fields["labels"].split(","):
@@ -734,20 +753,37 @@ def _record_parts(fields, line=None):
             if not sep:
                 raise FormatError(f"bad label item {item!r}", line=line)
             labels.append((_parse_int(lab, "label", line), _vertex(v, line)))
-    edges = []
-    if fields.get("edges"):
-        for item in fields["edges"].split(";"):
-            u, sep, v = item.partition("-")
-            if not sep:
-                raise FormatError(f"bad edge item {item!r}", line=line)
-            a, b = vertex(u), vertex(v)
-            if a is None or b is None:
-                a, b = _vertex(u, line), _vertex(v, line)
-            edges.append((a, b))
+    text = fields.get("edges")
+    adj = [0] * n if n >= 0 else None
     try:
-        return _rows(n, edges), _checked_labels(labels, n)
+        for item in text.split(";") if text and adj is not None else ():
+            hit = items.get(item)
+            if hit is None:
+                u, _, v = item.partition("-")
+                a, b = _VERTEX.get(u), _VERTEX.get(v)
+                if a is None or b is None or a == b:
+                    raise IndexError  # not two plain vertex texts, or a loop
+                hit = items[item] = a, 1 << a, b, 1 << b
+            a, abit, b, bbit = hit
+            adj[a] |= bbit
+            adj[b] |= abit
+    except IndexError:
+        adj = None
+    if adj is None:  # the checked route
+        edges = [_edge(item, line) for item in text.split(";")] if text else []
+    try:
+        return (_rows(n, edges) if adj is None else tuple(adj)), _checked_labels(labels, n)
     except ValueError as exc:
         raise FormatError(str(exc), line=line) from None
+
+
+def _edge(item, line):
+    """The vertices of an edge item; FormatError unless it is two vertex
+    texts."""
+    u, sep, v = item.partition("-")
+    if not sep:
+        raise FormatError(f"bad edge item {item!r}", line=line)
+    return _vertex(u, line), _vertex(v, line)
 
 
 # The 0-based vertex of each plain 1-based vertex text a record can hold.

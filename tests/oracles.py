@@ -587,6 +587,39 @@ def _ref_encode(adj, order):
     return enc
 
 
+def full_refine(adj, bits, cells, fresh):
+    """`graphs._refine` with no piece left out: each round counts against
+    every piece the last round made, and runs until no cell splits.  A
+    test swaps it in to hold the certificates to it."""
+    while fresh:
+        out = []
+        made = []
+        single = fresh[0] if len(fresh) == 1 else 0
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups = {}
+            if single:
+                for v in cell:
+                    groups.setdefault((adj[v] & single).bit_count(), []).append(v)
+            else:
+                for v in cell:
+                    row = adj[v]
+                    sig = 0
+                    for m in fresh:
+                        sig = sig << bits | (row & m).bit_count()
+                    groups.setdefault(sig, []).append(v)
+            if len(groups) == 1:
+                out.append(cell)
+                continue
+            for key in sorted(groups):
+                out.append(groups[key])
+                made.append(_ref_cell_mask(groups[key]))
+        cells, fresh = out, made
+    return cells
+
+
 # ---------------------------------------------------------------------------
 # Dict-of-exponent-tuples polynomial arithmetic, kept as the reference for
 # the package's packed monomials.

@@ -287,6 +287,16 @@ class TestRoutesIntoTheRule:
         assert len(canonical_calls) == 1
         assert e.canonical() is e
 
+    def test_a_given_form_is_its_own_key(self):
+        """A form with no isolated vertex, given as itself or through a PLG
+        that caches it, is the key of the built graph, not a copy of it."""
+        path = PLG(Graph(3, [(0, 2), (1, 2)]), {1: 1})
+        f = path.canonical()
+        assert f is not path
+        for given in (f, path):
+            assert next(iter(QuantumGraph([(given, 1)]).terms)) is f
+        assert next(iter(unlabel(QuantumGraph([(f, 2)]), [1]).terms)) is f
+
 
 class TestRingAxioms:
     def test_randomized(self):
@@ -946,6 +956,37 @@ class TestQuantumFormat:
                 with pytest.raises(FormatError) as info:
                     read()
                 assert (str(info.value), info.value.line) == (f"{message} (line 3)", 3)
+
+    def test_edge_anomalies_read_as_the_checked_reader_reads_them(self):
+        """A term list reads each edge item once, so a later record can meet
+        an item it knows at a vertex count too small for it.  Every edge
+        anomaly gives the checked reader's message and line on each route,
+        an item read before or not: a bad item's message wins over a range
+        error before it, as a range error wins over a bad label.  The
+        record on line 2 reads every good item below first."""
+        for record, message in [
+            ("plg n=9 edges=1-2;1-1", "loop at vertex 0"),
+            ("plg n=9 edges=1-2;1-12", "edge (0,11) out of range for n=9"),
+            ("plg n=3 edges=2-3;1-12", "edge (0,11) out of range for n=3"),
+            ("plg n=0 edges=1-2", "edge (0,1) out of range for n=0"),
+            ("plg n=-2", "vertex count must be nonnegative"),
+            ("plg n=-2 edges=1-2", "vertex count must be nonnegative"),
+            ("plg n=3 edges=01-01", "loop at vertex 0"),
+            ("plg n=3 edges=1-2;+2-04", "edge (1,3) out of range for n=3"),
+            ("plg n=3 edges=1-2;13", "bad edge item '13'"),
+            ("plg n=3 edges=1-2;", "bad edge item ''"),
+            ("plg n=3 edges=1-12;2-x", "bad vertex 'x'"),
+            ("plg n=3 edges=1-1;2-3;3", "bad edge item '3'"),
+            ("plg n=3 labels=1:5 edges=1-12", "edge (0,11) out of range for n=3"),
+        ]:
+            text = f"1 * plg n=12 edges=1-2;1-12;2-3\n-1/2 * {record}\n"
+            for read in (lambda: parse_plg(record, line=2), lambda: list(read_terms(text)),
+                         lambda: parse_quantum(text)):
+                with pytest.raises(FormatError) as info:
+                    read()
+                assert (str(info.value), info.value.line) == (f"{message} (line 2)", 2)
+        (_, _), (plg, c) = read_terms("1 * plg n=3 edges=1-2\n2 * plg n=3 edges=01-+2;2-3;1-2\n")
+        assert plg == parse_plg("plg n=3 edges=1-2;2-3") and c == 2
 
     def test_records_share_equal_rows(self):
         """The records of one term list share each distinct row's int.  A

@@ -29,6 +29,7 @@ from oracles import (
     _ref_components,
     _ref_encode,
     brute_isomorphic,
+    full_refine,
     homogeneous_sets,
     is_isomorphic_labeled,
     is_stringent,
@@ -211,6 +212,27 @@ class TestCanonicalForm:
             plg = random_plg(rng, rng.randint(1, 6))
             c = canonical_form(plg)[0]
             assert canonical_form(c)[0] == c
+
+    def test_drop_last_refinement_matches_full_refinement(self, monkeypatch):
+        """Leaving each split's last piece out of the fresh cells gives the
+        certificate that counting against every piece gives: on every
+        labeling by 0-2 labels of every graph with at most 6 vertices, and
+        on seeded random graphs with 7-12 vertices and 0-3 labels."""
+        inputs = []
+        for n in range(7):
+            labelings = [()] + [((1, v),) for v in range(n)]
+            labelings += [((1, u), (2, v)) for u in range(n) for v in range(n) if u != v]
+            inputs += [(g.adj, labels) for g in enumerate_graphs(n) for labels in labelings]
+        rng = random.Random(43)
+        for _ in range(2000):
+            n = rng.randint(7, 12)
+            p = rng.choice((0.2, 0.5, 0.8))
+            adj = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]).adj
+            verts = rng.sample(range(n), rng.randint(0, 3))
+            inputs.append((adj, tuple((lab, v) for lab, v in enumerate(verts, start=1))))
+        want = [graphs._certificate(adj, labels) for adj, labels in inputs]
+        monkeypatch.setattr(graphs, "_refine", full_refine)
+        assert [graphs._certificate(adj, labels) for adj, labels in inputs] == want
 
     def test_matches_round_based_reference(self, monkeypatch):
         """Refining against the changed cells only picks the representative
